@@ -3,9 +3,11 @@
 The design problem: split a total sample across a shared control arm and, per
 substudy, a monotherapy arm and a combination arm, so that the smaller of the
 two Wald noncentrality parameters in every substudy is as large as possible.
-A softmax re-parameterization turns the open-simplex constraint into an
-unconstrained search; when there is a single substudy and the combination arm
-is uncorrelated with control, the optimum has a closed form.
+The optimum equalizes all 2K noncentralities; :func:`optimize_allocation`
+finds it exactly by a one-dimensional convex search over the control share.
+The paper's softmax parameterization of the simplex and its closed form for a
+single substudy with zero correlation (optimal only at s = 1) are kept as the
+documented forms.
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 
 __all__ = [
     "DesignScenario",
@@ -30,6 +31,9 @@ __all__ = [
 ]
 
 _SUM_TOL = 1e-9
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# each step shrinks the bracket by _INV_GOLDEN: 0.618^60 < 3e-13
+_GOLDEN_STEPS = 60
 
 
 def _as_tuple(value, length: int, name: str) -> tuple[float, ...]:
@@ -241,64 +245,57 @@ def closed_form_allocation(s: float, n_total: int | None = None) -> Allocation:
     return Allocation((p_a, p_b, p_ab), n_total)
 
 
-def _scaled_objective(scenario: DesignScenario, ratios: np.ndarray) -> float:
-    """min over substudies and comparisons of the N- and sigma2-free
-    noncentrality; -inf where a variance term degenerates."""
-    p_a = ratios[0]
-    worst = math.inf
-    for k in range(scenario.K):
-        p_b = ratios[2 * k + 1]
-        p_ab = ratios[2 * k + 2]
-        delta2 = scenario.delta[k] ** 2
-        denom1 = _w1_denominator(p_ab, p_a, scenario.rho_combo_control[k])
-        if denom1 <= 0.0:
-            return -math.inf
-        w1 = scenario.synergy[k] ** 2 * delta2 / denom1
-        w2 = delta2 / (1.0 / p_a + 1.0 / p_b)
-        worst = min(worst, w1, w2)
-    return worst
+def optimize_allocation(scenario: DesignScenario, n_total: int | None = None) -> Allocation:
+    """Exact max-min allocation: every one of the 2K noncentralities is equal.
 
-
-def optimize_allocation(
-    scenario: DesignScenario,
-    seed: int = 0,
-    n_starts: int = 8,
-    n_total: int | None = None,
-) -> Allocation:
-    """Max-min allocation over the softmax-parameterized simplex.
-
-    Runs a derivative-free simplex search from ``n_starts`` seeded Gaussian
-    starting points and keeps the best result, ties resolved by start index.
-    The max-min objective is kinked where the noncentralities cross, so the
-    search is always performed directly; the zero-correlation closed form is
-    not substituted because it only solves the max-min problem at s = 1.
+    N and sigma2 cancel, so work at noncentrality level 1 without the
+    sum-to-one constraint.  Given the control share p_A = 1/q^2, each
+    substudy's smallest shares that keep both noncentralities >= 1 are closed
+    form: p_B = 1/(delta^2 - q^2) and p_AB = 1/u^2, where
+    u = rho q + sqrt(s^2 delta^2 - (1 - rho^2) q^2) is the larger root of the
+    combination constraint's quadratic in 1/sqrt(p_AB).  The noncentralities
+    are homogeneous of degree one in the shares, so dividing these shares by
+    their total F(q) gives a point of the simplex whose noncentralities all
+    equal 1/F(q); the max-min allocation is the one at the q minimizing F.
     """
-    dim = 2 * scenario.K + 1
-
-    def negated(theta: np.ndarray) -> float:
-        return -_scaled_objective(scenario, _softmax(theta))
-
-    best: tuple[float, int, np.ndarray] | None = None
-    for start in range(n_starts):
-        rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, start])
-        theta0 = rng.standard_normal(dim)
-        result = minimize(
-            negated,
-            theta0,
-            method="Nelder-Mead",
-            options={
-                "xatol": 1e-8,
-                "fatol": 1e-10,
-                "maxiter": 4000 * dim,
-                "maxfev": 4000 * dim,
-            },
+    if any(s == 0.0 for s in scenario.synergy):
+        raise DomainError(
+            "synergy must be nonzero: at s = 0 no allocation gives the "
+            "combination contrast any power"
         )
-        if not result.success or not math.isfinite(result.fun):
-            continue
-        if best is None or result.fun < best[0]:
-            best = (float(result.fun), start, np.asarray(result.x))
-    if best is None:
-        raise ConvergenceError(
-            f"allocation optimizer failed from all {n_starts} starting points"
-        )
-    return softmax_to_allocation(best[2], n_total)
+    terms = []
+    q2_max = math.inf
+    for delta, s, rho in zip(scenario.delta, scenario.synergy, scenario.rho_combo_control):
+        d2, b, c = delta**2, (s * delta) ** 2, 1.0 - rho**2
+        terms.append((d2, b, c, rho))
+        # feasible q: q^2 < delta^2 keeps p_B finite; u is real and positive
+        # while q^2 <= b/c for rho >= 0 and while q^2 < b for rho < 0
+        u_limit = b if rho < 0 else (b / c if c > 0 else math.inf)
+        q2_max = min(q2_max, d2, u_limit)
+
+    def shares(q: float) -> list[float]:
+        out = [1.0 / (q * q)]
+        for d2, b, c, rho in terms:
+            u = rho * q + math.sqrt(b - c * q * q)
+            out += [1.0 / (d2 - q * q), 1.0 / (u * u)]
+        return out
+
+    # Golden-section search over the open feasible interval (0, q_max), where
+    # every probe is finite.  F is convex in q: 1/q^2 and 1/(delta^2 - q^2)
+    # are convex there, and 1/u^2 is a convex decreasing function of u, which
+    # is concave in q (a line plus the upper half of an ellipse) and positive.
+    lo, hi = 0.0, math.sqrt(q2_max)
+    x1, x2 = hi - _INV_GOLDEN * hi, _INV_GOLDEN * hi
+    f1, f2 = sum(shares(x1)), sum(shares(x2))
+    for _ in range(_GOLDEN_STEPS):
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _INV_GOLDEN * (hi - lo)
+            f1 = sum(shares(x1))
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _INV_GOLDEN * (hi - lo)
+            f2 = sum(shares(x2))
+    best = shares(0.5 * (lo + hi))
+    total = sum(best)
+    return Allocation(tuple(p / total for p in best), n_total)

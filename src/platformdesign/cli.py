@@ -7,7 +7,7 @@ override built-in defaults; the ``PLATFORMDESIGN_SEED`` environment variable
 supplies a default seed when ``--seed`` is absent.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical failure (no root /
-no convergence / precision), 4 search budget exceeded.
+not positive definite / precision), 4 search budget exceeded.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ import argparse
 import json
 import os
 import sys
-
-import numpy as np
 
 from .allocation import DesignScenario, optimize_allocation
 from .correlation import (
@@ -32,7 +30,6 @@ from .correlation import (
 )
 from .errors import (
     BudgetExceeded,
-    ConvergenceError,
     DomainError,
     InsufficientData,
     NotPositiveDefinite,
@@ -52,7 +49,6 @@ from .multiplicity import (
 from .mvnorm import CorrelationMatrix
 from .power import find_sample_size
 from .studies import (
-    GridSpec,
     adjustment_grid,
     design_surface_grid,
     error_curves_grid,
@@ -71,7 +67,7 @@ EXIT_BUDGET = 4
 SEED_ENV_VAR = "PLATFORMDESIGN_SEED"
 
 _VALIDATION_ERRORS = (DomainError, SchemaError, ParseError, InsufficientData, ZeroVariance)
-_NUMERIC_ERRORS = (RootBracketError, ConvergenceError, NotPositiveDefinite, PrecisionUnreachable)
+_NUMERIC_ERRORS = (RootBracketError, NotPositiveDefinite, PrecisionUnreachable)
 
 _METRIC_DEFAULT_ALPHA = {"fwer": 0.05, "fmer": 0.0025, "msfp": 0.000625, "mfwer": 0.05}
 
@@ -228,7 +224,7 @@ def cmd_design(args) -> int:
         rho_combo_mono=_broadcast(args.rho_ab_b, k, "--rho-ab-b"),
     )
     metric = _metric_from_args(args)
-    alloc = optimize_allocation(scenario, seed=args.seed)
+    alloc = optimize_allocation(scenario)
     threshold, z_rho = _design_threshold(scenario, alloc, metric, args)
     result = find_sample_size(
         scenario,
@@ -325,39 +321,30 @@ def cmd_simulate(args) -> int:
         swept in ("rho_ab_b", "rho_ab_a"),
         "--swept must be rho-ab-b or rho-ab-a",
     )
-    if args.study == "error-curves":
-        grid = error_curves_grid(
-            swept=swept, fixed_rho=args.fixed_rho, replications=args.replications,
-            seed=args.seed, start=args.start if args.start is not None else 0.05,
-            stop=args.stop if args.stop is not None else 0.95,
-            step=args.step if args.step is not None else 0.01,
-        )
-        table = run_error_curves(grid)
-    elif args.study == "adjustments":
-        grid = adjustment_grid(
-            swept=swept, fixed_rho=args.fixed_rho, replications=args.replications,
-            seed=args.seed, start=args.start if args.start is not None else 0.05,
-            stop=args.stop if args.stop is not None else 0.95,
-            step=args.step if args.step is not None else 0.01,
-        )
-        table = run_adjustment_comparison(grid)
+    # pass only the sweep flags given, so the grid factories own the defaults
+    sweep = {
+        key: getattr(args, key)
+        for key in ("start", "stop", "step")
+        if getattr(args, key) is not None
+    }
+    if args.study == "design-surface":
+        if args.rho_levels:
+            sweep["rho_levels"] = tuple(args.rho_levels)
+        grid = design_surface_grid(seed=args.seed, n_sim=args.nsim, **sweep)
+        table = run_design_surface(grid, progress=args.progress)
     elif args.study == "thresholds":
-        grid = threshold_grid(
-            swept=swept, fixed_rho=args.fixed_rho, seed=args.seed,
-            start=args.start if args.start is not None else 0.05,
-            stop=args.stop if args.stop is not None else 0.95,
-            step=args.step if args.step is not None else 0.01,
-        )
+        grid = threshold_grid(swept=swept, fixed_rho=args.fixed_rho, seed=args.seed, **sweep)
         table = run_threshold_curves(grid)
     else:
-        grid = design_surface_grid(
-            seed=args.seed, n_sim=args.nsim,
-            start=args.start if args.start is not None else 0.7,
-            stop=args.stop if args.stop is not None else 1.3,
-            step=args.step if args.step is not None else 0.1,
-            rho_levels=tuple(args.rho_levels) if args.rho_levels else (0.1, 0.3, 0.5, 0.7),
+        factory, runner = {
+            "error-curves": (error_curves_grid, run_error_curves),
+            "adjustments": (adjustment_grid, run_adjustment_comparison),
+        }[args.study]
+        grid = factory(
+            swept=swept, fixed_rho=args.fixed_rho, replications=args.replications,
+            seed=args.seed, **sweep,
         )
-        table = run_design_surface(grid, progress=args.progress)
+        table = runner(grid)
 
     if args.format == "jsonl":
         text = table.to_json_lines(args.out)

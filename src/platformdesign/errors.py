@@ -26,10 +26,6 @@ class PrecisionUnreachable(PlatformDesignError):
     """A Monte Carlo estimate hit its budget cap before the requested precision."""
 
 
-class ConvergenceError(PlatformDesignError):
-    """An optimizer failed to converge from every starting point."""
-
-
 class BudgetExceeded(PlatformDesignError):
     """A search exceeded its configured resource cap (e.g. maximum sample size)."""
 

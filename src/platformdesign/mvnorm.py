@@ -233,20 +233,16 @@ _GL20_X = np.array(
 )
 
 
-def _phid(x: float) -> float:
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
 def _bvn_upper(dh: float, dk: float, r: float) -> float:
     """P(X > dh, Y > dk) for standard bivariate normal with correlation r."""
     if dh == math.inf or dk == math.inf:
         return 0.0
     if dh == -math.inf:
-        return 1.0 if dk == -math.inf else _phid(-dk)
+        return 1.0 if dk == -math.inf else std_normal_cdf(-dk)
     if dk == -math.inf:
-        return _phid(-dh)
+        return std_normal_cdf(-dh)
     if r == 0.0:
-        return _phid(-dh) * _phid(-dk)
+        return std_normal_cdf(-dh) * std_normal_cdf(-dk)
 
     tp = 2.0 * math.pi
     h, k = dh, dk
@@ -266,7 +262,7 @@ def _bvn_upper(dh: float, dk: float, r: float) -> float:
         asr = math.asin(r) / 2.0
         sn = np.sin(asr * x)
         bvn = float(np.exp((sn * hk - hs) / (1.0 - sn * sn)) @ w)
-        bvn = bvn * asr / tp + _phid(-h) * _phid(-k)
+        bvn = bvn * asr / tp + std_normal_cdf(-h) * std_normal_cdf(-k)
     else:
         if r < 0.0:
             k = -k
@@ -286,7 +282,7 @@ def _bvn_upper(dh: float, dk: float, r: float) -> float:
                 )
             if -hk < 100.0:
                 b = math.sqrt(bs)
-                sp = math.sqrt(tp) * _phid(-b / a)
+                sp = math.sqrt(tp) * std_normal_cdf(-b / a)
                 bvn -= math.exp(-hk / 2.0) * sp * b * (
                     1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0
                 )
@@ -302,9 +298,9 @@ def _bvn_upper(dh: float, dk: float, r: float) -> float:
                 bvn += a * float((np.exp(asr_v[keep]) * (ep - sp_v)) @ w[keep])
             bvn = -bvn / tp
         if r > 0.0:
-            bvn += _phid(-max(h, k))
+            bvn += std_normal_cdf(-max(h, k))
         else:
-            bvn = -bvn + max(0.0, _phid(-h) - _phid(-k))
+            bvn = -bvn + max(0.0, std_normal_cdf(-h) - std_normal_cdf(-k))
     return min(1.0, max(0.0, bvn))
 
 

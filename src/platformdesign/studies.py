@@ -101,25 +101,28 @@ class GridSpec:
         return np.round(self.start + self.step * np.arange(count), 12)
 
 
+# Default sweep of the correlation studies: 0.05 to 0.95 in steps of 0.01.
+_RHO_START, _RHO_STOP, _RHO_STEP = 0.05, 0.95, 0.01
+
+
+def _rho_sweep(swept: str, fixed_rho: float, fixed: dict | None = None, **spec) -> GridSpec:
+    """Sweep one arm correlation with the other held at ``fixed_rho``."""
+    other = "rho_ab_a" if swept == "rho_ab_b" else "rho_ab_b"
+    return GridSpec(swept=swept, fixed={other: fixed_rho, **(fixed or {})}, **spec)
+
+
 def error_curves_grid(
     swept: str = "rho_ab_b",
     fixed_rho: float = 0.3,
     replications: int = 100_000,
     seed: int = 0,
-    start: float = 0.05,
-    stop: float = 0.95,
-    step: float = 0.01,
+    start: float = _RHO_START,
+    stop: float = _RHO_STOP,
+    step: float = _RHO_STEP,
 ) -> GridSpec:
-    other = "rho_ab_a" if swept == "rho_ab_b" else "rho_ab_b"
-    return GridSpec(
-        swept=swept,
-        start=start,
-        stop=stop,
-        step=step,
-        fixed={other: fixed_rho},
-        allocations=DEFAULT_ALLOCATIONS,
-        replications=replications,
-        seed=seed,
+    return _rho_sweep(
+        swept, fixed_rho, start=start, stop=stop, step=step,
+        allocations=DEFAULT_ALLOCATIONS, replications=replications, seed=seed,
     )
 
 
@@ -128,19 +131,13 @@ def adjustment_grid(
     fixed_rho: float = 0.3,
     replications: int = 100_000,
     seed: int = 0,
-    start: float = 0.05,
-    stop: float = 0.95,
-    step: float = 0.01,
+    start: float = _RHO_START,
+    stop: float = _RHO_STOP,
+    step: float = _RHO_STEP,
 ) -> GridSpec:
-    other = "rho_ab_a" if swept == "rho_ab_b" else "rho_ab_b"
-    return GridSpec(
-        swept=swept,
-        start=start,
-        stop=stop,
-        step=step,
-        fixed={other: fixed_rho, "alpha": 0.05},
-        replications=replications,
-        seed=seed,
+    return _rho_sweep(
+        swept, fixed_rho, {"alpha": 0.05}, start=start, stop=stop, step=step,
+        replications=replications, seed=seed,
     )
 
 
@@ -148,19 +145,12 @@ def threshold_grid(
     swept: str = "rho_ab_b",
     fixed_rho: float = 0.3,
     seed: int = 0,
-    start: float = 0.05,
-    stop: float = 0.95,
-    step: float = 0.01,
+    start: float = _RHO_START,
+    stop: float = _RHO_STOP,
+    step: float = _RHO_STEP,
 ) -> GridSpec:
-    other = "rho_ab_a" if swept == "rho_ab_b" else "rho_ab_b"
-    return GridSpec(
-        swept=swept,
-        start=start,
-        stop=stop,
-        step=step,
-        fixed={other: fixed_rho},
-        replications=1,
-        seed=seed,
+    return _rho_sweep(
+        swept, fixed_rho, start=start, stop=stop, step=step, replications=1, seed=seed
     )
 
 
@@ -396,7 +386,7 @@ def run_design_surface(grid: GridSpec, progress: bool = False) -> ResultTable:
             scenario = DesignScenario.single(
                 delta, float(s), sigma2, rho_ab_a=float(rho), rho_ab_b=float(rho)
             )
-            alloc = optimize_allocation(scenario, seed=grid.seed)
+            alloc = optimize_allocation(scenario)
             z_rho = _z_rho(alloc.ratios, float(rho), float(rho))
             for metric in _TARGETS:
                 threshold = generalized_dunnett_threshold(z_rho, metric)

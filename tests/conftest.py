@@ -34,16 +34,17 @@ def rect_quad_oracle(lower, upper, rho: float) -> float:
     return value
 
 
-def grid_allocation_oracle(s, delta, rho, resolution=1e-3):
-    """Brute-force simplex search maximizing min(W1*, W2*)."""
+def grid_allocation_oracle(s, delta, rho, resolution=1e-3, K=1):
+    """Brute-force simplex search maximizing min(W1*, W2*) over K identical
+    substudies, each with p_B = (1 - p_A - K p_AB) / K."""
     step = resolution
     p_a_values = np.arange(step, 1.0, step)
     best_value, best_point = -np.inf, None
     for p_a in p_a_values:
-        p_ab = np.arange(step, 1.0 - p_a, step)
+        p_ab = np.arange(step, (1.0 - p_a) / K, step)
         if p_ab.size == 0:
             continue
-        p_b = 1.0 - p_a - p_ab
+        p_b = (1.0 - p_a - K * p_ab) / K
         keep = p_b > 0
         p_ab, p_b = p_ab[keep], p_b[keep]
         w1 = s * s * delta * delta / (1.0 / p_ab + 1.0 / p_a - 2.0 * rho / np.sqrt(p_ab * p_a))

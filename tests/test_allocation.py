@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from platformdesign.allocation import (
     Allocation,
@@ -14,7 +16,7 @@ from platformdesign.allocation import (
     softmax_to_allocation,
     wald_noncentrality,
 )
-from platformdesign.errors import ConvergenceError, DomainError
+from platformdesign.errors import DomainError
 
 
 def _objective(scenario: DesignScenario, alloc: Allocation) -> float:
@@ -240,27 +242,68 @@ class TestOptimizer:
         assert sum(alloc.ratios) == pytest.approx(1.0, abs=1e-9)
         assert _objective(scenario, alloc) >= _objective(scenario, Allocation.equal(2))
 
-    def test_k2_balance_across_substudies(self):
+    @pytest.mark.parametrize("K", [2, 4, 6])
+    def test_balance_across_substudies(self, K):
         scenario = DesignScenario(
-            delta=(0.3, 0.3),
-            synergy=(1.0, 1.0),
-            rho_combo_control=(0.3, 0.3),
-            rho_combo_mono=(0.0, 0.0),
+            delta=(0.3,) * K,
+            synergy=(1.0,) * K,
+            rho_combo_control=(0.3,) * K,
+            rho_combo_mono=(0.0,) * K,
         )
         alloc = optimize_allocation(scenario)
         w = wald_noncentrality(scenario, alloc, 1000)
-        assert np.ptp(w) / w.max() <= 1e-3  # symmetric problem: all four equal
+        assert np.ptp(w) / w.max() <= 1e-3  # symmetric problem: all 2K equal
 
-    def test_all_starts_failing_raises(self):
-        scenario = DesignScenario.single(0.3, 1.0, rho_ab_a=0.2)
-        with pytest.raises(ConvergenceError):
-            optimize_allocation(scenario, n_starts=0)
+    @pytest.mark.parametrize("K", [4, 6])
+    def test_dominates_grid_oracle_identical_substudies(self, K):
+        from conftest import grid_allocation_oracle
+
+        scenario = DesignScenario(
+            (0.3,) * K, (1.1,) * K, rho_combo_control=(0.3,) * K, rho_combo_mono=(0.3,) * K
+        )
+        best_value, _ = grid_allocation_oracle(1.1, 0.3, 0.3, resolution=1e-3, K=K)
+        value = _objective(scenario, optimize_allocation(scenario))
+        assert best_value <= value <= best_value * (1 + 2e-3)
+
+    def test_zero_synergy_is_a_domain_error(self):
+        scenario = DesignScenario(delta=(0.3, 0.4), synergy=(1.2, 0.0))
+        with pytest.raises(DomainError):
+            optimize_allocation(scenario)
 
     def test_deterministic(self):
         scenario = DesignScenario.single(0.3, 1.4, rho_ab_a=0.25)
-        assert optimize_allocation(scenario, seed=9).ratios == optimize_allocation(
-            scenario, seed=9
-        ).ratios
+        assert optimize_allocation(scenario).ratios == optimize_allocation(scenario).ratios
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        substudies=st.lists(
+            st.tuples(
+                st.floats(0.05, 3.0),
+                st.floats(0.05, 10.0),
+                st.sampled_from((-1.0, 1.0)),
+                st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_property_all_noncentralities_equal(self, substudies):
+        delta, magnitude, sign, rho = zip(*substudies)
+        K = len(delta)
+        scenario = DesignScenario(
+            delta, tuple(m * g for m, g in zip(magnitude, sign)),
+            rho_combo_control=rho, rho_combo_mono=(0.0,) * K,
+        )
+        w = wald_noncentrality(scenario, optimize_allocation(scenario), 1)
+        assert np.ptp(w) <= 1e-8 * w.min()
+        # equal shares p: W2 = delta^2 p / 2 and W1 = s^2 delta^2 p / (2 - 2 rho),
+        # written out because 1/p + 1/p - 2 rho / p cancels to <= 0 near rho = 1
+        p = 1.0 / (2 * K + 1)
+        equal = min(
+            min(d * d * p / 2, (m * d) ** 2 * p / (2 - 2 * r))
+            for d, m, r in zip(delta, magnitude, rho)
+        )
+        assert w.min() >= equal
 
 
 class TestScenarioType:

@@ -146,6 +146,12 @@ class TestDesign:
         )
         assert code == 4
 
+    def test_zero_synergy_is_a_validation_error(self, capsys):
+        # no allocation gives the combination contrast power at s = 0
+        code, _, err = _run(capsys, "design", "--delta", "0.3", "--synergy", "0")
+        assert code == 2
+        assert "synergy" in err
+
     def test_missing_required_flag(self, capsys):
         code, _, err = _run(capsys, "design", "--synergy", "1")
         assert code == 2
