@@ -19,7 +19,6 @@ from .allocation import (
 from .correlation import (
     ArmCorrelations,
     PlatformArms,
-    SingleStudyArms,
     alternative_mean_covariance,
     arm_mean_covariance,
     classical_dunnett_correlation,
@@ -42,7 +41,6 @@ from .multiplicity import (
     bonferroni_threshold,
     classical_dunnett_threshold,
     empirical_error_rates,
-    generalized_dunnett_threshold,
     holm_reject,
     platform_threshold,
 )

@@ -13,7 +13,9 @@ not positive definite / precision), 4 search budget exceeded.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import logging
 import os
 import sys
 
@@ -21,12 +23,10 @@ from .allocation import DesignScenario, optimize_allocation
 from .correlation import (
     ArmCorrelations,
     PlatformArms,
-    SingleStudyArms,
     combo_arm,
     mono_arm,
     CONTROL,
     platform_z_correlation_matrix,
-    test_stat_correlation,
 )
 from .errors import (
     BudgetExceeded,
@@ -40,12 +40,7 @@ from .errors import (
     ZeroVariance,
 )
 from .estimation import estimate_trial, ingest_csv, table1_pipeline
-from .multiplicity import (
-    ErrorMetric,
-    ThresholdResult,
-    generalized_dunnett_threshold,
-    platform_threshold,
-)
+from .multiplicity import ErrorMetric, ThresholdResult, platform_threshold
 from .mvnorm import CorrelationMatrix
 from .power import find_sample_size
 from .studies import (
@@ -136,36 +131,28 @@ def _platform_arms_from_args(args, k: int) -> PlatformArms:
     return PlatformArms(float(args.n_a), n_mono, n_combo, ArmCorrelations(k, pairs))
 
 
+def _z_report(z_corr: CorrelationMatrix):
+    """The Z correlation as reported: a scalar for one substudy (two
+    statistics), the full matrix otherwise."""
+    if z_corr.dim == 2:
+        return float(z_corr.entries[0, 1])
+    return [[round(v, 12) for v in row] for row in z_corr.entries.tolist()]
+
+
 def cmd_adjust(args) -> int:
     metric = _metric_from_args(args)
     k = args.k or 1
     _require(k >= 1, "--k must be at least 1")
-    if k == 1 and metric.kind != "mfwer":
-        if args.rho is not None:
-            _require(-1.0 <= args.rho <= 1.0, f"--rho must lie in [-1, 1], got {args.rho}")
-            rho = args.rho
-        else:
-            arms = _platform_arms_from_args(args, 1)
-            single = SingleStudyArms(
-                arms.n_control, arms.n_mono[0], arms.n_combo[0],
-                rho_ab_a=arms.correlations.get(combo_arm(1), CONTROL),
-                rho_ab_b=arms.correlations.get(combo_arm(1), mono_arm(1)),
-                rho_a_b=arms.correlations.get(CONTROL, mono_arm(1)),
-            )
-            rho = test_stat_correlation(single)
-        result = generalized_dunnett_threshold(rho, metric)
-        z_rho: object = rho
+    if args.rho is not None:
+        _require(k == 1, "--rho only describes a single substudy; use arm-level flags")
+        _require(-1.0 <= args.rho <= 1.0, f"--rho must lie in [-1, 1], got {args.rho}")
+        z_corr = CorrelationMatrix.bivariate(args.rho)
     else:
-        if args.rho is not None:
-            _require(k == 1, "--rho only describes a single substudy; use arm-level flags")
-            z_corr = CorrelationMatrix.bivariate(args.rho)
-        else:
-            z_corr = platform_z_correlation_matrix(_platform_arms_from_args(args, k))
-        result = platform_threshold(
-            z_corr, metric, precision=args.precision, seed=args.seed,
-            replications=args.replications,
-        )
-        z_rho = [[round(v, 12) for v in row] for row in z_corr.entries.tolist()]
+        z_corr = platform_z_correlation_matrix(_platform_arms_from_args(args, k))
+    result = platform_threshold(
+        z_corr, metric, precision=args.precision, seed=args.seed,
+        replications=args.replications,
+    )
 
     _emit(
         {
@@ -173,7 +160,7 @@ def cmd_adjust(args) -> int:
             "alpha": metric.alpha,
             "m": metric.m,
             "sided": metric.effective_sided,
-            "z_correlation": z_rho,
+            "z_correlation": _z_report(z_corr),
             "critical_value": result.critical_value,
             "p_threshold": result.p_threshold,
             "achieved": result.achieved,
@@ -184,30 +171,20 @@ def cmd_adjust(args) -> int:
     return EXIT_OK
 
 
-def _design_threshold(scenario, alloc, metric, args) -> tuple[ThresholdResult, float | None]:
-    """Exact bivariate solver for one substudy, randomized solver otherwise."""
-    nominal = 1000.0
-    if scenario.K == 1 and metric.kind != "mfwer":
-        arms = SingleStudyArms(
-            nominal * alloc.ratios[0], nominal * alloc.ratios[1], nominal * alloc.ratios[2],
-            rho_ab_a=scenario.rho_combo_control[0],
-            rho_ab_b=scenario.rho_combo_mono[0],
-        )
-        rho = test_stat_correlation(arms)
-        return generalized_dunnett_threshold(rho, metric), rho
-    counts = [nominal * r for r in alloc.ratios]
+def _design_threshold(scenario, alloc, metric, args) -> ThresholdResult:
+    """Threshold at nominal arm counts: the Z correlation depends on the
+    counts only through the allocation ratios."""
+    counts = [1000.0 * r for r in alloc.ratios]
     arms = PlatformArms(
         counts[0],
         tuple(counts[1::2]),
         tuple(counts[2::2]),
         ArmCorrelations.from_scenario(scenario),
     )
-    z_corr = platform_z_correlation_matrix(arms)
-    result = platform_threshold(
-        z_corr, metric, precision=args.precision, seed=args.seed,
-        replications=args.replications,
+    return platform_threshold(
+        platform_z_correlation_matrix(arms), metric, precision=args.precision,
+        seed=args.seed, replications=args.replications,
     )
-    return result, None
 
 
 def cmd_design(args) -> int:
@@ -225,7 +202,7 @@ def cmd_design(args) -> int:
     )
     metric = _metric_from_args(args)
     alloc = optimize_allocation(scenario)
-    threshold, z_rho = _design_threshold(scenario, alloc, metric, args)
+    threshold = _design_threshold(scenario, alloc, metric, args)
     result = find_sample_size(
         scenario,
         alloc,
@@ -241,7 +218,7 @@ def cmd_design(args) -> int:
         "alpha": metric.alpha,
         "allocation": [round(r, 12) for r in alloc.ratios],
         "arm_counts": list(result.arm_counts),
-        "z_rho": z_rho,
+        "z_rho": _z_report(threshold.z_correlation),
         "critical_value": threshold.critical_value,
         "p_threshold": threshold.p_threshold,
         "n_star": result.n_star,
@@ -314,6 +291,24 @@ def cmd_estimate(args) -> int:
 _STUDIES = ("error-curves", "adjustments", "thresholds", "design-surface")
 
 
+@contextlib.contextmanager
+def _progress_to_stderr(enabled: bool):
+    """Print the package's INFO log records (study progress) to stderr."""
+    if not enabled:
+        yield
+        return
+    log = logging.getLogger("platformdesign")
+    handler = logging.StreamHandler(sys.stderr)
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
+
+
 def cmd_simulate(args) -> int:
     _require(args.study in _STUDIES, f"--study must be one of {_STUDIES}")
     swept = (args.swept or "rho-ab-b").replace("-", "_")
@@ -331,7 +326,8 @@ def cmd_simulate(args) -> int:
         if args.rho_levels:
             sweep["rho_levels"] = tuple(args.rho_levels)
         grid = design_surface_grid(seed=args.seed, n_sim=args.nsim, **sweep)
-        table = run_design_surface(grid, progress=args.progress)
+        with _progress_to_stderr(args.progress):
+            table = run_design_surface(grid)
     elif args.study == "thresholds":
         grid = threshold_grid(swept=swept, fixed_rho=args.fixed_rho, seed=args.seed, **sweep)
         table = run_threshold_curves(grid)

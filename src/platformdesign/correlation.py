@@ -24,7 +24,6 @@ __all__ = [
     "mono_arm",
     "combo_arm",
     "ArmCorrelations",
-    "SingleStudyArms",
     "PlatformArms",
     "test_stat_correlation",
     "classical_dunnett_correlation",
@@ -119,37 +118,6 @@ class ArmCorrelations:
 
 
 @dataclass(frozen=True)
-class SingleStudyArms:
-    """Counts, correlations, and variance for one (control, mono, combo) study.
-
-    The control-monotherapy correlation defaults to zero: monotherapies are
-    usually chosen to act through a different mechanism than the control.
-    """
-
-    n_a: float
-    n_b: float
-    n_ab: float
-    rho_ab_a: float = 0.0
-    rho_ab_b: float = 0.0
-    rho_a_b: float = 0.0
-    sigma2: float = 1.0
-
-    def __post_init__(self) -> None:
-        for name, n in (("n_a", self.n_a), ("n_b", self.n_b), ("n_ab", self.n_ab)):
-            if n < 1:
-                raise DomainError(f"{name} must be at least 1, got {n}")
-        if self.sigma2 <= 0:
-            raise DomainError("sigma2 must be positive")
-        for name, rho in (
-            ("rho_ab_a", self.rho_ab_a),
-            ("rho_ab_b", self.rho_ab_b),
-            ("rho_a_b", self.rho_a_b),
-        ):
-            if not -1.0 <= rho <= 1.0:
-                raise DomainError(f"{name} must lie in [-1, 1], got {rho}")
-
-
-@dataclass(frozen=True)
 class PlatformArms:
     """Counts and arm correlations for a K-substudy platform trial."""
 
@@ -181,13 +149,24 @@ class PlatformArms:
         return len(self.n_mono)
 
     @classmethod
-    def from_single(cls, arms: SingleStudyArms) -> "PlatformArms":
+    def single(
+        cls,
+        n_a: float,
+        n_b: float,
+        n_ab: float,
+        rho_ab_a: float = 0.0,
+        rho_ab_b: float = 0.0,
+        rho_a_b: float = 0.0,
+        sigma2: float = 1.0,
+    ) -> "PlatformArms":
+        """One (control, monotherapy, combination) study.
+
+        The control-monotherapy correlation defaults to zero: monotherapies
+        are usually chosen to act through a different mechanism than the
+        control.
+        """
         return cls(
-            arms.n_a,
-            (arms.n_b,),
-            (arms.n_ab,),
-            ArmCorrelations.single(arms.rho_ab_a, arms.rho_ab_b, arms.rho_a_b),
-            arms.sigma2,
+            n_a, (n_b,), (n_ab,), ArmCorrelations.single(rho_ab_a, rho_ab_b, rho_a_b), sigma2
         )
 
 
@@ -199,7 +178,12 @@ def _pair_correlation(
     rho_ua: float,
     rho_va: float,
 ) -> float:
-    """Correlation of two Z statistics sharing the control arm."""
+    """Correlation of two Z statistics sharing the control arm.
+
+    Arm correlations that fit together (a positive-definite arm correlation
+    matrix) give a value in [-1, 1] up to rounding, which alone is clipped;
+    anything further out is a :class:`DomainError`.
+    """
     var_u = 1.0 / n_u + 1.0 / n_a - 2.0 * rho_ua / math.sqrt(n_u * n_a)
     var_v = 1.0 / n_v + 1.0 / n_a - 2.0 * rho_va / math.sqrt(n_v * n_a)
     if var_u <= 0.0 or var_v <= 0.0:
@@ -213,27 +197,50 @@ def _pair_correlation(
         - rho_va / math.sqrt(n_v * n_a)
         + 1.0 / n_a
     )
-    return min(1.0, max(-1.0, num / math.sqrt(var_u * var_v)))
+    r = num / math.sqrt(var_u * var_v)
+    if abs(r) > 1.0 + 1e-12:
+        raise DomainError(
+            f"the Z statistics would have correlation {r:.6g}; the arm "
+            "correlations do not fit together (their matrix is not positive "
+            "definite)"
+        )
+    return min(1.0, max(-1.0, r))
 
 
-def test_stat_correlation(arms: SingleStudyArms) -> float:
-    """Correlation between the combination and monotherapy Z statistics.
+def _check_single(arms: PlatformArms) -> None:
+    if arms.K != 1:
+        raise DomainError(f"expected a single-substudy (K=1) trial, got K={arms.K}")
+
+
+def test_stat_correlation(arms: PlatformArms) -> float:
+    """Correlation between the combination and monotherapy Z statistics of a
+    K=1 trial.
 
     With all arm correlations at zero this reduces to the classical
     shared-control value 1/sqrt((n_a/n_ab + 1)(n_a/n_b + 1)).
     """
+    _check_single(arms)
+    table = arms.correlations
     return _pair_correlation(
-        arms.n_ab, arms.n_b, arms.n_a, arms.rho_ab_b, arms.rho_ab_a, arms.rho_a_b
+        arms.n_combo[0],
+        arms.n_mono[0],
+        arms.n_control,
+        table.get(combo_arm(1), mono_arm(1)),
+        table.get(combo_arm(1), CONTROL),
+        table.get(mono_arm(1), CONTROL),
     )
 
 
-def classical_dunnett_correlation(arms: SingleStudyArms) -> float:
-    """The comparator value used by the classical shared-control procedure.
+def classical_dunnett_correlation(arms: PlatformArms) -> float:
+    """The comparator value used by the classical shared-control procedure,
+    for a K=1 trial.
 
     Note the second factor uses n_b/n_ab, unlike the zero-correlation
     reduction of :func:`test_stat_correlation`; both are kept as written.
     """
-    return 1.0 / math.sqrt((arms.n_a / arms.n_ab + 1.0) * (arms.n_b / arms.n_ab + 1.0))
+    _check_single(arms)
+    n_a, n_b, n_ab = arms.n_control, arms.n_mono[0], arms.n_combo[0]
+    return 1.0 / math.sqrt((n_a / n_ab + 1.0) * (n_b / n_ab + 1.0))
 
 
 def _platform_arm_order(K: int) -> list[Arm]:

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .correlation import SingleStudyArms, test_stat_correlation
+from .correlation import PlatformArms, test_stat_correlation
 from .errors import (
     DomainError,
     InsufficientData,
@@ -31,7 +31,7 @@ from .multiplicity import (
     ErrorRates,
     ThresholdResult,
     empirical_error_rates,
-    generalized_dunnett_threshold,
+    platform_threshold,
 )
 from .mvnorm import CorrelationMatrix
 
@@ -290,7 +290,7 @@ def table1_pipeline(
             "trial was screened out (a standardized effect is nonpositive); "
             "thresholds would not be meaningful"
         )
-    arms = SingleStudyArms(
+    arms = PlatformArms.single(
         n_a=n_a if n_a is not None else estimates.n_A,
         n_b=n_b if n_b is not None else estimates.n_B,
         n_ab=n_ab if n_ab is not None else estimates.n_AB,
@@ -298,10 +298,7 @@ def table1_pipeline(
         rho_ab_b=estimates.rho_AB_B,
     )
     rho = test_stat_correlation(arms)
-    unadjusted = empirical_error_rates(
-        CorrelationMatrix.bivariate(rho), critical_value, replications, seed
-    )
-    thresholds = {
-        metric.kind: generalized_dunnett_threshold(rho, metric) for metric in targets
-    }
+    z_corr = CorrelationMatrix.bivariate(rho)
+    unadjusted = empirical_error_rates(z_corr, critical_value, replications, seed)
+    thresholds = {metric.kind: platform_threshold(z_corr, metric) for metric in targets}
     return Table1Result(rho=rho, unadjusted=unadjusted, thresholds=thresholds)

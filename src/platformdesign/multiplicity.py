@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .correlation import SingleStudyArms, classical_dunnett_correlation
+from .correlation import PlatformArms, classical_dunnett_correlation
 from .errors import DomainError, RootBracketError
 from .mvnorm import (
     CorrelationMatrix,
@@ -34,7 +34,6 @@ __all__ = [
     "bonferroni_threshold",
     "holm_reject",
     "classical_dunnett_threshold",
-    "generalized_dunnett_threshold",
     "platform_threshold",
     "empirical_error_rates",
 ]
@@ -176,59 +175,37 @@ def _bisect_decreasing(
     return (low + high) / 2.0
 
 
-def _two_sided_joint_exceedance(c: float, rho: float) -> float:
-    """P(|Z1| > c, |Z2| > c) split into the four exact orthants."""
-    inf = math.inf
-    same = bvn_rectangle((c, c), (inf, inf), rho)
-    opposite = bvn_rectangle((c, c), (inf, inf), -rho)
-    return 2.0 * same + 2.0 * opposite
+def _bivariate_exceedance(rho: float, count: int, sided: str) -> Callable[[float], float]:
+    """Exact P(at least ``count`` of two correlated statistics exceed c).
 
-
-def generalized_dunnett_threshold(rho: float, metric: ErrorMetric) -> ThresholdResult:
-    """Critical value for two correlated tests under the chosen error metric.
-
-    Solves, by bisection on the exact bivariate normal law,
-
-    * fwer: P(|Z1| <= c, |Z2| <= c) = 1 - alpha
-    * fmer: P(|Z1| > c, |Z2| > c) = alpha
-    * msfp: P(Z1 > c, Z2 > c) = alpha
+    * count 1, two-sided (fwer): 1 - P(|Z1| <= c, |Z2| <= c)
+    * count 2, two-sided (fmer): P(|Z1| > c, |Z2| > c), as four exact orthants
+    * count 1, one-sided: 1 - P(Z1 <= c, Z2 <= c)
+    * count 2, one-sided (msfp): P(Z1 > c, Z2 > c)
     """
-    if not -1.0 <= rho <= 1.0:
-        raise DomainError(f"rho must lie in [-1, 1], got {rho}")
-    if metric.kind not in ("fwer", "fmer", "msfp"):
-        raise DomainError(
-            "generalized_dunnett_threshold handles fwer/fmer/msfp; "
-            "use platform_threshold for mfwer"
+    inf = math.inf
+    if sided == "two" and count == 1:
+        return lambda c: 1.0 - bvn_rectangle((-c, -c), (c, c), rho) if c > 0 else 1.0
+    if sided == "two":
+        return lambda c: (
+            2.0 * bvn_rectangle((c, c), (inf, inf), rho)
+            + 2.0 * bvn_rectangle((c, c), (inf, inf), -rho)
+            if c > 0 else 1.0
         )
-
-    if metric.kind == "fwer":
-        def objective(c: float) -> float:
-            return 1.0 - bvn_rectangle((-c, -c), (c, c), rho) if c > 0 else 1.0
-    elif metric.kind == "fmer":
-        def objective(c: float) -> float:
-            return _two_sided_joint_exceedance(c, rho) if c > 0 else 1.0
-    else:
-        def objective(c: float) -> float:
-            return bvn_rectangle((c, c), (math.inf, math.inf), rho)
-
-    c_star = _bisect_decreasing(objective, metric.alpha, _PROB_TOL)
-    return ThresholdResult(
-        critical_value=c_star,
-        p_threshold=_p_threshold(c_star),
-        metric=metric,
-        z_correlation=CorrelationMatrix.bivariate(rho),
-        achieved=objective(c_star),
-    )
+    if count == 1:
+        return lambda c: 1.0 - bvn_rectangle((-inf, -inf), (c, c), rho)
+    return lambda c: bvn_rectangle((c, c), (inf, inf), rho)
 
 
-def classical_dunnett_threshold(arms: SingleStudyArms, alpha: float) -> ThresholdResult:
+def classical_dunnett_threshold(arms: PlatformArms, alpha: float) -> ThresholdResult:
     """Single shared-control critical value at the comparator correlation.
 
     Assumes independent treatment arms; provided as the conventional
-    comparison point rather than as the recommended procedure.
+    comparison point rather than as the recommended procedure.  ``arms``
+    must describe one substudy (K=1).
     """
     rho_star = classical_dunnett_correlation(arms)
-    return generalized_dunnett_threshold(rho_star, ErrorMetric.fwer(alpha))
+    return platform_threshold(CorrelationMatrix.bivariate(rho_star), ErrorMetric.fwer(alpha))
 
 
 def _tail_count_statistic(
@@ -250,14 +227,17 @@ def platform_threshold(
     seed: int = 0,
     replications: int = 200_000,
 ) -> ThresholdResult:
-    """Critical value for the 2K statistics of a K-substudy platform trial.
+    """Common critical value for correlated Z statistics (2K for a
+    K-substudy platform trial) under the chosen error metric.
 
-    The any-rejection metric is solved by root finding on the randomized
-    rectangle-probability estimate (one fixed seed, so every candidate c sees
-    the same integration lattice).  Count-based metrics (at least m
-    exceedances) are solved on a common pool of null draws: the same
-    replications are re-thresholded at every candidate c, which keeps the
-    Monte Carlo objective monotone in c.
+    With two statistics (K=1) every metric is solved by bisection on the
+    exact bivariate normal law, so ``achieved_stderr`` is 0 and ``precision``,
+    ``seed`` and ``replications`` are unused.  With more, the any-rejection
+    metric is solved by root finding on the randomized rectangle-probability
+    estimate (one fixed seed, so every candidate c sees the same integration
+    lattice).  Count-based metrics (at least m exceedances) are solved on a
+    common pool of null draws: the same replications are re-thresholded at
+    every candidate c, which keeps the Monte Carlo objective monotone in c.
     """
     dim = z_corr.dim
     if dim < 2:
@@ -265,10 +245,14 @@ def platform_threshold(
     if metric.kind == "mfwer" and not 1 <= metric.m <= dim:
         raise DomainError(f"m must lie in [1, {dim}], got {metric.m}")
 
-    rectangle_like = metric.kind == "fwer" or (
-        metric.kind == "mfwer" and metric.m == 1
-    )
-    if rectangle_like:
+    if dim == 2:
+        objective = _bivariate_exceedance(
+            float(z_corr.entries[0, 1]), metric.exceedance_count, metric.effective_sided
+        )
+        c_star = _bisect_decreasing(objective, metric.alpha, _PROB_TOL)
+        achieved = objective(c_star)
+        stderr = 0.0
+    elif metric.exceedance_count == 1:
         sided = metric.effective_sided
         last: dict[str, float] = {}
 

@@ -21,7 +21,6 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import DomainError, NotPositiveDefinite, PrecisionUnreachable
 
@@ -54,6 +53,10 @@ def std_normal_quantile(p: float) -> float:
     """Inverse of :func:`std_normal_cdf` on (0, 1)."""
     if not 0.0 < p < 1.0:
         raise DomainError(f"quantile probability must lie in (0, 1), got {p}")
+    # scipy.special is most of the package's import time, so only the paths
+    # that use it import it
+    from scipy.special import ndtri
+
     return float(ndtri(p))
 
 
@@ -389,6 +392,8 @@ def _qmc_batch(
     n_points: int,
 ) -> float:
     """One randomized-lattice estimate of the separated-variables integral."""
+    from scipy.special import ndtr, ndtri
+
     dim = factor.shape[0]
     j = np.arange(1, n_points + 1, dtype=float)
     d_cur = np.full(n_points, ndtr(lower[0] / factor[0, 0]))
@@ -429,6 +434,8 @@ def mvn_rectangle(
         raise DomainError("precision must be positive")
     dim = spec.dim
     if dim == 1:
+        from scipy.special import ndtr
+
         p = float(ndtr(spec.upper[0]) - ndtr(spec.lower[0]))
         return RectangleEstimate(min(1.0, max(0.0, p)), 0.0, 0)
 

@@ -12,21 +12,20 @@ from __future__ import annotations
 import csv
 import io
 import json
+import logging
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from .allocation import Allocation, DesignScenario, optimize_allocation, wald_noncentrality
-from .correlation import SingleStudyArms, test_stat_correlation
+from .correlation import PlatformArms, platform_z_correlation_matrix
 from .errors import DomainError
 from .multiplicity import (
     ErrorMetric,
     classical_dunnett_threshold,
     empirical_error_rates,
-    generalized_dunnett_threshold,
+    platform_threshold,
 )
 from .mvnorm import CorrelationMatrix, MvnSampler, std_normal_quantile
 from .power import find_sample_size
@@ -64,7 +63,8 @@ _TARGETS = (
     ErrorMetric.fmer(0.0025),
     ErrorMetric.msfp(0.000625),
 )
-_C_NOMINAL = std_normal_quantile(0.975)
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -230,16 +230,15 @@ def _rhos(grid: GridSpec, value: float) -> tuple[float, float]:
     return float(grid.fixed["rho_ab_a"]), value
 
 
-def _z_rho(alloc: tuple, rho_ab_a: float, rho_ab_b: float) -> float:
+def _z_corr(alloc: tuple, rho_ab_a: float, rho_ab_b: float) -> tuple[float, CorrelationMatrix]:
+    """The two statistics' correlation, as a number and as a matrix."""
     # the statistic correlation depends on counts only through ratios
-    arms = SingleStudyArms(
-        n_a=1000 * alloc[0],
-        n_b=1000 * alloc[1],
-        n_ab=1000 * alloc[2],
-        rho_ab_a=rho_ab_a,
-        rho_ab_b=rho_ab_b,
+    arms = PlatformArms.single(
+        1000 * alloc[0], 1000 * alloc[1], 1000 * alloc[2],
+        rho_ab_a=rho_ab_a, rho_ab_b=rho_ab_b,
     )
-    return test_stat_correlation(arms)
+    z_corr = platform_z_correlation_matrix(arms)
+    return float(z_corr.entries[0, 1]), z_corr
 
 
 def run_error_curves(grid: GridSpec) -> ResultTable:
@@ -249,14 +248,15 @@ def run_error_curves(grid: GridSpec) -> ResultTable:
         "p_control", "p_mono", "p_combo", "z_rho",
         "metric", "value", "mc_stderr", "baseline",
     )
+    c_nominal = std_normal_quantile(0.975)
     rows = []
     for a_idx, alloc in enumerate(grid.allocations):
         for v_idx, value in enumerate(grid.sweep_values()):
             rho_ab_a, rho_ab_b = _rhos(grid, float(value))
-            z_rho = _z_rho(alloc, rho_ab_a, rho_ab_b)
+            z_rho, z_corr = _z_corr(alloc, rho_ab_a, rho_ab_b)
             rates = empirical_error_rates(
-                CorrelationMatrix.bivariate(z_rho),
-                _C_NOMINAL,
+                z_corr,
+                c_nominal,
                 grid.replications,
                 _point_seed(grid.seed, a_idx, v_idx),
             )
@@ -285,18 +285,21 @@ def run_adjustment_comparison(grid: GridSpec) -> ResultTable:
         "p_control", "p_mono", "p_combo", "z_rho",
         "method", "metric", "value", "mc_stderr", "baseline",
     )
+    from scipy.special import ndtr
+
     alpha = float(grid.fixed.get("alpha", 0.05))
+    c_nominal = std_normal_quantile(0.975)
     c_bonf = std_normal_quantile(1.0 - alpha / 4.0)
     rows = []
     for a_idx, alloc in enumerate(grid.allocations):
-        arms = SingleStudyArms(1000 * alloc[0], 1000 * alloc[1], 1000 * alloc[2])
+        arms = PlatformArms.single(1000 * alloc[0], 1000 * alloc[1], 1000 * alloc[2])
         c_dunnett = classical_dunnett_threshold(arms, alpha).critical_value
         for v_idx, value in enumerate(grid.sweep_values()):
             rho_ab_a, rho_ab_b = _rhos(grid, float(value))
-            z_rho = _z_rho(alloc, rho_ab_a, rho_ab_b)
+            z_rho, z_corr = _z_corr(alloc, rho_ab_a, rho_ab_b)
             draws = MvnSampler(
                 np.zeros(2),
-                CorrelationMatrix.bivariate(z_rho).entries,
+                z_corr.entries,
                 _point_seed(grid.seed, a_idx, v_idx),
                 stream=4,
             ).sample(grid.replications)
@@ -304,7 +307,7 @@ def run_adjustment_comparison(grid: GridSpec) -> ResultTable:
             positive = (draws > 0).all(axis=1)
             p_values = 2.0 * (1.0 - ndtr(abs_z))
             per_method = {
-                "noadj": _fixed_cut(abs_z, _C_NOMINAL, positive),
+                "noadj": _fixed_cut(abs_z, c_nominal, positive),
                 "bonferroni": _fixed_cut(abs_z, c_bonf, positive),
                 "holm": _holm_metrics(p_values, alpha, positive),
                 "dunnett": _fixed_cut(abs_z, c_dunnett, positive),
@@ -351,9 +354,9 @@ def run_threshold_curves(grid: GridSpec) -> ResultTable:
     rows = []
     for value in grid.sweep_values():
         rho_ab_a, rho_ab_b = _rhos(grid, float(value))
-        z_rho = _z_rho(alloc, rho_ab_a, rho_ab_b)
+        z_rho, z_corr = _z_corr(alloc, rho_ab_a, rho_ab_b)
         for metric in _TARGETS:
-            result = generalized_dunnett_threshold(z_rho, metric)
+            result = platform_threshold(z_corr, metric)
             rows.append((
                 grid.swept, float(value), rho_ab_a, rho_ab_b, z_rho,
                 metric.kind, result.critical_value, result.p_threshold, 0.0,
@@ -361,11 +364,12 @@ def run_threshold_curves(grid: GridSpec) -> ResultTable:
     return ResultTable(columns, tuple(rows))
 
 
-def run_design_surface(grid: GridSpec, progress: bool = False) -> ResultTable:
+def run_design_surface(grid: GridSpec) -> ResultTable:
     """Optimal allocation and minimal N per (synergy, rho, metric) (study 4).
 
     ``mc_stderr`` is a delta-method standard error for N*: the power
     standard error divided by the local slope of the power curve in N.
+    Each finished point is logged at INFO level.
     """
     columns = (
         "synergy", "rho", "p_control", "p_mono", "p_combo", "z_rho",
@@ -387,9 +391,9 @@ def run_design_surface(grid: GridSpec, progress: bool = False) -> ResultTable:
                 delta, float(s), sigma2, rho_ab_a=float(rho), rho_ab_b=float(rho)
             )
             alloc = optimize_allocation(scenario)
-            z_rho = _z_rho(alloc.ratios, float(rho), float(rho))
+            z_rho, z_corr = _z_corr(alloc.ratios, float(rho), float(rho))
             for metric in _TARGETS:
-                threshold = generalized_dunnett_threshold(z_rho, metric)
+                threshold = platform_threshold(z_corr, metric)
                 result = find_sample_size(
                     scenario,
                     alloc,
@@ -410,12 +414,10 @@ def run_design_surface(grid: GridSpec, progress: bool = False) -> ResultTable:
                     ),
                 ))
                 done += 1
-                if progress:
-                    print(
-                        f"design-surface {done}/{total}: s={s} rho={rho} "
-                        f"{metric.kind} N*={result.n_star}",
-                        file=sys.stderr,
-                    )
+                logger.info(
+                    "design-surface %d/%d: s=%s rho=%s %s N*=%d",
+                    done, total, s, rho, metric.kind, result.n_star,
+                )
     return ResultTable(columns, tuple(rows))
 
 

@@ -34,7 +34,6 @@ from platformdesign.cli import main
 from platformdesign.correlation import (
     ArmCorrelations,
     PlatformArms,
-    SingleStudyArms,
     combo_arm,
     mono_arm,
     platform_z_correlation_matrix,
@@ -44,7 +43,7 @@ from platformdesign.multiplicity import (
     ErrorMetric,
     classical_dunnett_threshold,
     empirical_error_rates,
-    generalized_dunnett_threshold,
+    platform_threshold,
 )
 from platformdesign.mvnorm import CorrelationMatrix, MvnSampler, mvn_sample
 from platformdesign.power import (
@@ -87,7 +86,7 @@ def test_criterion_02_threshold_round_trip():
     checks = []
     for rho in (0.0, 0.3, 0.461, 0.7, 0.95):
         for kind_index, (kind, alpha) in enumerate(TARGETS.items()):
-            result = generalized_dunnett_threshold(rho, ErrorMetric(kind, alpha))
+            result = platform_threshold(CorrelationMatrix.bivariate(rho), ErrorMetric(kind, alpha))
             rates = empirical_error_rates(
                 CorrelationMatrix.bivariate(rho),
                 result.critical_value,
@@ -111,9 +110,9 @@ def test_criterion_03_sidak_dunnett_oracles():
     from conftest import rect_quad_oracle
     from scipy.optimize import brentq
 
-    c_indep = generalized_dunnett_threshold(0.0, ErrorMetric.fwer(0.05)).critical_value
-    c_degen = generalized_dunnett_threshold(1.0, ErrorMetric.fwer(0.05)).critical_value
-    arms = SingleStudyArms(90, 90, 90)  # comparator correlation 0.5
+    c_indep = platform_threshold(CorrelationMatrix.bivariate(0.0), ErrorMetric.fwer(0.05)).critical_value
+    c_degen = platform_threshold(CorrelationMatrix.bivariate(1.0), ErrorMetric.fwer(0.05)).critical_value
+    arms = PlatformArms.single(90, 90, 90)  # comparator correlation 0.5
     c_classical = classical_dunnett_threshold(arms, 0.05).critical_value
     c_oracle = brentq(
         lambda c: rect_quad_oracle((-c, -c), (c, c), 0.5) - 0.95, 1.5, 3.0, xtol=1e-12
@@ -223,12 +222,12 @@ def _design_row(delta, synergy, rho_a, rho_b, seed):
     scenario = DesignScenario.single(delta, synergy, rho_ab_a=rho_a, rho_ab_b=rho_b)
     alloc = optimize_allocation(scenario)
     rho = z_correlation(
-        SingleStudyArms(
+        PlatformArms.single(
             1000 * alloc.ratios[0], 1000 * alloc.ratios[1], 1000 * alloc.ratios[2],
             rho_ab_a=rho_a, rho_ab_b=rho_b,
         )
     )
-    threshold = generalized_dunnett_threshold(rho, ErrorMetric.fwer(0.05))
+    threshold = platform_threshold(CorrelationMatrix.bivariate(rho), ErrorMetric.fwer(0.05))
     result = find_sample_size(scenario, alloc, threshold, 0.80, N0=20, n_sim=10_000, seed=seed)
     return alloc, result
 
@@ -306,7 +305,7 @@ def test_criterion_06_reference_thresholds():
     expectations = {"fwer": 0.027, "fmer": 0.022, "msfp": 0.013}
     checks = []
     for kind, alpha in TARGETS.items():
-        result = generalized_dunnett_threshold(0.461, ErrorMetric(kind, alpha))
+        result = platform_threshold(CorrelationMatrix.bivariate(0.461), ErrorMetric(kind, alpha))
         checks.append(
             (
                 abs(result.p_threshold - expectations[kind]) <= 0.002,
@@ -319,7 +318,7 @@ def test_criterion_06_reference_thresholds():
 def test_criterion_07_power_oracle_equivalence():
     start = time.perf_counter()
     rng = np.random.default_rng(777)
-    threshold = generalized_dunnett_threshold(0.3, ErrorMetric.fwer(0.05))
+    threshold = platform_threshold(CorrelationMatrix.bivariate(0.3), ErrorMetric.fwer(0.05))
     checks = []
     for i in range(20):
         scenario = DesignScenario.single(
@@ -408,11 +407,10 @@ def test_criterion_09_correlation_formula_vs_simulation():
         if i % 2 == 0:
             n = rng.integers(30, 300, size=3)
             rho_pair = rng.uniform(0.0, 0.55, size=2)
-            arms = SingleStudyArms(
+            platform = PlatformArms.single(
                 int(n[0]), int(n[1]), int(n[2]),
                 rho_ab_a=float(rho_pair[0]), rho_ab_b=float(rho_pair[1]),
             )
-            platform = PlatformArms.from_single(arms)
         else:
             n_c = int(rng.integers(30, 300))
             n_mono = tuple(int(v) for v in rng.integers(30, 300, size=2))

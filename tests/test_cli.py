@@ -1,6 +1,10 @@
 """Command-line interface: flags, outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,13 +29,24 @@ FIXTURE_CSV = "model_id,treatment,response\n" + "".join(
 )
 
 # same generating pattern with fixed perturbations, so the estimated
-# correlations stay strictly inside (-1, 1)
+# correlations stay strictly inside (-1, 1); A and B still move together
+# (correlation 0.99), so with the zero control-monotherapy correlation the
+# estimator assumes, the arm correlations do not fit together
 _JITTER_B = (0.4, -0.3, 0.2, -0.5, 0.1, 0.3, -0.2, 0.0)
 _JITTER_AB = (-0.2, 0.5, -0.4, 0.1, 0.3, -0.1, 0.2, -0.4)
 FIXTURE_NOISY_CSV = "model_id,treatment,response\n" + "".join(
     f"m{i},A,{10 + i}\n"
     f"m{i},B,{10 + i + 2.5 + _JITTER_B[i]}\n"
     f"m{i},AB,{10 + i + 5.0 + _JITTER_AB[i]}\n"
+    for i in range(8)
+)
+
+# A and B nearly uncorrelated (-0.095), as the estimator assumes; the
+# combination correlates 0.72 with A and 0.45 with B
+_SHIFT_B = (3, 6, 0, 5, 7, 1, 2, 4)
+_SHIFT_AB = (2.0, 2.5, 2.0, 3.5, 5.5, 4.0, 3.0, 5.5)
+FIXTURE_INDEPENDENT_CSV = "model_id,treatment,response\n" + "".join(
+    f"m{i},A,{10 + i}\nm{i},B,{12.5 + _SHIFT_B[i]}\nm{i},AB,{15 + _SHIFT_AB[i]}\n"
     for i in range(8)
 )
 
@@ -52,7 +67,7 @@ class TestAdjust:
         assert report["critical_value"] == pytest.approx(1.960, abs=1e-3)
 
     def test_arm_level_input(self, capsys):
-        from platformdesign.correlation import SingleStudyArms, test_stat_correlation
+        from platformdesign.correlation import PlatformArms, test_stat_correlation
 
         code, report, _ = _run_json(
             capsys, "adjust", "--metric", "fwer",
@@ -61,7 +76,7 @@ class TestAdjust:
         )
         assert code == 0
         expected = test_stat_correlation(
-            SingleStudyArms(100, 100, 100, rho_ab_a=0.626, rho_ab_b=0.660)
+            PlatformArms.single(100, 100, 100, rho_ab_a=0.626, rho_ab_b=0.660)
         )
         assert report["z_correlation"] == pytest.approx(expected, abs=1e-9)
 
@@ -80,12 +95,23 @@ class TestAdjust:
         assert code == 3
 
     def test_mfwer_with_direct_rho(self, capsys):
+        # two statistics: solved on the exact bivariate law, like fwer
         code, report, _ = _run_json(
             capsys, "adjust", "--metric", "mfwer", "--m", "2", "--alpha", "0.01",
             "--rho", "0.5", "--seed", "2",
         )
         assert code == 0
-        assert abs(report["achieved"] - 0.01) <= 1e-3
+        assert abs(report["achieved"] - 0.01) <= 1e-6
+        assert report["achieved_stderr"] == 0.0
+        assert report["z_correlation"] == 0.5
+
+    def test_arm_correlations_that_do_not_fit_together(self, capsys):
+        code, _, err = _run(
+            capsys, "adjust", "--n-a", "50", "--n-b", "50", "--n-ab", "50",
+            "--rho-ab-a", "0.8", "--rho-ab-b", "0.9",
+        )
+        assert code == 2
+        assert "do not fit together" in err
 
     def test_mfwer_platform_mode(self, capsys):
         code, report, _ = _run_json(
@@ -96,6 +122,7 @@ class TestAdjust:
         assert code == 0
         assert report["m"] == 2
         assert abs(report["achieved"] - 0.05) <= 1e-3
+        assert np.asarray(report["z_correlation"]).shape == (4, 4)
 
 
 class TestDesign:
@@ -128,6 +155,16 @@ class TestDesign:
         assert len(report["allocation"]) == 5
         assert sum(report["arm_counts"]) == report["n_star"]
         assert report["achieved_power"] > 0.7
+        assert np.asarray(report["z_rho"]).shape == (4, 4)
+
+    def test_single_substudy_mfwer_reports_scalar_z_rho(self, capsys):
+        code, report, _ = _run_json(
+            capsys, "design", "--delta", "0.663", "--synergy", "1.161",
+            "--rho-ab-a", "0.626", "--rho-ab-b", "0.660", "--metric", "mfwer",
+            "--m", "2", "--seed", "1",
+        )
+        assert code == 0
+        assert isinstance(report["z_rho"], float)
 
     def test_deterministic_output(self, capsys):
         argv = (
@@ -197,7 +234,7 @@ class TestEstimate:
 
     def test_with_thresholds(self, capsys, tmp_path):
         path = tmp_path / "pdx.csv"
-        path.write_text(FIXTURE_NOISY_CSV, encoding="utf-8")
+        path.write_text(FIXTURE_INDEPENDENT_CSV, encoding="utf-8")
         code, out, _ = _run(
             capsys, "estimate", "--input", str(path),
             "--drug-a", "A", "--drug-b", "B", "--combo", "AB",
@@ -206,6 +243,18 @@ class TestEstimate:
         assert code == 0
         report = json.loads(out)
         assert set(report["p_thresholds"]) == {"fwer", "fmer", "msfp"}
+
+    def test_thresholds_refused_when_arm_correlations_do_not_fit(self, capsys, tmp_path):
+        # the Z correlation would be 5.15; it used to be clipped to 1
+        path = tmp_path / "pdx.csv"
+        path.write_text(FIXTURE_NOISY_CSV, encoding="utf-8")
+        code, _, err = _run(
+            capsys, "estimate", "--input", str(path),
+            "--drug-a", "A", "--drug-b", "B", "--combo", "AB",
+            "--with-thresholds", "--replications", "20000", "--seed", "3",
+        )
+        assert code == 2
+        assert "do not fit together" in err
 
 
 class TestSimulate:
@@ -231,6 +280,21 @@ class TestSimulate:
         assert code == 0
         rows = out_path.read_text().splitlines()
         assert len(rows) - 1 == 2 * 2 * 3
+
+    def test_progress_is_logged_only_with_the_flag(self, capsys):
+        args = (
+            "simulate", "--study", "design-surface", "--start", "1.0", "--stop", "1.0",
+            "--step", "0.1", "--rho-levels", "0.3", "--nsim", "2000", "--seed", "5",
+        )
+        code_a, out_a, err_a = _run(capsys, *args)
+        code_b, out_b, err_b = _run(capsys, *args, "--progress")
+        assert code_a == code_b == 0
+        assert out_a == out_b
+        progress = [line for line in err_b.splitlines() if line.startswith("design-surface ")]
+        assert [line.split(":")[0] for line in progress] == [
+            f"design-surface {i}/3" for i in (1, 2, 3)
+        ]
+        assert "design-surface 1/3" not in err_a
 
     def test_unknown_study_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -299,3 +363,41 @@ class TestConfigAndSeed:
             "--k", "2", "--n-a", "50", "--n-b", "50", "--n-ab", "50", "--seed", "0",
         )
         assert report["critical_value"] == report_b["critical_value"]
+
+
+_NO_SCIPY_SPECIAL = """
+import contextlib, io, sys
+import platformdesign
+from platformdesign.cli import main
+assert "scipy.special" not in sys.modules, "import platformdesign"
+csv_path = sys.argv[1]
+calls = [
+    ["adjust", "--rho", "0.461", "--format", "json"],
+    ["adjust", "--metric", "mfwer", "--m", "2", "--k", "2", "--n-a", "120",
+     "--n-b", "60", "60", "--n-ab", "60", "60", "--rho-ab-a", "0.3", "0.2",
+     "--rho-ab-b", "0.5", "0.4", "--replications", "20000", "--format", "json"],
+    ["design", "--delta", "0.663", "--synergy", "1.161", "--rho-ab-a", "0.626",
+     "--rho-ab-b", "0.660", "--metric", "fwer", "--format", "json"],
+    ["estimate", "--input", csv_path, "--drug-a", "A", "--drug-b", "B",
+     "--combo", "AB", "--with-thresholds", "--replications", "20000"],
+]
+for argv in calls:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    assert "scipy.special" not in sys.modules, argv[0]
+"""
+
+
+def test_cli_calls_do_not_load_scipy_special(tmp_path):
+    # scipy.special is most of the import time of a CLI call; these paths
+    # need only math.erfc and numpy
+    path = tmp_path / "pdx.csv"
+    path.write_text(FIXTURE_INDEPENDENT_CSV, encoding="utf-8")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SPECIAL, str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

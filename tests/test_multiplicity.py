@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from platformdesign.correlation import SingleStudyArms
+from platformdesign.correlation import PlatformArms
 from platformdesign.errors import DomainError, RootBracketError
 from platformdesign.multiplicity import (
     ErrorMetric,
     bonferroni_threshold,
     classical_dunnett_threshold,
     empirical_error_rates,
-    generalized_dunnett_threshold,
     holm_reject,
     platform_threshold,
 )
@@ -95,24 +94,45 @@ class TestConventional:
             holm_reject([0.5], 0.0)
 
 
+def _bivariate_oracle_c(rho, metric):
+    """brentq on adaptive-quadrature error rates of two statistics: at least
+    ``metric.exceedance_count`` exceed c, by inclusion-exclusion where
+    two-sided."""
+    from conftest import rect_quad_oracle
+
+    inf = math.inf
+
+    def level(c):
+        if metric.effective_sided == "one":
+            if metric.exceedance_count == 1:
+                return 1.0 - rect_quad_oracle((-inf, -inf), (c, c), rho)
+            return rect_quad_oracle((c, c), (inf, inf), rho)
+        inside = rect_quad_oracle((-c, -c), (c, c), rho)
+        if metric.exceedance_count == 1:
+            return 1.0 - inside
+        return 1.0 - 2.0 * (2.0 * std_normal_cdf(c) - 1.0) + inside
+
+    return brentq(lambda c: level(c) - metric.alpha, 0.01, 6.0, xtol=1e-13)
+
+
 class TestGeneralizedDunnett:
     def test_fwer_independent_matches_sidak(self):
-        result = generalized_dunnett_threshold(0.0, ErrorMetric.fwer(0.05))
+        result = platform_threshold(CorrelationMatrix.bivariate(0.0), ErrorMetric.fwer(0.05))
         assert result.critical_value == pytest.approx(SIDAK_C, abs=1e-3)
         assert result.p_threshold == pytest.approx(2 * (1 - std_normal_cdf(SIDAK_C)), abs=1e-5)
 
     def test_fwer_degenerate_correlation(self):
-        result = generalized_dunnett_threshold(1.0, ErrorMetric.fwer(0.05))
+        result = platform_threshold(CorrelationMatrix.bivariate(1.0), ErrorMetric.fwer(0.05))
         assert result.critical_value == pytest.approx(Z_975, abs=1e-3)
 
     def test_fmer_independent_baseline(self):
         # (2(1 - Phi(c)))^2 = 0.0025 at the conventional two-sided cut
-        result = generalized_dunnett_threshold(0.0, ErrorMetric.fmer(0.0025))
+        result = platform_threshold(CorrelationMatrix.bivariate(0.0), ErrorMetric.fmer(0.0025))
         assert result.critical_value == pytest.approx(Z_975, abs=1e-3)
 
     def test_msfp_independent_baseline(self):
         # (1 - Phi(c))^2 = 0.000625 at the same cut
-        result = generalized_dunnett_threshold(0.0, ErrorMetric.msfp(0.000625))
+        result = platform_threshold(CorrelationMatrix.bivariate(0.0), ErrorMetric.msfp(0.000625))
         assert result.critical_value == pytest.approx(Z_975, abs=1e-3)
 
     @pytest.mark.parametrize("rho", [0.0, 0.3, 0.461, 0.7, 0.95])
@@ -121,7 +141,7 @@ class TestGeneralizedDunnett:
         [ErrorMetric.fwer(0.05), ErrorMetric.fmer(0.0025), ErrorMetric.msfp(0.000625)],
     )
     def test_round_trip_on_grid(self, rho, metric):
-        result = generalized_dunnett_threshold(rho, metric)
+        result = platform_threshold(CorrelationMatrix.bivariate(rho), metric)
         assert result.achieved == pytest.approx(metric.alpha, abs=1e-6)
         assert 0.0 < result.p_threshold < 1.0
 
@@ -129,36 +149,58 @@ class TestGeneralizedDunnett:
     def test_monotone_in_alpha(self, kind):
         levels = {"fwer": (0.01, 0.05, 0.1), "fmer": (0.001, 0.0025, 0.01), "msfp": (0.0002, 0.000625, 0.002)}
         c_values = [
-            generalized_dunnett_threshold(0.4, ErrorMetric(kind, a)).critical_value
+            platform_threshold(CorrelationMatrix.bivariate(0.4), ErrorMetric(kind, a)).critical_value
             for a in levels[kind]
         ]
         assert c_values[0] > c_values[1] > c_values[2]
 
     def test_empirical_level_at_threshold(self):
         rho = 0.461
-        result = generalized_dunnett_threshold(rho, ErrorMetric.fwer(0.05))
+        result = platform_threshold(CorrelationMatrix.bivariate(rho), ErrorMetric.fwer(0.05))
         rates = empirical_error_rates(
             CorrelationMatrix.bivariate(rho), result.critical_value, 100_000, seed=17
         )
         assert rates.fwer == pytest.approx(0.05, abs=3 * rates.stderr("fwer") + 1e-6)
 
-    def test_mfwer_rejected_here(self):
-        with pytest.raises(DomainError):
-            generalized_dunnett_threshold(0.3, ErrorMetric.mfwer(2, 0.05))
+    @pytest.mark.parametrize("rho", [-0.5, 0.0, 0.3, 0.461, 0.9])
+    @pytest.mark.parametrize(
+        "named, mfwer",
+        [
+            (ErrorMetric.fwer(0.05), ErrorMetric.mfwer(1, 0.05, "two")),
+            (ErrorMetric.fmer(0.0025), ErrorMetric.mfwer(2, 0.0025, "two")),
+            (ErrorMetric.msfp(0.000625), ErrorMetric.mfwer(2, 0.000625, "one")),
+        ],
+    )
+    def test_mfwer_is_exact_at_two_statistics(self, rho, named, mfwer):
+        corr = CorrelationMatrix.bivariate(rho)
+        expected = platform_threshold(corr, named)
+        result = platform_threshold(corr, mfwer)
+        assert result.critical_value == expected.critical_value
+        assert result.achieved == expected.achieved
+        assert result.achieved_stderr == 0.0
+        oracle_c = _bivariate_oracle_c(rho, mfwer)
+        assert result.critical_value == pytest.approx(oracle_c, abs=1e-8)
+
+    @pytest.mark.parametrize("rho", [-0.5, 0.0, 0.461, 0.9])
+    def test_one_sided_any_exceedance_at_two_statistics(self, rho):
+        metric = ErrorMetric.mfwer(1, 0.05, "one")
+        result = platform_threshold(CorrelationMatrix.bivariate(rho), metric)
+        assert result.achieved_stderr == 0.0
+        assert result.critical_value == pytest.approx(_bivariate_oracle_c(rho, metric), abs=1e-8)
 
     def test_rho_validation(self):
         with pytest.raises(DomainError):
-            generalized_dunnett_threshold(1.2, ErrorMetric.fwer(0.05))
+            platform_threshold(CorrelationMatrix.bivariate(1.2), ErrorMetric.fwer(0.05))
 
     def test_unreachable_msfp_level(self):
         # P(Z1 > c, Z2 > c) at rho=0 is at most 0.25, reached at c = 0
         with pytest.raises(RootBracketError):
-            generalized_dunnett_threshold(0.0, ErrorMetric("msfp", 0.4))
+            platform_threshold(CorrelationMatrix.bivariate(0.0), ErrorMetric("msfp", 0.4))
 
 
 class TestClassicalDunnett:
     def test_equal_allocation_against_quadrature_oracle(self):
-        arms = SingleStudyArms(90, 90, 90)
+        arms = PlatformArms.single(90, 90, 90)
         result = classical_dunnett_threshold(arms, 0.05)
         assert result.critical_value == pytest.approx(DUNNETT_HALF_C, abs=1e-4)
 
@@ -172,27 +214,29 @@ class TestClassicalDunnett:
         assert c == pytest.approx(DUNNETT_HALF_C, abs=1e-9)
 
     def test_small_comparator_correlation_approaches_sidak(self):
-        arms = SingleStudyArms(1, 1, 1e8)  # rho* -> 1/(n_ab terms) ~ 0... stays tiny
-        arms = SingleStudyArms(1e8, 1e8, 1)
+        arms = PlatformArms.single(1, 1, 1e8)  # rho* -> 1/(n_ab terms) ~ 0... stays tiny
+        arms = PlatformArms.single(1e8, 1e8, 1)
         result = classical_dunnett_threshold(arms, 0.05)
         assert result.critical_value == pytest.approx(SIDAK_C, abs=1e-3)
 
     def test_perfect_comparator_correlation_single_test(self):
-        arms = SingleStudyArms(1, 1, 1e12)
+        arms = PlatformArms.single(1, 1, 1e12)
         result = classical_dunnett_threshold(arms, 0.05)
         assert result.critical_value == pytest.approx(Z_975, abs=1e-3)
 
 
 class TestPlatformThreshold:
     def test_k1_matches_exact_solver(self):
+        # two statistics take the exact bivariate route whatever the QMC knobs
         rho = 0.45
-        exact = generalized_dunnett_threshold(rho, ErrorMetric.fwer(0.05))
-        randomized = platform_threshold(
+        result = platform_threshold(
             CorrelationMatrix.bivariate(rho), ErrorMetric.fwer(0.05), precision=5e-5, seed=2
         )
-        tolerance = 3 * max(randomized.achieved_stderr, 1e-5)
-        assert abs(randomized.achieved - 0.05) <= max(1e-4, tolerance)
-        assert randomized.critical_value == pytest.approx(exact.critical_value, abs=5e-3)
+        tolerance = 3 * max(result.achieved_stderr, 1e-5)
+        assert abs(result.achieved - 0.05) <= max(1e-4, tolerance)
+        assert result.achieved_stderr == 0.0
+        oracle_c = _bivariate_oracle_c(rho, ErrorMetric.fwer(0.05))
+        assert result.critical_value == pytest.approx(oracle_c, abs=5e-3)
 
     def test_k2_independent_statistics_sidak(self):
         # Phi^-1((1 + 0.95^(1/4))/2); four independent two-sided tests

@@ -7,7 +7,7 @@ import pytest
 
 from platformdesign.allocation import Allocation, DesignScenario, optimize_allocation, wald_noncentrality
 from platformdesign.errors import BudgetExceeded, DomainError
-from platformdesign.multiplicity import ErrorMetric, ThresholdResult, generalized_dunnett_threshold
+from platformdesign.multiplicity import ErrorMetric, ThresholdResult, platform_threshold
 from platformdesign.mvnorm import CorrelationMatrix, std_normal_cdf
 from platformdesign.power import (
     PowerRequest,
@@ -18,7 +18,7 @@ from platformdesign.power import (
     _search_minimal_n,
 )
 
-FWER_THRESHOLD = generalized_dunnett_threshold(0.0, ErrorMetric.fwer(0.05))
+FWER_THRESHOLD = platform_threshold(CorrelationMatrix.bivariate(0.0), ErrorMetric.fwer(0.05))
 
 
 def _threshold_at(c: float) -> ThresholdResult:
@@ -152,7 +152,9 @@ class TestFindSampleSize:
     def test_reproduces_moderate_synergy_row(self):
         scenario = DesignScenario.single(0.663, 1.161, rho_ab_a=0.626, rho_ab_b=0.660)
         alloc = optimize_allocation(scenario)
-        threshold = generalized_dunnett_threshold(0.4601786197092176, ErrorMetric.fwer(0.05))
+        threshold = platform_threshold(
+            CorrelationMatrix.bivariate(0.4601786197092176), ErrorMetric.fwer(0.05)
+        )
         result = find_sample_size(scenario, alloc, threshold, 0.80, N0=20, n_sim=10_000, seed=5)
         assert abs(result.n_star - 97) <= 10  # published value 97, +-10%
 
@@ -186,7 +188,7 @@ class TestFindSampleSize:
         for s in (0.7, 1.0, 1.3):
             scenario = DesignScenario.single(0.3, s, rho_ab_a=0.3, rho_ab_b=0.3)
             alloc = optimize_allocation(scenario)
-            threshold = generalized_dunnett_threshold(0.4, ErrorMetric.fwer(0.05))
+            threshold = platform_threshold(CorrelationMatrix.bivariate(0.4), ErrorMetric.fwer(0.05))
             n_values.append(
                 find_sample_size(scenario, alloc, threshold, 0.8, seed=3).n_star
             )
@@ -201,7 +203,6 @@ class TestFindSampleSize:
         from platformdesign.correlation import (
             ArmCorrelations, PlatformArms, platform_z_correlation_matrix,
         )
-        from platformdesign.multiplicity import platform_threshold
 
         counts = [1000 * r for r in alloc.ratios]
         arms = PlatformArms(
