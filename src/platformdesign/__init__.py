@@ -2,8 +2,8 @@
 
 Computes correlation-aware multiplicity thresholds (generalized Dunnett
 procedure), power-optimal allocation ratios under a synergy model, minimal
-sample sizes via Monte Carlo search, and parameter estimates from preclinical
-paired-endpoint data.
+sample sizes from exact power at integer designs, and parameter estimates
+from preclinical paired-endpoint data.
 """
 
 from . import errors
@@ -38,6 +38,7 @@ from .multiplicity import (
     ErrorMetric,
     ErrorRates,
     ThresholdResult,
+    bivariate_error_rates,
     bonferroni_threshold,
     classical_dunnett_threshold,
     empirical_error_rates,

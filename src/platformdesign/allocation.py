@@ -143,16 +143,28 @@ class Allocation:
             raise DomainError("no total sample size available for rounding")
         if n < len(self.ratios):
             raise DomainError(f"need at least one subject per arm: N={n} < {len(self.ratios)}")
-        raw = np.asarray(self.ratios) * n
-        counts = np.floor(raw).astype(int)
-        remainder = raw - counts
-        for idx in np.argsort(-remainder)[: n - int(counts.sum())]:
-            counts[idx] += 1
+        return tuple(int(c) for c in self.arm_counts_table(np.array([n]))[0])
+
+    def arm_counts_table(self, totals: np.ndarray) -> np.ndarray:
+        """:meth:`arm_counts` for each total (every one at least 2K+1), one
+        row per total.
+
+        The arms with the largest remainders get the leftover subjects; equal
+        remainders go to the earlier arm.
+        """
+        raw = np.asarray(totals)[:, None] * np.asarray(self.ratios)
+        counts = np.floor(raw).astype(np.int64)
+        leftover = np.asarray(totals) - counts.sum(axis=1)
+        order = np.argsort(counts - raw, axis=1, kind="stable")
+        rank = np.empty_like(order)
+        np.put_along_axis(rank, order, np.arange(order.shape[1])[None, :], axis=1)
+        counts += rank < leftover[:, None]
         # bump empty arms up to one subject, taking from the largest arm
-        while np.any(counts == 0):
-            counts[int(np.argmax(counts))] -= 1
-            counts[int(np.argmin(counts))] += 1
-        return tuple(int(c) for c in counts)
+        for row in np.flatnonzero((counts == 0).any(axis=1)):
+            while np.any(counts[row] == 0):
+                counts[row, np.argmax(counts[row])] -= 1
+                counts[row, np.argmin(counts[row])] += 1
+        return counts
 
 
 @dataclass(frozen=True)

@@ -203,16 +203,7 @@ def cmd_design(args) -> int:
     metric = _metric_from_args(args)
     alloc = optimize_allocation(scenario)
     threshold = _design_threshold(scenario, alloc, metric, args)
-    result = find_sample_size(
-        scenario,
-        alloc,
-        threshold,
-        args.power,
-        N0=args.n0,
-        n_sim=args.nsim,
-        seed=args.seed,
-        n_cap=args.n_cap,
-    )
+    result = find_sample_size(scenario, alloc, threshold, args.power, n_cap=args.n_cap)
     report = {
         "metric": metric.kind,
         "alpha": metric.alpha,
@@ -264,15 +255,9 @@ def cmd_estimate(args) -> int:
         )
         entry = json.loads(estimates.to_json())
         if args.with_thresholds and not estimates.screened_out:
-            summary = table1_pipeline(
-                estimates, replications=args.replications, seed=args.seed
-            )
+            summary = table1_pipeline(estimates)
             entry["z_rho"] = summary.rho
-            entry["unadjusted"] = {
-                "fwer": summary.unadjusted.fwer,
-                "fmer": summary.unadjusted.fmer,
-                "msfp": summary.unadjusted.msfp,
-            }
+            entry["unadjusted"] = summary.unadjusted
             entry["p_thresholds"] = {
                 kind: t.p_threshold for kind, t in summary.thresholds.items()
             }
@@ -311,6 +296,10 @@ def _progress_to_stderr(enabled: bool):
 
 def cmd_simulate(args) -> int:
     _require(args.study in _STUDIES, f"--study must be one of {_STUDIES}")
+    _require(
+        not args.progress or args.study == "design-surface",
+        "--progress only applies to --study design-surface",
+    )
     swept = (args.swept or "rho-ab-b").replace("-", "_")
     _require(
         swept in ("rho_ab_b", "rho_ab_a"),
@@ -325,7 +314,7 @@ def cmd_simulate(args) -> int:
     if args.study == "design-surface":
         if args.rho_levels:
             sweep["rho_levels"] = tuple(args.rho_levels)
-        grid = design_surface_grid(seed=args.seed, n_sim=args.nsim, **sweep)
+        grid = design_surface_grid(seed=args.seed, **sweep)
         with _progress_to_stderr(args.progress):
             table = run_design_surface(grid)
     elif args.study == "thresholds":
@@ -336,10 +325,7 @@ def cmd_simulate(args) -> int:
             "error-curves": (error_curves_grid, run_error_curves),
             "adjustments": (adjustment_grid, run_adjustment_comparison),
         }[args.study]
-        grid = factory(
-            swept=swept, fixed_rho=args.fixed_rho, replications=args.replications,
-            seed=args.seed, **sweep,
-        )
+        grid = factory(swept=swept, fixed_rho=args.fixed_rho, seed=args.seed, **sweep)
         table = runner(grid)
 
     if args.format == "jsonl":
@@ -426,9 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     design.add_argument("--m", type=int, default=None, help="exceedance count for mfwer")
     design.add_argument("--sided", choices=("one", "two"), default=None,
                         help="exceedance convention for mfwer (default two)")
-    design.add_argument("--n0", type=int, default=20, help="initial N for doubling (default 20)")
-    design.add_argument("--nsim", type=int, default=10_000,
-                        help="Monte Carlo replications per power estimate (default 10000)")
     design.add_argument("--n-cap", type=int, default=1_000_000,
                         help="sample-size search budget (default 1e6)")
     design.add_argument("--precision", type=float, default=1e-4,
@@ -464,9 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="flip response signs (endpoint where lower is favorable)")
     estimate.add_argument("--with-thresholds", action="store_true",
                           help="append z-correlation, unadjusted rates, and p-thresholds")
-    estimate.add_argument("--replications", type=int, default=100_000,
-                          help="null replications for the unadjusted rates (default 100000)")
-    estimate.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
+    estimate.add_argument("--seed", type=int, default=None,
+                          help="has no effect; the results are exact")
     estimate.add_argument("--out", help="output path (default: stdout)")
     estimate.set_defaults(func=cmd_estimate, format="json")
 
@@ -481,13 +463,10 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--step", type=float, default=None, help="sweep step")
     simulate.add_argument("--rho-levels", type=float, nargs="+", default=None,
                           help="correlation levels for the design surface")
-    simulate.add_argument("--replications", type=int, default=100_000,
-                          help="null replications per grid point")
-    simulate.add_argument("--nsim", type=int, default=10_000,
-                          help="power replications (design surface)")
     simulate.add_argument("--progress", action="store_true",
-                          help="print per-point progress to stderr")
-    simulate.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
+                          help="print per-point progress to stderr (design surface)")
+    simulate.add_argument("--seed", type=int, default=None,
+                          help="has no effect; the results are exact")
     _add_common_output(simulate, formats=("csv", "jsonl"))
     simulate.set_defaults(func=cmd_simulate)
 

@@ -28,9 +28,8 @@ from .errors import (
 )
 from .multiplicity import (
     ErrorMetric,
-    ErrorRates,
     ThresholdResult,
-    empirical_error_rates,
+    bivariate_error_rates,
     platform_threshold,
 )
 from .mvnorm import CorrelationMatrix
@@ -260,11 +259,12 @@ _DEFAULT_TARGETS = (
 @dataclass(frozen=True)
 class Table1Result:
     """False-positive picture for a fixed design: the test-statistic
-    correlation, unadjusted error rates at the conventional critical value,
-    and the adjusted p-value threshold per metric."""
+    correlation, the exact unadjusted error rates at the conventional
+    critical value (keyed fwer, fmer, msfp), and the adjusted p-value
+    threshold per metric."""
 
     rho: float
-    unadjusted: ErrorRates
+    unadjusted: dict[str, float]
     thresholds: dict[str, ThresholdResult] = field(default_factory=dict)
 
 
@@ -275,13 +275,11 @@ def table1_pipeline(
     n_ab: int | None = None,
     targets: tuple[ErrorMetric, ...] = _DEFAULT_TARGETS,
     critical_value: float = 1.959963984540054,
-    replications: int = 100_000,
-    seed: int = 0,
 ) -> Table1Result:
     """Chain estimates into the false-positive control summary.
 
     Computes the Z-statistic correlation from the estimated arm correlations
-    and counts, simulates unadjusted error rates at the conventional
+    and counts and the exact unadjusted error rates at the conventional
     two-sided critical value, then solves the adjusted threshold for each
     target metric.
     """
@@ -299,6 +297,7 @@ def table1_pipeline(
     )
     rho = test_stat_correlation(arms)
     z_corr = CorrelationMatrix.bivariate(rho)
-    unadjusted = empirical_error_rates(z_corr, critical_value, replications, seed)
     thresholds = {metric.kind: platform_threshold(z_corr, metric) for metric in targets}
-    return Table1Result(rho=rho, unadjusted=unadjusted, thresholds=thresholds)
+    return Table1Result(
+        rho=rho, unadjusted=bivariate_error_rates(rho, critical_value), thresholds=thresholds
+    )

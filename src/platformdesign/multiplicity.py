@@ -35,6 +35,7 @@ __all__ = [
     "holm_reject",
     "classical_dunnett_threshold",
     "platform_threshold",
+    "bivariate_error_rates",
     "empirical_error_rates",
 ]
 
@@ -195,6 +196,15 @@ def _bivariate_exceedance(rho: float, count: int, sided: str) -> Callable[[float
     if count == 1:
         return lambda c: 1.0 - bvn_rectangle((-inf, -inf), (c, c), rho)
     return lambda c: bvn_rectangle((c, c), (inf, inf), rho)
+
+
+def bivariate_error_rates(rho: float, critical_value: float) -> dict[str, float]:
+    """Exact fwer, fmer and msfp of two statistics with correlation ``rho``
+    at one common critical value."""
+    return {
+        kind: _bivariate_exceedance(rho, count, sided)(critical_value)
+        for kind, count, sided in (("fwer", 1, "two"), ("fmer", 2, "two"), ("msfp", 2, "one"))
+    }
 
 
 def classical_dunnett_threshold(arms: PlatformArms, alpha: float) -> ThresholdResult:

@@ -1,11 +1,15 @@
-"""Monte Carlo power evaluation and minimal sample-size search.
+"""Exact power, the minimal sample-size search, and a Monte Carlo check.
 
-Power is the minimum, across all comparisons, of the empirical rejection
-proportions under the alternative.  The sample-size search doubles an initial
-N until the target power is reached, then binary-searches the bracket.  One
-pool of standard normal draws per seed is rescaled for every candidate N
-(common random numbers), so the power curve the search walks is monotone and
-the returned N* is stable.
+Under the alternative each test statistic is normal with unit variance and
+mean mu / sd, where mu is its contrast's mean difference and sd the
+contrast's standard deviation at the arm counts.  So the power of one
+comparison is an exact two-sided normal tail.  The power of a design is the
+minimum over its 2K comparisons; the tail grows with |mu / sd|, so that is the
+tail at the smallest one.  The sample-size search returns the smallest total
+N whose largest-remainder integer design reaches the target.  Power at
+integer counts is not monotone in N, so the search scans N upward instead of
+bisecting.  Monte Carlo power (:func:`mc_power`) is kept as an independent
+check and for the reject-all diagnostic.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import Allocation, DesignScenario
-from .correlation import ArmCorrelations, arm_mean_covariance
+from .correlation import arm_mean_covariance
 from .errors import BudgetExceeded, DomainError
 from .multiplicity import ThresholdResult
 from .mvnorm import cholesky, std_normal_cdf
@@ -65,11 +69,6 @@ class PowerSummary:
     reject_all: float
 
 
-def _draw_pool(dim: int, n_sim: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 3])
-    return rng.standard_normal((n_sim, dim))
-
-
 def _z_statistics(means: np.ndarray, cov: np.ndarray) -> np.ndarray:
     """Standardized contrasts vs the control column, in test order
     (combo_1, mono_1, combo_2, mono_2, ...)."""
@@ -96,35 +95,19 @@ def _summarize(z: np.ndarray, critical_value: float) -> PowerSummary:
     )
 
 
-def _summary_from_sizes(
-    pool: np.ndarray,
-    scenario: DesignScenario,
-    arm_sizes,
-    critical_value: float,
-    correlations: ArmCorrelations | None = None,
-) -> PowerSummary:
-    mean, cov = arm_mean_covariance(scenario, arm_sizes, correlations)
-    means = mean + pool @ cholesky(cov).factor.T
-    return _summarize(_z_statistics(means, cov), critical_value)
-
-
-def mc_power_summary(
-    request: PowerRequest, correlations: ArmCorrelations | None = None
-) -> PowerSummary:
+def mc_power_summary(request: PowerRequest) -> PowerSummary:
     """Simulate arm means under the alternative and summarize rejections."""
-    pool = _draw_pool(2 * request.scenario.K + 1, request.n_sim, request.seed)
-    return _summary_from_sizes(
-        pool,
-        request.scenario,
-        np.asarray(request.alloc.ratios) * request.N,
-        request.threshold.critical_value,
-        correlations,
-    )
+    scenario = request.scenario
+    rng = np.random.default_rng([request.seed & 0xFFFFFFFFFFFFFFFF, 3])
+    pool = rng.standard_normal((request.n_sim, 2 * scenario.K + 1))
+    mean, cov = arm_mean_covariance(scenario, np.asarray(request.alloc.ratios) * request.N)
+    means = mean + pool @ cholesky(cov).factor.T
+    return _summarize(_z_statistics(means, cov), request.threshold.critical_value)
 
 
-def mc_power(request: PowerRequest, correlations: ArmCorrelations | None = None) -> float:
+def mc_power(request: PowerRequest) -> float:
     """Minimum empirical rejection proportion across the 2K comparisons."""
-    return mc_power_summary(request, correlations).minimum
+    return mc_power_summary(request).minimum
 
 
 def marginal_power_oracle(W: float, c: float) -> float:
@@ -143,9 +126,33 @@ def marginal_power_oracle(W: float, c: float) -> float:
     return 1.0 - std_normal_cdf(c - shift) + std_normal_cdf(-c - shift)
 
 
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _design_power(
+    scenario: DesignScenario, alloc: Allocation, critical_value: float, totals: np.ndarray
+) -> np.ndarray:
+    """Exact minimum per-comparison power of the integer design at each total."""
+    counts = alloc.arm_counts_table(totals)
+    delta = np.asarray(scenario.delta)
+    # comparisons in arm order: mono_1, combo_1, mono_2, combo_2, ...
+    mu = np.column_stack((delta, np.asarray(scenario.synergy) * delta)).ravel()
+    rho = np.column_stack((np.zeros(scenario.K), scenario.rho_combo_control)).ravel()
+    arms, control = counts[:, 1:], counts[:, :1]
+    var = scenario.sigma2 * (1.0 / arms + 1.0 / control - 2.0 * rho / np.sqrt(arms * control))
+    if np.any(var <= 0.0):
+        raise DomainError("a contrast variance is not positive")
+    shift = np.min(np.abs(mu) / np.sqrt(var), axis=1)
+    tails = _erfc((critical_value - shift) / math.sqrt(2.0)) + _erfc(
+        (critical_value + shift) / math.sqrt(2.0)
+    )
+    return 0.5 * tails.astype(float)
+
+
 @dataclass(frozen=True)
 class SampleSizeResult:
-    """Outcome of the doubling + binary-search procedure."""
+    """N*, the exact power of its integer design, its arm counts, and the
+    power at every total scanned, from 2K+1 to N*."""
 
     n_star: int
     achieved_power: float
@@ -153,81 +160,44 @@ class SampleSizeResult:
     arm_counts: tuple[int, ...]
 
 
+_BLOCK = 1024
+
+
 def find_sample_size(
     scenario: DesignScenario,
     alloc: Allocation,
     threshold: ThresholdResult,
     target_power: float,
-    N0: int = 20,
-    n_sim: int = 10_000,
     seed: int = 0,
     n_cap: int = 1_000_000,
-    correlations: ArmCorrelations | None = None,
 ) -> SampleSizeResult:
-    """Minimal total N whose Monte Carlo power reaches ``target_power``.
+    """Smallest total N whose integer design reaches ``target_power``.
 
-    Doubling from ``N0`` locates a passing upper bound, then binary search
-    narrows to the smallest passing N.  All evaluations share one pool of
-    draws rescaled per N.  The reported achieved power is re-evaluated at the
-    largest-remainder-rounded integer arm counts.
+    The design at N is ``alloc.arm_counts(N)`` and its power the exact
+    minimum per-comparison power at those counts, at the critical value of
+    ``threshold``.  Totals are scanned upward from 2K+1 in blocks, because
+    power at integer counts is not monotone in N.  ``seed`` has no effect;
+    it is kept for callers that pass one.  Raises :class:`BudgetExceeded`
+    when no N <= ``n_cap`` reaches the target.
     """
     if not 0.0 < target_power < 1.0:
         raise DomainError(f"target power must lie in (0, 1), got {target_power}")
+    # arm correlations that do not fit together fail here, whatever N is
+    cholesky(arm_mean_covariance(scenario, alloc.ratios)[1])
     min_n = 2 * scenario.K + 1
-    if N0 < min_n:
-        raise DomainError(f"N0 must be at least {min_n}")
-
-    pool = _draw_pool(2 * scenario.K + 1, n_sim, seed)
-    ratios = np.asarray(alloc.ratios)
-    trace: list[tuple[int, float]] = []
-
-    def power_at(n: int) -> float:
-        value = _summary_from_sizes(
-            pool, scenario, ratios * n, threshold.critical_value, correlations
-        ).minimum
-        trace.append((n, value))
-        return value
-
-    n_star = _search_minimal_n(power_at, target_power, N0, min_n, n_cap)
-    counts = alloc.arm_counts(n_star)
-    achieved = _summary_from_sizes(
-        pool, scenario, counts, threshold.critical_value, correlations
-    ).minimum
-    return SampleSizeResult(
-        n_star=n_star,
-        achieved_power=achieved,
-        search_trace=tuple(trace),
-        arm_counts=counts,
-    )
-
-
-def _search_minimal_n(
-    power_at, target: float, n0: int, floor: int, cap: int
-) -> int:
-    """Doubling then binary search; assumes power_at is nondecreasing in N.
-
-    If N0 already passes, the search floor is the smallest feasible N.
-    Raises :class:`BudgetExceeded` when doubling passes ``cap`` without
-    reaching the target.
-    """
-    n = n0
-    current = power_at(n)
-    if current >= target:
-        low, high = floor, n
-    else:
-        while current < target:
-            if 2 * n > cap:
-                raise BudgetExceeded(
-                    f"power {current:.4f} < {target} at N={n}; cap {cap} reached"
-                )
-            n *= 2
-            current = power_at(n)
-        low, high = n // 2, n
-
-    while low < high:
-        mid = (low + high) // 2
-        if power_at(mid) >= target:
-            high = mid
-        else:
-            low = mid + 1
-    return low
+    scanned: list[np.ndarray] = []
+    for start in range(min_n, n_cap + 1, _BLOCK):
+        totals = np.arange(start, min(start + _BLOCK, n_cap + 1))
+        power = _design_power(scenario, alloc, threshold.critical_value, totals)
+        scanned.append(power)
+        passing = np.flatnonzero(power >= target_power)
+        if passing.size:
+            n_star = int(totals[passing[0]])
+            powers = np.concatenate(scanned)[: n_star - min_n + 1].tolist()
+            return SampleSizeResult(
+                n_star=n_star,
+                achieved_power=powers[-1],
+                search_trace=tuple(zip(range(min_n, n_star + 1), powers)),
+                arm_counts=alloc.arm_counts(n_star),
+            )
+    raise BudgetExceeded(f"no N in [{min_n}, {n_cap}] reaches power {target_power}")

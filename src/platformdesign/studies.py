@@ -3,8 +3,10 @@
 Four studies mirror the main questions a designer asks: how arm correlations
 move the error rates, how conventional adjustments behave, what thresholds
 the generalized procedure sets, and what allocation/sample size the full
-pipeline recommends.  Each grid point gets its own derived seed, so tables
-are reproducible byte-for-byte and points can run in any order.
+pipeline recommends.  Every row is computed, not simulated: error rates of
+two statistics are exact bivariate normal probabilities and N* is searched on
+exact power, so ``mc_stderr`` is 0 and tables are the same byte for byte
+whatever the grid's seed.
 """
 
 from __future__ import annotations
@@ -13,21 +15,20 @@ import csv
 import io
 import json
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocation import Allocation, DesignScenario, optimize_allocation, wald_noncentrality
+from .allocation import Allocation, DesignScenario, optimize_allocation
 from .correlation import PlatformArms, platform_z_correlation_matrix
 from .errors import DomainError
 from .multiplicity import (
     ErrorMetric,
+    bivariate_error_rates,
     classical_dunnett_threshold,
-    empirical_error_rates,
     platform_threshold,
 )
-from .mvnorm import CorrelationMatrix, MvnSampler, std_normal_quantile
+from .mvnorm import CorrelationMatrix, bvn_rectangle, std_normal_quantile
 from .power import find_sample_size
 
 __all__ = [
@@ -69,7 +70,11 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class GridSpec:
-    """One swept parameter plus everything held fixed."""
+    """One swept parameter plus everything held fixed.
+
+    Every study is exact, so none reads ``replications`` or ``seed``; they
+    are kept for callers that set them.
+    """
 
     swept: str
     start: float
@@ -156,7 +161,6 @@ def threshold_grid(
 
 def design_surface_grid(
     seed: int = 0,
-    n_sim: int = 10_000,
     start: float = 0.7,
     stop: float = 1.3,
     step: float = 0.1,
@@ -167,8 +171,8 @@ def design_surface_grid(
         start=start,
         stop=stop,
         step=step,
-        fixed={"delta": 0.3, "sigma2": 1.0, "target_power": 0.8, "n0": 20},
-        replications=n_sim,
+        fixed={"delta": 0.3, "sigma2": 1.0, "target_power": 0.8},
+        replications=1,
         seed=seed,
         rho_levels=rho_levels,
     )
@@ -219,11 +223,6 @@ def _render(value) -> str:
     return str(value)
 
 
-def _point_seed(base: int, *indices: int) -> int:
-    seq = np.random.SeedSequence([base & 0xFFFFFFFFFFFFFFFF, *indices])
-    return int(seq.generate_state(1, np.uint64)[0])
-
-
 def _rhos(grid: GridSpec, value: float) -> tuple[float, float]:
     if grid.swept == "rho_ab_a":
         return value, float(grid.fixed["rho_ab_b"])
@@ -250,32 +249,38 @@ def run_error_curves(grid: GridSpec) -> ResultTable:
     )
     c_nominal = std_normal_quantile(0.975)
     rows = []
-    for a_idx, alloc in enumerate(grid.allocations):
-        for v_idx, value in enumerate(grid.sweep_values()):
+    for alloc in grid.allocations:
+        for value in grid.sweep_values():
             rho_ab_a, rho_ab_b = _rhos(grid, float(value))
-            z_rho, z_corr = _z_corr(alloc, rho_ab_a, rho_ab_b)
-            rates = empirical_error_rates(
-                z_corr,
-                c_nominal,
-                grid.replications,
-                _point_seed(grid.seed, a_idx, v_idx),
-            )
+            z_rho, _ = _z_corr(alloc, rho_ab_a, rho_ab_b)
+            rates = bivariate_error_rates(z_rho, c_nominal)
             for metric in ("fwer", "fmer", "msfp"):
                 rows.append((
                     grid.swept, float(value), rho_ab_a, rho_ab_b,
                     alloc[0], alloc[1], alloc[2], z_rho,
-                    metric, getattr(rates, metric), rates.stderr(metric),
-                    BASELINES[metric],
+                    metric, rates[metric], 0.0, BASELINES[metric],
                 ))
     return ResultTable(columns, tuple(rows))
 
 
-def _holm_rejections(p: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized two-test step-down: (any rejection, both rejected)."""
-    ordered = np.sort(p, axis=1)
-    first = ordered[:, 0] <= alpha / 2.0
-    both = first & (ordered[:, 1] <= alpha)
-    return first, both
+def _holm_rates(z_rho: float, first_cut: float, last_cut: float) -> dict[str, float]:
+    """Exact error rates of the two-test Holm step-down.
+
+    Holm rejects a test iff max|Z| > b (``first_cut``, level alpha/2 per
+    test), and both iff also min|Z| > a (``last_cut``, level alpha).  So its
+    fwer is the fwer at b.  Its fmer is the fmer at a less the chance that
+    both |Z| lie in (a, b]: two same-sign and two opposite-sign boxes, equal
+    in pairs by symmetry.  Its msfp is the msfp at a less the box (a, b]^2.
+    """
+    a, b = last_cut, first_cut
+    at_a = bivariate_error_rates(z_rho, a)
+    same_sign = bvn_rectangle((a, a), (b, b), z_rho)
+    opposite_sign = bvn_rectangle((a, -b), (b, -a), z_rho)
+    return {
+        "fwer": bivariate_error_rates(z_rho, b)["fwer"],
+        "fmer": at_a["fmer"] - 2.0 * same_sign - 2.0 * opposite_sign,
+        "msfp": at_a["msfp"] - same_sign,
+    }
 
 
 def run_adjustment_comparison(grid: GridSpec) -> ResultTable:
@@ -285,63 +290,31 @@ def run_adjustment_comparison(grid: GridSpec) -> ResultTable:
         "p_control", "p_mono", "p_combo", "z_rho",
         "method", "metric", "value", "mc_stderr", "baseline",
     )
-    from scipy.special import ndtr
-
     alpha = float(grid.fixed.get("alpha", 0.05))
     c_nominal = std_normal_quantile(0.975)
     c_bonf = std_normal_quantile(1.0 - alpha / 4.0)
+    c_holm_last = std_normal_quantile(1.0 - alpha / 2.0)
     rows = []
-    for a_idx, alloc in enumerate(grid.allocations):
+    for alloc in grid.allocations:
         arms = PlatformArms.single(1000 * alloc[0], 1000 * alloc[1], 1000 * alloc[2])
         c_dunnett = classical_dunnett_threshold(arms, alpha).critical_value
-        for v_idx, value in enumerate(grid.sweep_values()):
+        for value in grid.sweep_values():
             rho_ab_a, rho_ab_b = _rhos(grid, float(value))
-            z_rho, z_corr = _z_corr(alloc, rho_ab_a, rho_ab_b)
-            draws = MvnSampler(
-                np.zeros(2),
-                z_corr.entries,
-                _point_seed(grid.seed, a_idx, v_idx),
-                stream=4,
-            ).sample(grid.replications)
-            abs_z = np.abs(draws)
-            positive = (draws > 0).all(axis=1)
-            p_values = 2.0 * (1.0 - ndtr(abs_z))
+            z_rho, _ = _z_corr(alloc, rho_ab_a, rho_ab_b)
             per_method = {
-                "noadj": _fixed_cut(abs_z, c_nominal, positive),
-                "bonferroni": _fixed_cut(abs_z, c_bonf, positive),
-                "holm": _holm_metrics(p_values, alpha, positive),
-                "dunnett": _fixed_cut(abs_z, c_dunnett, positive),
+                "noadj": bivariate_error_rates(z_rho, c_nominal),
+                "bonferroni": bivariate_error_rates(z_rho, c_bonf),
+                "holm": _holm_rates(z_rho, c_bonf, c_holm_last),
+                "dunnett": bivariate_error_rates(z_rho, c_dunnett),
             }
-            n = grid.replications
-            for method, metrics in per_method.items():
+            for method, rates in per_method.items():
                 for metric in ("fwer", "fmer", "msfp"):
-                    rate = metrics[metric]
                     rows.append((
                         grid.swept, float(value), rho_ab_a, rho_ab_b,
                         alloc[0], alloc[1], alloc[2], z_rho,
-                        method, metric, rate,
-                        math.sqrt(rate * (1.0 - rate) / n),
-                        BASELINES[metric],
+                        method, metric, rates[metric], 0.0, BASELINES[metric],
                     ))
     return ResultTable(columns, tuple(rows))
-
-
-def _fixed_cut(abs_z, cut, positive) -> dict:
-    rejected = abs_z > cut
-    return {
-        "fwer": float(rejected.any(axis=1).mean()),
-        "fmer": float(rejected.all(axis=1).mean()),
-        "msfp": float((rejected.all(axis=1) & positive).mean()),
-    }
-
-
-def _holm_metrics(p_values, alpha, positive) -> dict:
-    any_rej, both_rej = _holm_rejections(p_values, alpha)
-    return {
-        "fwer": float(any_rej.mean()),
-        "fmer": float(both_rej.mean()),
-        "msfp": float((both_rej & positive).mean()),
-    }
 
 
 def run_threshold_curves(grid: GridSpec) -> ResultTable:
@@ -367,9 +340,8 @@ def run_threshold_curves(grid: GridSpec) -> ResultTable:
 def run_design_surface(grid: GridSpec) -> ResultTable:
     """Optimal allocation and minimal N per (synergy, rho, metric) (study 4).
 
-    ``mc_stderr`` is a delta-method standard error for N*: the power
-    standard error divided by the local slope of the power curve in N.
-    Each finished point is logged at INFO level.
+    N* and its achieved power are exact, so ``mc_stderr`` is 0.  Each
+    finished point is logged at INFO level.
     """
     columns = (
         "synergy", "rho", "p_control", "p_mono", "p_combo", "z_rho",
@@ -379,14 +351,12 @@ def run_design_surface(grid: GridSpec) -> ResultTable:
     delta = float(grid.fixed.get("delta", 0.3))
     sigma2 = float(grid.fixed.get("sigma2", 1.0))
     target = float(grid.fixed.get("target_power", 0.8))
-    n0 = int(grid.fixed.get("n0", 20))
-    n_sim = grid.replications
     sweep = grid.sweep_values()
     total = len(sweep) * len(grid.rho_levels) * len(_TARGETS)
     done = 0
     rows = []
-    for s_idx, s in enumerate(sweep):
-        for r_idx, rho in enumerate(grid.rho_levels):
+    for s in sweep:
+        for rho in grid.rho_levels:
             scenario = DesignScenario.single(
                 delta, float(s), sigma2, rho_ab_a=float(rho), rho_ab_b=float(rho)
             )
@@ -394,24 +364,12 @@ def run_design_surface(grid: GridSpec) -> ResultTable:
             z_rho, z_corr = _z_corr(alloc.ratios, float(rho), float(rho))
             for metric in _TARGETS:
                 threshold = platform_threshold(z_corr, metric)
-                result = find_sample_size(
-                    scenario,
-                    alloc,
-                    threshold,
-                    target,
-                    N0=n0,
-                    n_sim=n_sim,
-                    seed=_point_seed(grid.seed, s_idx, r_idx),
-                )
+                result = find_sample_size(scenario, alloc, threshold, target)
                 rows.append((
                     float(s), float(rho),
                     alloc.ratios[0], alloc.ratios[1], alloc.ratios[2], z_rho,
                     metric.kind, threshold.critical_value, threshold.p_threshold,
-                    result.achieved_power, result.n_star,
-                    _n_star_stderr(
-                        scenario, alloc, threshold.critical_value,
-                        result.n_star, target, n_sim,
-                    ),
+                    result.achieved_power, result.n_star, 0.0,
                 ))
                 done += 1
                 logger.info(
@@ -419,23 +377,3 @@ def run_design_surface(grid: GridSpec) -> ResultTable:
                     done, total, s, rho, metric.kind, result.n_star,
                 )
     return ResultTable(columns, tuple(rows))
-
-
-def _n_star_stderr(
-    scenario: DesignScenario,
-    alloc: Allocation,
-    critical_value: float,
-    n_star: int,
-    target: float,
-    n_sim: int,
-) -> float:
-    """Delta-method N* error: power noise over the power-in-N slope."""
-    w = wald_noncentrality(scenario, alloc, n_star).min()
-    slope = (
-        math.exp(-((critical_value - math.sqrt(w)) ** 2) / 2.0)
-        / math.sqrt(2.0 * math.pi)
-        * math.sqrt(w)
-        / (2.0 * n_star)
-    )
-    power_se = math.sqrt(target * (1.0 - target) / n_sim)
-    return power_se / max(slope, 1e-12)

@@ -5,9 +5,12 @@ These deliberately use different numerical routes than the package
 instead of root finding), so agreement is evidence, not tautology.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import ndtr
 from scipy.stats import norm
 
 
@@ -66,6 +69,40 @@ def ray_allocation_oracle(s, resolution=1e-4):
     w1 = s * s / (1.0 / p_ab + 1.0 / p_a)
     idx = int(np.argmax(w1))
     return float(p_a[idx]), float(s * p_ab[idx]), float(p_ab[idx])
+
+
+def integer_design_power(scenario, counts, c: float) -> float:
+    """Minimum over the 2K comparisons of the exact two-sided rejection
+    probability at integer arm counts (control, mono_1, combo_1, ...): each
+    contrast mean_arm - mean_control has variance
+    sigma2 (1/n_arm + 1/n_control - 2 rho / sqrt(n_arm n_control)), with rho
+    the arm's correlation with control (0 for a monotherapy arm)."""
+    n_control = counts[0]
+    powers = []
+    for k in range(scenario.K):
+        delta = scenario.delta[k]
+        for mu, n_arm, rho in (
+            (delta, counts[2 * k + 1], 0.0),
+            (scenario.synergy[k] * delta, counts[2 * k + 2], scenario.rho_combo_control[k]),
+        ):
+            var = scenario.sigma2 * (
+                1.0 / n_arm + 1.0 / n_control - 2.0 * rho / math.sqrt(n_arm * n_control)
+            )
+            shift = mu / math.sqrt(var)
+            powers.append(float(ndtr(shift - c) + ndtr(-c - shift)))
+    return min(powers)
+
+
+def n_star_enumeration_oracle(scenario, alloc, c: float, target: float, n_cap: int = 10**5):
+    """Smallest N >= 2K+1 whose ``alloc.arm_counts(N)`` design reaches
+    ``target``, found by trying every N in turn, and the power at each N
+    tried; (None, powers) when no N <= n_cap passes."""
+    powers = {}
+    for n in range(2 * scenario.K + 1, n_cap + 1):
+        powers[n] = integer_design_power(scenario, alloc.arm_counts(n), c)
+        if powers[n] >= target:
+            return n, powers
+    return None, powers
 
 
 @pytest.fixture

@@ -218,7 +218,7 @@ def test_criterion_04_closed_form_allocation():
     _report(4, "closed-form allocation vs grid search", checks)
 
 
-def _design_row(delta, synergy, rho_a, rho_b, seed):
+def _design_row(delta, synergy, rho_a, rho_b):
     scenario = DesignScenario.single(delta, synergy, rho_ab_a=rho_a, rho_ab_b=rho_b)
     alloc = optimize_allocation(scenario)
     rho = z_correlation(
@@ -228,7 +228,7 @@ def _design_row(delta, synergy, rho_a, rho_b, seed):
         )
     )
     threshold = platform_threshold(CorrelationMatrix.bivariate(rho), ErrorMetric.fwer(0.05))
-    result = find_sample_size(scenario, alloc, threshold, 0.80, N0=20, n_sim=10_000, seed=seed)
+    result = find_sample_size(scenario, alloc, threshold, 0.80)
     return alloc, result
 
 
@@ -246,7 +246,7 @@ def test_criterion_05_design_rows():
 
     checks = []
     start = time.perf_counter()
-    alloc_1, result_1 = _design_row(0.663, 1.161, 0.626, 0.660, seed=11)
+    alloc_1, result_1 = _design_row(0.663, 1.161, 0.626, 0.660)
     elapsed_row_1 = time.perf_counter() - start
     checks.append(
         (
@@ -261,7 +261,7 @@ def test_criterion_05_design_rows():
         )
     )
     start = time.perf_counter()
-    alloc_2, result_2 = _design_row(0.329, 2.283, 0.227, 0.250, seed=11)
+    alloc_2, result_2 = _design_row(0.329, 2.283, 0.227, 0.250)
     elapsed_row_2 = time.perf_counter() - start
     scenario_2 = DesignScenario.single(0.329, 2.283, rho_ab_a=0.227, rho_ab_b=0.250)
     grid_value, grid_point = grid_allocation_oracle(2.283, 0.329, 0.227, resolution=1e-3)
@@ -349,10 +349,10 @@ def test_criterion_07_power_oracle_equivalence():
 def test_criterion_08_design_surface_properties():
     full = os.environ.get("PLATFORMDESIGN_FULL_GRID") == "1"
     if full:
-        grid = design_surface_grid(seed=5, n_sim=10_000)
+        grid = design_surface_grid(seed=5)
     else:
         grid = design_surface_grid(
-            seed=5, n_sim=10_000, start=0.7, stop=1.3, step=0.6, rho_levels=(0.1, 0.7)
+            seed=5, start=0.7, stop=1.3, step=0.6, rho_levels=(0.1, 0.7)
         )
     start = time.perf_counter()
     table = run_design_surface(grid)
@@ -362,12 +362,7 @@ def test_criterion_08_design_surface_properties():
     for rho in grid.rho_levels:
         for metric in TARGETS:
             n_stars = table.column("value", rho=float(rho), metric=metric)
-            stderr = table.column("mc_stderr", rho=float(rho), metric=metric)
-            tolerances = [0] + [3 * (a + b) for a, b in zip(stderr, stderr[1:])]
-            monotone = all(
-                b <= a + tol
-                for a, b, tol in zip(n_stars, n_stars[1:], tolerances[1:])
-            )
+            monotone = all(b <= a for a, b in zip(n_stars, n_stars[1:]))
             checks.append(
                 (monotone, f"N*(s) rho={rho} {metric}: {n_stars} not nonincreasing")
             )
@@ -379,21 +374,19 @@ def test_criterion_08_design_surface_properties():
                 f"p_combo(rho) s={s}: {shares} not nonincreasing",
             )
         )
+    # The metrics of one (s, rho) share the allocation, and power at fixed N
+    # strictly decreases in the critical value, so the smaller cut never
+    # needs more subjects.  fwer's cut is not always the smallest: at s = 1.3
+    # fmer's is below it (2.207 < 2.224 at rho 0.1, N* 490 < 496).
     for s in s_values:
         for rho in grid.rho_levels:
-            n_by = {
-                m: table.column("value", synergy=s, rho=float(rho), metric=m)[0]
-                for m in TARGETS
-            }
-            se_by = {
-                m: table.column("mc_stderr", synergy=s, rho=float(rho), metric=m)[0]
-                for m in TARGETS
-            }
-            ok = (
-                n_by["fwer"] <= n_by["fmer"] + 3 * (se_by["fwer"] + se_by["fmer"])
-                and n_by["fwer"] <= n_by["msfp"] + 3 * (se_by["fwer"] + se_by["msfp"])
+            by_cut = sorted(
+                (row["c_star"], row["value"], row["metric"])
+                for row in table.as_dicts()
+                if row["synergy"] == s and row["rho"] == float(rho)
             )
-            checks.append((ok, f"s={s} rho={rho}: fwer N* {n_by} not smallest"))
+            ok = all(a[1] <= b[1] for a, b in zip(by_cut, by_cut[1:]))
+            checks.append((ok, f"s={s} rho={rho}: N* not nondecreasing in c*: {by_cut}"))
     budget = 1800.0 if full else 300.0
     checks.append((elapsed < budget, f"runtime {elapsed:.1f}s vs {budget:.0f}s budget"))
     label = "full 84-point grid" if full else "12-point subgrid"
@@ -463,8 +456,7 @@ def test_criterion_10_determinism(tmp_path, capsys):
         )
     )
 
-    surface_grid = design_surface_grid(seed=17, n_sim=2_000, start=1.0, stop=1.2, step=0.2,
-                                       rho_levels=(0.3,))
+    surface_grid = design_surface_grid(seed=17, start=1.0, stop=1.2, step=0.2, rho_levels=(0.3,))
     surf_a = run_design_surface(surface_grid).to_csv()
     surf_b = run_design_surface(surface_grid).to_csv()
     checks.append((surf_a == surf_b, "design surface reruns differ"))

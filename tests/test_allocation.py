@@ -75,6 +75,35 @@ class TestAllocationType:
         assert sum(counts) == 100
         assert min(counts) >= 1
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # small repeated weights give equal remainders, a heavy arm empty ones
+        weights=st.integers(1, 6).flatmap(
+            lambda K: st.lists(
+                st.integers(1, 4) | st.just(60), min_size=2 * K + 1, max_size=2 * K + 1
+            )
+        ),
+        n_total=st.integers(13, 400),
+    )
+    def test_arm_counts_match_a_plain_largest_remainder(self, weights, n_total):
+        ratios = tuple(w / sum(weights) for w in weights)
+        alloc = Allocation(ratios)
+        # the loop version: leftover subjects to the largest remainders, equal
+        # remainders to the earlier arm, then empty arms filled from the largest
+        raw = [r * n_total for r in ratios]
+        counts = [math.floor(x) for x in raw]
+        order = sorted(range(len(raw)), key=lambda i: counts[i] - raw[i])
+        for i in order[: n_total - sum(counts)]:
+            counts[i] += 1
+        while min(counts) == 0:
+            counts[counts.index(max(counts))] -= 1
+            counts[counts.index(min(counts))] += 1
+        assert alloc.arm_counts(n_total) == tuple(counts)
+        table = alloc.arm_counts_table(np.arange(13, n_total + 1))
+        assert [tuple(row) for row in table.tolist()] == [
+            alloc.arm_counts(n) for n in range(13, n_total + 1)
+        ]
+
     def test_arm_counts_requires_total(self):
         with pytest.raises(DomainError):
             Allocation((0.5, 0.3, 0.2)).arm_counts()

@@ -143,18 +143,22 @@ class TestDesign:
         assert code == 0
         assert report["allocation"] == pytest.approx((0.445, 0.450, 0.105), abs=0.01)
         assert abs(report["n_star"] - 97) <= 10
+        # the smallest N whose integer design has exact power >= 0.80
+        assert report["n_star"] == 96
+        assert report["arm_counts"] == [43, 43, 10]
+        assert report["achieved_power"] >= 0.80
+        assert report["achieved_power"] == pytest.approx(0.8033, abs=1e-4)
 
     def test_two_substudy_design(self, capsys):
         code, report, _ = _run_json(
             capsys, "design", "--k", "2", "--delta", "0.4", "0.5",
             "--synergy", "1.2", "0.9", "--rho-ab-a", "0.2", "0.3",
             "--rho-ab-b", "0.3", "0.1", "--metric", "fwer", "--seed", "2",
-            "--nsim", "4000",
         )
         assert code == 0
         assert len(report["allocation"]) == 5
         assert sum(report["arm_counts"]) == report["n_star"]
-        assert report["achieved_power"] > 0.7
+        assert report["achieved_power"] >= 0.8
         assert np.asarray(report["z_rho"]).shape == (4, 4)
 
     def test_single_substudy_mfwer_reports_scalar_z_rho(self, capsys):
@@ -238,7 +242,7 @@ class TestEstimate:
         code, out, _ = _run(
             capsys, "estimate", "--input", str(path),
             "--drug-a", "A", "--drug-b", "B", "--combo", "AB",
-            "--with-thresholds", "--replications", "20000", "--seed", "3",
+            "--with-thresholds", "--seed", "3",
         )
         assert code == 0
         report = json.loads(out)
@@ -251,7 +255,7 @@ class TestEstimate:
         code, _, err = _run(
             capsys, "estimate", "--input", str(path),
             "--drug-a", "A", "--drug-b", "B", "--combo", "AB",
-            "--with-thresholds", "--replications", "20000", "--seed", "3",
+            "--with-thresholds", "--seed", "3",
         )
         assert code == 2
         assert "do not fit together" in err
@@ -262,8 +266,7 @@ class TestSimulate:
         out_path = tmp_path / "curves.csv"
         code, _, err = _run(
             capsys, "simulate", "--study", "error-curves", "--start", "0.3",
-            "--stop", "0.4", "--step", "0.1", "--replications", "2000",
-            "--seed", "5", "--out", str(out_path),
+            "--stop", "0.4", "--step", "0.1", "--seed", "5", "--out", str(out_path),
         )
         assert code == 0
         text = out_path.read_text()
@@ -275,7 +278,7 @@ class TestSimulate:
         code, _, _ = _run(
             capsys, "simulate", "--study", "design-surface", "--start", "1.0",
             "--stop", "1.3", "--step", "0.3", "--rho-levels", "0.1", "0.5",
-            "--nsim", "2000", "--seed", "5", "--out", str(out_path),
+            "--seed", "5", "--out", str(out_path),
         )
         assert code == 0
         rows = out_path.read_text().splitlines()
@@ -284,7 +287,7 @@ class TestSimulate:
     def test_progress_is_logged_only_with_the_flag(self, capsys):
         args = (
             "simulate", "--study", "design-surface", "--start", "1.0", "--stop", "1.0",
-            "--step", "0.1", "--rho-levels", "0.3", "--nsim", "2000", "--seed", "5",
+            "--step", "0.1", "--rho-levels", "0.3", "--seed", "5",
         )
         code_a, out_a, err_a = _run(capsys, *args)
         code_b, out_b, err_b = _run(capsys, *args, "--progress")
@@ -295,6 +298,32 @@ class TestSimulate:
             f"design-surface {i}/3" for i in (1, 2, 3)
         ]
         assert "design-surface 1/3" not in err_a
+
+    def test_progress_refused_where_nothing_is_logged(self, capsys):
+        for study in ("error-curves", "adjustments", "thresholds"):
+            code, out, err = _run(
+                capsys, "simulate", "--study", study, "--start", "0.3", "--stop", "0.3",
+                "--progress",
+            )
+            assert code == 2
+            assert out == ""
+            assert "--progress only applies to --study design-surface" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("design", "--delta", "0.3", "--synergy", "1", "--nsim", "4000"),
+            ("design", "--delta", "0.3", "--synergy", "1", "--n0", "20"),
+            ("simulate", "--study", "design-surface", "--nsim", "2000"),
+            ("simulate", "--study", "error-curves", "--replications", "2000"),
+            ("estimate", "--input", "x.csv", "--replications", "2000"),
+        ],
+    )
+    def test_monte_carlo_flags_are_gone(self, argv):
+        # power, N* and the two-statistic rates are exact: no draw counts
+        with pytest.raises(SystemExit) as excinfo:
+            main(list(argv))
+        assert excinfo.value.code == 2
 
     def test_unknown_study_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -379,7 +408,7 @@ calls = [
     ["design", "--delta", "0.663", "--synergy", "1.161", "--rho-ab-a", "0.626",
      "--rho-ab-b", "0.660", "--metric", "fwer", "--format", "json"],
     ["estimate", "--input", csv_path, "--drug-a", "A", "--drug-b", "B",
-     "--combo", "AB", "--with-thresholds", "--replications", "20000"],
+     "--combo", "AB", "--with-thresholds"],
 ]
 for argv in calls:
     with contextlib.redirect_stdout(io.StringIO()):

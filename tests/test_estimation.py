@@ -231,20 +231,24 @@ class TestTable1Pipeline:
     def test_near_independent_design_gives_sidak_threshold(self):
         # a huge control arm drives the Z correlation to ~0
         est = self._estimates(0.0, 0.0, 10)
-        result = table1_pipeline(est, n_a=10**8, replications=10_000, seed=1)
+        result = table1_pipeline(est, n_a=10**8)
         assert result.rho == pytest.approx(0.0, abs=1e-3)
         assert result.thresholds["fwer"].p_threshold == pytest.approx(0.0253, abs=5e-4)
+        # exact independent-trial rates: 1 - 0.95^2, 0.05^2, 0.025^2
+        assert result.unadjusted == pytest.approx(
+            {"fwer": 0.0975, "fmer": 0.0025, "msfp": 0.000625}, abs=1e-5
+        )
 
     def test_degenerate_design_gives_unadjusted_threshold(self):
         est = self._estimates(0.0, 1.0, 10)
-        result = table1_pipeline(est, n_a=10**8, replications=10_000, seed=1)
+        result = table1_pipeline(est, n_a=10**8)
         assert result.rho == pytest.approx(1.0, abs=1e-3)
         assert result.thresholds["fwer"].p_threshold == pytest.approx(0.05, abs=5e-4)
 
     def test_loop_closure_at_estimated_correlation(self):
         # thresholds pushed back through simulation hit their targets
         est = self._estimates(0.227, 0.250, 29)
-        result = table1_pipeline(est, replications=100_000, seed=7)
+        result = table1_pipeline(est)
         corr = CorrelationMatrix.bivariate(result.rho)
         for kind, target in (("fwer", 0.05), ("fmer", 0.0025), ("msfp", 0.000625)):
             rates = empirical_error_rates(

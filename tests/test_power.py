@@ -1,12 +1,16 @@
-"""Monte Carlo power, the closed-form marginal oracle, and the N* search."""
+"""Exact power and the N* search, the Monte Carlo power check, and the
+closed-form marginal oracle."""
 
 import math
 
 import numpy as np
 import pytest
+from conftest import integer_design_power, n_star_enumeration_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from platformdesign.allocation import Allocation, DesignScenario, optimize_allocation, wald_noncentrality
-from platformdesign.errors import BudgetExceeded, DomainError
+from platformdesign.errors import BudgetExceeded, DomainError, NotPositiveDefinite
 from platformdesign.multiplicity import ErrorMetric, ThresholdResult, platform_threshold
 from platformdesign.mvnorm import CorrelationMatrix, std_normal_cdf
 from platformdesign.power import (
@@ -15,7 +19,6 @@ from platformdesign.power import (
     marginal_power_oracle,
     mc_power,
     mc_power_summary,
-    _search_minimal_n,
 )
 
 FWER_THRESHOLD = platform_threshold(CorrelationMatrix.bivariate(0.0), ErrorMetric.fwer(0.05))
@@ -127,27 +130,6 @@ class TestMcPower:
             PowerRequest(scenario, Allocation.equal(1), FWER_THRESHOLD, N=2)
 
 
-class TestSearchCore:
-    def test_exact_minimum_on_deterministic_surrogates(self, rng):
-        # the independent oracle is the surrogate power curve; compare the
-        # search result with a direct scan for the true minimal N
-        for _ in range(100):
-            w_unit = float(rng.uniform(0.005, 0.2))
-            c = float(rng.uniform(1.9, 2.6))
-            target = float(rng.uniform(0.5, 0.95))
-
-            def power_at(n: int) -> float:
-                return marginal_power_oracle(w_unit * n, c)
-
-            found = _search_minimal_n(power_at, target, n0=20, floor=3, cap=10**6)
-            truth = next(n for n in range(3, 10**6) if power_at(n) >= target)
-            assert found == truth
-
-    def test_budget_exceeded(self):
-        with pytest.raises(BudgetExceeded):
-            _search_minimal_n(lambda n: 0.1, 0.9, n0=20, floor=3, cap=10_000)
-
-
 class TestFindSampleSize:
     def test_reproduces_moderate_synergy_row(self):
         scenario = DesignScenario.single(0.663, 1.161, rho_ab_a=0.626, rho_ab_b=0.660)
@@ -155,8 +137,56 @@ class TestFindSampleSize:
         threshold = platform_threshold(
             CorrelationMatrix.bivariate(0.4601786197092176), ErrorMetric.fwer(0.05)
         )
-        result = find_sample_size(scenario, alloc, threshold, 0.80, N0=20, n_sim=10_000, seed=5)
+        c = threshold.critical_value
+        result = find_sample_size(scenario, alloc, threshold, 0.80)
         assert abs(result.n_star - 97) <= 10  # published value 97, +-10%
+        assert result.n_star == n_star_enumeration_oracle(scenario, alloc, c, 0.80)[0] == 96
+        assert result.achieved_power == pytest.approx(0.8033, abs=1e-4)
+        # power at integer counts is not monotone in N: 0.8033 at 96 and 97,
+        # then 0.8022 at 98, so a bisection on N has no valid contract
+        powers = [integer_design_power(scenario, alloc.arm_counts(n), c) for n in (96, 97, 98)]
+        assert powers[0] == pytest.approx(0.8033, abs=1e-4)
+        assert powers[1] == pytest.approx(0.8033, abs=1e-4)
+        assert powers[2] == pytest.approx(0.8022, abs=1e-4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        substudies=st.lists(
+            st.tuples(
+                st.floats(0.3, 1.2),  # delta
+                st.floats(0.5, 2.0),  # |synergy|
+                st.sampled_from((-1.0, 1.0)),  # sign of synergy
+                st.floats(0.0, 1.0),  # share of the combination-control budget
+                st.sampled_from((-1.0, 1.0)),  # sign of rho combination-control
+                st.floats(-0.9, 0.9),  # rho combination-monotherapy
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        c=st.floats(1.5, 3.0),
+        target=st.floats(0.5, 0.95),
+    )
+    def test_property_matches_enumeration(self, substudies, c, target):
+        delta, magnitude, sign, share, rho_sign, rho_cm = zip(*substudies)
+        K = len(delta)
+        # the arm correlation matrix is positive definite iff
+        # sum_k rho_cc_k^2 / (1 - rho_cm_k^2) < 1
+        rho_cc = tuple(
+            g * math.sqrt(0.95 * f * (1.0 - r * r) / K)
+            for f, g, r in zip(share, rho_sign, rho_cm)
+        )
+        scenario = DesignScenario(
+            delta, tuple(m * g for m, g in zip(magnitude, sign)), 1.0, rho_cc, rho_cm
+        )
+        alloc = optimize_allocation(scenario)
+        result = find_sample_size(scenario, alloc, _threshold_at(c), target)
+        n_star, powers = n_star_enumeration_oracle(scenario, alloc, c, target)
+        assert result.n_star == n_star
+        assert result.arm_counts == alloc.arm_counts(n_star)
+        assert result.achieved_power >= target
+        assert [n for n, _ in result.search_trace] == list(powers)
+        for n, power in result.search_trace:
+            assert power == pytest.approx(powers[n], abs=1e-12)
 
     def test_trace_and_counts_consistent(self):
         scenario = DesignScenario.single(0.4, 1.2, rho_ab_a=0.3)
@@ -169,19 +199,13 @@ class TestFindSampleSize:
         if result.n_star - 1 in probed:
             assert probed[result.n_star - 1] < 0.8
 
-    def test_sufficient_initial_n(self):
-        scenario = DesignScenario.single(2.0, 1.0)
-        result = find_sample_size(scenario, Allocation.equal(1), FWER_THRESHOLD, 0.8, N0=64, seed=1)
-        assert result.n_star <= 64
-        doublings = [n for n, _ in result.search_trace if n > 64]
-        assert not doublings
-
     def test_reproducible(self):
         scenario = DesignScenario.single(0.35, 1.1, rho_ab_a=0.2, rho_ab_b=0.4)
         alloc = optimize_allocation(scenario)
         a = find_sample_size(scenario, alloc, FWER_THRESHOLD, 0.8, seed=42)
         b = find_sample_size(scenario, alloc, FWER_THRESHOLD, 0.8, seed=42)
         assert a == b
+        assert find_sample_size(scenario, alloc, FWER_THRESHOLD, 0.8, seed=7) == a
 
     def test_sample_size_nonincreasing_in_synergy(self):
         n_values = []
@@ -224,10 +248,25 @@ class TestFindSampleSize:
             find_sample_size(
                 scenario, Allocation.equal(1), FWER_THRESHOLD, 0.99, n_cap=5_000, seed=1
             )
+        # the cap is inclusive: a design at N* = n_cap is found
+        scenario = DesignScenario.single(0.4, 1.2, rho_ab_a=0.3)
+        alloc = optimize_allocation(scenario)
+        n_star = find_sample_size(scenario, alloc, FWER_THRESHOLD, 0.8).n_star
+        assert find_sample_size(scenario, alloc, FWER_THRESHOLD, 0.8, n_cap=n_star).n_star == n_star
+        with pytest.raises(BudgetExceeded):
+            find_sample_size(scenario, alloc, FWER_THRESHOLD, 0.8, n_cap=n_star - 1)
+
+    def test_arm_correlations_must_fit_together(self):
+        # the README reference pair copied to two substudies: the arm
+        # correlation matrix has a negative Schur complement on the control arm
+        scenario = DesignScenario(
+            delta=(0.663, 0.663), synergy=(1.161, 1.161),
+            rho_combo_control=(0.626, 0.626), rho_combo_mono=(0.660, 0.660),
+        )
+        with pytest.raises(NotPositiveDefinite):
+            find_sample_size(scenario, Allocation.equal(2), FWER_THRESHOLD, 0.8)
 
     def test_validation(self):
         scenario = DesignScenario.single(0.3, 1.0)
         with pytest.raises(DomainError):
             find_sample_size(scenario, Allocation.equal(1), FWER_THRESHOLD, 1.0)
-        with pytest.raises(DomainError):
-            find_sample_size(scenario, Allocation.equal(1), FWER_THRESHOLD, 0.8, N0=2)
