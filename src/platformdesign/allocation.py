@@ -141,17 +141,18 @@ class Allocation:
         n = n_total if n_total is not None else self.n_total
         if n is None:
             raise DomainError("no total sample size available for rounding")
-        if n < len(self.ratios):
-            raise DomainError(f"need at least one subject per arm: N={n} < {len(self.ratios)}")
         return tuple(int(c) for c in self.arm_counts_table(np.array([n]))[0])
 
     def arm_counts_table(self, totals: np.ndarray) -> np.ndarray:
-        """:meth:`arm_counts` for each total (every one at least 2K+1), one
-        row per total.
+        """:meth:`arm_counts` for each total, one row per total.
 
         The arms with the largest remainders get the leftover subjects; equal
         remainders go to the earlier arm.
         """
+        if np.min(totals) < len(self.ratios):
+            raise DomainError(
+                f"need at least one subject per arm: N={np.min(totals)} < {len(self.ratios)}"
+            )
         raw = np.asarray(totals)[:, None] * np.asarray(self.ratios)
         counts = np.floor(raw).astype(np.int64)
         leftover = np.asarray(totals) - counts.sum(axis=1)

@@ -109,6 +109,8 @@ class TestAllocationType:
             Allocation((0.5, 0.3, 0.2)).arm_counts()
         with pytest.raises(DomainError):
             Allocation((0.5, 0.3, 0.2)).arm_counts(2)
+        with pytest.raises(DomainError):
+            Allocation((0.5, 0.3, 0.2)).arm_counts_table(np.array([5, 2]))
 
 
 class TestWaldNoncentrality:
