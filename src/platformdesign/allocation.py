@@ -202,8 +202,11 @@ def softmax_to_allocation(
     return Allocation(tuple(_softmax(arr)), n_total)
 
 
-def _w1_denominator(p_combo: float, p_control: float, rho: float) -> float:
-    return 1.0 / p_combo + 1.0 / p_control - 2.0 * rho / math.sqrt(p_combo * p_control)
+def _contrast_variance(n_arm, n_control, rho):
+    """Variance of an arm's mean minus the control mean, per unit sigma2, at
+    arm sizes or shares ``n_arm`` and ``n_control`` whose outcomes correlate
+    by ``rho``; elementwise on arrays."""
+    return 1.0 / n_arm + 1.0 / n_control - 2.0 * rho / np.sqrt(n_arm * n_control)
 
 
 def wald_noncentrality(
@@ -224,7 +227,7 @@ def wald_noncentrality(
         delta = scenario.delta[k - 1]
         s = scenario.synergy[k - 1]
         rho = scenario.rho_combo_control[k - 1]
-        denom1 = _w1_denominator(alloc.p_combo(k), p_a, rho)
+        denom1 = _contrast_variance(alloc.p_combo(k), p_a, rho)
         if denom1 <= 0.0:
             raise DomainError(
                 f"combination-control variance is not positive in substudy {k} "
@@ -233,7 +236,7 @@ def wald_noncentrality(
         out[k - 1, 0] = n_total * s**2 * delta**2 / (scenario.sigma2 * denom1)
         out[k - 1, 1] = (
             n_total * delta**2
-            / (scenario.sigma2 * (1.0 / p_a + 1.0 / alloc.p_mono(k)))
+            / (scenario.sigma2 * _contrast_variance(alloc.p_mono(k), p_a, 0.0))
         )
     return out
 

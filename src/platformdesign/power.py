@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import Allocation, DesignScenario
+from .allocation import Allocation, DesignScenario, _contrast_variance
 from .correlation import arm_mean_covariance
 from .errors import BudgetExceeded, DomainError
 from .multiplicity import ThresholdResult
@@ -115,8 +115,8 @@ def marginal_power_oracle(W: float, c: float) -> float:
 
     Under the alternative the statistic is normal with unit variance and mean
     sqrt(W), so the rejection probability is 1 - cdf(c - sqrt(W)) +
-    cdf(-c - sqrt(W)).  Used as an independent cross-check on the Monte Carlo
-    path.
+    cdf(-c - sqrt(W)).  :func:`find_sample_size` evaluates it at every total
+    it scans.
     """
     if W < 0:
         raise DomainError("noncentrality must be nonnegative")
@@ -126,7 +126,7 @@ def marginal_power_oracle(W: float, c: float) -> float:
     return 1.0 - std_normal_cdf(c - shift) + std_normal_cdf(-c - shift)
 
 
-_erfc = np.frompyfunc(math.erfc, 1, 1)
+_marginal_power = np.vectorize(marginal_power_oracle, otypes=[float])
 
 
 def _design_power(
@@ -138,15 +138,11 @@ def _design_power(
     # comparisons in arm order: mono_1, combo_1, mono_2, combo_2, ...
     mu = np.column_stack((delta, np.asarray(scenario.synergy) * delta)).ravel()
     rho = np.column_stack((np.zeros(scenario.K), scenario.rho_combo_control)).ravel()
-    arms, control = counts[:, 1:], counts[:, :1]
-    var = scenario.sigma2 * (1.0 / arms + 1.0 / control - 2.0 * rho / np.sqrt(arms * control))
+    var = scenario.sigma2 * _contrast_variance(counts[:, 1:], counts[:, :1], rho)
     if np.any(var <= 0.0):
         raise DomainError("a contrast variance is not positive")
-    shift = np.min(np.abs(mu) / np.sqrt(var), axis=1)
-    tails = _erfc((critical_value - shift) / math.sqrt(2.0)) + _erfc(
-        (critical_value + shift) / math.sqrt(2.0)
-    )
-    return 0.5 * tails.astype(float)
+    noncentrality = np.min(mu * mu / var, axis=1)
+    return _marginal_power(noncentrality, critical_value)
 
 
 @dataclass(frozen=True)

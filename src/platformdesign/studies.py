@@ -172,7 +172,7 @@ def design_surface_grid(
         stop=stop,
         step=step,
         fixed={"delta": 0.3, "sigma2": 1.0, "target_power": 0.8},
-        replications=1,
+        replications=10_000,
         seed=seed,
         rho_levels=rho_levels,
     )
