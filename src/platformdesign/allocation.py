@@ -54,6 +54,8 @@ class DesignScenario:
     monotherapy arm (``rho_combo_mono``) matter for power simulation but not
     for the allocation optimum; the combination-control correlation
     (``rho_combo_control``) enters the noncentrality denominator directly.
+    Correlations that no trial can have (an arm correlation matrix that is
+    not positive semidefinite) raise :class:`DomainError` here.
     """
 
     delta: tuple[float, ...]
@@ -77,6 +79,18 @@ class DesignScenario:
                 raise DomainError(f"correlations must lie in [-1, 1], got {rho}")
         if any(not math.isfinite(s) for s in synergy):
             raise DomainError("synergy values must be finite")
+        # the (2K+1) arm correlation matrix is positive semidefinite iff its
+        # Schur complement on the control arm, 1 - sum_k rho_cc^2 / (1 - rho_cm^2),
+        # is nonnegative
+        load = sum(
+            0.0 if cc == 0.0 else math.inf if abs(cm) == 1.0 else cc * cc / (1.0 - cm * cm)
+            for cc, cm in zip(rho_cc, rho_cm)
+        )
+        if load > 1.0 + 1e-12:
+            raise DomainError(
+                "arm correlations cannot form a trial: 1 - sum_k rho_combo_control^2 / "
+                f"(1 - rho_combo_mono^2) = {1.0 - load:.4g} < 0"
+            )
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "synergy", synergy)
         object.__setattr__(self, "rho_combo_control", rho_cc)

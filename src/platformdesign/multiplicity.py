@@ -21,10 +21,11 @@ from .errors import DomainError, RootBracketError
 from .mvnorm import (
     CorrelationMatrix,
     MvnSampler,
-    RectangleSpec,
+    QmcLattice,
+    RectangleEstimate,
     bvn_rectangle,
-    mvn_rectangle,
     std_normal_cdf,
+    std_normal_quantile,
 )
 
 __all__ = [
@@ -40,8 +41,8 @@ __all__ = [
 ]
 
 _KINDS = ("fwer", "fmer", "msfp", "mfwer")
-_BRACKET_HIGH = 10.0
 _PROB_TOL = 1e-6
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -151,29 +152,46 @@ def holm_reject(p_values: Sequence[float], alpha: float) -> list[bool]:
     return decisions
 
 
-def _bisect_decreasing(
-    objective: Callable[[float], float],
-    target: float,
-    prob_tol: float,
-    x_tol: float = 1e-10,
-    low: float = 0.0,
-    high: float = _BRACKET_HIGH,
-) -> float:
-    """Root of a nonincreasing probability-valued objective on [low, high]."""
-    f_low = objective(low)
-    f_high = objective(high)
-    if f_low < target - prob_tol or f_high > target + prob_tol:
-        raise RootBracketError(
-            f"no critical value in ({low}, {high}] reaches level {target} "
-            f"(endpoint values {f_low:.6g}, {f_high:.6g})"
-        )
-    while high - low > x_tol:
-        mid = (low + high) / 2.0
-        if objective(mid) > target:
-            low = mid
-        else:
-            high = mid
-    return (low + high) / 2.0
+def _solve_decreasing(
+    level: Callable[[float], float], target: float, low: float, high: float, x_tol: float
+) -> tuple[float, float]:
+    """Root of a nonincreasing ``level(c) - target`` on [low, high], with the
+    level there.
+
+    Brent's method (Brent 1973, ch. 4) in the form of scipy's ``brentq``:
+    inverse interpolation steps, bisection whenever they are too slow.  When
+    the level does not cross the target inside the bracket the nearer
+    endpoint is returned and the caller's level check decides.
+    """
+    f_low, f_high = level(low) - target, level(high) - target
+    if f_low <= 0.0 or f_high >= 0.0:
+        return (low, f_low + target) if f_low <= 0.0 else (high, f_high + target)
+    x_pre, f_pre, x_cur, f_cur = low, f_low, high, f_high
+    x_blk, f_blk, s_pre, s_cur = low, f_low, 0.0, 0.0
+    while True:
+        if (f_pre < 0.0) != (f_cur < 0.0):
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        tol = (x_tol + 4.0 * _EPS * abs(x_cur)) / 2.0
+        s_bis = (x_blk - x_cur) / 2.0
+        if f_cur == 0.0 or abs(s_bis) < tol:
+            return x_cur, f_cur + target
+        interpolate = abs(s_pre) > tol and abs(f_cur) < abs(f_pre)
+        if interpolate:
+            if x_pre == x_blk:  # secant
+                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+            else:  # inverse quadratic interpolation through three points
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                s_try = -f_cur * (f_blk * d_blk - f_pre * d_pre) / (d_blk * d_pre * (f_blk - f_pre))
+            interpolate = 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - tol)
+        s_pre, s_cur = (s_cur, s_try) if interpolate else (s_bis, s_bis)
+        x_pre, f_pre = x_cur, f_cur
+        x_cur += s_cur if abs(s_cur) > tol else math.copysign(tol, s_bis)
+        f_cur = level(x_cur) - target
 
 
 def _bivariate_exceedance(rho: float, count: int, sided: str) -> Callable[[float], float]:
@@ -222,12 +240,43 @@ def _tail_count_statistic(
     z_corr: CorrelationMatrix, m: int, sided: str, replications: int, seed: int
 ) -> np.ndarray:
     """Per-replication m-th largest exceedance statistic under the null."""
-    draws = MvnSampler(
+    values = MvnSampler(
         np.zeros(z_corr.dim), z_corr.entries, seed, stream=1
     ).sample(replications)
-    values = np.abs(draws) if sided == "two" else draws
+    if sided == "two":
+        np.abs(values, out=values)
     # count(values > c) >= m  <=>  m-th largest value > c
-    return np.partition(values, values.shape[1] - m, axis=1)[:, values.shape[1] - m]
+    column = values.shape[1] - m
+    values.partition(column, axis=1)
+    return values[:, column].copy()
+
+
+def _bracket(metric: ErrorMetric, dim: int, rho: float) -> tuple[float, float]:
+    """Interval [low, high] within [0, inf) that holds the critical value.
+
+    With t(c) one statistic's exceedance probability, P(any of ``dim``
+    exceeds c) lies between t(c) and dim * t(c) (the union bound).  P(both of
+    two exceed c) is at most t(c).  It is at least t(c)^2 when the two are
+    positively associated: always for their absolute values, and for the
+    statistics themselves when rho >= 0.  When rho < 0 it is at most t(c)^2
+    (Slepian's inequality).
+    """
+    tail = 2.0 if metric.effective_sided == "two" else 1.0
+
+    def quantile(t: float) -> float:  # the c at which t(c) = t
+        return -std_normal_quantile(t / tail)
+
+    alpha = metric.alpha
+    if metric.exceedance_count == 1:
+        low, high = quantile(alpha), quantile(alpha / dim)
+    else:
+        product = quantile(math.sqrt(alpha))
+        if metric.effective_sided == "two" or rho >= 0.0:
+            low, high = product, quantile(alpha)
+        else:
+            low, high = 0.0, product
+    low = max(low, 0.0)
+    return low, max(high, low)
 
 
 def platform_threshold(
@@ -240,14 +289,22 @@ def platform_threshold(
     """Common critical value for correlated Z statistics (2K for a
     K-substudy platform trial) under the chosen error metric.
 
-    With two statistics (K=1) every metric is solved by bisection on the
-    exact bivariate normal law, so ``achieved_stderr`` is 0 and ``precision``,
-    ``seed`` and ``replications`` are unused.  With more, the any-rejection
-    metric is solved by root finding on the randomized rectangle-probability
-    estimate (one fixed seed, so every candidate c sees the same integration
-    lattice).  Count-based metrics (at least m exceedances) are solved on a
-    common pool of null draws: the same replications are re-thresholded at
-    every candidate c, which keeps the Monte Carlo objective monotone in c.
+    Metrics counting any exceedance, and every metric with two statistics
+    (K=1), are solved by one Brent root search on an analytic bracket: one
+    statistic's level against the union bound, or for two exceedances of two
+    statistics their product against one statistic's level.  With two
+    statistics the level is the exact bivariate normal law, so
+    ``achieved_stderr`` is 0 and ``precision``, ``seed`` and ``replications``
+    are unused.  With more, the level is a randomized quasi-Monte Carlo
+    rectangle probability on one :class:`QmcLattice` per solve.  Its points
+    grow at the bracket's upper end until the level's standard error is at
+    most ``precision``, then stay fixed, so the search sees a smooth
+    deterministic function of c.  Should the standard error at the root still
+    exceed ``precision``, the lattice grows there and the search runs again.
+    Count-based metrics (at least m >= 2 of more than two statistics exceed
+    c) use a common pool of ``replications`` null draws: the pool's level is
+    a step function of c, and its root, an order statistic of the draws'
+    m-th largest exceedance, is read off directly.
     """
     dim = z_corr.dim
     if dim < 2:
@@ -255,47 +312,50 @@ def platform_threshold(
     if metric.kind == "mfwer" and not 1 <= metric.m <= dim:
         raise DomainError(f"m must lie in [1, {dim}], got {metric.m}")
 
+    rho = float(z_corr.entries[0, 1])
+    two_sided = metric.effective_sided == "two"
     if dim == 2:
-        objective = _bivariate_exceedance(
-            float(z_corr.entries[0, 1]), metric.exceedance_count, metric.effective_sided
-        )
-        c_star = _bisect_decreasing(objective, metric.alpha, _PROB_TOL)
-        achieved = objective(c_star)
+        level = _bivariate_exceedance(rho, metric.exceedance_count, metric.effective_sided)
+        low, high = _bracket(metric, dim, rho)
+        c_star, achieved = _solve_decreasing(level, metric.alpha, low, high, x_tol=1e-12)
         stderr = 0.0
     elif metric.exceedance_count == 1:
-        sided = metric.effective_sided
-        last: dict[str, float] = {}
+        lattice = QmcLattice(z_corr, seed)
+        # estimates on the lattice at its current size, by c
+        estimates: dict[float, RectangleEstimate] = {}
 
-        def objective(c: float) -> float:
-            if c <= 0.0:
-                last["stderr"] = 0.0
-                return 1.0
-            lower = np.full(dim, -c if sided == "two" else -math.inf)
-            est = mvn_rectangle(
-                RectangleSpec(lower, np.full(dim, c), z_corr), precision, seed
-            )
-            last["stderr"] = est.stderr
-            return 1.0 - est.value
+        def box(c: float) -> tuple[np.ndarray, np.ndarray]:
+            return np.full(dim, -c if two_sided else -math.inf), np.full(dim, c)
 
-        c_star = _bisect_decreasing(objective, metric.alpha, _PROB_TOL, x_tol=1e-8)
-        achieved = objective(c_star)
-        stderr = last["stderr"]
+        def level(c: float) -> float:
+            if c not in estimates:
+                estimates[c] = lattice.estimate(*box(c))
+            return 1.0 - estimates[c].value
+
+        low, high = _bracket(metric, dim, rho)
+        c_star = high
+        while True:
+            estimates.clear()
+            estimates[c_star] = lattice.refine(*box(c_star), precision)
+            c_star, achieved = _solve_decreasing(level, metric.alpha, low, high, x_tol=1e-8)
+            stderr = estimates[c_star].stderr
+            if stderr <= precision:
+                break
     else:
         stat = _tail_count_statistic(
             z_corr, metric.exceedance_count, metric.effective_sided, replications, seed
         )
-
-        def objective(c: float) -> float:
-            return float(np.mean(stat > c))
-
-        c_star = _bisect_decreasing(objective, metric.alpha, _PROB_TOL, x_tol=1e-9)
-        achieved = objective(c_star)
+        # the smallest c with at most alpha * replications draws above it
+        rank = replications - 1 - int(metric.alpha * replications)
+        c_star = max(float(np.partition(stat, rank)[rank]), 0.0)
+        achieved = np.count_nonzero(stat > c_star) / replications
         stderr = math.sqrt(max(achieved * (1.0 - achieved), 1e-12) / replications)
 
-    if abs(achieved - metric.alpha) > max(1e-4, 3.0 * stderr):
+    tolerance = max(1e-4, 3.0 * stderr) if stderr > 0.0 else _PROB_TOL
+    if abs(achieved - metric.alpha) > tolerance:
         raise RootBracketError(
-            f"achieved level {achieved:.6g} misses target {metric.alpha:.6g} "
-            f"beyond max(1e-4, 3 x stderr {stderr:.2g})"
+            f"no critical value c >= 0 reaches level {metric.alpha:.6g}: the level at "
+            f"c = {c_star:.6g} is {achieved:.6g}, more than {tolerance:.2g} away"
         )
     return ThresholdResult(
         critical_value=c_star,

@@ -1,14 +1,18 @@
 """Multivariate normal kernel.
 
-Univariate normal cdf/quantile, Cholesky factorization with diagonal jitter,
-seeded multivariate normal sampling, and rectangle probabilities:
+Univariate normal cdf/quantile (``math.erfc``, no scipy), Cholesky
+factorization with diagonal jitter, seeded multivariate normal sampling, and
+rectangle probabilities:
 
 * dimension 2 uses a deterministic Gauss-Legendre scheme (Drezner-Wesolowsky
   integral representation, accurate to ~1e-15), so root finders see a smooth
   noise-free objective;
 * higher dimensions use a randomized separation-of-variables estimate
-  (shifted Richtmyer lattice after the sequential-conditioning transform)
-  with a reported standard error.
+  (shifted Richtmyer lattices after the sequential-conditioning transform)
+  with a reported standard error.  A :class:`QmcLattice` holds its points
+  for one correlation matrix, so every box evaluated on it sees the same
+  points: a root finder over box bounds then sees a smooth, deterministic
+  objective.
 
 All randomized routines are pure functions of (inputs, seed).
 """
@@ -33,6 +37,7 @@ __all__ = [
     "MvnSampler",
     "mvn_sample",
     "RectangleSpec",
+    "QmcLattice",
     "bvn_rectangle",
     "mvn_rectangle",
     "RectangleEstimate",
@@ -50,14 +55,36 @@ def std_normal_cdf(x: float) -> float:
 
 
 def std_normal_quantile(p: float) -> float:
-    """Inverse of :func:`std_normal_cdf` on (0, 1)."""
+    """Inverse of :func:`std_normal_cdf` on (0, 1), to ~1e-15 relative error.
+
+    Halley steps from the Abramowitz-Stegun 26.2.23 guess (or the linear one
+    near the median) solve for the upper-tail quantile x of q = min(p, 1 - p),
+    on ``math.erf`` when q >= 1/4 and on ``math.erfc`` below.  Both 1 - p and
+    1/2 - q are exact there, so neither the centre nor the tails lose digits.
+    """
     if not 0.0 < p < 1.0:
         raise DomainError(f"quantile probability must lie in (0, 1), got {p}")
-    # scipy.special is most of the package's import time, so only the paths
-    # that use it import it
-    from scipy.special import ndtri
-
-    return float(ndtri(p))
+    q = min(p, 1.0 - p)
+    central = q >= 0.25
+    if central:
+        x = (0.5 - q) * math.sqrt(2.0 * math.pi)
+    else:
+        t = math.sqrt(-2.0 * math.log(q))
+        x = t - (2.515517 + t * (0.802853 + t * 0.010328)) / (
+            1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308))
+        )
+    for _ in range(8):
+        # residual of the upper tail, 1 - cdf(x) - q
+        if central:
+            residual = (0.5 - q) - 0.5 * math.erf(x / math.sqrt(2.0))
+        else:
+            residual = 0.5 * math.erfc(x / math.sqrt(2.0)) - q
+        u = residual / (math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi))
+        step = u / (1.0 - 0.5 * x * u)
+        x += step
+        if abs(step) <= 1e-15 * abs(x):
+            break
+    return x if p >= 0.5 else -x
 
 
 class CholeskyResult(NamedTuple):
@@ -203,7 +230,9 @@ def mvn_sample(sampler: MvnSampler, count: int) -> np.ndarray:
     if count < 1:
         raise DomainError("count must be a positive integer")
     z = sampler.rng().standard_normal((count, sampler.dim))
-    return sampler.mean + z @ sampler.factor.T
+    draws = z @ sampler.factor.T
+    draws += sampler.mean
+    return draws
 
 
 # ---------------------------------------------------------------------------
@@ -383,35 +412,79 @@ def _first_primes(n: int) -> list[int]:
 _NDTRI_CLIP = 1e-15
 
 
-def _qmc_batch(
-    factor: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    lattice: np.ndarray,
-    shift: np.ndarray,
-    n_points: int,
-) -> float:
-    """One randomized-lattice estimate of the separated-variables integral."""
-    from scipy.special import ndtr, ndtri
+class QmcLattice:
+    """Randomly shifted Richtmyer lattices for one correlation matrix.
 
-    dim = factor.shape[0]
-    j = np.arange(1, n_points + 1, dtype=float)
-    d_cur = np.full(n_points, ndtr(lower[0] / factor[0, 0]))
-    e_cur = np.full(n_points, ndtr(upper[0] / factor[0, 0]))
-    prob = e_cur - d_cur
-    y = np.empty((dim - 1, n_points))
-    for i in range(1, dim):
-        z = lattice[i - 1] * j + shift[i - 1]
+    ``n_batches`` shifted copies of one lattice are drawn, tent-periodized and
+    kept, so :meth:`estimate` evaluates any box on the same points: it is a
+    deterministic, smooth function of the box bounds.  :meth:`grow` doubles
+    the points per batch (from 128 x dim) with the next shifts of one seeded
+    stream, so the k-th size always holds the same points.
+    """
+
+    def __init__(self, correlation: CorrelationMatrix, seed: int = 0, n_batches: int = 12):
+        dim = correlation.dim
+        if dim < 2:
+            raise DomainError("a lattice needs at least two dimensions")
+        self.factor = correlation.factor
+        self.n_batches = n_batches
+        self.n_points = 64 * dim  # points per batch; grow() doubles it
+        self.total_points = 0
+        self._generators = np.sqrt(np.array(_first_primes(dim - 1), dtype=float))
+        self._rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, dim])
+        self.grow()
+
+    def grow(self) -> None:
+        """Double the points per batch and draw fresh shifts for them."""
+        self.n_points *= 2
+        self.total_points += self.n_batches * self.n_points
+        shifts = self._rng.random((self.n_batches, self._generators.size))
+        j = np.arange(1, self.n_points + 1, dtype=float)
+        # (dim - 1, batch, point)
+        z = self._generators[:, None, None] * j + shifts.T[:, :, None]
         z -= np.floor(z)
-        x = np.abs(2.0 * z - 1.0)  # tent periodization
-        u = np.clip(d_cur + x * (e_cur - d_cur), _NDTRI_CLIP, 1.0 - _NDTRI_CLIP)
-        y[i - 1] = ndtri(u)
-        s = factor[i, :i] @ y[:i]
-        ct = max(factor[i, i], 1e-12)
-        d_cur = ndtr((lower[i] - s) / ct)
-        e_cur = ndtr((upper[i] - s) / ct)
-        prob *= np.maximum(e_cur - d_cur, 0.0)
-    return float(prob.mean())
+        # tent periodization
+        self._points = np.abs(2.0 * z - 1.0).reshape(self._generators.size, -1)
+
+    def estimate(self, lower: np.ndarray, upper: np.ndarray) -> RectangleEstimate:
+        """P(lower <= Z <= upper) on the current points, all batches at once."""
+        # scipy.special is most of the package's import time, so only the
+        # paths that use it import it
+        from scipy.special import ndtr, ndtri
+
+        factor = self.factor
+        d_cur = ndtr(lower[0] / factor[0, 0])
+        e_cur = ndtr(upper[0] / factor[0, 0])
+        prob = np.full(self._points.shape[1], e_cur - d_cur)
+        y = np.empty_like(self._points)
+        for i in range(1, factor.shape[0]):
+            u = np.clip(d_cur + self._points[i - 1] * (e_cur - d_cur), _NDTRI_CLIP, 1.0 - _NDTRI_CLIP)
+            y[i - 1] = ndtri(u)
+            s = factor[i, :i] @ y[:i]
+            ct = max(factor[i, i], 1e-12)
+            d_cur = ndtr((lower[i] - s) / ct)
+            e_cur = ndtr((upper[i] - s) / ct)
+            prob *= np.maximum(e_cur - d_cur, 0.0)
+        means = prob.reshape(self.n_batches, -1).mean(axis=1)
+        value = float(means.mean())
+        stderr = float(means.std(ddof=1) / math.sqrt(self.n_batches))
+        return RectangleEstimate(min(1.0, max(0.0, value)), stderr, self.total_points)
+
+    def refine(
+        self, lower: np.ndarray, upper: np.ndarray, precision: float, max_points: int = 1 << 22
+    ) -> RectangleEstimate:
+        """Grow until the estimate of this box has standard error at most
+        ``precision``; :class:`PrecisionUnreachable` beyond ``max_points``."""
+        while True:
+            estimate = self.estimate(lower, upper)
+            if estimate.stderr <= precision:
+                return estimate
+            if self.total_points + 2 * self.n_batches * self.n_points > max_points:
+                raise PrecisionUnreachable(
+                    f"standard error {estimate.stderr:.2e} > {precision:.2e} "
+                    f"after {self.total_points} points"
+                )
+            self.grow()
 
 
 def mvn_rectangle(
@@ -425,40 +498,16 @@ def mvn_rectangle(
 
     Randomized separation-of-variables estimate: the sequential-conditioning
     transform maps the box probability onto the unit cube, which is sampled
-    with ``n_batches`` independently shifted Richtmyer lattices.  Batches grow
-    until the standard error of the batch means is at most ``precision`` or
-    the point budget ``max_points`` is exhausted (:class:`PrecisionUnreachable`).
-    Deterministic given ``seed``.
+    with ``n_batches`` independently shifted Richtmyer lattices
+    (:class:`QmcLattice`).  Batches grow until the standard error of the
+    batch means is at most ``precision`` or the point budget ``max_points``
+    is exhausted (:class:`PrecisionUnreachable`).  Deterministic given
+    ``seed``.
     """
     if precision <= 0.0:
         raise DomainError("precision must be positive")
-    dim = spec.dim
-    if dim == 1:
-        from scipy.special import ndtr
-
-        p = float(ndtr(spec.upper[0]) - ndtr(spec.lower[0]))
+    if spec.dim == 1:
+        p = std_normal_cdf(spec.upper[0]) - std_normal_cdf(spec.lower[0])
         return RectangleEstimate(min(1.0, max(0.0, p)), 0.0, 0)
-
-    factor = spec.correlation.factor
-    lattice = np.sqrt(np.array(_first_primes(dim - 1), dtype=float))
-    rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, dim])
-
-    n_points = 128 * dim
-    total = 0
-    while True:
-        means = np.empty(n_batches)
-        for b in range(n_batches):
-            shift = rng.random(dim - 1)
-            means[b] = _qmc_batch(
-                factor, spec.lower, spec.upper, lattice, shift, n_points
-            )
-        total += n_batches * n_points
-        value = float(means.mean())
-        stderr = float(means.std(ddof=1) / math.sqrt(n_batches))
-        if stderr <= precision:
-            return RectangleEstimate(min(1.0, max(0.0, value)), stderr, total)
-        if total + 2 * n_batches * n_points > max_points:
-            raise PrecisionUnreachable(
-                f"standard error {stderr:.2e} > {precision:.2e} after {total} points"
-            )
-        n_points *= 2
+    lattice = QmcLattice(spec.correlation, seed, n_batches)
+    return lattice.refine(spec.lower, spec.upper, precision, max_points)

@@ -178,8 +178,6 @@ def find_sample_size(
     """
     if not 0.0 < target_power < 1.0:
         raise DomainError(f"target power must lie in (0, 1), got {target_power}")
-    # arm correlations that do not fit together fail here, whatever N is
-    cholesky(arm_mean_covariance(scenario, alloc.ratios)[1])
     min_n = 2 * scenario.K + 1
     scanned: list[np.ndarray] = []
     for start in range(min_n, n_cap + 1, _BLOCK):

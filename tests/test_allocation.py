@@ -322,6 +322,11 @@ class TestOptimizer:
     def test_property_all_noncentralities_equal(self, substudies):
         delta, magnitude, sign, rho = zip(*substudies)
         K = len(delta)
+        # with rho_combo_mono = 0 the arms fit around one control only when
+        # sum rho^2 <= 1; larger draws are scaled back onto that boundary
+        norm = math.sqrt(sum(r * r for r in rho))
+        if norm > 1.0:
+            rho = tuple(r / norm for r in rho)
         scenario = DesignScenario(
             delta, tuple(m * g for m, g in zip(magnitude, sign)),
             rho_combo_control=rho, rho_combo_mono=(0.0,) * K,

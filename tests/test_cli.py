@@ -93,6 +93,7 @@ class TestAdjust:
             capsys, "adjust", "--metric", "msfp", "--alpha", "0.4", "--rho", "0"
         )
         assert code == 3
+        assert "no critical value" in err and "reaches level 0.4" in err
 
     def test_mfwer_with_direct_rho(self, capsys):
         # two statistics: solved on the exact bivariate law, like fwer
@@ -192,6 +193,15 @@ class TestDesign:
         code, _, err = _run(capsys, "design", "--delta", "0.3", "--synergy", "0")
         assert code == 2
         assert "synergy" in err
+
+    def test_arm_correlations_that_cannot_form_a_trial(self, capsys):
+        # the reference pair fits one substudy but not two sharing a control
+        code, _, err = _run(
+            capsys, "design", "--k", "2", "--delta", "0.663", "--synergy", "1.161",
+            "--rho-ab-a", "0.626", "--rho-ab-b", "0.660",
+        )
+        assert code == 2
+        assert "cannot form a trial" in err
 
     def test_missing_required_flag(self, capsys):
         code, _, err = _run(capsys, "design", "--synergy", "1")
@@ -409,11 +419,13 @@ calls = [
      "--rho-ab-b", "0.660", "--metric", "fwer", "--format", "json"],
     ["estimate", "--input", csv_path, "--drug-a", "A", "--drug-b", "B",
      "--combo", "AB", "--with-thresholds"],
+    *(["simulate", "--study", study, "--format", "csv"]
+      for study in ("error-curves", "adjustments", "thresholds", "design-surface")),
 ]
 for argv in calls:
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
-    assert "scipy.special" not in sys.modules, argv[0]
+    assert "scipy.special" not in sys.modules, " ".join(argv[:3])
 """
 
 

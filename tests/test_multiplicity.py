@@ -6,17 +6,25 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from platformdesign.correlation import PlatformArms
+from platformdesign import multiplicity
+from platformdesign.correlation import (
+    ArmCorrelations,
+    PlatformArms,
+    combo_arm,
+    mono_arm,
+    platform_z_correlation_matrix,
+)
 from platformdesign.errors import DomainError, RootBracketError
 from platformdesign.multiplicity import (
     ErrorMetric,
+    bivariate_error_rates,
     bonferroni_threshold,
     classical_dunnett_threshold,
     empirical_error_rates,
     holm_reject,
     platform_threshold,
 )
-from platformdesign.mvnorm import CorrelationMatrix, MvnSampler, std_normal_cdf
+from platformdesign.mvnorm import CorrelationMatrix, MvnSampler, QmcLattice, std_normal_cdf
 
 SIDAK_C = 2.2364766445577895  # quantile of (1 + sqrt(0.95))/2
 Z_975 = 1.959963984540054
@@ -316,6 +324,105 @@ class TestPlatformThreshold:
         c_tight = platform_threshold(corr, ErrorMetric.mfwer(2, 0.01), seed=1).critical_value
         c_loose = platform_threshold(corr, ErrorMetric.mfwer(2, 0.10), seed=1).critical_value
         assert c_tight > c_loose
+
+
+def _platform_z_corr(K):
+    """Z correlation of a K-substudy platform with unequal arms."""
+    pairs = {}
+    for k in range(1, K + 1):
+        pairs[(combo_arm(k), ("A", 0))] = 0.3
+        pairs[(combo_arm(k), mono_arm(k))] = 0.5
+    n_mono = tuple(60.0 + 10 * k for k in range(K))
+    n_combo = tuple(90.0 - 5 * k for k in range(K))
+    return platform_z_correlation_matrix(
+        PlatformArms(150.0, n_mono, n_combo, ArmCorrelations(K, pairs))
+    )
+
+
+def _counting(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestThresholdSolver:
+    """One bracketed root search per solve, on a deterministic level."""
+
+    def test_fixed_lattice_level_is_deterministic_and_monotone(self):
+        z_corr = _platform_z_corr(2)
+        lattice = QmcLattice(z_corr, seed=0)
+        grid = np.linspace(1.8, 3.2, 15)
+        levels = [1.0 - lattice.estimate(np.full(4, -c), np.full(4, c)).value for c in grid]
+        again = [1.0 - lattice.estimate(np.full(4, -c), np.full(4, c)).value for c in grid]
+        assert levels == again
+        assert all(b <= a for a, b in zip(levels, levels[1:]))
+
+    @pytest.mark.parametrize("precision", [1e-4, 2e-5])
+    def test_stderr_at_the_root_meets_precision(self, precision):
+        result = platform_threshold(_platform_z_corr(2), ErrorMetric.fwer(0.05), precision=precision)
+        assert 0.0 < result.achieved_stderr <= precision
+        assert result.achieved == pytest.approx(0.05, abs=1e-8)
+
+    def test_k2_level_against_scipy_mvn_cdf(self):
+        from scipy.stats import multivariate_normal
+
+        z_corr = _platform_z_corr(2)
+        result = platform_threshold(z_corr, ErrorMetric.fwer(0.05))
+        c = result.critical_value
+        inside = multivariate_normal.cdf(
+            np.full(4, c), np.zeros(4), z_corr.entries, lower_limit=np.full(4, -c),
+            abseps=1e-6, releps=0.0,
+        )
+        assert abs((1.0 - inside) - 0.05) <= 5 * result.achieved_stderr + 1e-6
+
+    @pytest.mark.parametrize("K", [2, 4, 6])
+    def test_lattice_evaluations_per_solve(self, monkeypatch, K):
+        builds = _counting(monkeypatch, QmcLattice, "__init__")
+        calls = _counting(monkeypatch, QmcLattice, "estimate")
+        result = platform_threshold(_platform_z_corr(K), ErrorMetric.fwer(0.05))
+        assert len(builds) == 1
+        assert 0 < len(calls) <= 16
+        assert result.achieved_stderr <= 1e-4
+
+    def test_pool_root_is_the_smallest_c_at_level(self):
+        corr = _platform_z_corr(2)
+        result = platform_threshold(corr, ErrorMetric.mfwer(2, 0.05), seed=3, replications=20_000)
+        stat = multiplicity._tail_count_statistic(corr, 2, "two", 20_000, 3)
+        # 1000 of 20 000 draws above c*, and c* itself one of the draws
+        assert np.count_nonzero(stat > result.critical_value) == 1000
+        assert np.count_nonzero(stat >= result.critical_value) == 1001
+        assert result.achieved == 0.05
+
+    @pytest.mark.parametrize("rho", np.linspace(-0.95, 0.99, 14).round(4).tolist())
+    @pytest.mark.parametrize(
+        "metric",
+        [ErrorMetric.fwer(0.05), ErrorMetric.fmer(0.0025), ErrorMetric.msfp(0.000625)],
+        ids=lambda m: m.kind,
+    )
+    def test_k1_solve_matches_brentq_in_few_evaluations(self, monkeypatch, rho, metric):
+        evaluations = []
+        make_level = multiplicity._bivariate_exceedance
+
+        def counted_level(*args):
+            level = make_level(*args)
+            return lambda c: evaluations.append(c) or level(c)
+
+        monkeypatch.setattr(multiplicity, "_bivariate_exceedance", counted_level)
+        result = platform_threshold(CorrelationMatrix.bivariate(rho), metric)
+        assert len(evaluations) <= 16
+        oracle = brentq(
+            lambda c: bivariate_error_rates(rho, c)[metric.kind] - metric.alpha,
+            1e-6, 6.0, xtol=1e-14,
+        )
+        assert result.critical_value == pytest.approx(oracle, abs=1e-9)
+        assert result.achieved == pytest.approx(metric.alpha, abs=1e-12)
 
 
 class TestEmpiricalErrorRates:

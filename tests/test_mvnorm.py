@@ -10,6 +10,7 @@ from platformdesign.errors import DomainError, NotPositiveDefinite, PrecisionUnr
 from platformdesign.mvnorm import (
     CorrelationMatrix,
     MvnSampler,
+    QmcLattice,
     RectangleSpec,
     bvn_rectangle,
     cholesky,
@@ -58,6 +59,18 @@ class TestUnivariate:
         for p in (1e-8, 0.0249979, 0.31, 0.5, 0.84, 0.999999):
             assert std_normal_cdf(std_normal_quantile(p)) == pytest.approx(p, abs=1e-10)
         assert std_normal_quantile(0.0249979) == pytest.approx(-1.96, abs=1e-5)
+
+    def test_quantile_against_ndtri(self):
+        from scipy.special import ndtri
+
+        grid = np.concatenate([
+            np.logspace(-300, math.log10(0.5), 1201),
+            1.0 - np.logspace(-16, math.log10(0.5), 401),
+            np.linspace(0.01, 0.99, 197),
+            [1e-300, 1.0 - 1e-16, 0.25, 0.75],
+        ])
+        for p in grid:
+            assert std_normal_quantile(float(p)) == pytest.approx(float(ndtri(p)), rel=1e-15)
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1])
     def test_quantile_domain(self, p):
@@ -304,6 +317,66 @@ class TestMvnRectangle:
         mc = float(inside.mean())
         mc_se = math.sqrt(mc * (1 - mc) / inside.size)
         assert abs(estimate.value - mc) <= 3 * (estimate.stderr + mc_se)
+
+    @pytest.mark.parametrize("dim, precision", [(3, 1e-7), (5, 1e-6), (8, 2e-6)])
+    def test_matches_batch_by_batch_reference(self, dim, precision):
+        # the lattice evaluates all batches at once; one batch at a time, with
+        # the shifts drawn in the same order, gives the same estimate
+        from scipy.special import ndtr, ndtri
+
+        rng = np.random.default_rng(dim)
+        loadings = rng.uniform(-0.6, 0.6, dim)
+        m = np.outer(loadings, loadings)
+        np.fill_diagonal(m, 1.0)
+        corr = CorrelationMatrix(m)
+        lower, upper = np.full(dim, -2.0), np.full(dim, 2.5)
+        lower[0] = -INF
+
+        factor = corr.factor
+        generators = np.sqrt([2.0, 3.0, 5.0, 7.0, 11.0, 13.0, 17.0][: dim - 1])
+        shifts = np.random.default_rng([7, dim])
+        n_points, total = 128 * dim, 0
+        while True:
+            means = []
+            for _ in range(12):
+                shift = shifts.random(dim - 1)
+                j = np.arange(1, n_points + 1, dtype=float)
+                d = np.full(n_points, ndtr(lower[0] / factor[0, 0]))
+                e = np.full(n_points, ndtr(upper[0] / factor[0, 0]))
+                prob, y = e - d, np.empty((dim - 1, n_points))
+                for i in range(1, dim):
+                    z = generators[i - 1] * j + shift[i - 1]
+                    x = np.abs(2.0 * (z - np.floor(z)) - 1.0)
+                    y[i - 1] = ndtri(np.clip(d + x * (e - d), 1e-15, 1.0 - 1e-15))
+                    s = factor[i, :i] @ y[:i]
+                    d = ndtr((lower[i] - s) / factor[i, i])
+                    e = ndtr((upper[i] - s) / factor[i, i])
+                    prob *= np.maximum(e - d, 0.0)
+                means.append(prob.mean())
+            total += 12 * n_points
+            stderr = np.std(means, ddof=1) / math.sqrt(12)
+            if stderr <= precision:
+                break
+            n_points *= 2
+
+        estimate = mvn_rectangle(RectangleSpec(lower, upper, corr), precision, seed=7)
+        assert estimate.n_points == total > 12 * 128 * dim
+        assert estimate.value == pytest.approx(float(np.mean(means)), rel=1e-14)
+        assert estimate.stderr == pytest.approx(stderr, rel=1e-9)
+
+    def test_equals_a_refined_lattice(self):
+        corr = CorrelationMatrix(np.eye(4) * 0.5 + np.full((4, 4), 0.5))
+        lower, upper = np.full(4, -2.0), np.full(4, 2.0)
+        estimate = mvn_rectangle(RectangleSpec(lower, upper, corr), precision=2e-6, seed=4)
+        lattice = QmcLattice(corr, seed=4)
+        assert lattice.refine(lower, upper, precision=2e-6) == estimate
+        assert estimate.n_points > 12 * 128 * 4  # the lattice grew at least once
+        # held points: the same box on the grown lattice repeats to the bit
+        assert lattice.estimate(lower, upper) == estimate
+
+    def test_lattice_needs_two_dimensions(self):
+        with pytest.raises(DomainError):
+            QmcLattice(CorrelationMatrix.identity(1))
 
     def test_precision_unreachable(self):
         corr = CorrelationMatrix(np.eye(4) * 0.5 + np.full((4, 4), 0.5))

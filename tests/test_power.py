@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from platformdesign.allocation import Allocation, DesignScenario, optimize_allocation, wald_noncentrality
-from platformdesign.errors import BudgetExceeded, DomainError, NotPositiveDefinite
+from platformdesign.errors import BudgetExceeded, DomainError
 from platformdesign.multiplicity import ErrorMetric, ThresholdResult, platform_threshold
 from platformdesign.mvnorm import CorrelationMatrix, std_normal_cdf
 from platformdesign.power import (
@@ -258,13 +258,15 @@ class TestFindSampleSize:
 
     def test_arm_correlations_must_fit_together(self):
         # the README reference pair copied to two substudies: the arm
-        # correlation matrix has a negative Schur complement on the control arm
-        scenario = DesignScenario(
-            delta=(0.663, 0.663), synergy=(1.161, 1.161),
-            rho_combo_control=(0.626, 0.626), rho_combo_mono=(0.660, 0.660),
-        )
-        with pytest.raises(NotPositiveDefinite):
-            find_sample_size(scenario, Allocation.equal(2), FWER_THRESHOLD, 0.8)
+        # correlation matrix has a negative Schur complement on the control
+        # arm, so the scenario is refused when it is built
+        with pytest.raises(DomainError, match="cannot form a trial"):
+            DesignScenario(
+                delta=(0.663, 0.663), synergy=(1.161, 1.161),
+                rho_combo_control=(0.626, 0.626), rho_combo_mono=(0.660, 0.660),
+            )
+        # one substudy with the same pair fits
+        DesignScenario.single(0.663, 1.161, rho_ab_a=0.626, rho_ab_b=0.660)
 
     def test_validation(self):
         scenario = DesignScenario.single(0.3, 1.0)
