@@ -186,7 +186,8 @@ def _solve_decreasing(
             else:  # inverse quadratic interpolation through three points
                 d_pre = (f_pre - f_cur) / (x_pre - x_cur)
                 d_blk = (f_blk - f_cur) / (x_blk - x_cur)
-                s_try = -f_cur * (f_blk * d_blk - f_pre * d_pre) / (d_blk * d_pre * (f_blk - f_pre))
+                s_try = -f_cur * (f_blk * d_blk - f_pre * d_pre)
+                s_try /= d_blk * d_pre * (f_blk - f_pre)
             interpolate = 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - tol)
         s_pre, s_cur = (s_cur, s_try) if interpolate else (s_bis, s_bis)
         x_pre, f_pre = x_cur, f_cur

@@ -458,8 +458,8 @@ class QmcLattice:
         prob = np.full(self._points.shape[1], e_cur - d_cur)
         y = np.empty_like(self._points)
         for i in range(1, factor.shape[0]):
-            u = np.clip(d_cur + self._points[i - 1] * (e_cur - d_cur), _NDTRI_CLIP, 1.0 - _NDTRI_CLIP)
-            y[i - 1] = ndtri(u)
+            u = d_cur + self._points[i - 1] * (e_cur - d_cur)
+            y[i - 1] = ndtri(np.clip(u, _NDTRI_CLIP, 1.0 - _NDTRI_CLIP))
             s = factor[i, :i] @ y[:i]
             ct = max(factor[i, i], 1e-12)
             d_cur = ndtr((lower[i] - s) / ct)

@@ -366,7 +366,8 @@ class TestThresholdSolver:
 
     @pytest.mark.parametrize("precision", [1e-4, 2e-5])
     def test_stderr_at_the_root_meets_precision(self, precision):
-        result = platform_threshold(_platform_z_corr(2), ErrorMetric.fwer(0.05), precision=precision)
+        z_corr = _platform_z_corr(2)
+        result = platform_threshold(z_corr, ErrorMetric.fwer(0.05), precision=precision)
         assert 0.0 < result.achieved_stderr <= precision
         assert result.achieved == pytest.approx(0.05, abs=1e-8)
 
