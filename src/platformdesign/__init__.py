@@ -19,8 +19,6 @@ from .allocation import (
 from .correlation import (
     ArmCorrelations,
     PlatformArms,
-    alternative_mean_covariance,
-    arm_mean_covariance,
     classical_dunnett_correlation,
     platform_z_correlation_matrix,
     test_stat_correlation,
@@ -36,33 +34,26 @@ from .estimation import (
 )
 from .multiplicity import (
     ErrorMetric,
-    ErrorRates,
     ThresholdResult,
     bivariate_error_rates,
     bonferroni_threshold,
     classical_dunnett_threshold,
-    empirical_error_rates,
     holm_reject,
     platform_threshold,
 )
 from .mvnorm import (
     CorrelationMatrix,
-    MvnSampler,
     RectangleSpec,
     bvn_rectangle,
     cholesky,
     mvn_rectangle,
-    mvn_sample,
     std_normal_cdf,
     std_normal_quantile,
 )
 from .power import (
-    PowerRequest,
     SampleSizeResult,
     find_sample_size,
     marginal_power_oracle,
-    mc_power,
-    mc_power_summary,
 )
 from .studies import (
     GridSpec,

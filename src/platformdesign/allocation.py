@@ -50,10 +50,11 @@ class DesignScenario:
     """Per-substudy effect sizes, synergy, variance, and arm correlations.
 
     ``delta[k]`` is the monotherapy effect over control in substudy k and
-    ``synergy[k]`` scales it to the combination effect.  Correlations with the
-    monotherapy arm (``rho_combo_mono``) matter for power simulation but not
-    for the allocation optimum; the combination-control correlation
-    (``rho_combo_control``) enters the noncentrality denominator directly.
+    ``synergy[k]`` scales it to the combination effect.  The
+    combination-monotherapy correlation (``rho_combo_mono``) enters only the
+    Z correlation, so the threshold, and neither power nor the allocation
+    optimum; the combination-control correlation (``rho_combo_control``)
+    enters the noncentrality denominator directly.
     Correlations that no trial can have (an arm correlation matrix that is
     not positive semidefinite) raise :class:`DomainError` here.
     """

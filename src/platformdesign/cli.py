@@ -3,8 +3,10 @@
 Subcommands: ``adjust`` (multiplicity thresholds), ``design`` (allocation +
 sample size), ``estimate`` (preclinical CSV to design parameters), and
 ``simulate`` (the grid studies).  Flags override config-file values, which
-override built-in defaults; the ``PLATFORMDESIGN_SEED`` environment variable
-supplies a default seed when ``--seed`` is absent.
+override built-in defaults; a config value is converted and checked with its
+flag's own type and choices.  For the subcommands that have a ``--seed``
+flag, the ``PLATFORMDESIGN_SEED`` environment variable supplies the seed when
+the flag is absent.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical failure (no root /
 not positive definite / precision), 4 search budget exceeded.
@@ -314,18 +316,18 @@ def cmd_simulate(args) -> int:
     if args.study == "design-surface":
         if args.rho_levels:
             sweep["rho_levels"] = tuple(args.rho_levels)
-        grid = design_surface_grid(seed=args.seed, **sweep)
+        grid = design_surface_grid(**sweep)
         with _progress_to_stderr(args.progress):
             table = run_design_surface(grid)
     elif args.study == "thresholds":
-        grid = threshold_grid(swept=swept, fixed_rho=args.fixed_rho, seed=args.seed, **sweep)
+        grid = threshold_grid(swept=swept, fixed_rho=args.fixed_rho, **sweep)
         table = run_threshold_curves(grid)
     else:
         factory, runner = {
             "error-curves": (error_curves_grid, run_error_curves),
             "adjustments": (adjustment_grid, run_adjustment_comparison),
         }[args.study]
-        grid = factory(swept=swept, fixed_rho=args.fixed_rho, seed=args.seed, **sweep)
+        grid = factory(swept=swept, fixed_rho=args.fixed_rho, **sweep)
         table = runner(grid)
 
     if args.format == "jsonl":
@@ -465,15 +467,52 @@ def build_parser() -> argparse.ArgumentParser:
                           help="correlation levels for the design surface")
     simulate.add_argument("--progress", action="store_true",
                           help="print per-point progress to stderr (design surface)")
-    simulate.add_argument("--seed", type=int, default=None,
-                          help="has no effect; the results are exact")
     _add_common_output(simulate, formats=("csv", "jsonl"))
     simulate.set_defaults(func=cmd_simulate)
 
     return parser
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
+def _flag_actions(parser: argparse.ArgumentParser, command: str) -> dict:
+    """Flag name (dest) -> argparse action, for the top-level flags and the
+    flags of ``command``."""
+    actions = list(parser._actions)
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            actions += action.choices[command]._actions
+    return {action.dest: action for action in actions if action.option_strings}
+
+
+def _config_item(action: argparse.Action, key: str, value):
+    """One config value, converted and checked as argparse would the flag's
+    command-line tokens."""
+    flag = f"--config key {key!r}"
+    if action.nargs == 0:  # a switch such as --progress
+        _require(isinstance(value, bool), f"{flag} must be true or false, got {value!r}")
+        return value
+    if action.type is None:
+        _require(isinstance(value, str), f"{flag} must be a string, got {value!r}")
+    else:
+        _require(
+            isinstance(value, (str, int, float)) and not isinstance(value, bool),
+            f"{flag} must be a number, got {value!r}",
+        )
+        try:
+            value = action.type(str(value))
+        except ValueError:
+            raise DomainError(
+                f"{flag}: invalid {action.type.__name__} value {value!r}"
+            ) from None
+    _require(
+        action.choices is None or value in action.choices,
+        f"{flag} must be one of {tuple(action.choices or ())}, got {value!r}",
+    )
+    return value
+
+
+def _apply_config(
+    parser: argparse.ArgumentParser, args: argparse.Namespace, argv: list[str]
+) -> None:
     """Fill flag values from the config file for flags not given on the CLI."""
     if not args.config:
         return
@@ -481,13 +520,21 @@ def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
         config = json.load(handle)
     if not isinstance(config, dict):
         raise DomainError("--config file must hold a JSON object")
+    actions = _flag_actions(parser, args.command)
     given = {token.split("=")[0] for token in argv if token.startswith("--")}
     for key, value in config.items():
         dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+        action = actions.get(dest)
+        if action is None or not hasattr(args, dest):
             raise DomainError(f"--config key {key!r} does not match any flag")
         if f"--{key.replace('_', '-')}" in given:
             continue
+        if action.nargs == "+":
+            items = value if isinstance(value, list) else [value]
+            _require(bool(items), f"--config key {key!r} needs at least one value")
+            value = [_config_item(action, key, item) for item in items]
+        else:
+            value = _config_item(action, key, value)
         setattr(args, dest, value)
 
 
@@ -496,8 +543,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args, argv)
-        if getattr(args, "seed", None) is None:
+        _apply_config(parser, args, argv)
+        if hasattr(args, "seed") and args.seed is None:
             env = os.environ.get(SEED_ENV_VAR)
             args.seed = int(env) if env else 0
         return args.func(args)

@@ -1,10 +1,9 @@
-"""Arm-level correlations to test-statistic correlations and covariances.
+"""Arm-level correlations to test-statistic correlations.
 
 Two investigational arms that share treatment components (or merely share the
 control) produce correlated Z statistics.  This module maps endpoint
-correlations between arms, together with per-arm sample sizes, onto (a) the
-correlation matrix of the Z statistics and (b) the mean/covariance of the
-arm-level sample means under the alternative, which drives power simulation.
+correlations between arms, together with per-arm sample sizes, onto the
+correlation matrix of the Z statistics, which the threshold solvers use.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .allocation import Allocation, DesignScenario
+from .allocation import DesignScenario
 from .errors import DomainError
 from .mvnorm import CorrelationMatrix
 
@@ -28,8 +27,6 @@ __all__ = [
     "test_stat_correlation",
     "classical_dunnett_correlation",
     "platform_z_correlation_matrix",
-    "arm_mean_covariance",
-    "alternative_mean_covariance",
 ]
 
 # Arm labels: the shared control, and per-substudy monotherapy / combination
@@ -278,63 +275,3 @@ def platform_z_correlation_matrix(arms: PlatformArms) -> CorrelationMatrix:
                 arms.correlations.get(v, CONTROL),
             )
     return CorrelationMatrix(m)
-
-
-def arm_mean_covariance(
-    scenario: DesignScenario,
-    arm_sizes: "np.ndarray | list[float] | tuple[float, ...]",
-    correlations: ArmCorrelations | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and covariance of the arm means given effective per-arm sizes.
-
-    Arm order is (control, mono_1, combo_1, ..., mono_K, combo_K).  The mean
-    is (0, delta_1, s_1*delta_1, ...); variances are sigma2/n_j and
-    covariances rho*sigma2/sqrt(n_i*n_j) with unlisted arm pairs (in
-    particular control-monotherapy) independent.  Sizes may be fractional:
-    the search over total N uses p_j*N directly.
-    """
-    sizes = np.asarray(arm_sizes, dtype=float)
-    if sizes.shape != (2 * scenario.K + 1,):
-        raise DomainError(
-            f"expected {2 * scenario.K + 1} arm sizes, got shape {sizes.shape}"
-        )
-    if np.any(sizes <= 0.0):
-        raise DomainError("every arm size must be positive")
-    table = correlations if correlations is not None else ArmCorrelations.from_scenario(scenario)
-    if table.K != scenario.K:
-        raise DomainError(f"correlation table K={table.K} does not match scenario K={scenario.K}")
-
-    arm_order: list[Arm] = [CONTROL]
-    mean = [0.0]
-    for k in range(1, scenario.K + 1):
-        arm_order.append(mono_arm(k))
-        arm_order.append(combo_arm(k))
-        mean.append(scenario.delta[k - 1])
-        mean.append(scenario.synergy[k - 1] * scenario.delta[k - 1])
-
-    dim = sizes.size
-    cov = np.empty((dim, dim))
-    for i in range(dim):
-        for j in range(i, dim):
-            rho = 1.0 if i == j else table.get(arm_order[i], arm_order[j])
-            cov[i, j] = cov[j, i] = rho * scenario.sigma2 / math.sqrt(sizes[i] * sizes[j])
-    return np.asarray(mean), cov
-
-
-def alternative_mean_covariance(
-    scenario: DesignScenario,
-    alloc: Allocation,
-    correlations: ArmCorrelations | None = None,
-    n_total: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean vector and covariance of the 2K+1 arm means under the alternative.
-
-    Per-arm effective sizes are the allocation ratios times the total sample
-    size; see :func:`arm_mean_covariance` for the structure.
-    """
-    if alloc.K != scenario.K:
-        raise DomainError(f"allocation has K={alloc.K} but scenario has K={scenario.K}")
-    n = n_total if n_total is not None else alloc.n_total
-    if n is None or n < 1:
-        raise DomainError("a total sample size of at least 1 is required")
-    return arm_mean_covariance(scenario, np.asarray(alloc.ratios) * n, correlations)

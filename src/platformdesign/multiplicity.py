@@ -20,7 +20,6 @@ from .correlation import PlatformArms, classical_dunnett_correlation
 from .errors import DomainError, RootBracketError
 from .mvnorm import (
     CorrelationMatrix,
-    MvnSampler,
     QmcLattice,
     RectangleEstimate,
     bvn_rectangle,
@@ -31,13 +30,11 @@ from .mvnorm import (
 __all__ = [
     "ErrorMetric",
     "ThresholdResult",
-    "ErrorRates",
     "bonferroni_threshold",
     "holm_reject",
     "classical_dunnett_threshold",
     "platform_threshold",
     "bivariate_error_rates",
-    "empirical_error_rates",
 ]
 
 _KINDS = ("fwer", "fmer", "msfp", "mfwer")
@@ -241,9 +238,8 @@ def _tail_count_statistic(
     z_corr: CorrelationMatrix, m: int, sided: str, replications: int, seed: int
 ) -> np.ndarray:
     """Per-replication m-th largest exceedance statistic under the null."""
-    values = MvnSampler(
-        np.zeros(z_corr.dim), z_corr.entries, seed, stream=1
-    ).sample(replications)
+    rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 1])
+    values = rng.standard_normal((replications, z_corr.dim)) @ z_corr.factor.T
     if sided == "two":
         np.abs(values, out=values)
     # count(values > c) >= m  <=>  m-th largest value > c
@@ -296,7 +292,7 @@ def platform_threshold(
     statistics their product against one statistic's level.  With two
     statistics the level is the exact bivariate normal law, so
     ``achieved_stderr`` is 0 and ``precision``, ``seed`` and ``replications``
-    are unused.  With more, the level is a randomized quasi-Monte Carlo
+    are validated but unused.  With more, the level is a randomized quasi-Monte Carlo
     rectangle probability on one :class:`QmcLattice` per solve.  Its points
     grow at the bracket's upper end until the level's standard error is at
     most ``precision``, then stay fixed, so the search sees a smooth
@@ -310,6 +306,10 @@ def platform_threshold(
     dim = z_corr.dim
     if dim < 2:
         raise DomainError("platform threshold needs at least two test statistics")
+    if not 0.0 < precision < math.inf:
+        raise DomainError(f"precision must be positive and finite, got {precision}")
+    if replications < 1:
+        raise DomainError(f"replications must be at least 1, got {replications}")
     if metric.kind == "mfwer" and not 1 <= metric.m <= dim:
         raise DomainError(f"m must lie in [1, {dim}], got {metric.m}")
 
@@ -365,44 +365,4 @@ def platform_threshold(
         z_correlation=z_corr,
         achieved=achieved,
         achieved_stderr=stderr,
-    )
-
-
-@dataclass(frozen=True)
-class ErrorRates:
-    """Empirical false-positive proportions over simulated null trials."""
-
-    fwer: float
-    fmer: float
-    msfp: float
-    replications: int
-
-    def stderr(self, which: str) -> float:
-        rate = getattr(self, which)
-        return math.sqrt(rate * (1.0 - rate) / self.replications)
-
-
-def empirical_error_rates(
-    z_corr: CorrelationMatrix,
-    critical_value: float,
-    replications: int,
-    seed: int,
-) -> ErrorRates:
-    """Simulate null trials and report the three error-rate proportions.
-
-    fwer: any |Z| exceeds c; fmer: at least two |Z| exceed c; msfp: at least
-    two Z exceed c in the upper tail.
-    """
-    if replications < 1:
-        raise DomainError("replications must be at least 1")
-    draws = MvnSampler(
-        np.zeros(z_corr.dim), z_corr.entries, seed, stream=2
-    ).sample(replications)
-    two_sided = np.abs(draws) > critical_value
-    upper = draws > critical_value
-    return ErrorRates(
-        fwer=float(np.mean(two_sided.any(axis=1))),
-        fmer=float(np.mean(two_sided.sum(axis=1) >= 2)),
-        msfp=float(np.mean(upper.sum(axis=1) >= 2)),
-        replications=replications,
     )

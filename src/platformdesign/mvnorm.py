@@ -1,8 +1,7 @@
 """Multivariate normal kernel.
 
 Univariate normal cdf/quantile (``math.erfc``, no scipy), Cholesky
-factorization with diagonal jitter, seeded multivariate normal sampling, and
-rectangle probabilities:
+factorization with diagonal jitter, and rectangle probabilities:
 
 * dimension 2 uses a deterministic Gauss-Legendre scheme (Drezner-Wesolowsky
   integral representation, accurate to ~1e-15), so root finders see a smooth
@@ -14,14 +13,14 @@ rectangle probabilities:
   points: a root finder over box bounds then sees a smooth, deterministic
   objective.
 
-All randomized routines are pure functions of (inputs, seed).
+The lattice shifts are the module's only random numbers; every estimate is
+a pure function of (inputs, seed).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -34,8 +33,6 @@ __all__ = [
     "cholesky",
     "CholeskyResult",
     "CorrelationMatrix",
-    "MvnSampler",
-    "mvn_sample",
     "RectangleSpec",
     "QmcLattice",
     "bvn_rectangle",
@@ -172,67 +169,6 @@ class CorrelationMatrix:
     @classmethod
     def bivariate(cls, rho: float) -> "CorrelationMatrix":
         return cls(np.array([[1.0, rho], [rho, 1.0]]))
-
-
-@dataclass(frozen=True)
-class MvnSampler:
-    """Value-like seeded sampler for N(mean, covariance).
-
-    Identical (mean, covariance, seed, stream) always reproduces the same
-    sample stream; distinct streams under one seed are independent, which is
-    the contract parallel users rely on.
-    """
-
-    mean: np.ndarray
-    covariance: np.ndarray
-    seed: int
-    stream: int = 0
-    jitter_tol: float = _DEFAULT_JITTER_TOL
-
-    def __post_init__(self) -> None:
-        mean = np.array(self.mean, dtype=float).reshape(-1)
-        cov = np.array(self.covariance, dtype=float)
-        if cov.ndim != 2 or cov.shape != (mean.size, mean.size):
-            raise DomainError(
-                f"covariance shape {cov.shape} does not match mean length {mean.size}"
-            )
-        if np.max(np.abs(cov - cov.T), initial=0.0) > _SYMMETRY_TOL * max(
-            1.0, float(np.max(np.abs(cov)))
-        ):
-            raise DomainError("covariance must be symmetric")
-        mean.flags.writeable = False
-        cov.flags.writeable = False
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", cov)
-
-    @property
-    def dim(self) -> int:
-        return self.mean.size
-
-    @cached_property
-    def factor(self) -> np.ndarray:
-        return cholesky(self.covariance, self.jitter_tol).factor
-
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(
-            [self.seed & 0xFFFFFFFFFFFFFFFF, self.stream & 0xFFFFFFFFFFFFFFFF]
-        )
-
-    def sample(self, count: int) -> np.ndarray:
-        return mvn_sample(self, count)
-
-
-def mvn_sample(sampler: MvnSampler, count: int) -> np.ndarray:
-    """Draw ``count`` rows from the sampler's distribution.
-
-    Pure given (sampler, count): repeated calls return identical matrices.
-    """
-    if count < 1:
-        raise DomainError("count must be a positive integer")
-    z = sampler.rng().standard_normal((count, sampler.dim))
-    draws = z @ sampler.factor.T
-    draws += sampler.mean
-    return draws
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Exact power, the minimal sample-size search, and a Monte Carlo check.
+"""Exact power and the minimal sample-size search.
 
 Under the alternative each test statistic is normal with unit variance and
 mean mu / sd, where mu is its contrast's mean difference and sd the
@@ -8,8 +8,7 @@ minimum over its 2K comparisons; the tail grows with |mu / sd|, so that is the
 tail at the smallest one.  The sample-size search returns the smallest total
 N whose largest-remainder integer design reaches the target.  Power at
 integer counts is not monotone in N, so the search scans N upward instead of
-bisecting.  Monte Carlo power (:func:`mc_power`) is kept as an independent
-check and for the reject-all diagnostic.
+bisecting.
 """
 
 from __future__ import annotations
@@ -20,94 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import Allocation, DesignScenario, _contrast_variance
-from .correlation import arm_mean_covariance
 from .errors import BudgetExceeded, DomainError
 from .multiplicity import ThresholdResult
-from .mvnorm import cholesky, std_normal_cdf
+from .mvnorm import std_normal_cdf
 
 __all__ = [
-    "PowerRequest",
-    "PowerSummary",
     "SampleSizeResult",
-    "mc_power",
-    "mc_power_summary",
     "marginal_power_oracle",
     "find_sample_size",
 ]
-
-
-@dataclass(frozen=True)
-class PowerRequest:
-    """Inputs for one Monte Carlo power evaluation."""
-
-    scenario: DesignScenario
-    alloc: Allocation
-    threshold: ThresholdResult
-    N: int
-    n_sim: int = 10_000
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n_sim < 1_000:
-            raise DomainError("n_sim must be at least 1000")
-        if self.N < 2 * self.scenario.K + 1:
-            raise DomainError(
-                f"N={self.N} cannot give every one of {2 * self.scenario.K + 1} arms a subject"
-            )
-
-
-@dataclass(frozen=True)
-class PowerSummary:
-    """Per-comparison rejection proportions plus joint diagnostics.
-
-    ``minimum`` is the power definition used throughout; ``reject_all`` (the
-    probability that every comparison rejects) is auxiliary output only.
-    """
-
-    minimum: float
-    per_comparison: tuple[float, ...]
-    reject_all: float
-
-
-def _z_statistics(means: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Standardized contrasts vs the control column, in test order
-    (combo_1, mono_1, combo_2, mono_2, ...)."""
-    n_arms = cov.shape[0]
-    K = (n_arms - 1) // 2
-    z = np.empty((means.shape[0], 2 * K))
-    for k in range(1, K + 1):
-        mono, combo = 2 * k - 1, 2 * k
-        for out_col, arm in ((2 * (k - 1), combo), (2 * (k - 1) + 1, mono)):
-            var = cov[arm, arm] + cov[0, 0] - 2.0 * cov[arm, 0]
-            if var <= 0.0:
-                raise DomainError("a contrast variance is not positive")
-            z[:, out_col] = (means[:, arm] - means[:, 0]) / math.sqrt(var)
-    return z
-
-
-def _summarize(z: np.ndarray, critical_value: float) -> PowerSummary:
-    rejected = np.abs(z) > critical_value
-    per_comparison = rejected.mean(axis=0)
-    return PowerSummary(
-        minimum=float(per_comparison.min()),
-        per_comparison=tuple(float(p) for p in per_comparison),
-        reject_all=float(rejected.all(axis=1).mean()),
-    )
-
-
-def mc_power_summary(request: PowerRequest) -> PowerSummary:
-    """Simulate arm means under the alternative and summarize rejections."""
-    scenario = request.scenario
-    rng = np.random.default_rng([request.seed & 0xFFFFFFFFFFFFFFFF, 3])
-    pool = rng.standard_normal((request.n_sim, 2 * scenario.K + 1))
-    mean, cov = arm_mean_covariance(scenario, np.asarray(request.alloc.ratios) * request.N)
-    means = mean + pool @ cholesky(cov).factor.T
-    return _summarize(_z_statistics(means, cov), request.threshold.critical_value)
-
-
-def mc_power(request: PowerRequest) -> float:
-    """Minimum empirical rejection proportion across the 2K comparisons."""
-    return mc_power_summary(request).minimum
 
 
 def marginal_power_oracle(W: float, c: float) -> float:

@@ -22,6 +22,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import mc_comparison_power, mc_error_rates, mvn_draws
 
 from platformdesign.allocation import (
     Allocation,
@@ -42,16 +43,10 @@ from platformdesign.correlation import test_stat_correlation as z_correlation
 from platformdesign.multiplicity import (
     ErrorMetric,
     classical_dunnett_threshold,
-    empirical_error_rates,
     platform_threshold,
 )
-from platformdesign.mvnorm import CorrelationMatrix, MvnSampler, mvn_sample
-from platformdesign.power import (
-    PowerRequest,
-    find_sample_size,
-    marginal_power_oracle,
-    mc_power,
-)
+from platformdesign.mvnorm import CorrelationMatrix
+from platformdesign.power import find_sample_size, marginal_power_oracle
 from platformdesign.studies import design_surface_grid, run_design_surface, threshold_grid, run_threshold_curves
 
 Z_975 = 1.959963984540054
@@ -68,14 +63,15 @@ def _report(number: int, name: str, checks: list) -> None:
 
 def test_criterion_01_null_baselines():
     start = time.perf_counter()
-    rates = empirical_error_rates(
-        CorrelationMatrix.bivariate(0.0), Z_975, 100_000, seed=101
-    )
+    rates = mc_error_rates(CorrelationMatrix.bivariate(0.0), Z_975, 100_000, seed=101)
     elapsed = time.perf_counter() - start
     checks = [
-        (abs(rates.fwer - 0.0975) <= 0.003, f"fwer {rates.fwer:.4f} vs 0.0975 +-0.003"),
-        (abs(rates.fmer - 0.0025) <= 0.0006, f"fmer {rates.fmer:.4f} vs 0.0025 +-0.0006"),
-        (abs(rates.msfp - 0.000625) <= 0.0003, f"msfp {rates.msfp:.5f} vs 0.000625 +-0.0003"),
+        (abs(rates["fwer"] - 0.0975) <= 0.003, f"fwer {rates['fwer']:.4f} vs 0.0975 +-0.003"),
+        (abs(rates["fmer"] - 0.0025) <= 0.0006, f"fmer {rates['fmer']:.4f} vs 0.0025 +-0.0006"),
+        (
+            abs(rates["msfp"] - 0.000625) <= 0.0003,
+            f"msfp {rates['msfp']:.5f} vs 0.000625 +-0.0003",
+        ),
         (elapsed < 5.0, f"runtime {elapsed:.2f}s vs 5s budget"),
     ]
     _report(1, "null baselines", checks)
@@ -87,13 +83,13 @@ def test_criterion_02_threshold_round_trip():
     for rho in (0.0, 0.3, 0.461, 0.7, 0.95):
         for kind_index, (kind, alpha) in enumerate(TARGETS.items()):
             result = platform_threshold(CorrelationMatrix.bivariate(rho), ErrorMetric(kind, alpha))
-            rates = empirical_error_rates(
+            rates = mc_error_rates(
                 CorrelationMatrix.bivariate(rho),
                 result.critical_value,
                 100_000,
                 seed=int(1000 * rho) * 3 + kind_index,
             )
-            achieved = getattr(rates, kind)
+            achieved = rates[kind]
             bound = 3 * math.sqrt(alpha * (1 - alpha) / 100_000)
             checks.append(
                 (
@@ -330,9 +326,9 @@ def test_criterion_07_power_oracle_equivalence():
         theta = rng.standard_normal(3) * 0.4
         alloc = Allocation(tuple(np.exp(theta) / np.exp(theta).sum()))
         n = int(rng.integers(80, 600))
-        mc = mc_power(
-            PowerRequest(scenario, alloc, threshold, N=n, n_sim=100_000, seed=i)
-        )
+        mc = mc_comparison_power(
+            scenario, np.asarray(alloc.ratios) * n, threshold.critical_value, 100_000, seed=i
+        ).min()
         w = wald_noncentrality(scenario, alloc, n)
         exact = min(
             marginal_power_oracle(float(w[0, 0]), threshold.critical_value),
@@ -431,7 +427,7 @@ def test_criterion_09_correlation_formula_vs_simulation():
             for b in range(dim):
                 rho_ab = 1.0 if a == b else platform.correlations.get(order[a], order[b])
                 cov[a, b] = rho_ab / math.sqrt(sizes[a] * sizes[b])
-        draws = mvn_sample(MvnSampler(np.zeros(dim), cov, seed=i), 100_000)
+        draws = mvn_draws(np.linalg.cholesky(cov), 100_000, seed=i)
         z_cols = []
         for k in range(1, platform.K + 1):
             for arm_idx in (2 * k, 2 * k - 1):  # combo then mono

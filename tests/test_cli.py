@@ -4,10 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import FIXTURE_INDEPENDENT_CSV
 
 from platformdesign.cli import SEED_ENV_VAR, main
 
@@ -41,14 +43,6 @@ FIXTURE_NOISY_CSV = "model_id,treatment,response\n" + "".join(
     for i in range(8)
 )
 
-# A and B nearly uncorrelated (-0.095), as the estimator assumes; the
-# combination correlates 0.72 with A and 0.45 with B
-_SHIFT_B = (3, 6, 0, 5, 7, 1, 2, 4)
-_SHIFT_AB = (2.0, 2.5, 2.0, 3.5, 5.5, 4.0, 3.0, 5.5)
-FIXTURE_INDEPENDENT_CSV = "model_id,treatment,response\n" + "".join(
-    f"m{i},A,{10 + i}\nm{i},B,{12.5 + _SHIFT_B[i]}\nm{i},AB,{15 + _SHIFT_AB[i]}\n"
-    for i in range(8)
-)
 
 
 class TestAdjust:
@@ -94,6 +88,25 @@ class TestAdjust:
         )
         assert code == 3
         assert "no critical value" in err and "reaches level 0.4" in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--precision", "0"),
+            ("--precision", "-1"),
+            ("--metric", "mfwer", "--replications", "0"),
+        ],
+    )
+    @pytest.mark.parametrize("k", ["1", "2"])
+    def test_solver_settings_validated_before_work(self, capsys, k, flags):
+        start = time.perf_counter()
+        code, out, err = _run(
+            capsys, "adjust", "--k", k, "--n-a", "120", "--n-b", "60", "--n-ab", "60", *flags
+        )
+        assert code == 2, err
+        assert out == ""
+        assert flags[-2].lstrip("-") in err
+        assert time.perf_counter() - start < 1.0
 
     def test_mfwer_with_direct_rho(self, capsys):
         # two statistics: solved on the exact bivariate law, like fwer
@@ -276,7 +289,7 @@ class TestSimulate:
         out_path = tmp_path / "curves.csv"
         code, _, err = _run(
             capsys, "simulate", "--study", "error-curves", "--start", "0.3",
-            "--stop", "0.4", "--step", "0.1", "--seed", "5", "--out", str(out_path),
+            "--stop", "0.4", "--step", "0.1", "--out", str(out_path),
         )
         assert code == 0
         text = out_path.read_text()
@@ -288,7 +301,7 @@ class TestSimulate:
         code, _, _ = _run(
             capsys, "simulate", "--study", "design-surface", "--start", "1.0",
             "--stop", "1.3", "--step", "0.3", "--rho-levels", "0.1", "0.5",
-            "--seed", "5", "--out", str(out_path),
+            "--out", str(out_path),
         )
         assert code == 0
         rows = out_path.read_text().splitlines()
@@ -297,7 +310,7 @@ class TestSimulate:
     def test_progress_is_logged_only_with_the_flag(self, capsys):
         args = (
             "simulate", "--study", "design-surface", "--start", "1.0", "--stop", "1.0",
-            "--step", "0.1", "--rho-levels", "0.3", "--seed", "5",
+            "--step", "0.1", "--rho-levels", "0.3",
         )
         code_a, out_a, err_a = _run(capsys, *args)
         code_b, out_b, err_b = _run(capsys, *args, "--progress")
@@ -327,10 +340,12 @@ class TestSimulate:
             ("simulate", "--study", "design-surface", "--nsim", "2000"),
             ("simulate", "--study", "error-curves", "--replications", "2000"),
             ("estimate", "--input", "x.csv", "--replications", "2000"),
+            ("simulate", "--study", "thresholds", "--seed", "1"),
         ],
     )
     def test_monte_carlo_flags_are_gone(self, argv):
-        # power, N* and the two-statistic rates are exact: no draw counts
+        # power, N* and the two-statistic rates are exact: no draw counts,
+        # and no seed where nothing is drawn
         with pytest.raises(SystemExit) as excinfo:
             main(list(argv))
         assert excinfo.value.code == 2
@@ -343,7 +358,7 @@ class TestSimulate:
     def test_rerun_is_byte_identical(self, capsys, tmp_path):
         args = (
             "simulate", "--study", "thresholds", "--start", "0.3", "--stop", "0.5",
-            "--step", "0.1", "--seed", "9",
+            "--step", "0.1",
         )
         code_a, out_a, _ = _run(capsys, *args)
         code_b, out_b, _ = _run(capsys, *args)
@@ -369,6 +384,41 @@ class TestConfigAndSeed:
         )
         assert code == 0
         assert report["z_correlation"] == 0.6
+
+    def test_config_values_are_typed_like_flags(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"alpha": "0.05", "precision": "1e-3"}), encoding="utf-8")
+        code, typed, _ = _run_json(capsys, "--config", str(config), "adjust", "--rho", "0.4")
+        assert code == 0
+        code, flagged, _ = _run_json(capsys, "adjust", "--rho", "0.4", "--alpha", "0.05")
+        assert typed == flagged
+        code, report, _ = _run_json(
+            capsys, "--config", str(config), "adjust", "--k", "2",
+            "--n-a", "120", "--n-b", "60", "--n-ab", "60",
+        )
+        assert code == 0
+        assert report["achieved_stderr"] <= 1e-3
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"alpha": "five percent"},
+            {"alpha": True},
+            {"k": 2.5},
+            {"metric": "fdr"},
+            {"n-b": [60, "many"]},
+            {"format": ["json"]},
+        ],
+    )
+    def test_mistyped_config_value_is_a_validation_error(self, capsys, tmp_path, values):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(values), encoding="utf-8")
+        code, out, err = _run(
+            capsys, "--config", str(config), "adjust", "--n-a", "120", "--n-ab", "60"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --config key")
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         config = tmp_path / "config.json"

@@ -1,4 +1,4 @@
-"""Arm-level to test-statistic correlation mapping and alternative covariance."""
+"""Arm-level to test-statistic correlation mapping."""
 
 import math
 
@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from conftest import mvn_draws
 
-from platformdesign.allocation import Allocation, DesignScenario
 from platformdesign.correlation import (
     CONTROL,
     ArmCorrelations,
     PlatformArms,
-    alternative_mean_covariance,
-    arm_mean_covariance,
     classical_dunnett_correlation,
     combo_arm,
     mono_arm,
@@ -21,7 +19,6 @@ from platformdesign.correlation import (
 )
 from platformdesign.correlation import test_stat_correlation as z_correlation
 from platformdesign.errors import DomainError
-from platformdesign.mvnorm import MvnSampler, cholesky, mvn_sample
 
 
 def _arm_correlation_matrix(arms: PlatformArms) -> np.ndarray:
@@ -47,7 +44,7 @@ def _contrast_z_correlation(arms: PlatformArms) -> float:
 def _empirical_z_correlation(arms: PlatformArms, n_draws: int = 100_000, seed: int = 0):
     """Simulation oracle: draw arm means, form the two Z statistics, correlate."""
     cov = _arm_mean_cov(arms)
-    draws = mvn_sample(MvnSampler(np.zeros(3), cov, seed), n_draws)
+    draws = mvn_draws(np.linalg.cholesky(cov), n_draws, seed)
     z1 = (draws[:, 2] - draws[:, 0]) / math.sqrt(cov[2, 2] + cov[0, 0] - 2 * cov[0, 2])
     z2 = (draws[:, 1] - draws[:, 0]) / math.sqrt(cov[1, 1] + cov[0, 0] - 2 * cov[0, 1])
     return float(np.corrcoef(z1, z2)[0, 1])
@@ -207,7 +204,7 @@ class TestPlatformMatrix:
             for j in range(5):
                 rho = 1.0 if i == j else corr.get(order[i], order[j])
                 cov[i, j] = rho / math.sqrt(sizes[i] * sizes[j])
-        draws = mvn_sample(MvnSampler(np.zeros(5), cov, seed=21), 100_000)
+        draws = mvn_draws(np.linalg.cholesky(cov), 100_000, seed=21)
         z = np.empty((draws.shape[0], 4))
         for k, arm in enumerate((2, 1, 4, 3)):  # combo1, mono1, combo2, mono2
             sd = math.sqrt(cov[arm, arm] + cov[0, 0] - 2 * cov[arm, 0])
@@ -235,60 +232,3 @@ class TestPlatformMatrix:
         assert table.get(CONTROL, combo_arm(1)) == 0.3
         assert table.get(mono_arm(1), CONTROL) == 0.0
         assert table.get(CONTROL, CONTROL) == 1.0
-
-
-class TestAlternativeMeanCovariance:
-    def test_direct_substitution(self):
-        scenario = DesignScenario.single(0.3, 1.0)
-        alloc = Allocation.equal(1)
-        mean, cov = alternative_mean_covariance(scenario, alloc, n_total=300)
-        assert np.allclose(mean, [0.0, 0.3, 0.3])
-        assert np.allclose(cov, np.eye(3) * 0.01)
-
-    def test_hand_covariance_entry(self):
-        scenario = DesignScenario.single(0.3, 1.0, rho_ab_a=0.5)
-        alloc = Allocation((0.25, 0.5, 0.25))
-        mean, cov = alternative_mean_covariance(scenario, alloc, n_total=400)
-        # combo-control covariance: 0.5 * 1 / (sqrt(0.25*0.25)*400)
-        assert cov[2, 0] == pytest.approx(0.005, abs=1e-15)
-        assert cov[0, 1] == 0.0
-
-    def test_mean_ordering_k2(self):
-        scenario = DesignScenario(
-            delta=(0.3, 0.5), synergy=(1.2, 0.9),
-            rho_combo_control=(0.1, 0.2), rho_combo_mono=(0.3, 0.4),
-        )
-        alloc = Allocation.equal(2)
-        mean, cov = alternative_mean_covariance(scenario, alloc, n_total=500)
-        assert np.allclose(mean, [0.0, 0.3, 0.36, 0.5, 0.45])
-        assert cov.shape == (5, 5)
-        # within-substudy combo-mono term for substudy 2 sits at (3, 4)
-        assert cov[3, 4] == pytest.approx(0.4 / (0.2 * 500), abs=1e-15)
-
-    def test_psd_with_zero_jitter_on_random_grid(self, rng):
-        # correlations drawn inside the jointly realizable region (strict
-        # diagonal dominance), where the construction is guaranteed PSD
-        for _ in range(50):
-            k = int(rng.integers(1, 4))
-            scenario = DesignScenario(
-                delta=tuple(rng.uniform(0.1, 1.0, k)),
-                synergy=tuple(rng.uniform(0.5, 2.0, k)),
-                sigma2=float(rng.uniform(0.5, 2.0)),
-                rho_combo_control=tuple(rng.uniform(0.0, 0.45 / k, k)),
-                rho_combo_mono=tuple(rng.uniform(0.0, 0.45, k)),
-            )
-            theta = rng.standard_normal(2 * k + 1)
-            ratios = np.exp(theta) / np.exp(theta).sum()
-            _, cov = alternative_mean_covariance(
-                scenario, Allocation(tuple(ratios)), n_total=int(rng.integers(50, 500))
-            )
-            assert cholesky(cov).jitter == 0.0
-
-    def test_size_validation(self):
-        scenario = DesignScenario.single(0.3, 1.0)
-        with pytest.raises(DomainError):
-            alternative_mean_covariance(scenario, Allocation.equal(1))
-        with pytest.raises(DomainError):
-            alternative_mean_covariance(scenario, Allocation.equal(2), n_total=100)
-        with pytest.raises(DomainError):
-            arm_mean_covariance(scenario, [10.0, 10.0, -1.0])

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import mc_error_rates
 
 from platformdesign.errors import (
     DomainError,
@@ -21,7 +22,6 @@ from platformdesign.estimation import (
     pooled_sd,
     table1_pipeline,
 )
-from platformdesign.multiplicity import empirical_error_rates
 from platformdesign.mvnorm import CorrelationMatrix
 
 
@@ -251,11 +251,9 @@ class TestTable1Pipeline:
         result = table1_pipeline(est)
         corr = CorrelationMatrix.bivariate(result.rho)
         for kind, target in (("fwer", 0.05), ("fmer", 0.0025), ("msfp", 0.000625)):
-            rates = empirical_error_rates(
-                corr, result.thresholds[kind].critical_value, 100_000, seed=11
-            )
+            rates = mc_error_rates(corr, result.thresholds[kind].critical_value, 100_000, seed=11)
             se = math.sqrt(target * (1 - target) / 100_000)
-            assert getattr(rates, kind) == pytest.approx(target, abs=3 * se + 1e-9)
+            assert rates[kind] == pytest.approx(target, abs=3 * se + 1e-9)
 
     def test_screened_out_rejected(self):
         est = TrialEstimates(

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import mc_error_rates, mvn_draws
 from scipy.optimize import brentq
 
 from platformdesign import multiplicity
@@ -20,11 +21,15 @@ from platformdesign.multiplicity import (
     bivariate_error_rates,
     bonferroni_threshold,
     classical_dunnett_threshold,
-    empirical_error_rates,
     holm_reject,
     platform_threshold,
 )
-from platformdesign.mvnorm import CorrelationMatrix, MvnSampler, QmcLattice, std_normal_cdf
+from platformdesign.mvnorm import CorrelationMatrix, QmcLattice, std_normal_cdf
+
+def _se(rate: float, count: int) -> float:
+    """Binomial standard error of a simulated rate."""
+    return math.sqrt(rate * (1.0 - rate) / count)
+
 
 SIDAK_C = 2.2364766445577895  # quantile of (1 + sqrt(0.95))/2
 Z_975 = 1.959963984540054
@@ -165,10 +170,10 @@ class TestGeneralizedDunnett:
     def test_empirical_level_at_threshold(self):
         rho = 0.461
         result = platform_threshold(CorrelationMatrix.bivariate(rho), ErrorMetric.fwer(0.05))
-        rates = empirical_error_rates(
+        rates = mc_error_rates(
             CorrelationMatrix.bivariate(rho), result.critical_value, 100_000, seed=17
         )
-        assert rates.fwer == pytest.approx(0.05, abs=3 * rates.stderr("fwer") + 1e-6)
+        assert rates["fwer"] == pytest.approx(0.05, abs=3 * _se(rates["fwer"], 100_000) + 1e-6)
 
     @pytest.mark.parametrize("rho", [-0.5, 0.0, 0.3, 0.461, 0.9])
     @pytest.mark.parametrize(
@@ -319,6 +324,28 @@ class TestPlatformThreshold:
         with pytest.raises(DomainError):
             platform_threshold(CorrelationMatrix.identity(4), ErrorMetric.mfwer(5, 0.05))
 
+    @pytest.mark.parametrize("precision", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("K", [1, 2])
+    def test_precision_validation(self, K, precision):
+        # rejected before any work, at every K
+        for metric in (ErrorMetric.fwer(0.05), ErrorMetric.mfwer(2, 0.05)):
+            with pytest.raises(DomainError, match="precision"):
+                platform_threshold(_platform_z_corr(K), metric, precision=precision)
+
+    @pytest.mark.parametrize("K", [1, 2])
+    def test_replications_validation(self, K):
+        with pytest.raises(DomainError, match="replications"):
+            platform_threshold(_platform_z_corr(K), ErrorMetric.mfwer(2, 0.05), replications=0)
+
+    def test_pool_critical_values_are_pinned(self):
+        # the null pool is one seeded stream times the Cholesky factor; any
+        # change to those draws moves these values
+        corr = _platform_z_corr(2)
+        two = platform_threshold(corr, ErrorMetric.mfwer(2, 0.05))
+        one = platform_threshold(corr, ErrorMetric.mfwer(2, 0.05, sided="one"), seed=5)
+        assert two.critical_value == 1.8374237395525936
+        assert one.critical_value == 1.5626859175419432
+
     def test_monotone_in_alpha(self):
         corr = CorrelationMatrix(np.eye(4) * 0.6 + np.full((4, 4), 0.4))
         c_tight = platform_threshold(corr, ErrorMetric.mfwer(2, 0.01), seed=1).critical_value
@@ -428,34 +455,31 @@ class TestThresholdSolver:
 
 class TestEmpiricalErrorRates:
     def test_independent_trial_baselines(self):
-        rates = empirical_error_rates(CorrelationMatrix.bivariate(0.0), Z_975, 100_000, seed=1)
-        assert rates.fwer == pytest.approx(0.0975, abs=0.003)
-        assert rates.fmer == pytest.approx(0.0025, abs=0.0006)
-        assert rates.msfp == pytest.approx(0.000625, abs=0.0003)
+        rates = mc_error_rates(CorrelationMatrix.bivariate(0.0), Z_975, 100_000, seed=1)
+        assert rates["fwer"] == pytest.approx(0.0975, abs=0.003)
+        assert rates["fmer"] == pytest.approx(0.0025, abs=0.0006)
+        assert rates["msfp"] == pytest.approx(0.000625, abs=0.0003)
 
     def test_degenerate_correlation(self):
-        rates = empirical_error_rates(CorrelationMatrix.bivariate(1.0), Z_975, 100_000, seed=2)
-        assert rates.fwer == pytest.approx(0.05, abs=0.003)
-        assert rates.fmer == pytest.approx(0.05, abs=0.003)
-        assert rates.msfp == pytest.approx(0.025, abs=0.002)
+        rates = mc_error_rates(CorrelationMatrix.bivariate(1.0), Z_975, 100_000, seed=2)
+        assert rates["fwer"] == pytest.approx(0.05, abs=0.003)
+        assert rates["fmer"] == pytest.approx(0.05, abs=0.003)
+        assert rates["msfp"] == pytest.approx(0.025, abs=0.002)
 
     def test_msfp_fmer_relation(self):
         # central symmetry: the four joint-exceedance quadrants are equal at
         # rho = 0 (msfp = fmer/4, matching the 0.000625 = 0.0025/4 baselines)
         # and collapse onto the diagonal at rho = 1 (msfp = fmer/2); between
         # those, msfp never exceeds fmer/2
-        at_zero = empirical_error_rates(CorrelationMatrix.bivariate(0.0), 1.0, 400_000, seed=3)
-        assert at_zero.msfp == pytest.approx(at_zero.fmer / 4, abs=3 * at_zero.stderr("fmer"))
-        at_one = empirical_error_rates(CorrelationMatrix.bivariate(1.0), 1.0, 400_000, seed=3)
-        assert at_one.msfp == pytest.approx(at_one.fmer / 2, abs=3 * at_one.stderr("fmer"))
+        at_zero = mc_error_rates(CorrelationMatrix.bivariate(0.0), 1.0, 400_000, seed=3)
+        se = _se(at_zero["fmer"], 400_000)
+        assert at_zero["msfp"] == pytest.approx(at_zero["fmer"] / 4, abs=3 * se)
+        at_one = mc_error_rates(CorrelationMatrix.bivariate(1.0), 1.0, 400_000, seed=3)
+        se = _se(at_one["fmer"], 400_000)
+        assert at_one["msfp"] == pytest.approx(at_one["fmer"] / 2, abs=3 * se)
         for rho in (0.3, 0.6, 0.9):
-            rates = empirical_error_rates(CorrelationMatrix.bivariate(rho), 1.0, 200_000, seed=4)
-            assert rates.msfp <= rates.fmer / 2 + 3 * rates.stderr("fmer")
-
-    def test_deterministic(self):
-        a = empirical_error_rates(CorrelationMatrix.bivariate(0.3), Z_975, 10_000, seed=9)
-        b = empirical_error_rates(CorrelationMatrix.bivariate(0.3), Z_975, 10_000, seed=9)
-        assert a == b
+            rates = mc_error_rates(CorrelationMatrix.bivariate(rho), 1.0, 200_000, seed=4)
+            assert rates["msfp"] <= rates["fmer"] / 2 + 3 * _se(rates["fmer"], 200_000)
 
     def test_conventional_conservatism_across_rho_grid(self):
         # Bonferroni and Holm keep the family-wise rate under the target
@@ -464,9 +488,7 @@ class TestEmpiricalErrorRates:
         cut = float(ndtri(1 - 0.05 / 4))
         se = math.sqrt(0.05 * 0.95 / 100_000)
         for rho in (0.05, 0.3, 0.6, 0.95):
-            draws = MvnSampler(
-                np.zeros(2), CorrelationMatrix.bivariate(rho).entries, seed=13
-            ).sample(100_000)
+            draws = mvn_draws(CorrelationMatrix.bivariate(rho).factor, 100_000, seed=13)
             bonf_fwer = float((np.abs(draws) > cut).any(axis=1).mean())
             p = 2 * (1 - ndtr(np.abs(draws)))
             holm_fwer = float((np.sort(p, axis=1)[:, 0] <= 0.025).mean())

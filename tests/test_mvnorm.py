@@ -1,4 +1,4 @@
-"""Numeric kernel: normal functions, Cholesky, sampling, rectangles."""
+"""Numeric kernel: normal functions, Cholesky, rectangles."""
 
 import math
 
@@ -9,13 +9,11 @@ import pytest
 from platformdesign.errors import DomainError, NotPositiveDefinite, PrecisionUnreachable
 from platformdesign.mvnorm import (
     CorrelationMatrix,
-    MvnSampler,
     QmcLattice,
     RectangleSpec,
     bvn_rectangle,
     cholesky,
     mvn_rectangle,
-    mvn_sample,
     std_normal_cdf,
     std_normal_quantile,
 )
@@ -140,55 +138,6 @@ class TestCorrelationMatrix:
         bad = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
         with pytest.raises(NotPositiveDefinite):
             CorrelationMatrix(bad)
-
-
-class TestSampler:
-    def test_determinism(self):
-        sampler = MvnSampler(np.zeros(2), np.eye(2), seed=7)
-        a = mvn_sample(sampler, 1000)
-        b = mvn_sample(MvnSampler(np.zeros(2), np.eye(2), seed=7), 1000)
-        assert np.array_equal(a, b)
-
-    def test_streams_differ(self):
-        base = MvnSampler(np.zeros(2), np.eye(2), seed=7)
-        other = MvnSampler(np.zeros(2), np.eye(2), seed=7, stream=1)
-        assert not np.array_equal(base.sample(100), other.sample(100))
-
-    def test_identity_empirical_correlation(self):
-        draws = mvn_sample(MvnSampler(np.zeros(2), np.eye(2), seed=7), 100_000)
-        assert abs(np.corrcoef(draws.T)[0, 1]) <= 0.01
-
-    def test_empirical_moments_converge(self):
-        cov = np.array(
-            [[1.0, 0.3, 0.5], [0.3, 2.0, 0.2], [0.5, 0.2, 1.5]]
-        )
-        draws = mvn_sample(MvnSampler(np.array([1.0, -2.0, 0.5]), cov, seed=11), 200_000)
-        corr_target = cov / np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
-        assert np.max(np.abs(np.corrcoef(draws.T) - corr_target)) <= 0.01
-
-    def test_alternative_means_within_three_se(self):
-        # mean (0, delta, s*delta) with the alternative covariance structure
-        delta, s, sigma2, n_total = 0.3, 1.2, 1.0, 300
-        p = np.array([1 / 3, 1 / 3, 1 / 3])
-        rho_ab_a, rho_ab_b = 0.4, 0.3
-        cov = np.diag(sigma2 / (p * n_total))
-        cov[0, 2] = cov[2, 0] = rho_ab_a * sigma2 / (np.sqrt(p[0] * p[2]) * n_total)
-        cov[1, 2] = cov[2, 1] = rho_ab_b * sigma2 / (np.sqrt(p[1] * p[2]) * n_total)
-        mean = np.array([0.0, delta, s * delta])
-        count = 100_000
-        draws = mvn_sample(MvnSampler(mean, cov, seed=3), count)
-        se = np.sqrt(np.diag(cov) / count)
-        assert np.all(np.abs(draws.mean(axis=0) - mean) <= 3 * se)
-
-    def test_bad_covariance(self):
-        with pytest.raises(NotPositiveDefinite):
-            mvn_sample(MvnSampler(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]), 0), 10)
-        with pytest.raises(DomainError):
-            MvnSampler(np.zeros(2), np.eye(3), 0)
-
-    def test_count_validation(self):
-        with pytest.raises(DomainError):
-            mvn_sample(MvnSampler(np.zeros(2), np.eye(2), 0), 0)
 
 
 INF = math.inf

@@ -1,11 +1,11 @@
-"""Exact power and the N* search, the Monte Carlo power check, and the
+"""Exact power and the N* search, checked against simulated trials and the
 closed-form marginal oracle."""
 
 import math
 
 import numpy as np
 import pytest
-from conftest import integer_design_power, n_star_enumeration_oracle
+from conftest import integer_design_power, mc_comparison_power, n_star_enumeration_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,13 +13,7 @@ from platformdesign.allocation import Allocation, DesignScenario, optimize_alloc
 from platformdesign.errors import BudgetExceeded, DomainError
 from platformdesign.multiplicity import ErrorMetric, ThresholdResult, platform_threshold
 from platformdesign.mvnorm import CorrelationMatrix, std_normal_cdf
-from platformdesign.power import (
-    PowerRequest,
-    find_sample_size,
-    marginal_power_oracle,
-    mc_power,
-    mc_power_summary,
-)
+from platformdesign.power import find_sample_size, marginal_power_oracle
 
 FWER_THRESHOLD = platform_threshold(CorrelationMatrix.bivariate(0.0), ErrorMetric.fwer(0.05))
 
@@ -56,24 +50,11 @@ class TestMarginalOracle:
 class TestMcPower:
     def test_matches_oracle_equal_thirds(self):
         scenario = DesignScenario.single(0.3, 1.0)
-        request = PowerRequest(
-            scenario, Allocation.equal(1), FWER_THRESHOLD, N=300, n_sim=100_000, seed=11
+        power = mc_comparison_power(
+            scenario, [100.0, 100.0, 100.0], FWER_THRESHOLD.critical_value, 100_000, seed=11
         )
         oracle = marginal_power_oracle(4.5, FWER_THRESHOLD.critical_value)
-        assert mc_power(request) == pytest.approx(oracle, abs=0.005)
-
-    def test_near_null_scenario_calibrates(self):
-        scenario = DesignScenario.single(1e-9, 1.0)
-        request = PowerRequest(
-            scenario, Allocation.equal(1), FWER_THRESHOLD, N=300, n_sim=100_000, seed=4
-        )
-        summary = mc_power_summary(request)
-        # each comparison rejects at about the marginal level of the cut
-        marginal = 2 * (1 - std_normal_cdf(FWER_THRESHOLD.critical_value))
-        se = math.sqrt(marginal * (1 - marginal) / 100_000)
-        for rate in summary.per_comparison:
-            assert rate == pytest.approx(marginal, abs=4 * se)
-        assert summary.minimum <= 0.05
+        assert power.min() == pytest.approx(oracle, abs=0.005)
 
     def test_oracle_agreement_random_scenarios(self, rng):
         for _ in range(8):
@@ -86,48 +67,31 @@ class TestMcPower:
             theta = rng.standard_normal(3) * 0.3
             alloc = Allocation(tuple(np.exp(theta) / np.exp(theta).sum()))
             n = int(rng.integers(100, 500))
-            request = PowerRequest(scenario, alloc, FWER_THRESHOLD, N=n, n_sim=100_000, seed=7)
+            power = mc_comparison_power(
+                scenario, np.asarray(alloc.ratios) * n, FWER_THRESHOLD.critical_value,
+                100_000, seed=7,
+            )
             w = wald_noncentrality(scenario, alloc, n)
             oracle = min(
                 marginal_power_oracle(float(w[0, 0]), FWER_THRESHOLD.critical_value),
                 marginal_power_oracle(float(w[0, 1]), FWER_THRESHOLD.critical_value),
             )
-            assert mc_power(request) == pytest.approx(oracle, abs=0.01)
+            assert power.min() == pytest.approx(oracle, abs=0.01)
 
-    def test_monotone_in_n(self, rng):
-        for _ in range(10):
-            scenario = DesignScenario.single(
-                float(rng.uniform(0.2, 0.5)), float(rng.uniform(0.8, 1.3))
-            )
-            n = int(rng.integers(50, 300))
-            low = mc_power(PowerRequest(scenario, Allocation.equal(1), FWER_THRESHOLD, N=n, seed=3))
-            high = mc_power(PowerRequest(scenario, Allocation.equal(1), FWER_THRESHOLD, N=2 * n, seed=3))
-            assert high > low
-
-    def test_reject_all_diagnostic(self):
-        scenario = DesignScenario.single(0.5, 1.0)
-        summary = mc_power_summary(
-            PowerRequest(scenario, Allocation.equal(1), FWER_THRESHOLD, N=400, seed=5)
-        )
-        assert 0.0 <= summary.reject_all <= summary.minimum
-
-    def test_k2_min_over_four_comparisons(self):
+    def test_k2_integer_design_power(self):
+        # the exact power of a K=2 integer design is the smallest of its four
+        # simulated per-comparison rejection rates
         scenario = DesignScenario(
             delta=(0.3, 0.45), synergy=(1.1, 0.9),
             rho_combo_control=(0.2, 0.3), rho_combo_mono=(0.3, 0.2),
         )
-        summary = mc_power_summary(
-            PowerRequest(scenario, Allocation.equal(2), FWER_THRESHOLD, N=400, seed=6)
-        )
-        assert len(summary.per_comparison) == 4
-        assert summary.minimum == min(summary.per_comparison)
-
-    def test_request_validation(self):
-        scenario = DesignScenario.single(0.3, 1.0)
-        with pytest.raises(DomainError):
-            PowerRequest(scenario, Allocation.equal(1), FWER_THRESHOLD, N=300, n_sim=10)
-        with pytest.raises(DomainError):
-            PowerRequest(scenario, Allocation.equal(1), FWER_THRESHOLD, N=2)
+        counts = Allocation.equal(2).arm_counts(400)
+        c = FWER_THRESHOLD.critical_value
+        power = mc_comparison_power(scenario, counts, c, 100_000, seed=6)
+        assert power.shape == (4,)
+        exact = integer_design_power(scenario, counts, c)
+        se = math.sqrt(exact * (1 - exact) / 100_000)
+        assert power.min() == pytest.approx(exact, abs=4 * se)
 
 
 class TestFindSampleSize:

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from conftest import FIXTURE_INDEPENDENT_CSV, mc_error_rates, mvn_draws
 from scipy.special import ndtr, ndtri
 
-from platformdesign import mvnorm
+from platformdesign import cli
 from platformdesign.allocation import DesignScenario, optimize_allocation
 from platformdesign.correlation import PlatformArms, classical_dunnett_correlation
 from platformdesign.errors import DomainError
@@ -14,11 +15,10 @@ from platformdesign.estimation import TrialEstimates, table1_pipeline
 from platformdesign.multiplicity import (
     ErrorMetric,
     classical_dunnett_threshold,
-    empirical_error_rates,
     holm_reject,
     platform_threshold,
 )
-from platformdesign.mvnorm import CorrelationMatrix, MvnSampler, bvn_rectangle
+from platformdesign.mvnorm import CorrelationMatrix, bvn_rectangle
 from platformdesign.power import find_sample_size
 from platformdesign.studies import (
     BASELINES,
@@ -134,11 +134,9 @@ class TestErrorCurves:
         _, table = coarse_error_table
         rows = [r for r in table.as_dicts() if r["swept_value"] in (0.05, 0.5, 0.95)]
         for z_rho in sorted({r["z_rho"] for r in rows}):
-            rates = empirical_error_rates(
-                CorrelationMatrix.bivariate(z_rho), Z_975, 200_000, seed=12
-            )
+            rates = mc_error_rates(CorrelationMatrix.bivariate(z_rho), Z_975, 200_000, seed=12)
             for row in (r for r in rows if r["z_rho"] == z_rho):
-                assert _within_mc_sigmas(row["value"], getattr(rates, row["metric"]), 200_000)
+                assert _within_mc_sigmas(row["value"], rates[row["metric"]], 200_000)
 
     def test_independent_statistics_give_the_baselines(self):
         table = run_error_curves(INDEPENDENT_GRID)
@@ -201,10 +199,9 @@ class TestAdjustments:
             z_rho = rows[0]["z_rho"]
             corr = CorrelationMatrix.bivariate(z_rho)
             simulated = {
-                method: vars(empirical_error_rates(corr, cut, n, seed=13))
-                for method, cut in cuts.items()
+                method: mc_error_rates(corr, cut, n, seed=13) for method, cut in cuts.items()
             }
-            draws = MvnSampler(np.zeros(2), corr.entries, seed=14).sample(n)
+            draws = mvn_draws(corr.factor, n, seed=14)
             p_values = 2.0 * ndtr(-np.abs(draws))
             decisions = np.array([holm_reject(p, 0.05) for p in p_values.tolist()])
             both = decisions.all(axis=1)
@@ -264,19 +261,16 @@ class TestThresholdCurves:
         assert all(b <= a + 1e-12 for a, b in zip(fmer, fmer[1:]))
 
     def test_thresholds_achieve_targets_in_simulation(self):
-        from platformdesign.multiplicity import empirical_error_rates
-        from platformdesign.mvnorm import CorrelationMatrix
-
         grid = threshold_grid(start=0.25, stop=0.85, step=0.3, seed=5)
         table = run_threshold_curves(grid)
         targets = {"fwer": 0.05, "fmer": 0.0025, "msfp": 0.000625}
         for row in table.as_dicts():
-            rates = empirical_error_rates(
+            rates = mc_error_rates(
                 CorrelationMatrix.bivariate(row["z_rho"]), row["c_star"], 100_000, seed=8
             )
             target = targets[row["metric"]]
             se = math.sqrt(target * (1 - target) / 100_000)
-            assert getattr(rates, row["metric"]) == pytest.approx(target, abs=3 * se + 1e-9)
+            assert rates[row["metric"]] == pytest.approx(target, abs=3 * se + 1e-9)
 
 
 @pytest.fixture(scope="module")
@@ -341,7 +335,7 @@ class TestResultTable:
         assert len(fmer_only) == 2
 
 
-def test_exact_paths_draw_no_random_numbers(monkeypatch):
+def test_exact_paths_draw_no_random_numbers(monkeypatch, tmp_path):
     scenario_2 = DesignScenario(
         delta=(0.4, 0.5), synergy=(1.2, 0.9),
         rho_combo_control=(0.2, 0.3), rho_combo_mono=(0.3, 0.1),
@@ -350,11 +344,12 @@ def test_exact_paths_draw_no_random_numbers(monkeypatch):
     threshold_2 = platform_threshold(
         CorrelationMatrix(np.eye(4) * 0.6 + np.full((4, 4), 0.4)), ErrorMetric.fwer(0.05)
     )
+    screen = tmp_path / "screen.csv"
+    screen.write_text(FIXTURE_INDEPENDENT_CSV, encoding="utf-8")
 
     def refuse(*args, **kwargs):
         raise AssertionError("random numbers were drawn")
 
-    monkeypatch.setattr(mvnorm, "mvn_sample", refuse)
     monkeypatch.setattr(np.random, "default_rng", refuse)
     run_error_curves(error_curves_grid(start=0.3, stop=0.4, step=0.1))
     run_adjustment_comparison(adjustment_grid(start=0.3, stop=0.4, step=0.1))
@@ -368,6 +363,25 @@ def test_exact_paths_draw_no_random_numbers(monkeypatch):
     threshold_1 = platform_threshold(CorrelationMatrix.bivariate(0.4), ErrorMetric.fwer(0.05))
     find_sample_size(scenario_1, optimize_allocation(scenario_1), threshold_1, 0.8)
     find_sample_size(scenario_2, optimize_allocation(scenario_2), threshold_2, 0.8)
+
+    # every subcommand at K=1, through the command line
+    sweep = ("--start", "0.3", "--stop", "0.4", "--step", "0.1")
+    calls = [
+        *(("adjust", "--metric", metric, "--rho", "0.461")
+          for metric in ("fwer", "fmer", "msfp", "mfwer")),
+        ("adjust", "--metric", "mfwer", "--m", "2", "--sided", "one",
+         "--n-a", "120", "--n-b", "60", "--n-ab", "60", "--rho-ab-a", "0.3"),
+        ("design", "--delta", "0.663", "--synergy", "1.161", "--rho-ab-a", "0.626",
+         "--rho-ab-b", "0.660"),
+        ("estimate", "--input", str(screen), "--drug-a", "A", "--drug-b", "B",
+         "--combo", "AB", "--with-thresholds"),
+        *(("simulate", "--study", study, *sweep)
+          for study in ("error-curves", "adjustments", "thresholds")),
+        ("simulate", "--study", "design-surface", "--start", "1.0", "--stop", "1.0",
+         "--rho-levels", "0.3"),
+    ]
+    for argv in calls:
+        assert cli.main(list(argv)) == 0, argv
 
 
 def test_default_grids_do_not_depend_on_the_seed():
