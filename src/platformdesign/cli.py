@@ -510,6 +510,21 @@ def _config_item(action: argparse.Action, key: str, value):
     return value
 
 
+def _given_flags(argv: list[str]) -> set[str]:
+    """Dests of the flags the command line gave, as argparse parses them, so
+    an abbreviation (``--alp``) or ``--flag=value`` counts as its flag: the
+    command line is parsed again with every default suppressed."""
+    parser = build_parser()
+    parsers = [parser]
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            parsers += action.choices.values()
+    for each in parsers:
+        for action in each._actions:
+            action.default = argparse.SUPPRESS
+    return set(vars(parser.parse_args(argv)))
+
+
 def _apply_config(
     parser: argparse.ArgumentParser, args: argparse.Namespace, argv: list[str]
 ) -> None:
@@ -521,13 +536,13 @@ def _apply_config(
     if not isinstance(config, dict):
         raise DomainError("--config file must hold a JSON object")
     actions = _flag_actions(parser, args.command)
-    given = {token.split("=")[0] for token in argv if token.startswith("--")}
+    given = _given_flags(argv)
     for key, value in config.items():
         dest = key.replace("-", "_")
         action = actions.get(dest)
         if action is None or not hasattr(args, dest):
             raise DomainError(f"--config key {key!r} does not match any flag")
-        if f"--{key.replace('_', '-')}" in given:
+        if dest in given:
             continue
         if action.nargs == "+":
             items = value if isinstance(value, list) else [value]
@@ -546,7 +561,10 @@ def main(argv: list[str] | None = None) -> int:
         _apply_config(parser, args, argv)
         if hasattr(args, "seed") and args.seed is None:
             env = os.environ.get(SEED_ENV_VAR)
-            args.seed = int(env) if env else 0
+            try:
+                args.seed = int(env) if env else 0
+            except ValueError:
+                raise DomainError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
         return args.func(args)
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

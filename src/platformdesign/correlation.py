@@ -167,41 +167,36 @@ class PlatformArms:
         )
 
 
-def _pair_correlation(
-    n_u: float,
-    n_v: float,
-    n_a: float,
-    rho_uv: float,
-    rho_ua: float,
-    rho_va: float,
-) -> float:
-    """Correlation of two Z statistics sharing the control arm.
+def _pair_correlation(n_u, n_v, n_a, rho_uv, rho_ua, rho_va):
+    """Correlation of two Z statistics sharing the control arm, elementwise
+    over arrays.
 
     Arm correlations that fit together (a positive-definite arm correlation
     matrix) give a value in [-1, 1] up to rounding, which alone is clipped;
     anything further out is a :class:`DomainError`.
     """
-    var_u = 1.0 / n_u + 1.0 / n_a - 2.0 * rho_ua / math.sqrt(n_u * n_a)
-    var_v = 1.0 / n_v + 1.0 / n_a - 2.0 * rho_va / math.sqrt(n_v * n_a)
-    if var_u <= 0.0 or var_v <= 0.0:
+    var_u = 1.0 / n_u + 1.0 / n_a - 2.0 * rho_ua / np.sqrt(n_u * n_a)
+    var_v = 1.0 / n_v + 1.0 / n_a - 2.0 * rho_va / np.sqrt(n_v * n_a)
+    if np.any(var_u <= 0.0) or np.any(var_v <= 0.0):
         raise DomainError(
             "a contrast variance is not positive; the arm correlations are "
             "inconsistent with the sample sizes"
         )
     num = (
-        rho_uv / math.sqrt(n_u * n_v)
-        - rho_ua / math.sqrt(n_u * n_a)
-        - rho_va / math.sqrt(n_v * n_a)
+        rho_uv / np.sqrt(n_u * n_v)
+        - rho_ua / np.sqrt(n_u * n_a)
+        - rho_va / np.sqrt(n_v * n_a)
         + 1.0 / n_a
     )
-    r = num / math.sqrt(var_u * var_v)
-    if abs(r) > 1.0 + 1e-12:
+    r = num / np.sqrt(var_u * var_v)
+    outside = np.abs(r) > 1.0 + 1e-12
+    if np.any(outside):
         raise DomainError(
-            f"the Z statistics would have correlation {r:.6g}; the arm "
-            "correlations do not fit together (their matrix is not positive "
-            "definite)"
+            f"the Z statistics would have correlation {np.asarray(r)[outside].flat[0]:.6g}; "
+            "the arm correlations do not fit together (their matrix is not "
+            "positive definite)"
         )
-    return min(1.0, max(-1.0, r))
+    return np.minimum(1.0, np.maximum(-1.0, r))
 
 
 def _check_single(arms: PlatformArms) -> None:
@@ -218,13 +213,15 @@ def test_stat_correlation(arms: PlatformArms) -> float:
     """
     _check_single(arms)
     table = arms.correlations
-    return _pair_correlation(
-        arms.n_combo[0],
-        arms.n_mono[0],
-        arms.n_control,
-        table.get(combo_arm(1), mono_arm(1)),
-        table.get(combo_arm(1), CONTROL),
-        table.get(mono_arm(1), CONTROL),
+    return float(
+        _pair_correlation(
+            arms.n_combo[0],
+            arms.n_mono[0],
+            arms.n_control,
+            table.get(combo_arm(1), mono_arm(1)),
+            table.get(combo_arm(1), CONTROL),
+            table.get(mono_arm(1), CONTROL),
+        )
     )
 
 
@@ -262,16 +259,16 @@ def platform_z_correlation_matrix(arms: PlatformArms) -> CorrelationMatrix:
         sizes[mono_arm(k)] = arms.n_mono[k - 1]
         sizes[combo_arm(k)] = arms.n_combo[k - 1]
     dim = 2 * arms.K
+    i, j = np.triu_indices(dim, 1)
+    pairs = [(order[a], order[b]) for a, b in zip(i.tolist(), j.tolist())]
+    table = arms.correlations
     m = np.eye(dim)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            u, v = order[i], order[j]
-            m[i, j] = m[j, i] = _pair_correlation(
-                sizes[u],
-                sizes[v],
-                arms.n_control,
-                arms.correlations.get(u, v),
-                arms.correlations.get(u, CONTROL),
-                arms.correlations.get(v, CONTROL),
-            )
+    m[i, j] = m[j, i] = _pair_correlation(
+        np.array([sizes[u] for u, _ in pairs]),
+        np.array([sizes[v] for _, v in pairs]),
+        arms.n_control,
+        np.array([table.get(u, v) for u, v in pairs]),
+        np.array([table.get(u, CONTROL) for u, _ in pairs]),
+        np.array([table.get(v, CONTROL) for _, v in pairs]),
+    )
     return CorrelationMatrix(m)

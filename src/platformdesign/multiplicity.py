@@ -22,6 +22,7 @@ from .mvnorm import (
     CorrelationMatrix,
     QmcLattice,
     RectangleEstimate,
+    _bvn_upper,
     bvn_rectangle,
     std_normal_cdf,
     std_normal_quantile,
@@ -150,75 +151,118 @@ def holm_reject(p_values: Sequence[float], alpha: float) -> list[bool]:
 
 
 def _solve_decreasing(
-    level: Callable[[float], float], target: float, low: float, high: float, x_tol: float
-) -> tuple[float, float]:
-    """Root of a nonincreasing ``level(c) - target`` on [low, high], with the
-    level there.
+    level: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    target: float,
+    low: np.ndarray,
+    high: np.ndarray,
+    x_tol: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of nonincreasing ``level(c) - target``, one per bracket
+    [low[i], high[i]] of the 1-d arrays ``low`` and ``high``, with the level
+    at each.
 
-    Brent's method (Brent 1973, ch. 4) in the form of scipy's ``brentq``:
-    inverse interpolation steps, bisection whenever they are too slow.  When
-    the level does not cross the target inside the bracket the nearer
-    endpoint is returned and the caller's level check decides.
+    Brent's method (Brent 1973, ch. 4) in the form of scipy's ``brentq``,
+    run elementwise: every element takes the inverse-interpolation or
+    bisection step its own scalar search would take and stops on its own
+    test, so its iterates are those of the scalar method.
+    ``level(c, active)`` gets the trial points of the elements still
+    searching and their indices, and returns their levels.  Where the level
+    does not cross the target inside a bracket the nearer endpoint is
+    returned and the caller's level check decides.
     """
-    f_low, f_high = level(low) - target, level(high) - target
-    if f_low <= 0.0 or f_high >= 0.0:
-        return (low, f_low + target) if f_low <= 0.0 else (high, f_high + target)
-    x_pre, f_pre, x_cur, f_cur = low, f_low, high, f_high
-    x_blk, f_blk, s_pre, s_cur = low, f_low, 0.0, 0.0
-    while True:
-        if (f_pre < 0.0) != (f_cur < 0.0):
-            x_blk, f_blk = x_pre, f_pre
-            s_pre = s_cur = x_cur - x_pre
-        if abs(f_blk) < abs(f_cur):
-            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
-            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
-        tol = (x_tol + 4.0 * _EPS * abs(x_cur)) / 2.0
+    everyone = np.arange(low.size)
+    f_low, f_high = level(low, everyone) - target, level(high, everyone) - target
+    below = f_low <= 0.0
+    x_out, f_out = np.where(below, low, high), np.where(below, f_low, f_high)
+    active = np.flatnonzero(~below & (f_high < 0.0))
+    x_pre, f_pre, x_cur, f_cur = low[active], f_low[active], high[active], f_high[active]
+    x_blk, f_blk = x_pre, f_pre
+    s_pre = s_cur = np.zeros(active.size)
+    while active.size:
+        flip = (f_pre < 0.0) != (f_cur < 0.0)
+        x_blk, f_blk = np.where(flip, x_pre, x_blk), np.where(flip, f_pre, f_blk)
+        step = x_cur - x_pre
+        s_pre, s_cur = np.where(flip, step, s_pre), np.where(flip, step, s_cur)
+        swap = np.abs(f_blk) < np.abs(f_cur)
+        x_pre, x_cur, x_blk = (
+            np.where(swap, x_cur, x_pre), np.where(swap, x_blk, x_cur), np.where(swap, x_cur, x_blk)
+        )
+        f_pre, f_cur, f_blk = (
+            np.where(swap, f_cur, f_pre), np.where(swap, f_blk, f_cur), np.where(swap, f_cur, f_blk)
+        )
+        tol = (x_tol + 4.0 * _EPS * np.abs(x_cur)) / 2.0
         s_bis = (x_blk - x_cur) / 2.0
-        if f_cur == 0.0 or abs(s_bis) < tol:
-            return x_cur, f_cur + target
-        interpolate = abs(s_pre) > tol and abs(f_cur) < abs(f_pre)
-        if interpolate:
-            if x_pre == x_blk:  # secant
-                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
-            else:  # inverse quadratic interpolation through three points
-                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
-                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
-                s_try = -f_cur * (f_blk * d_blk - f_pre * d_pre)
-                s_try /= d_blk * d_pre * (f_blk - f_pre)
-            interpolate = 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - tol)
-        s_pre, s_cur = (s_cur, s_try) if interpolate else (s_bis, s_bis)
+        done = (f_cur == 0.0) | (np.abs(s_bis) < tol)
+        if done.any():
+            x_out[active[done]], f_out[active[done]] = x_cur[done], f_cur[done]
+            going = ~done
+            active = active[going]
+            x_pre, f_pre, x_cur, f_cur = x_pre[going], f_pre[going], x_cur[going], f_cur[going]
+            x_blk, f_blk, s_pre, s_cur = x_blk[going], f_blk[going], s_pre[going], s_cur[going]
+            tol, s_bis = tol[going], s_bis[going]
+            if not active.size:
+                break
+        interpolate = (np.abs(s_pre) > tol) & (np.abs(f_cur) < np.abs(f_pre))
+        s_try = np.zeros(active.size)
+        secant = interpolate & (x_pre == x_blk)
+        i = np.flatnonzero(secant)
+        s_try[i] = -f_cur[i] * (x_cur[i] - x_pre[i]) / (f_cur[i] - f_pre[i])
+        # inverse quadratic interpolation through three points
+        i = np.flatnonzero(interpolate & ~secant)
+        d_pre = (f_pre[i] - f_cur[i]) / (x_pre[i] - x_cur[i])
+        d_blk = (f_blk[i] - f_cur[i]) / (x_blk[i] - x_cur[i])
+        s_try[i] = -f_cur[i] * (f_blk[i] * d_blk - f_pre[i] * d_pre) / (
+            d_blk * d_pre * (f_blk[i] - f_pre[i])
+        )
+        interpolate &= 2.0 * np.abs(s_try) < np.minimum(np.abs(s_pre), 3.0 * np.abs(s_bis) - tol)
+        s_pre, s_cur = np.where(interpolate, s_cur, s_bis), np.where(interpolate, s_try, s_bis)
         x_pre, f_pre = x_cur, f_cur
-        x_cur += s_cur if abs(s_cur) > tol else math.copysign(tol, s_bis)
-        f_cur = level(x_cur) - target
+        x_cur = x_cur + np.where(np.abs(s_cur) > tol, s_cur, np.copysign(tol, s_bis))
+        f_cur = level(x_cur, active) - target
+    return x_out, f_out + target
 
 
-def _bivariate_exceedance(rho: float, count: int, sided: str) -> Callable[[float], float]:
-    """Exact P(at least ``count`` of two correlated statistics exceed c).
+def _bivariate_exceedance(rho, c, count: int, sided: str) -> np.ndarray:
+    """Exact P(at least ``count`` of two correlated statistics exceed c),
+    elementwise over the broadcast arrays ``rho`` and ``c``.
 
     * count 1, two-sided (fwer): 1 - P(|Z1| <= c, |Z2| <= c)
     * count 2, two-sided (fmer): P(|Z1| > c, |Z2| > c), as four exact orthants
     * count 1, one-sided: 1 - P(Z1 <= c, Z2 <= c)
     * count 2, one-sided (msfp): P(Z1 > c, Z2 > c)
+
+    A two-sided level is 1 at c <= 0.
     """
-    inf = math.inf
-    if sided == "two" and count == 1:
-        return lambda c: 1.0 - bvn_rectangle((-c, -c), (c, c), rho) if c > 0 else 1.0
-    if sided == "two":
-        return lambda c: (
-            2.0 * bvn_rectangle((c, c), (inf, inf), rho)
-            + 2.0 * bvn_rectangle((c, c), (inf, inf), -rho)
-            if c > 0 else 1.0
-        )
+    rho, c = np.broadcast_arrays(np.asarray(rho, dtype=float), np.asarray(c, dtype=float))
+    if sided == "one":
+        if count == 1:
+            box = np.stack((c, c), axis=-1)
+            return 1.0 - bvn_rectangle(np.full(box.shape, -math.inf), box, rho)
+        return _bvn_upper(c, c, rho)
+    level = np.ones(c.shape)
+    pos = c > 0.0
+    c, rho = c[pos], rho[pos]
     if count == 1:
-        return lambda c: 1.0 - bvn_rectangle((-inf, -inf), (c, c), rho)
-    return lambda c: bvn_rectangle((c, c), (inf, inf), rho)
+        box = np.stack((c, c), axis=-1)
+        level[pos] = 1.0 - bvn_rectangle(-box, box, rho)
+    else:
+        # same-sign and opposite-sign orthants, equal in pairs by symmetry
+        same, opposite = _bvn_upper(c, c, np.stack((rho, -rho)))
+        level[pos] = 2.0 * same + 2.0 * opposite
+    return level
 
 
-def bivariate_error_rates(rho: float, critical_value: float) -> dict[str, float]:
+def _as_float(values):
+    """A float for a number or a 0-d array, an array as it is."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
+def bivariate_error_rates(rho, critical_value) -> dict:
     """Exact fwer, fmer and msfp of two statistics with correlation ``rho``
-    at one common critical value."""
+    at one common critical value; elementwise (a dict of arrays) when either
+    is an array."""
     return {
-        kind: _bivariate_exceedance(rho, count, sided)(critical_value)
+        kind: _as_float(_bivariate_exceedance(rho, critical_value, count, sided))
         for kind, count, sided in (("fwer", 1, "two"), ("fmer", 2, "two"), ("msfp", 2, "one"))
     }
 
@@ -248,8 +292,9 @@ def _tail_count_statistic(
     return values[:, column].copy()
 
 
-def _bracket(metric: ErrorMetric, dim: int, rho: float) -> tuple[float, float]:
-    """Interval [low, high] within [0, inf) that holds the critical value.
+def _bracket(metric: ErrorMetric, dim: int, rho) -> tuple[np.ndarray, np.ndarray]:
+    """Intervals [low, high] within [0, inf) that hold the critical value,
+    one per entry of ``rho``.
 
     With t(c) one statistic's exceedance probability, P(any of ``dim``
     exceeds c) lies between t(c) and dim * t(c) (the union bound).  P(both of
@@ -263,17 +308,46 @@ def _bracket(metric: ErrorMetric, dim: int, rho: float) -> tuple[float, float]:
     def quantile(t: float) -> float:  # the c at which t(c) = t
         return -std_normal_quantile(t / tail)
 
+    rho = np.asarray(rho, dtype=float)
     alpha = metric.alpha
     if metric.exceedance_count == 1:
-        low, high = quantile(alpha), quantile(alpha / dim)
+        low, high = np.full(rho.shape, quantile(alpha)), np.full(rho.shape, quantile(alpha / dim))
     else:
         product = quantile(math.sqrt(alpha))
-        if metric.effective_sided == "two" or rho >= 0.0:
-            low, high = product, quantile(alpha)
-        else:
-            low, high = 0.0, product
-    low = max(low, 0.0)
-    return low, max(high, low)
+        associated = (rho >= 0.0) | (metric.effective_sided == "two")
+        low = np.where(associated, product, 0.0)
+        high = np.where(associated, quantile(alpha), product)
+    low = np.maximum(low, 0.0)
+    return low, np.maximum(high, low)
+
+
+def _check_level(metric: ErrorMetric, c_star, achieved, tolerance: float) -> None:
+    """:class:`RootBracketError` unless every achieved level is within
+    ``tolerance`` of the target."""
+    c_star, achieved = np.atleast_1d(c_star), np.atleast_1d(achieved)
+    miss = np.flatnonzero(np.abs(achieved - metric.alpha) > tolerance)
+    if miss.size:
+        i = miss[0]
+        raise RootBracketError(
+            f"no critical value c >= 0 reaches level {metric.alpha:.6g}: the level at "
+            f"c = {c_star[i]:.6g} is {achieved[i]:.6g}, more than {tolerance:.2g} away"
+        )
+
+
+def _bivariate_critical_values(rho, metric: ErrorMetric) -> tuple[np.ndarray, np.ndarray]:
+    """Critical values of two statistics with correlation ``rho`` under the
+    exact bivariate law, and the levels they reach: one elementwise Brent
+    search for every entry of ``rho``."""
+    rho = np.atleast_1d(np.asarray(rho, dtype=float))
+    count, sided = metric.exceedance_count, metric.effective_sided
+
+    def level(c: np.ndarray, active: np.ndarray) -> np.ndarray:
+        return _bivariate_exceedance(rho[active], c, count, sided)
+
+    low, high = _bracket(metric, 2, rho)
+    c_star, achieved = _solve_decreasing(level, metric.alpha, low, high, x_tol=1e-12)
+    _check_level(metric, c_star, achieved, _PROB_TOL)
+    return c_star, achieved
 
 
 def platform_threshold(
@@ -316,10 +390,8 @@ def platform_threshold(
     rho = float(z_corr.entries[0, 1])
     two_sided = metric.effective_sided == "two"
     if dim == 2:
-        level = _bivariate_exceedance(rho, metric.exceedance_count, metric.effective_sided)
-        low, high = _bracket(metric, dim, rho)
-        c_star, achieved = _solve_decreasing(level, metric.alpha, low, high, x_tol=1e-12)
-        stderr = 0.0
+        c_values, levels = _bivariate_critical_values(rho, metric)
+        c_star, achieved, stderr = float(c_values[0]), float(levels[0]), 0.0
     elif metric.exceedance_count == 1:
         lattice = QmcLattice(z_corr, seed)
         # estimates on the lattice at its current size, by c
@@ -328,17 +400,19 @@ def platform_threshold(
         def box(c: float) -> tuple[np.ndarray, np.ndarray]:
             return np.full(dim, -c if two_sided else -math.inf), np.full(dim, c)
 
-        def level(c: float) -> float:
-            if c not in estimates:
-                estimates[c] = lattice.estimate(*box(c))
-            return 1.0 - estimates[c].value
+        def level(c: np.ndarray, active: np.ndarray) -> np.ndarray:
+            key = float(c[0])
+            if key not in estimates:
+                estimates[key] = lattice.estimate(*box(key))
+            return np.array([1.0 - estimates[key].value])
 
-        low, high = _bracket(metric, dim, rho)
-        c_star = high
+        low, high = _bracket(metric, dim, [rho])
+        c_star = float(high[0])
         while True:
             estimates.clear()
             estimates[c_star] = lattice.refine(*box(c_star), precision)
-            c_star, achieved = _solve_decreasing(level, metric.alpha, low, high, x_tol=1e-8)
+            c_values, levels = _solve_decreasing(level, metric.alpha, low, high, x_tol=1e-8)
+            c_star, achieved = float(c_values[0]), float(levels[0])
             stderr = estimates[c_star].stderr
             if stderr <= precision:
                 break
@@ -352,12 +426,9 @@ def platform_threshold(
         achieved = np.count_nonzero(stat > c_star) / replications
         stderr = math.sqrt(max(achieved * (1.0 - achieved), 1e-12) / replications)
 
-    tolerance = max(1e-4, 3.0 * stderr) if stderr > 0.0 else _PROB_TOL
-    if abs(achieved - metric.alpha) > tolerance:
-        raise RootBracketError(
-            f"no critical value c >= 0 reaches level {metric.alpha:.6g}: the level at "
-            f"c = {c_star:.6g} is {achieved:.6g}, more than {tolerance:.2g} away"
-        )
+    if dim > 2:  # the bivariate solve checks its own level
+        tolerance = max(1e-4, 3.0 * stderr) if stderr > 0.0 else _PROB_TOL
+        _check_level(metric, c_star, achieved, tolerance)
     return ThresholdResult(
         critical_value=c_star,
         p_threshold=_p_threshold(c_star),

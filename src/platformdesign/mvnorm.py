@@ -5,7 +5,8 @@ factorization with diagonal jitter, and rectangle probabilities:
 
 * dimension 2 uses a deterministic Gauss-Legendre scheme (Drezner-Wesolowsky
   integral representation, accurate to ~1e-15), so root finders see a smooth
-  noise-free objective;
+  noise-free objective; it is elementwise over arrays of boxes and
+  correlations, as is the normal cdf;
 * higher dimensions use a randomized separation-of-variables estimate
   (shifted Richtmyer lattices after the sequential-conditioning transform)
   with a reported standard error.  A :class:`QmcLattice` holds its points
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,11 +45,21 @@ _SYMMETRY_TOL = 1e-10
 _DEFAULT_JITTER_TOL = 1e-8
 
 
-def std_normal_cdf(x: float) -> float:
-    """Standard normal cdf via the complementary error function."""
+_SQRT2 = math.sqrt(2.0)
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def std_normal_cdf(x):
+    """Standard normal cdf via the complementary error function: a float for
+    a number, and for an array the array of ``math.erfc`` values entry by
+    entry, so both agree to the last bit."""
+    if isinstance(x, np.ndarray):
+        if np.isnan(x).any():
+            raise DomainError("std_normal_cdf requires a finite argument")
+        return 0.5 * np.asarray(_erfc(-x / _SQRT2), dtype=float)
     if math.isnan(x):
         raise DomainError("std_normal_cdf requires a finite argument")
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+    return 0.5 * math.erfc(-x / _SQRT2)
 
 
 def std_normal_quantile(p: float) -> float:
@@ -201,94 +212,146 @@ _GL20_X = np.array(
 )
 
 
-def _bvn_upper(dh: float, dk: float, r: float) -> float:
-    """P(X > dh, Y > dk) for standard bivariate normal with correlation r."""
-    if dh == math.inf or dk == math.inf:
-        return 0.0
-    if dh == -math.inf:
-        return 1.0 if dk == -math.inf else std_normal_cdf(-dk)
-    if dk == -math.inf:
-        return std_normal_cdf(-dh)
-    if r == 0.0:
-        return std_normal_cdf(-dh) * std_normal_cdf(-dk)
+# Each rule as weights and nodes on [0, 2]: the rule on [-1, 1] shifted by one.
+_GL_RULES = tuple(
+    (np.concatenate([w, w]), np.concatenate([1.0 - x, 1.0 + x]))
+    for w, x in ((_GL6_W, _GL6_X), (_GL12_W, _GL12_X), (_GL20_W, _GL20_X))
+)
+# |r| below which each rule is used; from the last one on, the expansion
+# about |r| = 1
+_GL_BANDS = np.array([0.3, 0.75, 0.925])
 
+
+def _bvn_quadrature(h, k, r, weights, nodes):
+    """P(X > h, Y > k) for 0 < |r| < 0.925: the tails' product plus the
+    Drezner-Wesolowsky integral over asin(r), one (elements x nodes) product."""
+    hk = (h * k)[:, None]
+    hs = ((h * h + k * k) / 2.0)[:, None]
+    asr = np.arcsin(r) / 2.0
+    sn = np.sin(asr[:, None] * nodes)
+    integral = (np.exp((sn * hk - hs) / (1.0 - sn * sn)) * weights).sum(axis=1)
+    return integral * asr / (2.0 * math.pi) + std_normal_cdf(-h) * std_normal_cdf(-k)
+
+
+def _bvn_near_singular(h, k, r, weights, nodes):
+    """P(X > h, Y > k) for |r| >= 0.925: Genz's expansion about the singular
+    law at r = +-1, with its Gauss-Legendre correction term.
+
+    Lanes whose terms are negligible (exponent below -100) are masked to 0,
+    and the exponentials see a harmless argument there.
+    """
     tp = 2.0 * math.pi
-    h, k = dh, dk
+    negative = r < 0.0
+    k = np.where(negative, -k, k)
     hk = h * k
-    bvn = 0.0
-    if abs(r) < 0.3:
-        w, x = _GL6_W, _GL6_X
-    elif abs(r) < 0.75:
-        w, x = _GL12_W, _GL12_X
-    else:
-        w, x = _GL20_W, _GL20_X
-    w = np.concatenate([w, w])
-    x = np.concatenate([1.0 - x, 1.0 + x])
+    bvn = np.zeros(h.size)
+    inner = np.flatnonzero(np.abs(r) < 1.0)
+    if inner.size:
+        h_i, k_i, hk_i, r_i = h[inner], k[inner], hk[inner], r[inner]
+        as_ = (1.0 - r_i) * (1.0 + r_i)
+        a = np.sqrt(as_)
+        bs = (h_i - k_i) ** 2
+        c = (4.0 - hk_i) / 8.0
+        d = (12.0 - hk_i) / 16.0
+        asr = -(bs / as_ + hk_i) / 2.0
+        part = np.where(
+            asr > -100.0,
+            a * np.exp(asr)
+            * (1.0 - c * (bs - as_) * (1.0 - d * bs / 5.0) / 3.0 + c * d * as_ * as_ / 5.0),
+            0.0,
+        )
+        near = -hk_i < 100.0
+        b = np.sqrt(bs)
+        sp = math.sqrt(tp) * std_normal_cdf(-b / a)
+        tail = np.exp(np.where(near, -hk_i, 0.0) / 2.0) * sp * b * (
+            1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0
+        )
+        part -= np.where(near, tail, 0.0)
+        a /= 2.0
+        xs = (a[:, None] * nodes) ** 2
+        asr_v = -(bs[:, None] / xs + hk_i[:, None]) / 2.0
+        keep = asr_v > -100.0
+        rs = np.sqrt(1.0 - xs)
+        sp_v = 1.0 + c[:, None] * xs * (1.0 + d[:, None] * xs)
+        ep = np.exp(np.where(keep, -hk_i[:, None] * (1.0 - rs) / (2.0 * (1.0 + rs)), 0.0)) / rs
+        terms = np.where(keep, np.exp(asr_v) * (ep - sp_v), 0.0)
+        part += a * (terms * weights).sum(axis=1)
+        bvn[inner] = -part / tp
+    positive = bvn + std_normal_cdf(-np.maximum(h, k))
+    negative_law = -bvn + np.maximum(0.0, std_normal_cdf(-h) - std_normal_cdf(-k))
+    return np.where(negative, negative_law, positive)
 
-    if abs(r) < 0.925:
-        hs = (h * h + k * k) / 2.0
-        asr = math.asin(r) / 2.0
-        sn = np.sin(asr * x)
-        bvn = float(np.exp((sn * hk - hs) / (1.0 - sn * sn)) @ w)
-        bvn = bvn * asr / tp + std_normal_cdf(-h) * std_normal_cdf(-k)
-    else:
-        if r < 0.0:
-            k = -k
-            hk = -hk
-        if abs(r) < 1.0:
-            as_ = (1.0 - r) * (1.0 + r)
-            a = math.sqrt(as_)
-            bs = (h - k) ** 2
-            c = (4.0 - hk) / 8.0
-            d = (12.0 - hk) / 16.0
-            asr = -(bs / as_ + hk) / 2.0
-            if asr > -100.0:
-                bvn = (
-                    a * math.exp(asr)
-                    * (1.0 - c * (bs - as_) * (1.0 - d * bs / 5.0) / 3.0
-                       + c * d * as_ * as_ / 5.0)
-                )
-            if -hk < 100.0:
-                b = math.sqrt(bs)
-                sp = math.sqrt(tp) * std_normal_cdf(-b / a)
-                bvn -= math.exp(-hk / 2.0) * sp * b * (
-                    1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0
-                )
-            a /= 2.0
-            xs = (a * x) ** 2
-            asr_v = -(bs / xs + hk) / 2.0
-            keep = asr_v > -100.0
-            if np.any(keep):
-                xs_k = xs[keep]
-                rs = np.sqrt(1.0 - xs_k)
-                sp_v = 1.0 + c * xs_k * (1.0 + d * xs_k)
-                ep = np.exp(-hk * (1.0 - rs) / (2.0 * (1.0 + rs))) / rs
-                bvn += a * float((np.exp(asr_v[keep]) * (ep - sp_v)) @ w[keep])
-            bvn = -bvn / tp
-        if r > 0.0:
-            bvn += std_normal_cdf(-max(h, k))
+
+# Branch labels of _bvn_upper beyond the quadrature rules' 0, 1, 2
+_NEAR_SINGULAR, _INDEPENDENT, _INFINITE = 3, 4, 5
+
+
+def _bvn_upper(h, k, r) -> np.ndarray:
+    """P(X > h, Y > k) for standard bivariate normals with correlation r,
+    elementwise over the broadcast arrays.
+
+    Each element takes the branch of Genz's scheme (Genz 2004) for its |r|:
+    the tails' product at r = 0, Gauss-Legendre quadrature below 0.925 (6,
+    12 or 20 nodes as |r| grows) and the expansion about |r| = 1 above.
+    Only the branches some element needs are computed; infinite bounds give
+    0 or a univariate tail.
+    """
+    h, k, r = np.asarray(h, dtype=float), np.asarray(k, dtype=float), np.asarray(r, dtype=float)
+    if not h.shape == k.shape == r.shape:
+        h, k, r = np.broadcast_arrays(h, k, r)
+    shape = h.shape
+    h, k, r = h.ravel(), k.ravel(), r.ravel()
+    out = np.zeros(h.size)
+    branch = np.searchsorted(_GL_BANDS, np.abs(r), side="right")
+    branch[r == 0.0] = _INDEPENDENT
+    finite = np.isfinite(h) & np.isfinite(k)
+    if not finite.all():
+        branch[~finite] = _INFINITE
+        tail_k = (h == -math.inf) & (k != math.inf)
+        tail_h = (k == -math.inf) & (h != math.inf) & ~tail_k
+        for tail, bound in ((tail_k, k), (tail_h, h)):
+            if tail.any():
+                out[tail] = std_normal_cdf(-bound[tail])
+    counts = np.bincount(branch, minlength=_INFINITE)
+    for label in np.flatnonzero(counts[:_INFINITE]).tolist():
+        pick = slice(None) if counts[label] == h.size else np.flatnonzero(branch == label)
+        if label == _INDEPENDENT:
+            out[pick] = std_normal_cdf(-h[pick]) * std_normal_cdf(-k[pick])
+        elif label == _NEAR_SINGULAR:
+            out[pick] = _bvn_near_singular(h[pick], k[pick], r[pick], *_GL_RULES[-1])
         else:
-            bvn = -bvn + max(0.0, std_normal_cdf(-h) - std_normal_cdf(-k))
-    return min(1.0, max(0.0, bvn))
+            out[pick] = _bvn_quadrature(h[pick], k[pick], r[pick], *_GL_RULES[label])
+    return np.minimum(1.0, np.maximum(0.0, out)).reshape(shape)
 
 
-def bvn_rectangle(
-    lower: Sequence[float], upper: Sequence[float], rho: float
-) -> float:
-    """P(lower <= (X, Y) <= upper) for standard bivariate normal correlation rho."""
-    if abs(rho) > 1.0:
-        raise DomainError(f"correlation must lie in [-1, 1], got {rho}")
-    a1, a2 = float(lower[0]), float(lower[1])
-    b1, b2 = float(upper[0]), float(upper[1])
-    if not (a1 < b1 and a2 < b2):
-        raise DomainError("rectangle bounds must satisfy lower < upper")
-    p = (
-        _bvn_upper(a1, a2, rho)
-        - _bvn_upper(a1, b2, rho)
-        - _bvn_upper(b1, a2, rho)
-        + _bvn_upper(b1, b2, rho)
+def bvn_rectangle(lower, upper, rho):
+    """P(lower <= (X, Y) <= upper) for standard bivariate normals with
+    correlation rho.
+
+    Elementwise over boxes: ``lower`` and ``upper`` have shape (..., 2) and
+    broadcast with ``rho``.  One box gives a float, several an array of
+    their broadcast shape; the four corners of every box are one kernel call.
+    """
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    rho = np.asarray(rho, dtype=float)
+    outside = ~(np.abs(rho) <= 1.0)
+    if outside.any():
+        raise DomainError(f"correlation must lie in [-1, 1], got {rho[outside].flat[0]}")
+    if lower.shape[-1:] != (2,) or upper.shape[-1:] != (2,):
+        raise DomainError("rectangle bounds need two coordinates")
+    a1, a2, b1, b2, rho = np.broadcast_arrays(
+        lower[..., 0], lower[..., 1], upper[..., 0], upper[..., 1], rho
     )
-    return min(1.0, max(0.0, p))
+    if not ((a1 < b1) & (a2 < b2)).all():
+        raise DomainError("rectangle bounds must satisfy lower < upper")
+    corner = _bvn_upper(
+        np.concatenate((a1, a1, b1, b1), axis=None),
+        np.concatenate((a2, b2, a2, b2), axis=None),
+        np.concatenate((rho, rho, rho, rho), axis=None),
+    ).reshape(4, *rho.shape)
+    p = np.minimum(1.0, np.maximum(0.0, corner[0] - corner[1] - corner[2] + corner[3]))
+    return float(p) if p.ndim == 0 else p
 
 
 # ---------------------------------------------------------------------------

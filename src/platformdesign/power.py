@@ -13,7 +13,6 @@ bisecting.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,23 +29,21 @@ __all__ = [
 ]
 
 
-def marginal_power_oracle(W: float, c: float) -> float:
-    """Exact two-sided rejection probability for one comparison.
+def marginal_power_oracle(W, c):
+    """Exact two-sided rejection probability for one comparison;
+    elementwise over arrays of noncentralities and critical values.
 
     Under the alternative the statistic is normal with unit variance and mean
     sqrt(W), so the rejection probability is 1 - cdf(c - sqrt(W)) +
     cdf(-c - sqrt(W)).  :func:`find_sample_size` evaluates it at every total
     it scans.
     """
-    if W < 0:
+    if np.any(np.asarray(W) < 0):
         raise DomainError("noncentrality must be nonnegative")
-    if c <= 0:
+    if np.any(np.asarray(c) <= 0):
         raise DomainError("critical value must be positive")
-    shift = math.sqrt(W)
+    shift = np.sqrt(W)
     return 1.0 - std_normal_cdf(c - shift) + std_normal_cdf(-c - shift)
-
-
-_marginal_power = np.vectorize(marginal_power_oracle, otypes=[float])
 
 
 def _design_power(
@@ -62,7 +59,7 @@ def _design_power(
     if np.any(var <= 0.0):
         raise DomainError("a contrast variance is not positive")
     noncentrality = np.min(mu * mu / var, axis=1)
-    return _marginal_power(noncentrality, critical_value)
+    return marginal_power_oracle(noncentrality, critical_value)
 
 
 @dataclass(frozen=True)
@@ -77,6 +74,37 @@ class SampleSizeResult:
 
 
 _BLOCK = 1024
+
+
+def _scan_totals(
+    scenario: DesignScenario,
+    alloc: Allocation,
+    critical_values,
+    target_power: float,
+    n_cap: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """N* for each critical value of one design, and the power at every
+    total scanned: row i from 2K+1 up to at least its N*.
+
+    Totals are scanned upward in blocks, because power at integer counts is
+    not monotone in N; each block's arm counts serve every critical value.
+    """
+    if not 0.0 < target_power < 1.0:
+        raise DomainError(f"target power must lie in (0, 1), got {target_power}")
+    c = np.asarray(critical_values, dtype=float)[:, None]
+    min_n = 2 * scenario.K + 1
+    n_star = np.zeros(c.shape[0], dtype=np.int64)  # 0 until found
+    scanned: list[np.ndarray] = []
+    for start in range(min_n, n_cap + 1, _BLOCK):
+        totals = np.arange(start, min(start + _BLOCK, n_cap + 1))
+        power = _design_power(scenario, alloc, c, totals)
+        scanned.append(power)
+        passing = power >= target_power
+        found = (n_star == 0) & passing.any(axis=1)
+        n_star[found] = totals[np.argmax(passing[found], axis=1)]
+        if n_star.all():
+            return n_star, np.concatenate(scanned, axis=1)
+    raise BudgetExceeded(f"no N in [{min_n}, {n_cap}] reaches power {target_power}")
 
 
 def find_sample_size(
@@ -96,22 +124,15 @@ def find_sample_size(
     it is kept for callers that pass one.  Raises :class:`BudgetExceeded`
     when no N <= ``n_cap`` reaches the target.
     """
-    if not 0.0 < target_power < 1.0:
-        raise DomainError(f"target power must lie in (0, 1), got {target_power}")
+    n_star, power = _scan_totals(
+        scenario, alloc, [threshold.critical_value], target_power, n_cap
+    )
+    n = int(n_star[0])
     min_n = 2 * scenario.K + 1
-    scanned: list[np.ndarray] = []
-    for start in range(min_n, n_cap + 1, _BLOCK):
-        totals = np.arange(start, min(start + _BLOCK, n_cap + 1))
-        power = _design_power(scenario, alloc, threshold.critical_value, totals)
-        scanned.append(power)
-        passing = np.flatnonzero(power >= target_power)
-        if passing.size:
-            n_star = int(totals[passing[0]])
-            powers = np.concatenate(scanned)[: n_star - min_n + 1].tolist()
-            return SampleSizeResult(
-                n_star=n_star,
-                achieved_power=powers[-1],
-                search_trace=tuple(zip(range(min_n, n_star + 1), powers)),
-                arm_counts=alloc.arm_counts(n_star),
-            )
-    raise BudgetExceeded(f"no N in [{min_n}, {n_cap}] reaches power {target_power}")
+    powers = power[0, : n - min_n + 1].tolist()
+    return SampleSizeResult(
+        n_star=n,
+        achieved_power=powers[-1],
+        search_trace=tuple(zip(range(min_n, n + 1), powers)),
+        arm_counts=alloc.arm_counts(n),
+    )

@@ -20,16 +20,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .allocation import Allocation, DesignScenario, optimize_allocation
-from .correlation import PlatformArms, platform_z_correlation_matrix
+from .correlation import PlatformArms, _pair_correlation
 from .errors import DomainError
 from .multiplicity import (
     ErrorMetric,
+    _bivariate_critical_values,
+    _p_threshold,
     bivariate_error_rates,
     classical_dunnett_threshold,
-    platform_threshold,
 )
-from .mvnorm import CorrelationMatrix, bvn_rectangle, std_normal_quantile
-from .power import find_sample_size
+from .mvnorm import bvn_rectangle, std_normal_quantile
+from .power import _scan_totals
 
 __all__ = [
     "GridSpec",
@@ -64,6 +65,7 @@ _TARGETS = (
     ErrorMetric.fmer(0.0025),
     ErrorMetric.msfp(0.000625),
 )
+_METRICS = tuple(metric.kind for metric in _TARGETS)
 
 logger = logging.getLogger(__name__)
 
@@ -178,12 +180,41 @@ def design_surface_grid(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResultTable:
-    """Fixed-schema rows; writes CSV or JSON-lines deterministically."""
+    """Fixed-schema table stored by column: one numpy array per column
+    (float, int or str), its rows read in C order.  A value repeated on
+    consecutive rows is a broadcast view that stores it once.  Rows are
+    built on demand; CSV and JSON lines are written deterministically."""
 
     columns: tuple
-    rows: tuple
+    data: tuple
+
+    def __post_init__(self) -> None:
+        data = tuple(np.asarray(values) for values in self.data)
+        if len(data) != len(self.columns):
+            raise DomainError(f"{len(self.columns)} columns but {len(data)} data columns")
+        if len({values.size for values in data}) > 1:
+            raise DomainError("table columns differ in length")
+        object.__setattr__(self, "data", data)
+
+    @classmethod
+    def from_columns(cls, **columns) -> "ResultTable":
+        """A table with the keyword order as column order."""
+        return cls(tuple(columns), tuple(columns.values()))
+
+    def _values(self, name: str) -> list:
+        return self.data[self.columns.index(name)].ravel().tolist()
+
+    @property
+    def rows(self) -> tuple:
+        """The rows as tuples of Python floats, ints and strs."""
+        return tuple(zip(*(self._values(name) for name in self.columns)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ResultTable):
+            return NotImplemented
+        return self.columns == other.columns and self.rows == other.rows
 
     def to_csv(self, path: str | None = None) -> str:
         buffer = io.StringIO()
@@ -212,9 +243,9 @@ class ResultTable:
         return [dict(zip(self.columns, row)) for row in self.rows]
 
     def column(self, name: str, **match) -> list:
-        idx = self.columns.index(name)
-        picks = [(self.columns.index(k), v) for k, v in match.items()]
-        return [r[idx] for r in self.rows if all(r[i] == v for i, v in picks)]
+        values = self._values(name)
+        picks = [(self._values(key), value) for key, value in match.items()]
+        return [v for i, v in enumerate(values) if all(col[i] == want for col, want in picks)]
 
 
 def _render(value) -> str:
@@ -223,48 +254,53 @@ def _render(value) -> str:
     return str(value)
 
 
-def _rhos(grid: GridSpec, value: float) -> tuple[float, float]:
+def _sweep(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sweep values and the (rho_ab_a, rho_ab_b) pair at each."""
+    values = grid.sweep_values()
     if grid.swept == "rho_ab_a":
-        return value, float(grid.fixed["rho_ab_b"])
-    return float(grid.fixed["rho_ab_a"]), value
+        return values, values, np.full(values.shape, float(grid.fixed["rho_ab_b"]))
+    return values, np.full(values.shape, float(grid.fixed["rho_ab_a"])), values
 
 
-def _z_corr(alloc: tuple, rho_ab_a: float, rho_ab_b: float) -> tuple[float, CorrelationMatrix]:
-    """The two statistics' correlation, as a number and as a matrix."""
-    # the statistic correlation depends on counts only through ratios
-    arms = PlatformArms.single(
-        1000 * alloc[0], 1000 * alloc[1], 1000 * alloc[2],
-        rho_ab_a=rho_ab_a, rho_ab_b=rho_ab_b,
-    )
-    z_corr = platform_z_correlation_matrix(arms)
-    return float(z_corr.entries[0, 1]), z_corr
+def _z_rho(alloc: tuple, rho_ab_a: np.ndarray, rho_ab_b: np.ndarray) -> np.ndarray:
+    """Correlation of one substudy's two statistics at each pair of arm
+    correlations; it depends on the arm counts only through their ratios."""
+    for rho in (rho_ab_a, rho_ab_b):
+        outside = ~(np.abs(rho) <= 1.0)
+        if outside.any():
+            raise DomainError(f"correlation must lie in [-1, 1], got {rho[outside][0]}")
+    n_a, n_b, n_ab = (1000 * p for p in alloc)
+    return _pair_correlation(n_ab, n_b, n_a, rho_ab_b, rho_ab_a, 0.0)
 
 
 def run_error_curves(grid: GridSpec) -> ResultTable:
     """Unadjusted error rates at the conventional critical value (study 1)."""
-    columns = (
-        "swept", "swept_value", "rho_ab_a", "rho_ab_b",
-        "p_control", "p_mono", "p_combo", "z_rho",
-        "metric", "value", "mc_stderr", "baseline",
-    )
     c_nominal = std_normal_quantile(0.975)
-    rows = []
-    for alloc in grid.allocations:
-        for value in grid.sweep_values():
-            rho_ab_a, rho_ab_b = _rhos(grid, float(value))
-            z_rho, _ = _z_corr(alloc, rho_ab_a, rho_ab_b)
-            rates = bivariate_error_rates(z_rho, c_nominal)
-            for metric in ("fwer", "fmer", "msfp"):
-                rows.append((
-                    grid.swept, float(value), rho_ab_a, rho_ab_b,
-                    alloc[0], alloc[1], alloc[2], z_rho,
-                    metric, rates[metric], 0.0, BASELINES[metric],
-                ))
-    return ResultTable(columns, tuple(rows))
+    values, rho_ab_a, rho_ab_b = _sweep(grid)
+    allocs = np.array(grid.allocations, dtype=float)
+    z_rho = np.stack([_z_rho(alloc, rho_ab_a, rho_ab_b) for alloc in grid.allocations])
+    rates = bivariate_error_rates(z_rho, c_nominal)
+    # rows by (allocation, sweep point, metric); each column is a view on that grid
+    shape = (*z_rho.shape, len(_METRICS))
+    return ResultTable.from_columns(
+        swept=np.broadcast_to(grid.swept, shape),
+        swept_value=np.broadcast_to(values[:, None], shape),
+        rho_ab_a=np.broadcast_to(rho_ab_a[:, None], shape),
+        rho_ab_b=np.broadcast_to(rho_ab_b[:, None], shape),
+        p_control=np.broadcast_to(allocs[:, 0, None, None], shape),
+        p_mono=np.broadcast_to(allocs[:, 1, None, None], shape),
+        p_combo=np.broadcast_to(allocs[:, 2, None, None], shape),
+        z_rho=np.broadcast_to(z_rho[..., None], shape),
+        metric=np.broadcast_to(_METRICS, shape),
+        value=np.stack([rates[metric] for metric in _METRICS], axis=-1),
+        mc_stderr=np.broadcast_to(0.0, shape),
+        baseline=np.broadcast_to([BASELINES[metric] for metric in _METRICS], shape),
+    )
 
 
-def _holm_rates(z_rho: float, first_cut: float, last_cut: float) -> dict[str, float]:
-    """Exact error rates of the two-test Holm step-down.
+def _holm_rates(z_rho, first_cut: float, last_cut: float, at_first: dict, at_last: dict) -> dict:
+    """Exact error rates of the two-test Holm step-down, from the rates at
+    its two cuts.
 
     Holm rejects a test iff max|Z| > b (``first_cut``, level alpha/2 per
     test), and both iff also min|Z| > a (``last_cut``, level alpha).  So its
@@ -273,68 +309,92 @@ def _holm_rates(z_rho: float, first_cut: float, last_cut: float) -> dict[str, fl
     in pairs by symmetry.  Its msfp is the msfp at a less the box (a, b]^2.
     """
     a, b = last_cut, first_cut
-    at_a = bivariate_error_rates(z_rho, a)
-    same_sign = bvn_rectangle((a, a), (b, b), z_rho)
-    opposite_sign = bvn_rectangle((a, -b), (b, -a), z_rho)
+    same_sign, opposite_sign = np.moveaxis(
+        bvn_rectangle([(a, a), (a, -b)], [(b, b), (b, -a)], z_rho[..., None]), -1, 0
+    )
     return {
-        "fwer": bivariate_error_rates(z_rho, b)["fwer"],
-        "fmer": at_a["fmer"] - 2.0 * same_sign - 2.0 * opposite_sign,
-        "msfp": at_a["msfp"] - same_sign,
+        "fwer": at_first["fwer"],
+        "fmer": at_last["fmer"] - 2.0 * same_sign - 2.0 * opposite_sign,
+        "msfp": at_last["msfp"] - same_sign,
     }
+
+
+_METHODS = ("noadj", "bonferroni", "holm", "dunnett")
 
 
 def run_adjustment_comparison(grid: GridSpec) -> ResultTable:
     """Error rates of the conventional adjustments per grid point (study 2)."""
-    columns = (
-        "swept", "swept_value", "rho_ab_a", "rho_ab_b",
-        "p_control", "p_mono", "p_combo", "z_rho",
-        "method", "metric", "value", "mc_stderr", "baseline",
-    )
     alpha = float(grid.fixed.get("alpha", 0.05))
     c_nominal = std_normal_quantile(0.975)
     c_bonf = std_normal_quantile(1.0 - alpha / 4.0)
     c_holm_last = std_normal_quantile(1.0 - alpha / 2.0)
-    rows = []
-    for alloc in grid.allocations:
-        arms = PlatformArms.single(1000 * alloc[0], 1000 * alloc[1], 1000 * alloc[2])
-        c_dunnett = classical_dunnett_threshold(arms, alpha).critical_value
-        for value in grid.sweep_values():
-            rho_ab_a, rho_ab_b = _rhos(grid, float(value))
-            z_rho, _ = _z_corr(alloc, rho_ab_a, rho_ab_b)
-            per_method = {
-                "noadj": bivariate_error_rates(z_rho, c_nominal),
-                "bonferroni": bivariate_error_rates(z_rho, c_bonf),
-                "holm": _holm_rates(z_rho, c_bonf, c_holm_last),
-                "dunnett": bivariate_error_rates(z_rho, c_dunnett),
-            }
-            for method, rates in per_method.items():
-                for metric in ("fwer", "fmer", "msfp"):
-                    rows.append((
-                        grid.swept, float(value), rho_ab_a, rho_ab_b,
-                        alloc[0], alloc[1], alloc[2], z_rho,
-                        method, metric, rates[metric], 0.0, BASELINES[metric],
-                    ))
-    return ResultTable(columns, tuple(rows))
+    values, rho_ab_a, rho_ab_b = _sweep(grid)
+    allocs = np.array(grid.allocations, dtype=float)
+    z_rho = np.stack([_z_rho(alloc, rho_ab_a, rho_ab_b) for alloc in grid.allocations])
+    c_dunnett = np.array([
+        classical_dunnett_threshold(
+            PlatformArms.single(1000 * alloc[0], 1000 * alloc[1], 1000 * alloc[2]), alpha
+        ).critical_value
+        for alloc in grid.allocations
+    ])
+    # the rates at every cut in one call per metric: cuts by allocation by point
+    cuts = np.broadcast_arrays(c_nominal, c_bonf, c_holm_last, c_dunnett[:, None], z_rho)[:-1]
+    rates = bivariate_error_rates(z_rho, np.stack(cuts))
+    noadj, bonferroni, holm_last, dunnett = (
+        {metric: rates[metric][i] for metric in _METRICS} for i in range(len(cuts))
+    )
+    per_method = {
+        "noadj": noadj,
+        "bonferroni": bonferroni,
+        "holm": _holm_rates(z_rho, c_bonf, c_holm_last, bonferroni, holm_last),
+        "dunnett": dunnett,
+    }
+    # rows by (allocation, sweep point, method, metric)
+    shape = (*z_rho.shape, len(_METHODS), len(_METRICS))
+    return ResultTable.from_columns(
+        swept=np.broadcast_to(grid.swept, shape),
+        swept_value=np.broadcast_to(values[:, None, None], shape),
+        rho_ab_a=np.broadcast_to(rho_ab_a[:, None, None], shape),
+        rho_ab_b=np.broadcast_to(rho_ab_b[:, None, None], shape),
+        p_control=np.broadcast_to(allocs[:, 0, None, None, None], shape),
+        p_mono=np.broadcast_to(allocs[:, 1, None, None, None], shape),
+        p_combo=np.broadcast_to(allocs[:, 2, None, None, None], shape),
+        z_rho=np.broadcast_to(z_rho[..., None, None], shape),
+        method=np.broadcast_to(np.array(_METHODS)[:, None], shape),
+        metric=np.broadcast_to(_METRICS, shape),
+        value=np.stack(
+            [np.stack([per_method[m][metric] for metric in _METRICS], axis=-1) for m in _METHODS],
+            axis=-2,
+        ),
+        mc_stderr=np.broadcast_to(0.0, shape),
+        baseline=np.broadcast_to([BASELINES[metric] for metric in _METRICS], shape),
+    )
+
+
+def _critical_values(z_rho: np.ndarray) -> np.ndarray:
+    """Each target metric's critical value at every correlation, one column
+    per metric: one batched solve per metric."""
+    return np.column_stack([_bivariate_critical_values(z_rho, metric)[0] for metric in _TARGETS])
 
 
 def run_threshold_curves(grid: GridSpec) -> ResultTable:
     """Adjusted p-value thresholds per metric across the sweep (study 3)."""
-    columns = (
-        "swept", "swept_value", "rho_ab_a", "rho_ab_b", "z_rho",
-        "metric", "c_star", "value", "mc_stderr",
+    values, rho_ab_a, rho_ab_b = _sweep(grid)
+    z_rho = _z_rho(grid.allocations[0], rho_ab_a, rho_ab_b)
+    c_star = _critical_values(z_rho)
+    # rows by (sweep point, metric)
+    shape = c_star.shape
+    return ResultTable.from_columns(
+        swept=np.broadcast_to(grid.swept, shape),
+        swept_value=np.broadcast_to(values[:, None], shape),
+        rho_ab_a=np.broadcast_to(rho_ab_a[:, None], shape),
+        rho_ab_b=np.broadcast_to(rho_ab_b[:, None], shape),
+        z_rho=np.broadcast_to(z_rho[:, None], shape),
+        metric=np.broadcast_to(_METRICS, shape),
+        c_star=c_star,
+        value=_p_threshold(c_star),
+        mc_stderr=np.broadcast_to(0.0, shape),
     )
-    alloc = grid.allocations[0]
-    rows = []
-    for value in grid.sweep_values():
-        rho_ab_a, rho_ab_b = _rhos(grid, float(value))
-        z_rho, z_corr = _z_corr(alloc, rho_ab_a, rho_ab_b)
-        for metric in _TARGETS:
-            result = platform_threshold(z_corr, metric)
-            rows.append((
-                grid.swept, float(value), rho_ab_a, rho_ab_b, z_rho,
-                metric.kind, result.critical_value, result.p_threshold, 0.0,
-            ))
-    return ResultTable(columns, tuple(rows))
 
 
 def run_design_surface(grid: GridSpec) -> ResultTable:
@@ -343,37 +403,41 @@ def run_design_surface(grid: GridSpec) -> ResultTable:
     N* and its achieved power are exact, so ``mc_stderr`` is 0.  Each
     finished point is logged at INFO level.
     """
-    columns = (
-        "synergy", "rho", "p_control", "p_mono", "p_combo", "z_rho",
-        "metric", "c_star", "p_threshold", "achieved_power",
-        "value", "mc_stderr",
-    )
     delta = float(grid.fixed.get("delta", 0.3))
     sigma2 = float(grid.fixed.get("sigma2", 1.0))
     target = float(grid.fixed.get("target_power", 0.8))
-    sweep = grid.sweep_values()
-    total = len(sweep) * len(grid.rho_levels) * len(_TARGETS)
-    done = 0
-    rows = []
-    for s in sweep:
-        for rho in grid.rho_levels:
-            scenario = DesignScenario.single(
-                delta, float(s), sigma2, rho_ab_a=float(rho), rho_ab_b=float(rho)
+    points = [(float(s), float(rho)) for s in grid.sweep_values() for rho in grid.rho_levels]
+    scenarios = [
+        DesignScenario.single(delta, s, sigma2, rho_ab_a=rho, rho_ab_b=rho) for s, rho in points
+    ]
+    allocs = [optimize_allocation(scenario) for scenario in scenarios]
+    ratios = np.array([alloc.ratios for alloc in allocs])
+    synergy, rho = np.array(points).T
+    z_rho = _z_rho(ratios.T, rho, rho)
+    c_star = _critical_values(z_rho)
+    n_star = np.empty(c_star.shape, dtype=np.int64)
+    power = np.empty(c_star.shape)
+    for i, (scenario, alloc) in enumerate(zip(scenarios, allocs)):
+        n_star[i], scanned = _scan_totals(scenario, alloc, c_star[i], target, n_cap=1_000_000)
+        power[i] = scanned[np.arange(len(_TARGETS)), n_star[i] - (2 * scenario.K + 1)]
+        for j, metric in enumerate(_METRICS):
+            logger.info(
+                "design-surface %d/%d: s=%s rho=%s %s N*=%d",
+                len(_METRICS) * i + j + 1, c_star.size, *points[i], metric, n_star[i, j],
             )
-            alloc = optimize_allocation(scenario)
-            z_rho, z_corr = _z_corr(alloc.ratios, float(rho), float(rho))
-            for metric in _TARGETS:
-                threshold = platform_threshold(z_corr, metric)
-                result = find_sample_size(scenario, alloc, threshold, target)
-                rows.append((
-                    float(s), float(rho),
-                    alloc.ratios[0], alloc.ratios[1], alloc.ratios[2], z_rho,
-                    metric.kind, threshold.critical_value, threshold.p_threshold,
-                    result.achieved_power, result.n_star, 0.0,
-                ))
-                done += 1
-                logger.info(
-                    "design-surface %d/%d: s=%s rho=%s %s N*=%d",
-                    done, total, s, rho, metric.kind, result.n_star,
-                )
-    return ResultTable(columns, tuple(rows))
+    # rows by (point, metric)
+    shape = c_star.shape
+    return ResultTable.from_columns(
+        synergy=np.broadcast_to(synergy[:, None], shape),
+        rho=np.broadcast_to(rho[:, None], shape),
+        p_control=np.broadcast_to(ratios[:, 0, None], shape),
+        p_mono=np.broadcast_to(ratios[:, 1, None], shape),
+        p_combo=np.broadcast_to(ratios[:, 2, None], shape),
+        z_rho=np.broadcast_to(z_rho[:, None], shape),
+        metric=np.broadcast_to(_METRICS, shape),
+        c_star=c_star,
+        p_threshold=_p_threshold(c_star),
+        achieved_power=power,
+        value=n_star,
+        mc_stderr=np.broadcast_to(0.0, shape),
+    )

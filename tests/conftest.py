@@ -32,8 +32,14 @@ def rect_quad_oracle(lower, upper, rho: float) -> float:
             norm.cdf((b[1] - rho * x) / t) - norm.cdf((a[1] - rho * x) / t)
         )
 
+    lo, hi = max(a[0], -9.5), min(b[0], 9.5)
+    # the integrand steps where rho * x crosses a bound of the second
+    # coordinate, over a width of order t; near |rho| = 1 quad misses such a
+    # narrow step unless it is told where it is
+    steps = [v / rho for v in (a[1], b[1]) if rho != 0.0 and math.isfinite(v)]
     value, _ = integrate.quad(
-        inner, max(a[0], -9.5), min(b[0], 9.5), epsabs=1e-13, limit=500
+        inner, lo, hi, points=[x for x in steps if lo < x < hi] or None,
+        epsabs=1e-13, limit=500,
     )
     return value
 

@@ -420,6 +420,16 @@ class TestConfigAndSeed:
         assert out == ""
         assert err.startswith("error: --config key")
 
+    @pytest.mark.parametrize("flag", [("--alp", "0.05"), ("--alpha=0.05",)])
+    def test_abbreviated_or_joined_flag_beats_config(self, capsys, tmp_path, flag):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"alpha": 0.01}), encoding="utf-8")
+        code, report, _ = _run_json(
+            capsys, "--config", str(config), "adjust", "--rho", "0.3", *flag
+        )
+        assert code == 0
+        assert report["alpha"] == 0.05
+
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"not-a-flag": 1}), encoding="utf-8")
@@ -439,6 +449,13 @@ class TestConfigAndSeed:
             "--k", "2", "--n-a", "50", "--n-b", "50", "--n-ab", "50",
         )
         assert report["critical_value"] != report_b["critical_value"]
+
+    def test_non_integer_env_seed_is_a_validation_error(self, capsys, monkeypatch):
+        monkeypatch.setenv(SEED_ENV_VAR, "abc")
+        code, out, err = _run(capsys, "adjust", "--rho", "0.3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: PLATFORMDESIGN_SEED must be an integer, got 'abc'\n"
 
     def test_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv(SEED_ENV_VAR, "12345")

@@ -419,6 +419,15 @@ class TestThresholdSolver:
         assert 0 < len(calls) <= 16
         assert result.achieved_stderr <= 1e-4
 
+    def test_k4_lattice_solve_is_pinned(self, monkeypatch):
+        # the K > 1 search runs the elementwise solver on one element; its
+        # iterates, and so c* and the lattice evaluations, are those of the
+        # scalar search it replaced
+        calls = _counting(monkeypatch, QmcLattice, "estimate")
+        result = platform_threshold(_platform_z_corr(4), ErrorMetric.fwer(0.05))
+        assert repr(result.critical_value) == "2.688703128315904"
+        assert len(calls) == 9
+
     def test_pool_root_is_the_smallest_c_at_level(self):
         corr = _platform_z_corr(2)
         result = platform_threshold(corr, ErrorMetric.mfwer(2, 0.05), seed=3, replications=20_000)
@@ -435,14 +444,8 @@ class TestThresholdSolver:
         ids=lambda m: m.kind,
     )
     def test_k1_solve_matches_brentq_in_few_evaluations(self, monkeypatch, rho, metric):
-        evaluations = []
-        make_level = multiplicity._bivariate_exceedance
-
-        def counted_level(*args):
-            level = make_level(*args)
-            return lambda c: evaluations.append(c) or level(c)
-
-        monkeypatch.setattr(multiplicity, "_bivariate_exceedance", counted_level)
+        # one call of the level per evaluation of the one-element search
+        evaluations = _counting(monkeypatch, multiplicity, "_bivariate_exceedance")
         result = platform_threshold(CorrelationMatrix.bivariate(rho), metric)
         assert len(evaluations) <= 16
         oracle = brentq(
@@ -451,6 +454,151 @@ class TestThresholdSolver:
         )
         assert result.critical_value == pytest.approx(oracle, abs=1e-9)
         assert result.achieved == pytest.approx(metric.alpha, abs=1e-12)
+
+
+def _scalar_brent(level, target, low, high, x_tol):
+    """Reference: the scalar Brent search the elementwise solver replaced
+    (scipy's ``brentq`` steps), returning the root, its level and every
+    point evaluated."""
+    points = []
+
+    def f(c):
+        points.append(c)
+        return level(c) - target
+
+    f_low, f_high = f(low), f(high)
+    if f_low <= 0.0 or f_high >= 0.0:
+        return (low if f_low <= 0.0 else high), points
+    x_pre, f_pre, x_cur, f_cur = low, f_low, high, f_high
+    x_blk, f_blk, s_pre, s_cur = low, f_low, 0.0, 0.0
+    while True:
+        if (f_pre < 0.0) != (f_cur < 0.0):
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        tol = (x_tol + 4.0 * multiplicity._EPS * abs(x_cur)) / 2.0
+        s_bis = (x_blk - x_cur) / 2.0
+        if f_cur == 0.0 or abs(s_bis) < tol:
+            return x_cur, points
+        interpolate = abs(s_pre) > tol and abs(f_cur) < abs(f_pre)
+        if interpolate:
+            if x_pre == x_blk:
+                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+            else:
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                s_try = -f_cur * (f_blk * d_blk - f_pre * d_pre)
+                s_try /= d_blk * d_pre * (f_blk - f_pre)
+            interpolate = 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - tol)
+        s_pre, s_cur = (s_cur, s_try) if interpolate else (s_bis, s_bis)
+        x_pre, f_pre = x_cur, f_cur
+        x_cur += s_cur if abs(s_cur) > tol else math.copysign(tol, s_bis)
+        f_cur = f(x_cur)
+
+
+def _decreasing_family(n, seed):
+    """Levels a - b t^3 - d t + e tanh(t) with t = c - r: root r at the
+    target a, slope -3 b t^2 - d + e sech(t)^2 < 0, nearly flat near r where
+    d and e are small."""
+    rng = np.random.default_rng(seed)
+    root = rng.uniform(0.5, 3.5, n)
+    b, d = rng.uniform(0.0, 2.0, n), rng.uniform(0.0, 1.0, n)
+    e = rng.uniform(-1.0, 0.0, n) * d
+    b[rng.random(n) < 0.2] = 0.0
+    d[b == 0.0] += 0.5
+
+    def level(c, active, target=0.05):
+        t = c - root[active]
+        return target - b[active] * t**3 - d[active] * t + e[active] * np.tanh(t)
+
+    return root, level
+
+
+class TestElementwiseBrent:
+    def test_matches_brentq_per_element(self):
+        root, level = _decreasing_family(300, seed=1)
+        low, high = np.zeros(300), np.full(300, 4.0)
+        c, achieved = multiplicity._solve_decreasing(level, 0.05, low, high, x_tol=1e-12)
+        for i in range(300):
+            one = np.array([i])
+            expected = brentq(
+                lambda x: level(np.array([x]), one)[0] - 0.05, 0.0, 4.0, xtol=1e-12
+            )
+            assert abs(c[i] - expected) <= 1e-12
+            assert abs(c[i] - root[i]) <= 1e-11
+        assert np.all(np.abs(achieved - 0.05) <= 1e-10)
+
+    def test_iterates_are_those_of_the_scalar_search(self):
+        root, level = _decreasing_family(300, seed=2)
+        low, high = np.full(300, 0.2), np.full(300, 3.8)
+        points = [[] for _ in range(300)]
+
+        def recorded(c, active):
+            for i, x in zip(active.tolist(), c.tolist()):
+                points[i].append(x)
+            return level(c, active)
+
+        c, _ = multiplicity._solve_decreasing(recorded, 0.05, low, high, x_tol=1e-12)
+        for i in range(300):
+            one = np.array([i])
+            expected, expected_points = _scalar_brent(
+                lambda x: float(level(np.array([x]), one)[0]), 0.05, 0.2, 3.8, 1e-12
+            )
+            assert c[i] == expected
+            assert points[i] == expected_points
+
+    def test_level_sees_only_the_active_elements(self):
+        root, level = _decreasing_family(50, seed=3)
+        seen = []
+
+        def recorded(c, active):
+            assert c.shape == active.shape
+            seen.append(active.copy())
+            return level(c, active)
+
+        multiplicity._solve_decreasing(recorded, 0.05, np.zeros(50), np.full(50, 4.0), 1e-12)
+        assert seen[0].tolist() == seen[1].tolist() == list(range(50))
+        # after the two endpoints, each evaluation is of a subset of the last
+        for before, after in zip(seen[1:], seen[2:]):
+            assert set(after.tolist()) <= set(before.tolist())
+        assert seen[-1].size < 50
+
+    def test_no_sign_change_returns_the_nearer_endpoint(self):
+        # above target on all of [1, 2], below it on all of [3, 4], and a
+        # root inside [0, 4]
+        levels = {0: lambda c: 0.5 + 0 * c, 1: lambda c: -0.5 + 0 * c, 2: lambda c: 2.0 - c}
+
+        def level(c, active):
+            return np.array([levels[i](x) for i, x in zip(active.tolist(), c.tolist())])
+
+        c, achieved = multiplicity._solve_decreasing(
+            level, 0.0, np.array([1.0, 3.0, 0.0]), np.array([2.0, 4.0, 4.0]), x_tol=1e-12
+        )
+        assert c[0] == 2.0 and achieved[0] == 0.5
+        assert c[1] == 3.0 and achieved[1] == -0.5
+        assert c[2] == pytest.approx(2.0, abs=1e-12)
+
+    def test_batch_equals_one_solve_per_correlation(self):
+        rho = np.linspace(-0.99, 0.99, 23)
+        for metric in (ErrorMetric.fwer(0.05), ErrorMetric.fmer(0.0025), ErrorMetric.msfp(0.000625)):
+            c, achieved = multiplicity._bivariate_critical_values(rho, metric)
+            for i, r in enumerate(rho.tolist()):
+                one = platform_threshold(CorrelationMatrix.bivariate(r), metric)
+                assert c[i] == one.critical_value
+                assert achieved[i] == one.achieved
+
+    def test_bracket_is_elementwise(self):
+        rho = np.array([-0.8, -0.1, 0.0, 0.4])
+        for metric in (ErrorMetric.fmer(0.0025), ErrorMetric.msfp(0.000625), ErrorMetric.fwer(0.05)):
+            low, high = multiplicity._bracket(metric, 2, rho)
+            for i, r in enumerate(rho):
+                one_low, one_high = multiplicity._bracket(metric, 2, np.array([r]))
+                assert (low[i], high[i]) == (one_low[0], one_high[0])
+                assert 0.0 <= low[i] <= high[i]
+        low, high = multiplicity._bracket(ErrorMetric.msfp(0.000625), 2, rho)
+        assert low[0] == 0.0 and low[3] > 0.0  # Slepian: a lower bracket for rho < 0
 
 
 class TestEmpiricalErrorRates:

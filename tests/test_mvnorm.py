@@ -5,6 +5,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from platformdesign.errors import DomainError, NotPositiveDefinite, PrecisionUnreachable
 from platformdesign.mvnorm import (
@@ -19,6 +21,18 @@ from platformdesign.mvnorm import (
 )
 
 mp.mp.dps = 40
+
+
+# box bounds: finite, or infinite in either direction
+_BOUND = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([-math.inf, math.inf]))
+# correlations in every branch of the kernel: 0, the three quadrature bands,
+# the expansion about |rho| = 1 from its switch at 0.925, and rho = +-1
+_RHO = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.floats(0.925, 0.9999),
+    st.floats(-0.9999, -0.925),
+    st.sampled_from([0.0, 1.0, -1.0, 0.925, -0.925, 0.3, -0.3, 0.75, -0.75]),
+)
 
 
 def _cdf_reference(x: float) -> float:
@@ -42,6 +56,15 @@ class TestUnivariate:
         values = [std_normal_cdf(float(x)) for x in grid]
         assert all(b >= a for a, b in zip(values, values[1:]))
         assert values[0] == 0.0 and values[-1] == 1.0
+
+    def test_cdf_of_an_array_is_the_scalar_cdf_per_entry(self, rng):
+        x = np.concatenate([rng.normal(0.0, 3.0, 200), [-math.inf, math.inf, 0.0, 40.0, -40.0]])
+        values = std_normal_cdf(x)
+        assert values.dtype == np.float64 and values.shape == x.shape
+        assert values.tolist() == [std_normal_cdf(float(v)) for v in x]
+        assert std_normal_cdf(x.reshape(5, 41)).tolist() == values.reshape(5, 41).tolist()
+        with pytest.raises(DomainError):
+            std_normal_cdf(np.array([0.0, math.nan]))
 
     def test_cdf_rejects_nan(self):
         with pytest.raises(DomainError):
@@ -211,6 +234,53 @@ class TestBvnRectangle:
             bvn_rectangle((-1, -1), (1, 1), 1.5)
         with pytest.raises(DomainError):
             bvn_rectangle((1, -1), (1, 1), 0.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        boxes=st.lists(
+            st.tuples(
+                st.tuples(_BOUND, _BOUND),  # first coordinate's two bounds
+                st.tuples(_BOUND, _BOUND),  # second coordinate's two bounds
+                _RHO,
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_array_call_equals_per_box_calls_and_oracle(self, boxes):
+        from conftest import rect_quad_oracle
+
+        lower, upper, rho = [], [], []
+        for first, second, r in boxes:
+            assume(first[0] != first[1] and second[0] != second[1])
+            lower.append((min(first), min(second)))
+            upper.append((max(first), max(second)))
+            rho.append(r)
+        batch = bvn_rectangle(lower, upper, rho)
+        assert batch.shape == (len(boxes),)
+        for i, (lo, hi, r) in enumerate(zip(lower, upper, rho)):
+            single = bvn_rectangle(lo, hi, r)
+            assert isinstance(single, float)
+            assert batch[i] == single
+            assert single == pytest.approx(rect_quad_oracle(lo, hi, r), abs=1e-8)
+
+    def test_boxes_broadcast_with_rho(self):
+        rho = np.array([[-0.95], [0.0], [0.5]])
+        lower = np.array([(-1.0, -2.0), (0.5, -INF)])
+        upper = np.array([(1.0, 2.0), (INF, 0.25)])
+        values = bvn_rectangle(lower, upper, rho)
+        assert values.shape == (3, 2)
+        for i in range(3):
+            for j in range(2):
+                assert values[i, j] == bvn_rectangle(lower[j], upper[j], rho[i, 0])
+
+    def test_array_domain_errors_name_the_value(self):
+        with pytest.raises(DomainError, match="1.5"):
+            bvn_rectangle((-1, -1), (1, 1), [0.2, 1.5])
+        with pytest.raises(DomainError, match="lower < upper"):
+            bvn_rectangle([(-1, -1), (1, -1)], [(1, 1), (1, 1)], 0.0)
+        with pytest.raises(DomainError, match="two coordinates"):
+            bvn_rectangle((-1, -1, -1), (1, 1, 1), 0.0)
 
 
 class TestMvnRectangle:

@@ -7,13 +7,14 @@ import pytest
 from conftest import FIXTURE_INDEPENDENT_CSV, mc_error_rates, mvn_draws
 from scipy.special import ndtr, ndtri
 
-from platformdesign import cli
+from platformdesign import cli, correlation
 from platformdesign.allocation import DesignScenario, optimize_allocation
 from platformdesign.correlation import PlatformArms, classical_dunnett_correlation
 from platformdesign.errors import DomainError
 from platformdesign.estimation import TrialEstimates, table1_pipeline
 from platformdesign.multiplicity import (
     ErrorMetric,
+    bivariate_error_rates,
     classical_dunnett_threshold,
     holm_reject,
     platform_threshold,
@@ -24,6 +25,7 @@ from platformdesign.studies import (
     BASELINES,
     DEFAULT_ALLOCATIONS,
     GridSpec,
+    ResultTable,
     adjustment_grid,
     design_surface_grid,
     error_curves_grid,
@@ -333,6 +335,123 @@ class TestResultTable:
         table = run_threshold_curves(grid)
         fmer_only = table.column("c_star", metric="fmer")
         assert len(fmer_only) == 2
+
+
+    def test_rows_hold_python_values(self):
+        table = run_design_surface(
+            design_surface_grid(start=1.0, stop=1.1, step=0.1, rho_levels=(0.3,))
+        )
+        types = {type(v) for row in table.rows for v in row}
+        assert types == {float, int, str}
+        assert table == run_design_surface(
+            design_surface_grid(start=1.0, stop=1.1, step=0.1, rho_levels=(0.3,))
+        )
+        with pytest.raises(DomainError, match="differ in length"):
+            ResultTable.from_columns(a=np.zeros(3), b=np.array(["x", "y"]))
+
+
+def _point_z_rho(alloc, rho_ab_a, rho_ab_b):
+    return correlation.test_stat_correlation(
+        PlatformArms.single(1000 * alloc[0], 1000 * alloc[1], 1000 * alloc[2],
+                            rho_ab_a=rho_ab_a, rho_ab_b=rho_ab_b)
+    )
+
+
+def _point_rhos(grid, value):
+    if grid.swept == "rho_ab_a":
+        return value, grid.fixed["rho_ab_b"]
+    return grid.fixed["rho_ab_a"], value
+
+
+class TestRowsMatchPointByPoint:
+    """Each study's arrays against one scalar call per grid point and metric:
+    the same arithmetic, so the rows are equal, not just close."""
+
+    METRICS = ("fwer", "fmer", "msfp")
+
+    @pytest.mark.parametrize("swept", ["rho_ab_b", "rho_ab_a"])
+    def test_error_curves(self, swept):
+        grid = error_curves_grid(swept=swept, fixed_rho=0.2, start=0.1, stop=0.5, step=0.2)
+        expected = []
+        for alloc in grid.allocations:
+            for value in grid.sweep_values().tolist():
+                rho_ab_a, rho_ab_b = _point_rhos(grid, value)
+                z = _point_z_rho(alloc, rho_ab_a, rho_ab_b)
+                rates = bivariate_error_rates(z, Z_975)
+                expected += [
+                    (swept, value, rho_ab_a, rho_ab_b, *alloc, z, m, rates[m], 0.0, BASELINES[m])
+                    for m in self.METRICS
+                ]
+        assert run_error_curves(grid).rows == tuple(expected)
+
+    def test_adjustments(self):
+        grid = GridSpec(
+            swept="rho_ab_b", start=0.1, stop=0.5, step=0.2,
+            fixed={"rho_ab_a": 0.3, "alpha": 0.05}, allocations=DEFAULT_ALLOCATIONS[:2],
+        )
+        a, b = float(ndtri(0.975)), float(ndtri(1 - 0.0125))
+        expected = []
+        for alloc in grid.allocations:
+            dunnett = classical_dunnett_threshold(
+                PlatformArms.single(1000 * alloc[0], 1000 * alloc[1], 1000 * alloc[2]), 0.05
+            ).critical_value
+            for value in grid.sweep_values().tolist():
+                z = _point_z_rho(alloc, 0.3, value)
+                at_a, at_b = bivariate_error_rates(z, a), bivariate_error_rates(z, b)
+                same = bvn_rectangle((a, a), (b, b), z)
+                opposite = bvn_rectangle((a, -b), (b, -a), z)
+                per_method = {
+                    "noadj": bivariate_error_rates(z, Z_975),
+                    "bonferroni": at_b,
+                    "holm": {
+                        "fwer": at_b["fwer"],
+                        "fmer": at_a["fmer"] - 2.0 * same - 2.0 * opposite,
+                        "msfp": at_a["msfp"] - same,
+                    },
+                    "dunnett": bivariate_error_rates(z, dunnett),
+                }
+                expected += [
+                    ("rho_ab_b", value, 0.3, value, *alloc, z, method, m,
+                     per_method[method][m], 0.0, BASELINES[m])
+                    for method in per_method for m in self.METRICS
+                ]
+        table = run_adjustment_comparison(grid)
+        # the cuts come from ndtri here and std_normal_quantile in the package
+        for got, want in zip(table.rows, expected, strict=True):
+            assert got[:10] == want[:10] and got[11:] == want[11:]
+            assert got[10] == pytest.approx(want[10], abs=1e-15)
+
+    def test_thresholds(self):
+        grid = threshold_grid(start=0.05, stop=0.95, step=0.15)
+        expected = []
+        for value in grid.sweep_values().tolist():
+            z = _point_z_rho(grid.allocations[0], 0.3, value)
+            for metric in (ErrorMetric.fwer(0.05), ErrorMetric.fmer(0.0025),
+                           ErrorMetric.msfp(0.000625)):
+                result = platform_threshold(CorrelationMatrix.bivariate(z), metric)
+                expected.append((
+                    "rho_ab_b", value, 0.3, value, z, metric.kind,
+                    result.critical_value, result.p_threshold, 0.0,
+                ))
+        assert run_threshold_curves(grid).rows == tuple(expected)
+
+    def test_design_surface(self):
+        grid = design_surface_grid(start=0.8, stop=1.2, step=0.4, rho_levels=(0.1, 0.6))
+        expected = []
+        for s in grid.sweep_values().tolist():
+            for rho in grid.rho_levels:
+                scenario = DesignScenario.single(0.3, s, 1.0, rho_ab_a=rho, rho_ab_b=rho)
+                alloc = optimize_allocation(scenario)
+                z = _point_z_rho(alloc.ratios, rho, rho)
+                for metric in (ErrorMetric.fwer(0.05), ErrorMetric.fmer(0.0025),
+                               ErrorMetric.msfp(0.000625)):
+                    threshold = platform_threshold(CorrelationMatrix.bivariate(z), metric)
+                    result = find_sample_size(scenario, alloc, threshold, 0.8)
+                    expected.append((
+                        s, rho, *alloc.ratios, z, metric.kind, threshold.critical_value,
+                        threshold.p_threshold, result.achieved_power, result.n_star, 0.0,
+                    ))
+        assert run_design_surface(grid).rows == tuple(expected)
 
 
 def test_exact_paths_draw_no_random_numbers(monkeypatch, tmp_path):
