@@ -10,7 +10,6 @@ from . import errors
 from .allocation import (
     Allocation,
     DesignScenario,
-    SoftmaxParams,
     closed_form_allocation,
     optimize_allocation,
     softmax_to_allocation,
@@ -43,10 +42,9 @@ from .multiplicity import (
 )
 from .mvnorm import (
     CorrelationMatrix,
-    RectangleSpec,
+    QmcLattice,
     bvn_rectangle,
     cholesky,
-    mvn_rectangle,
     std_normal_cdf,
     std_normal_quantile,
 )

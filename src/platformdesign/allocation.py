@@ -23,7 +23,6 @@ from .errors import DomainError
 __all__ = [
     "DesignScenario",
     "Allocation",
-    "SoftmaxParams",
     "softmax_to_allocation",
     "wald_noncentrality",
     "closed_form_allocation",
@@ -118,7 +117,6 @@ class Allocation:
     """Point on the open simplex, ordered (p_A, p_B1, p_AB1, ..., p_BK, p_ABK)."""
 
     ratios: tuple[float, ...]
-    n_total: int | None = None
 
     def __post_init__(self) -> None:
         ratios = tuple(float(r) for r in self.ratios)
@@ -128,8 +126,6 @@ class Allocation:
             raise DomainError("allocation ratios must lie strictly in (0, 1)")
         if abs(sum(ratios) - 1.0) > _SUM_TOL:
             raise DomainError(f"allocation ratios must sum to 1, got {sum(ratios)!r}")
-        if self.n_total is not None and self.n_total < 1:
-            raise DomainError("n_total must be a positive integer")
         object.__setattr__(self, "ratios", ratios)
 
     @property
@@ -147,16 +143,14 @@ class Allocation:
         return self.ratios[2 * k]
 
     @classmethod
-    def equal(cls, K: int = 1, n_total: int | None = None) -> "Allocation":
+    def equal(cls, K: int = 1) -> "Allocation":
         n_arms = 2 * K + 1
-        return cls((1.0 / n_arms,) * n_arms, n_total)
+        return cls((1.0 / n_arms,) * n_arms)
 
-    def arm_counts(self, n_total: int | None = None) -> tuple[int, ...]:
-        """Integer per-arm counts by largest-remainder rounding, each >= 1."""
-        n = n_total if n_total is not None else self.n_total
-        if n is None:
-            raise DomainError("no total sample size available for rounding")
-        return tuple(int(c) for c in self.arm_counts_table(np.array([n]))[0])
+    def arm_counts(self, n_total: int) -> tuple[int, ...]:
+        """Integer per-arm counts of ``n_total`` subjects by largest-remainder
+        rounding, each >= 1."""
+        return tuple(int(c) for c in self.arm_counts_table(np.array([n_total]))[0])
 
     def arm_counts_table(self, totals: np.ndarray) -> np.ndarray:
         """:meth:`arm_counts` for each total, one row per total.
@@ -183,38 +177,22 @@ class Allocation:
         return counts
 
 
-@dataclass(frozen=True)
-class SoftmaxParams:
-    """Unconstrained parameters mapping onto the allocation simplex."""
-
-    theta: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        theta = tuple(float(t) for t in self.theta)
-        if any(not math.isfinite(t) for t in theta):
-            raise DomainError("softmax parameters must be finite")
-        object.__setattr__(self, "theta", theta)
-
-
 def _softmax(theta: np.ndarray) -> np.ndarray:
     shifted = theta - theta.max()
     e = np.exp(shifted)
     return e / e.sum()
 
 
-def softmax_to_allocation(
-    theta: SoftmaxParams | Sequence[float], n_total: int | None = None
-) -> Allocation:
+def softmax_to_allocation(theta: Sequence[float]) -> Allocation:
     """Map unconstrained parameters to positive ratios summing to one.
 
     Invariant to adding a constant to every parameter, so optimizers can roam
     the redundant direction freely.
     """
-    values = theta.theta if isinstance(theta, SoftmaxParams) else theta
-    arr = np.asarray(values, dtype=float)
+    arr = np.asarray(theta, dtype=float)
     if arr.ndim != 1 or not np.all(np.isfinite(arr)):
         raise DomainError("softmax parameters must be a finite 1-d vector")
-    return Allocation(tuple(_softmax(arr)), n_total)
+    return Allocation(tuple(_softmax(arr)))
 
 
 def _contrast_variance(n_arm, n_control, rho):
@@ -256,7 +234,7 @@ def wald_noncentrality(
     return out
 
 
-def closed_form_allocation(s: float, n_total: int | None = None) -> Allocation:
+def closed_form_allocation(s: float) -> Allocation:
     """Closed-form single-substudy allocation for the zero-correlation case,
     determined by the synergy parameter alone.
 
@@ -273,10 +251,10 @@ def closed_form_allocation(s: float, n_total: int | None = None) -> Allocation:
     p_a = (root - 1.0) / s
     p_b = (s + 1.0 - root) / (s + 1.0)
     p_ab = (s + 1.0 - root) / (s * (s + 1.0))
-    return Allocation((p_a, p_b, p_ab), n_total)
+    return Allocation((p_a, p_b, p_ab))
 
 
-def optimize_allocation(scenario: DesignScenario, n_total: int | None = None) -> Allocation:
+def optimize_allocation(scenario: DesignScenario) -> Allocation:
     """Exact max-min allocation: every one of the 2K noncentralities is equal.
 
     N and sigma2 cancel, so work at noncentrality level 1 without the
@@ -329,4 +307,4 @@ def optimize_allocation(scenario: DesignScenario, n_total: int | None = None) ->
             f2 = sum(shares(x2))
     best = shares(0.5 * (lo + hi))
     total = sum(best)
-    return Allocation(tuple(p / total for p in best), n_total)
+    return Allocation(tuple(p / total for p in best))

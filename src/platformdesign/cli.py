@@ -42,7 +42,7 @@ from .errors import (
     ZeroVariance,
 )
 from .estimation import estimate_trial, ingest_csv, table1_pipeline
-from .multiplicity import ErrorMetric, ThresholdResult, platform_threshold
+from .multiplicity import DEFAULT_TARGETS, ErrorMetric, ThresholdResult, platform_threshold
 from .mvnorm import CorrelationMatrix
 from .power import find_sample_size
 from .studies import (
@@ -66,7 +66,9 @@ SEED_ENV_VAR = "PLATFORMDESIGN_SEED"
 _VALIDATION_ERRORS = (DomainError, SchemaError, ParseError, InsufficientData, ZeroVariance)
 _NUMERIC_ERRORS = (RootBracketError, NotPositiveDefinite, PrecisionUnreachable)
 
-_METRIC_DEFAULT_ALPHA = {"fwer": 0.05, "fmer": 0.0025, "msfp": 0.000625, "mfwer": 0.05}
+# an at-least-m target defaults to the fwer level
+_METRIC_DEFAULT_ALPHA = {metric.kind: metric.alpha for metric in DEFAULT_TARGETS}
+_METRIC_DEFAULT_ALPHA["mfwer"] = _METRIC_DEFAULT_ALPHA["fwer"]
 
 
 def _fmt(value, human: bool):
@@ -93,6 +95,18 @@ def _emit(report: dict, args) -> None:
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise DomainError(message)
+
+
+def _load_json(path: str, flag: str):
+    """The JSON value held in ``path``; a missing file or malformed JSON is a
+    validation failure."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise DomainError(f"{flag} {path}: {exc.strerror}") from None
+    except ValueError as exc:  # malformed JSON or text
+        raise DomainError(f"{flag} {path} is not valid JSON: {exc}") from None
 
 
 def _broadcast(values, k: int, flag: str) -> tuple[float, ...]:
@@ -143,8 +157,8 @@ def _z_report(z_corr: CorrelationMatrix):
 
 def cmd_adjust(args) -> int:
     metric = _metric_from_args(args)
-    k = args.k or 1
-    _require(k >= 1, "--k must be at least 1")
+    k = args.k
+    _require(k >= 1, f"--k must be at least 1, got {k}")
     if args.rho is not None:
         _require(k == 1, "--rho only describes a single substudy; use arm-level flags")
         _require(-1.0 <= args.rho <= 1.0, f"--rho must lie in [-1, 1], got {args.rho}")
@@ -190,8 +204,8 @@ def _design_threshold(scenario, alloc, metric, args) -> ThresholdResult:
 
 
 def cmd_design(args) -> int:
-    k = args.k or 1
-    _require(k >= 1, "--k must be at least 1")
+    k = args.k
+    _require(k >= 1, f"--k must be at least 1, got {k}")
     _require(args.delta is not None, "--delta is required")
     _require(args.synergy is not None, "--synergy is required")
     _require(0.0 < args.power < 1.0, f"--power must lie in (0, 1), got {args.power}")
@@ -225,19 +239,26 @@ def cmd_design(args) -> int:
 
 def cmd_estimate(args) -> int:
     _require(args.input is not None, "--input is required")
-    table = ingest_csv(
-        args.input,
-        model_col=args.model_col,
-        treatment_col=args.treatment_col,
-        response_col=args.response_col,
-        delimiter=args.delimiter,
-        duplicates=args.duplicates,
-    )
+    try:
+        table = ingest_csv(
+            args.input,
+            model_col=args.model_col,
+            treatment_col=args.treatment_col,
+            response_col=args.response_col,
+            delimiter=args.delimiter,
+            duplicates=args.duplicates,
+        )
+    except OSError as exc:
+        raise DomainError(f"--input {args.input}: {exc.strerror}") from None
     if args.roles:
-        with open(args.roles, encoding="utf-8") as handle:
-            roles = json.load(handle)
-        _require(isinstance(roles, list), "--roles file must hold a JSON array of trials")
-        trials = [(r["drug_a"], r["drug_b"], r["combo"]) for r in roles]
+        roles = _load_json(args.roles, "--roles")
+        keys = ("drug_a", "drug_b", "combo")
+        _require(
+            isinstance(roles, list)
+            and all(isinstance(r, dict) and all(key in r for key in keys) for r in roles),
+            "--roles file must hold a JSON array of {drug_a, drug_b, combo} objects",
+        )
+        trials = [tuple(r[key] for key in keys) for r in roles]
     else:
         _require(
             args.drug_a is not None and args.drug_b is not None and args.combo is not None,
@@ -371,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="exceedance convention for mfwer (default two)")
     adjust.add_argument("--rho", type=float, default=None,
                         help="test-statistic correlation, given directly")
-    adjust.add_argument("--k", type=int, default=None, help="number of substudies (default 1)")
+    adjust.add_argument("--k", type=int, default=1, help="number of substudies (default 1)")
     adjust.add_argument("--n-a", type=float, default=None, help="control arm count")
     adjust.add_argument("--n-b", type=float, nargs="+", default=None,
                         help="monotherapy arm count(s), one per substudy")
@@ -394,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     design = sub.add_parser(
         "design", help="optimal allocation, threshold, and minimal sample size"
     )
-    design.add_argument("--k", type=int, default=None, help="number of substudies (default 1)")
+    design.add_argument("--k", type=int, default=1, help="number of substudies (default 1)")
     design.add_argument("--delta", type=float, nargs="+", default=None,
                         help="monotherapy effect size(s) in endpoint units")
     design.add_argument("--synergy", type=float, nargs="+", default=None,
@@ -531,8 +552,7 @@ def _apply_config(
     """Fill flag values from the config file for flags not given on the CLI."""
     if not args.config:
         return
-    with open(args.config, encoding="utf-8") as handle:
-        config = json.load(handle)
+    config = _load_json(args.config, "--config")
     if not isinstance(config, dict):
         raise DomainError("--config file must hold a JSON object")
     actions = _flag_actions(parser, args.command)

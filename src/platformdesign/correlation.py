@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .allocation import DesignScenario
+from .allocation import DesignScenario, _contrast_variance
 from .errors import DomainError
 from .mvnorm import CorrelationMatrix
 
@@ -87,11 +87,6 @@ class ArmCorrelations:
             return 1.0
         return self._table.get(frozenset((a, b)), 0.0)
 
-    def with_entry(self, a: Arm, b: Arm, rho: float) -> "ArmCorrelations":
-        updated = {tuple(sorted(key)): value for key, value in self._table.items()}
-        updated[(a, b)] = rho
-        return ArmCorrelations(self.K, updated)
-
     @classmethod
     def single(
         cls, rho_ab_a: float = 0.0, rho_ab_b: float = 0.0, rho_a_b: float = 0.0
@@ -116,13 +111,15 @@ class ArmCorrelations:
 
 @dataclass(frozen=True)
 class PlatformArms:
-    """Counts and arm correlations for a K-substudy platform trial."""
+    """Counts and arm correlations for a K-substudy platform trial.
+
+    The endpoint variance is left out: Z correlations do not depend on it.
+    """
 
     n_control: float
     n_mono: tuple[float, ...]
     n_combo: tuple[float, ...]
     correlations: ArmCorrelations
-    sigma2: float = 1.0
 
     def __post_init__(self) -> None:
         n_mono = tuple(float(n) for n in self.n_mono)
@@ -136,8 +133,6 @@ class PlatformArms:
             )
         if self.n_control < 1 or any(n < 1 for n in (*n_mono, *n_combo)):
             raise DomainError("every arm needs at least one subject")
-        if self.sigma2 <= 0:
-            raise DomainError("sigma2 must be positive")
         object.__setattr__(self, "n_mono", n_mono)
         object.__setattr__(self, "n_combo", n_combo)
 
@@ -154,7 +149,6 @@ class PlatformArms:
         rho_ab_a: float = 0.0,
         rho_ab_b: float = 0.0,
         rho_a_b: float = 0.0,
-        sigma2: float = 1.0,
     ) -> "PlatformArms":
         """One (control, monotherapy, combination) study.
 
@@ -162,9 +156,7 @@ class PlatformArms:
         are usually chosen to act through a different mechanism than the
         control.
         """
-        return cls(
-            n_a, (n_b,), (n_ab,), ArmCorrelations.single(rho_ab_a, rho_ab_b, rho_a_b), sigma2
-        )
+        return cls(n_a, (n_b,), (n_ab,), ArmCorrelations.single(rho_ab_a, rho_ab_b, rho_a_b))
 
 
 def _pair_correlation(n_u, n_v, n_a, rho_uv, rho_ua, rho_va):
@@ -175,8 +167,8 @@ def _pair_correlation(n_u, n_v, n_a, rho_uv, rho_ua, rho_va):
     matrix) give a value in [-1, 1] up to rounding, which alone is clipped;
     anything further out is a :class:`DomainError`.
     """
-    var_u = 1.0 / n_u + 1.0 / n_a - 2.0 * rho_ua / np.sqrt(n_u * n_a)
-    var_v = 1.0 / n_v + 1.0 / n_a - 2.0 * rho_va / np.sqrt(n_v * n_a)
+    var_u = _contrast_variance(n_u, n_a, rho_ua)
+    var_v = _contrast_variance(n_v, n_a, rho_va)
     if np.any(var_u <= 0.0) or np.any(var_v <= 0.0):
         raise DomainError(
             "a contrast variance is not positive; the arm correlations are "

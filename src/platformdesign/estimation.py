@@ -27,12 +27,12 @@ from .errors import (
     ZeroVariance,
 )
 from .multiplicity import (
-    ErrorMetric,
+    DEFAULT_TARGETS,
     ThresholdResult,
     bivariate_error_rates,
     platform_threshold,
 )
-from .mvnorm import CorrelationMatrix
+from .mvnorm import CorrelationMatrix, std_normal_quantile
 
 __all__ = [
     "PairedEndpointTable",
@@ -249,39 +249,25 @@ def estimate_trial(
     )
 
 
-_DEFAULT_TARGETS = (
-    ErrorMetric.fwer(0.05),
-    ErrorMetric.fmer(0.0025),
-    ErrorMetric.msfp(0.000625),
-)
-
-
 @dataclass(frozen=True)
 class Table1Result:
     """False-positive picture for a fixed design: the test-statistic
     correlation, the exact unadjusted error rates at the conventional
-    critical value (keyed fwer, fmer, msfp), and the adjusted p-value
-    threshold per metric."""
+    critical value (keyed fwer, fmer, msfp), and the adjusted threshold of
+    each default target."""
 
     rho: float
     unadjusted: dict[str, float]
     thresholds: dict[str, ThresholdResult] = field(default_factory=dict)
 
 
-def table1_pipeline(
-    estimates: TrialEstimates,
-    n_a: int | None = None,
-    n_b: int | None = None,
-    n_ab: int | None = None,
-    targets: tuple[ErrorMetric, ...] = _DEFAULT_TARGETS,
-    critical_value: float = 1.959963984540054,
-) -> Table1Result:
+def table1_pipeline(estimates: TrialEstimates) -> Table1Result:
     """Chain estimates into the false-positive control summary.
 
     Computes the Z-statistic correlation from the estimated arm correlations
     and counts and the exact unadjusted error rates at the conventional
-    two-sided critical value, then solves the adjusted threshold for each
-    target metric.
+    two-sided critical value (the normal 0.975 quantile), then solves the
+    adjusted threshold for each metric of ``DEFAULT_TARGETS``.
     """
     if estimates.screened_out:
         raise DomainError(
@@ -289,15 +275,14 @@ def table1_pipeline(
             "thresholds would not be meaningful"
         )
     arms = PlatformArms.single(
-        n_a=n_a if n_a is not None else estimates.n_A,
-        n_b=n_b if n_b is not None else estimates.n_B,
-        n_ab=n_ab if n_ab is not None else estimates.n_AB,
-        rho_ab_a=estimates.rho_AB_A,
-        rho_ab_b=estimates.rho_AB_B,
+        estimates.n_A, estimates.n_B, estimates.n_AB,
+        rho_ab_a=estimates.rho_AB_A, rho_ab_b=estimates.rho_AB_B,
     )
     rho = test_stat_correlation(arms)
     z_corr = CorrelationMatrix.bivariate(rho)
-    thresholds = {metric.kind: platform_threshold(z_corr, metric) for metric in targets}
+    thresholds = {metric.kind: platform_threshold(z_corr, metric) for metric in DEFAULT_TARGETS}
     return Table1Result(
-        rho=rho, unadjusted=bivariate_error_rates(rho, critical_value), thresholds=thresholds
+        rho=rho,
+        unadjusted=bivariate_error_rates(rho, std_normal_quantile(0.975)),
+        thresholds=thresholds,
     )

@@ -30,6 +30,7 @@ from .mvnorm import (
 
 __all__ = [
     "ErrorMetric",
+    "DEFAULT_TARGETS",
     "ThresholdResult",
     "bonferroni_threshold",
     "holm_reject",
@@ -102,6 +103,11 @@ class ErrorMetric:
     @classmethod
     def mfwer(cls, m: int, alpha: float, sided: str = "two") -> "ErrorMetric":
         return cls("mfwer", alpha, m, sided)
+
+
+# The default target of each metric: fwer 0.05, and for fmer and msfp the
+# rates of two independent tests at that level (0.05^2 and 0.025^2).
+DEFAULT_TARGETS = (ErrorMetric.fwer(), ErrorMetric.fmer(), ErrorMetric.msfp())
 
 
 @dataclass(frozen=True)

@@ -34,15 +34,14 @@ __all__ = [
     "cholesky",
     "CholeskyResult",
     "CorrelationMatrix",
-    "RectangleSpec",
     "QmcLattice",
     "bvn_rectangle",
-    "mvn_rectangle",
     "RectangleEstimate",
 ]
 
 _SYMMETRY_TOL = 1e-10
-_DEFAULT_JITTER_TOL = 1e-8
+# the largest diagonal jitter cholesky adds
+_MAX_JITTER = 1e-8
 
 
 _SQRT2 = math.sqrt(2.0)
@@ -100,10 +99,10 @@ class CholeskyResult(NamedTuple):
     jitter: float
 
 
-def cholesky(matrix: np.ndarray, jitter_tol: float = _DEFAULT_JITTER_TOL) -> CholeskyResult:
+def cholesky(matrix: np.ndarray) -> CholeskyResult:
     """Lower-triangular Cholesky factor, adding diagonal jitter if needed.
 
-    Jitter escalates geometrically and never exceeds ``jitter_tol``; the amount
+    Jitter escalates geometrically and never exceeds 1e-8; the amount
     actually added is reported so callers can decide whether to trust the
     factorization.  Raises :class:`NotPositiveDefinite` when even the maximum
     jitter does not make the matrix factorizable.
@@ -115,8 +114,6 @@ def cholesky(matrix: np.ndarray, jitter_tol: float = _DEFAULT_JITTER_TOL) -> Cho
         raise DomainError("matrix entries must be finite")
     if np.max(np.abs(m - m.T), initial=0.0) > _SYMMETRY_TOL:
         raise DomainError("matrix is not symmetric within 1e-10")
-    if jitter_tol < 0:
-        raise DomainError("jitter_tol must be nonnegative")
 
     sym = (m + m.T) / 2.0
     eye = np.eye(sym.shape[0])
@@ -126,11 +123,11 @@ def cholesky(matrix: np.ndarray, jitter_tol: float = _DEFAULT_JITTER_TOL) -> Cho
             factor = np.linalg.cholesky(sym + jitter * eye)
             return CholeskyResult(factor, jitter)
         except np.linalg.LinAlgError:
-            if jitter >= jitter_tol or jitter_tol == 0.0:
+            if jitter >= _MAX_JITTER:
                 raise NotPositiveDefinite(
-                    f"Cholesky failed even with jitter {jitter_tol:g}"
+                    f"Cholesky failed even with jitter {_MAX_JITTER:g}"
                 ) from None
-            jitter = min(jitter_tol, 1e-14 if jitter == 0.0 else jitter * 100.0)
+            jitter = min(_MAX_JITTER, 1e-14 if jitter == 0.0 else jitter * 100.0)
 
 
 @dataclass(frozen=True)
@@ -138,12 +135,11 @@ class CorrelationMatrix:
     """Validated correlation matrix with a cached Cholesky factor.
 
     Validation is eager: symmetry, unit diagonal, off-diagonal range, and
-    positive semi-definiteness (after at most ``jitter_tol`` of diagonal
-    jitter) are all checked at construction.
+    positive semi-definiteness (after at most 1e-8 of diagonal jitter) are
+    all checked at construction.
     """
 
     entries: np.ndarray
-    jitter_tol: float = _DEFAULT_JITTER_TOL
     _chol: CholeskyResult = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -159,7 +155,7 @@ class CorrelationMatrix:
             raise DomainError("correlations must lie in [-1, 1]")
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
-        object.__setattr__(self, "_chol", cholesky(m, self.jitter_tol))
+        object.__setattr__(self, "_chol", cholesky(m))
 
     @property
     def dim(self) -> int:
@@ -283,7 +279,10 @@ def _bvn_near_singular(h, k, r, weights, nodes):
 
 
 # Branch labels of _bvn_upper beyond the quadrature rules' 0, 1, 2
-_NEAR_SINGULAR, _INDEPENDENT, _INFINITE = 3, 4, 5
+_NEAR_SINGULAR, _INFINITE = 3, 4
+# A bound this many standard deviations out is infinite to double precision
+# (the normal tail underflows), and larger ones would overflow h * h.
+_FAR = 40.0
 
 
 def _bvn_upper(h, k, r) -> np.ndarray:
@@ -291,10 +290,11 @@ def _bvn_upper(h, k, r) -> np.ndarray:
     elementwise over the broadcast arrays.
 
     Each element takes the branch of Genz's scheme (Genz 2004) for its |r|:
-    the tails' product at r = 0, Gauss-Legendre quadrature below 0.925 (6,
-    12 or 20 nodes as |r| grows) and the expansion about |r| = 1 above.
-    Only the branches some element needs are computed; infinite bounds give
-    0 or a univariate tail.
+    Gauss-Legendre quadrature below 0.925 (6, 12 or 20 nodes as |r| grows;
+    at r = 0 the integral vanishes and the tails' product is left) and the
+    expansion about |r| = 1 above.
+    Only the branches some element needs are computed; bounds beyond +-40,
+    infinite ones included, give 0 or a univariate tail.
     """
     h, k, r = np.asarray(h, dtype=float), np.asarray(k, dtype=float), np.asarray(r, dtype=float)
     if not h.shape == k.shape == r.shape:
@@ -303,21 +303,18 @@ def _bvn_upper(h, k, r) -> np.ndarray:
     h, k, r = h.ravel(), k.ravel(), r.ravel()
     out = np.zeros(h.size)
     branch = np.searchsorted(_GL_BANDS, np.abs(r), side="right")
-    branch[r == 0.0] = _INDEPENDENT
-    finite = np.isfinite(h) & np.isfinite(k)
+    finite = (np.abs(h) < _FAR) & (np.abs(k) < _FAR)
     if not finite.all():
         branch[~finite] = _INFINITE
-        tail_k = (h == -math.inf) & (k != math.inf)
-        tail_h = (k == -math.inf) & (h != math.inf) & ~tail_k
+        tail_k = (h <= -_FAR) & (k < _FAR)
+        tail_h = (k <= -_FAR) & (h < _FAR) & ~tail_k
         for tail, bound in ((tail_k, k), (tail_h, h)):
             if tail.any():
                 out[tail] = std_normal_cdf(-bound[tail])
     counts = np.bincount(branch, minlength=_INFINITE)
     for label in np.flatnonzero(counts[:_INFINITE]).tolist():
         pick = slice(None) if counts[label] == h.size else np.flatnonzero(branch == label)
-        if label == _INDEPENDENT:
-            out[pick] = std_normal_cdf(-h[pick]) * std_normal_cdf(-k[pick])
-        elif label == _NEAR_SINGULAR:
+        if label == _NEAR_SINGULAR:
             out[pick] = _bvn_near_singular(h[pick], k[pick], r[pick], *_GL_RULES[-1])
         else:
             out[pick] = _bvn_quadrature(h[pick], k[pick], r[pick], *_GL_RULES[label])
@@ -359,36 +356,6 @@ def bvn_rectangle(lower, upper, rho):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RectangleSpec:
-    """Integration box for a zero-mean MVN with the given correlation."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-    correlation: CorrelationMatrix
-
-    def __post_init__(self) -> None:
-        lo = np.array(self.lower, dtype=float).reshape(-1)
-        hi = np.array(self.upper, dtype=float).reshape(-1)
-        if lo.size != self.correlation.dim or hi.size != self.correlation.dim:
-            raise DomainError(
-                "bound lengths must equal the correlation dimension "
-                f"({lo.size}, {hi.size} vs {self.correlation.dim})"
-            )
-        if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
-            raise DomainError("rectangle bounds must not be NaN")
-        if not np.all(lo < hi):
-            raise DomainError("rectangle bounds must satisfy lower < upper")
-        lo.flags.writeable = False
-        hi.flags.writeable = False
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
-
-    @property
-    def dim(self) -> int:
-        return self.correlation.dim
-
-
 class RectangleEstimate(NamedTuple):
     value: float
     stderr: float
@@ -409,24 +376,27 @@ def _first_primes(n: int) -> list[int]:
 
 
 _NDTRI_CLIP = 1e-15
+# independently shifted copies of the lattice; their spread is the stderr
+_N_BATCHES = 12
+# the most points refine() spends on one box
+_MAX_POINTS = 1 << 22
 
 
 class QmcLattice:
     """Randomly shifted Richtmyer lattices for one correlation matrix.
 
-    ``n_batches`` shifted copies of one lattice are drawn, tent-periodized and
+    Twelve shifted copies of one lattice are drawn, tent-periodized and
     kept, so :meth:`estimate` evaluates any box on the same points: it is a
     deterministic, smooth function of the box bounds.  :meth:`grow` doubles
     the points per batch (from 128 x dim) with the next shifts of one seeded
     stream, so the k-th size always holds the same points.
     """
 
-    def __init__(self, correlation: CorrelationMatrix, seed: int = 0, n_batches: int = 12):
+    def __init__(self, correlation: CorrelationMatrix, seed: int = 0):
         dim = correlation.dim
         if dim < 2:
             raise DomainError("a lattice needs at least two dimensions")
         self.factor = correlation.factor
-        self.n_batches = n_batches
         self.n_points = 64 * dim  # points per batch; grow() doubles it
         self.total_points = 0
         self._generators = np.sqrt(np.array(_first_primes(dim - 1), dtype=float))
@@ -436,8 +406,8 @@ class QmcLattice:
     def grow(self) -> None:
         """Double the points per batch and draw fresh shifts for them."""
         self.n_points *= 2
-        self.total_points += self.n_batches * self.n_points
-        shifts = self._rng.random((self.n_batches, self._generators.size))
+        self.total_points += _N_BATCHES * self.n_points
+        shifts = self._rng.random((_N_BATCHES, self._generators.size))
         j = np.arange(1, self.n_points + 1, dtype=float)
         # (dim - 1, batch, point)
         z = self._generators[:, None, None] * j + shifts.T[:, :, None]
@@ -464,49 +434,22 @@ class QmcLattice:
             d_cur = ndtr((lower[i] - s) / ct)
             e_cur = ndtr((upper[i] - s) / ct)
             prob *= np.maximum(e_cur - d_cur, 0.0)
-        means = prob.reshape(self.n_batches, -1).mean(axis=1)
+        means = prob.reshape(_N_BATCHES, -1).mean(axis=1)
         value = float(means.mean())
-        stderr = float(means.std(ddof=1) / math.sqrt(self.n_batches))
+        stderr = float(means.std(ddof=1) / math.sqrt(_N_BATCHES))
         return RectangleEstimate(min(1.0, max(0.0, value)), stderr, self.total_points)
 
-    def refine(
-        self, lower: np.ndarray, upper: np.ndarray, precision: float, max_points: int = 1 << 22
-    ) -> RectangleEstimate:
+    def refine(self, lower: np.ndarray, upper: np.ndarray, precision: float) -> RectangleEstimate:
         """Grow until the estimate of this box has standard error at most
-        ``precision``; :class:`PrecisionUnreachable` beyond ``max_points``."""
+        ``precision``; :class:`PrecisionUnreachable` beyond 2^22 points."""
         while True:
             estimate = self.estimate(lower, upper)
             if estimate.stderr <= precision:
                 return estimate
-            if self.total_points + 2 * self.n_batches * self.n_points > max_points:
+            if self.total_points + 2 * _N_BATCHES * self.n_points > _MAX_POINTS:
                 raise PrecisionUnreachable(
                     f"standard error {estimate.stderr:.2e} > {precision:.2e} "
                     f"after {self.total_points} points"
                 )
             self.grow()
 
-
-def mvn_rectangle(
-    spec: RectangleSpec,
-    precision: float = 1e-4,
-    seed: int = 0,
-    max_points: int = 1 << 22,
-    n_batches: int = 12,
-) -> RectangleEstimate:
-    """Estimate P(lower <= Z <= upper) for Z ~ N(0, correlation).
-
-    Randomized separation-of-variables estimate: the sequential-conditioning
-    transform maps the box probability onto the unit cube, which is sampled
-    with ``n_batches`` independently shifted Richtmyer lattices
-    (:class:`QmcLattice`).  Batches grow until the standard error of the
-    batch means is at most ``precision`` or the point budget ``max_points``
-    is exhausted (:class:`PrecisionUnreachable`).  Deterministic given
-    ``seed``.
-    """
-    if precision <= 0.0:
-        raise DomainError("precision must be positive")
-    if spec.dim == 1:
-        p = std_normal_cdf(spec.upper[0]) - std_normal_cdf(spec.lower[0])
-        return RectangleEstimate(min(1.0, max(0.0, p)), 0.0, 0)
-    lattice = QmcLattice(spec.correlation, seed, n_batches)
-    return lattice.refine(spec.lower, spec.upper, precision, max_points)

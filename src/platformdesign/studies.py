@@ -23,7 +23,7 @@ from .allocation import Allocation, DesignScenario, optimize_allocation
 from .correlation import PlatformArms, _pair_correlation
 from .errors import DomainError
 from .multiplicity import (
-    ErrorMetric,
+    DEFAULT_TARGETS,
     _bivariate_critical_values,
     _p_threshold,
     bivariate_error_rates,
@@ -60,12 +60,7 @@ DEFAULT_ALLOCATIONS = (
 )
 
 _SWEEPABLE = ("rho_ab_b", "rho_ab_a", "synergy")
-_TARGETS = (
-    ErrorMetric.fwer(0.05),
-    ErrorMetric.fmer(0.0025),
-    ErrorMetric.msfp(0.000625),
-)
-_METRICS = tuple(metric.kind for metric in _TARGETS)
+_METRICS = tuple(metric.kind for metric in DEFAULT_TARGETS)
 
 logger = logging.getLogger(__name__)
 
@@ -374,7 +369,9 @@ def run_adjustment_comparison(grid: GridSpec) -> ResultTable:
 def _critical_values(z_rho: np.ndarray) -> np.ndarray:
     """Each target metric's critical value at every correlation, one column
     per metric: one batched solve per metric."""
-    return np.column_stack([_bivariate_critical_values(z_rho, metric)[0] for metric in _TARGETS])
+    return np.column_stack(
+        [_bivariate_critical_values(z_rho, metric)[0] for metric in DEFAULT_TARGETS]
+    )
 
 
 def run_threshold_curves(grid: GridSpec) -> ResultTable:
@@ -419,7 +416,7 @@ def run_design_surface(grid: GridSpec) -> ResultTable:
     power = np.empty(c_star.shape)
     for i, (scenario, alloc) in enumerate(zip(scenarios, allocs)):
         n_star[i], scanned = _scan_totals(scenario, alloc, c_star[i], target, n_cap=1_000_000)
-        power[i] = scanned[np.arange(len(_TARGETS)), n_star[i] - (2 * scenario.K + 1)]
+        power[i] = scanned[np.arange(len(_METRICS)), n_star[i] - (2 * scenario.K + 1)]
         for j, metric in enumerate(_METRICS):
             logger.info(
                 "design-surface %d/%d: s=%s rho=%s %s N*=%d",

@@ -35,8 +35,10 @@ def rect_quad_oracle(lower, upper, rho: float) -> float:
     lo, hi = max(a[0], -9.5), min(b[0], 9.5)
     # the integrand steps where rho * x crosses a bound of the second
     # coordinate, over a width of order t; near |rho| = 1 quad misses such a
-    # narrow step unless it is told where it is
-    steps = [v / rho for v in (a[1], b[1]) if rho != 0.0 and math.isfinite(v)]
+    # narrow step unless it is told where it is.  A step can lie inside
+    # [-9.5, 9.5] only when |v| < 9.5 |rho|, and v / rho is computed only
+    # then, so a subnormal rho cannot overflow it.
+    steps = [v / rho for v in (a[1], b[1]) if abs(v) < 9.5 * abs(rho)]
     value, _ = integrate.quad(
         inner, lo, hi, points=[x for x in steps if lo < x < hi] or None,
         epsabs=1e-13, limit=500,

@@ -222,6 +222,21 @@ class TestDesign:
         assert "--delta" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("adjust", "--k", "0", "--rho", "0.3"),
+        ("adjust", "--k", "0", "--n-a", "120", "--n-b", "60", "--n-ab", "60"),
+        ("design", "--k", "0", "--delta", "0.3", "--synergy", "1.1"),
+    ],
+)
+def test_zero_substudies_refused(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --k must be at least 1, got 0\n"
+
+
 class TestEstimate:
     def test_synthetic_fixture(self, capsys, tmp_path):
         path = tmp_path / "pdx.csv"
@@ -282,6 +297,45 @@ class TestEstimate:
         )
         assert code == 2
         assert "do not fit together" in err
+
+
+_ROLES = '[{"drug_a": "A", "drug_b": "B", "combo": "AB"}]'
+
+
+@pytest.mark.parametrize(
+    "files, argv, message",
+    [
+        ({}, ("--config", "missing.json", "adjust", "--rho", "0.3"), "--config missing.json"),
+        ({"c.json": "{alpha: 0.05}"}, ("--config", "c.json", "adjust", "--rho", "0.3"),
+         "--config c.json is not valid JSON"),
+        ({}, ("estimate", "--input", "missing.csv", "--drug-a", "A", "--drug-b", "B",
+              "--combo", "AB"), "--input missing.csv"),
+        ({}, ("estimate", "--input", "pdx.csv", "--roles", "missing.json"),
+         "--roles missing.json"),
+        ({"r.json": _ROLES[:-1]}, ("estimate", "--input", "pdx.csv", "--roles", "r.json"),
+         "--roles r.json is not valid JSON"),
+        ({"r.json": "[1]"}, ("estimate", "--input", "pdx.csv", "--roles", "r.json"),
+         "{drug_a, drug_b, combo} objects"),
+        ({"r.json": '[{"drug_a": "A", "drug_b": "B"}]'},
+         ("estimate", "--input", "pdx.csv", "--roles", "r.json"),
+         "{drug_a, drug_b, combo} objects"),
+    ],
+    ids=["config-missing", "config-malformed", "input-missing", "roles-missing",
+         "roles-malformed", "roles-entry-not-object", "roles-entry-without-combo"],
+)
+def test_input_file_errors_are_validation_failures(
+    capsys, monkeypatch, tmp_path, files, argv, message
+):
+    # a missing file, malformed JSON or a malformed roles entry exits 2
+    # with one error line, not a traceback
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pdx.csv").write_text(FIXTURE_CSV, encoding="utf-8")
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
 class TestSimulate:

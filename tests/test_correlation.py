@@ -28,9 +28,10 @@ def _arm_correlation_matrix(arms: PlatformArms) -> np.ndarray:
 
 
 def _arm_mean_cov(arms: PlatformArms) -> np.ndarray:
-    """Covariance of the (control, mono, combo) arm means of a K=1 trial."""
+    """Covariance of the (control, mono, combo) arm means of a K=1 trial, per
+    unit endpoint variance."""
     n = np.array([arms.n_control, arms.n_mono[0], arms.n_combo[0]])
-    return arms.sigma2 * _arm_correlation_matrix(arms) / np.sqrt(np.outer(n, n))
+    return _arm_correlation_matrix(arms) / np.sqrt(np.outer(n, n))
 
 
 def _contrast_z_correlation(arms: PlatformArms) -> float:
@@ -135,8 +136,6 @@ class TestSingleStudy:
             PlatformArms.single(0, 10, 10)
         with pytest.raises(DomainError):
             PlatformArms.single(10, 10, 10, rho_ab_a=1.5)
-        with pytest.raises(DomainError):
-            PlatformArms.single(10, 10, 10, sigma2=0.0)
 
 
 class TestClassicalComparator:
@@ -193,8 +192,8 @@ class TestPlatformMatrix:
         assert np.allclose(off_diag, 0.5, atol=1e-12)
 
     def test_k2_cross_substudy_entry_against_simulation(self):
-        corr = ArmCorrelations(2).with_entry(combo_arm(1), mono_arm(2), 0.4)
-        arms = PlatformArms(100, (100, 100), (100, 100), corr, sigma2=1.0)
+        corr = ArmCorrelations(2, {(combo_arm(1), mono_arm(2)): 0.4})
+        arms = PlatformArms(100, (100, 100), (100, 100), corr)
         analytic = platform_z_correlation_matrix(arms).entries
 
         sizes = np.array([100.0, 100, 100, 100, 100])

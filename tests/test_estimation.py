@@ -1,5 +1,6 @@
 """CSV ingestion and preclinical parameter estimation."""
 
+import dataclasses
 import json
 import math
 
@@ -230,8 +231,8 @@ class TestTable1Pipeline:
 
     def test_near_independent_design_gives_sidak_threshold(self):
         # a huge control arm drives the Z correlation to ~0
-        est = self._estimates(0.0, 0.0, 10)
-        result = table1_pipeline(est, n_a=10**8)
+        est = dataclasses.replace(self._estimates(0.0, 0.0, 10), n_A=10**8)
+        result = table1_pipeline(est)
         assert result.rho == pytest.approx(0.0, abs=1e-3)
         assert result.thresholds["fwer"].p_threshold == pytest.approx(0.0253, abs=5e-4)
         # exact independent-trial rates: 1 - 0.95^2, 0.05^2, 0.025^2
@@ -240,8 +241,8 @@ class TestTable1Pipeline:
         )
 
     def test_degenerate_design_gives_unadjusted_threshold(self):
-        est = self._estimates(0.0, 1.0, 10)
-        result = table1_pipeline(est, n_a=10**8)
+        est = dataclasses.replace(self._estimates(0.0, 1.0, 10), n_A=10**8)
+        result = table1_pipeline(est)
         assert result.rho == pytest.approx(1.0, abs=1e-3)
         assert result.thresholds["fwer"].p_threshold == pytest.approx(0.05, abs=5e-4)
 

@@ -5,17 +5,16 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from platformdesign import mvnorm
 from platformdesign.errors import DomainError, NotPositiveDefinite, PrecisionUnreachable
 from platformdesign.mvnorm import (
     CorrelationMatrix,
     QmcLattice,
-    RectangleSpec,
     bvn_rectangle,
     cholesky,
-    mvn_rectangle,
     std_normal_cdf,
     std_normal_quantile,
 )
@@ -113,7 +112,7 @@ class TestCholesky:
 
     def test_rank_deficient_uses_jitter(self):
         m = np.array([[1.0, 1.0], [1.0, 1.0]])
-        factor, jitter = cholesky(m, jitter_tol=1e-8)
+        factor, jitter = cholesky(m)
         assert 0.0 < jitter <= 1e-8
         assert np.max(np.abs(factor @ factor.T - m)) <= max(1e-8, jitter)
 
@@ -217,6 +216,17 @@ class TestBvnRectangle:
             2 * std_normal_cdf(1.0) - 1.0, abs=1e-10
         )
 
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 0.95, -0.99, 1.0])
+    def test_far_bounds_act_as_infinite(self, rho):
+        # h * h overflowed for bounds near 1e154, which gave NaN
+        assert bvn_rectangle((-1e300, -1.0), (1e200, 1.0), rho) == bvn_rectangle(
+            (-INF, -1.0), (INF, 1.0), rho
+        )
+        assert bvn_rectangle((1e160, -1.0), (1e170, 1.0), rho) == 0.0
+        assert bvn_rectangle((-45.0, -50.0), (2.0, 60.0), rho) == bvn_rectangle(
+            (-INF, -INF), (2.0, INF), rho
+        )
+
     def test_monotone_in_nesting(self):
         outer = bvn_rectangle((-2.0, -2.0), (2.0, 2.0), 0.4)
         inner = bvn_rectangle((-1.5, -2.0), (2.0, 2.0), 0.4)
@@ -246,6 +256,10 @@ class TestBvnRectangle:
             min_size=1,
             max_size=8,
         )
+    )
+    # a subnormal rho once overflowed the oracle's break points
+    @example(
+        boxes=[((0.0, 1.0), (0.0, 1.0), 0.0), ((0.0, 1.0), (0.0, 1.0), 2.225073858507203e-309)]
     )
     def test_array_call_equals_per_box_calls_and_oracle(self, boxes):
         from conftest import rect_quad_oracle
@@ -283,42 +297,34 @@ class TestBvnRectangle:
             bvn_rectangle((-1, -1, -1), (1, 1, 1), 0.0)
 
 
-class TestMvnRectangle:
+class TestQmcLattice:
     def test_independence_product_4d(self):
         c = 1.959963984540054
-        spec = RectangleSpec(np.full(4, -c), np.full(4, c), CorrelationMatrix.identity(4))
-        estimate = mvn_rectangle(spec, precision=1e-4, seed=3)
+        lattice = QmcLattice(CorrelationMatrix.identity(4), seed=3)
+        estimate = lattice.refine(np.full(4, -c), np.full(4, c), precision=1e-4)
         assert estimate.value == pytest.approx(0.95**4, abs=max(1e-4, 3 * estimate.stderr))
 
     def test_dim2_agrees_with_quadrature(self):
-        spec = RectangleSpec(
-            np.array([-1.96, -1.96]),
-            np.array([1.96, 1.96]),
-            CorrelationMatrix.bivariate(0.5),
-        )
-        estimate = mvn_rectangle(spec, precision=5e-5, seed=1)
+        lattice = QmcLattice(CorrelationMatrix.bivariate(0.5), seed=1)
+        estimate = lattice.refine(np.array([-1.96, -1.96]), np.array([1.96, 1.96]), 5e-5)
         exact = bvn_rectangle((-1.96, -1.96), (1.96, 1.96), 0.5)
         assert abs(estimate.value - exact) <= 3 * max(estimate.stderr, 1e-6)
 
     def test_infinite_box_is_one(self):
-        spec = RectangleSpec(
-            np.full(3, -INF), np.full(3, INF), CorrelationMatrix.identity(3)
-        )
-        estimate = mvn_rectangle(spec, precision=1e-4, seed=0)
+        lattice = QmcLattice(CorrelationMatrix.identity(3))
+        estimate = lattice.refine(np.full(3, -INF), np.full(3, INF), precision=1e-4)
         assert estimate.value == 1.0 and estimate.stderr == 0.0
 
     def test_deterministic_given_seed(self):
-        spec = RectangleSpec(
-            np.full(4, -2.0),
-            np.full(4, 2.0),
-            CorrelationMatrix(np.eye(4) * 0.5 + np.full((4, 4), 0.5)),
-        )
-        assert mvn_rectangle(spec, seed=42) == mvn_rectangle(spec, seed=42)
+        corr = CorrelationMatrix(np.eye(4) * 0.5 + np.full((4, 4), 0.5))
+        lower, upper = np.full(4, -2.0), np.full(4, 2.0)
+        first = QmcLattice(corr, seed=42).refine(lower, upper, 1e-4)
+        assert QmcLattice(corr, seed=42).refine(lower, upper, 1e-4) == first
 
     def test_monotone_in_nesting(self):
         corr = CorrelationMatrix(np.eye(3) * 0.6 + np.full((3, 3), 0.4))
-        wide = mvn_rectangle(RectangleSpec(np.full(3, -2.5), np.full(3, 2.5), corr), seed=5)
-        narrow = mvn_rectangle(RectangleSpec(np.full(3, -1.5), np.full(3, 2.5), corr), seed=5)
+        wide = QmcLattice(corr, seed=5).refine(np.full(3, -2.5), np.full(3, 2.5), 1e-4)
+        narrow = QmcLattice(corr, seed=5).refine(np.full(3, -1.5), np.full(3, 2.5), 1e-4)
         assert 0.0 <= narrow.value <= wide.value + 3 * (wide.stderr + narrow.stderr)
 
     def test_six_dim_against_brute_force(self):
@@ -330,7 +336,7 @@ class TestMvnRectangle:
         corr = CorrelationMatrix(m)
         lower = np.array([-2.2, -1.5, -np.inf, -1.0, -2.0, -0.5])
         upper = np.array([1.0, 2.5, 0.8, np.inf, 1.5, 2.0])
-        estimate = mvn_rectangle(RectangleSpec(lower, upper, corr), precision=5e-5, seed=9)
+        estimate = QmcLattice(corr, seed=9).refine(lower, upper, precision=5e-5)
         draws = np.random.default_rng(777).standard_normal((2_000_000, 6)) @ corr.factor.T
         inside = np.all((draws >= lower) & (draws <= upper), axis=1)
         mc = float(inside.mean())
@@ -378,17 +384,16 @@ class TestMvnRectangle:
                 break
             n_points *= 2
 
-        estimate = mvn_rectangle(RectangleSpec(lower, upper, corr), precision, seed=7)
+        estimate = QmcLattice(corr, seed=7).refine(lower, upper, precision)
         assert estimate.n_points == total > 12 * 128 * dim
         assert estimate.value == pytest.approx(float(np.mean(means)), rel=1e-14)
         assert estimate.stderr == pytest.approx(stderr, rel=1e-9)
 
-    def test_equals_a_refined_lattice(self):
+    def test_refined_lattice_holds_its_points(self):
         corr = CorrelationMatrix(np.eye(4) * 0.5 + np.full((4, 4), 0.5))
         lower, upper = np.full(4, -2.0), np.full(4, 2.0)
-        estimate = mvn_rectangle(RectangleSpec(lower, upper, corr), precision=2e-6, seed=4)
         lattice = QmcLattice(corr, seed=4)
-        assert lattice.refine(lower, upper, precision=2e-6) == estimate
+        estimate = lattice.refine(lower, upper, precision=2e-6)
         assert estimate.n_points > 12 * 128 * 4  # the lattice grew at least once
         # held points: the same box on the grown lattice repeats to the bit
         assert lattice.estimate(lower, upper) == estimate
@@ -397,19 +402,8 @@ class TestMvnRectangle:
         with pytest.raises(DomainError):
             QmcLattice(CorrelationMatrix.identity(1))
 
-    def test_precision_unreachable(self):
+    def test_precision_unreachable(self, monkeypatch):
+        monkeypatch.setattr(mvnorm, "_MAX_POINTS", 10_000)
         corr = CorrelationMatrix(np.eye(4) * 0.5 + np.full((4, 4), 0.5))
-        spec = RectangleSpec(np.full(4, -1.0), np.full(4, 1.0), corr)
         with pytest.raises(PrecisionUnreachable):
-            mvn_rectangle(spec, precision=1e-12, seed=0, max_points=10_000)
-
-    def test_bounds_validation(self):
-        with pytest.raises(DomainError):
-            RectangleSpec(np.array([0.0, 0.0]), np.array([1.0]), CorrelationMatrix.identity(2))
-        with pytest.raises(DomainError):
-            RectangleSpec(np.array([1.0, 0.0]), np.array([1.0, 1.0]), CorrelationMatrix.identity(2))
-        with pytest.raises(DomainError):
-            mvn_rectangle(
-                RectangleSpec(np.zeros(2) - 1, np.ones(2), CorrelationMatrix.identity(2)),
-                precision=-1.0,
-            )
+            QmcLattice(corr).refine(np.full(4, -1.0), np.full(4, 1.0), precision=1e-12)

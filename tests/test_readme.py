@@ -1,13 +1,22 @@
-"""The README's library quick start runs as written."""
+"""The README's library quick start and command-line examples run as written."""
 
 import re
+import shlex
 from pathlib import Path
+
+from conftest import FIXTURE_INDEPENDENT_CSV
+
+from platformdesign import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def _blocks(language: str) -> list[str]:
+    return re.findall(rf"```{language}\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+
+
 def test_quick_start_runs(capsys):
-    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    blocks = _blocks("python")
     assert len(blocks) == 1
     namespace = {"__name__": "readme"}
     exec(compile(blocks[0], str(README), "exec"), namespace)
@@ -16,3 +25,25 @@ def test_quick_start_runs(capsys):
     assert namespace["z_corr"].dim == 2
     assert namespace["threshold"].achieved_stderr == 0.0
     assert namespace["result"].n_star > 0
+
+
+def test_command_line_examples_run(capsys, monkeypatch, tmp_path):
+    # the block that shows the subcommands, continuation lines joined
+    block = next(b for b in _blocks("bash") if "platformdesign adjust" in b)
+    commands = [
+        shlex.split(line, comments=True)
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("platformdesign ")
+    ]
+    assert {argv[1] for argv in commands} == {"adjust", "design", "estimate", "simulate"}
+    # the screen the estimate example reads, with its treatment names
+    screen = FIXTURE_INDEPENDENT_CSV
+    for short, name in ((",AB,", ",LEE011+everolimus,"), (",A,", ",LEE011,"),
+                        (",B,", ",everolimus,")):
+        screen = screen.replace(short, name)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "screens.csv").write_text(screen, encoding="utf-8")
+    for argv in commands:
+        assert cli.main(argv[1:]) == 0, argv
+        assert capsys.readouterr().out or "--out" in argv, argv
+    assert (tmp_path / "curves.csv").is_file() and (tmp_path / "surface.csv").is_file()
