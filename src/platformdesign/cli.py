@@ -2,14 +2,16 @@
 
 Subcommands: ``adjust`` (multiplicity thresholds), ``design`` (allocation +
 sample size), ``estimate`` (preclinical CSV to design parameters), and
-``simulate`` (the grid studies).  Flags override config-file values, which
-override built-in defaults; a config value is converted and checked with its
-flag's own type and choices.  For the subcommands that have a ``--seed``
+``simulate`` (the grid studies).  Each ``--config`` value is converted and
+checked with its flag's own type and choices and becomes that subcommand's
+default, so a flag given on the command line wins; a key that names no flag
+of the subcommand is refused.  For the subcommands that have a ``--seed``
 flag, the ``PLATFORMDESIGN_SEED`` environment variable supplies the seed when
 the flag is absent.
 
-Exit codes: 0 success, 2 validation failure, 3 numerical failure (no root /
-not positive definite / precision), 4 search budget exceeded.
+Exit codes: 0 success, 2 validation failure (including an ``--out`` path
+that cannot be written), 3 numerical failure (no root / not positive
+definite / precision), 4 search budget exceeded.
 """
 
 from __future__ import annotations
@@ -71,25 +73,30 @@ _METRIC_DEFAULT_ALPHA = {metric.kind: metric.alpha for metric in DEFAULT_TARGETS
 _METRIC_DEFAULT_ALPHA["mfwer"] = _METRIC_DEFAULT_ALPHA["fwer"]
 
 
-def _fmt(value, human: bool):
-    """Render floats at 6 significant digits for humans, full precision for JSON."""
-    if human and isinstance(value, float):
-        return format(value, ".6g")
-    return value
+def _write(text: str, out: str | None) -> None:
+    """Write ``text`` to the ``--out`` path, or to stdout when there is none;
+    a path that cannot be written is a validation failure."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise DomainError(f"--out {out}: {exc.strerror}") from None
 
 
 def _emit(report: dict, args) -> None:
-    human = args.format == "human"
-    if human:
-        lines = [f"{key}: {_fmt(value, True)}" for key, value in report.items()]
-        text = "\n".join(lines) + "\n"
+    """The report as ``key: value`` lines (floats at 6 significant digits)
+    or as JSON at full precision."""
+    if args.format == "human":
+        text = "".join(
+            f"{key}: {format(value, '.6g') if isinstance(value, float) else value}\n"
+            for key, value in report.items()
+        )
     else:
         text = json.dumps(report, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args.out)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -287,16 +294,8 @@ def cmd_estimate(args) -> int:
         reports.append(entry)
 
     payload = reports[0] if len(reports) == 1 and not args.roles else reports
-    text = json.dumps(payload, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(payload, indent=2) + "\n", args.out)
     return EXIT_OK
-
-
-_STUDIES = ("error-curves", "adjustments", "thresholds", "design-surface")
 
 
 @contextlib.contextmanager
@@ -318,15 +317,9 @@ def _progress_to_stderr(enabled: bool):
 
 
 def cmd_simulate(args) -> int:
-    _require(args.study in _STUDIES, f"--study must be one of {_STUDIES}")
     _require(
         not args.progress or args.study == "design-surface",
         "--progress only applies to --study design-surface",
-    )
-    swept = (args.swept or "rho-ab-b").replace("-", "_")
-    _require(
-        swept in ("rho_ab_b", "rho_ab_a"),
-        "--swept must be rho-ab-b or rho-ab-a",
     )
     # pass only the sweep flags given, so the grid factories own the defaults
     sweep = {
@@ -340,23 +333,16 @@ def cmd_simulate(args) -> int:
         grid = design_surface_grid(**sweep)
         with _progress_to_stderr(args.progress):
             table = run_design_surface(grid)
-    elif args.study == "thresholds":
-        grid = threshold_grid(swept=swept, fixed_rho=args.fixed_rho, **sweep)
-        table = run_threshold_curves(grid)
     else:
         factory, runner = {
             "error-curves": (error_curves_grid, run_error_curves),
             "adjustments": (adjustment_grid, run_adjustment_comparison),
+            "thresholds": (threshold_grid, run_threshold_curves),
         }[args.study]
-        grid = factory(swept=swept, fixed_rho=args.fixed_rho, **sweep)
-        table = runner(grid)
+        swept = args.swept.replace("-", "_")
+        table = runner(factory(swept=swept, fixed_rho=args.fixed_rho, **sweep))
 
-    if args.format == "jsonl":
-        text = table.to_json_lines(args.out)
-    else:
-        text = table.to_csv(args.out)
-    if not args.out:
-        sys.stdout.write(text)
+    _write(table.to_json_lines() if args.format == "jsonl" else table.to_csv(), args.out)
     print(f"{args.study}: {len(table.rows)} rows", file=sys.stderr)
     return EXIT_OK
 
@@ -367,6 +353,29 @@ def _add_common_output(parser: argparse.ArgumentParser, formats=("human", "json"
         "--format", choices=formats, default=formats[0],
         help=f"output format (default {formats[0]})",
     )
+
+
+def _add_threshold_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags of ``adjust`` and ``design``: substudies, arm correlations,
+    the error metric, the threshold solver and the output."""
+    parser.add_argument("--k", type=int, default=1, help="number of substudies (default 1)")
+    parser.add_argument("--rho-ab-a", type=float, nargs="+", default=None,
+                        help="combination-control endpoint correlation(s), default 0")
+    parser.add_argument("--rho-ab-b", type=float, nargs="+", default=None,
+                        help="combination-monotherapy endpoint correlation(s), default 0")
+    parser.add_argument("--metric", choices=("fwer", "fmer", "msfp", "mfwer"), default="fwer",
+                        help="error metric to control (default fwer)")
+    parser.add_argument("--alpha", type=float, default=None,
+                        help="target level; defaults: fwer 0.05, fmer 0.0025, msfp 0.000625")
+    parser.add_argument("--m", type=int, default=None, help="exceedance count for mfwer")
+    parser.add_argument("--sided", choices=("one", "two"), default=None,
+                        help="exceedance convention for mfwer (default two)")
+    parser.add_argument("--precision", type=float, default=1e-4,
+                        help="target standard error of randomized probabilities")
+    parser.add_argument("--replications", type=int, default=200_000,
+                        help="null draws for count-based metrics")
+    parser.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
+    _add_common_output(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -383,66 +392,32 @@ def build_parser() -> argparse.ArgumentParser:
     adjust = sub.add_parser(
         "adjust", help="solve a multiplicity-adjusted critical value / p-threshold"
     )
-    adjust.add_argument("--metric", choices=("fwer", "fmer", "msfp", "mfwer"), default="fwer",
-                        help="error metric to control (default fwer)")
-    adjust.add_argument("--alpha", type=float, default=None,
-                        help="target level; defaults: fwer 0.05, fmer 0.0025, msfp 0.000625")
-    adjust.add_argument("--m", type=int, default=None, help="exceedance count for mfwer")
-    adjust.add_argument("--sided", choices=("one", "two"), default=None,
-                        help="exceedance convention for mfwer (default two)")
     adjust.add_argument("--rho", type=float, default=None,
                         help="test-statistic correlation, given directly")
-    adjust.add_argument("--k", type=int, default=1, help="number of substudies (default 1)")
     adjust.add_argument("--n-a", type=float, default=None, help="control arm count")
     adjust.add_argument("--n-b", type=float, nargs="+", default=None,
                         help="monotherapy arm count(s), one per substudy")
     adjust.add_argument("--n-ab", type=float, nargs="+", default=None,
                         help="combination arm count(s), one per substudy")
-    adjust.add_argument("--rho-ab-a", type=float, nargs="+", default=None,
-                        help="combination-control endpoint correlation(s), default 0")
-    adjust.add_argument("--rho-ab-b", type=float, nargs="+", default=None,
-                        help="combination-monotherapy endpoint correlation(s), default 0")
     adjust.add_argument("--rho-a-b", type=float, nargs="+", default=None,
                         help="control-monotherapy endpoint correlation(s), default 0")
-    adjust.add_argument("--precision", type=float, default=1e-4,
-                        help="target standard error of randomized probabilities")
-    adjust.add_argument("--replications", type=int, default=200_000,
-                        help="null draws for count-based metrics")
-    adjust.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
-    _add_common_output(adjust)
+    _add_threshold_flags(adjust)
     adjust.set_defaults(func=cmd_adjust)
 
     design = sub.add_parser(
         "design", help="optimal allocation, threshold, and minimal sample size"
     )
-    design.add_argument("--k", type=int, default=1, help="number of substudies (default 1)")
     design.add_argument("--delta", type=float, nargs="+", default=None,
                         help="monotherapy effect size(s) in endpoint units")
     design.add_argument("--synergy", type=float, nargs="+", default=None,
                         help="synergy multiplier(s); 1 = additive")
-    design.add_argument("--rho-ab-a", type=float, nargs="+", default=None,
-                        help="combination-control correlation(s), default 0")
-    design.add_argument("--rho-ab-b", type=float, nargs="+", default=None,
-                        help="combination-monotherapy correlation(s), default 0")
     design.add_argument("--sigma2", type=float, default=1.0,
                         help="common endpoint variance (default 1)")
     design.add_argument("--power", type=float, default=0.8,
                         help="target power (default 0.8)")
-    design.add_argument("--metric", choices=("fwer", "fmer", "msfp", "mfwer"), default="fwer",
-                        help="error metric to control (default fwer)")
-    design.add_argument("--alpha", type=float, default=None,
-                        help="target level; defaults: fwer 0.05, fmer 0.0025, msfp 0.000625")
-    design.add_argument("--m", type=int, default=None, help="exceedance count for mfwer")
-    design.add_argument("--sided", choices=("one", "two"), default=None,
-                        help="exceedance convention for mfwer (default two)")
     design.add_argument("--n-cap", type=int, default=1_000_000,
                         help="sample-size search budget (default 1e6)")
-    design.add_argument("--precision", type=float, default=1e-4,
-                        help="target standard error of randomized probabilities")
-    design.add_argument("--replications", type=int, default=200_000,
-                        help="null draws for count-based metrics")
-    design.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
-    _add_common_output(design)
+    _add_threshold_flags(design)
     design.set_defaults(func=cmd_design)
 
     estimate = sub.add_parser(
@@ -476,8 +451,11 @@ def build_parser() -> argparse.ArgumentParser:
     estimate.set_defaults(func=cmd_estimate, format="json")
 
     simulate = sub.add_parser("simulate", help="run a full simulation study grid")
-    simulate.add_argument("--study", required=True, choices=_STUDIES)
-    simulate.add_argument("--swept", choices=("rho-ab-b", "rho-ab-a"), default=None,
+    simulate.add_argument(
+        "--study", required=True,
+        choices=("error-curves", "adjustments", "thresholds", "design-surface"),
+    )
+    simulate.add_argument("--swept", choices=("rho-ab-b", "rho-ab-a"), default="rho-ab-b",
                           help="which arm correlation to sweep (default rho-ab-b)")
     simulate.add_argument("--fixed-rho", type=float, default=0.3,
                           help="value of the non-swept correlation (default 0.3)")
@@ -492,16 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.set_defaults(func=cmd_simulate)
 
     return parser
-
-
-def _flag_actions(parser: argparse.ArgumentParser, command: str) -> dict:
-    """Flag name (dest) -> argparse action, for the top-level flags and the
-    flags of ``command``."""
-    actions = list(parser._actions)
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            actions += action.choices[command]._actions
-    return {action.dest: action for action in actions if action.option_strings}
 
 
 def _config_item(action: argparse.Action, key: str, value):
@@ -531,46 +499,30 @@ def _config_item(action: argparse.Action, key: str, value):
     return value
 
 
-def _given_flags(argv: list[str]) -> set[str]:
-    """Dests of the flags the command line gave, as argparse parses them, so
-    an abbreviation (``--alp``) or ``--flag=value`` counts as its flag: the
-    command line is parsed again with every default suppressed."""
-    parser = build_parser()
-    parsers = [parser]
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            parsers += action.choices.values()
-    for each in parsers:
-        for action in each._actions:
-            action.default = argparse.SUPPRESS
-    return set(vars(parser.parse_args(argv)))
-
-
-def _apply_config(
-    parser: argparse.ArgumentParser, args: argparse.Namespace, argv: list[str]
-) -> None:
-    """Fill flag values from the config file for flags not given on the CLI."""
-    if not args.config:
-        return
-    config = _load_json(args.config, "--config")
+def _config_defaults(sub: argparse.ArgumentParser, path: str) -> dict:
+    """The config file's values by flag name (dest), converted and checked as
+    the flags of the subcommand parser ``sub`` would be."""
+    config = _load_json(path, "--config")
     if not isinstance(config, dict):
         raise DomainError("--config file must hold a JSON object")
-    actions = _flag_actions(parser, args.command)
-    given = _given_flags(argv)
+    actions = {
+        action.dest: action
+        for action in sub._actions
+        if action.option_strings and action.default is not argparse.SUPPRESS
+    }
+    values = {}
     for key, value in config.items():
-        dest = key.replace("-", "_")
-        action = actions.get(dest)
-        if action is None or not hasattr(args, dest):
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             raise DomainError(f"--config key {key!r} does not match any flag")
-        if dest in given:
-            continue
         if action.nargs == "+":
             items = value if isinstance(value, list) else [value]
             _require(bool(items), f"--config key {key!r} needs at least one value")
             value = [_config_item(action, key, item) for item in items]
         else:
             value = _config_item(action, key, value)
-        setattr(args, dest, value)
+        values[action.dest] = value
+    return values
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -578,7 +530,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(parser, args, argv)
+        if args.config:
+            # config values become the subcommand's defaults, so parsing the
+            # command line again lets every flag given there win
+            commands = next(
+                action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction)
+            )
+            sub = commands.choices[args.command]
+            sub.set_defaults(**_config_defaults(sub, args.config))
+            args = parser.parse_args(argv)
         if hasattr(args, "seed") and args.seed is None:
             env = os.environ.get(SEED_ENV_VAR)
             try:

@@ -107,13 +107,18 @@ def ingest_csv(
     """Parse a UTF-8 CSV with a header row into a paired-endpoint table.
 
     Column names are configurable; a missing column raises
-    :class:`SchemaError` naming it, malformed rows raise :class:`ParseError`
-    with their line number, and duplicate (model, treatment) pairs follow the
+    :class:`SchemaError` naming it, text that is not UTF-8 raises
+    :class:`ParseError` naming the path, malformed rows raise it with their
+    line number, and duplicate (model, treatment) pairs follow the
     ``duplicates`` policy ('error' rejects, 'mean' averages).
     """
     records: list[tuple[str, str, float]] = []
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
+        try:
+            lines = handle.readlines()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        reader = csv.reader(lines, delimiter=delimiter)
         try:
             header = next(reader)
         except StopIteration:

@@ -211,28 +211,20 @@ class ResultTable:
             return NotImplemented
         return self.columns == other.columns and self.rows == other.rows
 
-    def to_csv(self, path: str | None = None) -> str:
+    def to_csv(self) -> str:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(self.columns)
         for row in self.rows:
             writer.writerow([_render(v) for v in row])
-        text = buffer.getvalue()
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        return text
+        return buffer.getvalue()
 
-    def to_json_lines(self, path: str | None = None) -> str:
+    def to_json_lines(self) -> str:
         lines = [
             json.dumps(dict(zip(self.columns, row)), allow_nan=False)
             for row in self.rows
         ]
-        text = "\n".join(lines) + "\n"
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        return text
+        return "\n".join(lines) + "\n"
 
     def as_dicts(self) -> list[dict]:
         return [dict(zip(self.columns, row)) for row in self.rows]

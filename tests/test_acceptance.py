@@ -442,9 +442,14 @@ def test_criterion_09_correlation_formula_vs_simulation():
 def test_criterion_10_determinism(tmp_path, capsys):
     checks = []
     grid = threshold_grid(start=0.2, stop=0.6, step=0.2, seed=31)
-    csv_a = run_threshold_curves(grid).to_csv(str(tmp_path / "a.csv"))
-    csv_b = run_threshold_curves(grid).to_csv(str(tmp_path / "b.csv"))
+    csv_a = run_threshold_curves(grid).to_csv()
+    csv_b = run_threshold_curves(grid).to_csv()
     checks.append((csv_a == csv_b, "threshold study reruns differ"))
+    study = ["simulate", "--study", "thresholds", "--start", "0.2", "--stop", "0.6",
+             "--step", "0.2"]
+    for name in ("a.csv", "b.csv"):
+        code = main([*study, "--out", str(tmp_path / name)])
+        checks.append((code == 0, f"simulate --out {name} exited {code}"))
     checks.append(
         (
             (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes(),

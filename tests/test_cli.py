@@ -319,19 +319,34 @@ _ROLES = '[{"drug_a": "A", "drug_b": "B", "combo": "AB"}]'
         ({"r.json": '[{"drug_a": "A", "drug_b": "B"}]'},
          ("estimate", "--input", "pdx.csv", "--roles", "r.json"),
          "{drug_a, drug_b, combo} objects"),
+        ({"bad.csv": b"model_id,treatment,response\nm0,A,1\xff\n"},
+         ("estimate", "--input", "bad.csv", "--drug-a", "A", "--drug-b", "B",
+          "--combo", "AB"), "bad.csv: not UTF-8 text"),
+        ({}, ("adjust", "--rho", "0.3", "--out", "missing/x.txt"),
+         "--out missing/x.txt: No such file or directory"),
+        ({}, ("design", "--delta", "0.663", "--synergy", "1.161", "--out", "missing/x.txt"),
+         "--out missing/x.txt: No such file or directory"),
+        ({}, ("estimate", "--input", "pdx.csv", "--drug-a", "A", "--drug-b", "B",
+              "--combo", "AB", "--out", "."), "--out .: Is a directory"),
+        ({}, ("simulate", "--study", "thresholds", "--start", "0.3", "--stop", "0.3",
+              "--out", "missing/x.csv"), "--out missing/x.csv: No such file or directory"),
     ],
     ids=["config-missing", "config-malformed", "input-missing", "roles-missing",
-         "roles-malformed", "roles-entry-not-object", "roles-entry-without-combo"],
+         "roles-malformed", "roles-entry-not-object", "roles-entry-without-combo",
+         "input-not-utf8", "adjust-out-missing-dir", "design-out-missing-dir",
+         "estimate-out-is-dir", "simulate-out-missing-dir"],
 )
 def test_input_file_errors_are_validation_failures(
     capsys, monkeypatch, tmp_path, files, argv, message
 ):
-    # a missing file, malformed JSON or a malformed roles entry exits 2
-    # with one error line, not a traceback
+    # a missing file, malformed JSON, a malformed roles entry, text that is
+    # not UTF-8 or an --out that cannot be written exits 2 with one error
+    # line, not a traceback
     monkeypatch.chdir(tmp_path)
     (tmp_path / "pdx.csv").write_text(FIXTURE_CSV, encoding="utf-8")
     for name, text in files.items():
-        (tmp_path / name).write_text(text, encoding="utf-8")
+        data = text if isinstance(text, bytes) else text.encode("utf-8")
+        (tmp_path / name).write_bytes(data)
     code, out, err = _run(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -484,11 +499,58 @@ class TestConfigAndSeed:
         assert code == 0
         assert report["alpha"] == 0.05
 
+    def test_design_list_flag_from_config_and_flag_wins(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({"delta": [0.663], "synergy": 1.161, "power": 0.9}), encoding="utf-8"
+        )
+        code, report, _ = _run_json(capsys, "--config", str(config), "design", "--power", "0.8")
+        assert code == 0
+        code_b, flagged, _ = _run_json(
+            capsys, "design", "--delta", "0.663", "--synergy", "1.161", "--power", "0.8"
+        )
+        assert code_b == 0
+        assert report == flagged
+        assert report["target_power"] == 0.8
+
+    def test_simulate_switch_from_config(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"progress": True}), encoding="utf-8")
+        code, _, err = _run(
+            capsys, "--config", str(config), "simulate", "--study", "design-surface",
+            "--start", "1.0", "--stop", "1.0", "--step", "0.1", "--rho-levels", "0.3",
+        )
+        assert code == 0
+        assert "design-surface 1/3" in err
+        code, out, err = _run(
+            capsys, "--config", str(config), "simulate", "--study", "thresholds",
+            "--start", "0.3", "--stop", "0.3",
+        )
+        assert code == 2
+        assert out == ""
+        assert "--progress only applies to --study design-surface" in err
+
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"not-a-flag": 1}), encoding="utf-8")
         code, _, err = _run(capsys, "--config", str(config), "adjust", "--rho", "0.1")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "values, argv",
+        [
+            ({"config": "other.json"}, ("adjust", "--rho", "0.1")),
+            ({"rho": 0.3}, ("design", "--delta", "0.663", "--synergy", "1.161")),
+            ({"help": True}, ("adjust", "--rho", "0.1")),
+        ],
+    )
+    def test_config_key_of_no_subcommand_flag_rejected(self, capsys, tmp_path, values, argv):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(values), encoding="utf-8")
+        code, out, err = _run(capsys, "--config", str(config), *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --config key {next(iter(values))!r} does not match any flag\n"
 
     def test_env_seed_used_when_flag_absent(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv(SEED_ENV_VAR, "12345")

@@ -325,9 +325,13 @@ class TestResultTable:
         table = run_threshold_curves(grid)
         csv_path = tmp_path / "out.csv"
         jsonl_path = tmp_path / "out.jsonl"
-        table.to_csv(str(csv_path))
-        table.to_json_lines(str(jsonl_path))
+        study = ["simulate", "--study", "thresholds", "--start", "0.3", "--stop", "0.5",
+                 "--step", "0.2"]
+        assert cli.main([*study, "--out", str(csv_path)]) == 0
+        assert cli.main([*study, "--format", "jsonl", "--out", str(jsonl_path)]) == 0
+        assert csv_path.read_text(encoding="utf-8") == table.to_csv()
         assert csv_path.read_text().splitlines()[0].startswith("swept,")
+        assert jsonl_path.read_text(encoding="utf-8") == table.to_json_lines()
         assert len(jsonl_path.read_text().splitlines()) == len(table.rows)
 
     def test_column_filter(self):
