@@ -12,7 +12,6 @@ from .allocation import (
     DesignScenario,
     closed_form_allocation,
     optimize_allocation,
-    softmax_to_allocation,
     wald_noncentrality,
 )
 from .correlation import (
@@ -35,9 +34,7 @@ from .multiplicity import (
     ErrorMetric,
     ThresholdResult,
     bivariate_error_rates,
-    bonferroni_threshold,
     classical_dunnett_threshold,
-    holm_reject,
     platform_threshold,
 )
 from .mvnorm import (

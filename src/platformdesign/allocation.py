@@ -5,16 +5,14 @@ substudy, a monotherapy arm and a combination arm, so that the smaller of the
 two Wald noncentrality parameters in every substudy is as large as possible.
 The optimum equalizes all 2K noncentralities; :func:`optimize_allocation`
 finds it exactly by a one-dimensional convex search over the control share.
-The paper's softmax parameterization of the simplex and its closed form for a
-single substudy with zero correlation (optimal only at s = 1) are kept as the
-documented forms.
+The paper's closed form for a single substudy with zero correlation (optimal
+only at s = 1) is kept as the documented form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +21,6 @@ from .errors import DomainError
 __all__ = [
     "DesignScenario",
     "Allocation",
-    "softmax_to_allocation",
     "wald_noncentrality",
     "closed_form_allocation",
     "optimize_allocation",
@@ -175,24 +172,6 @@ class Allocation:
                 counts[row, np.argmax(counts[row])] -= 1
                 counts[row, np.argmin(counts[row])] += 1
         return counts
-
-
-def _softmax(theta: np.ndarray) -> np.ndarray:
-    shifted = theta - theta.max()
-    e = np.exp(shifted)
-    return e / e.sum()
-
-
-def softmax_to_allocation(theta: Sequence[float]) -> Allocation:
-    """Map unconstrained parameters to positive ratios summing to one.
-
-    Invariant to adding a constant to every parameter, so optimizers can roam
-    the redundant direction freely.
-    """
-    arr = np.asarray(theta, dtype=float)
-    if arr.ndim != 1 or not np.all(np.isfinite(arr)):
-        raise DomainError("softmax parameters must be a finite 1-d vector")
-    return Allocation(tuple(_softmax(arr)))
 
 
 def _contrast_variance(n_arm, n_control, rho):

@@ -1,24 +1,24 @@
 """False-positive metrics and critical-value solvers.
 
-Conventional adjustments (Bonferroni, Holm, the classical shared-control
-procedure) are provided as comparators.  The generalized procedure solves for
-a common critical value under the exact joint normal law of the test
-statistics, so that a chosen error metric (any false rejection, multiple
-false rejections, multiple superiority claims, or at-least-m rejections)
-lands exactly on its target level.
+The classical shared-control procedure is provided as the comparator.  The
+generalized procedure solves for a common critical value under the exact
+joint normal law of the test statistics, so that a chosen error metric (any
+false rejection, multiple false rejections, multiple superiority claims, or
+at-least-m rejections) lands exactly on its target level.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .correlation import PlatformArms, classical_dunnett_correlation
 from .errors import DomainError, RootBracketError
 from .mvnorm import (
+    _SQRT_2PI,
     CorrelationMatrix,
     QmcLattice,
     RectangleEstimate,
@@ -32,8 +32,6 @@ __all__ = [
     "ErrorMetric",
     "DEFAULT_TARGETS",
     "ThresholdResult",
-    "bonferroni_threshold",
-    "holm_reject",
     "classical_dunnett_threshold",
     "platform_threshold",
     "bivariate_error_rates",
@@ -124,36 +122,6 @@ class ThresholdResult:
 
 def _p_threshold(c: float) -> float:
     return 2.0 * (1.0 - std_normal_cdf(c))
-
-
-def bonferroni_threshold(num_tests: int, alpha: float) -> float:
-    """Equal split of the significance level across tests."""
-    if num_tests < 1:
-        raise DomainError("num_tests must be at least 1")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    return alpha / num_tests
-
-
-def holm_reject(p_values: Sequence[float], alpha: float) -> list[bool]:
-    """Step-down decisions in the input order.
-
-    The i-th smallest p-value is compared against alpha/(n-i+1); the first
-    failure stops the procedure and everything at or beyond it is retained.
-    """
-    p = list(p_values)
-    if any(not 0.0 <= v <= 1.0 for v in p):
-        raise DomainError("p-values must lie in [0, 1]")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    n = len(p)
-    decisions = [False] * n
-    for rank, idx in enumerate(sorted(range(n), key=lambda i: p[i])):
-        if p[idx] <= alpha / (n - rank):
-            decisions[idx] = True
-        else:
-            break
-    return decisions
 
 
 def _solve_decreasing(
@@ -356,6 +324,48 @@ def _bivariate_critical_values(rho, metric: ErrorMetric) -> tuple[np.ndarray, np
     return c_star, achieved
 
 
+def _lattice_critical_value(
+    lattice: QmcLattice, two_sided: bool, alpha: float, low: float, high: float, precision: float
+) -> tuple[float, RectangleEstimate]:
+    """Root in [low, high] of P(any statistic exceeds c) = alpha on the
+    lattice, and the estimate of the box there.
+
+    Safeguarded Newton on the probit g(c) = Phi^-1(level(c)), which is
+    nearly linear in c, with the slope from the lattice's own pass.  A
+    bracket [lo, hi] is kept by the sign of level - alpha, and a step that
+    leaves it is replaced by bisection.  The search starts at ``high``,
+    where the lattice grows until the standard error is at most
+    ``precision``, and stops at the point just evaluated once the next step
+    is at most 1e-8; should the standard error there exceed ``precision``,
+    the lattice grows at that root and the search continues from it.
+    """
+    dim, target = lattice.factor.shape[0], std_normal_quantile(alpha)
+    lo, hi, c, grow = low, high, high, True
+    while True:
+        upper = np.full(dim, c)
+        lower = -upper if two_sided else np.full(dim, -math.inf)
+        estimate = lattice.refine(lower, upper, precision) if grow else lattice.estimate(lower, upper)
+        level = 1.0 - estimate.value
+        if level > alpha:
+            lo = c
+        else:
+            hi = c
+        step = math.nan
+        if 0.0 < level < 1.0 and estimate.slope > 0.0:
+            q = std_normal_quantile(level)
+            # -g / g', with g' = -slope / phi(q)
+            step = (q - target) * math.exp(-0.5 * q * q) / (_SQRT_2PI * estimate.slope)
+        if not lo <= c + step <= hi:
+            step = (lo + hi) / 2.0 - c
+        grow = abs(step) <= 1e-8
+        if grow:
+            if estimate.stderr <= precision:
+                return c, estimate
+            lo, hi = low, high
+        else:
+            c += step
+
+
 def platform_threshold(
     z_corr: CorrelationMatrix,
     metric: ErrorMetric,
@@ -367,17 +377,20 @@ def platform_threshold(
     K-substudy platform trial) under the chosen error metric.
 
     Metrics counting any exceedance, and every metric with two statistics
-    (K=1), are solved by one Brent root search on an analytic bracket: one
+    (K=1), are solved by a root search on an analytic bracket: one
     statistic's level against the union bound, or for two exceedances of two
     statistics their product against one statistic's level.  With two
-    statistics the level is the exact bivariate normal law, so
-    ``achieved_stderr`` is 0 and ``precision``, ``seed`` and ``replications``
-    are validated but unused.  With more, the level is a randomized quasi-Monte Carlo
-    rectangle probability on one :class:`QmcLattice` per solve.  Its points
-    grow at the bracket's upper end until the level's standard error is at
-    most ``precision``, then stay fixed, so the search sees a smooth
-    deterministic function of c.  Should the standard error at the root still
-    exceed ``precision``, the lattice grows there and the search runs again.
+    statistics the level is the exact bivariate normal law, searched by
+    Brent's method, so ``achieved_stderr`` is 0 and ``precision``, ``seed``
+    and ``replications`` are validated but unused.  With more, the level is
+    a randomized quasi-Monte Carlo rectangle probability on one
+    :class:`QmcLattice` per solve.  Its points grow at the bracket's upper
+    end until the level's standard error is at most ``precision``, then stay
+    fixed, so the level is a smooth deterministic function of c whose slope
+    each lattice pass also returns; a safeguarded Newton search on the
+    level's probit takes about four passes.  Should the standard error at
+    the root still exceed ``precision``, the lattice grows there and the
+    search goes on from that root.
     Count-based metrics (at least m >= 2 of more than two statistics exceed
     c) use a common pool of ``replications`` null draws: the pool's level is
     a step function of c, and its root, an order statistic of the draws'
@@ -399,29 +412,11 @@ def platform_threshold(
         c_values, levels = _bivariate_critical_values(rho, metric)
         c_star, achieved, stderr = float(c_values[0]), float(levels[0]), 0.0
     elif metric.exceedance_count == 1:
-        lattice = QmcLattice(z_corr, seed)
-        # estimates on the lattice at its current size, by c
-        estimates: dict[float, RectangleEstimate] = {}
-
-        def box(c: float) -> tuple[np.ndarray, np.ndarray]:
-            return np.full(dim, -c if two_sided else -math.inf), np.full(dim, c)
-
-        def level(c: np.ndarray, active: np.ndarray) -> np.ndarray:
-            key = float(c[0])
-            if key not in estimates:
-                estimates[key] = lattice.estimate(*box(key))
-            return np.array([1.0 - estimates[key].value])
-
-        low, high = _bracket(metric, dim, [rho])
-        c_star = float(high[0])
-        while True:
-            estimates.clear()
-            estimates[c_star] = lattice.refine(*box(c_star), precision)
-            c_values, levels = _solve_decreasing(level, metric.alpha, low, high, x_tol=1e-8)
-            c_star, achieved = float(c_values[0]), float(levels[0])
-            stderr = estimates[c_star].stderr
-            if stderr <= precision:
-                break
+        low, high = _bracket(metric, dim, rho)
+        c_star, estimate = _lattice_critical_value(
+            QmcLattice(z_corr, seed), two_sided, metric.alpha, float(low), float(high), precision
+        )
+        achieved, stderr = 1.0 - estimate.value, estimate.stderr
     else:
         stat = _tail_count_statistic(
             z_corr, metric.exceedance_count, metric.effective_sided, replications, seed

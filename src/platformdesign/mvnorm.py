@@ -12,7 +12,8 @@ factorization with diagonal jitter, and rectangle probabilities:
   with a reported standard error.  A :class:`QmcLattice` holds its points
   for one correlation matrix, so every box evaluated on it sees the same
   points: a root finder over box bounds then sees a smooth, deterministic
-  objective.
+  objective, and each evaluation also returns that objective's derivative
+  as the box widens, carried through the same pass.
 
 The lattice shifts are the module's only random numbers; every estimate is
 a pure function of (inputs, seed).
@@ -360,6 +361,8 @@ class RectangleEstimate(NamedTuple):
     value: float
     stderr: float
     n_points: int
+    # d value / dt for the box pushed outward by t (QmcLattice.estimate)
+    slope: float
 
     def __float__(self) -> float:
         return self.value
@@ -376,10 +379,23 @@ def _first_primes(n: int) -> list[int]:
 
 
 _NDTRI_CLIP = 1e-15
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 # independently shifted copies of the lattice; their spread is the stderr
 _N_BATCHES = 12
 # the most points refine() spends on one box
 _MAX_POINTS = 1 << 22
+
+
+def _cdf_and_slope(ndtr, bound: float, s, d_bound, ct: float):
+    """Phi((bound - s) / ct) and its derivative, given the derivative
+    ``d_bound`` of bound - s; an infinite bound gives 0 or 1 and slope 0."""
+    if math.isinf(bound):
+        return (0.0 if bound < 0.0 else 1.0), 0.0
+    x = (bound - s) / ct
+    # beyond |x| ~ 1e154 the square overflows to inf, and the density is 0
+    with np.errstate(over="ignore"):
+        density = np.exp(-0.5 * np.square(x))
+    return ndtr(x), density * d_bound / (ct * _SQRT_2PI)
 
 
 class QmcLattice:
@@ -416,28 +432,48 @@ class QmcLattice:
         self._points = np.abs(2.0 * z - 1.0).reshape(self._generators.size, -1)
 
     def estimate(self, lower: np.ndarray, upper: np.ndarray) -> RectangleEstimate:
-        """P(lower <= Z <= upper) on the current points, all batches at once."""
+        """P(lower <= Z <= upper) on the current points, all batches at once,
+        with its slope: the derivative in t of the box (lower - t, upper + t)
+        at t = 0, infinite bounds held fixed.
+
+        The slope is carried through the same pass in forward mode: each
+        bound's cdf contributes its density times the bound's derivative,
+        and each transformed point y = Phi^-1(u) the derivative du / phi(y),
+        0 where u is clipped, so the pass adds exponentials and
+        multiply-adds but no ``ndtr`` or ``ndtri`` call.  An infinite bound
+        gives a cdf of exactly 0 or 1 without calling ``ndtr``.
+        """
         # scipy.special is most of the package's import time, so only the
         # paths that use it import it
         from scipy.special import ndtr, ndtri
 
-        factor = self.factor
-        d_cur = ndtr(lower[0] / factor[0, 0])
-        e_cur = ndtr(upper[0] / factor[0, 0])
-        prob = np.full(self._points.shape[1], e_cur - d_cur)
-        y = np.empty_like(self._points)
-        for i in range(1, factor.shape[0]):
-            u = d_cur + self._points[i - 1] * (e_cur - d_cur)
-            y[i - 1] = ndtri(np.clip(u, _NDTRI_CLIP, 1.0 - _NDTRI_CLIP))
-            s = factor[i, :i] @ y[:i]
+        factor, points = self.factor, self._points
+        dim, n = factor.shape[0], points.shape[1]
+        y, dy = np.empty((dim - 1, n)), np.empty((dim - 1, n))
+        prob, slope = np.ones(n), np.zeros(n)
+        s = ds = 0.0
+        for i in range(dim):
+            if i:
+                u = d_cur + points[i - 1] * (e_cur - d_cur)
+                du = dd_cur + points[i - 1] * (de_cur - dd_cur)
+                clipped = np.clip(u, _NDTRI_CLIP, 1.0 - _NDTRI_CLIP)
+                y[i - 1] = ndtri(clipped)
+                dy[i - 1] = np.where(clipped == u, du, 0.0) * (
+                    _SQRT_2PI * np.exp(0.5 * np.square(y[i - 1]))
+                )
+                s, ds = factor[i, :i] @ y[:i], factor[i, :i] @ dy[:i]
             ct = max(factor[i, i], 1e-12)
-            d_cur = ndtr((lower[i] - s) / ct)
-            e_cur = ndtr((upper[i] - s) / ct)
-            prob *= np.maximum(e_cur - d_cur, 0.0)
+            d_cur, dd_cur = _cdf_and_slope(ndtr, lower[i], s, -1.0 - ds, ct)
+            e_cur, de_cur = _cdf_and_slope(ndtr, upper[i], s, 1.0 - ds, ct)
+            width = np.maximum(e_cur - d_cur, 0.0)
+            slope = slope * width + prob * (de_cur - dd_cur)
+            prob *= width
         means = prob.reshape(_N_BATCHES, -1).mean(axis=1)
         value = float(means.mean())
         stderr = float(means.std(ddof=1) / math.sqrt(_N_BATCHES))
-        return RectangleEstimate(min(1.0, max(0.0, value)), stderr, self.total_points)
+        return RectangleEstimate(
+            min(1.0, max(0.0, value)), stderr, self.total_points, float(slope.mean())
+        )
 
     def refine(self, lower: np.ndarray, upper: np.ndarray, precision: float) -> RectangleEstimate:
         """Grow until the estimate of this box has standard error at most

@@ -133,6 +133,20 @@ def mc_error_rates(z_corr, c: float, count: int, seed: int) -> dict:
     }
 
 
+def holm_reject(p_values, alpha: float) -> list[bool]:
+    """Holm's step-down decisions, in the input order: the i-th smallest
+    p-value is compared against alpha/(n-i+1), and the first failure retains
+    it and everything after it."""
+    p = list(p_values)
+    n = len(p)
+    decisions = [False] * n
+    for rank, idx in enumerate(sorted(range(n), key=lambda i: p[i])):
+        if p[idx] > alpha / (n - rank):
+            break
+        decisions[idx] = True
+    return decisions
+
+
 def mc_comparison_power(scenario, sizes, c: float, count: int, seed: int) -> np.ndarray:
     """Simulated rejection rate (|Z| > c) of each comparison with control,
     in arm order (mono_1, combo_1, mono_2, ...), from arm means drawn at the

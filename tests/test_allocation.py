@@ -1,4 +1,4 @@
-"""Softmax parameterization, Wald noncentrality, and max-min allocation."""
+"""Wald noncentrality and max-min allocation."""
 
 import math
 
@@ -12,7 +12,6 @@ from platformdesign.allocation import (
     DesignScenario,
     closed_form_allocation,
     optimize_allocation,
-    softmax_to_allocation,
     wald_noncentrality,
 )
 from platformdesign.errors import DomainError
@@ -20,29 +19,6 @@ from platformdesign.errors import DomainError
 
 def _objective(scenario: DesignScenario, alloc: Allocation) -> float:
     return float(wald_noncentrality(scenario, alloc, 1).min())
-
-
-class TestSoftmax:
-    def test_zero_maps_to_equal_thirds(self):
-        alloc = softmax_to_allocation((0.0, 0.0, 0.0))
-        assert np.allclose(alloc.ratios, (1 / 3, 1 / 3, 1 / 3))
-
-    def test_shift_invariance(self, rng):
-        theta = rng.standard_normal(5)
-        base = softmax_to_allocation(theta)
-        shifted = softmax_to_allocation(theta + 17.3)
-        assert np.allclose(base.ratios, shifted.ratios, atol=1e-12)
-
-    def test_hand_evaluation(self):
-        alloc = softmax_to_allocation((math.log(2.0), 0.0, 0.0))
-        assert np.allclose(alloc.ratios, (0.5, 0.25, 0.25), atol=1e-12)
-
-    def test_validation(self):
-        assert softmax_to_allocation([0.0, 0.0, 0.0]).K == 1
-        with pytest.raises(DomainError):
-            softmax_to_allocation((math.inf, 0.0, 0.0))
-        with pytest.raises(DomainError):
-            softmax_to_allocation([[0.0, 0.0, 0.0]])
 
 
 class TestAllocationType:

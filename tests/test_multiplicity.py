@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import mc_error_rates, mvn_draws
+from conftest import holm_reject, mc_error_rates, mvn_draws
 from scipy.optimize import brentq
 
 from platformdesign import multiplicity
@@ -19,12 +19,15 @@ from platformdesign.errors import DomainError, RootBracketError
 from platformdesign.multiplicity import (
     ErrorMetric,
     bivariate_error_rates,
-    bonferroni_threshold,
     classical_dunnett_threshold,
-    holm_reject,
     platform_threshold,
 )
-from platformdesign.mvnorm import CorrelationMatrix, QmcLattice, std_normal_cdf
+from platformdesign.mvnorm import (
+    CorrelationMatrix,
+    QmcLattice,
+    RectangleEstimate,
+    std_normal_cdf,
+)
 
 def _se(rate: float, count: int) -> float:
     """Binomial standard error of a simulated rate."""
@@ -73,17 +76,8 @@ class TestErrorMetric:
 
 
 class TestConventional:
-    @pytest.mark.parametrize(
-        "num_tests, alpha, expected", [(2, 0.05, 0.025), (1, 0.05, 0.05), (4, 0.05, 0.0125)]
-    )
-    def test_bonferroni(self, num_tests, alpha, expected):
-        assert bonferroni_threshold(num_tests, alpha) == pytest.approx(expected, abs=1e-15)
-
-    def test_bonferroni_validation(self):
-        with pytest.raises(DomainError):
-            bonferroni_threshold(0, 0.05)
-        with pytest.raises(DomainError):
-            bonferroni_threshold(2, 0.0)
+    """Holm's step-down decisions: the oracle the study tests compare the
+    Holm rows against."""
 
     def test_holm_both_rejected(self):
         assert holm_reject([0.01, 0.04], 0.05) == [True, True]
@@ -99,12 +93,6 @@ class TestConventional:
         assert holm_reject([0.04, 0.01], 0.05) == [True, True]
         assert holm_reject([0.60, 0.03], 0.05) == [False, False]
         assert holm_reject([0.30, 0.01, 0.02], 0.05) == [False, True, True]
-
-    def test_holm_validation(self):
-        with pytest.raises(DomainError):
-            holm_reject([0.5, 1.2], 0.05)
-        with pytest.raises(DomainError):
-            holm_reject([0.5], 0.0)
 
 
 def _bivariate_oracle_c(rho, metric):
@@ -379,6 +367,25 @@ def _counting(monkeypatch, owner, name):
     return calls
 
 
+class _CurveLattice:
+    """Stands in for a :class:`QmcLattice` whose any-exceedance level is the
+    function ``level`` of c, with derivative ``d_level``; it records the c of
+    every evaluation."""
+
+    factor = np.eye(2)
+
+    def __init__(self, level, d_level):
+        self.level, self.d_level, self.visited = level, d_level, []
+
+    def estimate(self, lower, upper):
+        c = float(upper[0])
+        self.visited.append(c)
+        return RectangleEstimate(1.0 - self.level(c), 0.0, 1, -self.d_level(c))
+
+    def refine(self, lower, upper, precision):
+        return self.estimate(lower, upper)
+
+
 class TestThresholdSolver:
     """One bracketed root search per solve, on a deterministic level."""
 
@@ -398,14 +405,32 @@ class TestThresholdSolver:
         assert 0.0 < result.achieved_stderr <= precision
         assert result.achieved == pytest.approx(0.05, abs=1e-8)
 
-    def test_k2_level_against_scipy_mvn_cdf(self):
+    @pytest.mark.parametrize("K", [2, 4, 6])
+    @pytest.mark.parametrize("sided", ["two", "one"])
+    def test_lattice_slope_is_the_derivative_of_its_level(self, K, sided):
+        # the slope the search steps on is the derivative of the level it
+        # solves, on the same points
+        dim = 2 * K
+        lattice = QmcLattice(_platform_z_corr(K), seed=0)
+
+        def estimate(c):
+            lower = np.full(dim, -c) if sided == "two" else np.full(dim, -math.inf)
+            return lattice.estimate(lower, np.full(dim, c))
+
+        c, h = 2.5, 1e-5
+        central = (estimate(c + h).value - estimate(c - h).value) / (2.0 * h)
+        assert estimate(c).slope == pytest.approx(central, rel=1e-6)
+
+    @pytest.mark.parametrize("K, sided", [(2, "two"), (2, "one"), (4, "one")])
+    def test_level_against_scipy_mvn_cdf(self, K, sided):
         from scipy.stats import multivariate_normal
 
-        z_corr = _platform_z_corr(2)
-        result = platform_threshold(z_corr, ErrorMetric.fwer(0.05))
+        z_corr, dim = _platform_z_corr(K), 2 * K
+        result = platform_threshold(z_corr, ErrorMetric.mfwer(1, 0.05, sided))
         c = result.critical_value
         inside = multivariate_normal.cdf(
-            np.full(4, c), np.zeros(4), z_corr.entries, lower_limit=np.full(4, -c),
+            np.full(dim, c), np.zeros(dim), z_corr.entries,
+            lower_limit=np.full(dim, -c if sided == "two" else -math.inf),
             abseps=1e-6, releps=0.0,
         )
         assert abs((1.0 - inside) - 0.05) <= 5 * result.achieved_stderr + 1e-6
@@ -416,17 +441,70 @@ class TestThresholdSolver:
         calls = _counting(monkeypatch, QmcLattice, "estimate")
         result = platform_threshold(_platform_z_corr(K), ErrorMetric.fwer(0.05))
         assert len(builds) == 1
-        assert 0 < len(calls) <= 16
+        assert 0 < len(calls) <= 8
         assert result.achieved_stderr <= 1e-4
 
+    @pytest.mark.parametrize("K", [2, 3, 4, 5, 6])
+    def test_lattice_solve_matches_brentq_on_its_points(self, monkeypatch, K):
+        builds = _counting(monkeypatch, QmcLattice, "__init__")
+        result = platform_threshold(_platform_z_corr(K), ErrorMetric.fwer(0.05))
+        lattice, dim = builds[0][0], 2 * K  # as the solve left it grown
+
+        def excess(c):
+            return 1.0 - lattice.estimate(np.full(dim, -c), np.full(dim, c)).value - 0.05
+
+        oracle = brentq(excess, 1.5, 4.0, xtol=1e-12)
+        assert result.critical_value == pytest.approx(oracle, abs=1e-8)
+
+    def test_lattice_search_bisects_where_newton_leaves_the_bracket(self):
+        # a level whose probit is flat at the bracket's upper end: the first
+        # Newton step lands below the bracket, and bisection takes over
+        # until Newton steps stay inside it
+        root, alpha = 2.3, 0.05
+        curve = _CurveLattice(
+            lambda c: alpha * (1.0 + 0.9 * math.tanh(3.0 * (root - c))),
+            lambda c: -2.7 * alpha / math.cosh(3.0 * (root - c)) ** 2,
+        )
+        c_star, estimate = multiplicity._lattice_critical_value(
+            curve, True, alpha, 1.96, 3.0, 1e-4
+        )
+        assert abs(c_star - root) <= 1e-8
+        assert 1.0 - estimate.value == pytest.approx(alpha, abs=1e-9)
+        first_step = curve.visited[1] - curve.visited[0]
+        assert curve.visited[0] == 3.0 and first_step == pytest.approx((1.96 - 3.0) / 2.0)
+        assert len(curve.visited) <= 8
+
+    def test_lattice_search_without_a_crossing_returns_the_bracket_end(self):
+        # a level above alpha everywhere: the search stops at the upper end
+        # and platform_threshold's level check reports the miss
+        curve = _CurveLattice(lambda c: 0.2, lambda c: 0.0)
+        c_star, _ = multiplicity._lattice_critical_value(curve, True, 0.05, 1.96, 3.0, 1e-4)
+        assert c_star == 3.0 and curve.visited == [3.0]
+
     def test_k4_lattice_solve_is_pinned(self, monkeypatch):
-        # the K > 1 search runs the elementwise solver on one element; its
-        # iterates, and so c* and the lattice evaluations, are those of the
-        # scalar search it replaced
+        # two estimates at the bracket's upper end (the lattice grows once
+        # there), then two Newton steps on the lattice's own slope; the
+        # third step is under 1e-8 and not taken
         calls = _counting(monkeypatch, QmcLattice, "estimate")
         result = platform_threshold(_platform_z_corr(4), ErrorMetric.fwer(0.05))
-        assert repr(result.critical_value) == "2.688703128315904"
-        assert len(calls) == 9
+        assert repr(result.critical_value) == "2.688703125307767"
+        assert len(calls) == 4
+
+    def test_regrowth_at_the_root_continues_from_it(self, monkeypatch):
+        # at this precision and seed the standard error meets the precision
+        # at the bracket's upper end but not at the root, so the lattice
+        # grows there and the search goes on from that root
+        refines = _counting(monkeypatch, QmcLattice, "refine")
+        calls = _counting(monkeypatch, QmcLattice, "estimate")
+        z_corr = _platform_z_corr(4)
+        result = platform_threshold(z_corr, ErrorMetric.fwer(0.05), precision=7e-5, seed=2)
+        assert len(calls) <= 8
+        assert result.achieved_stderr <= 7e-5
+        assert len(refines) == 2
+        (lattice, lower, upper, _), (_, _, at_root, _) = refines
+        assert abs(at_root[0] - result.critical_value) < 1e-3 < upper[0] - at_root[0]
+        grown_at_high = QmcLattice(z_corr, seed=2).refine(lower, upper, 7e-5)
+        assert lattice.total_points > grown_at_high.n_points
 
     def test_pool_root_is_the_smallest_c_at_level(self):
         corr = _platform_z_corr(2)

@@ -304,6 +304,21 @@ class TestQmcLattice:
         estimate = lattice.refine(np.full(4, -c), np.full(4, c), precision=1e-4)
         assert estimate.value == pytest.approx(0.95**4, abs=max(1e-4, 3 * estimate.stderr))
 
+    @pytest.mark.parametrize("dim", [4, 8, 12])
+    @pytest.mark.parametrize("sided", ["two", "one"])
+    def test_identity_value_and_slope_are_exact(self, dim, sided):
+        # independent coordinates: every point gives the product of the
+        # marginal probabilities, whatever the points
+        c = 2.1
+        cdf = 0.5 * math.erfc(-c / math.sqrt(2.0))
+        pdf = math.exp(-0.5 * c * c) / math.sqrt(2.0 * math.pi)
+        p, dp = (2.0 * cdf - 1.0, 2.0 * pdf) if sided == "two" else (cdf, pdf)
+        lattice = QmcLattice(CorrelationMatrix.identity(dim), seed=dim)
+        lower = np.full(dim, -c if sided == "two" else -INF)
+        estimate = lattice.estimate(lower, np.full(dim, c))
+        assert estimate.value == pytest.approx(p**dim, abs=1e-12)
+        assert estimate.slope == pytest.approx(dim * p ** (dim - 1) * dp, abs=1e-12)
+
     def test_dim2_agrees_with_quadrature(self):
         lattice = QmcLattice(CorrelationMatrix.bivariate(0.5), seed=1)
         estimate = lattice.refine(np.array([-1.96, -1.96]), np.array([1.96, 1.96]), 5e-5)
@@ -314,6 +329,17 @@ class TestQmcLattice:
         lattice = QmcLattice(CorrelationMatrix.identity(3))
         estimate = lattice.refine(np.full(3, -INF), np.full(3, INF), precision=1e-4)
         assert estimate.value == 1.0 and estimate.stderr == 0.0
+
+    def test_far_bounds_match_infinite_ones(self):
+        # a finite bound far out gives the cdf of an infinite one, and its
+        # density underflows to 0 without an overflow warning
+        corr = CorrelationMatrix(np.eye(3) * 0.5 + np.full((3, 3), 0.5))
+        lattice = QmcLattice(corr, seed=2)
+        lower, upper = np.array([-1e200, -1.0, -2.0]), np.array([1.5, 1e300, 2.0])
+        far = lattice.estimate(lower, upper)
+        infinite = lattice.estimate(np.where(lower < -1e100, -INF, lower),
+                                    np.where(upper > 1e100, INF, upper))
+        assert far == infinite
 
     def test_deterministic_given_seed(self):
         corr = CorrelationMatrix(np.eye(4) * 0.5 + np.full((4, 4), 0.5))

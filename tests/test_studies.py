@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import FIXTURE_INDEPENDENT_CSV, mc_error_rates, mvn_draws
+from conftest import FIXTURE_INDEPENDENT_CSV, holm_reject, mc_error_rates, mvn_draws
 from scipy.special import ndtr, ndtri
 
 from platformdesign import cli, correlation
@@ -16,7 +16,6 @@ from platformdesign.multiplicity import (
     ErrorMetric,
     bivariate_error_rates,
     classical_dunnett_threshold,
-    holm_reject,
     platform_threshold,
 )
 from platformdesign.mvnorm import CorrelationMatrix, bvn_rectangle
