@@ -361,6 +361,9 @@ def _lattice_critical_value(
         if grow:
             if estimate.stderr <= precision:
                 return c, estimate
+            # grow before refining, so the root is not evaluated twice on
+            # the same points
+            lattice.grow()
             lo, hi = low, high
         else:
             c += step
@@ -384,13 +387,14 @@ def platform_threshold(
     Brent's method, so ``achieved_stderr`` is 0 and ``precision``, ``seed``
     and ``replications`` are validated but unused.  With more, the level is
     a randomized quasi-Monte Carlo rectangle probability on one
-    :class:`QmcLattice` per solve.  Its points grow at the bracket's upper
-    end until the level's standard error is at most ``precision``, then stay
-    fixed, so the level is a smooth deterministic function of c whose slope
-    each lattice pass also returns; a safeguarded Newton search on the
-    level's probit takes about four passes.  Should the standard error at
-    the root still exceed ``precision``, the lattice grows there and the
-    search goes on from that root.
+    :class:`QmcLattice` per solve, which takes the statistics in an order
+    fixed by ``z_corr`` (smallest residual variance first).  Its points grow
+    at the bracket's upper end until the level's standard error is at most
+    ``precision``, then stay fixed, so the level is a smooth deterministic
+    function of c whose slope each lattice pass also returns; a safeguarded
+    Newton search on the level's probit takes about three passes.  Should
+    the standard error at the root still exceed ``precision``, the lattice
+    grows there and the search goes on from that root.
     Count-based metrics (at least m >= 2 of more than two statistics exceed
     c) use a common pool of ``replications`` null draws: the pool's level is
     a step function of c, and its root, an order statistic of the draws'

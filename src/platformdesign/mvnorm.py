@@ -13,7 +13,11 @@ factorization with diagonal jitter, and rectangle probabilities:
   for one correlation matrix, so every box evaluated on it sees the same
   points: a root finder over box bounds then sees a smooth, deterministic
   objective, and each evaluation also returns that objective's derivative
-  as the box widens, carried through the same pass.
+  as the box widens, carried through the same pass.  The lattice takes the
+  variables in one order per matrix, each next the one with the smallest
+  residual variance given those before it (variable prioritisation, Genz
+  1992); on the Z correlations of optimised platform designs this lowers
+  the estimate's variance about twofold at four and six substudies.
 
 The lattice shifts are the module's only random numbers; every estimate is
 a pure function of (inputs, seed).
@@ -398,6 +402,27 @@ def _cdf_and_slope(ndtr, bound: float, s, d_bound, ct: float):
     return ndtr(x), density * d_bound / (ct * _SQRT_2PI)
 
 
+def _smallest_residual_order(matrix: np.ndarray) -> np.ndarray:
+    """The order in which a Cholesky pivoting on the smallest remaining
+    residual variance takes the variables of ``matrix``; ties go to the
+    lowest index.
+
+    Each pivot is the variable best determined by those before it, so the
+    conditional intervals of the separation-of-variables transform narrow
+    early and the lattice's estimate varies less.
+    """
+    schur = np.array(matrix, dtype=float)
+    remaining = np.arange(schur.shape[0])
+    order = []
+    while remaining.size:
+        j = remaining[np.argmin(np.diag(schur)[remaining])]
+        order.append(j)
+        remaining = remaining[remaining != j]
+        if schur[j, j] > 0.0:
+            schur -= np.outer(schur[:, j], schur[j]) / schur[j, j]
+    return np.array(order)
+
+
 class QmcLattice:
     """Randomly shifted Richtmyer lattices for one correlation matrix.
 
@@ -406,13 +431,19 @@ class QmcLattice:
     deterministic, smooth function of the box bounds.  :meth:`grow` doubles
     the points per batch (from 128 x dim) with the next shifts of one seeded
     stream, so the k-th size always holds the same points.
+
+    The variables are integrated in ``order``, that of a Cholesky pivoting
+    on the smallest remaining residual variance, chosen once from the
+    matrix; ``factor`` is the Cholesky factor of the matrix in that order,
+    and :meth:`estimate` permutes the bounds to match.
     """
 
     def __init__(self, correlation: CorrelationMatrix, seed: int = 0):
         dim = correlation.dim
         if dim < 2:
             raise DomainError("a lattice needs at least two dimensions")
-        self.factor = correlation.factor
+        self.order = _smallest_residual_order(correlation.entries)
+        self.factor = cholesky(correlation.entries[np.ix_(self.order, self.order)]).factor
         self.n_points = 64 * dim  # points per batch; grow() doubles it
         self.total_points = 0
         self._generators = np.sqrt(np.array(_first_primes(dim - 1), dtype=float))
@@ -420,7 +451,13 @@ class QmcLattice:
         self.grow()
 
     def grow(self) -> None:
-        """Double the points per batch and draw fresh shifts for them."""
+        """Double the points per batch and draw fresh shifts for them;
+        :class:`PrecisionUnreachable` when that would pass 2^22 points."""
+        if self.total_points + 2 * _N_BATCHES * self.n_points > _MAX_POINTS:
+            raise PrecisionUnreachable(
+                f"the lattice may not grow past {_MAX_POINTS} points "
+                f"(it holds {self.total_points})"
+            )
         self.n_points *= 2
         self.total_points += _N_BATCHES * self.n_points
         shifts = self._rng.random((_N_BATCHES, self._generators.size))
@@ -436,6 +473,7 @@ class QmcLattice:
         with its slope: the derivative in t of the box (lower - t, upper + t)
         at t = 0, infinite bounds held fixed.
 
+        Bounds must have shape (dim,) and no NaN (:class:`DomainError`).
         The slope is carried through the same pass in forward mode: each
         bound's cdf contributes its density times the bound's derivative,
         and each transformed point y = Phi^-1(u) the derivative du / phi(y),
@@ -449,6 +487,14 @@ class QmcLattice:
 
         factor, points = self.factor, self._points
         dim, n = factor.shape[0], points.shape[1]
+        lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+        if lower.shape != (dim,) or upper.shape != (dim,):
+            raise DomainError(
+                f"box bounds must have shape ({dim},), got {lower.shape} and {upper.shape}"
+            )
+        if np.isnan(lower).any() or np.isnan(upper).any():
+            raise DomainError("box bounds must not be NaN")
+        lower, upper = lower[self.order], upper[self.order]
         y, dy = np.empty((dim - 1, n)), np.empty((dim - 1, n))
         prob, slope = np.ones(n), np.zeros(n)
         s = ds = 0.0
@@ -461,7 +507,10 @@ class QmcLattice:
                 dy[i - 1] = np.where(clipped == u, du, 0.0) * (
                     _SQRT_2PI * np.exp(0.5 * np.square(y[i - 1]))
                 )
-                s, ds = factor[i, :i] @ y[:i], factor[i, :i] @ dy[:i]
+                # einsum, not @: OpenBLAS's threaded gemv can be many
+                # times slower on a loaded host
+                s = np.einsum("k,kn->n", factor[i, :i], y[:i])
+                ds = np.einsum("k,kn->n", factor[i, :i], dy[:i])
             ct = max(factor[i, i], 1e-12)
             d_cur, dd_cur = _cdf_and_slope(ndtr, lower[i], s, -1.0 - ds, ct)
             e_cur, de_cur = _cdf_and_slope(ndtr, upper[i], s, 1.0 - ds, ct)
@@ -482,10 +531,9 @@ class QmcLattice:
             estimate = self.estimate(lower, upper)
             if estimate.stderr <= precision:
                 return estimate
-            if self.total_points + 2 * _N_BATCHES * self.n_points > _MAX_POINTS:
+            try:
+                self.grow()
+            except PrecisionUnreachable as full:
                 raise PrecisionUnreachable(
-                    f"standard error {estimate.stderr:.2e} > {precision:.2e} "
-                    f"after {self.total_points} points"
-                )
-            self.grow()
-
+                    f"standard error {estimate.stderr:.2e} > {precision:.2e}: {full}"
+                ) from None

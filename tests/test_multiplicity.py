@@ -7,7 +7,8 @@ import pytest
 from conftest import holm_reject, mc_error_rates, mvn_draws
 from scipy.optimize import brentq
 
-from platformdesign import multiplicity
+from platformdesign import multiplicity, mvnorm
+from platformdesign.allocation import DesignScenario, optimize_allocation
 from platformdesign.correlation import (
     ArmCorrelations,
     PlatformArms,
@@ -354,6 +355,25 @@ def _platform_z_corr(K):
     )
 
 
+def _optimised_design_z_corr(K, index):
+    """Z correlation of a max-min optimised K-substudy design at nominal
+    arm sizes, for the ``index``-th scenario of a seeded stream: effects,
+    synergies and arm correlations drawn as a designer's sweep draws them,
+    with the combination-control correlations kept inside the positive
+    definite range."""
+    rng = np.random.default_rng([index, K])
+    delta, synergy = rng.uniform(0.25, 0.6, K), rng.uniform(0.8, 1.4, K)
+    rho_cm = rng.uniform(0.1, 0.7, K)
+    rho_cc = np.sqrt(rng.uniform(0.1, 1.0, K) * 0.9 * (1.0 - rho_cm**2) / K)
+    scenario = DesignScenario(tuple(delta), tuple(synergy), 1.0, tuple(rho_cc), tuple(rho_cm))
+    nominal = [1000.0 * r for r in optimize_allocation(scenario).ratios]
+    arms = PlatformArms(
+        nominal[0], tuple(nominal[1::2]), tuple(nominal[2::2]),
+        ArmCorrelations.from_scenario(scenario),
+    )
+    return platform_z_correlation_matrix(arms)
+
+
 def _counting(monkeypatch, owner, name):
     """Replace ``owner.name`` by a wrapper that counts its calls."""
     calls = []
@@ -421,6 +441,32 @@ class TestThresholdSolver:
         central = (estimate(c + h).value - estimate(c - h).value) / (2.0 * h)
         assert estimate(c).slope == pytest.approx(central, rel=1e-6)
 
+    @pytest.mark.parametrize("K", [4, 6])
+    @pytest.mark.parametrize("sided", ["two", "one"])
+    def test_variable_order_lowers_the_stderr_of_optimised_designs(self, monkeypatch, K, sided):
+        # RMS standard error over seeds 0-11 and four optimised designs, at
+        # the first lattice size and the bracket's upper end, where the
+        # solve decides whether the lattice must grow; the reference takes
+        # the variables in their given order
+        dim = 2 * K
+        metric = ErrorMetric.mfwer(1, 0.05, sided)
+        designs = [_optimised_design_z_corr(K, index) for index in range(4)]
+
+        def rms_stderr():
+            squares = []
+            for z_corr in designs:
+                c = float(multiplicity._bracket(metric, dim, z_corr.entries[0, 1])[1])
+                lower = np.full(dim, -c if sided == "two" else -math.inf)
+                squares += [
+                    QmcLattice(z_corr, seed).estimate(lower, np.full(dim, c)).stderr ** 2
+                    for seed in range(12)
+                ]
+            return math.sqrt(np.mean(squares))
+
+        ordered = rms_stderr()
+        monkeypatch.setattr(mvnorm, "_smallest_residual_order", lambda m: np.arange(len(m)))
+        assert ordered < rms_stderr()
+
     @pytest.mark.parametrize("K, sided", [(2, "two"), (2, "one"), (4, "one")])
     def test_level_against_scipy_mvn_cdf(self, K, sided):
         from scipy.stats import multivariate_normal
@@ -487,23 +533,32 @@ class TestThresholdSolver:
         # third step is under 1e-8 and not taken
         calls = _counting(monkeypatch, QmcLattice, "estimate")
         result = platform_threshold(_platform_z_corr(4), ErrorMetric.fwer(0.05))
-        assert repr(result.critical_value) == "2.688703125307767"
+        assert repr(result.critical_value) == "2.6880095558805954"
         assert len(calls) == 4
 
     def test_regrowth_at_the_root_continues_from_it(self, monkeypatch):
         # at this precision and seed the standard error meets the precision
         # at the bracket's upper end but not at the root, so the lattice
-        # grows there and the search goes on from that root
+        # grows there and the search goes on from that root; it grows
+        # before evaluating the root again, so no box is evaluated twice on
+        # the same points
         refines = _counting(monkeypatch, QmcLattice, "refine")
-        calls = _counting(monkeypatch, QmcLattice, "estimate")
+        calls, estimate = [], QmcLattice.estimate
+
+        def logged(lattice, lower, upper):
+            calls.append((lattice.total_points, float(upper[0])))
+            return estimate(lattice, lower, upper)
+
+        monkeypatch.setattr(QmcLattice, "estimate", logged)
         z_corr = _platform_z_corr(4)
-        result = platform_threshold(z_corr, ErrorMetric.fwer(0.05), precision=7e-5, seed=2)
+        result = platform_threshold(z_corr, ErrorMetric.fwer(0.05), precision=1e-4, seed=4)
         assert len(calls) <= 8
-        assert result.achieved_stderr <= 7e-5
+        assert len(set(calls)) == len(calls)
+        assert result.achieved_stderr <= 1e-4
         assert len(refines) == 2
         (lattice, lower, upper, _), (_, _, at_root, _) = refines
         assert abs(at_root[0] - result.critical_value) < 1e-3 < upper[0] - at_root[0]
-        grown_at_high = QmcLattice(z_corr, seed=2).refine(lower, upper, 7e-5)
+        grown_at_high = QmcLattice(z_corr, seed=4).refine(lower, upper, 1e-4)
         assert lattice.total_points > grown_at_high.n_points
 
     def test_pool_root_is_the_smallest_c_at_level(self):

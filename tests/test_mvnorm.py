@@ -297,6 +297,26 @@ class TestBvnRectangle:
             bvn_rectangle((-1, -1, -1), (1, 1, 1), 0.0)
 
 
+def _random_correlation(dim: int, seed: int) -> np.ndarray:
+    """A correlation matrix with no structure: a normalised random Gram
+    matrix."""
+    b = np.random.default_rng(seed).uniform(-1.0, 1.0, (dim, dim + 2))
+    cov = b @ b.T
+    scale = 1.0 / np.sqrt(np.diag(cov))
+    m = cov * np.outer(scale, scale)
+    np.fill_diagonal(m, 1.0)
+    return m
+
+
+def _random_box(dim: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unequal bounds with about one in four infinite on each side."""
+    rng = np.random.default_rng([seed, 1])
+    lower, upper = -rng.uniform(0.3, 2.5, dim), rng.uniform(0.3, 2.5, dim)
+    lower[rng.random(dim) < 0.25] = -INF
+    upper[rng.random(dim) < 0.25] = INF
+    return lower, upper
+
+
 class TestQmcLattice:
     def test_independence_product_4d(self):
         c = 1.959963984540054
@@ -372,7 +392,8 @@ class TestQmcLattice:
     @pytest.mark.parametrize("dim, precision", [(3, 1e-7), (5, 1e-6), (8, 2e-6)])
     def test_matches_batch_by_batch_reference(self, dim, precision):
         # the lattice evaluates all batches at once; one batch at a time, with
-        # the shifts drawn in the same order, gives the same estimate
+        # the shifts drawn in the same order and the variables taken in the
+        # lattice's order, gives the same estimate
         from scipy.special import ndtr, ndtri
 
         rng = np.random.default_rng(dim)
@@ -383,7 +404,10 @@ class TestQmcLattice:
         lower, upper = np.full(dim, -2.0), np.full(dim, 2.5)
         lower[0] = -INF
 
-        factor = corr.factor
+        lattice = QmcLattice(corr, seed=7)
+        order = lattice.order
+        factor = cholesky(m[np.ix_(order, order)]).factor
+        box_lower, box_upper = lower[order], upper[order]
         generators = np.sqrt([2.0, 3.0, 5.0, 7.0, 11.0, 13.0, 17.0][: dim - 1])
         shifts = np.random.default_rng([7, dim])
         n_points, total = 128 * dim, 0
@@ -392,16 +416,16 @@ class TestQmcLattice:
             for _ in range(12):
                 shift = shifts.random(dim - 1)
                 j = np.arange(1, n_points + 1, dtype=float)
-                d = np.full(n_points, ndtr(lower[0] / factor[0, 0]))
-                e = np.full(n_points, ndtr(upper[0] / factor[0, 0]))
+                d = np.full(n_points, ndtr(box_lower[0] / factor[0, 0]))
+                e = np.full(n_points, ndtr(box_upper[0] / factor[0, 0]))
                 prob, y = e - d, np.empty((dim - 1, n_points))
                 for i in range(1, dim):
                     z = generators[i - 1] * j + shift[i - 1]
                     x = np.abs(2.0 * (z - np.floor(z)) - 1.0)
                     y[i - 1] = ndtri(np.clip(d + x * (e - d), 1e-15, 1.0 - 1e-15))
                     s = factor[i, :i] @ y[:i]
-                    d = ndtr((lower[i] - s) / factor[i, i])
-                    e = ndtr((upper[i] - s) / factor[i, i])
+                    d = ndtr((box_lower[i] - s) / factor[i, i])
+                    e = ndtr((box_upper[i] - s) / factor[i, i])
                     prob *= np.maximum(e - d, 0.0)
                 means.append(prob.mean())
             total += 12 * n_points
@@ -410,10 +434,82 @@ class TestQmcLattice:
                 break
             n_points *= 2
 
-        estimate = QmcLattice(corr, seed=7).refine(lower, upper, precision)
+        estimate = lattice.refine(lower, upper, precision)
         assert estimate.n_points == total > 12 * 128 * dim
         assert estimate.value == pytest.approx(float(np.mean(means)), rel=1e-14)
         assert estimate.stderr == pytest.approx(stderr, rel=1e-9)
+
+    @pytest.mark.parametrize("dim", [3, 5, 8, 12])
+    def test_order_pivots_on_the_smallest_residual_variance(self, dim):
+        m = _random_correlation(dim, seed=dim)
+        lattice = QmcLattice(CorrelationMatrix(m), seed=0)
+        order = lattice.order
+        assert sorted(order.tolist()) == list(range(dim))
+        for k in range(dim):
+            # residual variance of each variable left given those before it
+            chosen, rest = order[:k], order[k:]
+            if k:
+                gain = m[np.ix_(rest, chosen)] @ np.linalg.solve(
+                    m[np.ix_(chosen, chosen)], m[np.ix_(chosen, rest)]
+                )
+                residual = 1.0 - np.diag(gain)
+            else:
+                residual = np.ones(dim)
+            assert residual[0] <= residual.min() + 1e-12
+        assert order[0] == 0  # every diagonal is 1: the tie goes to index 0
+        permuted = m[np.ix_(order, order)]
+        np.testing.assert_allclose(lattice.factor @ lattice.factor.T, permuted, atol=1e-12)
+
+    def test_order_breaks_ties_toward_the_lowest_index(self):
+        exchangeable = CorrelationMatrix(np.eye(6) * 0.6 + np.full((6, 6), 0.4))
+        assert QmcLattice(exchangeable).order.tolist() == list(range(6))
+
+    @pytest.mark.parametrize("dim", [3, 4, 6, 9, 12])
+    def test_unequal_boxes_match_scipy(self, dim):
+        # bounds differ per variable, some infinite on either side, so the
+        # order matters; scipy's own error is at most its abseps
+        from scipy.stats import multivariate_normal
+
+        m = _random_correlation(dim, seed=100 + dim)
+        lower, upper = _random_box(dim, seed=dim)
+        estimate = QmcLattice(CorrelationMatrix(m), seed=dim).refine(lower, upper, 1e-4)
+        abseps = 1e-5
+        oracle = multivariate_normal.cdf(
+            upper, np.zeros(dim), m, lower_limit=lower, abseps=abseps, releps=0.0
+        )
+        assert abs(estimate.value - oracle) <= 5 * estimate.stderr + abseps
+
+    @pytest.mark.parametrize("dim", [3, 6, 12])
+    def test_slope_on_unequal_boxes_is_a_central_difference(self, dim):
+        lattice = QmcLattice(CorrelationMatrix(_random_correlation(dim, seed=dim)), seed=1)
+        lower, upper = _random_box(dim, seed=dim)
+        h = 1e-5
+        central = (
+            lattice.estimate(lower - h, upper + h).value
+            - lattice.estimate(lower + h, upper - h).value
+        ) / (2.0 * h)
+        assert lattice.estimate(lower, upper).slope == pytest.approx(central, rel=1e-6)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.one_of(_BOUND, st.just(math.nan)), max_size=5),
+        st.lists(st.one_of(_BOUND, st.just(math.nan)), max_size=5),
+    )
+    def test_bad_bounds_are_refused(self, lower, upper):
+        # a bound per variable, none NaN; anything else is a DomainError,
+        # never a silently shortened box or a NaN estimate
+        lattice = QmcLattice(CorrelationMatrix(_random_correlation(3, seed=0)))
+        valid = len(lower) == len(upper) == 3 and not np.isnan(lower + upper).any()
+        if valid:
+            estimate = lattice.estimate(np.array(lower), np.array(upper))
+            assert 0.0 <= estimate.value <= 1.0 and math.isfinite(estimate.stderr)
+            assert lattice.refine(lower, upper, precision=1.0) == estimate
+        else:
+            with pytest.raises(DomainError):
+                lattice.estimate(lower, upper)
+            with pytest.raises(DomainError):
+                lattice.refine(lower, upper, precision=1e-4)
+        assert lattice.total_points == 12 * 128 * 3
 
     def test_refined_lattice_holds_its_points(self):
         corr = CorrelationMatrix(np.eye(4) * 0.5 + np.full((4, 4), 0.5))
