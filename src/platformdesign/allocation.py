@@ -67,10 +67,10 @@ class DesignScenario:
         synergy = _as_tuple(self.synergy, k, "synergy")
         rho_cc = _as_tuple(self.rho_combo_control or 0.0, k, "rho_combo_control")
         rho_cm = _as_tuple(self.rho_combo_mono or 0.0, k, "rho_combo_mono")
-        if any(d <= 0 for d in delta):
-            raise DomainError("every delta must be positive")
-        if self.sigma2 <= 0:
-            raise DomainError("sigma2 must be positive")
+        if not all(0 < d < math.inf for d in delta):
+            raise DomainError(f"every delta must be positive and finite, got {delta}")
+        if not 0 < self.sigma2 < math.inf:
+            raise DomainError(f"sigma2 must be positive and finite, got {self.sigma2}")
         for rho in (*rho_cc, *rho_cm):
             if not -1.0 <= rho <= 1.0:
                 raise DomainError(f"correlations must lie in [-1, 1], got {rho}")

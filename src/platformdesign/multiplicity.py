@@ -39,7 +39,6 @@ __all__ = [
 
 _KINDS = ("fwer", "fmer", "msfp", "mfwer")
 _PROB_TOL = 1e-6
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -125,75 +124,54 @@ def _p_threshold(c: float) -> float:
 
 
 def _solve_decreasing(
-    level: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    level: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
     target: float,
     low: np.ndarray,
     high: np.ndarray,
+    start: np.ndarray,
     x_tol: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Roots of nonincreasing ``level(c) - target``, one per bracket
     [low[i], high[i]] of the 1-d arrays ``low`` and ``high``, with the level
-    at each.
+    at each; the search for element i starts at ``start[i]``.
 
-    Brent's method (Brent 1973, ch. 4) in the form of scipy's ``brentq``,
-    run elementwise: every element takes the inverse-interpolation or
-    bisection step its own scalar search would take and stops on its own
-    test, so its iterates are those of the scalar method.
-    ``level(c, active)`` gets the trial points of the elements still
-    searching and their indices, and returns their levels.  Where the level
-    does not cross the target inside a bracket the nearer endpoint is
-    returned and the caller's level check decides.
+    Safeguarded Newton, elementwise, on h(c) = sqrt(-2 log level(c)), which
+    is nearly linear in c for Gaussian tails.  ``level(c, active)`` gets the
+    trial points of the elements still searching and their indices, and
+    returns their levels and the levels' derivatives in c.  Each element
+    keeps a bracket by the sign of level - target.  A Newton step past a
+    bracket end that has not been evaluated goes to that end, since the root
+    may lie on it; any other step that leaves the bracket, or that h cannot
+    give, is replaced by bisection.  An element stops at the point just
+    evaluated once its next step is at most ``x_tol``.  Where the level does
+    not cross the target inside a bracket, the search ends on the bracket's
+    end and the caller's level check decides.
     """
-    everyone = np.arange(low.size)
-    f_low, f_high = level(low, everyone) - target, level(high, everyone) - target
-    below = f_low <= 0.0
-    x_out, f_out = np.where(below, low, high), np.where(below, f_low, f_high)
-    active = np.flatnonzero(~below & (f_high < 0.0))
-    x_pre, f_pre, x_cur, f_cur = low[active], f_low[active], high[active], f_high[active]
-    x_blk, f_blk = x_pre, f_pre
-    s_pre = s_cur = np.zeros(active.size)
+    h_target = math.sqrt(-2.0 * math.log(target))
+    x, lo, hi = (np.array(a, dtype=float, ndmin=1) for a in (start, low, high))
+    # whether each bracket end is still the unevaluated bound it started as
+    open_lo, open_hi = np.ones(x.size, dtype=bool), np.ones(x.size, dtype=bool)
+    x_out, f_out = np.empty(x.size), np.empty(x.size)
+    active = np.arange(x.size)
     while active.size:
-        flip = (f_pre < 0.0) != (f_cur < 0.0)
-        x_blk, f_blk = np.where(flip, x_pre, x_blk), np.where(flip, f_pre, f_blk)
-        step = x_cur - x_pre
-        s_pre, s_cur = np.where(flip, step, s_pre), np.where(flip, step, s_cur)
-        swap = np.abs(f_blk) < np.abs(f_cur)
-        x_pre, x_cur, x_blk = (
-            np.where(swap, x_cur, x_pre), np.where(swap, x_blk, x_cur), np.where(swap, x_cur, x_blk)
-        )
-        f_pre, f_cur, f_blk = (
-            np.where(swap, f_cur, f_pre), np.where(swap, f_blk, f_cur), np.where(swap, f_cur, f_blk)
-        )
-        tol = (x_tol + 4.0 * _EPS * np.abs(x_cur)) / 2.0
-        s_bis = (x_blk - x_cur) / 2.0
-        done = (f_cur == 0.0) | (np.abs(s_bis) < tol)
-        if done.any():
-            x_out[active[done]], f_out[active[done]] = x_cur[done], f_cur[done]
-            going = ~done
-            active = active[going]
-            x_pre, f_pre, x_cur, f_cur = x_pre[going], f_pre[going], x_cur[going], f_cur[going]
-            x_blk, f_blk, s_pre, s_cur = x_blk[going], f_blk[going], s_pre[going], s_cur[going]
-            tol, s_bis = tol[going], s_bis[going]
-            if not active.size:
-                break
-        interpolate = (np.abs(s_pre) > tol) & (np.abs(f_cur) < np.abs(f_pre))
-        s_try = np.zeros(active.size)
-        secant = interpolate & (x_pre == x_blk)
-        i = np.flatnonzero(secant)
-        s_try[i] = -f_cur[i] * (x_cur[i] - x_pre[i]) / (f_cur[i] - f_pre[i])
-        # inverse quadratic interpolation through three points
-        i = np.flatnonzero(interpolate & ~secant)
-        d_pre = (f_pre[i] - f_cur[i]) / (x_pre[i] - x_cur[i])
-        d_blk = (f_blk[i] - f_cur[i]) / (x_blk[i] - x_cur[i])
-        s_try[i] = -f_cur[i] * (f_blk[i] * d_blk - f_pre[i] * d_pre) / (
-            d_blk * d_pre * (f_blk[i] - f_pre[i])
-        )
-        interpolate &= 2.0 * np.abs(s_try) < np.minimum(np.abs(s_pre), 3.0 * np.abs(s_bis) - tol)
-        s_pre, s_cur = np.where(interpolate, s_cur, s_bis), np.where(interpolate, s_try, s_bis)
-        x_pre, f_pre = x_cur, f_cur
-        x_cur = x_cur + np.where(np.abs(s_cur) > tol, s_cur, np.copysign(tol, s_bis))
-        f_cur = level(x_cur, active) - target
-    return x_out, f_out + target
+        f, slope = level(x, active)
+        above = f > target
+        lo, hi = np.where(above, x, lo), np.where(above, hi, x)
+        open_lo, open_hi = open_lo & ~above, open_hi & above
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h = np.sqrt(-2.0 * np.log(f))
+            # -(h - h_target) / h', with h' = -slope / (f * h)
+            newton = x + (h_target - h) * f * h / -slope
+        newton[~((0.0 < f) & (f < 1.0) & (slope < 0.0))] = math.nan
+        newton = np.where(open_lo & (newton < lo), lo, newton)
+        newton = np.where(open_hi & (newton > hi), hi, newton)
+        following = np.where((lo <= newton) & (newton <= hi), newton, (lo + hi) / 2.0)
+        done = np.abs(following - x) <= x_tol
+        x_out[active[done]], f_out[active[done]] = x[done], f[done]
+        going = ~done
+        active, x, lo, hi = active[going], following[going], lo[going], hi[going]
+        open_lo, open_hi = open_lo[going], open_hi[going]
+    return x_out, f_out
 
 
 def _bivariate_exceedance(rho, c, count: int, sided: str) -> np.ndarray:
@@ -224,6 +202,31 @@ def _bivariate_exceedance(rho, c, count: int, sided: str) -> np.ndarray:
         same, opposite = _bvn_upper(c, c, np.stack((rho, -rho)))
         level[pos] = 2.0 * same + 2.0 * opposite
     return level
+
+
+def _bivariate_slope(rho, c, count: int, sided: str) -> np.ndarray:
+    """Derivative in c of :func:`_bivariate_exceedance`, elementwise.
+
+    Each face of the level's box moves with c, and contributes phi(c) times
+    the conditional probability, given the statistic on that face, that the
+    other lies in the box: given Z1 = c, Z2 < c has probability Phi(a-) and
+    Z2 > -c probability Phi(a+), with a-+ = c sqrt((1 -+ rho) / (1 +- rho)).
+    So the fwer slope is -4 phi(c) [Phi(a-) + Phi(a+) - 1].
+    """
+    rho, c = np.broadcast_arrays(np.asarray(rho, dtype=float), np.asarray(c, dtype=float))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # infinite at rho = -1 (a-) and rho = 1 (a+), but 0 at c = 0
+        a_minus, a_plus = (
+            np.where(c == 0.0, 0.0, c * np.sqrt((1.0 - r) / (1.0 + r))) for r in (rho, -rho)
+        )
+    density = np.exp(-0.5 * c * c) / _SQRT_2PI
+    if sided == "one":
+        return -2.0 * density * std_normal_cdf(a_minus if count == 1 else -a_minus)
+    if count == 1:
+        inside = std_normal_cdf(a_minus) - std_normal_cdf(-a_plus)
+    else:
+        inside = std_normal_cdf(-a_minus) + std_normal_cdf(-a_plus)
+    return np.where(c > 0.0, -4.0 * density * inside, 0.0)
 
 
 def _as_float(values):
@@ -310,63 +313,20 @@ def _check_level(metric: ErrorMetric, c_star, achieved, tolerance: float) -> Non
 
 def _bivariate_critical_values(rho, metric: ErrorMetric) -> tuple[np.ndarray, np.ndarray]:
     """Critical values of two statistics with correlation ``rho`` under the
-    exact bivariate law, and the levels they reach: one elementwise Brent
-    search for every entry of ``rho``."""
+    exact bivariate law, and the levels they reach: one elementwise search
+    (:func:`_solve_decreasing`) for every entry of ``rho``, from the upper end
+    of its bracket, on the level and its closed-form slope."""
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     count, sided = metric.exceedance_count, metric.effective_sided
 
-    def level(c: np.ndarray, active: np.ndarray) -> np.ndarray:
-        return _bivariate_exceedance(rho[active], c, count, sided)
+    def level(c: np.ndarray, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        law = (rho[active], c, count, sided)
+        return _bivariate_exceedance(*law), _bivariate_slope(*law)
 
     low, high = _bracket(metric, 2, rho)
-    c_star, achieved = _solve_decreasing(level, metric.alpha, low, high, x_tol=1e-12)
+    c_star, achieved = _solve_decreasing(level, metric.alpha, low, high, high, x_tol=1e-12)
     _check_level(metric, c_star, achieved, _PROB_TOL)
     return c_star, achieved
-
-
-def _lattice_critical_value(
-    lattice: QmcLattice, two_sided: bool, alpha: float, low: float, high: float, precision: float
-) -> tuple[float, RectangleEstimate]:
-    """Root in [low, high] of P(any statistic exceeds c) = alpha on the
-    lattice, and the estimate of the box there.
-
-    Safeguarded Newton on the probit g(c) = Phi^-1(level(c)), which is
-    nearly linear in c, with the slope from the lattice's own pass.  A
-    bracket [lo, hi] is kept by the sign of level - alpha, and a step that
-    leaves it is replaced by bisection.  The search starts at ``high``,
-    where the lattice grows until the standard error is at most
-    ``precision``, and stops at the point just evaluated once the next step
-    is at most 1e-8; should the standard error there exceed ``precision``,
-    the lattice grows at that root and the search continues from it.
-    """
-    dim, target = lattice.factor.shape[0], std_normal_quantile(alpha)
-    lo, hi, c, grow = low, high, high, True
-    while True:
-        upper = np.full(dim, c)
-        lower = -upper if two_sided else np.full(dim, -math.inf)
-        estimate = lattice.refine(lower, upper, precision) if grow else lattice.estimate(lower, upper)
-        level = 1.0 - estimate.value
-        if level > alpha:
-            lo = c
-        else:
-            hi = c
-        step = math.nan
-        if 0.0 < level < 1.0 and estimate.slope > 0.0:
-            q = std_normal_quantile(level)
-            # -g / g', with g' = -slope / phi(q)
-            step = (q - target) * math.exp(-0.5 * q * q) / (_SQRT_2PI * estimate.slope)
-        if not lo <= c + step <= hi:
-            step = (lo + hi) / 2.0 - c
-        grow = abs(step) <= 1e-8
-        if grow:
-            if estimate.stderr <= precision:
-                return c, estimate
-            # grow before refining, so the root is not evaluated twice on
-            # the same points
-            lattice.grow()
-            lo, hi = low, high
-        else:
-            c += step
 
 
 def platform_threshold(
@@ -380,21 +340,24 @@ def platform_threshold(
     K-substudy platform trial) under the chosen error metric.
 
     Metrics counting any exceedance, and every metric with two statistics
-    (K=1), are solved by a root search on an analytic bracket: one
-    statistic's level against the union bound, or for two exceedances of two
-    statistics their product against one statistic's level.  With two
-    statistics the level is the exact bivariate normal law, searched by
-    Brent's method, so ``achieved_stderr`` is 0 and ``precision``, ``seed``
-    and ``replications`` are validated but unused.  With more, the level is
-    a randomized quasi-Monte Carlo rectangle probability on one
-    :class:`QmcLattice` per solve, which takes the statistics in an order
-    fixed by ``z_corr`` (smallest residual variance first).  Its points grow
-    at the bracket's upper end until the level's standard error is at most
-    ``precision``, then stay fixed, so the level is a smooth deterministic
-    function of c whose slope each lattice pass also returns; a safeguarded
-    Newton search on the level's probit takes about three passes.  Should
-    the standard error at the root still exceed ``precision``, the lattice
-    grows there and the search goes on from that root.
+    (K=1), are solved by one root search, :func:`_solve_decreasing`, on an
+    analytic bracket: one statistic's level against the union bound, or for
+    two exceedances of two statistics their product against one statistic's
+    level.  The search is a safeguarded Newton on h(c) = sqrt(-2 log
+    level(c)), nearly linear in c, from the bracket's upper end; each law
+    gives its level and its slope.  With two statistics the law is the exact
+    bivariate normal, whose slope is closed form, so ``achieved_stderr`` is
+    0 and ``precision``, ``seed`` and ``replications`` are validated but
+    unused.  With more, the level is a randomized quasi-Monte Carlo
+    rectangle probability on one :class:`QmcLattice` per solve, which takes
+    the statistics in an order fixed by ``z_corr`` (smallest residual
+    variance first).  Its points grow at the bracket's upper end until the
+    level's standard error is at most ``precision``, then stay fixed, so the
+    level is a smooth deterministic function of c whose slope each lattice
+    pass also returns; the search takes about three passes and stops once
+    its next step is at most 1e-8.  Should the standard error at the root
+    still exceed ``precision``, the lattice grows there and the search goes
+    on from that root.
     Count-based metrics (at least m >= 2 of more than two statistics exceed
     c) use a common pool of ``replications`` null draws: the pool's level is
     a step function of c, and its root, an order statistic of the draws'
@@ -416,11 +379,31 @@ def platform_threshold(
         c_values, levels = _bivariate_critical_values(rho, metric)
         c_star, achieved, stderr = float(c_values[0]), float(levels[0]), 0.0
     elif metric.exceedance_count == 1:
-        low, high = _bracket(metric, dim, rho)
-        c_star, estimate = _lattice_critical_value(
-            QmcLattice(z_corr, seed), two_sided, metric.alpha, float(low), float(high), precision
-        )
-        achieved, stderr = 1.0 - estimate.value, estimate.stderr
+        lattice, (low, high) = QmcLattice(z_corr, seed), _bracket(metric, dim, rho)
+        estimates: list[RectangleEstimate] = []
+
+        def level(c: np.ndarray, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            upper = np.full(dim, float(c[0]))
+            lower = -upper if two_sided else np.full(dim, -math.inf)
+            # a search's first box grows the lattice to the precision
+            if estimates:
+                estimates.append(lattice.estimate(lower, upper))
+            else:
+                estimates.append(lattice.refine(lower, upper, precision))
+            return np.array([1.0 - estimates[-1].value]), np.array([-estimates[-1].slope])
+
+        start = high
+        while True:
+            c_values, levels = _solve_decreasing(level, metric.alpha, low, high, start, 1e-8)
+            stderr = estimates[-1].stderr
+            if stderr <= precision:
+                break
+            # grow at the root before refining there, so the root is not
+            # evaluated twice on the same points, and search on from it
+            lattice.grow()
+            start = c_values
+            estimates.clear()
+        c_star, achieved = float(c_values[0]), float(levels[0])
     else:
         stat = _tail_count_statistic(
             z_corr, metric.exceedance_count, metric.effective_sided, replications, seed

@@ -93,6 +93,8 @@ def _scan_totals(
         raise DomainError(f"target power must lie in (0, 1), got {target_power}")
     c = np.asarray(critical_values, dtype=float)[:, None]
     min_n = 2 * scenario.K + 1
+    if n_cap < min_n:
+        raise DomainError(f"n_cap must be at least 2K+1 = {min_n}, got {n_cap}")
     n_star = np.zeros(c.shape[0], dtype=np.int64)  # 0 until found
     scanned: list[np.ndarray] = []
     for start in range(min_n, n_cap + 1, _BLOCK):

@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,6 +87,9 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.swept not in _SWEEPABLE:
             raise DomainError(f"swept must be one of {_SWEEPABLE}, got {self.swept!r}")
+        for name in ("start", "stop", "step"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if self.step <= 0:
             raise DomainError("step must be positive")
         if self.stop < self.start:

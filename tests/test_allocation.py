@@ -330,3 +330,13 @@ class TestScenarioType:
             DesignScenario(delta=(0.3,), synergy=(1.0,), rho_combo_control=(1.5,))
         with pytest.raises(DomainError):
             DesignScenario(delta=(0.3, 0.4), synergy=(1.0,))
+
+    @pytest.mark.parametrize("field", ["delta", "sigma2"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_effect_or_variance_is_refused_by_name(self, field, value):
+        # NaN passes `<= 0`; it used to fail later in the allocation or the
+        # normal cdf, with a message that named neither
+        values = {"delta": (0.3, 0.4), "synergy": (1.1, 1.0), "sigma2": 1.0}
+        values[field] = (0.3, value) if field == "delta" else value
+        with pytest.raises(DomainError, match=f"{field} must be positive and finite"):
+            DesignScenario(**values)

@@ -216,6 +216,28 @@ class TestDesign:
         assert code == 2
         assert "cannot form a trial" in err
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (("--delta", "nan"), "delta"),
+            (("--delta", "0.3", "--sigma2", "nan"), "sigma2"),
+            (("--delta", "0.3", "--n-cap", "2"), "n_cap"),
+        ],
+        ids=["delta-nan", "sigma2-nan", "n-cap-below-2k+1"],
+    )
+    def test_unusable_design_inputs_are_validation_errors(self, capsys, flags, named):
+        # a NaN passes `<= 0`, and a cap below 2K+1 admits no design at all:
+        # both are refused by name (exit 2), not met later (exit 4)
+        code, _, err = _run(capsys, "design", "--synergy", "1.1", *flags)
+        assert code == 2
+        assert named in err
+
+    @pytest.mark.parametrize("flag", ["--start", "--stop", "--step"])
+    def test_non_finite_sweep_bound_is_a_validation_error(self, capsys, flag):
+        code, _, err = _run(capsys, "simulate", "--study", "error-curves", flag, "nan")
+        assert code == 2
+        assert f"{flag[2:]} must be finite" in err
+
     def test_missing_required_flag(self, capsys):
         code, _, err = _run(capsys, "design", "--synergy", "1")
         assert code == 2

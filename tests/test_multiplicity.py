@@ -389,10 +389,8 @@ def _counting(monkeypatch, owner, name):
 
 class _CurveLattice:
     """Stands in for a :class:`QmcLattice` whose any-exceedance level is the
-    function ``level`` of c, with derivative ``d_level``; it records the c of
-    every evaluation."""
-
-    factor = np.eye(2)
+    function ``level`` of c, with derivative ``d_level``, and no standard
+    error; it records the c of every evaluation."""
 
     def __init__(self, level, d_level):
         self.level, self.d_level, self.visited = level, d_level, []
@@ -404,6 +402,14 @@ class _CurveLattice:
 
     def refine(self, lower, upper, precision):
         return self.estimate(lower, upper)
+
+
+def _lattice_is_curve(monkeypatch, curve, metric, dim):
+    """Put ``curve`` in place of the lattice of platform_threshold's
+    any-exceedance solves, and return the bracket of ``metric`` on ``dim``
+    independent statistics."""
+    monkeypatch.setattr(multiplicity, "QmcLattice", lambda z_corr, seed: curve)
+    return tuple(float(end) for end in multiplicity._bracket(metric, dim, 0.0))
 
 
 class TestThresholdSolver:
@@ -502,38 +508,40 @@ class TestThresholdSolver:
         oracle = brentq(excess, 1.5, 4.0, xtol=1e-12)
         assert result.critical_value == pytest.approx(oracle, abs=1e-8)
 
-    def test_lattice_search_bisects_where_newton_leaves_the_bracket(self):
-        # a level whose probit is flat at the bracket's upper end: the first
-        # Newton step lands below the bracket, and bisection takes over
-        # until Newton steps stay inside it
+    def test_lattice_search_steps_to_the_open_end_then_bisects(self, monkeypatch):
+        # a level whose h is flat at the bracket's upper end: the first
+        # Newton step passes the lower end, which has not been evaluated, so
+        # the search goes there; the next passes the upper end, evaluated
+        # by then, and is bisected; Newton steps finish the search
         root, alpha = 2.3, 0.05
         curve = _CurveLattice(
-            lambda c: alpha * (1.0 + 0.9 * math.tanh(3.0 * (root - c))),
-            lambda c: -2.7 * alpha / math.cosh(3.0 * (root - c)) ** 2,
+            lambda c: alpha * (1.0 + 0.9 * math.tanh(5.0 * (root - c))),
+            lambda c: -4.5 * alpha / math.cosh(5.0 * (root - c)) ** 2,
         )
-        c_star, estimate = multiplicity._lattice_critical_value(
-            curve, True, alpha, 1.96, 3.0, 1e-4
-        )
-        assert abs(c_star - root) <= 1e-8
-        assert 1.0 - estimate.value == pytest.approx(alpha, abs=1e-9)
-        first_step = curve.visited[1] - curve.visited[0]
-        assert curve.visited[0] == 3.0 and first_step == pytest.approx((1.96 - 3.0) / 2.0)
+        metric = ErrorMetric.fwer(alpha)
+        low, high = _lattice_is_curve(monkeypatch, curve, metric, 12)
+        result = platform_threshold(CorrelationMatrix.identity(12), metric)
+        assert abs(result.critical_value - root) <= 1e-8
+        assert result.achieved == pytest.approx(alpha, abs=1e-9)
+        assert curve.visited[:3] == [high, low, (low + high) / 2.0]
         assert len(curve.visited) <= 8
 
-    def test_lattice_search_without_a_crossing_returns_the_bracket_end(self):
+    def test_lattice_search_without_a_crossing_returns_the_bracket_end(self, monkeypatch):
         # a level above alpha everywhere: the search stops at the upper end
         # and platform_threshold's level check reports the miss
         curve = _CurveLattice(lambda c: 0.2, lambda c: 0.0)
-        c_star, _ = multiplicity._lattice_critical_value(curve, True, 0.05, 1.96, 3.0, 1e-4)
-        assert c_star == 3.0 and curve.visited == [3.0]
+        _, high = _lattice_is_curve(monkeypatch, curve, ErrorMetric.fwer(0.05), 4)
+        with pytest.raises(RootBracketError, match="is 0.2"):
+            platform_threshold(CorrelationMatrix.identity(4), ErrorMetric.fwer(0.05))
+        assert curve.visited == [high]
 
     def test_k4_lattice_solve_is_pinned(self, monkeypatch):
         # two estimates at the bracket's upper end (the lattice grows once
-        # there), then two Newton steps on the lattice's own slope; the
-        # third step is under 1e-8 and not taken
+        # there), then two Newton steps on h with the lattice's own slope;
+        # the third step is under 1e-8 and not taken
         calls = _counting(monkeypatch, QmcLattice, "estimate")
         result = platform_threshold(_platform_z_corr(4), ErrorMetric.fwer(0.05))
-        assert repr(result.critical_value) == "2.6880095558805954"
+        assert repr(result.critical_value) == "2.6880095587537487"
         assert len(calls) == 4
 
     def test_regrowth_at_the_root_continues_from_it(self, monkeypatch):
@@ -580,7 +588,7 @@ class TestThresholdSolver:
         # one call of the level per evaluation of the one-element search
         evaluations = _counting(monkeypatch, multiplicity, "_bivariate_exceedance")
         result = platform_threshold(CorrelationMatrix.bivariate(rho), metric)
-        assert len(evaluations) <= 16
+        assert len(evaluations) <= 8
         oracle = brentq(
             lambda c: bivariate_error_rates(rho, c)[metric.kind] - metric.alpha,
             1e-6, 6.0, xtol=1e-14,
@@ -589,52 +597,10 @@ class TestThresholdSolver:
         assert result.achieved == pytest.approx(metric.alpha, abs=1e-12)
 
 
-def _scalar_brent(level, target, low, high, x_tol):
-    """Reference: the scalar Brent search the elementwise solver replaced
-    (scipy's ``brentq`` steps), returning the root, its level and every
-    point evaluated."""
-    points = []
-
-    def f(c):
-        points.append(c)
-        return level(c) - target
-
-    f_low, f_high = f(low), f(high)
-    if f_low <= 0.0 or f_high >= 0.0:
-        return (low if f_low <= 0.0 else high), points
-    x_pre, f_pre, x_cur, f_cur = low, f_low, high, f_high
-    x_blk, f_blk, s_pre, s_cur = low, f_low, 0.0, 0.0
-    while True:
-        if (f_pre < 0.0) != (f_cur < 0.0):
-            x_blk, f_blk = x_pre, f_pre
-            s_pre = s_cur = x_cur - x_pre
-        if abs(f_blk) < abs(f_cur):
-            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
-            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
-        tol = (x_tol + 4.0 * multiplicity._EPS * abs(x_cur)) / 2.0
-        s_bis = (x_blk - x_cur) / 2.0
-        if f_cur == 0.0 or abs(s_bis) < tol:
-            return x_cur, points
-        interpolate = abs(s_pre) > tol and abs(f_cur) < abs(f_pre)
-        if interpolate:
-            if x_pre == x_blk:
-                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
-            else:
-                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
-                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
-                s_try = -f_cur * (f_blk * d_blk - f_pre * d_pre)
-                s_try /= d_blk * d_pre * (f_blk - f_pre)
-            interpolate = 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - tol)
-        s_pre, s_cur = (s_cur, s_try) if interpolate else (s_bis, s_bis)
-        x_pre, f_pre = x_cur, f_cur
-        x_cur += s_cur if abs(s_cur) > tol else math.copysign(tol, s_bis)
-        f_cur = f(x_cur)
-
-
 def _decreasing_family(n, seed):
-    """Levels a - b t^3 - d t + e tanh(t) with t = c - r: root r at the
-    target a, slope -3 b t^2 - d + e sech(t)^2 < 0, nearly flat near r where
-    d and e are small."""
+    """Levels a - b t^3 - d t + e tanh(t) with t = c - r, and their slopes:
+    root r at the target a, slope -3 b t^2 - d + e sech(t)^2 < 0, nearly
+    flat near r where d and e are small."""
     rng = np.random.default_rng(seed)
     root = rng.uniform(0.5, 3.5, n)
     b, d = rng.uniform(0.0, 2.0, n), rng.uniform(0.0, 1.0, n)
@@ -644,43 +610,32 @@ def _decreasing_family(n, seed):
 
     def level(c, active, target=0.05):
         t = c - root[active]
-        return target - b[active] * t**3 - d[active] * t + e[active] * np.tanh(t)
+        value = target - b[active] * t**3 - d[active] * t + e[active] * np.tanh(t)
+        slope = -3.0 * b[active] * t**2 - d[active] + e[active] / np.cosh(t) ** 2
+        return value, slope
 
     return root, level
 
 
-class TestElementwiseBrent:
+_BIVARIATE_LAWS = [(1, "two"), (2, "two"), (1, "one"), (2, "one")]
+
+
+class TestSharedSearch:
+    """The one root search behind every threshold: safeguarded Newton on
+    h(c) = sqrt(-2 log level(c)), elementwise."""
+
     def test_matches_brentq_per_element(self):
         root, level = _decreasing_family(300, seed=1)
         low, high = np.zeros(300), np.full(300, 4.0)
-        c, achieved = multiplicity._solve_decreasing(level, 0.05, low, high, x_tol=1e-12)
+        c, achieved = multiplicity._solve_decreasing(level, 0.05, low, high, high, x_tol=1e-12)
         for i in range(300):
             one = np.array([i])
             expected = brentq(
-                lambda x: level(np.array([x]), one)[0] - 0.05, 0.0, 4.0, xtol=1e-12
+                lambda x: level(np.array([x]), one)[0][0] - 0.05, 0.0, 4.0, xtol=1e-12
             )
             assert abs(c[i] - expected) <= 1e-12
             assert abs(c[i] - root[i]) <= 1e-11
         assert np.all(np.abs(achieved - 0.05) <= 1e-10)
-
-    def test_iterates_are_those_of_the_scalar_search(self):
-        root, level = _decreasing_family(300, seed=2)
-        low, high = np.full(300, 0.2), np.full(300, 3.8)
-        points = [[] for _ in range(300)]
-
-        def recorded(c, active):
-            for i, x in zip(active.tolist(), c.tolist()):
-                points[i].append(x)
-            return level(c, active)
-
-        c, _ = multiplicity._solve_decreasing(recorded, 0.05, low, high, x_tol=1e-12)
-        for i in range(300):
-            one = np.array([i])
-            expected, expected_points = _scalar_brent(
-                lambda x: float(level(np.array([x]), one)[0]), 0.05, 0.2, 3.8, 1e-12
-            )
-            assert c[i] == expected
-            assert points[i] == expected_points
 
     def test_level_sees_only_the_active_elements(self):
         root, level = _decreasing_family(50, seed=3)
@@ -691,27 +646,76 @@ class TestElementwiseBrent:
             seen.append(active.copy())
             return level(c, active)
 
-        multiplicity._solve_decreasing(recorded, 0.05, np.zeros(50), np.full(50, 4.0), 1e-12)
-        assert seen[0].tolist() == seen[1].tolist() == list(range(50))
-        # after the two endpoints, each evaluation is of a subset of the last
-        for before, after in zip(seen[1:], seen[2:]):
+        high = np.full(50, 4.0)
+        multiplicity._solve_decreasing(recorded, 0.05, np.zeros(50), high, high, 1e-12)
+        assert seen[0].tolist() == list(range(50))
+        # each evaluation is of a subset of the last
+        for before, after in zip(seen, seen[1:]):
             assert set(after.tolist()) <= set(before.tolist())
         assert seen[-1].size < 50
 
-    def test_no_sign_change_returns_the_nearer_endpoint(self):
+    def test_no_crossing_returns_the_bracket_end(self):
         # above target on all of [1, 2], below it on all of [3, 4], and a
-        # root inside [0, 4]
-        levels = {0: lambda c: 0.5 + 0 * c, 1: lambda c: -0.5 + 0 * c, 2: lambda c: 2.0 - c}
+        # root at 2 inside [0, 4]
+        levels = {
+            0: (lambda c: 0.5 - 0.01 * c, -0.01),
+            1: (lambda c: 0.01 - 0.001 * c, -0.001),
+            2: (lambda c: 0.05 * math.exp(2.0 - c), None),
+        }
+        points = {0: [], 1: [], 2: []}
 
         def level(c, active):
-            return np.array([levels[i](x) for i, x in zip(active.tolist(), c.tolist())])
+            value, slope = [], []
+            for i, x in zip(active.tolist(), c.tolist()):
+                points[i].append(x)
+                f, df = levels[i]
+                value.append(f(x))
+                slope.append(-f(x) if df is None else df)
+            return np.array(value), np.array(slope)
 
         c, achieved = multiplicity._solve_decreasing(
-            level, 0.0, np.array([1.0, 3.0, 0.0]), np.array([2.0, 4.0, 4.0]), x_tol=1e-12
+            level, 0.05, np.array([1.0, 3.0, 0.0]), np.array([2.0, 4.0, 4.0]),
+            np.array([2.0, 4.0, 4.0]), x_tol=1e-12,
         )
-        assert c[0] == 2.0 and achieved[0] == 0.5
-        assert c[1] == 3.0 and achieved[1] == -0.5
+        assert c[0] == 2.0 and achieved[0] == pytest.approx(0.48) and points[0] == [2.0]
+        assert c[1] == 3.0 and achieved[1] == pytest.approx(0.007) and points[1] == [4.0, 3.0]
         assert c[2] == pytest.approx(2.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "metric, rho",
+        [(ErrorMetric.fwer(), 1.0), (ErrorMetric.fwer(), -1.0),
+         (ErrorMetric.fmer(), 0.0), (ErrorMetric.msfp(), 0.0)],
+        ids=["fwer-1", "fwer--1", "fmer-0", "msfp-0"],
+    )
+    def test_root_on_the_lower_bracket_end(self, monkeypatch, metric, rho):
+        # at these correlations the level is one statistic's tail (fwer) or
+        # two independent tails' product (fmer, msfp): the bracket's lower
+        # end is the exact root, and a Newton step that passes it goes there
+        evaluations = _counting(monkeypatch, multiplicity, "_bivariate_exceedance")
+        c, achieved = multiplicity._bivariate_critical_values(rho, metric)
+        low, _ = multiplicity._bracket(metric, 2, np.array([rho]))
+        assert abs(c[0] - low[0]) <= 1e-12
+        assert achieved[0] == pytest.approx(metric.alpha, abs=1e-15)
+        assert len(evaluations) <= 6
+
+    @pytest.mark.parametrize("count, sided", _BIVARIATE_LAWS)
+    def test_bivariate_slope_is_the_derivative_of_the_level(self, count, sided):
+        rho = np.repeat([-1.0, -0.999, -0.6, 0.0, 0.5, 0.9999, 1.0], 5)
+        c = np.tile([1e-3, 0.05, 0.7, 2.2, 3.5], 7)
+        h = 1e-6
+        central = (
+            multiplicity._bivariate_exceedance(rho, c + h, count, sided)
+            - multiplicity._bivariate_exceedance(rho, c - h, count, sided)
+        ) / (2.0 * h)
+        slope = multiplicity._bivariate_slope(rho, c, count, sided)
+        assert np.all(slope <= 0.0)
+        np.testing.assert_allclose(slope, central, rtol=1e-6, atol=1e-8)
+
+    def test_bivariate_slope_at_zero(self):
+        # c = 0 at a perfect correlation: finite, and no warning
+        for count, sided in _BIVARIATE_LAWS:
+            slope = multiplicity._bivariate_slope(np.array([-1.0, 1.0]), 0.0, count, sided)
+            assert np.all(np.isfinite(slope))
 
     def test_batch_equals_one_solve_per_correlation(self):
         rho = np.linspace(-0.99, 0.99, 23)

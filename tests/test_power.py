@@ -220,6 +220,13 @@ class TestFindSampleSize:
         with pytest.raises(BudgetExceeded):
             find_sample_size(scenario, alloc, FWER_THRESHOLD, 0.8, n_cap=n_star - 1)
 
+    def test_cap_below_the_smallest_design_is_a_domain_error(self):
+        # 2K+1 subjects is the smallest design: a lower cap is an input error,
+        # not an exhausted budget
+        scenario = DesignScenario.single(0.4, 1.2)
+        with pytest.raises(DomainError, match="n_cap must be at least 2K\\+1 = 3"):
+            find_sample_size(scenario, Allocation.equal(1), FWER_THRESHOLD, 0.8, n_cap=2)
+
     def test_arm_correlations_must_fit_together(self):
         # the README reference pair copied to two substudies: the arm
         # correlation matrix has a negative Schur complement on the control

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 from conftest import FIXTURE_INDEPENDENT_CSV, holm_reject, mc_error_rates, mvn_draws
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
 from platformdesign import cli, correlation
@@ -89,6 +91,20 @@ class TestGridSpec:
             GridSpec("rho_ab_b", 0.9, 0.1, 0.1)
         with pytest.raises(DomainError):
             GridSpec("rho_ab_b", 0.1, 0.9, 0.1, allocations=((0.5, 0.5, 0.5),))
+
+    @given(
+        field=st.sampled_from(["start", "stop", "step"]),
+        value=st.sampled_from([math.nan, math.inf, -math.inf]),
+        start=st.floats(-1.0, 1.0),
+        span=st.floats(0.0, 1.0),
+        step=st.floats(1e-3, 1.0),
+    )
+    def test_non_finite_bounds_are_refused(self, field, value, start, span, step):
+        # NaN passes every comparison check, and an infinite bound sizes an
+        # infinite sweep: each is refused by name before any sweep is built
+        bounds = {"start": start, "stop": start + span, "step": step, field: value}
+        with pytest.raises(DomainError, match=f"{field} must be finite"):
+            GridSpec("rho_ab_b", **bounds)
 
 
 class TestErrorCurves:
