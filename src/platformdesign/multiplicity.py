@@ -23,7 +23,6 @@ from .mvnorm import (
     QmcLattice,
     RectangleEstimate,
     _bvn_upper,
-    bvn_rectangle,
     std_normal_cdf,
     std_normal_quantile,
 )
@@ -38,6 +37,7 @@ __all__ = [
 ]
 
 _KINDS = ("fwer", "fmer", "msfp", "mfwer")
+# how close to alpha, relative to alpha, an exact level must come
 _PROB_TOL = 1e-6
 
 
@@ -174,59 +174,53 @@ def _solve_decreasing(
     return x_out, f_out
 
 
-def _bivariate_exceedance(rho, c, count: int, sided: str) -> np.ndarray:
-    """Exact P(at least ``count`` of two correlated statistics exceed c),
-    elementwise over the broadcast arrays ``rho`` and ``c``.
+def _bivariate_levels(rho, c, laws) -> tuple[list, list]:
+    """Exact P(at least ``count`` of two statistics with correlation ``rho``
+    exceed c), |Z| > c two-sided and Z > c one-sided, and its slope in c:
+    a level and a slope per (count, sided) in ``laws``, elementwise over the
+    broadcast arrays ``rho`` and ``c``.
 
-    * count 1, two-sided (fwer): 1 - P(|Z1| <= c, |Z2| <= c)
-    * count 2, two-sided (fmer): P(|Z1| > c, |Z2| > c), as four exact orthants
-    * count 1, one-sided: 1 - P(Z1 <= c, Z2 <= c)
-    * count 2, one-sided (msfp): P(Z1 > c, Z2 > c)
+    Every level comes from the tail t = Phi(-c) and one kernel call for the
+    upper orthants U(r) = P(Z1 > c, Z2 > c) at r = rho, and at r = -rho if a
+    law is two-sided (Genz 2004):
 
-    A two-sided level is 1 at c <= 0.
+    * both exceed: U(rho) one-sided (msfp); two-sided (fmer) the same-sign
+      and opposite-sign orthants 2 U(rho) + 2 U(-rho), for c > 0;
+    * at least one exceeds: 2 t - both one-sided, 4 t - both two-sided
+      (fwer), which keeps its relative precision far in the tail, where
+      1 - P(box) loses it;
+    * slopes: dt/dc = -phi(c) and dU(r)/dc = -2 phi(c) Phi(-c sqrt((1 - r)
+      / (1 + r))).
+
+    A two-sided level is 1, with slope 0, at c <= 0.
     """
     rho, c = np.broadcast_arrays(np.asarray(rho, dtype=float), np.asarray(c, dtype=float))
-    if sided == "one":
-        if count == 1:
-            box = np.stack((c, c), axis=-1)
-            return 1.0 - bvn_rectangle(np.full(box.shape, -math.inf), box, rho)
-        return _bvn_upper(c, c, rho)
-    level = np.ones(c.shape)
-    pos = c > 0.0
-    c, rho = c[pos], rho[pos]
-    if count == 1:
-        box = np.stack((c, c), axis=-1)
-        level[pos] = 1.0 - bvn_rectangle(-box, box, rho)
+    if np.isnan(c).any():
+        raise DomainError("critical value must not be NaN")
+    outside = ~(np.abs(rho) <= 1.0)
+    if outside.any():
+        raise DomainError(f"correlation must lie in [-1, 1], got {rho[outside].flat[0]}")
+    if any(sided == "two" for _, sided in laws):
+        h, r = np.stack((c, c)), np.stack((rho, -rho))
     else:
-        # same-sign and opposite-sign orthants, equal in pairs by symmetry
-        same, opposite = _bvn_upper(c, c, np.stack((rho, -rho)))
-        level[pos] = 2.0 * same + 2.0 * opposite
-    return level
-
-
-def _bivariate_slope(rho, c, count: int, sided: str) -> np.ndarray:
-    """Derivative in c of :func:`_bivariate_exceedance`, elementwise.
-
-    Each face of the level's box moves with c, and contributes phi(c) times
-    the conditional probability, given the statistic on that face, that the
-    other lies in the box: given Z1 = c, Z2 < c has probability Phi(a-) and
-    Z2 > -c probability Phi(a+), with a-+ = c sqrt((1 -+ rho) / (1 +- rho)).
-    So the fwer slope is -4 phi(c) [Phi(a-) + Phi(a+) - 1].
-    """
-    rho, c = np.broadcast_arrays(np.asarray(rho, dtype=float), np.asarray(c, dtype=float))
+        h, r = c[None], rho[None]
+    orthant = _bvn_upper(h, h, r)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # infinite at rho = -1 (a-) and rho = 1 (a+), but 0 at c = 0
-        a_minus, a_plus = (
-            np.where(c == 0.0, 0.0, c * np.sqrt((1.0 - r) / (1.0 + r))) for r in (rho, -rho)
-        )
+        # infinite at r = -1, but 0 at c = 0, and 0 at r = 1 whatever c
+        shift = np.where((c == 0.0) | (r == 1.0), 0.0, c * np.sqrt((1.0 - r) / (1.0 + r)))
     density = np.exp(-0.5 * c * c) / _SQRT_2PI
-    if sided == "one":
-        return -2.0 * density * std_normal_cdf(a_minus if count == 1 else -a_minus)
-    if count == 1:
-        inside = std_normal_cdf(a_minus) - std_normal_cdf(-a_plus)
-    else:
-        inside = std_normal_cdf(-a_minus) + std_normal_cdf(-a_plus)
-    return np.where(c > 0.0, -4.0 * density * inside, 0.0)
+    orthant_slope = -2.0 * density * std_normal_cdf(-shift)
+    levels, slopes = [], []
+    for count, sided in laws:
+        sides = 2 if sided == "two" else 1
+        level, slope = (sides * u[:sides].sum(axis=0) for u in (orthant, orthant_slope))
+        if count == 1:
+            level, slope = 2 * sides * std_normal_cdf(-c) - level, -2 * sides * density - slope
+        if sides == 2:
+            level, slope = np.where(c > 0.0, level, 1.0), np.where(c > 0.0, slope, 0.0)
+        levels.append(level)
+        slopes.append(slope)
+    return levels, slopes
 
 
 def _as_float(values):
@@ -237,11 +231,11 @@ def _as_float(values):
 def bivariate_error_rates(rho, critical_value) -> dict:
     """Exact fwer, fmer and msfp of two statistics with correlation ``rho``
     at one common critical value; elementwise (a dict of arrays) when either
-    is an array."""
-    return {
-        kind: _as_float(_bivariate_exceedance(rho, critical_value, count, sided))
-        for kind, count, sided in (("fwer", 1, "two"), ("fmer", 2, "two"), ("msfp", 2, "one"))
-    }
+    is an array.  A NaN critical value, or a correlation outside [-1, 1], is
+    a :class:`DomainError`."""
+    laws = {"fwer": (1, "two"), "fmer": (2, "two"), "msfp": (2, "one")}
+    levels, _ = _bivariate_levels(rho, critical_value, tuple(laws.values()))
+    return {kind: _as_float(level) for kind, level in zip(laws, levels)}
 
 
 def classical_dunnett_threshold(arms: PlatformArms, alpha: float) -> ThresholdResult:
@@ -320,12 +314,12 @@ def _bivariate_critical_values(rho, metric: ErrorMetric) -> tuple[np.ndarray, np
     count, sided = metric.exceedance_count, metric.effective_sided
 
     def level(c: np.ndarray, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        law = (rho[active], c, count, sided)
-        return _bivariate_exceedance(*law), _bivariate_slope(*law)
+        (value,), (slope,) = _bivariate_levels(rho[active], c, ((count, sided),))
+        return value, slope
 
     low, high = _bracket(metric, 2, rho)
     c_star, achieved = _solve_decreasing(level, metric.alpha, low, high, high, x_tol=1e-12)
-    _check_level(metric, c_star, achieved, _PROB_TOL)
+    _check_level(metric, c_star, achieved, _PROB_TOL * metric.alpha)
     return c_star, achieved
 
 
@@ -415,7 +409,7 @@ def platform_threshold(
         stderr = math.sqrt(max(achieved * (1.0 - achieved), 1e-12) / replications)
 
     if dim > 2:  # the bivariate solve checks its own level
-        tolerance = max(1e-4, 3.0 * stderr) if stderr > 0.0 else _PROB_TOL
+        tolerance = max(1e-4, 3.0 * stderr) if stderr > 0.0 else _PROB_TOL * metric.alpha
         _check_level(metric, c_star, achieved, tolerance)
     return ThresholdResult(
         critical_value=c_star,

@@ -30,7 +30,7 @@ from .multiplicity import (
     bivariate_error_rates,
     classical_dunnett_threshold,
 )
-from .mvnorm import bvn_rectangle, std_normal_quantile
+from .mvnorm import _bvn_upper, std_normal_quantile
 from .power import _scan_totals
 
 __all__ = [
@@ -289,24 +289,24 @@ def run_error_curves(grid: GridSpec) -> ResultTable:
     )
 
 
-def _holm_rates(z_rho, first_cut: float, last_cut: float, at_first: dict, at_last: dict) -> dict:
+def _holm_rates(z_rho, first_cut: float, last_cut: float, at_first: dict) -> dict:
     """Exact error rates of the two-test Holm step-down, from the rates at
-    its two cuts.
+    its first cut and the upper orthants U(a, b, r) = P(Z1 > a, Z2 > b).
 
     Holm rejects a test iff max|Z| > b (``first_cut``, level alpha/2 per
     test), and both iff also min|Z| > a (``last_cut``, level alpha).  So its
-    fwer is the fwer at b.  Its fmer is the fmer at a less the chance that
-    both |Z| lie in (a, b]: two same-sign and two opposite-sign boxes, equal
-    in pairs by symmetry.  Its msfp is the msfp at a less the box (a, b]^2.
+    fwer is the fwer at b.  Both are rejected iff one |Z| exceeds b and the
+    other a: P(|Z1| > b, |Z2| > a) + P(|Z1| > a, |Z2| > b) less P(both |Z| >
+    b), where each of the first two is 2 U(a, b, rho) + 2 U(a, b, -rho) by
+    sign symmetry.  So Holm fmer = 4 [U(a, b, rho) + U(a, b, -rho)] - fmer(b),
+    and likewise Holm msfp = 2 U(a, b, rho) - msfp(b).
     """
     a, b = last_cut, first_cut
-    same_sign, opposite_sign = np.moveaxis(
-        bvn_rectangle([(a, a), (a, -b)], [(b, b), (b, -a)], z_rho[..., None]), -1, 0
-    )
+    same_sign, opposite_sign = _bvn_upper(a, b, np.stack((z_rho, -z_rho)))
     return {
         "fwer": at_first["fwer"],
-        "fmer": at_last["fmer"] - 2.0 * same_sign - 2.0 * opposite_sign,
-        "msfp": at_last["msfp"] - same_sign,
+        "fmer": 4.0 * (same_sign + opposite_sign) - at_first["fmer"],
+        "msfp": 2.0 * same_sign - at_first["msfp"],
     }
 
 
@@ -328,16 +328,16 @@ def run_adjustment_comparison(grid: GridSpec) -> ResultTable:
         ).critical_value
         for alloc in grid.allocations
     ])
-    # the rates at every cut in one call per metric: cuts by allocation by point
-    cuts = np.broadcast_arrays(c_nominal, c_bonf, c_holm_last, c_dunnett[:, None], z_rho)[:-1]
+    # the rates at every cut in one call: cuts by allocation by point
+    cuts = np.broadcast_arrays(c_nominal, c_bonf, c_dunnett[:, None], z_rho)[:-1]
     rates = bivariate_error_rates(z_rho, np.stack(cuts))
-    noadj, bonferroni, holm_last, dunnett = (
+    noadj, bonferroni, dunnett = (
         {metric: rates[metric][i] for metric in _METRICS} for i in range(len(cuts))
     )
     per_method = {
         "noadj": noadj,
         "bonferroni": bonferroni,
-        "holm": _holm_rates(z_rho, c_bonf, c_holm_last, bonferroni, holm_last),
+        "holm": _holm_rates(z_rho, c_bonf, c_holm_last, bonferroni),
         "dunnett": dunnett,
     }
     # rows by (allocation, sweep point, method, metric)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from conftest import holm_reject, mc_error_rates, mvn_draws
@@ -27,6 +28,7 @@ from platformdesign.mvnorm import (
     CorrelationMatrix,
     QmcLattice,
     RectangleEstimate,
+    bvn_rectangle,
     std_normal_cdf,
 )
 
@@ -198,6 +200,89 @@ class TestGeneralizedDunnett:
         # P(Z1 > c, Z2 > c) at rho=0 is at most 0.25, reached at c = 0
         with pytest.raises(RootBracketError):
             platform_threshold(CorrelationMatrix.bivariate(0.0), ErrorMetric("msfp", 0.4))
+
+    def test_unreachable_msfp_level_below_one_millionth(self):
+        # at rho = -1 two statistics never both exceed c >= 0, so msfp is 0:
+        # the level check is relative to alpha, and refuses this one too
+        with pytest.raises(RootBracketError):
+            platform_threshold(CorrelationMatrix.bivariate(-1.0), ErrorMetric("msfp", 1e-7))
+
+    @pytest.mark.parametrize("rho", [-0.5, 0.0, 0.6, 0.9])
+    def test_fwer_solve_reaches_a_tiny_level(self, rho):
+        result = platform_threshold(CorrelationMatrix.bivariate(rho), ErrorMetric.fwer(1e-10))
+        assert abs(result.achieved / 1e-10 - 1.0) <= 1e-9
+
+
+_BIVARIATE_LAWS = [(1, "two"), (2, "two"), (1, "one"), (2, "one")]
+
+
+def _rectangle_level(rho: float, c: float, count: int, sided: str) -> float:
+    """P(at least ``count`` of two statistics exceed c) from ``bvn_rectangle``
+    boxes: 1 less the box where none does, or the orthant boxes where both
+    do."""
+    inf = math.inf
+    if sided == "one":
+        if count == 1:
+            return 1.0 - bvn_rectangle((-inf, -inf), (c, c), rho)
+        return bvn_rectangle((c, c), (inf, inf), rho)
+    if c == 0.0:
+        return 1.0
+    if count == 1:
+        return 1.0 - bvn_rectangle((-c, -c), (c, c), rho)
+    corners = (((c, c), (inf, inf)), ((-inf, -inf), (-c, -c)),
+               ((c, -inf), (inf, -c)), ((-inf, c), (-c, inf)))
+    return sum(bvn_rectangle(lower, upper, rho) for lower, upper in corners)
+
+
+def _mp_orthant(h: float, k: float, r: float):
+    """P(Z1 > h, Z2 > k) at correlation r, at mpmath's working precision:
+    quadrature of phi(x) Phi((r x - k) / sqrt(1 - r^2)) over x > h."""
+    scale = mp.sqrt(1 - mp.mpf(r) ** 2)
+    return mp.quad(lambda x: mp.npdf(x) * mp.ncdf((r * x - k) / scale), [h, h + 2, h + 6, mp.inf])
+
+
+class TestBivariateLevels:
+    """Every exact two-statistic level from one statistic's tail Phi(-c)
+    and the upper orthants U(c, c, +-rho)."""
+
+    @pytest.mark.parametrize("count, sided", _BIVARIATE_LAWS)
+    def test_levels_match_rectangles_and_slopes_match_differences(self, count, sided):
+        rho = np.repeat([-1.0, -0.999, -0.93, -0.6, 0.0, 0.5, 0.9, 0.9999, 1.0], 7)
+        c = np.tile([0.0, 1e-3, 0.05, 0.7, 2.2, 3.5, 6.0], 9)
+        law = ((count, sided),)
+        (level,), (slope,) = multiplicity._bivariate_levels(rho, c, law)
+        expected = [_rectangle_level(r, x, count, sided) for r, x in zip(rho.tolist(), c.tolist())]
+        np.testing.assert_allclose(level, expected, rtol=0.0, atol=1e-15)
+        h = 1e-6
+        (up,), _ = multiplicity._bivariate_levels(rho, c + h, law)
+        (down,), _ = multiplicity._bivariate_levels(rho, c - h, law)
+        assert np.all(np.isfinite(slope)) and np.all(slope <= 0.0)
+        # a two-sided level is 1 at c <= 0, with slope 0 there
+        smooth = c > 0.0 if sided == "two" else np.ones(c.shape, dtype=bool)
+        central = (up - down) / (2.0 * h)
+        np.testing.assert_allclose(slope[smooth], central[smooth], rtol=1e-6, atol=1e-8)
+        assert np.all(slope[~smooth] == 0.0)
+
+    @pytest.mark.parametrize("rho", [-0.9, -0.5, 0.0, 0.5, 0.9, 0.95])
+    @pytest.mark.parametrize("c", [5.5, 6.0])
+    def test_any_exceedance_far_in_the_tail_against_mpmath(self, rho, c):
+        # 1 - P(box) keeps only about 1e-16 / level of relative precision here
+        with mp.workdps(30):
+            tail = mp.ncdf(-c)
+            same, opposite = _mp_orthant(c, c, rho), _mp_orthant(c, c, -rho)
+            fwer, one_sided = 4 * tail - 2 * same - 2 * opposite, 2 * tail - same
+        (got_fwer, got_one_sided), _ = multiplicity._bivariate_levels(
+            rho, c, ((1, "two"), (1, "one"))
+        )
+        assert abs(got_fwer / float(fwer) - 1.0) <= 1e-12
+        assert abs(got_one_sided / float(one_sided) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "rho, c", [(0.3, math.nan), (1.2, 2.0), ([0.1, -1.5], 2.0), (0.3, [1.0, math.nan])]
+    )
+    def test_rates_refuse_a_nan_cut_and_a_correlation_outside(self, rho, c):
+        with pytest.raises(DomainError):
+            bivariate_error_rates(rho, c)
 
 
 class TestClassicalDunnett:
@@ -586,7 +671,7 @@ class TestThresholdSolver:
     )
     def test_k1_solve_matches_brentq_in_few_evaluations(self, monkeypatch, rho, metric):
         # one call of the level per evaluation of the one-element search
-        evaluations = _counting(monkeypatch, multiplicity, "_bivariate_exceedance")
+        evaluations = _counting(monkeypatch, multiplicity, "_bivariate_levels")
         result = platform_threshold(CorrelationMatrix.bivariate(rho), metric)
         assert len(evaluations) <= 8
         oracle = brentq(
@@ -615,9 +700,6 @@ def _decreasing_family(n, seed):
         return value, slope
 
     return root, level
-
-
-_BIVARIATE_LAWS = [(1, "two"), (2, "two"), (1, "one"), (2, "one")]
 
 
 class TestSharedSearch:
@@ -691,31 +773,12 @@ class TestSharedSearch:
         # at these correlations the level is one statistic's tail (fwer) or
         # two independent tails' product (fmer, msfp): the bracket's lower
         # end is the exact root, and a Newton step that passes it goes there
-        evaluations = _counting(monkeypatch, multiplicity, "_bivariate_exceedance")
+        evaluations = _counting(monkeypatch, multiplicity, "_bivariate_levels")
         c, achieved = multiplicity._bivariate_critical_values(rho, metric)
         low, _ = multiplicity._bracket(metric, 2, np.array([rho]))
         assert abs(c[0] - low[0]) <= 1e-12
         assert achieved[0] == pytest.approx(metric.alpha, abs=1e-15)
         assert len(evaluations) <= 6
-
-    @pytest.mark.parametrize("count, sided", _BIVARIATE_LAWS)
-    def test_bivariate_slope_is_the_derivative_of_the_level(self, count, sided):
-        rho = np.repeat([-1.0, -0.999, -0.6, 0.0, 0.5, 0.9999, 1.0], 5)
-        c = np.tile([1e-3, 0.05, 0.7, 2.2, 3.5], 7)
-        h = 1e-6
-        central = (
-            multiplicity._bivariate_exceedance(rho, c + h, count, sided)
-            - multiplicity._bivariate_exceedance(rho, c - h, count, sided)
-        ) / (2.0 * h)
-        slope = multiplicity._bivariate_slope(rho, c, count, sided)
-        assert np.all(slope <= 0.0)
-        np.testing.assert_allclose(slope, central, rtol=1e-6, atol=1e-8)
-
-    def test_bivariate_slope_at_zero(self):
-        # c = 0 at a perfect correlation: finite, and no warning
-        for count, sided in _BIVARIATE_LAWS:
-            slope = multiplicity._bivariate_slope(np.array([-1.0, 1.0]), 0.0, count, sided)
-            assert np.all(np.isfinite(slope))
 
     def test_batch_equals_one_solve_per_correlation(self):
         rho = np.linspace(-0.99, 0.99, 23)
