@@ -10,6 +10,7 @@ at-least-m rejections) lands exactly on its target level.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -249,18 +250,66 @@ def classical_dunnett_threshold(arms: PlatformArms, alpha: float) -> ThresholdRe
     return platform_threshold(CorrelationMatrix.bivariate(rho_star), ErrorMetric.fwer(alpha))
 
 
+# null draws per block of the m-FWER pool; block b has its own seeded stream
+_POOL_BLOCK = 16_384
+
+
+def _usable_cores() -> int:
+    """How many cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _tail_count_statistic(
     z_corr: CorrelationMatrix, m: int, sided: str, replications: int, seed: int
 ) -> np.ndarray:
-    """Per-replication m-th largest exceedance statistic under the null."""
-    rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 1])
-    values = rng.standard_normal((replications, z_corr.dim)) @ z_corr.factor.T
-    if sided == "two":
-        np.abs(values, out=values)
-    # count(values > c) >= m  <=>  m-th largest value > c
-    column = values.shape[1] - m
-    values.partition(column, axis=1)
-    return values[:, column].copy()
+    """Per-replication m-th largest exceedance statistic under the null.
+
+    The draws come in blocks of ``_POOL_BLOCK``.  Block b is standard
+    normals from the stream (seed, 1, b), turned into statistics one row at
+    a time by the Cholesky factor's nonzero part (einsum, not BLAS, whose own
+    threads would compete with the workers), and a running top-m pass over
+    the rows keeps each draw's m largest.  numpy releases the GIL in every
+    step, so the blocks are reduced on one thread per usable core; each
+    block's statistics are the same on any thread, so the pool is a pure
+    function of the arguments whatever the core count.
+    """
+    factor, dim = z_corr.factor, z_corr.dim
+    key = seed & 0xFFFFFFFFFFFFFFFF
+    stat = np.empty(replications)
+
+    def reduce(block: int) -> None:
+        start = block * _POOL_BLOCK
+        size = min(_POOL_BLOCK, replications - start)
+        draws = np.random.default_rng([key, 1, block]).standard_normal((dim, size))
+        # top[0] >= ... >= top[m - 1], the m largest of the rows so far
+        top = [np.full(size, -np.inf) for _ in range(m)]
+        row, spare = np.empty(size), np.empty(size)
+        for j in range(dim):
+            np.einsum("k,kn->n", factor[j, : j + 1], draws[: j + 1], out=row)
+            if sided == "two":
+                np.abs(row, out=row)
+            # insert the row: each rank keeps the larger, the smaller moves down
+            for i in range(min(j + 1, m)):
+                np.maximum(top[i], row, out=spare)
+                np.minimum(top[i], row, out=row)
+                top[i], spare = spare, top[i]
+        # count(statistics > c) >= m  <=>  m-th largest statistic > c
+        stat[start : start + size] = top[m - 1]
+
+    n_blocks = -(-replications // _POOL_BLOCK)
+    workers = min(n_blocks, _usable_cores())
+    if workers == 1:
+        for block in range(n_blocks):
+            reduce(block)
+    else:
+        # imported here: only the pool path runs threads
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(reduce, range(n_blocks)))
+    return stat
 
 
 def _bracket(metric: ErrorMetric, dim: int, rho) -> tuple[np.ndarray, np.ndarray]:
@@ -355,7 +404,10 @@ def platform_threshold(
     Count-based metrics (at least m >= 2 of more than two statistics exceed
     c) use a common pool of ``replications`` null draws: the pool's level is
     a step function of c, and its root, an order statistic of the draws'
-    m-th largest exceedance, is read off directly.
+    m-th largest exceedance, is read off directly.  The pool is drawn in
+    seeded blocks reduced on every usable core
+    (:func:`_tail_count_statistic`); it depends only on the arguments, not
+    on the core count.
     """
     dim = z_corr.dim
     if dim < 2:

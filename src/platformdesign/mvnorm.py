@@ -17,7 +17,10 @@ factorization with diagonal jitter, and rectangle probabilities:
   variables in one order per matrix, each next the one with the smallest
   residual variance given those before it (variable prioritisation, Genz
   1992); on the Z correlations of optimised platform designs this lowers
-  the estimate's variance about twofold at four and six substudies.
+  the estimate's variance about twofold at four and six substudies.  Each
+  pass writes every per-point step into one work array the lattice keeps
+  and resizes as it grows, so repeated evaluations allocate nothing per
+  point.
 
 The lattice shifts are the module's only random numbers; every estimate is
 a pure function of (inputs, seed).
@@ -388,18 +391,27 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _N_BATCHES = 12
 # the most points refine() spends on one box
 _MAX_POINTS = 1 << 22
+# scratch rows of QmcLattice.estimate's work array
+_WORK_ROWS = 11
 
 
-def _cdf_and_slope(ndtr, bound: float, s, d_bound, ct: float):
-    """Phi((bound - s) / ct) and its derivative, given the derivative
-    ``d_bound`` of bound - s; an infinite bound gives 0 or 1 and slope 0."""
+def _cdf_and_slope(ndtr, bound: float, s, d_bound, ct: float, cdf, slope) -> None:
+    """Write Phi((bound - s) / ct) into ``cdf`` and its derivative into
+    ``slope``, given the derivative ``d_bound`` of bound - s; an infinite
+    bound gives 0 or 1 and slope 0."""
     if math.isinf(bound):
-        return (0.0 if bound < 0.0 else 1.0), 0.0
-    x = (bound - s) / ct
+        cdf.fill(0.0 if bound < 0.0 else 1.0)
+        slope.fill(0.0)
+        return
+    x = np.divide(np.subtract(bound, s, out=cdf), ct, out=cdf)
     # beyond |x| ~ 1e154 the square overflows to inf, and the density is 0
     with np.errstate(over="ignore"):
-        density = np.exp(-0.5 * np.square(x))
-    return ndtr(x), density * d_bound / (ct * _SQRT_2PI)
+        np.square(x, out=slope)
+    slope *= -0.5
+    np.exp(slope, out=slope)
+    slope *= d_bound
+    slope /= ct * _SQRT_2PI
+    ndtr(x, out=cdf)
 
 
 def _smallest_residual_order(matrix: np.ndarray) -> np.ndarray:
@@ -435,7 +447,9 @@ class QmcLattice:
     The variables are integrated in ``order``, that of a Cholesky pivoting
     on the smallest remaining residual variance, chosen once from the
     matrix; ``factor`` is the Cholesky factor of the matrix in that order,
-    and :meth:`estimate` permutes the bounds to match.
+    and :meth:`estimate` permutes the bounds to match.  :meth:`estimate`
+    runs in a work array that :meth:`grow` reallocates, so a lattice serves
+    one thread at a time.
     """
 
     def __init__(self, correlation: CorrelationMatrix, seed: int = 0):
@@ -467,6 +481,10 @@ class QmcLattice:
         z -= np.floor(z)
         # tent periodization
         self._points = np.abs(2.0 * z - 1.0).reshape(self._generators.size, -1)
+        # estimate()'s work array: a row per point coordinate and one per
+        # derivative, then _WORK_ROWS of per-point scratch
+        self._work = np.empty((2 * self._generators.size + _WORK_ROWS, self._points.shape[1]))
+        self._clipped = np.empty(self._points.shape[1], dtype=bool)
 
     def estimate(self, lower: np.ndarray, upper: np.ndarray) -> RectangleEstimate:
         """P(lower <= Z <= upper) on the current points, all batches at once,
@@ -486,7 +504,7 @@ class QmcLattice:
         from scipy.special import ndtr, ndtri
 
         factor, points = self.factor, self._points
-        dim, n = factor.shape[0], points.shape[1]
+        dim = factor.shape[0]
         lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
         if lower.shape != (dim,) or upper.shape != (dim,):
             raise DomainError(
@@ -495,27 +513,52 @@ class QmcLattice:
         if np.isnan(lower).any() or np.isnan(upper).any():
             raise DomainError("box bounds must not be NaN")
         lower, upper = lower[self.order], upper[self.order]
-        y, dy = np.empty((dim - 1, n)), np.empty((dim - 1, n))
-        prob, slope = np.ones(n), np.zeros(n)
-        s = ds = 0.0
+        work = self._work
+        # the transformed points y = Phi^-1(u) and their derivatives
+        y, dy = work[: dim - 1], work[dim - 1 : 2 * dim - 2]
+        prob, slope, u, du, tmp, s, ds = work[2 * dim - 2 : 2 * dim + 5]
+        # the cdfs of the lower and the upper bound, each with its slope
+        cdfs, clipped = work[2 * dim + 5 :], self._clipped
+        prob.fill(1.0)
+        slope.fill(0.0)
         for i in range(dim):
             if i:
-                u = d_cur + points[i - 1] * (e_cur - d_cur)
-                du = dd_cur + points[i - 1] * (de_cur - dd_cur)
-                clipped = np.clip(u, _NDTRI_CLIP, 1.0 - _NDTRI_CLIP)
-                y[i - 1] = ndtri(clipped)
-                dy[i - 1] = np.where(clipped == u, du, 0.0) * (
-                    _SQRT_2PI * np.exp(0.5 * np.square(y[i - 1]))
-                )
+                # u = d + x (e - d) at the previous variable's cdfs, and du
+                np.subtract(e_cur, d_cur, out=u)
+                u *= points[i - 1]
+                u += d_cur
+                np.subtract(de_cur, dd_cur, out=du)
+                du *= points[i - 1]
+                du += dd_cur
+                # y = Phi^-1(u) and dy = du / phi(y), 0 where u is clipped
+                np.clip(u, _NDTRI_CLIP, 1.0 - _NDTRI_CLIP, out=tmp)
+                np.not_equal(tmp, u, out=clipped)
+                ndtri(tmp, out=y[i - 1])
+                np.copyto(du, 0.0, where=clipped)
+                np.square(y[i - 1], out=tmp)
+                tmp *= 0.5
+                np.exp(tmp, out=tmp)
+                tmp *= _SQRT_2PI
+                np.multiply(du, tmp, out=dy[i - 1])
                 # einsum, not @: OpenBLAS's threaded gemv can be many
                 # times slower on a loaded host
-                s = np.einsum("k,kn->n", factor[i, :i], y[:i])
-                ds = np.einsum("k,kn->n", factor[i, :i], dy[:i])
+                np.einsum("k,kn->n", factor[i, :i], y[:i], out=s)
+                np.einsum("k,kn->n", factor[i, :i], dy[:i], out=ds)
+            # the first variable's bounds are the same at every point, so
+            # its cdfs are one element each
+            cols, s_i, ds_i = (slice(None), s, ds) if i else (slice(1), 0.0, 0.0)
+            d_cur, dd_cur, e_cur, de_cur = cdfs[:, cols]
             ct = max(factor[i, i], 1e-12)
-            d_cur, dd_cur = _cdf_and_slope(ndtr, lower[i], s, -1.0 - ds, ct)
-            e_cur, de_cur = _cdf_and_slope(ndtr, upper[i], s, 1.0 - ds, ct)
-            width = np.maximum(e_cur - d_cur, 0.0)
-            slope = slope * width + prob * (de_cur - dd_cur)
+            d_bound = du[cols]
+            _cdf_and_slope(ndtr, lower[i], s_i, np.subtract(-1.0, ds_i, out=d_bound), ct,
+                           d_cur, dd_cur)
+            _cdf_and_slope(ndtr, upper[i], s_i, np.subtract(1.0, ds_i, out=d_bound), ct,
+                           e_cur, de_cur)
+            width = np.maximum(np.subtract(e_cur, d_cur, out=u[cols]), 0.0, out=u[cols])
+            # slope = slope * width + prob * (de_cur - dd_cur)
+            np.multiply(prob, np.subtract(de_cur, dd_cur, out=d_bound), out=tmp)
+            slope *= width
+            slope += tmp
             prob *= width
         means = prob.reshape(_N_BATCHES, -1).mean(axis=1)
         value = float(means.mean())

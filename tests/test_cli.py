@@ -614,6 +614,8 @@ import contextlib, io, sys
 import platformdesign
 from platformdesign.cli import main
 assert "scipy.special" not in sys.modules, "import platformdesign"
+# only the m-FWER pool runs threads, and imports their pool when it does
+assert "concurrent.futures" not in sys.modules, "import platformdesign"
 csv_path = sys.argv[1]
 calls = [
     ["adjust", "--rho", "0.461", "--format", "json"],

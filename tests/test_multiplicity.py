@@ -1,6 +1,7 @@
 """Error metrics, conventional adjustments, and threshold solvers."""
 
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -412,13 +413,13 @@ class TestPlatformThreshold:
             platform_threshold(_platform_z_corr(K), ErrorMetric.mfwer(2, 0.05), replications=0)
 
     def test_pool_critical_values_are_pinned(self):
-        # the null pool is one seeded stream times the Cholesky factor; any
-        # change to those draws moves these values
+        # the null pool is seeded blocks of draws times the Cholesky factor;
+        # any change to those draws moves these values
         corr = _platform_z_corr(2)
         two = platform_threshold(corr, ErrorMetric.mfwer(2, 0.05))
         one = platform_threshold(corr, ErrorMetric.mfwer(2, 0.05, sided="one"), seed=5)
-        assert two.critical_value == 1.8374237395525936
-        assert one.critical_value == 1.5626859175419432
+        assert two.critical_value == 1.8260910822265846
+        assert one.critical_value == 1.5624250391523595
 
     def test_monotone_in_alpha(self):
         corr = CorrelationMatrix(np.eye(4) * 0.6 + np.full((4, 4), 0.4))
@@ -799,6 +800,65 @@ class TestSharedSearch:
                 assert 0.0 <= low[i] <= high[i]
         low, high = multiplicity._bracket(ErrorMetric.msfp(0.000625), 2, rho)
         assert low[0] == 0.0 and low[3] > 0.0  # Slepian: a lower bracket for rho < 0
+
+
+class TestNullPool:
+    def test_pool_does_not_depend_on_the_worker_count(self, monkeypatch):
+        # one to four threads (four blocks), more than the cores of a small
+        # host, switching often, give the pool of one thread to the bit
+        corr, metric = _platform_z_corr(3), ErrorMetric.mfwer(2, 0.05)
+        pools, thresholds = set(), set()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cores in (1, 2, 3, 8):
+                monkeypatch.setattr(multiplicity, "_usable_cores", lambda cores=cores: cores)
+                stat = multiplicity._tail_count_statistic(corr, 2, "two", 50_000, 4)
+                pools.add(stat.tobytes())
+                result = platform_threshold(corr, metric, seed=4, replications=50_000)
+                thresholds.add((result.critical_value, result.achieved, result.achieved_stderr))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(pools) == 1 and len(thresholds) == 1
+
+    @pytest.mark.parametrize("replications", [1, 16_383, 16_384, 16_385, 20_000])
+    def test_one_statistic_per_replication(self, replications):
+        corr = _platform_z_corr(2)
+        stat = multiplicity._tail_count_statistic(corr, 2, "two", replications, 6)
+        assert stat.shape == (replications,) and np.isfinite(stat).all()
+        # a full block is the same draws in every pool that holds it
+        whole = replications - replications % multiplicity._POOL_BLOCK
+        larger = multiplicity._tail_count_statistic(corr, 2, "two", 20_000, 6)
+        assert stat[:whole].tobytes() == larger[:whole].tobytes()
+
+    @pytest.mark.parametrize("sided", ["two", "one"])
+    def test_top_m_pass_is_the_m_th_largest(self, sided):
+        # the block's statistics formed row by row as the pool forms them,
+        # and their m-th largest read with a partition
+        corr = _platform_z_corr(3)
+        dim, size, seed = corr.dim, 1000, 9
+        draws = np.random.default_rng([seed, 1, 0]).standard_normal((dim, size))
+        rows = np.stack([
+            np.einsum("k,kn->n", corr.factor[j, : j + 1], draws[: j + 1]) for j in range(dim)
+        ])
+        if sided == "two":
+            rows = np.abs(rows)
+        for m in range(1, dim + 1):
+            stat = multiplicity._tail_count_statistic(corr, m, sided, size, seed)
+            assert np.array_equal(stat, np.partition(rows, dim - m, axis=0)[dim - m])
+
+    def test_k6_pool_levels_against_brute_force(self):
+        # twelve statistics: the pool's critical values against a
+        # separately seeded direct count
+        corr = _platform_z_corr(6)
+        draws = mvn_draws(corr.factor, 300_000, seed=31)
+        for sided in ("two", "one"):
+            values = np.abs(draws) if sided == "two" else draws
+            for m in (2, 3):
+                result = platform_threshold(corr, ErrorMetric.mfwer(m, 0.05, sided=sided), seed=2)
+                oracle = float(((values > result.critical_value).sum(axis=1) >= m).mean())
+                se = _se(oracle, len(draws))
+                assert abs(oracle - 0.05) <= 5 * math.hypot(se, result.achieved_stderr)
 
 
 class TestEmpiricalErrorRates:

@@ -520,6 +520,24 @@ class TestQmcLattice:
         # held points: the same box on the grown lattice repeats to the bit
         assert lattice.estimate(lower, upper) == estimate
 
+    @pytest.mark.parametrize("dim", [3, 6, 12])
+    def test_work_array_keeps_no_state_between_boxes(self, dim):
+        # every pass runs in the work array the lattice keeps; a box
+        # evaluated after another gives what it gave first, and what a
+        # fresh lattice gives, before and after a grow()
+        corr = CorrelationMatrix(_random_correlation(dim, seed=dim))
+        box_a, box_b = _random_box(dim, seed=dim), _random_box(dim, seed=dim + 50)
+        lattice, fresh = QmcLattice(corr, seed=2), QmcLattice(corr, seed=2)
+        for grown in (False, True):
+            if grown:
+                lattice.grow()
+                fresh = QmcLattice(corr, seed=2)
+                fresh.grow()
+            first = lattice.estimate(*box_a)
+            assert lattice.estimate(*box_b) != first
+            assert lattice.estimate(*box_a) == first
+            assert fresh.estimate(*box_a) == first
+
     def test_lattice_needs_two_dimensions(self):
         with pytest.raises(DomainError):
             QmcLattice(CorrelationMatrix.identity(1))
