@@ -298,17 +298,12 @@ def _tail_count_statistic(
         # count(statistics > c) >= m  <=>  m-th largest statistic > c
         stat[start : start + size] = top[m - 1]
 
-    n_blocks = -(-replications // _POOL_BLOCK)
-    workers = min(n_blocks, _usable_cores())
-    if workers == 1:
-        for block in range(n_blocks):
-            reduce(block)
-    else:
-        # imported here: only the pool path runs threads
-        from concurrent.futures import ThreadPoolExecutor
+    # imported here: only the pool path runs threads
+    from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(reduce, range(n_blocks)))
+    n_blocks = -(-replications // _POOL_BLOCK)
+    with ThreadPoolExecutor(min(n_blocks, _usable_cores())) as pool:
+        list(pool.map(reduce, range(n_blocks)))
     return stat
 
 

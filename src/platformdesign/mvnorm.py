@@ -391,8 +391,6 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _N_BATCHES = 12
 # the most points refine() spends on one box
 _MAX_POINTS = 1 << 22
-# scratch rows of QmcLattice.estimate's work array
-_WORK_ROWS = 11
 
 
 def _cdf_and_slope(ndtr, bound: float, s, d_bound, ct: float, cdf, slope) -> None:
@@ -448,8 +446,8 @@ class QmcLattice:
     on the smallest remaining residual variance, chosen once from the
     matrix; ``factor`` is the Cholesky factor of the matrix in that order,
     and :meth:`estimate` permutes the bounds to match.  :meth:`estimate`
-    runs in a work array that :meth:`grow` reallocates, so a lattice serves
-    one thread at a time.
+    runs in a work array the lattice keeps, so a lattice serves one thread
+    at a time.
     """
 
     def __init__(self, correlation: CorrelationMatrix, seed: int = 0):
@@ -462,6 +460,7 @@ class QmcLattice:
         self.total_points = 0
         self._generators = np.sqrt(np.array(_first_primes(dim - 1), dtype=float))
         self._rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, dim])
+        self._work = np.empty((0, 0))
         self.grow()
 
     def grow(self) -> None:
@@ -481,10 +480,6 @@ class QmcLattice:
         z -= np.floor(z)
         # tent periodization
         self._points = np.abs(2.0 * z - 1.0).reshape(self._generators.size, -1)
-        # estimate()'s work array: a row per point coordinate and one per
-        # derivative, then _WORK_ROWS of per-point scratch
-        self._work = np.empty((2 * self._generators.size + _WORK_ROWS, self._points.shape[1]))
-        self._clipped = np.empty(self._points.shape[1], dtype=bool)
 
     def estimate(self, lower: np.ndarray, upper: np.ndarray) -> RectangleEstimate:
         """P(lower <= Z <= upper) on the current points, all batches at once,
@@ -513,12 +508,16 @@ class QmcLattice:
         if np.isnan(lower).any() or np.isnan(upper).any():
             raise DomainError("box bounds must not be NaN")
         lower, upper = lower[self.order], upper[self.order]
-        work = self._work
-        # the transformed points y = Phi^-1(u) and their derivatives
+        n = points.shape[1]
+        if self._work.shape[1] != n:  # new points since the last call
+            # y = Phi^-1(u) and dy per earlier variable, seven per-point
+            # rows, and the lower and upper bounds' cdfs with their slopes
+            self._work = np.empty((2 * (dim - 1) + 7 + 4, n))
+            self._clipped = np.empty(n, dtype=bool)
+        work, clipped = self._work, self._clipped
         y, dy = work[: dim - 1], work[dim - 1 : 2 * dim - 2]
         prob, slope, u, du, tmp, s, ds = work[2 * dim - 2 : 2 * dim + 5]
-        # the cdfs of the lower and the upper bound, each with its slope
-        cdfs, clipped = work[2 * dim + 5 :], self._clipped
+        cdfs = work[2 * dim + 5 :]
         prob.fill(1.0)
         slope.fill(0.0)
         for i in range(dim):

@@ -490,6 +490,22 @@ class TestQmcLattice:
         ) / (2.0 * h)
         assert lattice.estimate(lower, upper).slope == pytest.approx(central, rel=1e-6)
 
+    def test_slope_where_u_is_clipped_is_a_central_difference(self):
+        # the first variable's box (-inf, -7.6] has cdf Phi(-7.6) ~ 1.5e-14,
+        # so u = x Phi(-7.6) lies below 1e-15, and is clipped, at the points
+        # with x < 0.066.  There y = Phi^-1(u) does not move with the box,
+        # and neither may the slope's dy.  The box holds about 1e-18, so the
+        # check is relative only
+        corr = CorrelationMatrix(np.full((3, 3), 0.5) + 0.5 * np.eye(3))
+        lower, upper = np.array([-INF, -2.0, -1.0]), np.array([-7.6, 2.0, 1.5])
+        lattice = QmcLattice(corr, seed=1)
+        h = 1e-5
+        central = (
+            lattice.estimate(lower - h, upper + h).value
+            - lattice.estimate(lower + h, upper - h).value
+        ) / (2.0 * h)
+        assert lattice.estimate(lower, upper).slope == pytest.approx(central, rel=1e-6, abs=0.0)
+
     @settings(max_examples=80, deadline=None)
     @given(
         st.lists(st.one_of(_BOUND, st.just(math.nan)), max_size=5),
