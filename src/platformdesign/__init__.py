@@ -40,7 +40,6 @@ from .multiplicity import (
 from .mvnorm import (
     CorrelationMatrix,
     QmcLattice,
-    bvn_rectangle,
     cholesky,
     std_normal_cdf,
     std_normal_quantile,

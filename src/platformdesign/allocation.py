@@ -181,6 +181,20 @@ def _contrast_variance(n_arm, n_control, rho):
     return 1.0 / n_arm + 1.0 / n_control - 2.0 * rho / np.sqrt(n_arm * n_control)
 
 
+def _noncentralities(scenario: DesignScenario, shares) -> np.ndarray:
+    """The 2K Wald noncentralities mu^2 / (sigma2 var) of the comparisons
+    with control at arm shares or counts of shape (..., 2K+1), in arm order
+    (mono_1, combo_1, mono_2, ...): shape (..., 2K)."""
+    shares = np.asarray(shares)
+    delta = np.asarray(scenario.delta)
+    mu = np.column_stack((delta, np.asarray(scenario.synergy) * delta)).ravel()
+    rho = np.column_stack((np.zeros(scenario.K), scenario.rho_combo_control)).ravel()
+    var = scenario.sigma2 * _contrast_variance(shares[..., 1:], shares[..., :1], rho)
+    if np.any(var <= 0.0):
+        raise DomainError("a contrast variance is not positive")
+    return mu * mu / var
+
+
 def wald_noncentrality(
     scenario: DesignScenario, alloc: Allocation, n_total: int
 ) -> np.ndarray:
@@ -193,24 +207,7 @@ def wald_noncentrality(
         raise DomainError(f"allocation has K={alloc.K} but scenario has K={scenario.K}")
     if n_total < 1:
         raise DomainError("n_total must be at least 1")
-    p_a = alloc.p_control
-    out = np.empty((scenario.K, 2))
-    for k in range(1, scenario.K + 1):
-        delta = scenario.delta[k - 1]
-        s = scenario.synergy[k - 1]
-        rho = scenario.rho_combo_control[k - 1]
-        denom1 = _contrast_variance(alloc.p_combo(k), p_a, rho)
-        if denom1 <= 0.0:
-            raise DomainError(
-                f"combination-control variance is not positive in substudy {k} "
-                f"(rho={rho}, p_combo={alloc.p_combo(k)}, p_control={p_a})"
-            )
-        out[k - 1, 0] = n_total * s**2 * delta**2 / (scenario.sigma2 * denom1)
-        out[k - 1, 1] = (
-            n_total * delta**2
-            / (scenario.sigma2 * _contrast_variance(alloc.p_mono(k), p_a, 0.0))
-        )
-    return out
+    return n_total * _noncentralities(scenario, alloc.ratios).reshape(scenario.K, 2)[:, ::-1]
 
 
 def closed_form_allocation(s: float) -> Allocation:

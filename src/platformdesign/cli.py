@@ -168,6 +168,9 @@ def cmd_adjust(args) -> int:
     _require(k >= 1, f"--k must be at least 1, got {k}")
     if args.rho is not None:
         _require(k == 1, "--rho only describes a single substudy; use arm-level flags")
+        for name in ("n_a", "n_b", "n_ab", "rho_ab_a", "rho_ab_b", "rho_a_b"):
+            flag = "--" + name.replace("_", "-")
+            _require(getattr(args, name) is None, f"--rho cannot be combined with {flag}")
         _require(-1.0 <= args.rho <= 1.0, f"--rho must lie in [-1, 1], got {args.rho}")
         z_corr = CorrelationMatrix.bivariate(args.rho)
     else:
@@ -261,9 +264,9 @@ def cmd_estimate(args) -> int:
         roles = _load_json(args.roles, "--roles")
         keys = ("drug_a", "drug_b", "combo")
         _require(
-            isinstance(roles, list)
+            isinstance(roles, list) and len(roles) > 0
             and all(isinstance(r, dict) and all(key in r for key in keys) for r in roles),
-            "--roles file must hold a JSON array of {drug_a, drug_b, combo} objects",
+            "--roles file must hold a non-empty JSON array of {drug_a, drug_b, combo} objects",
         )
         trials = [tuple(r[key] for key in keys) for r in roles]
     else:
@@ -317,17 +320,21 @@ def _progress_to_stderr(enabled: bool):
 
 
 def cmd_simulate(args) -> int:
-    _require(
-        not args.progress or args.study == "design-surface",
-        "--progress only applies to --study design-surface",
-    )
-    # pass only the sweep flags given, so the grid factories own the defaults
+    surface = args.study == "design-surface"
+    where = "error-curves, adjustments or thresholds" if surface else "design-surface"
+    for flag in ("swept", "fixed_rho") if surface else ("progress", "rho_levels"):
+        value = getattr(args, flag)
+        _require(value is None or value is False,
+                 f"--{flag.replace('_', '-')} only applies to --study {where}")
+    # pass only the grid flags given, so the grid factories own the defaults
     sweep = {
         key: getattr(args, key)
-        for key in ("start", "stop", "step")
+        for key in ("start", "stop", "step", "fixed_rho")
         if getattr(args, key) is not None
     }
-    if args.study == "design-surface":
+    if args.swept:
+        sweep["swept"] = args.swept.replace("-", "_")
+    if surface:
         if args.rho_levels:
             sweep["rho_levels"] = tuple(args.rho_levels)
         grid = design_surface_grid(**sweep)
@@ -339,8 +346,7 @@ def cmd_simulate(args) -> int:
             "adjustments": (adjustment_grid, run_adjustment_comparison),
             "thresholds": (threshold_grid, run_threshold_curves),
         }[args.study]
-        swept = args.swept.replace("-", "_")
-        table = runner(factory(swept=swept, fixed_rho=args.fixed_rho, **sweep))
+        table = runner(factory(**sweep))
 
     _write(table.to_json_lines() if args.format == "jsonl" else table.to_csv(), args.out)
     print(f"{args.study}: {len(table.rows)} rows", file=sys.stderr)
@@ -455,9 +461,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--study", required=True,
         choices=("error-curves", "adjustments", "thresholds", "design-surface"),
     )
-    simulate.add_argument("--swept", choices=("rho-ab-b", "rho-ab-a"), default="rho-ab-b",
+    simulate.add_argument("--swept", choices=("rho-ab-b", "rho-ab-a"), default=None,
                           help="which arm correlation to sweep (default rho-ab-b)")
-    simulate.add_argument("--fixed-rho", type=float, default=0.3,
+    simulate.add_argument("--fixed-rho", type=float, default=None,
                           help="value of the non-swept correlation (default 0.3)")
     simulate.add_argument("--start", type=float, default=None, help="sweep start")
     simulate.add_argument("--stop", type=float, default=None, help="sweep stop")

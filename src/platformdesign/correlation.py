@@ -204,17 +204,7 @@ def test_stat_correlation(arms: PlatformArms) -> float:
     shared-control value 1/sqrt((n_a/n_ab + 1)(n_a/n_b + 1)).
     """
     _check_single(arms)
-    table = arms.correlations
-    return float(
-        _pair_correlation(
-            arms.n_combo[0],
-            arms.n_mono[0],
-            arms.n_control,
-            table.get(combo_arm(1), mono_arm(1)),
-            table.get(combo_arm(1), CONTROL),
-            table.get(mono_arm(1), CONTROL),
-        )
-    )
+    return float(platform_z_correlation_matrix(arms).entries[0, 1])
 
 
 def classical_dunnett_correlation(arms: PlatformArms) -> float:

@@ -3,9 +3,10 @@
 Univariate normal cdf/quantile (``math.erfc``, no scipy), Cholesky
 factorization with diagonal jitter, and rectangle probabilities:
 
-* dimension 2 uses a deterministic Gauss-Legendre scheme (Drezner-Wesolowsky
-  integral representation, accurate to ~1e-15), so root finders see a smooth
-  noise-free objective; it is elementwise over arrays of boxes and
+* in dimension 2, the upper orthant P(X > h, Y > k), from which every box
+  follows, by a deterministic Gauss-Legendre scheme (Drezner-Wesolowsky
+  integral representation, accurate to ~1e-15), so root finders see a
+  smooth noise-free objective; it is elementwise over arrays of bounds and
   correlations, as is the normal cdf;
 * higher dimensions use a randomized separation-of-variables estimate
   (shifted Richtmyer lattices after the sequential-conditioning transform)
@@ -43,7 +44,6 @@ __all__ = [
     "CholeskyResult",
     "CorrelationMatrix",
     "QmcLattice",
-    "bvn_rectangle",
     "RectangleEstimate",
 ]
 
@@ -178,16 +178,12 @@ class CorrelationMatrix:
         return self._chol.jitter
 
     @classmethod
-    def identity(cls, dim: int) -> "CorrelationMatrix":
-        return cls(np.eye(dim))
-
-    @classmethod
     def bivariate(cls, rho: float) -> "CorrelationMatrix":
         return cls(np.array([[1.0, rho], [rho, 1.0]]))
 
 
 # ---------------------------------------------------------------------------
-# Bivariate rectangle probability (deterministic quadrature)
+# Bivariate upper orthant (deterministic quadrature)
 # ---------------------------------------------------------------------------
 
 # Gauss-Legendre nodes/weights used by the Drezner-Wesolowsky scheme; the
@@ -327,36 +323,6 @@ def _bvn_upper(h, k, r) -> np.ndarray:
         else:
             out[pick] = _bvn_quadrature(h[pick], k[pick], r[pick], *_GL_RULES[label])
     return np.minimum(1.0, np.maximum(0.0, out)).reshape(shape)
-
-
-def bvn_rectangle(lower, upper, rho):
-    """P(lower <= (X, Y) <= upper) for standard bivariate normals with
-    correlation rho.
-
-    Elementwise over boxes: ``lower`` and ``upper`` have shape (..., 2) and
-    broadcast with ``rho``.  One box gives a float, several an array of
-    their broadcast shape; the four corners of every box are one kernel call.
-    """
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    outside = ~(np.abs(rho) <= 1.0)
-    if outside.any():
-        raise DomainError(f"correlation must lie in [-1, 1], got {rho[outside].flat[0]}")
-    if lower.shape[-1:] != (2,) or upper.shape[-1:] != (2,):
-        raise DomainError("rectangle bounds need two coordinates")
-    a1, a2, b1, b2, rho = np.broadcast_arrays(
-        lower[..., 0], lower[..., 1], upper[..., 0], upper[..., 1], rho
-    )
-    if not ((a1 < b1) & (a2 < b2)).all():
-        raise DomainError("rectangle bounds must satisfy lower < upper")
-    corner = _bvn_upper(
-        np.concatenate((a1, a1, b1, b1), axis=None),
-        np.concatenate((a2, b2, a2, b2), axis=None),
-        np.concatenate((rho, rho, rho, rho), axis=None),
-    ).reshape(4, *rho.shape)
-    p = np.minimum(1.0, np.maximum(0.0, corner[0] - corner[1] - corner[2] + corner[3]))
-    return float(p) if p.ndim == 0 else p
 
 
 # ---------------------------------------------------------------------------

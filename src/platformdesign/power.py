@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import Allocation, DesignScenario, _contrast_variance
+from .allocation import Allocation, DesignScenario, _noncentralities
 from .errors import BudgetExceeded, DomainError
 from .multiplicity import ThresholdResult
 from .mvnorm import std_normal_cdf
@@ -44,22 +44,6 @@ def marginal_power_oracle(W, c):
         raise DomainError("critical value must be positive")
     shift = np.sqrt(W)
     return 1.0 - std_normal_cdf(c - shift) + std_normal_cdf(-c - shift)
-
-
-def _design_power(
-    scenario: DesignScenario, alloc: Allocation, critical_value: float, totals: np.ndarray
-) -> np.ndarray:
-    """Exact minimum per-comparison power of the integer design at each total."""
-    counts = alloc.arm_counts_table(totals)
-    delta = np.asarray(scenario.delta)
-    # comparisons in arm order: mono_1, combo_1, mono_2, combo_2, ...
-    mu = np.column_stack((delta, np.asarray(scenario.synergy) * delta)).ravel()
-    rho = np.column_stack((np.zeros(scenario.K), scenario.rho_combo_control)).ravel()
-    var = scenario.sigma2 * _contrast_variance(counts[:, 1:], counts[:, :1], rho)
-    if np.any(var <= 0.0):
-        raise DomainError("a contrast variance is not positive")
-    noncentrality = np.min(mu * mu / var, axis=1)
-    return marginal_power_oracle(noncentrality, critical_value)
 
 
 @dataclass(frozen=True)
@@ -99,7 +83,9 @@ def _scan_totals(
     scanned: list[np.ndarray] = []
     for start in range(min_n, n_cap + 1, _BLOCK):
         totals = np.arange(start, min(start + _BLOCK, n_cap + 1))
-        power = _design_power(scenario, alloc, c, totals)
+        # exact minimum per-comparison power of each total's integer design
+        counts = alloc.arm_counts_table(totals)
+        power = marginal_power_oracle(np.min(_noncentralities(scenario, counts), axis=1), c)
         scanned.append(power)
         passing = power >= target_power
         found = (n_star == 0) & passing.any(axis=1)

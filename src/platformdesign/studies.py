@@ -5,8 +5,7 @@ move the error rates, how conventional adjustments behave, what thresholds
 the generalized procedure sets, and what allocation/sample size the full
 pipeline recommends.  Every row is computed, not simulated: error rates of
 two statistics are exact bivariate normal probabilities and N* is searched on
-exact power, so ``mc_stderr`` is 0 and tables are the same byte for byte
-whatever the grid's seed.
+exact power, so tables are the same byte for byte whatever the grid's seed.
 """
 
 from __future__ import annotations
@@ -245,14 +244,6 @@ def _render(value) -> str:
     return str(value)
 
 
-def _sweep(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The sweep values and the (rho_ab_a, rho_ab_b) pair at each."""
-    values = grid.sweep_values()
-    if grid.swept == "rho_ab_a":
-        return values, values, np.full(values.shape, float(grid.fixed["rho_ab_b"]))
-    return values, np.full(values.shape, float(grid.fixed["rho_ab_a"])), values
-
-
 def _z_rho(alloc: tuple, rho_ab_a: np.ndarray, rho_ab_b: np.ndarray) -> np.ndarray:
     """Correlation of one substudy's two statistics at each pair of arm
     correlations; it depends on the arm counts only through their ratios."""
@@ -264,28 +255,51 @@ def _z_rho(alloc: tuple, rho_ab_a: np.ndarray, rho_ab_b: np.ndarray) -> np.ndarr
     return _pair_correlation(n_ab, n_b, n_a, rho_ab_b, rho_ab_a, 0.0)
 
 
+def _sweep(grid: GridSpec, allocations: tuple, **labels) -> tuple[np.ndarray, dict]:
+    """The Z correlation at each (allocation, sweep point), and the columns
+    that open every row of a correlation study: the sweep, the arm
+    correlations, the allocation shares, the Z correlation and one column
+    per label axis, each a view on the rows' grid (allocation, sweep point,
+    *labels)."""
+    values = grid.sweep_values()
+    if grid.swept == "rho_ab_a":
+        rho_ab_a, rho_ab_b = values, np.full(values.shape, float(grid.fixed["rho_ab_b"]))
+    else:
+        rho_ab_a, rho_ab_b = np.full(values.shape, float(grid.fixed["rho_ab_a"])), values
+    allocs = np.array(allocations, dtype=float)
+    z_rho = np.stack([_z_rho(alloc, rho_ab_a, rho_ab_b) for alloc in allocations])
+    shape = (*z_rho.shape, *(len(axis) for axis in labels.values()))
+
+    def spread(column, axis: int) -> np.ndarray:
+        """``column``, whose last axis is the rows' grid axis ``axis``."""
+        index = (..., *(None,) * (len(shape) - 1 - axis))
+        return np.broadcast_to(np.asarray(column)[index], shape)
+
+    return z_rho, {
+        "swept": np.broadcast_to(grid.swept, shape),
+        "swept_value": spread(values, 1),
+        "rho_ab_a": spread(rho_ab_a, 1),
+        "rho_ab_b": spread(rho_ab_b, 1),
+        "p_control": spread(allocs[:, 0], 0),
+        "p_mono": spread(allocs[:, 1], 0),
+        "p_combo": spread(allocs[:, 2], 0),
+        "z_rho": spread(z_rho, 1),
+        **{name: spread(axis, 2 + i) for i, (name, axis) in enumerate(labels.items())},
+    }
+
+
+_BASELINE = [BASELINES[metric] for metric in _METRICS]
+
+
 def run_error_curves(grid: GridSpec) -> ResultTable:
     """Unadjusted error rates at the conventional critical value (study 1)."""
-    c_nominal = std_normal_quantile(0.975)
-    values, rho_ab_a, rho_ab_b = _sweep(grid)
-    allocs = np.array(grid.allocations, dtype=float)
-    z_rho = np.stack([_z_rho(alloc, rho_ab_a, rho_ab_b) for alloc in grid.allocations])
-    rates = bivariate_error_rates(z_rho, c_nominal)
-    # rows by (allocation, sweep point, metric); each column is a view on that grid
-    shape = (*z_rho.shape, len(_METRICS))
+    # rows by (allocation, sweep point, metric)
+    z_rho, leading = _sweep(grid, grid.allocations, metric=_METRICS)
+    rates = bivariate_error_rates(z_rho, std_normal_quantile(0.975))
     return ResultTable.from_columns(
-        swept=np.broadcast_to(grid.swept, shape),
-        swept_value=np.broadcast_to(values[:, None], shape),
-        rho_ab_a=np.broadcast_to(rho_ab_a[:, None], shape),
-        rho_ab_b=np.broadcast_to(rho_ab_b[:, None], shape),
-        p_control=np.broadcast_to(allocs[:, 0, None, None], shape),
-        p_mono=np.broadcast_to(allocs[:, 1, None, None], shape),
-        p_combo=np.broadcast_to(allocs[:, 2, None, None], shape),
-        z_rho=np.broadcast_to(z_rho[..., None], shape),
-        metric=np.broadcast_to(_METRICS, shape),
+        **leading,
         value=np.stack([rates[metric] for metric in _METRICS], axis=-1),
-        mc_stderr=np.broadcast_to(0.0, shape),
-        baseline=np.broadcast_to([BASELINES[metric] for metric in _METRICS], shape),
+        baseline=np.broadcast_to(_BASELINE, leading["metric"].shape),
     )
 
 
@@ -319,9 +333,8 @@ def run_adjustment_comparison(grid: GridSpec) -> ResultTable:
     c_nominal = std_normal_quantile(0.975)
     c_bonf = std_normal_quantile(1.0 - alpha / 4.0)
     c_holm_last = std_normal_quantile(1.0 - alpha / 2.0)
-    values, rho_ab_a, rho_ab_b = _sweep(grid)
-    allocs = np.array(grid.allocations, dtype=float)
-    z_rho = np.stack([_z_rho(alloc, rho_ab_a, rho_ab_b) for alloc in grid.allocations])
+    # rows by (allocation, sweep point, method, metric)
+    z_rho, leading = _sweep(grid, grid.allocations, method=_METHODS, metric=_METRICS)
     c_dunnett = np.array([
         classical_dunnett_threshold(
             PlatformArms.single(1000 * alloc[0], 1000 * alloc[1], 1000 * alloc[2]), alpha
@@ -340,25 +353,13 @@ def run_adjustment_comparison(grid: GridSpec) -> ResultTable:
         "holm": _holm_rates(z_rho, c_bonf, c_holm_last, bonferroni),
         "dunnett": dunnett,
     }
-    # rows by (allocation, sweep point, method, metric)
-    shape = (*z_rho.shape, len(_METHODS), len(_METRICS))
     return ResultTable.from_columns(
-        swept=np.broadcast_to(grid.swept, shape),
-        swept_value=np.broadcast_to(values[:, None, None], shape),
-        rho_ab_a=np.broadcast_to(rho_ab_a[:, None, None], shape),
-        rho_ab_b=np.broadcast_to(rho_ab_b[:, None, None], shape),
-        p_control=np.broadcast_to(allocs[:, 0, None, None, None], shape),
-        p_mono=np.broadcast_to(allocs[:, 1, None, None, None], shape),
-        p_combo=np.broadcast_to(allocs[:, 2, None, None, None], shape),
-        z_rho=np.broadcast_to(z_rho[..., None, None], shape),
-        method=np.broadcast_to(np.array(_METHODS)[:, None], shape),
-        metric=np.broadcast_to(_METRICS, shape),
+        **leading,
         value=np.stack(
             [np.stack([per_method[m][metric] for metric in _METRICS], axis=-1) for m in _METHODS],
             axis=-2,
         ),
-        mc_stderr=np.broadcast_to(0.0, shape),
-        baseline=np.broadcast_to([BASELINES[metric] for metric in _METRICS], shape),
+        baseline=np.broadcast_to(_BASELINE, leading["metric"].shape),
     )
 
 
@@ -372,29 +373,19 @@ def _critical_values(z_rho: np.ndarray) -> np.ndarray:
 
 def run_threshold_curves(grid: GridSpec) -> ResultTable:
     """Adjusted p-value thresholds per metric across the sweep (study 3)."""
-    values, rho_ab_a, rho_ab_b = _sweep(grid)
-    z_rho = _z_rho(grid.allocations[0], rho_ab_a, rho_ab_b)
-    c_star = _critical_values(z_rho)
-    # rows by (sweep point, metric)
-    shape = c_star.shape
-    return ResultTable.from_columns(
-        swept=np.broadcast_to(grid.swept, shape),
-        swept_value=np.broadcast_to(values[:, None], shape),
-        rho_ab_a=np.broadcast_to(rho_ab_a[:, None], shape),
-        rho_ab_b=np.broadcast_to(rho_ab_b[:, None], shape),
-        z_rho=np.broadcast_to(z_rho[:, None], shape),
-        metric=np.broadcast_to(_METRICS, shape),
-        c_star=c_star,
-        value=_p_threshold(c_star),
-        mc_stderr=np.broadcast_to(0.0, shape),
-    )
+    # rows by (sweep point, metric), at the grid's first allocation
+    z_rho, leading = _sweep(grid, grid.allocations[:1], metric=_METRICS)
+    for share in ("p_control", "p_mono", "p_combo"):
+        del leading[share]
+    c_star = _critical_values(z_rho[0])
+    return ResultTable.from_columns(**leading, c_star=c_star, value=_p_threshold(c_star))
 
 
 def run_design_surface(grid: GridSpec) -> ResultTable:
     """Optimal allocation and minimal N per (synergy, rho, metric) (study 4).
 
-    N* and its achieved power are exact, so ``mc_stderr`` is 0.  Each
-    finished point is logged at INFO level.
+    N* and its achieved power are exact.  Each finished point is logged at
+    INFO level.
     """
     delta = float(grid.fixed.get("delta", 0.3))
     sigma2 = float(grid.fixed.get("sigma2", 1.0))
@@ -432,5 +423,4 @@ def run_design_surface(grid: GridSpec) -> ResultTable:
         p_threshold=_p_threshold(c_star),
         achieved_power=power,
         value=n_star,
-        mc_stderr=np.broadcast_to(0.0, shape),
     )

@@ -14,6 +14,8 @@ from scipy import integrate
 from scipy.special import ndtr
 from scipy.stats import norm
 
+from platformdesign.mvnorm import _bvn_upper
+
 
 def rect_quad_oracle(lower, upper, rho: float) -> float:
     """Bivariate normal rectangle probability via adaptive quadrature."""
@@ -44,6 +46,25 @@ def rect_quad_oracle(lower, upper, rho: float) -> float:
         epsabs=1e-13, limit=500,
     )
     return value
+
+
+def bvn_rectangle(lower, upper, rho):
+    """P(lower <= (X, Y) <= upper) for standard bivariate normals with
+    correlation rho, from the package's upper orthant ``_bvn_upper`` at the
+    four corners of every box: the box probability the tests check against
+    :func:`rect_quad_oracle` and read the exact levels from.
+
+    Boxes of shape (..., 2) broadcast with ``rho``; one box gives a float.
+    """
+    lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+    a1, a2, b1, b2, rho = np.broadcast_arrays(
+        lower[..., 0], lower[..., 1], upper[..., 0], upper[..., 1], np.asarray(rho, dtype=float)
+    )
+    corner = _bvn_upper(
+        np.stack((a1, a1, b1, b1)), np.stack((a2, b2, a2, b2)), np.stack((rho,) * 4)
+    )
+    p = np.minimum(1.0, np.maximum(0.0, corner[0] - corner[1] - corner[2] + corner[3]))
+    return float(p) if p.ndim == 0 else p
 
 
 def grid_allocation_oracle(s, delta, rho, resolution=1e-3, K=1):

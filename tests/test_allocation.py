@@ -110,6 +110,23 @@ class TestWaldNoncentrality:
         w_corr = wald_noncentrality(corr, alloc, 100)
         assert w_corr[0, 0] == pytest.approx(2.0 * w_flat[0, 0], rel=1e-12)
 
+    def test_matches_the_per_substudy_formula(self):
+        # mu^2 / (sigma2 var) written out one substudy at a time, K = 3
+        scenario = DesignScenario(
+            (0.3, 0.5, 0.2), (1.2, 0.8, 1.5), 1.7, (0.3, -0.2, 0.1), (0.4, 0.1, -0.3)
+        )
+        alloc = Allocation((0.3, 0.1, 0.15, 0.12, 0.08, 0.1, 0.15))
+        w = wald_noncentrality(scenario, alloc, 250)
+        p_a = alloc.p_control
+        for k in range(1, 4):
+            delta, s = scenario.delta[k - 1], scenario.synergy[k - 1]
+            rho = scenario.rho_combo_control[k - 1]
+            p_b, p_ab = alloc.p_mono(k), alloc.p_combo(k)
+            var_combo = 1 / p_ab + 1 / p_a - 2 * rho / math.sqrt(p_ab * p_a)
+            combo = 250 * (s * delta) ** 2 / (1.7 * var_combo)
+            mono = 250 * delta**2 / (1.7 * (1 / p_b + 1 / p_a))
+            assert w[k - 1].tolist() == pytest.approx([combo, mono], rel=1e-12)
+
     def test_degenerate_denominator(self):
         scenario = DesignScenario.single(0.3, 1.0, rho_ab_a=1.0)
         with pytest.raises(DomainError):

@@ -119,6 +119,18 @@ class TestAdjust:
         assert report["achieved_stderr"] == 0.0
         assert report["z_correlation"] == 0.5
 
+    @pytest.mark.parametrize(
+        "flag", [("--n-a", "100"), ("--n-b", "5"), ("--n-ab", "60"), ("--rho-ab-a", "0.2"),
+                 ("--rho-ab-b", "0.2"), ("--rho-a-b", "0.1")],
+    )
+    def test_direct_rho_refuses_arm_flags(self, capsys, flag):
+        # --rho is the Z correlation itself, so an arm flag beside it would
+        # be dropped without a word
+        code, out, err = _run(capsys, "adjust", "--rho", "0.3", *flag)
+        assert code == 2
+        assert out == ""
+        assert f"--rho cannot be combined with {flag[0]}" in err
+
     def test_arm_correlations_that_do_not_fit_together(self, capsys):
         code, _, err = _run(
             capsys, "adjust", "--n-a", "50", "--n-b", "50", "--n-ab", "50",
@@ -338,6 +350,8 @@ _ROLES = '[{"drug_a": "A", "drug_b": "B", "combo": "AB"}]'
          "--roles r.json is not valid JSON"),
         ({"r.json": "[1]"}, ("estimate", "--input", "pdx.csv", "--roles", "r.json"),
          "{drug_a, drug_b, combo} objects"),
+        ({"r.json": "[]"}, ("estimate", "--input", "pdx.csv", "--roles", "r.json"),
+         "--roles file must hold a non-empty JSON array"),
         ({"r.json": '[{"drug_a": "A", "drug_b": "B"}]'},
          ("estimate", "--input", "pdx.csv", "--roles", "r.json"),
          "{drug_a, drug_b, combo} objects"),
@@ -354,7 +368,7 @@ _ROLES = '[{"drug_a": "A", "drug_b": "B", "combo": "AB"}]'
               "--out", "missing/x.csv"), "--out missing/x.csv: No such file or directory"),
     ],
     ids=["config-missing", "config-malformed", "input-missing", "roles-missing",
-         "roles-malformed", "roles-entry-not-object", "roles-entry-without-combo",
+         "roles-malformed", "roles-entry-not-object", "roles-empty", "roles-entry-without-combo",
          "input-not-utf8", "adjust-out-missing-dir", "design-out-missing-dir",
          "estimate-out-is-dir", "simulate-out-missing-dir"],
 )
@@ -422,6 +436,35 @@ class TestSimulate:
             assert code == 2
             assert out == ""
             assert "--progress only applies to --study design-surface" in err
+
+    @pytest.mark.parametrize(
+        "study, flag, applies_to",
+        [
+            ("thresholds", ("--rho-levels", "0.2"), "design-surface"),
+            ("error-curves", ("--rho-levels", "0.2"), "design-surface"),
+            ("design-surface", ("--swept", "rho-ab-a"), "error-curves, adjustments or thresholds"),
+            ("design-surface", ("--fixed-rho", "0.9"), "error-curves, adjustments or thresholds"),
+            ("design-surface", ("--fixed-rho", "0"), "error-curves, adjustments or thresholds"),
+        ],
+    )
+    def test_flags_of_other_studies_are_refused(self, capsys, study, flag, applies_to):
+        code, out, err = _run(
+            capsys, "simulate", "--study", study, "--start", "1.0", "--stop", "1.0", *flag
+        )
+        assert code == 2
+        assert out == ""
+        assert f"{flag[0]} only applies to --study {applies_to}" in err
+
+    def test_sweep_defaults_come_from_the_grid_factory(self, capsys):
+        # --swept and --fixed-rho left out give the factory's rho-ab-b / 0.3
+        args = ("simulate", "--study", "thresholds", "--start", "0.3", "--stop", "0.5",
+                "--step", "0.1")
+        code_a, out_a, _ = _run(capsys, *args)
+        code_b, out_b, _ = _run(capsys, *args, "--swept", "rho-ab-b", "--fixed-rho", "0.3")
+        code_c, out_c, _ = _run(capsys, *args, "--swept", "rho-ab-a", "--fixed-rho", "0.3")
+        assert code_a == code_b == code_c == 0
+        assert out_a == out_b != out_c
+        assert out_c.splitlines()[1].startswith("rho_ab_a,0.3,0.3,0.3,")
 
     @pytest.mark.parametrize(
         "argv",

@@ -6,7 +6,7 @@ import sys
 import mpmath as mp
 import numpy as np
 import pytest
-from conftest import holm_reject, mc_error_rates, mvn_draws
+from conftest import bvn_rectangle, holm_reject, mc_error_rates, mvn_draws
 from scipy.optimize import brentq
 
 from platformdesign import multiplicity, mvnorm
@@ -29,7 +29,6 @@ from platformdesign.mvnorm import (
     CorrelationMatrix,
     QmcLattice,
     RectangleEstimate,
-    bvn_rectangle,
     std_normal_cdf,
 )
 
@@ -329,13 +328,13 @@ class TestPlatformThreshold:
     def test_k2_independent_statistics_sidak(self):
         # Phi^-1((1 + 0.95^(1/4))/2); four independent two-sided tests
         result = platform_threshold(
-            CorrelationMatrix.identity(4), ErrorMetric.fwer(0.05), precision=5e-5, seed=3
+            CorrelationMatrix(np.eye(4)), ErrorMetric.fwer(0.05), precision=5e-5, seed=3
         )
         assert result.critical_value == pytest.approx(2.4909151310191397, abs=5e-3)
 
     def test_mfwer_m2_against_brute_force_oracle(self):
         # independent oracle: one-million-draw direct count, separate seed path
-        corr = CorrelationMatrix.identity(4)
+        corr = CorrelationMatrix(np.eye(4))
         metric = ErrorMetric.mfwer(2, 0.05)
         result = platform_threshold(corr, metric, seed=5, replications=400_000)
         draws = np.random.default_rng(987654).standard_normal((1_000_000, 4))
@@ -397,7 +396,7 @@ class TestPlatformThreshold:
 
     def test_m_range_validation(self):
         with pytest.raises(DomainError):
-            platform_threshold(CorrelationMatrix.identity(4), ErrorMetric.mfwer(5, 0.05))
+            platform_threshold(CorrelationMatrix(np.eye(4)), ErrorMetric.mfwer(5, 0.05))
 
     @pytest.mark.parametrize("precision", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("K", [1, 2])
@@ -606,7 +605,7 @@ class TestThresholdSolver:
         )
         metric = ErrorMetric.fwer(alpha)
         low, high = _lattice_is_curve(monkeypatch, curve, metric, 12)
-        result = platform_threshold(CorrelationMatrix.identity(12), metric)
+        result = platform_threshold(CorrelationMatrix(np.eye(12)), metric)
         assert abs(result.critical_value - root) <= 1e-8
         assert result.achieved == pytest.approx(alpha, abs=1e-9)
         assert curve.visited[:3] == [high, low, (low + high) / 2.0]
@@ -618,7 +617,7 @@ class TestThresholdSolver:
         curve = _CurveLattice(lambda c: 0.2, lambda c: 0.0)
         _, high = _lattice_is_curve(monkeypatch, curve, ErrorMetric.fwer(0.05), 4)
         with pytest.raises(RootBracketError, match="is 0.2"):
-            platform_threshold(CorrelationMatrix.identity(4), ErrorMetric.fwer(0.05))
+            platform_threshold(CorrelationMatrix(np.eye(4)), ErrorMetric.fwer(0.05))
         assert curve.visited == [high]
 
     def test_k4_lattice_solve_is_pinned(self, monkeypatch):

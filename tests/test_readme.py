@@ -6,7 +6,7 @@ from pathlib import Path
 
 from conftest import FIXTURE_INDEPENDENT_CSV
 
-from platformdesign import cli
+from platformdesign import cli, studies
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -47,3 +47,22 @@ def test_command_line_examples_run(capsys, monkeypatch, tmp_path):
         assert cli.main(argv[1:]) == 0, argv
         assert capsys.readouterr().out or "--out" in argv, argv
     assert (tmp_path / "curves.csv").is_file() and (tmp_path / "surface.csv").is_file()
+
+
+def test_study_output_schemas_match_the_tables():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("### Study output schemas", 1)[1].split("\n\n", 2)[1]
+    schemas = {
+        study: [name.strip() for name in columns.split(",")]
+        for study, columns in re.findall(r"^- `([\w-]+)`: `([^`]*)`", section, re.M)
+    }
+    point = {"start": 0.3, "stop": 0.3}
+    tables = {
+        "error-curves": studies.run_error_curves(studies.error_curves_grid(**point)),
+        "adjustments": studies.run_adjustment_comparison(studies.adjustment_grid(**point)),
+        "thresholds": studies.run_threshold_curves(studies.threshold_grid(**point)),
+        "design-surface": studies.run_design_surface(
+            studies.design_surface_grid(start=1.0, stop=1.0, rho_levels=(0.3,))
+        ),
+    }
+    assert schemas == {study: list(table.columns) for study, table in tables.items()}

@@ -4,7 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from conftest import FIXTURE_INDEPENDENT_CSV, holm_reject, mc_error_rates, mvn_draws
+from conftest import (
+    FIXTURE_INDEPENDENT_CSV,
+    bvn_rectangle,
+    holm_reject,
+    mc_error_rates,
+    mvn_draws,
+)
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
@@ -20,7 +26,7 @@ from platformdesign.multiplicity import (
     classical_dunnett_threshold,
     platform_threshold,
 )
-from platformdesign.mvnorm import CorrelationMatrix, bvn_rectangle
+from platformdesign.mvnorm import CorrelationMatrix
 from platformdesign.power import find_sample_size
 from platformdesign.studies import (
     BASELINES,
@@ -119,10 +125,6 @@ class TestErrorCurves:
             values = set(table.column("baseline", metric=metric))
             assert values == {baseline}
 
-    def test_exact_rows_have_zero_stderr(self, coarse_error_table):
-        _, table = coarse_error_table
-        assert set(table.column("mc_stderr")) == {0.0}
-
     def test_fwer_below_baseline_and_nonincreasing(self, coarse_error_table):
         grid, table = coarse_error_table
         for alloc in DEFAULT_ALLOCATIONS:
@@ -197,7 +199,7 @@ class TestAdjustments:
         rows = [r for r in table.as_dicts() if r["method"] == "noadj" and r["metric"] == "fwer"]
         for row in rows:
             exact = 1.0 - bvn_rectangle((-Z_975, -Z_975), (Z_975, Z_975), row["z_rho"])
-            assert abs(row["value"] - exact) <= 3 * row["mc_stderr"] + 1e-9
+            assert abs(row["value"] - exact) <= 1e-9
 
     def test_rows_match_monte_carlo_oracle(self, coarse_adjustment_table):
         # fixed-cut methods against simulated rates at their cut, Holm against
@@ -230,7 +232,6 @@ class TestAdjustments:
             for row in rows:
                 rate = simulated[row["method"]][row["metric"]]
                 assert _within_mc_sigmas(row["value"], rate, n), row
-            assert set(r["mc_stderr"] for r in rows) == {0.0}
 
     def test_independent_statistics_closed_forms(self):
         # at zero correlation every rate is a product of marginal tails: with
@@ -330,7 +331,6 @@ class TestDesignSurface:
         _, table = small_surface
         for power in table.column("achieved_power"):
             assert 0.8 <= power <= 0.9
-        assert set(table.column("mc_stderr")) == {0.0}
 
 
 
@@ -398,7 +398,7 @@ class TestRowsMatchPointByPoint:
                 z = _point_z_rho(alloc, rho_ab_a, rho_ab_b)
                 rates = bivariate_error_rates(z, Z_975)
                 expected += [
-                    (swept, value, rho_ab_a, rho_ab_b, *alloc, z, m, rates[m], 0.0, BASELINES[m])
+                    (swept, value, rho_ab_a, rho_ab_b, *alloc, z, m, rates[m], BASELINES[m])
                     for m in self.METRICS
                 ]
         assert run_error_curves(grid).rows == tuple(expected)
@@ -431,7 +431,7 @@ class TestRowsMatchPointByPoint:
                 }
                 expected += [
                     ("rho_ab_b", value, 0.3, value, *alloc, z, method, m,
-                     per_method[method][m], 0.0, BASELINES[m])
+                     per_method[method][m], BASELINES[m])
                     for method in per_method for m in self.METRICS
                 ]
         table = run_adjustment_comparison(grid)
@@ -450,7 +450,7 @@ class TestRowsMatchPointByPoint:
                 result = platform_threshold(CorrelationMatrix.bivariate(z), metric)
                 expected.append((
                     "rho_ab_b", value, 0.3, value, z, metric.kind,
-                    result.critical_value, result.p_threshold, 0.0,
+                    result.critical_value, result.p_threshold,
                 ))
         assert run_threshold_curves(grid).rows == tuple(expected)
 
@@ -468,7 +468,7 @@ class TestRowsMatchPointByPoint:
                     result = find_sample_size(scenario, alloc, threshold, 0.8)
                     expected.append((
                         s, rho, *alloc.ratios, z, metric.kind, threshold.critical_value,
-                        threshold.p_threshold, result.achieved_power, result.n_star, 0.0,
+                        threshold.p_threshold, result.achieved_power, result.n_star,
                     ))
         assert run_design_surface(grid).rows == tuple(expected)
 
