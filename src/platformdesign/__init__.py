@@ -18,6 +18,7 @@ from .correlation import (
     ArmCorrelations,
     PlatformArms,
     classical_dunnett_correlation,
+    design_z_correlation,
     platform_z_correlation_matrix,
     test_stat_correlation,
 )

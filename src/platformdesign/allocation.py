@@ -129,16 +129,6 @@ class Allocation:
     def K(self) -> int:
         return (len(self.ratios) - 1) // 2
 
-    @property
-    def p_control(self) -> float:
-        return self.ratios[0]
-
-    def p_mono(self, k: int = 1) -> float:
-        return self.ratios[2 * k - 1]
-
-    def p_combo(self, k: int = 1) -> float:
-        return self.ratios[2 * k]
-
     @classmethod
     def equal(cls, K: int = 1) -> "Allocation":
         n_arms = 2 * K + 1

@@ -27,9 +27,7 @@ from .allocation import DesignScenario, optimize_allocation
 from .correlation import (
     ArmCorrelations,
     PlatformArms,
-    combo_arm,
-    mono_arm,
-    CONTROL,
+    design_z_correlation,
     platform_z_correlation_matrix,
 )
 from .errors import (
@@ -44,7 +42,7 @@ from .errors import (
     ZeroVariance,
 )
 from .estimation import estimate_trial, ingest_csv, table1_pipeline
-from .multiplicity import DEFAULT_TARGETS, ErrorMetric, ThresholdResult, platform_threshold
+from .multiplicity import DEFAULT_TARGETS, ErrorMetric, platform_threshold
 from .mvnorm import CorrelationMatrix
 from .power import find_sample_size
 from .studies import (
@@ -142,16 +140,12 @@ def _platform_arms_from_args(args, k: int) -> PlatformArms:
     _require(args.n_ab is not None, "--n-ab is required for arm-level correlation input")
     n_mono = _broadcast(args.n_b, k, "--n-b")
     n_combo = _broadcast(args.n_ab, k, "--n-ab")
-    rho_ab_a = _broadcast(args.rho_ab_a, k, "--rho-ab-a")
-    rho_ab_b = _broadcast(args.rho_ab_b, k, "--rho-ab-b")
-    pairs = {}
-    for i in range(1, k + 1):
-        pairs[(combo_arm(i), CONTROL)] = rho_ab_a[i - 1]
-        pairs[(combo_arm(i), mono_arm(i))] = rho_ab_b[i - 1]
-    if args.rho_a_b is not None:
-        for i, rho in enumerate(_broadcast(args.rho_a_b, k, "--rho-a-b"), start=1):
-            pairs[(CONTROL, mono_arm(i))] = rho
-    return PlatformArms(float(args.n_a), n_mono, n_combo, ArmCorrelations(k, pairs))
+    correlations = ArmCorrelations.per_substudy(
+        _broadcast(args.rho_ab_a, k, "--rho-ab-a"),
+        _broadcast(args.rho_ab_b, k, "--rho-ab-b"),
+        _broadcast(args.rho_a_b, k, "--rho-a-b"),
+    )
+    return PlatformArms(float(args.n_a), n_mono, n_combo, correlations)
 
 
 def _z_report(z_corr: CorrelationMatrix):
@@ -197,22 +191,6 @@ def cmd_adjust(args) -> int:
     return EXIT_OK
 
 
-def _design_threshold(scenario, alloc, metric, args) -> ThresholdResult:
-    """Threshold at nominal arm counts: the Z correlation depends on the
-    counts only through the allocation ratios."""
-    counts = [1000.0 * r for r in alloc.ratios]
-    arms = PlatformArms(
-        counts[0],
-        tuple(counts[1::2]),
-        tuple(counts[2::2]),
-        ArmCorrelations.from_scenario(scenario),
-    )
-    return platform_threshold(
-        platform_z_correlation_matrix(arms), metric, precision=args.precision,
-        seed=args.seed, replications=args.replications,
-    )
-
-
 def cmd_design(args) -> int:
     k = args.k
     _require(k >= 1, f"--k must be at least 1, got {k}")
@@ -228,7 +206,10 @@ def cmd_design(args) -> int:
     )
     metric = _metric_from_args(args)
     alloc = optimize_allocation(scenario)
-    threshold = _design_threshold(scenario, alloc, metric, args)
+    threshold = platform_threshold(
+        design_z_correlation(scenario, alloc), metric, precision=args.precision,
+        seed=args.seed, replications=args.replications,
+    )
     result = find_sample_size(scenario, alloc, threshold, args.power, n_cap=args.n_cap)
     report = {
         "metric": metric.kind,
@@ -241,7 +222,6 @@ def cmd_design(args) -> int:
         "n_star": result.n_star,
         "achieved_power": result.achieved_power,
         "target_power": args.power,
-        "seed": args.seed,
     }
     _emit(report, args)
     return EXIT_OK

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .allocation import DesignScenario, _contrast_variance
+from .allocation import Allocation, DesignScenario, _contrast_variance
 from .errors import DomainError
 from .mvnorm import CorrelationMatrix
 
@@ -27,6 +27,7 @@ __all__ = [
     "test_stat_correlation",
     "classical_dunnett_correlation",
     "platform_z_correlation_matrix",
+    "design_z_correlation",
 ]
 
 # Arm labels: the shared control, and per-substudy monotherapy / combination
@@ -88,25 +89,32 @@ class ArmCorrelations:
         return self._table.get(frozenset((a, b)), 0.0)
 
     @classmethod
+    def per_substudy(
+        cls, rho_combo_control: Sequence[float], rho_combo_mono: Sequence[float],
+        rho_control_mono: Sequence[float] = (),
+    ) -> "ArmCorrelations":
+        """Entry k - 1 of each sequence is substudy k's correlation for that
+        pair of arms; unlisted pairs, and those across substudies, stay 0."""
+        K = len(rho_combo_control)
+        if len(rho_combo_mono) != K or len(rho_control_mono) not in (0, K):
+            raise DomainError(f"need one correlation per substudy ({K}) in each sequence")
+        pairs: dict[tuple[Arm, Arm], float] = {}
+        for k in range(1, K + 1):
+            pairs[(combo_arm(k), CONTROL)] = rho_combo_control[k - 1]
+            pairs[(combo_arm(k), mono_arm(k))] = rho_combo_mono[k - 1]
+            if len(rho_control_mono):
+                pairs[(CONTROL, mono_arm(k))] = rho_control_mono[k - 1]
+        return cls(K, pairs)
+
+    @classmethod
     def single(
         cls, rho_ab_a: float = 0.0, rho_ab_b: float = 0.0, rho_a_b: float = 0.0
     ) -> "ArmCorrelations":
-        return cls(
-            1,
-            {
-                (combo_arm(1), CONTROL): rho_ab_a,
-                (combo_arm(1), mono_arm(1)): rho_ab_b,
-                (CONTROL, mono_arm(1)): rho_a_b,
-            },
-        )
+        return cls.per_substudy((rho_ab_a,), (rho_ab_b,), (rho_a_b,))
 
     @classmethod
     def from_scenario(cls, scenario: DesignScenario) -> "ArmCorrelations":
-        pairs: dict[tuple[Arm, Arm], float] = {}
-        for k in range(1, scenario.K + 1):
-            pairs[(combo_arm(k), CONTROL)] = scenario.rho_combo_control[k - 1]
-            pairs[(combo_arm(k), mono_arm(k))] = scenario.rho_combo_mono[k - 1]
-        return cls(scenario.K, pairs)
+        return cls.per_substudy(scenario.rho_combo_control, scenario.rho_combo_mono)
 
 
 @dataclass(frozen=True)
@@ -254,3 +262,13 @@ def platform_z_correlation_matrix(arms: PlatformArms) -> CorrelationMatrix:
         np.array([table.get(v, CONTROL) for _, v in pairs]),
     )
     return CorrelationMatrix(m)
+
+
+def design_z_correlation(scenario: DesignScenario, alloc: Allocation) -> CorrelationMatrix:
+    """Z correlation matrix of a design at 1000 nominal subjects, as it depends
+    on the counts only through the allocation ratios; a K mismatch is a
+    :class:`DomainError`."""
+    counts = [1000.0 * r for r in alloc.ratios]
+    correlations = ArmCorrelations.from_scenario(scenario)
+    arms = PlatformArms(counts[0], tuple(counts[1::2]), tuple(counts[2::2]), correlations)
+    return platform_z_correlation_matrix(arms)

@@ -23,7 +23,7 @@ class RootBracketError(PlatformDesignError):
 
 
 class PrecisionUnreachable(PlatformDesignError):
-    """A Monte Carlo estimate hit its budget cap before the requested precision."""
+    """The QMC lattice reached its 2^22-point cap before the requested precision."""
 
 
 class BudgetExceeded(PlatformDesignError):

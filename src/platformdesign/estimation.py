@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .correlation import PlatformArms, test_stat_correlation
+from .correlation import PlatformArms, platform_z_correlation_matrix
 from .errors import (
     DomainError,
     InsufficientData,
@@ -32,7 +32,7 @@ from .multiplicity import (
     bivariate_error_rates,
     platform_threshold,
 )
-from .mvnorm import CorrelationMatrix, std_normal_quantile
+from .mvnorm import std_normal_quantile
 
 __all__ = [
     "PairedEndpointTable",
@@ -58,9 +58,6 @@ class PairedEndpointTable:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "responses", dict(self.responses))
-
-    def treatments(self) -> list[str]:
-        return sorted({t for _, t in self.responses})
 
     def models_with(self, *treatments: str) -> list[str]:
         """Model ids having a response for every listed treatment, sorted."""
@@ -110,8 +107,11 @@ def ingest_csv(
     :class:`SchemaError` naming it, text that is not UTF-8 raises
     :class:`ParseError` naming the path, malformed rows raise it with their
     line number, and duplicate (model, treatment) pairs follow the
-    ``duplicates`` policy ('error' rejects, 'mean' averages).
+    ``duplicates`` policy ('error' rejects, 'mean' averages).  A
+    ``delimiter`` that is not one character is a :class:`DomainError`.
     """
+    if len(delimiter) != 1:
+        raise DomainError(f"delimiter must be one character, got {delimiter!r}")
     records: list[tuple[str, str, float]] = []
     with open(path, newline="", encoding="utf-8") as handle:
         try:
@@ -207,8 +207,11 @@ def estimate_trial(
     Means, SDs, and counts come from models with all three responses present;
     each correlation uses the (possibly larger) set of models carrying both
     arms of its pair.  Effects are standardized by the respective pooled SDs,
-    so downstream design steps can take unit variance.
+    so downstream design steps can take unit variance.  ``min_triples``
+    below 2 is a :class:`DomainError`: a standard deviation needs two models.
     """
+    if min_triples < 2:
+        raise DomainError(f"min_triples must be at least 2, got {min_triples}")
     triple_models = table.models_with(drug_a, drug_b, combo)
     if len(triple_models) < min_triples:
         raise InsufficientData(
@@ -283,8 +286,8 @@ def table1_pipeline(estimates: TrialEstimates) -> Table1Result:
         estimates.n_A, estimates.n_B, estimates.n_AB,
         rho_ab_a=estimates.rho_AB_A, rho_ab_b=estimates.rho_AB_B,
     )
-    rho = test_stat_correlation(arms)
-    z_corr = CorrelationMatrix.bivariate(rho)
+    z_corr = platform_z_correlation_matrix(arms)
+    rho = float(z_corr.entries[0, 1])
     thresholds = {metric.kind: platform_threshold(z_corr, metric) for metric in DEFAULT_TARGETS}
     return Table1Result(
         rho=rho,

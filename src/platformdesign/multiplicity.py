@@ -37,7 +37,9 @@ __all__ = [
     "bivariate_error_rates",
 ]
 
-_KINDS = ("fwer", "fmer", "msfp", "mfwer")
+# each fixed metric's law: (exceedances that make the error, sidedness)
+_LAWS = {"fwer": (1, "two"), "fmer": (2, "two"), "msfp": (2, "one")}
+_KINDS = (*_LAWS, "mfwer")
 # how close to alpha, relative to alpha, an exact level must come
 _PROB_TOL = 1e-6
 
@@ -69,22 +71,17 @@ class ErrorMetric:
         if self.sided is not None:
             if self.sided not in ("one", "two"):
                 raise DomainError("sided must be 'one' or 'two'")
-            fixed = {"fwer": "two", "fmer": "two", "msfp": "one"}
-            if self.kind in fixed and self.sided != fixed[self.kind]:
-                raise DomainError(f"{self.kind} is {fixed[self.kind]}-sided by definition")
+            if self.kind in _LAWS and self.sided != self.effective_sided:
+                raise DomainError(f"{self.kind} is {self.effective_sided}-sided by definition")
 
     @property
     def effective_sided(self) -> str:
-        if self.kind == "msfp":
-            return "one"
-        if self.kind == "mfwer":
-            return self.sided or "two"
-        return "two"
+        return _LAWS[self.kind][1] if self.kind in _LAWS else self.sided or "two"
 
     @property
     def exceedance_count(self) -> int:
         """How many exceedances constitute the error event."""
-        return {"fwer": 1, "fmer": 2, "msfp": 2, "mfwer": self.m}[self.kind]
+        return _LAWS[self.kind][0] if self.kind in _LAWS else self.m
 
     @classmethod
     def fwer(cls, alpha: float = 0.05) -> "ErrorMetric":
@@ -234,9 +231,8 @@ def bivariate_error_rates(rho, critical_value) -> dict:
     at one common critical value; elementwise (a dict of arrays) when either
     is an array.  A NaN critical value, or a correlation outside [-1, 1], is
     a :class:`DomainError`."""
-    laws = {"fwer": (1, "two"), "fmer": (2, "two"), "msfp": (2, "one")}
-    levels, _ = _bivariate_levels(rho, critical_value, tuple(laws.values()))
-    return {kind: _as_float(level) for kind, level in zip(laws, levels)}
+    levels, _ = _bivariate_levels(rho, critical_value, tuple(_LAWS.values()))
+    return {kind: _as_float(level) for kind, level in zip(_LAWS, levels)}
 
 
 def classical_dunnett_threshold(arms: PlatformArms, alpha: float) -> ThresholdResult:

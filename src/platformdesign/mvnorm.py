@@ -337,9 +337,6 @@ class RectangleEstimate(NamedTuple):
     # d value / dt for the box pushed outward by t (QmcLattice.estimate)
     slope: float
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def _first_primes(n: int) -> list[int]:
     primes: list[int] = []

@@ -261,11 +261,13 @@ def _sweep(grid: GridSpec, allocations: tuple, **labels) -> tuple[np.ndarray, di
     correlations, the allocation shares, the Z correlation and one column
     per label axis, each a view on the rows' grid (allocation, sweep point,
     *labels)."""
+    other = {"rho_ab_a": "rho_ab_b", "rho_ab_b": "rho_ab_a"}.get(grid.swept)
+    if other not in grid.fixed:
+        raise DomainError(f"a correlation study sweeps rho_ab_a or rho_ab_b and holds the "
+                          f"other in fixed, not {grid.swept} with fixed {sorted(grid.fixed)}")
     values = grid.sweep_values()
-    if grid.swept == "rho_ab_a":
-        rho_ab_a, rho_ab_b = values, np.full(values.shape, float(grid.fixed["rho_ab_b"]))
-    else:
-        rho_ab_a, rho_ab_b = np.full(values.shape, float(grid.fixed["rho_ab_a"])), values
+    held = np.full(values.shape, float(grid.fixed[other]))
+    rho_ab_a, rho_ab_b = (values, held) if grid.swept == "rho_ab_a" else (held, values)
     allocs = np.array(allocations, dtype=float)
     z_rho = np.stack([_z_rho(alloc, rho_ab_a, rho_ab_b) for alloc in allocations])
     shape = (*z_rho.shape, *(len(axis) for axis in labels.values()))
@@ -387,6 +389,8 @@ def run_design_surface(grid: GridSpec) -> ResultTable:
     N* and its achieved power are exact.  Each finished point is logged at
     INFO level.
     """
+    if grid.swept != "synergy":
+        raise DomainError(f"the design surface sweeps synergy, not {grid.swept}")
     delta = float(grid.fixed.get("delta", 0.3))
     sigma2 = float(grid.fixed.get("sigma2", 1.0))
     target = float(grid.fixed.get("target_power", 0.8))

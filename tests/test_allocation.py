@@ -33,9 +33,7 @@ class TestAllocationType:
     def test_accessors(self):
         alloc = Allocation((0.5, 0.3, 0.2))
         assert alloc.K == 1
-        assert alloc.p_control == 0.5
-        assert alloc.p_mono(1) == 0.3
-        assert alloc.p_combo(1) == 0.2
+        assert alloc.ratios == (0.5, 0.3, 0.2)
 
     def test_arm_counts_largest_remainder(self):
         alloc = Allocation((0.445, 0.450, 0.105))
@@ -117,11 +115,11 @@ class TestWaldNoncentrality:
         )
         alloc = Allocation((0.3, 0.1, 0.15, 0.12, 0.08, 0.1, 0.15))
         w = wald_noncentrality(scenario, alloc, 250)
-        p_a = alloc.p_control
+        p_a = alloc.ratios[0]
         for k in range(1, 4):
             delta, s = scenario.delta[k - 1], scenario.synergy[k - 1]
             rho = scenario.rho_combo_control[k - 1]
-            p_b, p_ab = alloc.p_mono(k), alloc.p_combo(k)
+            p_b, p_ab = alloc.ratios[2 * k - 1], alloc.ratios[2 * k]
             var_combo = 1 / p_ab + 1 / p_a - 2 * rho / math.sqrt(p_ab * p_a)
             combo = 250 * (s * delta) ** 2 / (1.7 * var_combo)
             mono = 250 * delta**2 / (1.7 * (1 / p_b + 1 / p_a))
@@ -248,7 +246,7 @@ class TestOptimizer:
         shares = []
         for s in np.arange(0.7, 1.31, 0.1):
             scenario = DesignScenario.single(0.3, float(s), rho_ab_a=0.3, rho_ab_b=0.3)
-            shares.append(optimize_allocation(scenario).p_combo(1))
+            shares.append(optimize_allocation(scenario).ratios[2])
         assert all(b <= a + 1e-6 for a, b in zip(shares, shares[1:]))
 
     def test_k2_feasible_and_beats_equal(self):

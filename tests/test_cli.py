@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -331,6 +332,42 @@ class TestEstimate:
         )
         assert code == 2
         assert "do not fit together" in err
+
+    @pytest.mark.parametrize("triples, min_triples", [(1, "1"), (0, "0"), (0, "-3")])
+    def test_too_few_triples_is_one_error_line(self, capsys, tmp_path, triples, min_triples):
+        # below two triples no standard deviation exists: the refusal comes
+        # before any arithmetic, so numpy has nothing to warn about
+        combo_model = "m0" if triples else "m1"
+        path = tmp_path / "pdx.csv"
+        path.write_text(
+            f"model_id,treatment,response\nm0,A,1\nm0,B,2\n{combo_model},AB,3\n",
+            encoding="utf-8",
+        )
+        expected = {
+            min_triples: f"min_triples must be at least 2, got {min_triples}",
+            "2": f"only {triples} complete (A, B, combo) triples; need at least 2",
+        }
+        for value, message in expected.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = _run(
+                    capsys, "estimate", "--input", str(path), "--drug-a", "A",
+                    "--drug-b", "B", "--combo", "AB", "--min-triples", value,
+                )
+            assert (code, out) == (2, ""), value
+            assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("delimiter", [";;", "", "\\t"])
+    def test_delimiter_of_other_than_one_character_refused(self, capsys, tmp_path, delimiter):
+        # a validation failure (exit 2), not csv's TypeError
+        path = tmp_path / "pdx.csv"
+        path.write_text(FIXTURE_CSV, encoding="utf-8")
+        code, out, err = _run(
+            capsys, "estimate", "--input", str(path), "--drug-a", "A",
+            "--drug-b", "B", "--combo", "AB", "--delimiter", delimiter,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: delimiter must be one character, got {delimiter!r}\n"
 
 
 _ROLES = '[{"drug_a": "A", "drug_b": "B", "combo": "AB"}]'

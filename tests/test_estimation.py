@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,13 @@ class TestIngestCsv:
         with pytest.raises(SchemaError):
             ingest_csv(path)
 
+    @pytest.mark.parametrize("delimiter", [";;", "", "\\t"])
+    def test_delimiter_must_be_one_character(self, tmp_path, delimiter):
+        # refused by the package, before csv sees it
+        path = _write(tmp_path / "ok.csv", "model_id,treatment,response\nm1,a,0.5\n")
+        with pytest.raises(DomainError, match="delimiter must be one character"):
+            ingest_csv(path, delimiter=delimiter)
+
 
 class TestEstimateTrial:
     def test_constructed_fixture_synergy_two(self):
@@ -202,6 +210,20 @@ class TestEstimateTrial:
         table = _synthetic_table(n_models=2)
         with pytest.raises(InsufficientData):
             estimate_trial(table, "drugA", "drugB", "drugA+drugB")
+
+    @pytest.mark.parametrize("min_triples", [1, 0, -3])
+    def test_min_triples_below_two_refused(self, min_triples):
+        # a standard deviation needs two models, so fewer than two triples
+        # is refused before any numpy call could warn
+        one_triple = PairedEndpointTable.from_records(
+            [("m0", "a", 1.0), ("m0", "b", 2.0), ("m0", "ab", 3.0), ("m1", "a", 4.0)]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="min_triples must be at least 2"):
+                estimate_trial(one_triple, "a", "b", "ab", min_triples=min_triples)
+            with pytest.raises(InsufficientData, match="only 1 complete"):
+                estimate_trial(one_triple, "a", "b", "ab", min_triples=2)
 
     def test_zero_variance(self):
         records = []

@@ -112,6 +112,25 @@ class TestGridSpec:
         with pytest.raises(DomainError, match=f"{field} must be finite"):
             GridSpec("rho_ab_b", **bounds)
 
+    @pytest.mark.parametrize("runner", [
+        run_error_curves, run_adjustment_comparison, run_threshold_curves,
+    ])
+    @pytest.mark.parametrize("grid", [
+        design_surface_grid(),
+        GridSpec("rho_ab_b", 0.1, 0.2, 0.1),
+        GridSpec("rho_ab_a", 0.1, 0.2, 0.1, fixed={"rho_ab_a": 0.3}),
+    ], ids=["synergy-sweep", "no-fixed-rho", "fixed-rho-of-the-swept-one"])
+    def test_correlation_studies_refuse_other_grids(self, runner, grid):
+        # the correlation that is not swept must be held in fixed, or it has
+        # no value
+        with pytest.raises(DomainError, match="sweeps rho_ab_a or rho_ab_b"):
+            runner(grid)
+
+    def test_design_surface_refuses_a_correlation_sweep(self):
+        # a correlation sweep is not a synergy sweep
+        with pytest.raises(DomainError, match="design surface sweeps synergy"):
+            run_design_surface(threshold_grid(start=0.9, stop=1.0, step=0.1))
+
 
 class TestErrorCurves:
     def test_one_row_per_point_and_metric(self, coarse_error_table):
