@@ -264,11 +264,15 @@ def platform_z_correlation_matrix(arms: PlatformArms) -> CorrelationMatrix:
     return CorrelationMatrix(m)
 
 
+# A design's Z correlations depend on its arm counts only through their
+# ratios; they are computed at the ratios times this many nominal subjects.
+_NOMINAL_TOTAL = 1000.0
+
+
 def design_z_correlation(scenario: DesignScenario, alloc: Allocation) -> CorrelationMatrix:
-    """Z correlation matrix of a design at 1000 nominal subjects, as it depends
-    on the counts only through the allocation ratios; a K mismatch is a
-    :class:`DomainError`."""
-    counts = [1000.0 * r for r in alloc.ratios]
+    """Z correlation matrix of a design at its nominal counts (the ratios
+    times ``_NOMINAL_TOTAL``); a K mismatch is a :class:`DomainError`."""
+    counts = [_NOMINAL_TOTAL * r for r in alloc.ratios]
     correlations = ArmCorrelations.from_scenario(scenario)
     arms = PlatformArms(counts[0], tuple(counts[1::2]), tuple(counts[2::2]), correlations)
     return platform_z_correlation_matrix(arms)

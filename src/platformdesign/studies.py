@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .allocation import Allocation, DesignScenario, optimize_allocation
-from .correlation import PlatformArms, _pair_correlation
+from .correlation import _NOMINAL_TOTAL, PlatformArms, _pair_correlation
 from .errors import DomainError
 from .multiplicity import (
     DEFAULT_TARGETS,
@@ -30,7 +30,7 @@ from .multiplicity import (
     classical_dunnett_threshold,
 )
 from .mvnorm import _bvn_upper, std_normal_quantile
-from .power import _scan_totals
+from .power import _noncentrality_floor, _scan_totals, marginal_power_oracle
 
 __all__ = [
     "GridSpec",
@@ -95,8 +95,14 @@ class GridSpec:
             raise DomainError("stop must not precede start")
         if self.replications < 1:
             raise DomainError("replications must be positive")
+        if not self.allocations:
+            raise DomainError("allocations must hold at least one allocation")
         for alloc in self.allocations:
-            Allocation(tuple(alloc))
+            if Allocation(tuple(alloc)).K != 1:
+                raise DomainError(
+                    f"each allocation has three shares (control, monotherapy, "
+                    f"combination), got {len(alloc)}"
+                )
         for rho in self.rho_levels:
             if not -1.0 <= rho <= 1.0:
                 raise DomainError(f"rho level {rho} outside [-1, 1]")
@@ -246,12 +252,12 @@ def _render(value) -> str:
 
 def _z_rho(alloc: tuple, rho_ab_a: np.ndarray, rho_ab_b: np.ndarray) -> np.ndarray:
     """Correlation of one substudy's two statistics at each pair of arm
-    correlations; it depends on the arm counts only through their ratios."""
+    correlations, at the allocation's nominal counts."""
     for rho in (rho_ab_a, rho_ab_b):
         outside = ~(np.abs(rho) <= 1.0)
         if outside.any():
             raise DomainError(f"correlation must lie in [-1, 1], got {rho[outside][0]}")
-    n_a, n_b, n_ab = (1000 * p for p in alloc)
+    n_a, n_b, n_ab = (_NOMINAL_TOTAL * p for p in alloc)
     return _pair_correlation(n_ab, n_b, n_a, rho_ab_b, rho_ab_a, 0.0)
 
 
@@ -339,7 +345,7 @@ def run_adjustment_comparison(grid: GridSpec) -> ResultTable:
     z_rho, leading = _sweep(grid, grid.allocations, method=_METHODS, metric=_METRICS)
     c_dunnett = np.array([
         classical_dunnett_threshold(
-            PlatformArms.single(1000 * alloc[0], 1000 * alloc[1], 1000 * alloc[2]), alpha
+            PlatformArms.single(*(_NOMINAL_TOTAL * p for p in alloc)), alpha
         ).critical_value
         for alloc in grid.allocations
     ])
@@ -403,11 +409,12 @@ def run_design_surface(grid: GridSpec) -> ResultTable:
     synergy, rho = np.array(points).T
     z_rho = _z_rho(ratios.T, rho, rho)
     c_star = _critical_values(z_rho)
+    floor = _noncentrality_floor(c_star, target)
     n_star = np.empty(c_star.shape, dtype=np.int64)
-    power = np.empty(c_star.shape)
+    w_star = np.empty(c_star.shape)  # smallest noncentrality at each N*
     for i, (scenario, alloc) in enumerate(zip(scenarios, allocs)):
-        n_star[i], scanned = _scan_totals(scenario, alloc, c_star[i], target, n_cap=1_000_000)
-        power[i] = scanned[np.arange(len(_METRICS)), n_star[i] - (2 * scenario.K + 1)]
+        n_star[i], w = _scan_totals(scenario, alloc, c_star[i], floor[i], target, n_cap=1_000_000)
+        w_star[i] = w[n_star[i] - (2 * scenario.K + 1)]
         for j, metric in enumerate(_METRICS):
             logger.info(
                 "design-surface %d/%d: s=%s rho=%s %s N*=%d",
@@ -425,6 +432,6 @@ def run_design_surface(grid: GridSpec) -> ResultTable:
         metric=np.broadcast_to(_METRICS, shape),
         c_star=c_star,
         p_threshold=_p_threshold(c_star),
-        achieved_power=power,
+        achieved_power=marginal_power_oracle(w_star, c_star),
         value=n_star,
     )

@@ -14,7 +14,9 @@ from scipy import integrate
 from scipy.special import ndtr
 from scipy.stats import norm
 
+from platformdesign.allocation import _noncentralities
 from platformdesign.mvnorm import _bvn_upper
+from platformdesign.power import marginal_power_oracle
 
 
 def rect_quad_oracle(lower, upper, rho: float) -> float:
@@ -123,13 +125,25 @@ def integer_design_power(scenario, counts, c: float) -> float:
     return min(powers)
 
 
-def n_star_enumeration_oracle(scenario, alloc, c: float, target: float, n_cap: int = 10**5):
+def package_design_power(scenario, counts, c: float) -> float:
+    """The package's own power of one integer design: ``marginal_power_oracle``
+    at the smallest of its noncentralities.  Enumerated on this, N* and every
+    power must match the sample-size search bit for bit, as the search only
+    skips totals, it does not compute powers another way."""
+    w = np.min(_noncentralities(scenario, np.asarray([counts])), axis=1)
+    return float(marginal_power_oracle(w, c)[0])
+
+
+def n_star_enumeration_oracle(
+    scenario, alloc, c: float, target: float, n_cap: int = 10**5, power=integer_design_power
+):
     """Smallest N >= 2K+1 whose ``alloc.arm_counts(N)`` design reaches
     ``target``, found by trying every N in turn, and the power at each N
-    tried; (None, powers) when no N <= n_cap passes."""
+    tried; (None, powers) when no N <= n_cap passes.  ``power(scenario,
+    counts, c)`` is the power of one integer design."""
     powers = {}
     for n in range(2 * scenario.K + 1, n_cap + 1):
-        powers[n] = integer_design_power(scenario, alloc.arm_counts(n), c)
+        powers[n] = power(scenario, alloc.arm_counts(n), c)
         if powers[n] >= target:
             return n, powers
     return None, powers

@@ -5,17 +5,48 @@ import math
 
 import numpy as np
 import pytest
-from conftest import integer_design_power, mc_comparison_power, n_star_enumeration_oracle
-from hypothesis import given, settings
+from conftest import (
+    integer_design_power,
+    mc_comparison_power,
+    n_star_enumeration_oracle,
+    package_design_power,
+)
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from platformdesign.allocation import Allocation, DesignScenario, optimize_allocation, wald_noncentrality
 from platformdesign.errors import BudgetExceeded, DomainError
 from platformdesign.multiplicity import ErrorMetric, ThresholdResult, platform_threshold
 from platformdesign.mvnorm import CorrelationMatrix, std_normal_cdf
-from platformdesign.power import find_sample_size, marginal_power_oracle
+from platformdesign.power import (
+    _noncentrality_floor,
+    _scan_totals,
+    find_sample_size,
+    marginal_power_oracle,
+)
 
 FWER_THRESHOLD = platform_threshold(CorrelationMatrix.bivariate(0.0), ErrorMetric.fwer(0.05))
+
+
+# delta 0.3, synergy 1, no arm correlations, as the strategy below draws it
+_PLAIN_SUBSTUDY = (0.3, 1.0, 1.0, 0.0, 1.0, 0.0)
+
+
+def _scenario(substudies) -> DesignScenario:
+    """A scenario from (delta, |synergy|, sign of synergy, share of the
+    combination-control budget, sign of rho combination-control, rho
+    combination-monotherapy) per substudy."""
+    delta, magnitude, sign, share, rho_sign, rho_cm = zip(*substudies)
+    K = len(delta)
+    # the arm correlation matrix is positive definite iff
+    # sum_k rho_cc_k^2 / (1 - rho_cm_k^2) < 1
+    rho_cc = tuple(
+        g * math.sqrt(0.95 * f * (1.0 - r * r) / K)
+        for f, g, r in zip(share, rho_sign, rho_cm)
+    )
+    return DesignScenario(
+        delta, tuple(m * g for m, g in zip(magnitude, sign)), 1.0, rho_cc, rho_cm
+    )
 
 
 def _threshold_at(c: float) -> ThresholdResult:
@@ -94,6 +125,31 @@ class TestMcPower:
         assert power.min() == pytest.approx(exact, abs=4 * se)
 
 
+class TestNoncentralityFloor:
+    @pytest.mark.filterwarnings("error")
+    def test_floor_lies_just_under_the_target(self):
+        c = np.linspace(0.1, 6.0, 60)
+        for target in np.linspace(0.01, 0.999, 40):
+            floor = _noncentrality_floor(c, target)
+            # nothing to solve where W = 0 already reaches the target
+            solved = target > 2.0 * std_normal_cdf(-c)
+            assert (floor[~solved] == 0.0).all()
+            assert (floor[solved] > 0.0).all()
+            c_solved, floor_solved = c[solved], floor[solved]
+            assert (marginal_power_oracle(floor_solved, c_solved) < target).all()
+            w_star = floor_solved / (1.0 - 1e-6)
+            assert marginal_power_oracle(w_star, c_solved) == pytest.approx(target, abs=1e-12)
+
+    def test_infinite_critical_value_leaves_every_total_a_candidate(self):
+        assert _noncentrality_floor([np.inf, 2.0], 0.8)[0] == 0.0
+
+    def test_validation(self):
+        with pytest.raises(DomainError, match="critical value must be positive"):
+            _noncentrality_floor([2.0, 0.0], 0.8)
+        with pytest.raises(DomainError, match="target power"):
+            _noncentrality_floor([2.0], 1.0)
+
+
 class TestFindSampleSize:
     def test_reproduces_moderate_synergy_row(self):
         scenario = DesignScenario.single(0.663, 1.161, rho_ab_a=0.626, rho_ab_b=0.660)
@@ -113,6 +169,7 @@ class TestFindSampleSize:
         assert powers[1] == pytest.approx(0.8033, abs=1e-4)
         assert powers[2] == pytest.approx(0.8022, abs=1e-4)
 
+    @pytest.mark.filterwarnings("error")
     @settings(max_examples=60, deadline=None)
     @given(
         substudies=st.lists(
@@ -127,30 +184,60 @@ class TestFindSampleSize:
             min_size=1,
             max_size=3,
         ),
-        c=st.floats(1.5, 3.0),
-        target=st.floats(0.5, 0.95),
+        c=st.floats(0.1, 6.0),
+        target=st.floats(0.01, 0.999),
     )
+    # the target is below the power at W = 0, 2 Phi(-0.5) = 0.617, so N* = 2K+1
+    @example(substudies=[_PLAIN_SUBSTUDY] * 3, c=0.5, target=0.5)
+    # N* = 1679 lies in the second block of totals
+    @example(substudies=[_PLAIN_SUBSTUDY], c=2.0, target=0.999)
+    # a far-out critical value with a small target: W* sits in the lower tail
+    @example(substudies=[_PLAIN_SUBSTUDY] * 2, c=5.5, target=0.02)
     def test_property_matches_enumeration(self, substudies, c, target):
-        delta, magnitude, sign, share, rho_sign, rho_cm = zip(*substudies)
-        K = len(delta)
-        # the arm correlation matrix is positive definite iff
-        # sum_k rho_cc_k^2 / (1 - rho_cm_k^2) < 1
-        rho_cc = tuple(
-            g * math.sqrt(0.95 * f * (1.0 - r * r) / K)
-            for f, g, r in zip(share, rho_sign, rho_cm)
-        )
-        scenario = DesignScenario(
-            delta, tuple(m * g for m, g in zip(magnitude, sign)), 1.0, rho_cc, rho_cm
-        )
+        scenario = _scenario(substudies)
         alloc = optimize_allocation(scenario)
         result = find_sample_size(scenario, alloc, _threshold_at(c), target)
-        n_star, powers = n_star_enumeration_oracle(scenario, alloc, c, target)
+        # every total in turn, with the package's arithmetic: bit for bit
+        n_star, powers = n_star_enumeration_oracle(
+            scenario, alloc, c, target, power=package_design_power
+        )
         assert result.n_star == n_star
         assert result.arm_counts == alloc.arm_counts(n_star)
-        assert result.achieved_power >= target
-        assert [n for n, _ in result.search_trace] == list(powers)
+        assert result.achieved_power == powers[n_star] >= target
+        assert result.search_trace == tuple(powers.items())
+        # and with an independent route to the power: to rounding
+        independent_n_star, independent = n_star_enumeration_oracle(scenario, alloc, c, target)
+        assert independent_n_star == n_star
         for n, power in result.search_trace:
-            assert power == pytest.approx(powers[n], abs=1e-12)
+            assert power == pytest.approx(independent[n], abs=1e-12)
+
+    @pytest.mark.parametrize("K, c, target, expected", [
+        (1, 0.5, 0.5, 3),
+        (3, 0.5, 0.5, 7),
+        (1, 2.0, 0.999, 1679),
+        (2, 5.5, 0.02, 1188),
+    ])
+    def test_pinned_sample_sizes(self, K, c, target, expected):
+        scenario = _scenario([_PLAIN_SUBSTUDY] * K)
+        result = find_sample_size(scenario, optimize_allocation(scenario), _threshold_at(c), target)
+        assert result.n_star == expected
+
+    def test_scan_without_a_floor_finds_the_same_sample_sizes(self):
+        # at floor 0 every total is a candidate: the first rounds of power
+        # evaluations fail, and only the later, doubled rounds and the second
+        # block of totals reach N*
+        scenario = _scenario([_PLAIN_SUBSTUDY])
+        alloc = optimize_allocation(scenario)
+        c = [2.0, 2.5]
+        n_star, w = _scan_totals(scenario, alloc, c, [0.0, 0.0], 0.999, 10**6)
+        floored, w_floored = _scan_totals(
+            scenario, alloc, c, _noncentrality_floor(c, 0.999), 0.999, 10**6
+        )
+        assert n_star.tolist() == floored.tolist() == [
+            find_sample_size(scenario, alloc, _threshold_at(ci), 0.999).n_star for ci in c
+        ]
+        assert n_star[0] == 1679
+        assert (w == w_floored).all()
 
     def test_trace_and_counts_consistent(self):
         scenario = DesignScenario.single(0.4, 1.2, rho_ab_a=0.3)

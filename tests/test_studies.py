@@ -10,6 +10,8 @@ from conftest import (
     holm_reject,
     mc_error_rates,
     mvn_draws,
+    n_star_enumeration_oracle,
+    package_design_power,
 )
 from hypothesis import given
 from hypothesis import strategies as st
@@ -125,6 +127,20 @@ class TestGridSpec:
         # no value
         with pytest.raises(DomainError, match="sweeps rho_ab_a or rho_ab_b"):
             runner(grid)
+
+    @pytest.mark.parametrize("runner", [
+        run_error_curves, run_adjustment_comparison, run_threshold_curves,
+    ])
+    @pytest.mark.parametrize("allocations, message", [
+        ((), "at least one allocation"),
+        (((0.2, 0.2, 0.2, 0.2, 0.2),), "three shares"),
+    ], ids=["no-allocation", "five-shares"])
+    def test_correlation_studies_refuse_bad_allocations(self, runner, allocations, message):
+        # a correlation study stacks one row block per allocation of
+        # (control, monotherapy, combination) shares
+        with pytest.raises(DomainError, match=message):
+            runner(GridSpec("rho_ab_b", 0.1, 0.2, 0.1, fixed={"rho_ab_a": 0.3},
+                            allocations=allocations))
 
     def test_design_surface_refuses_a_correlation_sweep(self):
         # a correlation sweep is not a synergy sweep
@@ -491,6 +507,23 @@ class TestRowsMatchPointByPoint:
                     ))
         assert run_design_surface(grid).rows == tuple(expected)
 
+
+    def test_design_surface_against_enumeration(self):
+        # each row's N* and power against every total tried in turn, with no
+        # scan: equal, not just close
+        grid = design_surface_grid(start=0.9, stop=1.0, step=0.1, rho_levels=(0.3,))
+        table = run_design_surface(grid)
+        assert len(table.rows) == 2 * len(self.METRICS)
+        for row in table.as_dicts():
+            scenario = DesignScenario.single(
+                0.3, row["synergy"], 1.0, rho_ab_a=row["rho"], rho_ab_b=row["rho"]
+            )
+            n_star, powers = n_star_enumeration_oracle(
+                scenario, optimize_allocation(scenario), row["c_star"], 0.8,
+                power=package_design_power,
+            )
+            assert row["value"] == n_star
+            assert row["achieved_power"] == powers[n_star]
 
 def test_exact_paths_draw_no_random_numbers(monkeypatch, tmp_path):
     scenario_2 = DesignScenario(
