@@ -156,11 +156,15 @@ class Allocation:
         rank = np.empty_like(order)
         np.put_along_axis(rank, order, np.arange(order.shape[1])[None, :], axis=1)
         counts += rank < leftover[:, None]
-        # bump empty arms up to one subject, taking from the largest arm
-        for row in np.flatnonzero((counts == 0).any(axis=1)):
-            while np.any(counts[row] == 0):
-                counts[row, np.argmax(counts[row])] -= 1
-                counts[row, np.argmin(counts[row])] += 1
+        # bump empty arms up to one subject: each step, every row with an
+        # empty arm gives one subject from its largest arm to its first empty one
+        rows = np.flatnonzero((counts == 0).any(axis=1))
+        while rows.size:
+            bumped, at = counts[rows], np.arange(rows.size)
+            bumped[at, np.argmax(bumped, axis=1)] -= 1
+            bumped[at, np.argmin(bumped, axis=1)] += 1
+            counts[rows] = bumped
+            rows = rows[(bumped == 0).any(axis=1)]
         return counts
 
 

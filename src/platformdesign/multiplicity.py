@@ -388,7 +388,7 @@ def platform_threshold(
     variance first).  Its points grow at the bracket's upper end until the
     level's standard error is at most ``precision``, then stay fixed, so the
     level is a smooth deterministic function of c whose slope each lattice
-    pass also returns; the search takes about three passes and stops once
+    pass also returns; the search takes about four passes and stops once
     its next step is at most 1e-8.  Should the standard error at the root
     still exceed ``precision``, the lattice grows there and the search goes
     on from that root.

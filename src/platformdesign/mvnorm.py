@@ -331,10 +331,12 @@ def _bvn_upper(h, k, r) -> np.ndarray:
 
 
 class RectangleEstimate(NamedTuple):
+    """A box probability; ``n_points`` counts every point its lattice has drawn,
+    and ``slope`` is d value / dt for the box pushed outward by t."""
+
     value: float
     stderr: float
     n_points: int
-    # d value / dt for the box pushed outward by t (QmcLattice.estimate)
     slope: float
 
 
@@ -352,6 +354,8 @@ _NDTRI_CLIP = 1e-15
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # independently shifted copies of the lattice; their spread is the stderr
 _N_BATCHES = 12
+# points per batch of a new lattice, per dimension; refine() doubles them
+_START_POINTS = 32
 # the most points refine() spends on one box
 _MAX_POINTS = 1 << 22
 
@@ -402,7 +406,7 @@ class QmcLattice:
     Twelve shifted copies of one lattice are drawn, tent-periodized and
     kept, so :meth:`estimate` evaluates any box on the same points: it is a
     deterministic, smooth function of the box bounds.  :meth:`grow` doubles
-    the points per batch (from 128 x dim) with the next shifts of one seeded
+    the points per batch (from 32 x dim) with the next shifts of one seeded
     stream, so the k-th size always holds the same points.
 
     The variables are integrated in ``order``, that of a Cholesky pivoting
@@ -419,7 +423,7 @@ class QmcLattice:
             raise DomainError("a lattice needs at least two dimensions")
         self.order = _smallest_residual_order(correlation.entries)
         self.factor = cholesky(correlation.entries[np.ix_(self.order, self.order)]).factor
-        self.n_points = 64 * dim  # points per batch; grow() doubles it
+        self.n_points = _START_POINTS * dim // 2  # points per batch; grow() doubles it
         self.total_points = 0
         self._generators = np.sqrt(np.array(_first_primes(dim - 1), dtype=float))
         self._rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, dim])

@@ -76,6 +76,29 @@ class TestAllocationType:
             alloc.arm_counts(n) for n in range(13, n_total + 1)
         ]
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_arm_counts_table_bumps_as_a_loop_per_row(self, seed):
+        # shares down to far below 1/N leave several arms empty in many
+        # rows; the table's empty arms are filled as a loop over each row
+        # fills them, one subject at a time from its largest arm
+        rng = np.random.default_rng(seed)
+        n_arms = 2 * int(rng.integers(1, 5)) + 1
+        shares = rng.dirichlet(np.full(n_arms, 0.3))
+        shares[rng.random(n_arms) < 0.4] = 1e-4
+        alloc = Allocation(tuple(shares / shares.sum()))
+        totals = np.arange(n_arms, n_arms + 1024)
+        raw = totals[:, None] * np.asarray(alloc.ratios)
+        expected = np.floor(raw).astype(np.int64)
+        order = np.argsort(expected - raw, axis=1, kind="stable")
+        for row, leftover in enumerate(totals - expected.sum(axis=1)):
+            expected[row, order[row, :leftover]] += 1
+            while np.any(expected[row] == 0):
+                expected[row, np.argmax(expected[row])] -= 1
+                expected[row, np.argmin(expected[row])] += 1
+        table = alloc.arm_counts_table(totals)
+        assert (table == 0).sum() == 0 and (table.sum(axis=1) == totals).all()
+        np.testing.assert_array_equal(table, expected)
+
     def test_arm_counts_need_a_subject_per_arm(self):
         with pytest.raises(DomainError):
             Allocation((0.5, 0.3, 0.2)).arm_counts(2)

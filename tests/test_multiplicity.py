@@ -621,13 +621,13 @@ class TestThresholdSolver:
         assert curve.visited == [high]
 
     def test_k4_lattice_solve_is_pinned(self, monkeypatch):
-        # two estimates at the bracket's upper end (the lattice grows once
-        # there), then two Newton steps on h with the lattice's own slope;
-        # the third step is under 1e-8 and not taken
+        # three estimates at the bracket's upper end (the lattice grows
+        # twice there), then two Newton steps on h with the lattice's own
+        # slope; the third step is under 1e-8 and not taken
         calls = _counting(monkeypatch, QmcLattice, "estimate")
         result = platform_threshold(_platform_z_corr(4), ErrorMetric.fwer(0.05))
-        assert repr(result.critical_value) == "2.6880095587537487"
-        assert len(calls) == 4
+        assert repr(result.critical_value) == "2.6900007154873746"
+        assert len(calls) == 5
 
     def test_regrowth_at_the_root_continues_from_it(self, monkeypatch):
         # at this precision and seed the standard error meets the precision
@@ -644,14 +644,14 @@ class TestThresholdSolver:
 
         monkeypatch.setattr(QmcLattice, "estimate", logged)
         z_corr = _platform_z_corr(4)
-        result = platform_threshold(z_corr, ErrorMetric.fwer(0.05), precision=1e-4, seed=4)
+        result = platform_threshold(z_corr, ErrorMetric.fwer(0.05), precision=1e-4, seed=6)
         assert len(calls) <= 8
         assert len(set(calls)) == len(calls)
         assert result.achieved_stderr <= 1e-4
         assert len(refines) == 2
         (lattice, lower, upper, _), (_, _, at_root, _) = refines
         assert abs(at_root[0] - result.critical_value) < 1e-3 < upper[0] - at_root[0]
-        grown_at_high = QmcLattice(z_corr, seed=4).refine(lower, upper, 1e-4)
+        grown_at_high = QmcLattice(z_corr, seed=6).refine(lower, upper, 1e-4)
         assert lattice.total_points > grown_at_high.n_points
 
     def test_pool_root_is_the_smallest_c_at_level(self):
@@ -680,6 +680,53 @@ class TestThresholdSolver:
         )
         assert result.critical_value == pytest.approx(oracle, abs=1e-9)
         assert result.achieved == pytest.approx(metric.alpha, abs=1e-12)
+
+
+# six optimised designs at each K = 2-6
+_DESIGNS = [(K, index) for K in range(2, 7) for index in range(6)]
+
+
+class TestLatticeFollowsPrecision:
+    """A K > 1 fwer solve pays for the precision it is asked for: its lattice
+    starts small and grows only until the level's standard error meets
+    ``precision``."""
+
+    @pytest.mark.parametrize("K, index", _DESIGNS)
+    def test_level_meets_precision_on_a_lattice_sized_to_it(self, monkeypatch, K, index):
+        from scipy.stats import multivariate_normal
+
+        builds = _counting(monkeypatch, QmcLattice, "__init__")
+        z_corr, dim, precision = _optimised_design_z_corr(K, index), 2 * K, 1e-4
+        result = platform_threshold(z_corr, ErrorMetric.fwer(0.05), precision=precision)
+        assert 0.0 < result.achieved_stderr <= precision
+        c, abseps = result.critical_value, 1e-5
+        inside = multivariate_normal.cdf(
+            np.full(dim, c), np.zeros(dim), z_corr.entries,
+            lower_limit=np.full(dim, -c), abseps=abseps, releps=0.0,
+        )
+        assert abs((1.0 - inside) - 0.05) <= max(1e-4, 6 * result.achieved_stderr) + abseps
+        # fewer points than 12 shifted lattices of 128 x dim, unless that
+        # size misses the precision where the solve refines: at the
+        # bracket's upper end or at the root
+        lattice = builds[0][0]
+        if lattice.total_points >= 12 * 128 * dim:
+            at_128 = QmcLattice(z_corr, seed=0)
+            while at_128.n_points < 128 * dim:
+                at_128.grow()
+            high = float(multiplicity._bracket(result.metric, dim, z_corr.entries[0, 1])[1])
+            stderrs = [at_128.estimate(np.full(dim, -x), np.full(dim, x)).stderr
+                       for x in (high, c)]
+            assert max(stderrs) > precision
+
+    @pytest.mark.parametrize("K", range(2, 7))
+    def test_looser_precision_draws_no_more_points(self, monkeypatch, K):
+        builds = _counting(monkeypatch, QmcLattice, "__init__")
+        z_corr, totals = _optimised_design_z_corr(K, 0), []
+        for precision in (1e-5, 1e-4, 1e-3):
+            result = platform_threshold(z_corr, ErrorMetric.fwer(0.05), precision=precision)
+            assert result.achieved_stderr <= precision
+            totals.append(builds[-1][0].total_points)
+        assert totals == sorted(totals, reverse=True)
 
 
 def _decreasing_family(n, seed):

@@ -396,7 +396,7 @@ class TestQmcLattice:
         box_lower, box_upper = lower[order], upper[order]
         generators = np.sqrt([2.0, 3.0, 5.0, 7.0, 11.0, 13.0, 17.0][: dim - 1])
         shifts = np.random.default_rng([7, dim])
-        n_points, total = 128 * dim, 0
+        n_points, total = mvnorm._START_POINTS * dim, 0
         while True:
             means = []
             for _ in range(12):
@@ -421,7 +421,7 @@ class TestQmcLattice:
             n_points *= 2
 
         estimate = lattice.refine(lower, upper, precision)
-        assert estimate.n_points == total > 12 * 128 * dim
+        assert estimate.n_points == total > 12 * mvnorm._START_POINTS * dim
         assert estimate.value == pytest.approx(float(np.mean(means)), rel=1e-14)
         assert estimate.stderr == pytest.approx(stderr, rel=1e-9)
 
@@ -511,14 +511,14 @@ class TestQmcLattice:
                 lattice.estimate(lower, upper)
             with pytest.raises(DomainError):
                 lattice.refine(lower, upper, precision=1e-4)
-        assert lattice.total_points == 12 * 128 * 3
+        assert lattice.total_points == 12 * mvnorm._START_POINTS * 3
 
     def test_refined_lattice_holds_its_points(self):
         corr = CorrelationMatrix(np.eye(4) * 0.5 + np.full((4, 4), 0.5))
         lower, upper = np.full(4, -2.0), np.full(4, 2.0)
         lattice = QmcLattice(corr, seed=4)
         estimate = lattice.refine(lower, upper, precision=2e-6)
-        assert estimate.n_points > 12 * 128 * 4  # the lattice grew at least once
+        assert estimate.n_points > 12 * mvnorm._START_POINTS * 4  # the lattice grew at least once
         # held points: the same box on the grown lattice repeats to the bit
         assert lattice.estimate(lower, upper) == estimate
 
