@@ -41,6 +41,49 @@ def _as_tuple(value, length: int, name: str) -> tuple[float, ...]:
     return out
 
 
+# the smallest eigenvalue an arm correlation matrix may have: rounding below
+# zero, not a trial that cannot exist
+_PSD_TOL = 1e-12
+
+
+def _arm_correlation_matrix(rho_combo_control, rho_combo_mono, rho_control_mono=0.0):
+    """Arm correlation matrices in arm order (A, B_1, AB_1, ..., B_K, AB_K),
+    the order of :attr:`Allocation.ratios`, from each substudy's
+    combination-control, combination-monotherapy and control-monotherapy
+    correlations; pairs across substudies are 0.  The correlations broadcast
+    to shape (..., K), the matrices have shape (..., 2K+1, 2K+1)."""
+    rho_cc, rho_cm, rho_am = np.broadcast_arrays(
+        rho_combo_control, rho_combo_mono, rho_control_mono
+    )
+    *batch, k = rho_cc.shape
+    n_arms = 2 * k + 1
+    matrix = np.zeros((*batch, n_arms, n_arms))
+    matrix[..., range(n_arms), range(n_arms)] = 1.0
+    mono = np.arange(1, n_arms, 2)
+    combo = mono + 1
+    for i, j, rho in ((combo, 0, rho_cc), (combo, mono, rho_cm), (mono, 0, rho_am)):
+        matrix[..., i, j] = matrix[..., j, i] = rho
+    return matrix
+
+
+def _check_arm_correlations(matrix) -> None:
+    """Refuse arm correlations that no trial can have: a symmetric arm
+    correlation matrix, or a stack of them (shape (..., n, n)), must have
+    every entry in [-1, 1] and be positive semidefinite, its smallest
+    eigenvalue at least -1e-12.  Every entry point that takes arm
+    correlations checks them here."""
+    matrix = np.asarray(matrix)
+    outside = ~(np.abs(matrix) <= 1.0)
+    if outside.any():
+        raise DomainError(f"correlation must lie in [-1, 1], got {matrix[outside][0]}")
+    lowest = np.min(np.linalg.eigvalsh(matrix))
+    if lowest < -_PSD_TOL:
+        raise DomainError(
+            "arm correlations cannot form a trial: they do not fit together "
+            f"(their matrix has smallest eigenvalue {lowest:.4g} < 0)"
+        )
+
+
 @dataclass(frozen=True)
 class DesignScenario:
     """Per-substudy effect sizes, synergy, variance, and arm correlations.
@@ -51,8 +94,8 @@ class DesignScenario:
     Z correlation, so the threshold, and neither power nor the allocation
     optimum; the combination-control correlation (``rho_combo_control``)
     enters the noncentrality denominator directly.
-    Correlations that no trial can have (an arm correlation matrix that is
-    not positive semidefinite) raise :class:`DomainError` here.
+    Correlations that no trial can have raise :class:`DomainError` here
+    (:func:`_check_arm_correlations`).
     """
 
     delta: tuple[float, ...]
@@ -71,23 +114,9 @@ class DesignScenario:
             raise DomainError(f"every delta must be positive and finite, got {delta}")
         if not 0 < self.sigma2 < math.inf:
             raise DomainError(f"sigma2 must be positive and finite, got {self.sigma2}")
-        for rho in (*rho_cc, *rho_cm):
-            if not -1.0 <= rho <= 1.0:
-                raise DomainError(f"correlations must lie in [-1, 1], got {rho}")
         if any(not math.isfinite(s) for s in synergy):
             raise DomainError("synergy values must be finite")
-        # the (2K+1) arm correlation matrix is positive semidefinite iff its
-        # Schur complement on the control arm, 1 - sum_k rho_cc^2 / (1 - rho_cm^2),
-        # is nonnegative
-        load = sum(
-            0.0 if cc == 0.0 else math.inf if abs(cm) == 1.0 else cc * cc / (1.0 - cm * cm)
-            for cc, cm in zip(rho_cc, rho_cm)
-        )
-        if load > 1.0 + 1e-12:
-            raise DomainError(
-                "arm correlations cannot form a trial: 1 - sum_k rho_combo_control^2 / "
-                f"(1 - rho_combo_mono^2) = {1.0 - load:.4g} < 0"
-            )
+        _check_arm_correlations(_arm_correlation_matrix(rho_cc, rho_cm))
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "synergy", synergy)
         object.__setattr__(self, "rho_combo_control", rho_cc)
@@ -189,6 +218,11 @@ def _noncentralities(scenario: DesignScenario, shares) -> np.ndarray:
     return mu * mu / var
 
 
+def _check_same_k(scenario: DesignScenario, alloc: Allocation) -> None:
+    if alloc.K != scenario.K:
+        raise DomainError(f"allocation has K={alloc.K} but scenario has K={scenario.K}")
+
+
 def wald_noncentrality(
     scenario: DesignScenario, alloc: Allocation, n_total: int
 ) -> np.ndarray:
@@ -197,8 +231,7 @@ def wald_noncentrality(
     Column 0 is the combination-vs-control parameter, column 1 the
     monotherapy-vs-control parameter (independent of the combination arm).
     """
-    if alloc.K != scenario.K:
-        raise DomainError(f"allocation has K={alloc.K} but scenario has K={scenario.K}")
+    _check_same_k(scenario, alloc)
     if n_total < 1:
         raise DomainError("n_total must be at least 1")
     return n_total * _noncentralities(scenario, alloc.ratios).reshape(scenario.K, 2)[:, ::-1]

@@ -9,12 +9,18 @@ correlation matrix of the Z statistics, which the threshold solvers use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .allocation import Allocation, DesignScenario, _contrast_variance
+from .allocation import (
+    Allocation,
+    DesignScenario,
+    _arm_correlation_matrix,
+    _check_arm_correlations,
+    _contrast_variance,
+)
 from .errors import DomainError
 from .mvnorm import CorrelationMatrix
 
@@ -44,49 +50,70 @@ def combo_arm(k: int) -> Arm:
     return ("AB", k)
 
 
-def _check_arm(arm: Arm, K: int) -> None:
+def _arm_index(arm: Arm, K: int) -> int:
+    """Row and column of ``arm`` in the arm correlation matrix: the control
+    0, mono_k 2k - 1 and combo_k 2k."""
     kind, k = arm
     if kind == "A" and k == 0:
-        return
+        return 0
     if kind in ("B", "AB") and 1 <= k <= K:
-        return
+        return 2 * k - (kind == "B")
     raise DomainError(f"invalid arm label {arm} for K={K}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArmCorrelations:
-    """Sparse symmetric table of endpoint correlations between arms.
+    """Symmetric table of endpoint correlations between the arms of a
+    K-substudy trial.
 
-    Unspecified pairs default to zero, matching the assumption that arms with
-    no overlapping components are independent.  Entries are keyed by
-    unordered arm pairs.
+    It is stored as ``matrix``, one read-only (2K+1) x (2K+1) correlation
+    matrix in arm order (A, B_1, AB_1, ..., B_K, AB_K), the order of
+    :attr:`Allocation.ratios`: row 0 is the control, rows 2k - 1 and 2k the
+    monotherapy and combination arms of substudy k.  Build it from ``pairs``,
+    keyed by unordered arm pairs, where unspecified pairs default to zero
+    (arms with no overlapping components are independent), or give
+    ``matrix`` itself.  A table that no trial can have (a matrix that is not
+    positive semidefinite) is a :class:`DomainError`.
     """
 
     K: int
-    pairs: Mapping[tuple[Arm, Arm], float] = field(default_factory=dict)
-    _table: dict[frozenset, float] = field(init=False, repr=False, compare=False)
+    pairs: InitVar[Mapping[tuple[Arm, Arm], float] | None] = None
+    matrix: np.ndarray | None = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, pairs) -> None:
         if self.K < 1:
             raise DomainError("K must be at least 1")
-        table: dict[frozenset, float] = {}
-        for (a, b), rho in dict(self.pairs).items():
-            _check_arm(a, self.K)
-            _check_arm(b, self.K)
-            if a == b:
-                raise DomainError(f"self-correlation for arm {a} is fixed at 1")
-            if not -1.0 <= rho <= 1.0:
-                raise DomainError(f"correlation must lie in [-1, 1], got {rho}")
-            key = frozenset((a, b))
-            if key in table and table[key] != rho:
-                raise DomainError(f"conflicting correlations for pair {a}, {b}")
-            table[key] = float(rho)
-        object.__setattr__(self, "_table", table)
+        n_arms = 2 * self.K + 1
+        if self.matrix is None:
+            matrix, given = np.eye(n_arms), np.eye(n_arms, dtype=bool)
+            for (a, b), rho in dict(pairs or {}).items():
+                i, j = _arm_index(a, self.K), _arm_index(b, self.K)
+                if i == j:
+                    raise DomainError(f"self-correlation for arm {a} is fixed at 1")
+                if given[i, j] and matrix[i, j] != rho:
+                    raise DomainError(f"conflicting correlations for pair {a}, {b}")
+                matrix[i, j] = matrix[j, i] = rho
+                given[i, j] = given[j, i] = True
+        else:
+            if pairs:
+                raise DomainError("give the arm correlations as pairs or as a matrix, not both")
+            matrix = np.array(self.matrix, dtype=float)
+            if (matrix.shape != (n_arms, n_arms) or not np.array_equal(matrix, matrix.T)
+                    or np.any(np.diag(matrix) != 1.0)):
+                raise DomainError(
+                    f"matrix must be a symmetric {n_arms} x {n_arms} matrix with unit diagonal"
+                )
+        _check_arm_correlations(matrix)
+        matrix.flags.writeable = False
+        object.__setattr__(self, "matrix", matrix)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ArmCorrelations):
+            return NotImplemented
+        return np.array_equal(self.matrix, other.matrix)
 
     def get(self, a: Arm, b: Arm) -> float:
-        if a == b:
-            return 1.0
-        return self._table.get(frozenset((a, b)), 0.0)
+        return float(self.matrix[_arm_index(a, self.K), _arm_index(b, self.K)])
 
     @classmethod
     def per_substudy(
@@ -98,13 +125,9 @@ class ArmCorrelations:
         K = len(rho_combo_control)
         if len(rho_combo_mono) != K or len(rho_control_mono) not in (0, K):
             raise DomainError(f"need one correlation per substudy ({K}) in each sequence")
-        pairs: dict[tuple[Arm, Arm], float] = {}
-        for k in range(1, K + 1):
-            pairs[(combo_arm(k), CONTROL)] = rho_combo_control[k - 1]
-            pairs[(combo_arm(k), mono_arm(k))] = rho_combo_mono[k - 1]
-            if len(rho_control_mono):
-                pairs[(CONTROL, mono_arm(k))] = rho_control_mono[k - 1]
-        return cls(K, pairs)
+        return cls(K, matrix=_arm_correlation_matrix(
+            rho_combo_control, rho_combo_mono, rho_control_mono if len(rho_control_mono) else 0.0
+        ))
 
     @classmethod
     def single(
@@ -171,9 +194,10 @@ def _pair_correlation(n_u, n_v, n_a, rho_uv, rho_ua, rho_va):
     """Correlation of two Z statistics sharing the control arm, elementwise
     over arrays.
 
-    Arm correlations that fit together (a positive-definite arm correlation
-    matrix) give a value in [-1, 1] up to rounding, which alone is clipped;
-    anything further out is a :class:`DomainError`.
+    Arm correlations that fit together (:func:`_check_arm_correlations`,
+    which every caller has passed) give a value in [-1, 1] up to rounding,
+    which is clipped.  They can still leave a contrast with no variance
+    (correlation 1 between two arms of equal size), a :class:`DomainError`.
     """
     var_u = _contrast_variance(n_u, n_a, rho_ua)
     var_v = _contrast_variance(n_v, n_a, rho_va)
@@ -189,13 +213,6 @@ def _pair_correlation(n_u, n_v, n_a, rho_uv, rho_ua, rho_va):
         + 1.0 / n_a
     )
     r = num / np.sqrt(var_u * var_v)
-    outside = np.abs(r) > 1.0 + 1e-12
-    if np.any(outside):
-        raise DomainError(
-            f"the Z statistics would have correlation {np.asarray(r)[outside].flat[0]:.6g}; "
-            "the arm correlations do not fit together (their matrix is not "
-            "positive definite)"
-        )
     return np.minimum(1.0, np.maximum(-1.0, r))
 
 
@@ -227,15 +244,6 @@ def classical_dunnett_correlation(arms: PlatformArms) -> float:
     return 1.0 / math.sqrt((n_a / n_ab + 1.0) * (n_b / n_ab + 1.0))
 
 
-def _platform_arm_order(K: int) -> list[Arm]:
-    """Investigational arms in test-statistic order (combo_k, mono_k per k)."""
-    order: list[Arm] = []
-    for k in range(1, K + 1):
-        order.append(combo_arm(k))
-        order.append(mono_arm(k))
-    return order
-
-
 def platform_z_correlation_matrix(arms: PlatformArms) -> CorrelationMatrix:
     """2K x 2K correlation matrix of the Z statistics.
 
@@ -243,23 +251,16 @@ def platform_z_correlation_matrix(arms: PlatformArms) -> CorrelationMatrix:
     statistic of each substudy tests the combination arm and the second the
     monotherapy arm.
     """
-    order = _platform_arm_order(arms.K)
-    sizes = {CONTROL: arms.n_control}
-    for k in range(1, arms.K + 1):
-        sizes[mono_arm(k)] = arms.n_mono[k - 1]
-        sizes[combo_arm(k)] = arms.n_combo[k - 1]
+    sizes = np.array([arms.n_control, *np.column_stack((arms.n_mono, arms.n_combo)).ravel()])
+    rho = arms.correlations.matrix
     dim = 2 * arms.K
+    # each statistic's arm: combo_k (2k) first, then mono_k (2k - 1)
+    arm = np.arange(1, dim + 1).reshape(-1, 2)[:, ::-1].ravel()
     i, j = np.triu_indices(dim, 1)
-    pairs = [(order[a], order[b]) for a, b in zip(i.tolist(), j.tolist())]
-    table = arms.correlations
+    u, v = arm[i], arm[j]
     m = np.eye(dim)
     m[i, j] = m[j, i] = _pair_correlation(
-        np.array([sizes[u] for u, _ in pairs]),
-        np.array([sizes[v] for _, v in pairs]),
-        arms.n_control,
-        np.array([table.get(u, v) for u, v in pairs]),
-        np.array([table.get(u, CONTROL) for u, _ in pairs]),
-        np.array([table.get(v, CONTROL) for _, v in pairs]),
+        sizes[u], sizes[v], arms.n_control, rho[u, v], rho[u, 0], rho[v, 0]
     )
     return CorrelationMatrix(m)
 

@@ -19,7 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocation import Allocation, DesignScenario, optimize_allocation
+from .allocation import (
+    Allocation,
+    DesignScenario,
+    _arm_correlation_matrix,
+    _check_arm_correlations,
+    optimize_allocation,
+)
 from .correlation import _NOMINAL_TOTAL, PlatformArms, _pair_correlation
 from .errors import DomainError
 from .multiplicity import (
@@ -253,10 +259,7 @@ def _render(value) -> str:
 def _z_rho(alloc: tuple, rho_ab_a: np.ndarray, rho_ab_b: np.ndarray) -> np.ndarray:
     """Correlation of one substudy's two statistics at each pair of arm
     correlations, at the allocation's nominal counts."""
-    for rho in (rho_ab_a, rho_ab_b):
-        outside = ~(np.abs(rho) <= 1.0)
-        if outside.any():
-            raise DomainError(f"correlation must lie in [-1, 1], got {rho[outside][0]}")
+    _check_arm_correlations(_arm_correlation_matrix(rho_ab_a[..., None], rho_ab_b[..., None]))
     n_a, n_b, n_ab = (_NOMINAL_TOTAL * p for p in alloc)
     return _pair_correlation(n_ab, n_b, n_a, rho_ab_b, rho_ab_a, 0.0)
 

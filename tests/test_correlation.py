@@ -29,6 +29,14 @@ def _arm_correlation_matrix(arms: PlatformArms) -> np.ndarray:
     return np.array([[arms.correlations.get(u, v) for v in order] for u in order])
 
 
+def _single_arm_correlations(rho_ab_a, rho_ab_b, rho_a_b) -> np.ndarray:
+    """Endpoint correlations of the (control, mono, combo) arms of a K=1
+    trial, from its three arm correlations."""
+    return np.array(
+        [[1.0, rho_a_b, rho_ab_a], [rho_a_b, 1.0, rho_ab_b], [rho_ab_a, rho_ab_b, 1.0]]
+    )
+
+
 def _arm_mean_cov(arms: PlatformArms) -> np.ndarray:
     """Covariance of the (control, mono, combo) arm means of a K=1 trial, per
     unit endpoint variance."""
@@ -101,13 +109,12 @@ class TestSingleStudy:
             z_correlation(PlatformArms.single(50, 50, 50, rho_ab_a=1.0))
 
     def test_arm_correlations_that_do_not_fit_together_raise(self):
-        # the unclipped Z correlation here is 1.23, which no trial can have
-        arms = PlatformArms.single(50, 50, 50, rho_ab_a=0.8, rho_ab_b=0.9)
-        assert np.linalg.eigvalsh(_arm_correlation_matrix(arms)).min() < 0
-        with pytest.raises(DomainError):
-            z_correlation(arms)
-        with pytest.raises(DomainError):
-            platform_z_correlation_matrix(arms)
+        # the unclipped Z correlation here would be 1.23, which no trial can
+        # have: the arms are refused when they are built
+        matrix = _single_arm_correlations(rho_ab_a=0.8, rho_ab_b=0.9, rho_a_b=0.0)
+        assert np.linalg.eigvalsh(matrix).min() < 0
+        with pytest.raises(DomainError, match="cannot form a trial"):
+            PlatformArms.single(50, 50, 50, rho_ab_a=0.8, rho_ab_b=0.9)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -116,11 +123,12 @@ class TestSingleStudy:
     )
     def test_property_positive_definite_arm_correlations_never_raise(self, counts, rhos):
         rho_ab_a, rho_ab_b, rho_a_b = rhos
+        # positive definite with a margin, so rounding cannot reach the bound
+        matrix = _single_arm_correlations(rho_ab_a, rho_ab_b, rho_a_b)
+        assume(np.linalg.eigvalsh(matrix).min() > 1e-6)
         arms = PlatformArms.single(
             *counts, rho_ab_a=rho_ab_a, rho_ab_b=rho_ab_b, rho_a_b=rho_a_b
         )
-        # positive definite with a margin, so rounding cannot reach the bound
-        assume(np.linalg.eigvalsh(_arm_correlation_matrix(arms)).min() > 1e-6)
         r = z_correlation(arms)
         assert -1.0 <= r <= 1.0
         assert r == pytest.approx(_contrast_z_correlation(arms), abs=1e-9)
