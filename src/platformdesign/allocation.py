@@ -41,43 +41,30 @@ def _as_tuple(value, length: int, name: str) -> tuple[float, ...]:
     return out
 
 
-# the smallest eigenvalue an arm correlation matrix may have: rounding below
-# zero, not a trial that cannot exist
-_PSD_TOL = 1e-12
-
-
 def _arm_correlation_matrix(rho_combo_control, rho_combo_mono, rho_control_mono=0.0):
-    """Arm correlation matrices in arm order (A, B_1, AB_1, ..., B_K, AB_K),
-    the order of :attr:`Allocation.ratios`, from each substudy's
-    combination-control, combination-monotherapy and control-monotherapy
-    correlations; pairs across substudies are 0.  The correlations broadcast
-    to shape (..., K), the matrices have shape (..., 2K+1, 2K+1)."""
-    rho_cc, rho_cm, rho_am = np.broadcast_arrays(
-        rho_combo_control, rho_combo_mono, rho_control_mono
-    )
-    *batch, k = rho_cc.shape
-    n_arms = 2 * k + 1
-    matrix = np.zeros((*batch, n_arms, n_arms))
-    matrix[..., range(n_arms), range(n_arms)] = 1.0
+    """Arm correlation matrices, shape (..., 2K+1, 2K+1), in the arm order of
+    :attr:`Allocation.ratios` from each substudy's combination-control
+    correlations, shape (..., K), and its combination-mono and control-mono
+    correlations, which broadcast to that shape; pairs across substudies are 0."""
+    rho_cc = np.asarray(rho_combo_control, dtype=float)
+    n_arms = 2 * rho_cc.shape[-1] + 1
+    matrix = np.tile(np.eye(n_arms), (*rho_cc.shape[:-1], 1, 1))
+    matrix[..., 0, 2::2] = matrix[..., 2::2, 0] = rho_cc
+    matrix[..., 0, 1::2] = matrix[..., 1::2, 0] = rho_control_mono
     mono = np.arange(1, n_arms, 2)
-    combo = mono + 1
-    for i, j, rho in ((combo, 0, rho_cc), (combo, mono, rho_cm), (mono, 0, rho_am)):
-        matrix[..., i, j] = matrix[..., j, i] = rho
+    matrix[..., mono, mono + 1] = matrix[..., mono + 1, mono] = rho_combo_mono
     return matrix
 
 
 def _check_arm_correlations(matrix) -> None:
-    """Refuse arm correlations that no trial can have: a symmetric arm
-    correlation matrix, or a stack of them (shape (..., n, n)), must have
-    every entry in [-1, 1] and be positive semidefinite, its smallest
-    eigenvalue at least -1e-12.  Every entry point that takes arm
-    correlations checks them here."""
-    matrix = np.asarray(matrix)
-    outside = ~(np.abs(matrix) <= 1.0)
-    if outside.any():
-        raise DomainError(f"correlation must lie in [-1, 1], got {matrix[outside][0]}")
-    lowest = np.min(np.linalg.eigvalsh(matrix))
-    if lowest < -_PSD_TOL:
+    """Refuse arm correlations that no trial can have, for every entry point:
+    a symmetric arm correlation matrix, or a stack of them, needs entries in
+    [-1, 1] and a smallest eigenvalue of at least -1e-12 (rounding)."""
+    if not np.abs(matrix).max() <= 1.0:  # a NaN fails this too
+        outside = matrix[~(np.abs(matrix) <= 1.0)][0]
+        raise DomainError(f"correlation must lie in [-1, 1], got {outside}")
+    lowest = np.linalg.eigvalsh(matrix).min()
+    if lowest < -1e-12:
         raise DomainError(
             "arm correlations cannot form a trial: they do not fit together "
             f"(their matrix has smallest eigenvalue {lowest:.4g} < 0)"
@@ -209,6 +196,9 @@ def _noncentralities(scenario: DesignScenario, shares) -> np.ndarray:
     with control at arm shares or counts of shape (..., 2K+1), in arm order
     (mono_1, combo_1, mono_2, ...): shape (..., 2K)."""
     shares = np.asarray(shares)
+    if shares.shape[-1] != 2 * scenario.K + 1:
+        alloc_k = (shares.shape[-1] - 1) // 2
+        raise DomainError(f"allocation has K={alloc_k} but scenario has K={scenario.K}")
     delta = np.asarray(scenario.delta)
     mu = np.column_stack((delta, np.asarray(scenario.synergy) * delta)).ravel()
     rho = np.column_stack((np.zeros(scenario.K), scenario.rho_combo_control)).ravel()
@@ -216,11 +206,6 @@ def _noncentralities(scenario: DesignScenario, shares) -> np.ndarray:
     if np.any(var <= 0.0):
         raise DomainError("a contrast variance is not positive")
     return mu * mu / var
-
-
-def _check_same_k(scenario: DesignScenario, alloc: Allocation) -> None:
-    if alloc.K != scenario.K:
-        raise DomainError(f"allocation has K={alloc.K} but scenario has K={scenario.K}")
 
 
 def wald_noncentrality(
@@ -231,7 +216,6 @@ def wald_noncentrality(
     Column 0 is the combination-vs-control parameter, column 1 the
     monotherapy-vs-control parameter (independent of the combination arm).
     """
-    _check_same_k(scenario, alloc)
     if n_total < 1:
         raise DomainError("n_total must be at least 1")
     return n_total * _noncentralities(scenario, alloc.ratios).reshape(scenario.K, 2)[:, ::-1]

@@ -15,10 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .allocation import (
-    Allocation,
-    DesignScenario,
-    _arm_correlation_matrix,
-    _check_arm_correlations,
+    Allocation, DesignScenario, _arm_correlation_matrix, _check_arm_correlations,
     _contrast_variance,
 )
 from .errors import DomainError
@@ -51,29 +48,22 @@ def combo_arm(k: int) -> Arm:
 
 
 def _arm_index(arm: Arm, K: int) -> int:
-    """Row and column of ``arm`` in the arm correlation matrix: the control
-    0, mono_k 2k - 1 and combo_k 2k."""
+    """Row of ``arm`` in the arm correlation matrix: A 0, B_k 2k - 1, AB_k 2k."""
     kind, k = arm
-    if kind == "A" and k == 0:
-        return 0
-    if kind in ("B", "AB") and 1 <= k <= K:
+    if (kind == "A" and k == 0) or (kind in ("B", "AB") and 1 <= k <= K):
         return 2 * k - (kind == "B")
     raise DomainError(f"invalid arm label {arm} for K={K}")
 
 
 @dataclass(frozen=True, eq=False)
 class ArmCorrelations:
-    """Symmetric table of endpoint correlations between the arms of a
-    K-substudy trial.
-
-    It is stored as ``matrix``, one read-only (2K+1) x (2K+1) correlation
-    matrix in arm order (A, B_1, AB_1, ..., B_K, AB_K), the order of
-    :attr:`Allocation.ratios`: row 0 is the control, rows 2k - 1 and 2k the
-    monotherapy and combination arms of substudy k.  Build it from ``pairs``,
-    keyed by unordered arm pairs, where unspecified pairs default to zero
-    (arms with no overlapping components are independent), or give
-    ``matrix`` itself.  A table that no trial can have (a matrix that is not
-    positive semidefinite) is a :class:`DomainError`.
+    """Endpoint correlations between the arms of a K-substudy trial, stored
+    as ``matrix``: one read-only (2K+1) x (2K+1) correlation matrix in the
+    arm order of :attr:`Allocation.ratios`, (A, B_1, AB_1, ..., B_K, AB_K).
+    ``pairs``, keyed by unordered arm pairs, set entries of ``matrix``, by
+    default the identity (arms with no overlapping components are
+    independent).  A table that no trial can have is a :class:`DomainError`
+    (:func:`_check_arm_correlations`).
     """
 
     K: int
@@ -84,33 +74,26 @@ class ArmCorrelations:
         if self.K < 1:
             raise DomainError("K must be at least 1")
         n_arms = 2 * self.K + 1
-        if self.matrix is None:
-            matrix, given = np.eye(n_arms), np.eye(n_arms, dtype=bool)
-            for (a, b), rho in dict(pairs or {}).items():
-                i, j = _arm_index(a, self.K), _arm_index(b, self.K)
-                if i == j:
-                    raise DomainError(f"self-correlation for arm {a} is fixed at 1")
-                if given[i, j] and matrix[i, j] != rho:
-                    raise DomainError(f"conflicting correlations for pair {a}, {b}")
-                matrix[i, j] = matrix[j, i] = rho
-                given[i, j] = given[j, i] = True
-        else:
-            if pairs:
-                raise DomainError("give the arm correlations as pairs or as a matrix, not both")
-            matrix = np.array(self.matrix, dtype=float)
-            if (matrix.shape != (n_arms, n_arms) or not np.array_equal(matrix, matrix.T)
-                    or np.any(np.diag(matrix) != 1.0)):
-                raise DomainError(
-                    f"matrix must be a symmetric {n_arms} x {n_arms} matrix with unit diagonal"
-                )
+        matrix = np.eye(n_arms) if self.matrix is None else np.array(self.matrix, dtype=float)
+        if matrix.shape != (n_arms, n_arms):
+            raise DomainError(f"matrix must be {n_arms} x {n_arms} for K={self.K}")
+        given = np.zeros(matrix.shape, dtype=bool)
+        for (a, b), rho in dict(pairs or {}).items():
+            i, j = _arm_index(a, self.K), _arm_index(b, self.K)
+            if i == j:
+                raise DomainError(f"self-correlation for arm {a} is fixed at 1")
+            if given[i, j] and matrix[i, j] != rho:
+                raise DomainError(f"conflicting correlations for pair {a}, {b}")
+            matrix[i, j] = matrix[j, i] = rho
+            given[i, j] = given[j, i] = True
         _check_arm_correlations(matrix)
+        if np.any(matrix != matrix.T) or np.any(np.diag(matrix) != 1.0):
+            raise DomainError("matrix must be symmetric with unit diagonal")
         matrix.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, ArmCorrelations):
-            return NotImplemented
-        return np.array_equal(self.matrix, other.matrix)
+        return isinstance(other, ArmCorrelations) and np.array_equal(self.matrix, other.matrix)
 
     def get(self, a: Arm, b: Arm) -> float:
         return float(self.matrix[_arm_index(a, self.K), _arm_index(b, self.K)])
@@ -194,10 +177,9 @@ def _pair_correlation(n_u, n_v, n_a, rho_uv, rho_ua, rho_va):
     """Correlation of two Z statistics sharing the control arm, elementwise
     over arrays.
 
-    Arm correlations that fit together (:func:`_check_arm_correlations`,
-    which every caller has passed) give a value in [-1, 1] up to rounding,
-    which is clipped.  They can still leave a contrast with no variance
-    (correlation 1 between two arms of equal size), a :class:`DomainError`.
+    Arm correlations that every caller has checked (they fit together) give
+    a value in [-1, 1] up to rounding, which is clipped.  A contrast with no
+    variance (correlation 1, equal counts) is still a :class:`DomainError`.
     """
     var_u = _contrast_variance(n_u, n_a, rho_ua)
     var_v = _contrast_variance(n_v, n_a, rho_va)

@@ -118,7 +118,8 @@ class ThresholdResult:
 
 
 def _p_threshold(c: float) -> float:
-    return 2.0 * (1.0 - std_normal_cdf(c))
+    # the exact tail 2 Phi(-c); 1 - Phi(c) would cancel away a small p's digits
+    return 2.0 * std_normal_cdf(-c)
 
 
 def _solve_decreasing(

@@ -132,7 +132,7 @@ def _scan_totals(
     reaches the target is N*.  A power depends on nothing but the smallest
     noncentrality, so N* is the smallest total whose power reaches the target.
     """
-    min_n = 2 * scenario.K + 1
+    min_n = len(alloc.ratios)  # the noncentralities refuse a K unlike the scenario's
     if n_cap < min_n:
         raise DomainError(f"n_cap must be at least 2K+1 = {min_n}, got {n_cap}")
     c = np.asarray(critical_values, dtype=float)
@@ -180,7 +180,7 @@ def find_sample_size(
     of ``search_trace`` are then evaluated in one call on those same
     noncentralities.  ``seed`` has no effect; it is kept for callers that
     pass one.  Raises :class:`BudgetExceeded` when no N <= ``n_cap``
-    reaches the target.
+    reaches the target, and :class:`DomainError` when the K differ.
     """
     c = threshold.critical_value
     floor = _noncentrality_floor([c], target_power)

@@ -20,10 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .allocation import (
-    Allocation,
-    DesignScenario,
-    _arm_correlation_matrix,
-    _check_arm_correlations,
+    Allocation, DesignScenario, _arm_correlation_matrix, _check_arm_correlations,
     optimize_allocation,
 )
 from .correlation import _NOMINAL_TOTAL, PlatformArms, _pair_correlation
@@ -109,9 +106,6 @@ class GridSpec:
                     f"each allocation has three shares (control, monotherapy, "
                     f"combination), got {len(alloc)}"
                 )
-        for rho in self.rho_levels:
-            if not -1.0 <= rho <= 1.0:
-                raise DomainError(f"rho level {rho} outside [-1, 1]")
 
     def sweep_values(self) -> np.ndarray:
         count = int(round((self.stop - self.start) / self.step)) + 1
@@ -258,8 +252,7 @@ def _render(value) -> str:
 
 def _z_rho(alloc: tuple, rho_ab_a: np.ndarray, rho_ab_b: np.ndarray) -> np.ndarray:
     """Correlation of one substudy's two statistics at each pair of arm
-    correlations, at the allocation's nominal counts."""
-    _check_arm_correlations(_arm_correlation_matrix(rho_ab_a[..., None], rho_ab_b[..., None]))
+    correlations (which fit together), at the allocation's nominal counts."""
     n_a, n_b, n_ab = (_NOMINAL_TOTAL * p for p in alloc)
     return _pair_correlation(n_ab, n_b, n_a, rho_ab_b, rho_ab_a, 0.0)
 
@@ -277,6 +270,7 @@ def _sweep(grid: GridSpec, allocations: tuple, **labels) -> tuple[np.ndarray, di
     values = grid.sweep_values()
     held = np.full(values.shape, float(grid.fixed[other]))
     rho_ab_a, rho_ab_b = (values, held) if grid.swept == "rho_ab_a" else (held, values)
+    _check_arm_correlations(_arm_correlation_matrix(rho_ab_a[:, None], rho_ab_b[:, None]))
     allocs = np.array(allocations, dtype=float)
     z_rho = np.stack([_z_rho(alloc, rho_ab_a, rho_ab_b) for alloc in allocations])
     shape = (*z_rho.shape, *(len(axis) for axis in labels.values()))

@@ -140,6 +140,27 @@ class TestAdjust:
         assert code == 2
         assert "do not fit together" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("adjust", "--k", "3", "--rho-ab-a", "0.6", "0.6", "0.6", "--rho-ab-b", "0", "0", "0"),
+            ("adjust", "--k", "6", "--rho-ab-a", "0.42", "--rho-ab-b", "0.42"),
+            ("adjust", "--rho-ab-a", "0.45", "--rho-ab-b", "0.9"),
+            ("simulate", "--study", "thresholds", "--fixed-rho", "0.45",
+             "--start", "0.9", "--stop", "0.9"),
+        ],
+    )
+    def test_arm_correlations_that_cannot_form_a_trial(self, capsys, argv):
+        # the arm correlation matrix is not positive semidefinite: refused
+        # before any threshold is solved, with one error line
+        counts = ("--n-a", "100", "--n-b", "100", "--n-ab", "100")
+        code, out, err = _run(capsys, *argv, *(counts if argv[0] == "adjust" else ()))
+        assert code == 2
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "cannot form a trial" in lines[0]
+
     def test_mfwer_platform_mode(self, capsys):
         code, report, _ = _run_json(
             capsys, "adjust", "--metric", "mfwer", "--m", "2", "--alpha", "0.05",

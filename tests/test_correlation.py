@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from conftest import mvn_draws
 
@@ -288,3 +288,70 @@ class TestPerSubstudy:
     def test_one_value_per_substudy(self, lengths):
         with pytest.raises(DomainError):
             ArmCorrelations.per_substudy(*((0.1,) * n for n in lengths))
+
+
+_RHO = st.floats(-1.0, 1.0)
+# the smallest eigenvalue of this K=1 matrix is 0: a trial can just have it
+_BOUNDARY = (1, (0.6,), (0.8,), (0.0,), None)
+
+
+@st.composite
+def _arm_correlation_inputs(draw):
+    """K in 1-4; per substudy the combination-control, combination-mono and
+    control-mono correlations; and, for K >= 2, one pair across substudies."""
+    K = draw(st.integers(1, 4))
+    rho_cc, rho_cm, rho_am = (
+        tuple(draw(st.lists(_RHO, min_size=K, max_size=K))) for _ in range(3)
+    )
+    cross = None
+    if K >= 2:
+        first = draw(st.sampled_from((mono_arm, combo_arm)))(1)
+        second = draw(st.sampled_from((mono_arm, combo_arm)))(draw(st.integers(2, K)))
+        cross = ((first, second), draw(_RHO))
+    return K, rho_cc, rho_cm, rho_am, cross
+
+
+class TestFeasibility:
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=_arm_correlation_inputs())
+    @example(inputs=_BOUNDARY)
+    def test_refused_exactly_when_not_positive_semidefinite(self, inputs):
+        K, rho_cc, rho_cm, rho_am, cross = inputs
+        pairs = {}
+        for k in range(1, K + 1):
+            pairs[(combo_arm(k), CONTROL)] = rho_cc[k - 1]
+            pairs[(combo_arm(k), mono_arm(k))] = rho_cm[k - 1]
+            pairs[(mono_arm(k), CONTROL)] = rho_am[k - 1]
+        if cross is not None:
+            pairs[cross[0]] = cross[1]
+        order = [CONTROL, *(arm(k) for k in range(1, K + 1) for arm in (mono_arm, combo_arm))]
+        matrix = np.eye(len(order))
+        for (a, b), rho in pairs.items():
+            i, j = order.index(a), order.index(b)
+            matrix[i, j] = matrix[j, i] = rho
+        infeasible = np.linalg.eigvalsh(matrix).min() < -1e-12
+        try:
+            table = ArmCorrelations(K, pairs)
+        except DomainError as exc:
+            assert infeasible, str(exc)
+            assert "cannot form a trial" in str(exc)
+        else:
+            assert not infeasible
+            assert np.array_equal(table.matrix, matrix)
+            with pytest.raises(ValueError):
+                table.matrix[0, 1] = 0.5
+
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=_arm_correlation_inputs())
+    @example(inputs=_BOUNDARY)
+    def test_design_scenario_agrees_with_the_table(self, inputs):
+        K, rho_cc, rho_cm, _, _ = inputs
+        try:
+            scenario = DesignScenario((0.3,) * K, (1.0,) * K, 1.0, rho_cc, rho_cm)
+        except DomainError as exc:
+            assert "cannot form a trial" in str(exc)
+            with pytest.raises(DomainError, match="cannot form a trial"):
+                ArmCorrelations.per_substudy(rho_cc, rho_cm)
+        else:
+            table = ArmCorrelations.from_scenario(scenario)
+            assert table == ArmCorrelations.per_substudy(rho_cc, rho_cm)

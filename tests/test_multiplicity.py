@@ -119,6 +119,14 @@ def _bivariate_oracle_c(rho, metric):
     return brentq(lambda c: level(c) - metric.alpha, 0.01, 6.0, xtol=1e-13)
 
 
+class TestPThreshold:
+    @pytest.mark.parametrize("c", [3.0, 4.5, 6.0, 7.5])
+    def test_exact_two_sided_tail(self, c):
+        with mp.workdps(40):
+            exact = 2 * mp.ncdf(-mp.mpf(c))
+            assert abs(multiplicity._p_threshold(c) / exact - 1) <= 1e-14
+
+
 class TestGeneralizedDunnett:
     def test_fwer_independent_matches_sidak(self):
         result = platform_threshold(CorrelationMatrix.bivariate(0.0), ErrorMetric.fwer(0.05))

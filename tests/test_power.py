@@ -314,6 +314,14 @@ class TestFindSampleSize:
         with pytest.raises(DomainError, match="n_cap must be at least 2K\\+1 = 3"):
             find_sample_size(scenario, Allocation.equal(1), FWER_THRESHOLD, 0.8, n_cap=2)
 
+    @pytest.mark.parametrize("scenario_k, alloc_k", [(2, 1), (1, 2)])
+    def test_k_mismatch_is_a_domain_error(self, scenario_k, alloc_k):
+        scenario = DesignScenario((0.4,) * scenario_k, (1.2,) * scenario_k)
+        with pytest.raises(
+            DomainError, match=f"allocation has K={alloc_k} but scenario has K={scenario_k}"
+        ):
+            find_sample_size(scenario, Allocation.equal(alloc_k), FWER_THRESHOLD, 0.8)
+
     def test_arm_correlations_must_fit_together(self):
         # the README reference pair copied to two substudies: the arm
         # correlation matrix has a negative Schur complement on the control
