@@ -358,8 +358,9 @@ def _add_threshold_flags(parser: argparse.ArgumentParser) -> None:
                         help="exceedance convention for mfwer (default two)")
     parser.add_argument("--precision", type=float, default=1e-4,
                         help="target standard error of randomized probabilities")
-    parser.add_argument("--replications", type=int, default=200_000,
-                        help="null draws for count-based metrics")
+    parser.add_argument("--replications", type=int, default=65_536,
+                        help="null directions of the count-metric pool "
+                             "(K > 1 fmer, msfp, mfwer m >= 2)")
     parser.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
     _add_common_output(parser)
 

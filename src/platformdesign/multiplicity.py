@@ -247,21 +247,40 @@ def classical_dunnett_threshold(arms: PlatformArms, alpha: float) -> ThresholdRe
     return platform_threshold(CorrelationMatrix.bivariate(rho_star), ErrorMetric.fwer(alpha))
 
 
-# null draws per block of the m-FWER pool; block b has its own seeded stream
+# null directions per block of the m-FWER pool; block b has its own seeded stream
 _POOL_BLOCK = 16_384
 
 
+def _cpu_quota() -> float | None:
+    """The cgroup v2 CPU quota of this process in cores (``cpu.max`` quota
+    over period), or None when there is none or it cannot be read."""
+    try:
+        with open("/proc/self/cgroup", encoding="ascii") as lines:
+            path = next(line[3:].strip() for line in lines if line.startswith("0::"))
+        with open(f"/sys/fs/cgroup{path.rstrip('/')}/cpu.max", encoding="ascii") as limit:
+            quota, period = limit.read().split()
+        return None if quota == "max" else int(quota) / int(period)
+    except (OSError, StopIteration, ValueError):
+        return None
+
+
 def _usable_cores() -> int:
-    """How many cores this process may run on."""
+    """How many cores this process may run on: those of its affinity mask,
+    at most ceil(quota) of a cgroup CPU quota."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    quota = _cpu_quota()
+    return cores if quota is None else max(1, min(cores, math.ceil(quota)))
 
 
 def _tail_count_statistic(
     z_corr: CorrelationMatrix, m: int, sided: str, replications: int, seed: int
 ) -> np.ndarray:
-    """Per-replication m-th largest exceedance statistic under the null.
+    """T(u) of :func:`platform_threshold`'s radial integration for
+    ``replications`` null directions u: the m-th largest exceedance
+    statistic of a draw over the norm of the draw's normals.
 
     The draws come in blocks of ``_POOL_BLOCK``.  Block b is standard
     normals from the stream (seed, 1, b), turned into statistics one row at
@@ -292,8 +311,8 @@ def _tail_count_statistic(
                 np.maximum(top[i], row, out=spare)
                 np.minimum(top[i], row, out=row)
                 top[i], spare = spare, top[i]
-        # count(statistics > c) >= m  <=>  m-th largest statistic > c
-        stat[start : start + size] = top[m - 1]
+        np.sqrt(np.einsum("kn,kn->n", draws, draws, out=row), out=row)
+        np.divide(top[m - 1], row, out=stat[start : start + size])
 
     # imported here: only the pool path runs threads
     from concurrent.futures import ThreadPoolExecutor
@@ -304,16 +323,60 @@ def _tail_count_statistic(
     return stat
 
 
+def _chi_tail(
+    x: np.ndarray, dim: int, work: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """P(chi_dim > x) and the chi_dim density at x, elementwise for x >= 0.
+
+    With t = x^2 / 2 the tail is e^-t sum_a t^a / Gamma(a + 1) over a =
+    dim/2 - 1, dim/2 - 2, ... down to 0 for even dim, and to 1/2 for odd dim,
+    which also adds 2 Phi(-x) (Genz & Bretz 2009, ch. 4); the density is x
+    e^-t t^(dim/2 - 1) / Gamma(dim/2).  The sum is taken by Horner's rule
+    and e^-t as two factors e^(-t/2), so nothing underflows before the
+    result does.  Past sqrt(dim) + 40 both are 0 in double precision, and x
+    is cut there, in place, so that the powers of t stay finite.  Both are
+    written into the (3, len(x)) array ``work``, made if not given, so a
+    search that evaluates them again and again allocates nothing per point.
+    """
+    np.minimum(x, math.sqrt(dim) + 40.0, out=x)
+    t, half, tail = np.empty((3, x.size)) if work is None else work
+    np.multiply(x, x, out=t)
+    t *= 0.5
+    np.multiply(t, -0.5, out=half)
+    np.exp(half, out=half)
+    lowest, top = 0.5 * (dim % 2), 0.5 * dim - 1.0
+    tail.fill(1.0)
+    for a in np.arange(top, lowest, -1.0):
+        tail *= t
+        tail /= a
+        tail += 1.0
+    if lowest:  # t^(1/2) / Gamma(3/2)
+        tail *= x
+        tail *= math.sqrt(2.0 / math.pi)
+    tail *= half
+    tail *= half
+    if lowest:
+        tail += 2.0 * std_normal_cdf(-x)
+    density = np.power(t, top, out=t)
+    density *= x
+    density *= half
+    density *= half
+    density /= math.gamma(top + 1.0)
+    return tail, density
+
+
 def _bracket(metric: ErrorMetric, dim: int, rho) -> tuple[np.ndarray, np.ndarray]:
     """Intervals [low, high] within [0, inf) that hold the critical value,
-    one per entry of ``rho``.
+    one per entry of ``rho``, the correlation of the first two statistics.
 
-    With t(c) one statistic's exceedance probability, P(any of ``dim``
-    exceeds c) lies between t(c) and dim * t(c) (the union bound).  P(both of
-    two exceed c) is at most t(c).  It is at least t(c)^2 when the two are
+    With t(c) one statistic's exceedance probability and N the number of
+    ``dim`` statistics that exceed c, P(N >= m) is at most E N / m = dim *
+    t(c) / m (Markov's inequality; for m = 1 the union bound), and P(N >=
+    1) is at least t(c).  P(N >= 2) is at least the probability that the
+    first two both exceed c, which is at least t(c)^2 when the two are
     positively associated: always for their absolute values, and for the
-    statistics themselves when rho >= 0.  When rho < 0 it is at most t(c)^2
-    (Slepian's inequality).
+    statistics themselves when rho >= 0.  Of two statistics with rho < 0,
+    P(both exceed c) is at most t(c)^2 (Slepian's inequality).
     """
     tail = 2.0 if metric.effective_sided == "two" else 1.0
 
@@ -321,14 +384,16 @@ def _bracket(metric: ErrorMetric, dim: int, rho) -> tuple[np.ndarray, np.ndarray
         return -std_normal_quantile(t / tail)
 
     rho = np.asarray(rho, dtype=float)
-    alpha = metric.alpha
-    if metric.exceedance_count == 1:
-        low, high = np.full(rho.shape, quantile(alpha)), np.full(rho.shape, quantile(alpha / dim))
+    alpha, m = metric.alpha, metric.exceedance_count
+    high = np.full(rho.shape, quantile(m * alpha / dim))
+    if m == 1:
+        low = np.full(rho.shape, quantile(alpha))
     else:
         product = quantile(math.sqrt(alpha))
         associated = (rho >= 0.0) | (metric.effective_sided == "two")
-        low = np.where(associated, product, 0.0)
-        high = np.where(associated, quantile(alpha), product)
+        low = np.where(associated & (m == 2), product, 0.0)
+        if dim == 2:
+            high = np.where(associated, high, product)
     low = np.maximum(low, 0.0)
     return low, np.maximum(high, low)
 
@@ -369,7 +434,7 @@ def platform_threshold(
     metric: ErrorMetric,
     precision: float = 1e-4,
     seed: int = 0,
-    replications: int = 200_000,
+    replications: int = 65_536,
 ) -> ThresholdResult:
     """Common critical value for correlated Z statistics (2K for a
     K-substudy platform trial) under the chosen error metric.
@@ -394,12 +459,20 @@ def platform_threshold(
     still exceed ``precision``, the lattice grows there and the search goes
     on from that root.
     Count-based metrics (at least m >= 2 of more than two statistics exceed
-    c) use a common pool of ``replications`` null draws: the pool's level is
-    a step function of c, and its root, an order statistic of the draws'
-    m-th largest exceedance, is read off directly.  The pool is drawn in
-    seeded blocks reduced on every usable core
-    (:func:`_tail_count_statistic`); it depends only on the arguments, not
-    on the core count.
+    c) integrate the radius exactly over a common pool of ``replications``
+    null directions (spherical-radial integration: Deak 1980; Genz & Bretz
+    2009, ch. 4).  With Z = R L u, where R ~ chi_dim is independent of the
+    direction u, at least m statistics exceed c exactly when R > c / T(u), T
+    the direction's m-th largest statistic over its norm
+    (:func:`_tail_count_statistic`).  So the level is the mean over
+    directions of P(chi_dim > c / T), and 0 where T <= 0: a smooth
+    deterministic function of c with a closed-form slope, solved by the same
+    search from the Markov bound on the count, to steps of 1e-9.
+    ``achieved`` is the level at the root, and ``achieved_stderr`` the
+    standard deviation of the directions' terms there over
+    sqrt(``replications``); ``precision`` is validated but unused.  The
+    directions are drawn in seeded blocks reduced on every usable core; they
+    depend only on the arguments, not on the core count.
     """
     dim = z_corr.dim
     if dim < 2:
@@ -443,14 +516,27 @@ def platform_threshold(
             estimates.clear()
         c_star, achieved = float(c_values[0]), float(levels[0])
     else:
-        stat = _tail_count_statistic(
+        scale = _tail_count_statistic(
             z_corr, metric.exceedance_count, metric.effective_sided, replications, seed
         )
-        # the smallest c with at most alpha * replications draws above it
-        rank = replications - 1 - int(metric.alpha * replications)
-        c_star = max(float(np.partition(stat, rank)[rank]), 0.0)
-        achieved = np.count_nonzero(stat > c_star) / replications
-        stderr = math.sqrt(max(achieved * (1.0 - achieved), 1e-12) / replications)
+        # 1 / T of the directions with T > 0; the others never count at c >= 0
+        scale = scale[scale > 0.0]
+        np.reciprocal(scale, out=scale)
+        # c / T and the tail's work, kept for the whole search; the sum of
+        # squares of the last level's terms, for their spread
+        x, work, squares = np.empty(scale.size), np.empty((3, scale.size)), [0.0]
+
+        def level(c: np.ndarray, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            tail, density = _chi_tail(np.multiply(scale, c[0], out=x), dim, work)
+            # einsum, not BLAS, whose threads would spin on the cores
+            squares[0] = float(np.einsum("i,i->", tail, tail))
+            slope = -float(np.einsum("i,i->", density, scale))
+            return np.array([tail.sum() / replications]), np.array([slope / replications])
+
+        low, high = _bracket(metric, dim, rho)
+        c_values, levels = _solve_decreasing(level, metric.alpha, low, high, high, 1e-9)
+        c_star, achieved = float(c_values[0]), float(levels[0])
+        stderr = math.sqrt(max(squares[0] / replications - achieved**2, 0.0) / replications)
 
     if dim > 2:  # the bivariate solve checks its own level
         tolerance = max(1e-4, 3.0 * stderr) if stderr > 0.0 else _PROB_TOL * metric.alpha

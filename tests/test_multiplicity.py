@@ -7,6 +7,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 from conftest import bvn_rectangle, holm_reject, mc_error_rates, mvn_draws
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from platformdesign import multiplicity, mvnorm
@@ -420,13 +422,14 @@ class TestPlatformThreshold:
             platform_threshold(_platform_z_corr(K), ErrorMetric.mfwer(2, 0.05), replications=0)
 
     def test_pool_critical_values_are_pinned(self):
-        # the null pool is seeded blocks of draws times the Cholesky factor;
-        # any change to those draws moves these values
+        # the null pool is seeded blocks of directions, each integrated over
+        # the radius; any change to those draws or to the chi tail moves
+        # these values
         corr = _platform_z_corr(2)
         two = platform_threshold(corr, ErrorMetric.mfwer(2, 0.05))
         one = platform_threshold(corr, ErrorMetric.mfwer(2, 0.05, sided="one"), seed=5)
-        assert two.critical_value == 1.8260910822265846
-        assert one.critical_value == 1.5624250391523595
+        assert two.critical_value == 1.835451846424511
+        assert one.critical_value == 1.5686420716327438
 
     def test_monotone_in_alpha(self):
         corr = CorrelationMatrix(np.eye(4) * 0.6 + np.full((4, 4), 0.4))
@@ -663,13 +666,20 @@ class TestThresholdSolver:
         assert lattice.total_points > grown_at_high.n_points
 
     def test_pool_root_is_the_smallest_c_at_level(self):
-        corr = _platform_z_corr(2)
-        result = platform_threshold(corr, ErrorMetric.mfwer(2, 0.05), seed=3, replications=20_000)
-        stat = multiplicity._tail_count_statistic(corr, 2, "two", 20_000, 3)
-        # 1000 of 20 000 draws above c*, and c* itself one of the draws
-        assert np.count_nonzero(stat > result.critical_value) == 1000
-        assert np.count_nonzero(stat >= result.critical_value) == 1001
-        assert result.achieved == 0.05
+        # the pool's level is the mean over directions of P(chi_4 > c / T),
+        # 0 where T <= 0; it is continuous, so its root lands on alpha
+        from scipy.stats import chi
+
+        corr, n = _platform_z_corr(2), 20_000
+        for sided in ("two", "one"):
+            metric = ErrorMetric.mfwer(2, 0.05, sided)
+            result = platform_threshold(corr, metric, seed=3, replications=n)
+            assert abs(result.achieved - 0.05) <= 1e-9
+            stat = multiplicity._tail_count_statistic(corr, 2, sided, n, 3)
+            terms = np.zeros(n)
+            terms[stat > 0] = chi.sf(result.critical_value / stat[stat > 0], corr.dim)
+            assert result.achieved == pytest.approx(terms.mean(), rel=1e-12)
+            assert result.achieved_stderr == pytest.approx(terms.std() / math.sqrt(n), rel=1e-9)
 
     @pytest.mark.parametrize("rho", np.linspace(-0.95, 0.99, 14).round(4).tolist())
     @pytest.mark.parametrize(
@@ -888,7 +898,7 @@ class TestNullPool:
     @pytest.mark.parametrize("sided", ["two", "one"])
     def test_top_m_pass_is_the_m_th_largest(self, sided):
         # the block's statistics formed row by row as the pool forms them,
-        # and their m-th largest read with a partition
+        # their m-th largest read with a partition, over each column's norm
         corr = _platform_z_corr(3)
         dim, size, seed = corr.dim, 1000, 9
         draws = np.random.default_rng([seed, 1, 0]).standard_normal((dim, size))
@@ -897,9 +907,11 @@ class TestNullPool:
         ])
         if sided == "two":
             rows = np.abs(rows)
+        norms = np.linalg.norm(draws, axis=0)
         for m in range(1, dim + 1):
             stat = multiplicity._tail_count_statistic(corr, m, sided, size, seed)
-            assert np.array_equal(stat, np.partition(rows, dim - m, axis=0)[dim - m])
+            expected = np.partition(rows, dim - m, axis=0)[dim - m] / norms
+            np.testing.assert_allclose(stat, expected, rtol=1e-14, atol=0.0)
 
     def test_k6_pool_levels_against_brute_force(self):
         # twelve statistics: the pool's critical values against a
@@ -913,6 +925,127 @@ class TestNullPool:
                 oracle = float(((values > result.critical_value).sum(axis=1) >= m).mean())
                 se = _se(oracle, len(draws))
                 assert abs(oracle - 0.05) <= 5 * math.hypot(se, result.achieved_stderr)
+
+    @pytest.mark.parametrize("sided", ["two", "one"])
+    def test_k2_m2_level_against_scipy_inclusion_exclusion(self, sided):
+        # P(N >= 2) = 1 - P(N = 0) - P(N = 1), and P(N = 1) is the sum over
+        # j of P(all but Z_j inside) less dim P(all inside)
+        from scipy.stats import multivariate_normal
+
+        z_corr, dim = _platform_z_corr(2), 4
+        result = platform_threshold(z_corr, ErrorMetric.mfwer(2, 0.05, sided))
+        c = result.critical_value
+
+        def inside(keep):
+            return multivariate_normal.cdf(
+                np.full(len(keep), c), np.zeros(len(keep)), z_corr.entries[np.ix_(keep, keep)],
+                lower_limit=np.full(len(keep), -c if sided == "two" else -math.inf),
+                abseps=1e-7, releps=0.0,
+            )
+
+        others = sum(inside([i for i in range(dim) if i != j]) for j in range(dim))
+        level = 1.0 + (dim - 1) * inside(list(range(dim))) - others
+        assert abs(level - 0.05) <= 4 * result.achieved_stderr
+
+    @pytest.mark.parametrize("entries", [
+        [[1.0, 0.4, 0.2], [0.4, 1.0, 0.3], [0.2, 0.3, 1.0]],
+        [[1.0, 0.5, 0.3, 0.2, 0.1], [0.5, 1.0, 0.4, 0.3, 0.2], [0.3, 0.4, 1.0, 0.5, -0.1],
+         [0.2, 0.3, 0.5, 1.0, 0.3], [0.1, 0.2, -0.1, 0.3, 1.0]],
+    ], ids=["dim3", "dim5"])
+    def test_odd_dimension_m2_against_brute_force(self, entries):
+        # an odd dimension adds 2 Phi(-x) to the chi tail
+        corr = CorrelationMatrix(np.array(entries))
+        draws = mvn_draws(corr.factor, 400_000, seed=37)
+        for sided in ("two", "one"):
+            values = np.abs(draws) if sided == "two" else draws
+            result = platform_threshold(corr, ErrorMetric.mfwer(2, 0.05, sided=sided), seed=3)
+            assert abs(result.achieved - 0.05) <= 1e-9
+            oracle = float(((values > result.critical_value).sum(axis=1) >= 2).mean())
+            se = _se(oracle, len(draws))
+            assert abs(oracle - 0.05) <= 5 * math.hypot(se, result.achieved_stderr)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        K=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+        m=st.sampled_from([2, 3]), sided=st.sampled_from(["two", "one"]),
+    )
+    def test_bracket_holds_the_root(self, K, seed, m, sided):
+        # the Markov bound at the upper end is below alpha, and the lower
+        # end above it, on the level the pool solves
+        z_corr, metric = _feasible_platform_z_corr(K, seed), ErrorMetric.mfwer(m, 0.05, sided)
+        low, high = multiplicity._bracket(metric, 2 * K, z_corr.entries[0, 1])
+        stat = multiplicity._tail_count_statistic(z_corr, m, sided, 16_384, seed)
+        scale = 1.0 / stat[stat > 0.0]
+
+        def level(c):
+            return multiplicity._chi_tail(c * scale, 2 * K)[0].sum() / stat.size
+
+        assert level(float(low)) >= 0.05 >= level(float(high))
+
+
+def _feasible_platform_z_corr(K, seed):
+    """Z correlation of a K-substudy platform whose arm sizes and arm
+    correlations come from ``seed``, the combination-control correlations
+    kept inside the positive definite range."""
+    rng = np.random.default_rng([seed, K])
+    rho_cm = rng.uniform(0.1, 0.7, K)
+    rho_cc = np.sqrt(rng.uniform(0.1, 1.0, K) * 0.9 * (1.0 - rho_cm**2) / K)
+    pairs = {}
+    for k in range(1, K + 1):
+        pairs[(combo_arm(k), ("A", 0))] = float(rho_cc[k - 1])
+        pairs[(combo_arm(k), mono_arm(k))] = float(rho_cm[k - 1])
+    n = rng.uniform(30.0, 300.0, 2 * K + 1)
+    arms = PlatformArms(float(n[0]), tuple(n[1::2]), tuple(n[2::2]), ArmCorrelations(K, pairs))
+    return platform_z_correlation_matrix(arms)
+
+
+class TestChiTail:
+    """P(chi_dim > x) and the chi_dim density, the radial law the pool
+    integrates over."""
+
+    @pytest.mark.parametrize("dim", range(3, 13))
+    def test_against_mpmath(self, dim):
+        # 1e-12 relative wherever the value is a normal double; below the
+        # smallest normal double (x near 38 and beyond) only absolutely
+        x = np.concatenate([np.linspace(0.0, 40.0, 161), [1e-8, 0.3, 1.7, 2.25, 5.5, 38.6]])
+        tail, density = multiplicity._chi_tail(x.copy(), dim)
+        tiny, a = np.finfo(float).tiny, mp.mpf(dim) / 2
+        with mp.workdps(40):
+            for xi, got_tail, got_density in zip(x.tolist(), tail, density):
+                t = mp.mpf(xi) ** 2 / 2
+                want_tail = float(mp.gammainc(a, t, mp.inf, regularized=True))
+                want_density = float(
+                    mp.mpf(xi) ** (dim - 1) * mp.exp(-t) / (2 ** (a - 1) * mp.gamma(a))
+                )
+                assert got_tail == pytest.approx(want_tail, rel=1e-12, abs=tiny)
+                assert got_density == pytest.approx(want_density, rel=1e-12, abs=tiny)
+
+    @pytest.mark.parametrize("dim", [3, 4, 7, 12])
+    def test_density_is_minus_the_tail_slope(self, dim):
+        x, h = np.linspace(0.5, 8.0, 16), 1e-6
+        _, density = multiplicity._chi_tail(x.copy(), dim)
+        above, _ = multiplicity._chi_tail(x + h, dim)
+        below, _ = multiplicity._chi_tail(x - h, dim)
+        np.testing.assert_allclose(density, (below - above) / (2 * h), rtol=1e-6, atol=1e-9)
+
+    def test_far_tail_is_zero_not_nan(self):
+        tail, density = multiplicity._chi_tail(np.array([50.0, 1e10, math.inf]), 12)
+        assert tail.tolist() == [0.0] * 3 and density.tolist() == [0.0] * 3
+
+
+class TestUsableCores:
+    @pytest.mark.parametrize("quota, cores", [
+        (None, 8), (0.5, 1), (1.0, 1), (1.5, 2), (3.0, 3), (20.0, 8),
+    ])
+    def test_cgroup_quota_caps_the_workers(self, monkeypatch, quota, cores):
+        monkeypatch.setattr(multiplicity.os, "sched_getaffinity", lambda pid: set(range(8)),
+                            raising=False)
+        monkeypatch.setattr(multiplicity, "_cpu_quota", lambda: quota)
+        assert multiplicity._usable_cores() == cores
+
+    def test_quota_reader_gives_none_or_a_positive_quota(self):
+        quota = multiplicity._cpu_quota()
+        assert quota is None or quota > 0.0
 
 
 class TestEmpiricalErrorRates:
