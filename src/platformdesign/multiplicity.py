@@ -10,7 +10,6 @@ at-least-m rejections) lands exactly on its target level.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -249,30 +248,27 @@ def classical_dunnett_threshold(arms: PlatformArms, alpha: float) -> ThresholdRe
 
 # null directions per block of the m-FWER pool; block b has its own seeded stream
 _POOL_BLOCK = 16_384
+# The pool's normals of one seed, kept for the life of the process: (seed,
+# block) -> that block's normals, read-only.  The generator fills a draw row
+# by row, so the first d rows of a taller draw are the draw of dim d, and one
+# entry serves every dim up to its own; one of another size, or too few
+# rows, is drawn again and replaced.  Only blocks of the default K = 6 pool
+# are kept, at most 12 x 65,536 doubles (6.3 MB); later blocks, and pools of
+# more statistics, are drawn each call.
+_KEPT_DIM, _KEPT_BLOCKS = 12, 4
+_kept_normals: dict[tuple[int, int], np.ndarray] = {}
 
 
-def _cpu_quota() -> float | None:
-    """The cgroup v2 CPU quota of this process in cores (``cpu.max`` quota
-    over period), or None when there is none or it cannot be read."""
-    try:
-        with open("/proc/self/cgroup", encoding="ascii") as lines:
-            path = next(line[3:].strip() for line in lines if line.startswith("0::"))
-        with open(f"/sys/fs/cgroup{path.rstrip('/')}/cpu.max", encoding="ascii") as limit:
-            quota, period = limit.read().split()
-        return None if quota == "max" else int(quota) / int(period)
-    except (OSError, StopIteration, ValueError):
-        return None
-
-
-def _usable_cores() -> int:
-    """How many cores this process may run on: those of its affinity mask,
-    at most ceil(quota) of a cgroup CPU quota."""
-    if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:
-        cores = os.cpu_count() or 1
-    quota = _cpu_quota()
-    return cores if quota is None else max(1, min(cores, math.ceil(quota)))
+def _block_normals(key: int, block: int, dim: int, size: int) -> np.ndarray:
+    """Block ``block``'s (dim, size) standard normals from the stream (key,
+    1, block), from the kept draws where they hold them."""
+    normals = _kept_normals.get((key, block))
+    if normals is None or normals.shape[0] < dim or normals.shape[1] != size:
+        normals = np.random.default_rng([key, 1, block]).standard_normal((dim, size))
+        if dim <= _KEPT_DIM and block < _KEPT_BLOCKS:
+            normals.flags.writeable = False
+            _kept_normals[key, block] = normals
+    return normals[:dim]
 
 
 def _tail_count_statistic(
@@ -283,22 +279,22 @@ def _tail_count_statistic(
     statistic of a draw over the norm of the draw's normals.
 
     The draws come in blocks of ``_POOL_BLOCK``.  Block b is standard
-    normals from the stream (seed, 1, b), turned into statistics one row at
-    a time by the Cholesky factor's nonzero part (einsum, not BLAS, whose own
-    threads would compete with the workers), and a running top-m pass over
-    the rows keeps each draw's m largest.  numpy releases the GIL in every
-    step, so the blocks are reduced on one thread per usable core; each
-    block's statistics are the same on any thread, so the pool is a pure
-    function of the arguments whatever the core count.
+    normals from the stream (seed, 1, b), drawn once per process while they
+    fit the kept bound (:func:`_block_normals`).  They are turned into
+    statistics one row at a time by the Cholesky factor's nonzero part
+    (einsum, not BLAS, whose threads would spin on the cores), and a running
+    top-m pass over the rows keeps each draw's m largest.  The blocks are
+    reduced in turn on the calling thread.  The pool is a pure function of
+    the arguments, whatever was drawn before it.
     """
     factor, dim = z_corr.factor, z_corr.dim
     key = seed & 0xFFFFFFFFFFFFFFFF
+    if _kept_normals and next(iter(_kept_normals))[0] != key:
+        _kept_normals.clear()  # hold one seed at a time
     stat = np.empty(replications)
-
-    def reduce(block: int) -> None:
-        start = block * _POOL_BLOCK
+    for start in range(0, replications, _POOL_BLOCK):
         size = min(_POOL_BLOCK, replications - start)
-        draws = np.random.default_rng([key, 1, block]).standard_normal((dim, size))
+        draws = _block_normals(key, start // _POOL_BLOCK, dim, size)
         # top[0] >= ... >= top[m - 1], the m largest of the rows so far
         top = [np.full(size, -np.inf) for _ in range(m)]
         row, spare = np.empty(size), np.empty(size)
@@ -313,13 +309,6 @@ def _tail_count_statistic(
                 top[i], spare = spare, top[i]
         np.sqrt(np.einsum("kn,kn->n", draws, draws, out=row), out=row)
         np.divide(top[m - 1], row, out=stat[start : start + size])
-
-    # imported here: only the pool path runs threads
-    from concurrent.futures import ThreadPoolExecutor
-
-    n_blocks = -(-replications // _POOL_BLOCK)
-    with ThreadPoolExecutor(min(n_blocks, _usable_cores())) as pool:
-        list(pool.map(reduce, range(n_blocks)))
     return stat
 
 
@@ -330,7 +319,8 @@ def _chi_tail(
 
     With t = x^2 / 2 the tail is e^-t sum_a t^a / Gamma(a + 1) over a =
     dim/2 - 1, dim/2 - 2, ... down to 0 for even dim, and to 1/2 for odd dim,
-    which also adds 2 Phi(-x) (Genz & Bretz 2009, ch. 4); the density is x
+    which also adds 2 Phi(-x) (Genz & Bretz 2009, ch. 4), taken as e^-t
+    erfcx(x / sqrt(2)) so that it shares the factor e^-t; the density is x
     e^-t t^(dim/2 - 1) / Gamma(dim/2).  The sum is taken by Horner's rule
     and e^-t as two factors e^(-t/2), so nothing underflows before the
     result does.  Past sqrt(dim) + 40 both are 0 in double precision, and x
@@ -350,13 +340,16 @@ def _chi_tail(
         tail *= t
         tail /= a
         tail += 1.0
-    if lowest:  # t^(1/2) / Gamma(3/2)
+    if lowest:  # t^(1/2) / Gamma(3/2), and 2 Phi(-x) = e^-t erfcx(x / sqrt(2))
+        # imported here: a platform's dim 2K is even, and scipy.special is
+        # most of a CLI call's import time
+        from scipy.special import erfcx
+
         tail *= x
         tail *= math.sqrt(2.0 / math.pi)
+        tail += erfcx(x * math.sqrt(0.5))
     tail *= half
     tail *= half
-    if lowest:
-        tail += 2.0 * std_normal_cdf(-x)
     density = np.power(t, top, out=t)
     density *= x
     density *= half
@@ -471,8 +464,9 @@ def platform_threshold(
     ``achieved`` is the level at the root, and ``achieved_stderr`` the
     standard deviation of the directions' terms there over
     sqrt(``replications``); ``precision`` is validated but unused.  The
-    directions are drawn in seeded blocks reduced on every usable core; they
-    depend only on the arguments, not on the core count.
+    directions are drawn in seeded blocks, kept for the life of the process
+    up to the default K = 6 pool, and reduced on the calling thread; they
+    depend only on the arguments, not on earlier calls.
     """
     dim = z_corr.dim
     if dim < 2:
