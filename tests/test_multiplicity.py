@@ -866,8 +866,9 @@ class TestSharedSearch:
 
 
 class TestNullPool:
+    @pytest.mark.parametrize("sided", ["two", "one"])
     @pytest.mark.parametrize("dims", [(12, 4, 8), (4, 8, 12)], ids=["12-4-8", "4-8-12"])
-    def test_pool_does_not_depend_on_earlier_pools(self, dims):
+    def test_pool_does_not_depend_on_earlier_pools(self, dims, sided):
         # pools of every dim after one another, each reading the kept
         # normals of the ones before, give the pool of an emptied store
         store = multiplicity._kept_normals
@@ -876,7 +877,7 @@ class TestNullPool:
                  for dim in dims]
 
         def pool(seed, n, dim):
-            return multiplicity._tail_count_statistic(corrs[dim], 2, "two", n, seed)
+            return multiplicity._tail_count_statistic(corrs[dim], 2, sided, n, seed)
 
         store.clear()
         after = [pool(*case) for case in cases]
@@ -884,19 +885,41 @@ class TestNullPool:
             store.clear()
             assert np.array_equal(stat, pool(*case)), case
 
-    def test_pool_store_holds_one_seed_within_the_bound(self):
+    @pytest.mark.parametrize("dim", [2, 5, 11])
+    def test_pool_rows_of_a_taller_kept_block_are_a_fresh_draw(self, dim):
+        # the generator fills a draw row by row: the first dim rows of a
+        # kept 12-row block are the (dim, size) draw of the same stream
+        store = multiplicity._kept_normals
+        store.clear()
+        multiplicity._block_normals(3, 1, 12, 16_384)
+        rows = multiplicity._block_normals(3, 1, dim, 16_384)
+        assert rows.base is store[3, 1]
+        fresh = np.random.default_rng([3, 1, 1]).standard_normal((dim, 16_384))
+        assert np.array_equal(rows, fresh)
+
+    def test_pool_store_keeps_the_default_pool_read_only(self):
+        store = multiplicity._kept_normals
+        store.clear()
+        multiplicity._tail_count_statistic(_platform_z_corr(6), 2, "two", 65_536, 1)
+        assert sorted(store) == [(1, block) for block in range(4)]
+        assert sum(normals.nbytes for normals in store.values()) == 12 * 65_536 * 8
+        assert not any(normals.flags.writeable for normals in store.values())
+
+    @pytest.mark.parametrize("K, replications", [(6, 100_000), (7, 40_000)],
+                             ids=["more-blocks", "more-statistics"])
+    def test_pool_beyond_the_bound_is_drawn_not_kept(self, K, replications):
         store = multiplicity._kept_normals
         store.clear()
         multiplicity._tail_count_statistic(_platform_z_corr(6), 2, "two", 65_536, 1)
         held = dict(store)
-        assert sorted(held) == [(1, block) for block in range(4)]
-        assert sum(normals.nbytes for normals in held.values()) == 12 * 65_536 * 8
-        assert not any(normals.flags.writeable for normals in held.values())
-        # more blocks than the bound, and more statistics: drawn, not kept
-        multiplicity._tail_count_statistic(_platform_z_corr(6), 2, "two", 100_000, 1)
-        multiplicity._tail_count_statistic(_platform_z_corr(7), 2, "two", 40_000, 1)
+        multiplicity._tail_count_statistic(_platform_z_corr(K), 2, "two", replications, 1)
         assert store.keys() == held.keys()
         assert all(store[key] is normals for key, normals in held.items())
+
+    def test_pool_store_holds_one_seed(self):
+        store = multiplicity._kept_normals
+        store.clear()
+        multiplicity._tail_count_statistic(_platform_z_corr(6), 2, "two", 65_536, 1)
         # another seed evicts the first seed's blocks
         multiplicity._tail_count_statistic(_platform_z_corr(2), 2, "two", 20_000, 2)
         assert sorted(store) == [(2, 0), (2, 1)]
