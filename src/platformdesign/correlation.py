@@ -86,9 +86,11 @@ class ArmCorrelations:
                 raise DomainError(f"conflicting correlations for pair {a}, {b}")
             matrix[i, j] = matrix[j, i] = rho
             given[i, j] = given[j, i] = True
-        _check_arm_correlations(matrix)
-        if np.any(matrix != matrix.T) or np.any(np.diag(matrix) != 1.0):
+        # before the eigenvalues, which read only the lower triangle; a NaN
+        # is left to the range check
+        if not np.array_equal(matrix, matrix.T, equal_nan=True) or np.any(np.diag(matrix) != 1.0):
             raise DomainError("matrix must be symmetric with unit diagonal")
+        _check_arm_correlations(matrix)
         matrix.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
 

@@ -67,9 +67,6 @@ class SampleSizeResult:
 _FLOOR_SHRINK = 1e-6
 _POWER_MARGIN = 1e-12
 _NEWTON_STEPS = 30
-# totals whose power is evaluated first in a block, per critical value; each
-# further round doubles the count
-_FIRST_CANDIDATES = 4
 _BLOCK = 1024
 
 
@@ -84,17 +81,20 @@ def _noncentrality_floor(critical_values, target_power: float) -> np.ndarray:
     call each for all critical values.  Where the target is at or below the
     power at W = 0, 2 Phi(-c), there is nothing to solve (the slope is 0
     there) and the floor is 0.  The power at every solved floor is checked
-    against the target; a floor that fails the check, or an infinite c, also
-    gives 0, which leaves the scan exact and only makes it evaluate more
-    powers.
+    against the target; a floor that fails the check also gives 0, which
+    leaves the scan exact and only makes it evaluate more powers.  A critical
+    value that is not finite is a :class:`DomainError`: no total reaches its
+    target, and the scan would evaluate a power at every total up to its cap.
     """
     if not 0.0 < target_power < 1.0:
         raise DomainError(f"target power must lie in (0, 1), got {target_power}")
     c = np.asarray(critical_values, dtype=float)
     if np.any(c <= 0):
         raise DomainError("critical value must be positive")
+    if not np.isfinite(c).all():
+        raise DomainError("critical value must be finite")
     floor = np.zeros(c.shape)
-    solve = (target_power > 2.0 * std_normal_cdf(-c)) & np.isfinite(c)
+    solve = target_power > 2.0 * std_normal_cdf(-c)
     c = c[solve]
     s = c + std_normal_quantile(target_power)
     for _ in range(_NEWTON_STEPS):
@@ -118,47 +118,41 @@ def _scan_totals(
     floor,
     target_power: float,
     n_cap: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """N* for each critical value of one design, and the smallest
-    noncentrality of every total scanned, from 2K+1 to the end of the block
-    that holds the largest N*.
+) -> tuple[list[int], list[float], np.ndarray]:
+    """N* for each critical value of one design, the power at each N*, and
+    the smallest noncentrality of every total scanned, from 2K+1 to the end
+    of the block that holds the largest N*.
 
     ``floor`` is :func:`_noncentrality_floor` of the critical values.  Totals
     are scanned upward in blocks, because the smallest noncentrality at
     integer counts is not monotone in N; each block's arm counts serve every
     critical value.  A total below a critical value's floor misses the
-    target, so the power is evaluated only at the totals at or above it, the
-    first few in order and then twice as many each round; the first that
-    reaches the target is N*.  A power depends on nothing but the smallest
-    noncentrality, so N* is the smallest total whose power reaches the target.
+    target, so for each critical value still open the power is evaluated at
+    the totals at or above its floor, one at a time and in order; the first
+    that reaches the target is N*.  A power depends on nothing but the
+    smallest noncentrality, so N* is the smallest total whose power reaches
+    the target.
     """
     min_n = len(alloc.ratios)  # the noncentralities refuse a K unlike the scenario's
     if n_cap < min_n:
         raise DomainError(f"n_cap must be at least 2K+1 = {min_n}, got {n_cap}")
-    c = np.asarray(critical_values, dtype=float)
-    floor = np.asarray(floor)[:, None]
-    n_star = np.zeros(c.shape[0], dtype=np.int64)  # 0 until found
+    n_star = [0] * len(critical_values)  # 0 until found
+    powers = [0.0] * len(critical_values)
     scanned: list[np.ndarray] = []
     for start in range(min_n, n_cap + 1, _BLOCK):
         totals = np.arange(start, min(start + _BLOCK, n_cap + 1))
         w = np.min(_noncentralities(scenario, alloc.arm_counts_table(totals)), axis=1)
         scanned.append(w)
-        # candidates of each critical value still open, and their ranks
-        candidate = (w >= floor) & (n_star == 0)[:, None]
-        rank = np.cumsum(candidate, axis=1)
-        done, upto = 0, _FIRST_CANDIDATES
-        while True:
-            rows, cols = np.nonzero(candidate & (rank > done) & (rank <= upto))
-            if not rows.size:
-                break
-            passing = marginal_power_oracle(w[cols], c[rows]) >= target_power
-            # np.nonzero runs row by row, in column order: first hit per row
-            found, first = np.unique(rows[passing], return_index=True)
-            n_star[found] = totals[cols[passing][first]]
-            candidate[found] = False
-            done, upto = upto, 2 * upto
-        if n_star.all():
-            return n_star, np.concatenate(scanned)
+        for i, c in enumerate(critical_values):
+            if n_star[i]:
+                continue
+            for j in np.flatnonzero(w >= floor[i]):
+                power = marginal_power_oracle(w[j], c)
+                if power >= target_power:
+                    n_star[i], powers[i] = start + int(j), power
+                    break
+        if all(n_star):
+            return n_star, powers, np.concatenate(scanned)
     raise BudgetExceeded(f"no N in [{min_n}, {n_cap}] reaches power {target_power}")
 
 
@@ -180,12 +174,12 @@ def find_sample_size(
     of ``search_trace`` are then evaluated in one call on those same
     noncentralities.  ``seed`` has no effect; it is kept for callers that
     pass one.  Raises :class:`BudgetExceeded` when no N <= ``n_cap``
-    reaches the target, and :class:`DomainError` when the K differ.
+    reaches the target, and :class:`DomainError` when the K differ or the
+    critical value is not finite.
     """
     c = threshold.critical_value
     floor = _noncentrality_floor([c], target_power)
-    n_star, w = _scan_totals(scenario, alloc, [c], floor, target_power, n_cap)
-    n = int(n_star[0])
+    (n,), _, w = _scan_totals(scenario, alloc, [c], floor, target_power, n_cap)
     min_n = 2 * scenario.K + 1
     powers = marginal_power_oracle(w[: n - min_n + 1], c).tolist()
     return SampleSizeResult(

@@ -33,7 +33,7 @@ from .multiplicity import (
     classical_dunnett_threshold,
 )
 from .mvnorm import _bvn_upper, std_normal_quantile
-from .power import _noncentrality_floor, _scan_totals, marginal_power_oracle
+from .power import _noncentrality_floor, _scan_totals
 
 __all__ = [
     "GridSpec",
@@ -408,10 +408,11 @@ def run_design_surface(grid: GridSpec) -> ResultTable:
     c_star = _critical_values(z_rho)
     floor = _noncentrality_floor(c_star, target)
     n_star = np.empty(c_star.shape, dtype=np.int64)
-    w_star = np.empty(c_star.shape)  # smallest noncentrality at each N*
+    achieved = np.empty(c_star.shape)
     for i, (scenario, alloc) in enumerate(zip(scenarios, allocs)):
-        n_star[i], w = _scan_totals(scenario, alloc, c_star[i], floor[i], target, n_cap=1_000_000)
-        w_star[i] = w[n_star[i] - (2 * scenario.K + 1)]
+        n_star[i], achieved[i], _ = _scan_totals(
+            scenario, alloc, c_star[i], floor[i], target, n_cap=1_000_000
+        )
         for j, metric in enumerate(_METRICS):
             logger.info(
                 "design-surface %d/%d: s=%s rho=%s %s N*=%d",
@@ -429,6 +430,6 @@ def run_design_surface(grid: GridSpec) -> ResultTable:
         metric=np.broadcast_to(_METRICS, shape),
         c_star=c_star,
         p_threshold=_p_threshold(c_star),
-        achieved_power=marginal_power_oracle(w_star, c_star),
+        achieved_power=achieved,
         value=n_star,
     )

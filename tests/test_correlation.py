@@ -236,6 +236,13 @@ class TestPlatformMatrix:
             ArmCorrelations(1, {(combo_arm(1), CONTROL): 1.4})
         with pytest.raises(DomainError):
             ArmCorrelations(1, {(CONTROL, CONTROL): 0.5})
+        # the eigenvalues read only the lower triangle, whose matrix here has
+        # a negative one: the asymmetry is the error to report
+        asymmetric = [[1.0, 0.1, 0.0], [0.99, 1.0, 0.99], [0.0, 0.99, 1.0]]
+        with pytest.raises(DomainError, match="must be symmetric with unit diagonal"):
+            ArmCorrelations(1, matrix=asymmetric)
+        with pytest.raises(DomainError, match="must lie in"):
+            ArmCorrelations(1, {(combo_arm(1), CONTROL): np.nan})
         table = ArmCorrelations.single(0.3, 0.4)
         assert table.get(combo_arm(1), CONTROL) == 0.3
         assert table.get(CONTROL, combo_arm(1)) == 0.3

@@ -1,6 +1,7 @@
 """Exact power and the N* search, checked against simulated trials and the
 closed-form marginal oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -140,8 +141,16 @@ class TestNoncentralityFloor:
             w_star = floor_solved / (1.0 - 1e-6)
             assert marginal_power_oracle(w_star, c_solved) == pytest.approx(target, abs=1e-12)
 
-    def test_infinite_critical_value_leaves_every_total_a_candidate(self):
-        assert _noncentrality_floor([np.inf, 2.0], 0.8)[0] == 0.0
+    @pytest.mark.parametrize("c", [np.inf, np.nan])
+    def test_critical_value_must_be_finite(self, c):
+        # no total reaches an infinite critical value's target, so the scan
+        # would evaluate a power at every total up to its cap; NaN is refused
+        # with it
+        with pytest.raises(DomainError, match="critical value must be finite"):
+            _noncentrality_floor([2.0, c], 0.8)
+        threshold = dataclasses.replace(FWER_THRESHOLD, critical_value=c)
+        with pytest.raises(DomainError, match="critical value must be finite"):
+            find_sample_size(DesignScenario.single(0.4, 1.2), Allocation.equal(1), threshold, 0.8)
 
     def test_validation(self):
         with pytest.raises(DomainError, match="critical value must be positive"):
@@ -223,19 +232,19 @@ class TestFindSampleSize:
         assert result.n_star == expected
 
     def test_scan_without_a_floor_finds_the_same_sample_sizes(self):
-        # at floor 0 every total is a candidate: the first rounds of power
-        # evaluations fail, and only the later, doubled rounds and the second
-        # block of totals reach N*
+        # at floor 0 every total is a candidate: the walk starts at 2K+1, its
+        # powers fail through the whole first block of totals, and only the
+        # second block reaches N*
         scenario = _scenario([_PLAIN_SUBSTUDY])
         alloc = optimize_allocation(scenario)
         c = [2.0, 2.5]
-        n_star, w = _scan_totals(scenario, alloc, c, [0.0, 0.0], 0.999, 10**6)
-        floored, w_floored = _scan_totals(
+        n_star, powers, w = _scan_totals(scenario, alloc, c, [0.0, 0.0], 0.999, 10**6)
+        floored, floored_powers, w_floored = _scan_totals(
             scenario, alloc, c, _noncentrality_floor(c, 0.999), 0.999, 10**6
         )
-        assert n_star.tolist() == floored.tolist() == [
-            find_sample_size(scenario, alloc, _threshold_at(ci), 0.999).n_star for ci in c
-        ]
+        results = [find_sample_size(scenario, alloc, _threshold_at(ci), 0.999) for ci in c]
+        assert n_star == floored == [result.n_star for result in results]
+        assert powers == floored_powers == [result.achieved_power for result in results]
         assert n_star[0] == 1679
         assert (w == w_floored).all()
 

@@ -29,7 +29,7 @@ from platformdesign.multiplicity import (
     platform_threshold,
 )
 from platformdesign.mvnorm import CorrelationMatrix
-from platformdesign.power import find_sample_size
+from platformdesign.power import find_sample_size, marginal_power_oracle
 from platformdesign.studies import (
     BASELINES,
     DEFAULT_ALLOCATIONS,
@@ -366,6 +366,22 @@ class TestDesignSurface:
         _, table = small_surface
         for power in table.column("achieved_power"):
             assert 0.8 <= power <= 0.9
+
+    def test_default_surface_evaluates_one_power_per_critical_value(self, monkeypatch):
+        # the first total at or above each critical value's floor reaches the
+        # target; the scan's calls take one noncentrality, the floor's take
+        # them all at once
+        scan_calls = []
+
+        def counting(W, c):
+            if np.ndim(W) == 0:
+                scan_calls.append(c)
+            return marginal_power_oracle(W, c)
+
+        monkeypatch.setattr("platformdesign.power.marginal_power_oracle", counting)
+        table = run_design_surface(design_surface_grid())
+        assert len(table.rows) == len(scan_calls) == 84
+        assert scan_calls == table.column("c_star")
 
 
 
