@@ -156,32 +156,40 @@ class Allocation:
         return tuple(int(c) for c in self.arm_counts_table(np.array([n_total]))[0])
 
     def arm_counts_table(self, totals: np.ndarray) -> np.ndarray:
-        """:meth:`arm_counts` for each total, one row per total.
+        """:meth:`arm_counts` for each total, one row per total."""
+        return _largest_remainder(np.asarray(self.ratios)[None], np.asarray(totals))
 
-        The arms with the largest remainders get the leftover subjects; equal
-        remainders go to the earlier arm.
-        """
-        if np.min(totals) < len(self.ratios):
-            raise DomainError(
-                f"need at least one subject per arm: N={np.min(totals)} < {len(self.ratios)}"
-            )
-        raw = np.asarray(totals)[:, None] * np.asarray(self.ratios)
-        counts = np.floor(raw).astype(np.int64)
-        leftover = np.asarray(totals) - counts.sum(axis=1)
-        order = np.argsort(counts - raw, axis=1, kind="stable")
-        rank = np.empty_like(order)
-        np.put_along_axis(rank, order, np.arange(order.shape[1])[None, :], axis=1)
-        counts += rank < leftover[:, None]
-        # bump empty arms up to one subject: each step, every row with an
-        # empty arm gives one subject from its largest arm to its first empty one
-        rows = np.flatnonzero((counts == 0).any(axis=1))
-        while rows.size:
-            bumped, at = counts[rows], np.arange(rows.size)
-            bumped[at, np.argmax(bumped, axis=1)] -= 1
-            bumped[at, np.argmin(bumped, axis=1)] += 1
-            counts[rows] = bumped
-            rows = rows[(bumped == 0).any(axis=1)]
-        return counts
+
+def _largest_remainder(ratios: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """Integer arm counts of each row's total at that row's shares, each >= 1:
+    ``ratios`` of shape (rows, arms), or (1, arms) for one allocation, and
+    ``totals`` of shape (rows,); one row of counts per total.
+
+    The arms with the largest remainders get the leftover subjects; equal
+    remainders go to the earlier arm.  An arm left empty gets one subject
+    from the row's largest arm.
+    """
+    if np.min(totals) < ratios.shape[1]:
+        raise DomainError(
+            f"need at least one subject per arm: N={np.min(totals)} < {ratios.shape[1]}"
+        )
+    raw = totals[:, None] * ratios
+    counts = np.floor(raw).astype(np.int64)
+    leftover = totals - np.einsum("ij->i", counts)  # a row sum, faster than sum(axis=1)
+    order = np.argsort(counts - raw, axis=1, kind="stable")
+    rank = np.empty_like(order)
+    rank[np.arange(len(order))[:, None], order] = np.arange(order.shape[1])
+    counts += rank < leftover[:, None]
+    # bump empty arms up to one subject: each step, every row with an
+    # empty arm gives one subject from its largest arm to its first empty one
+    rows = np.flatnonzero((counts == 0).any(axis=1))
+    while rows.size:
+        bumped, at = counts[rows], np.arange(rows.size)
+        bumped[at, np.argmax(bumped, axis=1)] -= 1
+        bumped[at, np.argmin(bumped, axis=1)] += 1
+        counts[rows] = bumped
+        rows = rows[(bumped == 0).any(axis=1)]
+    return counts
 
 
 def _contrast_variance(n_arm, n_control, rho):
@@ -191,18 +199,26 @@ def _contrast_variance(n_arm, n_control, rho):
     return 1.0 / n_arm + 1.0 / n_control - 2.0 * rho / np.sqrt(n_arm * n_control)
 
 
-def _noncentralities(scenario: DesignScenario, shares) -> np.ndarray:
-    """The 2K Wald noncentralities mu^2 / (sigma2 var) of the comparisons
-    with control at arm shares or counts of shape (..., 2K+1), in arm order
-    (mono_1, combo_1, mono_2, ...): shape (..., 2K)."""
-    shares = np.asarray(shares)
-    if shares.shape[-1] != 2 * scenario.K + 1:
-        alloc_k = (shares.shape[-1] - 1) // 2
-        raise DomainError(f"allocation has K={alloc_k} but scenario has K={scenario.K}")
+def _contrasts(scenario: DesignScenario, n_arms: int) -> tuple[np.ndarray, np.ndarray]:
+    """The mean differences and the arm-control outcome correlations of the
+    2K comparisons with control, in arm order (mono_1, combo_1, mono_2, ...),
+    for an allocation of ``n_arms`` arms, which must be the scenario's 2K+1."""
+    if n_arms != 2 * scenario.K + 1:
+        raise DomainError(f"allocation has K={(n_arms - 1) // 2} but scenario has K={scenario.K}")
     delta = np.asarray(scenario.delta)
     mu = np.column_stack((delta, np.asarray(scenario.synergy) * delta)).ravel()
     rho = np.column_stack((np.zeros(scenario.K), scenario.rho_combo_control)).ravel()
-    var = scenario.sigma2 * _contrast_variance(shares[..., 1:], shares[..., :1], rho)
+    return mu, rho
+
+
+def _noncentralities(shares, mu, rho, sigma2) -> np.ndarray:
+    """The 2K Wald noncentralities mu^2 / (sigma2 var) of the comparisons
+    with control at arm shares or counts of shape (..., 2K+1), from the
+    comparisons' mean differences ``mu`` and outcome correlations ``rho``
+    (:func:`_contrasts`), shape (..., 2K), and the variance ``sigma2``, each
+    per row or shared: shape (..., 2K)."""
+    shares = np.asarray(shares)
+    var = sigma2 * _contrast_variance(shares[..., 1:], shares[..., :1], rho)
     if np.any(var <= 0.0):
         raise DomainError("a contrast variance is not positive")
     return mu * mu / var
@@ -218,7 +234,9 @@ def wald_noncentrality(
     """
     if n_total < 1:
         raise DomainError("n_total must be at least 1")
-    return n_total * _noncentralities(scenario, alloc.ratios).reshape(scenario.K, 2)[:, ::-1]
+    mu, rho = _contrasts(scenario, len(alloc.ratios))
+    w = _noncentralities(alloc.ratios, mu, rho, scenario.sigma2)
+    return n_total * w.reshape(scenario.K, 2)[:, ::-1]
 
 
 def closed_form_allocation(s: float) -> Allocation:

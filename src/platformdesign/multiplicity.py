@@ -123,7 +123,7 @@ def _p_threshold(c: float) -> float:
 
 def _solve_decreasing(
     level: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
-    target: float,
+    target: float | np.ndarray,
     low: np.ndarray,
     high: np.ndarray,
     start: np.ndarray,
@@ -131,7 +131,8 @@ def _solve_decreasing(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Roots of nonincreasing ``level(c) - target``, one per bracket
     [low[i], high[i]] of the 1-d arrays ``low`` and ``high``, with the level
-    at each; the search for element i starts at ``start[i]``.
+    at each; the search for element i starts at ``start[i]``, and ``target``
+    is one level for every element or one per element.
 
     Safeguarded Newton, elementwise, on h(c) = sqrt(-2 log level(c)), which
     is nearly linear in c for Gaussian tails.  ``level(c, active)`` gets the
@@ -145,8 +146,9 @@ def _solve_decreasing(
     not cross the target inside a bracket, the search ends on the bracket's
     end and the caller's level check decides.
     """
-    h_target = math.sqrt(-2.0 * math.log(target))
     x, lo, hi = (np.array(a, dtype=float, ndmin=1) for a in (start, low, high))
+    target = np.broadcast_to(np.asarray(target, dtype=float), x.shape)
+    h_target = np.array([math.sqrt(-2.0 * math.log(t)) for t in target.tolist()])
     # whether each bracket end is still the unevaluated bound it started as
     open_lo, open_hi = np.ones(x.size, dtype=bool), np.ones(x.size, dtype=bool)
     x_out, f_out = np.empty(x.size), np.empty(x.size)
@@ -168,6 +170,7 @@ def _solve_decreasing(
         x_out[active[done]], f_out[active[done]] = x[done], f[done]
         going = ~done
         active, x, lo, hi = active[going], following[going], lo[going], hi[going]
+        target, h_target = target[going], h_target[going]
         open_lo, open_hi = open_lo[going], open_hi[going]
     return x_out, f_out
 
@@ -404,21 +407,29 @@ def _check_level(metric: ErrorMetric, c_star, achieved, tolerance: float) -> Non
         )
 
 
-def _bivariate_critical_values(rho, metric: ErrorMetric) -> tuple[np.ndarray, np.ndarray]:
+def _bivariate_critical_values(rho, metrics) -> tuple[np.ndarray, np.ndarray]:
     """Critical values of two statistics with correlation ``rho`` under the
-    exact bivariate law, and the levels they reach: one elementwise search
-    (:func:`_solve_decreasing`) for every entry of ``rho``, from the upper end
-    of its bracket, on the level and its closed-form slope."""
+    exact bivariate law, and the levels they reach, shape (correlations,
+    metrics) each: one elementwise search (:func:`_solve_decreasing`) over
+    every (correlation, metric), each toward its metric's alpha from the
+    upper end of its bracket, on the level and its closed-form slope."""
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    count, sided = metric.exceedance_count, metric.effective_sided
+    # the elements run metric by metric, each over every correlation
+    metric_laws = [(m.exceedance_count, m.effective_sided) for m in metrics]
+    laws = tuple(dict.fromkeys(metric_laws))
+    law = np.repeat([laws.index(each) for each in metric_laws], rho.size)
+    rhos = np.tile(rho, len(metrics))
 
     def level(c: np.ndarray, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        (value,), (slope,) = _bivariate_levels(rho[active], c, ((count, sided),))
-        return value, slope
+        values, slopes = _bivariate_levels(rhos[active], c, laws)
+        return np.choose(law[active], values), np.choose(law[active], slopes)
 
-    low, high = _bracket(metric, 2, rho)
-    c_star, achieved = _solve_decreasing(level, metric.alpha, low, high, high, x_tol=1e-12)
-    _check_level(metric, c_star, achieved, _PROB_TOL * metric.alpha)
+    low, high = (np.concatenate(ends) for ends in zip(*(_bracket(m, 2, rho) for m in metrics)))
+    alpha = np.repeat([m.alpha for m in metrics], rho.size)
+    c_star, achieved = _solve_decreasing(level, alpha, low, high, high, x_tol=1e-12)
+    c_star, achieved = (a.reshape(len(metrics), rho.size).T for a in (c_star, achieved))
+    for j, metric in enumerate(metrics):
+        _check_level(metric, c_star[:, j], achieved[:, j], _PROB_TOL * metric.alpha)
     return c_star, achieved
 
 
@@ -481,8 +492,8 @@ def platform_threshold(
     rho = float(z_corr.entries[0, 1])
     two_sided = metric.effective_sided == "two"
     if dim == 2:
-        c_values, levels = _bivariate_critical_values(rho, metric)
-        c_star, achieved, stderr = float(c_values[0]), float(levels[0]), 0.0
+        c_values, levels = _bivariate_critical_values(rho, (metric,))
+        c_star, achieved, stderr = float(c_values[0, 0]), float(levels[0, 0]), 0.0
     elif metric.exceedance_count == 1:
         lattice, (low, high) = QmcLattice(z_corr, seed), _bracket(metric, dim, rho)
         estimates: list[RectangleEstimate] = []

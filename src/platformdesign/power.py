@@ -10,8 +10,10 @@ N whose largest-remainder integer design reaches the target.  Power is
 increasing in the noncentrality, so the target is met exactly where the
 smallest noncentrality reaches one value W*, solved once per critical value.
 The smallest noncentrality at integer counts is not monotone in N, so the
-search scans N upward on noncentralities alone, and evaluates the power only
-at the few totals that reach W*.
+search scans N upward on noncentralities alone, for many designs of one K at
+once.  A bound on the noncentralities of each sub-block of totals, from the
+range of its arm counts, rules out most totals before any arm counts are
+computed; the power is evaluated only at the few totals that reach W*.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import Allocation, DesignScenario, _noncentralities
+from .allocation import (
+    Allocation, DesignScenario, _contrasts, _largest_remainder, _noncentralities,
+)
 from .errors import BudgetExceeded, DomainError
 from .multiplicity import ThresholdResult
 from .mvnorm import _SQRT_2PI, std_normal_cdf, std_normal_quantile
@@ -67,7 +71,20 @@ class SampleSizeResult:
 _FLOOR_SHRINK = 1e-6
 _POWER_MARGIN = 1e-12
 _NEWTON_STEPS = 30
-_BLOCK = 1024
+# the scan bounds _WINDOW sub-blocks of _SUB_BLOCK totals per design and round,
+# and evaluates the first _TAKE of them that its bound does not rule out
+_SUB_BLOCK = 16
+_WINDOW = 128
+_TAKE = 2
+
+
+def _smallest_noncentrality(counts, mu, rho, sigma2) -> np.ndarray:
+    """The smallest of each row's noncentralities (:func:`_noncentralities`),
+    on which its power depends.  The minimum is taken over the leading axis
+    of a contiguous transposed copy: numpy reduces along a short last axis
+    row by row, many times slower."""
+    w = _noncentralities(counts, mu, rho, sigma2)
+    return np.ascontiguousarray(np.moveaxis(w, -1, 0)).min(axis=0)
 
 
 def _noncentrality_floor(critical_values, target_power: float) -> np.ndarray:
@@ -111,49 +128,119 @@ def _noncentrality_floor(critical_values, target_power: float) -> np.ndarray:
     return floor
 
 
-def _scan_totals(
-    scenario: DesignScenario,
-    alloc: Allocation,
-    critical_values,
-    floor,
-    target_power: float,
-    n_cap: int,
-) -> tuple[list[int], list[float], np.ndarray]:
-    """N* for each critical value of one design, the power at each N*, and
-    the smallest noncentrality of every total scanned, from 2K+1 to the end
-    of the block that holds the largest N*.
+def _noncentrality_bound(ratios, mu, rho, sigma2, first, last) -> np.ndarray:
+    """For each design and each range of totals [first, last], a bound on
+    the smallest noncentrality at every total in it, or inf where no bound
+    is proven.
 
-    ``floor`` is :func:`_noncentrality_floor` of the critical values.  Totals
-    are scanned upward in blocks, because the smallest noncentrality at
-    integer counts is not monotone in N; each block's arm counts serve every
-    critical value.  A total below a critical value's floor misses the
-    target, so for each critical value still open the power is evaluated at
-    the totals at or above its floor, one at a time and in order; the first
-    that reaches the target is N*.  A power depends on nothing but the
-    smallest noncentrality, so N* is the smallest total whose power reaches
-    the target.
+    ``ratios`` has shape (designs, 2K+1), ``mu`` and ``rho`` (designs, 2K)
+    (:func:`_contrasts`), ``sigma2`` (designs,), and ``first`` and ``last``
+    (designs, ranges).  The largest-remainder count of an arm of share p at
+    a total N is floor(p N) or one more, so over the range it lies in [L, H]
+    = [floor(p first), floor(p last) + 1], the floors taken of the same
+    products as the counts' own.  An arm left empty takes one subject from
+    the largest arm, so with E arms whose L is 0 every arm keeps at least
+    max(L - E, 1).  Each term of a contrast's variance 1/n_a + 1/n_0 - 2 rho
+    / sqrt(n_a n_0) is then smallest at one end, and mu^2 over sigma2 times
+    the sum of those ends bounds the contrast's noncentrality from above; the
+    smallest noncentrality is at most the smallest of these.  A contrast
+    whose variance bound is not positive bounds nothing.
     """
-    min_n = len(alloc.ratios)  # the noncentralities refuse a K unlike the scenario's
+    # arms (and contrasts) first, so each reduction over them is elementwise
+    share = ratios.T[:, :, None]
+    low, high = np.floor(first * share), np.floor(last * share) + 1.0
+    low = np.maximum(low - (low < 1.0).sum(axis=0), 1.0)
+    rho = rho.T[:, :, None]
+    # -2 rho / sqrt(n_a n_0) is smallest at the low counts for rho > 0 and
+    # at the high ones for rho < 0
+    ends = np.where(rho > 0.0, low[1:] * low[:1], high[1:] * high[:1])
+    var = 1.0 / high[1:] + 1.0 / high[:1] - 2.0 * rho / np.sqrt(ends)
+    with np.errstate(divide="ignore"):
+        bound = (mu * mu).T[:, :, None] / (sigma2[:, None] * var)
+    return np.where(var > 0.0, bound, np.inf).min(axis=0)
+
+
+def _scan_totals(
+    ratios, mu, rho, sigma2, critical_values, floor, target_power: float, n_cap: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """N* for each (design, critical value) and the power at each N*, shape
+    (designs, critical values) each.
+
+    A design is a row of ``ratios`` (its 2K+1 shares), ``mu`` and ``rho``
+    (:func:`_contrasts`) and ``sigma2``; every design has the same K.
+    ``floor`` is :func:`_noncentrality_floor` of ``critical_values``.  Each
+    design's totals are scanned upward from 2K+1 in rounds, every round for
+    all designs at once.  A round bounds the noncentralities of the next
+    2,048 totals in sub-blocks of 16 (:func:`_noncentrality_bound`).  A
+    sub-block whose bound is below the smallest floor still open for its
+    design holds no N* of that design, so it is skipped.  The first two
+    sub-blocks that are not skipped get their exact integer counts and
+    smallest noncentralities, and the design's next round starts after them
+    (after the 2,048 totals if fewer are left).  Then each (design, critical
+    value) still open walks those totals at or above its floor in order, one
+    power per step, all of them in one call per step; the first whose power
+    reaches the target is N*.  A power depends on nothing but the smallest
+    noncentrality, so N* is the smallest total whose power reaches the
+    target, as if every total were evaluated.
+    """
+    ratios, mu, rho, sigma2, c, floor = (
+        np.asarray(a, dtype=float) for a in (ratios, mu, rho, sigma2, critical_values, floor)
+    )
+    min_n = ratios.shape[1]
     if n_cap < min_n:
         raise DomainError(f"n_cap must be at least 2K+1 = {min_n}, got {n_cap}")
-    n_star = [0] * len(critical_values)  # 0 until found
-    powers = [0.0] * len(critical_values)
-    scanned: list[np.ndarray] = []
-    for start in range(min_n, n_cap + 1, _BLOCK):
-        totals = np.arange(start, min(start + _BLOCK, n_cap + 1))
-        w = np.min(_noncentralities(scenario, alloc.arm_counts_table(totals)), axis=1)
-        scanned.append(w)
-        for i, c in enumerate(critical_values):
-            if n_star[i]:
-                continue
-            for j in np.flatnonzero(w >= floor[i]):
-                power = marginal_power_oracle(w[j], c)
-                if power >= target_power:
-                    n_star[i], powers[i] = start + int(j), power
-                    break
-        if all(n_star):
-            return n_star, powers, np.concatenate(scanned)
-    raise BudgetExceeded(f"no N in [{min_n}, {n_cap}] reaches power {target_power}")
+    n_star = np.zeros(c.shape, dtype=np.int64)  # 0 until found
+    powers = np.zeros(c.shape)
+    # every total of a design below its start misses every target still open
+    start = np.full(len(ratios), min_n)
+    offsets, within = _SUB_BLOCK * np.arange(_WINDOW), np.arange(_SUB_BLOCK)
+    while True:
+        still_open = n_star == 0
+        rows = np.flatnonzero(still_open.any(axis=1))
+        if not rows.size:
+            return n_star, powers
+        if start[rows].max() > n_cap:
+            raise BudgetExceeded(f"no N in [{min_n}, {n_cap}] reaches power {target_power}")
+        first = start[rows, None] + offsets
+        bound = _noncentrality_bound(
+            ratios[rows], mu[rows], rho[rows], sigma2[rows], first, first + _SUB_BLOCK - 1
+        )
+        lowest = np.where(still_open[rows], floor[rows], np.inf).min(axis=1)
+        kept = (bound >= lowest[:, None]) & (first <= n_cap)
+        rank = np.cumsum(kept, axis=1)
+        taken = kept & (rank <= _TAKE)
+        # the next round starts after the last taken sub-block, or after the
+        # window when fewer were taken
+        last = first.max(axis=1, where=taken, initial=0)
+        start[rows] = np.where(rank[:, -1] >= _TAKE, last, first[:, -1]) + _SUB_BLOCK
+        # the taken sub-blocks' totals, _TAKE sub-blocks a design (0 where fewer)
+        totals = np.zeros((rows.size, _TAKE, _SUB_BLOCK), dtype=np.int64)
+        row, block = np.nonzero(taken)
+        totals[row, rank[row, block] - 1] = first[row, block, None] + within
+        totals = totals.reshape(rows.size, -1)
+        scanned = (totals > 0) & (totals <= n_cap)
+        w = np.full(totals.shape, -np.inf)
+        if scanned.any():
+            design = np.broadcast_to(rows[:, None], totals.shape)[scanned]
+            w[scanned] = _smallest_noncentrality(
+                _largest_remainder(ratios[design], totals[scanned]),
+                mu[design], rho[design], sigma2[design, None],
+            )
+        # the walk: each step takes every open pair's next candidate
+        candidate = (w[:, None, :] >= floor[rows, :, None]) & still_open[rows, :, None]
+        while True:
+            r, m = np.nonzero(candidate.any(axis=2))
+            if not r.size:
+                break
+            j = candidate[r, m].argmax(axis=1)
+            power = marginal_power_oracle(w[r, j], c[rows[r], m])
+            hit = power >= target_power
+            n_star[rows[r[hit]], m[hit]] = totals[r[hit], j[hit]]
+            powers[rows[r[hit]], m[hit]] = power[hit]
+            if hit.all():
+                break
+            candidate[r, m, j] = False
+            candidate[r[hit], m[hit]] = False
 
 
 def find_sample_size(
@@ -168,23 +255,32 @@ def find_sample_size(
 
     The design at N is ``alloc.arm_counts(N)`` and its power the exact
     minimum per-comparison power at those counts, at the critical value of
-    ``threshold``.  N* is found on noncentralities: the totals are scanned
-    upward from 2K+1 for the first whose smallest noncentrality reaches the
-    one where the power meets the target (:func:`_scan_totals`).  The powers
-    of ``search_trace`` are then evaluated in one call on those same
-    noncentralities.  ``seed`` has no effect; it is kept for callers that
-    pass one.  Raises :class:`BudgetExceeded` when no N <= ``n_cap``
-    reaches the target, and :class:`DomainError` when the K differ or the
-    critical value is not finite.
+    ``threshold``.  N* is found on noncentralities, by :func:`_scan_totals`
+    for this one design: it skips the totals whose noncentrality bound
+    rules them out and walks the rest upward for the first whose smallest
+    noncentrality reaches the one where the power meets the target.  The
+    powers of ``search_trace`` are then evaluated in one call on the exact
+    noncentralities of every total from 2K+1 to N*.  ``seed`` has no
+    effect; it is kept for callers that pass one.  Raises
+    :class:`BudgetExceeded` when no N <= ``n_cap`` reaches the target, and
+    :class:`DomainError` when the K differ or the critical value is not
+    finite.
     """
     c = threshold.critical_value
-    floor = _noncentrality_floor([c], target_power)
-    (n,), _, w = _scan_totals(scenario, alloc, [c], floor, target_power, n_cap)
-    min_n = 2 * scenario.K + 1
-    powers = marginal_power_oracle(w[: n - min_n + 1], c).tolist()
+    floor = _noncentrality_floor([[c]], target_power)
+    mu, rho = _contrasts(scenario, len(alloc.ratios))
+    ratios = np.array([alloc.ratios])
+    n_star, _ = _scan_totals(
+        ratios, mu[None], rho[None], [scenario.sigma2], [[c]], floor, target_power, n_cap
+    )
+    n = int(n_star[0, 0])
+    totals = np.arange(ratios.shape[1], n + 1)
+    counts = _largest_remainder(ratios, totals)
+    w = _smallest_noncentrality(counts, mu, rho, scenario.sigma2)
+    powers = marginal_power_oracle(w, c).tolist()
     return SampleSizeResult(
         n_star=n,
         achieved_power=powers[-1],
-        search_trace=tuple(zip(range(min_n, n + 1), powers)),
-        arm_counts=alloc.arm_counts(n),
+        search_trace=tuple(zip(totals.tolist(), powers)),
+        arm_counts=tuple(counts[-1].tolist()),
     )

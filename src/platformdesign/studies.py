@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import logging
 import math
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .allocation import (
-    Allocation, DesignScenario, _arm_correlation_matrix, _check_arm_correlations,
+    Allocation, DesignScenario, _arm_correlation_matrix, _check_arm_correlations, _contrasts,
     optimize_allocation,
 )
 from .correlation import _NOMINAL_TOTAL, PlatformArms, _pair_correlation
@@ -368,21 +369,13 @@ def run_adjustment_comparison(grid: GridSpec) -> ResultTable:
     )
 
 
-def _critical_values(z_rho: np.ndarray) -> np.ndarray:
-    """Each target metric's critical value at every correlation, one column
-    per metric: one batched solve per metric."""
-    return np.column_stack(
-        [_bivariate_critical_values(z_rho, metric)[0] for metric in DEFAULT_TARGETS]
-    )
-
-
 def run_threshold_curves(grid: GridSpec) -> ResultTable:
     """Adjusted p-value thresholds per metric across the sweep (study 3)."""
     # rows by (sweep point, metric), at the grid's first allocation
     z_rho, leading = _sweep(grid, grid.allocations[:1], metric=_METRICS)
     for share in ("p_control", "p_mono", "p_combo"):
         del leading[share]
-    c_star = _critical_values(z_rho[0])
+    c_star, _ = _bivariate_critical_values(z_rho[0], DEFAULT_TARGETS)
     return ResultTable.from_columns(**leading, c_star=c_star, value=_p_threshold(c_star))
 
 
@@ -401,23 +394,20 @@ def run_design_surface(grid: GridSpec) -> ResultTable:
     scenarios = [
         DesignScenario.single(delta, s, sigma2, rho_ab_a=rho, rho_ab_b=rho) for s, rho in points
     ]
-    allocs = [optimize_allocation(scenario) for scenario in scenarios]
-    ratios = np.array([alloc.ratios for alloc in allocs])
+    ratios = np.array([optimize_allocation(scenario).ratios for scenario in scenarios])
+    mu, rho_cc = map(np.array, zip(*(_contrasts(scenario, 3) for scenario in scenarios)))
     synergy, rho = np.array(points).T
     z_rho = _z_rho(ratios.T, rho, rho)
-    c_star = _critical_values(z_rho)
+    c_star, _ = _bivariate_critical_values(z_rho, DEFAULT_TARGETS)
     floor = _noncentrality_floor(c_star, target)
-    n_star = np.empty(c_star.shape, dtype=np.int64)
-    achieved = np.empty(c_star.shape)
-    for i, (scenario, alloc) in enumerate(zip(scenarios, allocs)):
-        n_star[i], achieved[i], _ = _scan_totals(
-            scenario, alloc, c_star[i], floor[i], target, n_cap=1_000_000
+    n_star, achieved = _scan_totals(
+        ratios, mu, rho_cc, np.full(len(points), sigma2), c_star, floor, target, n_cap=1_000_000
+    )
+    for i, (point, metric) in enumerate(itertools.product(points, _METRICS)):
+        logger.info(
+            "design-surface %d/%d: s=%s rho=%s %s N*=%d",
+            i + 1, c_star.size, *point, metric, n_star.flat[i],
         )
-        for j, metric in enumerate(_METRICS):
-            logger.info(
-                "design-surface %d/%d: s=%s rho=%s %s N*=%d",
-                len(_METRICS) * i + j + 1, c_star.size, *points[i], metric, n_star[i, j],
-            )
     # rows by (point, metric)
     shape = c_star.shape
     return ResultTable.from_columns(

@@ -14,7 +14,7 @@ from scipy import integrate
 from scipy.special import ndtr
 from scipy.stats import norm
 
-from platformdesign.allocation import _noncentralities
+from platformdesign.allocation import _contrasts, _noncentralities
 from platformdesign.mvnorm import _bvn_upper
 from platformdesign.power import marginal_power_oracle
 
@@ -130,8 +130,27 @@ def package_design_power(scenario, counts, c: float) -> float:
     at the smallest of its noncentralities.  Enumerated on this, N* and every
     power must match the sample-size search bit for bit, as the search only
     skips totals, it does not compute powers another way."""
-    w = np.min(_noncentralities(scenario, np.asarray([counts])), axis=1)
+    mu, rho = _contrasts(scenario, len(counts))
+    w = np.min(_noncentralities(np.asarray([counts]), mu, rho, scenario.sigma2), axis=1)
     return float(marginal_power_oracle(w, c)[0])
+
+
+def exhaustive_n_star(scenario, alloc, critical_values, target: float, n_max: int):
+    """(N*, power at N*) for each critical value, from the package's own power
+    at every total from 2K+1 to ``n_max`` in turn, none skipped; (None, None)
+    where no total reaches ``target``.  The sample-size scan only skips
+    totals, so it must match this bit for bit."""
+    totals = np.arange(2 * scenario.K + 1, n_max + 1)
+    mu, rho = _contrasts(scenario, len(alloc.ratios))
+    w = np.min(
+        _noncentralities(alloc.arm_counts_table(totals), mu, rho, scenario.sigma2), axis=1
+    )
+    out = []
+    for c in critical_values:
+        powers = marginal_power_oracle(w, c)
+        hits = np.flatnonzero(powers >= target)
+        out.append((int(totals[hits[0]]), float(powers[hits[0]])) if hits.size else (None, None))
+    return out
 
 
 def n_star_enumeration_oracle(

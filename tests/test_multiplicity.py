@@ -838,20 +838,33 @@ class TestSharedSearch:
         # two independent tails' product (fmer, msfp): the bracket's lower
         # end is the exact root, and a Newton step that passes it goes there
         evaluations = _counting(monkeypatch, multiplicity, "_bivariate_levels")
-        c, achieved = multiplicity._bivariate_critical_values(rho, metric)
+        c, achieved = multiplicity._bivariate_critical_values(rho, (metric,))
         low, _ = multiplicity._bracket(metric, 2, np.array([rho]))
-        assert abs(c[0] - low[0]) <= 1e-12
-        assert achieved[0] == pytest.approx(metric.alpha, abs=1e-15)
+        assert abs(c[0, 0] - low[0]) <= 1e-12
+        assert achieved[0, 0] == pytest.approx(metric.alpha, abs=1e-15)
         assert len(evaluations) <= 6
 
-    def test_batch_equals_one_solve_per_correlation(self):
+    def test_batch_equals_one_solve_per_correlation(self, monkeypatch):
+        # every (correlation, metric) in one search, each element on its own
+        # metric's law and target: bit for bit one solve per element, with
+        # one level evaluation per step for all of them
         rho = np.linspace(-0.99, 0.99, 23)
-        for metric in (ErrorMetric.fwer(0.05), ErrorMetric.fmer(0.0025), ErrorMetric.msfp(0.000625)):
-            c, achieved = multiplicity._bivariate_critical_values(rho, metric)
+        metrics = (ErrorMetric.fwer(0.05), ErrorMetric.fmer(0.0025), ErrorMetric.msfp(0.000625))
+        evaluations = _counting(monkeypatch, multiplicity, "_bivariate_levels")
+        c, achieved = multiplicity._bivariate_critical_values(rho, metrics)
+        batched = len(evaluations)
+        assert c.shape == achieved.shape == (rho.size, len(metrics))
+        steps = []
+        for j, metric in enumerate(metrics):
+            evaluations.clear()
+            alone, _ = multiplicity._bivariate_critical_values(rho, (metric,))
+            steps.append(len(evaluations))
+            assert alone[:, 0].tolist() == c[:, j].tolist()
             for i, r in enumerate(rho.tolist()):
                 one = platform_threshold(CorrelationMatrix.bivariate(r), metric)
-                assert c[i] == one.critical_value
-                assert achieved[i] == one.achieved
+                assert c[i, j] == one.critical_value
+                assert achieved[i, j] == one.achieved
+        assert batched == max(steps)
 
     def test_bracket_is_elementwise(self):
         rho = np.array([-0.8, -0.1, 0.0, 0.4])

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 from conftest import (
+    exhaustive_n_star,
     integer_design_power,
     mc_comparison_power,
     n_star_enumeration_oracle,
@@ -15,11 +16,19 @@ from conftest import (
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from platformdesign.allocation import Allocation, DesignScenario, optimize_allocation, wald_noncentrality
+from platformdesign.allocation import (
+    Allocation,
+    DesignScenario,
+    _contrasts,
+    _noncentralities,
+    optimize_allocation,
+    wald_noncentrality,
+)
 from platformdesign.errors import BudgetExceeded, DomainError
 from platformdesign.multiplicity import ErrorMetric, ThresholdResult, platform_threshold
 from platformdesign.mvnorm import CorrelationMatrix, std_normal_cdf
 from platformdesign.power import (
+    _noncentrality_bound,
     _noncentrality_floor,
     _scan_totals,
     find_sample_size,
@@ -47,6 +56,26 @@ def _scenario(substudies) -> DesignScenario:
     )
     return DesignScenario(
         delta, tuple(m * g for m, g in zip(magnitude, sign)), 1.0, rho_cc, rho_cm
+    )
+
+
+_SUBSTUDY = st.tuples(
+    st.floats(0.3, 1.2),  # delta
+    st.floats(0.5, 2.0),  # |synergy|
+    st.sampled_from((-1.0, 1.0)),  # sign of synergy
+    st.floats(0.0, 1.0),  # share of the combination-control budget
+    st.sampled_from((-1.0, 1.0)),  # sign of rho combination-control
+    st.floats(-0.9, 0.9),  # rho combination-monotherapy
+)
+
+
+def _design_rows(designs):
+    """The scan's per-design rows (ratios, mu, rho, sigma2) of (scenario,
+    allocation) pairs."""
+    mu, rho = zip(*(_contrasts(scenario, len(alloc.ratios)) for scenario, alloc in designs))
+    return (
+        np.array([alloc.ratios for _, alloc in designs]), np.array(mu), np.array(rho),
+        np.array([scenario.sigma2 for scenario, _ in designs]),
     )
 
 
@@ -159,6 +188,70 @@ class TestNoncentralityFloor:
             _noncentrality_floor([2.0], 1.0)
 
 
+class TestNoncentralityBound:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        substudies=st.lists(
+            st.tuples(
+                st.floats(0.05, 2.0),  # delta
+                st.floats(-3.0, 3.0).filter(lambda s: abs(s) > 0.05),  # synergy
+                st.floats(0.0, 1.0),  # share of the combination-control budget
+                st.sampled_from((-1.0, 1.0)),  # sign of rho combination-control
+                st.floats(-0.95, 0.95),  # rho combination-monotherapy
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        edge=st.floats(0.0, 1.0 - 1e-9),
+        offset=st.integers(0, 31),
+        width=st.sampled_from((1, 16, 32, 57)),
+    )
+    # K = 1 at the edge: rho combination-control +-0.99999
+    @example(substudies=[(0.3, 1.2, 1.0, 1.0, 0.0)], edge=0.99998, offset=0, width=16)
+    @example(substudies=[(0.3, 1.2, 1.0, -1.0, 0.0)], edge=0.99998, offset=5, width=16)
+    # six substudies, most arms empty at the first totals
+    @example(substudies=[(0.3, 1.2, 1.0, 1.0, 0.5)] * 6, edge=0.9, offset=0, width=16)
+    def test_property_bounds_every_total_of_a_range(self, substudies, edge, offset, width):
+        # rho combination-control of both signs up to the edge of positive
+        # semidefiniteness, sum_k rho_cc_k^2 / (1 - rho_cm_k^2) <= edge < 1
+        delta, synergy, share, sign, rho_cm = zip(*substudies)
+        total_share = sum(share) or 1.0
+        rho_cc = tuple(
+            g * math.sqrt(edge * f / total_share * (1.0 - r * r))
+            for f, g, r in zip(share, sign, rho_cm)
+        )
+        scenario = DesignScenario(delta, synergy, 1.0, rho_cc, rho_cm)
+        alloc = optimize_allocation(scenario)
+        ratios, mu, rho, sigma2 = _design_rows([(scenario, alloc)])
+        # ranges of ``width`` totals from 2K+1 + offset up to 5,000: the first
+        # ones lie where arms of the smallest shares are empty and get a
+        # subject from the largest arm
+        first = np.arange(2 * scenario.K + 1 + offset, 5_000, width)[None]
+        bound = _noncentrality_bound(ratios, mu, rho, sigma2, first, first + width - 1)[0]
+        totals = np.arange(first[0, 0], first[0, -1] + width)
+        w = np.min(_noncentralities(alloc.arm_counts_table(totals), mu[0], rho[0], 1.0), axis=1)
+        exact = w.reshape(-1, width).max(axis=1)
+        assert ((bound >= exact) | (bound == np.inf)).all()
+        # a variance bound is positive unless a combination arm correlates
+        # positively with control
+        if max(rho_cc) <= 0.0:
+            assert np.isfinite(bound).all()
+
+    def test_an_empty_arm_takes_a_subject_from_the_largest(self):
+        # at N = 7 the combination arm (share 0.044) is empty and takes its
+        # subject from control, which falls below floor(0.762 * 7) = 5: the
+        # bound must allow for that loss, and does so by one subject per
+        # arm that can be empty
+        scenario = DesignScenario.single(0.8405, 0.6044, rho_ab_a=0.9658, rho_ab_b=0.2576)
+        alloc = Allocation((0.7617990974513373, 0.1943907473619217, 0.04381015518674093))
+        assert alloc.arm_counts(7) == (4, 2, 1)
+        ratios, mu, rho, sigma2 = _design_rows([(scenario, alloc)])
+        first = np.arange(3, 40)[None]
+        bound = _noncentrality_bound(ratios, mu, rho, sigma2, first, first)[0]
+        w = np.min(_noncentralities(alloc.arm_counts_table(first[0]), mu, rho, 1.0), axis=1)
+        assert (bound >= w).all()
+
+
 class TestFindSampleSize:
     def test_reproduces_moderate_synergy_row(self):
         scenario = DesignScenario.single(0.663, 1.161, rho_ab_a=0.626, rho_ab_b=0.660)
@@ -181,18 +274,7 @@ class TestFindSampleSize:
     @pytest.mark.filterwarnings("error")
     @settings(max_examples=60, deadline=None)
     @given(
-        substudies=st.lists(
-            st.tuples(
-                st.floats(0.3, 1.2),  # delta
-                st.floats(0.5, 2.0),  # |synergy|
-                st.sampled_from((-1.0, 1.0)),  # sign of synergy
-                st.floats(0.0, 1.0),  # share of the combination-control budget
-                st.sampled_from((-1.0, 1.0)),  # sign of rho combination-control
-                st.floats(-0.9, 0.9),  # rho combination-monotherapy
-            ),
-            min_size=1,
-            max_size=3,
-        ),
+        substudies=st.lists(_SUBSTUDY, min_size=1, max_size=3),
         c=st.floats(0.1, 6.0),
         target=st.floats(0.01, 0.999),
     )
@@ -232,21 +314,53 @@ class TestFindSampleSize:
         assert result.n_star == expected
 
     def test_scan_without_a_floor_finds_the_same_sample_sizes(self):
-        # at floor 0 every total is a candidate: the walk starts at 2K+1, its
-        # powers fail through the whole first block of totals, and only the
-        # second block reaches N*
+        # at floor 0 no sub-block is ruled out and every total is a
+        # candidate: the walk starts at 2K+1 and its powers fail at every
+        # total, round after round, up to N* = 1,679
         scenario = _scenario([_PLAIN_SUBSTUDY])
         alloc = optimize_allocation(scenario)
-        c = [2.0, 2.5]
-        n_star, powers, w = _scan_totals(scenario, alloc, c, [0.0, 0.0], 0.999, 10**6)
-        floored, floored_powers, w_floored = _scan_totals(
-            scenario, alloc, c, _noncentrality_floor(c, 0.999), 0.999, 10**6
+        rows = _design_rows([(scenario, alloc)])
+        c = np.array([[2.0, 2.5]])
+        n_star, powers = _scan_totals(*rows, c, np.zeros(c.shape), 0.999, 10**6)
+        floored, floored_powers = _scan_totals(
+            *rows, c, _noncentrality_floor(c, 0.999), 0.999, 10**6
         )
-        results = [find_sample_size(scenario, alloc, _threshold_at(ci), 0.999) for ci in c]
-        assert n_star == floored == [result.n_star for result in results]
-        assert powers == floored_powers == [result.achieved_power for result in results]
-        assert n_star[0] == 1679
-        assert (w == w_floored).all()
+        results = [find_sample_size(scenario, alloc, _threshold_at(ci), 0.999) for ci in c[0]]
+        reference = exhaustive_n_star(scenario, alloc, c[0], 0.999, 3_000)
+        assert n_star.tolist() == floored.tolist() == [[result.n_star for result in results]]
+        assert powers.tolist() == floored_powers.tolist() == [
+            [result.achieved_power for result in results]
+        ]
+        assert list(zip(n_star[0].tolist(), powers[0].tolist())) == reference
+        assert n_star[0, 0] == 1679
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        # two to four designs of one K from 2 to 4
+        designs=st.integers(2, 4).flatmap(
+            lambda K: st.lists(st.lists(_SUBSTUDY, min_size=K, max_size=K), min_size=2, max_size=4)
+        ),
+        c=st.lists(st.floats(0.5, 4.0), min_size=1, max_size=3),
+        target=st.floats(0.05, 0.99),
+    )
+    # the last two critical values' targets are met at W = 0: their floor is 0
+    @example(
+        designs=[[_PLAIN_SUBSTUDY] * 2, [(0.5, 1.3, 1.0, 0.8, -1.0, 0.2)] * 2],
+        c=[2.0, 0.5, 0.3], target=0.4,
+    )
+    def test_batched_scan_matches_every_total_in_turn(self, designs, c, target):
+        # several K > 1 designs and critical values in one scan: each N* and
+        # its power equal the first total reaching the target when every
+        # total from 2K+1 is evaluated in turn
+        designs = [(scenario, optimize_allocation(scenario)) for scenario in map(_scenario, designs)]
+        critical_values = np.tile(c, (len(designs), 1))
+        n_star, powers = _scan_totals(
+            *_design_rows(designs), critical_values,
+            _noncentrality_floor(critical_values, target), target, 10**6,
+        )
+        for i, (scenario, alloc) in enumerate(designs):
+            reference = exhaustive_n_star(scenario, alloc, c, target, int(n_star[i].max()))
+            assert list(zip(n_star[i].tolist(), powers[i].tolist())) == reference
 
     def test_trace_and_counts_consistent(self):
         scenario = DesignScenario.single(0.4, 1.2, rho_ab_a=0.3)

@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     FIXTURE_INDEPENDENT_CSV,
     bvn_rectangle,
+    exhaustive_n_star,
     holm_reject,
     mc_error_rates,
     mvn_draws,
@@ -17,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
-from platformdesign import cli, correlation
+from platformdesign import cli, correlation, power
 from platformdesign.allocation import DesignScenario, optimize_allocation
 from platformdesign.correlation import PlatformArms, classical_dunnett_correlation
 from platformdesign.errors import DomainError
@@ -333,6 +334,8 @@ def small_surface():
 
 
 class TestDesignSurface:
+    METRICS = ("fwer", "fmer", "msfp")
+
     def test_row_count(self, small_surface):
         grid, table = small_surface
         assert len(table.rows) == 3 * 2 * 3
@@ -369,20 +372,50 @@ class TestDesignSurface:
 
     def test_default_surface_evaluates_one_power_per_critical_value(self, monkeypatch):
         # the first total at or above each critical value's floor reaches the
-        # target; the scan's calls take one noncentrality, the floor's take
-        # them all at once
-        scan_calls = []
+        # target: the scan evaluates the power at one noncentrality per
+        # critical value (the floor's own powers are not counted)
+        evaluated, scanning = [], []
 
         def counting(W, c):
-            if np.ndim(W) == 0:
-                scan_calls.append(c)
+            if scanning:
+                evaluated.extend(np.broadcast_to(c, np.shape(W)).ravel().tolist())
             return marginal_power_oracle(W, c)
 
-        monkeypatch.setattr("platformdesign.power.marginal_power_oracle", counting)
-        table = run_design_surface(design_surface_grid())
-        assert len(table.rows) == len(scan_calls) == 84
-        assert scan_calls == table.column("c_star")
+        def scan(*args, **kwargs):
+            scanning.append(True)
+            try:
+                return power._scan_totals(*args, **kwargs)
+            finally:
+                scanning.clear()
 
+        monkeypatch.setattr("platformdesign.power.marginal_power_oracle", counting)
+        monkeypatch.setattr("platformdesign.studies._scan_totals", scan)
+        table = run_design_surface(design_surface_grid())
+        assert len(table.rows) == len(evaluated) == 84
+        assert sorted(evaluated) == sorted(table.column("c_star"))
+
+    @pytest.mark.parametrize("grid", [
+        design_surface_grid(),
+        # rho <= 0 and rho = 0, and N* past the first 1,024 totals (up to 3,541)
+        design_surface_grid(start=0.4, stop=1.6, step=0.3, rho_levels=(-0.3, 0.0, 0.6)),
+    ], ids=["default", "wide"])
+    def test_surface_matches_every_total_in_turn(self, grid):
+        # the batched scan skips totals; its N* and powers equal the first
+        # total reaching the target when every total from 3 is evaluated
+        table = run_design_surface(grid)
+        rows = table.as_dicts()
+        for at in range(0, len(rows), len(self.METRICS)):
+            point = rows[at:at + len(self.METRICS)]
+            scenario = DesignScenario.single(
+                0.3, point[0]["synergy"], 1.0, rho_ab_a=point[0]["rho"], rho_ab_b=point[0]["rho"]
+            )
+            reference = exhaustive_n_star(
+                scenario, optimize_allocation(scenario), [row["c_star"] for row in point], 0.8,
+                max(row["value"] for row in point),
+            )
+            assert [(row["value"], row["achieved_power"]) for row in point] == reference
+        if grid.rho_levels[0] < 0:
+            assert max(table.column("value")) == 3_541
 
 
 class TestResultTable:
