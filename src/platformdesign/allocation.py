@@ -59,16 +59,30 @@ def _arm_correlation_matrix(rho_combo_control, rho_combo_mono, rho_control_mono=
 def _check_arm_correlations(matrix) -> None:
     """Refuse arm correlations that no trial can have, for every entry point:
     a symmetric arm correlation matrix, or a stack of them, needs entries in
-    [-1, 1] and a smallest eigenvalue of at least -1e-12 (rounding)."""
+    [-1, 1] and a smallest eigenvalue of at least -1e-12 (rounding).  The
+    first matrix of a stack that fails is the one reported."""
     if not np.abs(matrix).max() <= 1.0:  # a NaN fails this too
         outside = matrix[~(np.abs(matrix) <= 1.0)][0]
         raise DomainError(f"correlation must lie in [-1, 1], got {outside}")
-    lowest = np.linalg.eigvalsh(matrix).min()
-    if lowest < -1e-12:
+    lowest = np.linalg.eigvalsh(matrix).min(axis=-1)
+    if (lowest < -1e-12).any():
         raise DomainError(
             "arm correlations cannot form a trial: they do not fit together "
-            f"(their matrix has smallest eigenvalue {lowest:.4g} < 0)"
+            f"(their matrix has smallest eigenvalue {lowest[lowest < -1e-12].flat[0]:.4g} < 0)"
         )
+
+
+def _check_scenarios(delta, synergy, sigma2: float, rho_combo_control, rho_combo_mono) -> None:
+    """The checks of :class:`DesignScenario` on one scenario's per-substudy
+    values, or on many at once as arrays of shape (..., K), with one stacked
+    arm-correlation check."""
+    if not np.all(np.greater(delta, 0.0) & np.less(delta, math.inf)):
+        raise DomainError(f"every delta must be positive and finite, got {delta}")
+    if not 0 < sigma2 < math.inf:
+        raise DomainError(f"sigma2 must be positive and finite, got {sigma2}")
+    if not np.isfinite(synergy).all():
+        raise DomainError("synergy values must be finite")
+    _check_arm_correlations(_arm_correlation_matrix(rho_combo_control, rho_combo_mono))
 
 
 @dataclass(frozen=True)
@@ -81,8 +95,8 @@ class DesignScenario:
     Z correlation, so the threshold, and neither power nor the allocation
     optimum; the combination-control correlation (``rho_combo_control``)
     enters the noncentrality denominator directly.
-    Correlations that no trial can have raise :class:`DomainError` here
-    (:func:`_check_arm_correlations`).
+    Inputs that no trial can have raise :class:`DomainError` here
+    (:func:`_check_scenarios`).
     """
 
     delta: tuple[float, ...]
@@ -97,13 +111,7 @@ class DesignScenario:
         synergy = _as_tuple(self.synergy, k, "synergy")
         rho_cc = _as_tuple(self.rho_combo_control or 0.0, k, "rho_combo_control")
         rho_cm = _as_tuple(self.rho_combo_mono or 0.0, k, "rho_combo_mono")
-        if not all(0 < d < math.inf for d in delta):
-            raise DomainError(f"every delta must be positive and finite, got {delta}")
-        if not 0 < self.sigma2 < math.inf:
-            raise DomainError(f"sigma2 must be positive and finite, got {self.sigma2}")
-        if any(not math.isfinite(s) for s in synergy):
-            raise DomainError("synergy values must be finite")
-        _check_arm_correlations(_arm_correlation_matrix(rho_cc, rho_cm))
+        _check_scenarios(delta, synergy, self.sigma2, rho_cc, rho_cm)
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "synergy", synergy)
         object.__setattr__(self, "rho_combo_control", rho_cc)
@@ -199,16 +207,19 @@ def _contrast_variance(n_arm, n_control, rho):
     return 1.0 / n_arm + 1.0 / n_control - 2.0 * rho / np.sqrt(n_arm * n_control)
 
 
-def _contrasts(scenario: DesignScenario, n_arms: int) -> tuple[np.ndarray, np.ndarray]:
+def _contrasts(delta, synergy, rho_combo_control, n_arms: int) -> tuple[np.ndarray, np.ndarray]:
     """The mean differences and the arm-control outcome correlations of the
     2K comparisons with control, in arm order (mono_1, combo_1, mono_2, ...),
-    for an allocation of ``n_arms`` arms, which must be the scenario's 2K+1."""
-    if n_arms != 2 * scenario.K + 1:
-        raise DomainError(f"allocation has K={(n_arms - 1) // 2} but scenario has K={scenario.K}")
-    delta = np.asarray(scenario.delta)
-    mu = np.column_stack((delta, np.asarray(scenario.synergy) * delta)).ravel()
-    rho = np.column_stack((np.zeros(scenario.K), scenario.rho_combo_control)).ravel()
-    return mu, rho
+    shape (..., 2K), from each substudy's delta, synergy and
+    combination-control correlation, shape (..., K) or broadcast to it, for
+    an allocation of ``n_arms`` arms, which must be 2K+1."""
+    synergy = np.asarray(synergy, dtype=float)
+    K = synergy.shape[-1]
+    if n_arms != 2 * K + 1:
+        raise DomainError(f"allocation has K={(n_arms - 1) // 2} but scenario has K={K}")
+    mu = np.stack(np.broadcast_arrays(delta, synergy * delta), axis=-1)
+    rho = np.stack(np.broadcast_arrays(0.0, rho_combo_control), axis=-1)
+    return mu.reshape(*mu.shape[:-2], 2 * K), rho.reshape(*rho.shape[:-2], 2 * K)
 
 
 def _noncentralities(shares, mu, rho, sigma2) -> np.ndarray:
@@ -234,7 +245,9 @@ def wald_noncentrality(
     """
     if n_total < 1:
         raise DomainError("n_total must be at least 1")
-    mu, rho = _contrasts(scenario, len(alloc.ratios))
+    mu, rho = _contrasts(
+        scenario.delta, scenario.synergy, scenario.rho_combo_control, len(alloc.ratios)
+    )
     w = _noncentralities(alloc.ratios, mu, rho, scenario.sigma2)
     return n_total * w.reshape(scenario.K, 2)[:, ::-1]
 
@@ -260,7 +273,13 @@ def closed_form_allocation(s: float) -> Allocation:
 
 
 def optimize_allocation(scenario: DesignScenario) -> Allocation:
-    """Exact max-min allocation: every one of the 2K noncentralities is equal.
+    """Exact max-min allocation: every one of the 2K noncentralities is equal."""
+    return Allocation(_max_min_shares(scenario.delta, scenario.synergy, scenario.rho_combo_control))
+
+
+def _max_min_shares(delta, synergy, rho_combo_control) -> tuple[float, ...]:
+    """The shares of :func:`optimize_allocation` from each substudy's delta,
+    synergy and combination-control correlation.
 
     N and sigma2 cancel, so work at noncentrality level 1 without the
     sum-to-one constraint.  Given the control share p_A = 1/q^2, each
@@ -271,28 +290,30 @@ def optimize_allocation(scenario: DesignScenario) -> Allocation:
     are homogeneous of degree one in the shares, so dividing these shares by
     their total F(q) gives a point of the simplex whose noncentralities all
     equal 1/F(q); the max-min allocation is the one at the q minimizing F.
+    F adds the shares as it goes, in their order (p_A, then p_B and p_AB per
+    substudy), so it is bit for bit the sum of the list of shares.
     """
-    if any(s == 0.0 for s in scenario.synergy):
+    if any(s == 0.0 for s in synergy):
         raise DomainError(
             "synergy must be nonzero: at s = 0 no allocation gives the "
             "combination contrast any power"
         )
     terms = []
     q2_max = math.inf
-    for delta, s, rho in zip(scenario.delta, scenario.synergy, scenario.rho_combo_control):
-        d2, b, c = delta**2, (s * delta) ** 2, 1.0 - rho**2
+    for d, s, rho in zip(delta, synergy, rho_combo_control):
+        d2, b, c = d**2, (s * d) ** 2, 1.0 - rho**2
         terms.append((d2, b, c, rho))
         # feasible q: q^2 < delta^2 keeps p_B finite; u is real and positive
         # while q^2 <= b/c for rho >= 0 and while q^2 < b for rho < 0
         u_limit = b if rho < 0 else (b / c if c > 0 else math.inf)
         q2_max = min(q2_max, d2, u_limit)
 
-    def shares(q: float) -> list[float]:
-        out = [1.0 / (q * q)]
+    def total(q: float) -> float:
+        f = 1.0 / (q * q)
         for d2, b, c, rho in terms:
             u = rho * q + math.sqrt(b - c * q * q)
-            out += [1.0 / (d2 - q * q), 1.0 / (u * u)]
-        return out
+            f = f + 1.0 / (d2 - q * q) + 1.0 / (u * u)
+        return f
 
     # Golden-section search over the open feasible interval (0, q_max), where
     # every probe is finite.  F is convex in q: 1/q^2 and 1/(delta^2 - q^2)
@@ -300,16 +321,20 @@ def optimize_allocation(scenario: DesignScenario) -> Allocation:
     # is concave in q (a line plus the upper half of an ellipse) and positive.
     lo, hi = 0.0, math.sqrt(q2_max)
     x1, x2 = hi - _INV_GOLDEN * hi, _INV_GOLDEN * hi
-    f1, f2 = sum(shares(x1)), sum(shares(x2))
+    f1, f2 = total(x1), total(x2)
     for _ in range(_GOLDEN_STEPS):
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _INV_GOLDEN * (hi - lo)
-            f1 = sum(shares(x1))
+            f1 = total(x1)
         else:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _INV_GOLDEN * (hi - lo)
-            f2 = sum(shares(x2))
-    best = shares(0.5 * (lo + hi))
-    total = sum(best)
-    return Allocation(tuple(p / total for p in best))
+            f2 = total(x2)
+    q = 0.5 * (lo + hi)
+    best = [1.0 / (q * q)]
+    for d2, b, c, rho in terms:
+        u = rho * q + math.sqrt(b - c * q * q)
+        best += [1.0 / (d2 - q * q), 1.0 / (u * u)]
+    norm = sum(best)
+    return tuple(p / norm for p in best)

@@ -53,7 +53,6 @@ _MAX_JITTER = 1e-8
 
 
 _SQRT2 = math.sqrt(2.0)
-_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 def std_normal_cdf(x):
@@ -63,7 +62,8 @@ def std_normal_cdf(x):
     if isinstance(x, np.ndarray):
         if np.isnan(x).any():
             raise DomainError("std_normal_cdf requires a finite argument")
-        return 0.5 * np.asarray(_erfc(-x / _SQRT2), dtype=float)
+        args = (-x / _SQRT2).ravel().tolist()
+        return 0.5 * np.fromiter(map(math.erfc, args), float, x.size).reshape(x.shape)
     if math.isnan(x):
         raise DomainError("std_normal_cdf requires a finite argument")
     return 0.5 * math.erfc(-x / _SQRT2)
@@ -224,13 +224,15 @@ _GL_BANDS = np.array([0.3, 0.75, 0.925])
 
 def _bvn_quadrature(h, k, r, weights, nodes):
     """P(X > h, Y > k) for 0 < |r| < 0.925: the tails' product plus the
-    Drezner-Wesolowsky integral over asin(r), one (elements x nodes) product."""
+    Drezner-Wesolowsky integral over asin(r), one (elements x nodes) product.
+    When ``k`` is ``h`` its one tail is computed once."""
     hk = (h * k)[:, None]
     hs = ((h * h + k * k) / 2.0)[:, None]
     asr = np.arcsin(r) / 2.0
     sn = np.sin(asr[:, None] * nodes)
     integral = (np.exp((sn * hk - hs) / (1.0 - sn * sn)) * weights).sum(axis=1)
-    return integral * asr / (2.0 * math.pi) + std_normal_cdf(-h) * std_normal_cdf(-k)
+    tail = std_normal_cdf(-h)
+    return integral * asr / (2.0 * math.pi) + tail * (tail if k is h else std_normal_cdf(-k))
 
 
 def _bvn_near_singular(h, k, r, weights, nodes):
@@ -238,9 +240,11 @@ def _bvn_near_singular(h, k, r, weights, nodes):
     law at r = +-1, with its Gauss-Legendre correction term.
 
     Lanes whose terms are negligible (exponent below -100) are masked to 0,
-    and the exponentials see a harmless argument there.
+    and the exponentials see a harmless argument there.  When ``k`` is ``h``,
+    max(h, k) is h where r >= 0, so Phi(-h) serves both laws.
     """
     tp = 2.0 * math.pi
+    same = k is h
     negative = r < 0.0
     k = np.where(negative, -k, k)
     hk = h * k
@@ -277,8 +281,9 @@ def _bvn_near_singular(h, k, r, weights, nodes):
         terms = np.where(keep, np.exp(asr_v) * (ep - sp_v), 0.0)
         part += a * (terms * weights).sum(axis=1)
         bvn[inner] = -part / tp
-    positive = bvn + std_normal_cdf(-np.maximum(h, k))
-    negative_law = -bvn + np.maximum(0.0, std_normal_cdf(-h) - std_normal_cdf(-k))
+    tail = std_normal_cdf(-h)
+    positive = bvn + (tail if same else std_normal_cdf(-np.maximum(h, k)))
+    negative_law = -bvn + np.maximum(0.0, tail - std_normal_cdf(-k))
     return np.where(negative, negative_law, positive)
 
 
@@ -298,8 +303,10 @@ def _bvn_upper(h, k, r) -> np.ndarray:
     at r = 0 the integral vanishes and the tails' product is left) and the
     expansion about |r| = 1 above.
     Only the branches some element needs are computed; bounds beyond +-40,
-    infinite ones included, give 0 or a univariate tail.
+    infinite ones included, give 0 or a univariate tail.  With ``k`` the
+    same object as ``h``, each branch takes Phi(-h) once for both bounds.
     """
+    same = k is h
     h, k, r = np.asarray(h, dtype=float), np.asarray(k, dtype=float), np.asarray(r, dtype=float)
     if not h.shape == k.shape == r.shape:
         h, k, r = np.broadcast_arrays(h, k, r)
@@ -318,10 +325,12 @@ def _bvn_upper(h, k, r) -> np.ndarray:
     counts = np.bincount(branch, minlength=_INFINITE)
     for label in np.flatnonzero(counts[:_INFINITE]).tolist():
         pick = slice(None) if counts[label] == h.size else np.flatnonzero(branch == label)
+        h_pick = h[pick]
+        bounds = (h_pick, h_pick if same else k[pick], r[pick])
         if label == _NEAR_SINGULAR:
-            out[pick] = _bvn_near_singular(h[pick], k[pick], r[pick], *_GL_RULES[-1])
+            out[pick] = _bvn_near_singular(*bounds, *_GL_RULES[-1])
         else:
-            out[pick] = _bvn_quadrature(h[pick], k[pick], r[pick], *_GL_RULES[label])
+            out[pick] = _bvn_quadrature(*bounds, *_GL_RULES[label])
     return np.minimum(1.0, np.maximum(0.0, out)).reshape(shape)
 
 

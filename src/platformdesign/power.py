@@ -172,16 +172,18 @@ def _scan_totals(
     design's totals are scanned upward from 2K+1 in rounds, every round for
     all designs at once.  A round bounds the noncentralities of the next
     2,048 totals in sub-blocks of 16 (:func:`_noncentrality_bound`).  A
-    sub-block whose bound is below the smallest floor still open for its
-    design holds no N* of that design, so it is skipped.  The first two
-    sub-blocks that are not skipped get their exact integer counts and
-    smallest noncentralities, and the design's next round starts after them
-    (after the 2,048 totals if fewer are left).  Then each (design, critical
-    value) still open walks those totals at or above its floor in order, one
-    power per step, all of them in one call per step; the first whose power
-    reaches the target is N*.  A power depends on nothing but the smallest
-    noncentrality, so N* is the smallest total whose power reaches the
-    target, as if every total were evaluated.
+    sub-block whose bound is below the floor of an open (design, critical
+    value) pair holds no N* of it.  Each open pair takes its own first two
+    sub-blocks that its floor does not rule out; the sub-blocks any pair of
+    a design took get their exact integer counts and smallest
+    noncentralities.  Then each open pair walks its totals at or above its
+    floor in order, up to its frontier (its third such sub-block, or the
+    end of the 2,048 totals), one power per step, all pairs in one call
+    per step; the first whose power reaches the target is N*.
+    A design's next round starts at the earliest frontier still open.  A
+    power depends on nothing but the smallest noncentrality, so N* is the
+    smallest total whose power reaches the target, as if every total were
+    evaluated.
     """
     ratios, mu, rho, sigma2, c, floor = (
         np.asarray(a, dtype=float) for a in (ratios, mu, rho, sigma2, critical_values, floor)
@@ -205,18 +207,23 @@ def _scan_totals(
         bound = _noncentrality_bound(
             ratios[rows], mu[rows], rho[rows], sigma2[rows], first, first + _SUB_BLOCK - 1
         )
-        lowest = np.where(still_open[rows], floor[rows], np.inf).min(axis=1)
-        kept = (bound >= lowest[:, None]) & (first <= n_cap)
-        rank = np.cumsum(kept, axis=1)
+        # by (design, critical value, sub-block): each open pair takes its
+        # own first _TAKE sub-blocks whose bound reaches its floor
+        open_pairs = still_open[rows, :, None]
+        kept = (bound[:, None] >= floor[rows, :, None]) & (first <= n_cap)[:, None] & open_pairs
+        rank = np.cumsum(kept, axis=2)
         taken = kept & (rank <= _TAKE)
-        # the next round starts after the last taken sub-block, or after the
-        # window when fewer were taken
-        last = first.max(axis=1, where=taken, initial=0)
-        start[rows] = np.where(rank[:, -1] >= _TAKE, last, first[:, -1]) + _SUB_BLOCK
-        # the taken sub-blocks' totals, _TAKE sub-blocks a design (0 where fewer)
-        totals = np.zeros((rows.size, _TAKE, _SUB_BLOCK), dtype=np.int64)
+        # a pair has covered every total before its frontier: its next kept
+        # sub-block, or the end of the window
+        after = first[:, -1:, None] + _SUB_BLOCK
+        frontier = np.where(kept & (rank == _TAKE + 1), first[:, None], after).min(axis=2)
+        # the totals of the sub-blocks any pair of a design took, in order
+        # (0 where a design took fewer)
+        taken = taken.any(axis=1)
+        order = np.cumsum(taken, axis=1)
+        totals = np.zeros((rows.size, order[:, -1].max(), _SUB_BLOCK), dtype=np.int64)
         row, block = np.nonzero(taken)
-        totals[row, rank[row, block] - 1] = first[row, block, None] + within
+        totals[row, order[row, block] - 1] = first[row, block, None] + within
         totals = totals.reshape(rows.size, -1)
         scanned = (totals > 0) & (totals <= n_cap)
         w = np.full(totals.shape, -np.inf)
@@ -226,8 +233,10 @@ def _scan_totals(
                 _largest_remainder(ratios[design], totals[scanned]),
                 mu[design], rho[design], sigma2[design, None],
             )
-        # the walk: each step takes every open pair's next candidate
-        candidate = (w[:, None, :] >= floor[rows, :, None]) & still_open[rows, :, None]
+        # the walk: each step takes every open pair's next candidate before
+        # its frontier
+        candidate = (w[:, None] >= floor[rows, :, None]) & open_pairs
+        candidate &= totals[:, None] < frontier[..., None]
         while True:
             r, m = np.nonzero(candidate.any(axis=2))
             if not r.size:
@@ -241,6 +250,8 @@ def _scan_totals(
                 break
             candidate[r, m, j] = False
             candidate[r[hit], m[hit]] = False
+        # the next round starts at the earliest frontier of a pair still open
+        start[rows] = np.min(frontier, axis=1, where=n_star[rows] == 0, initial=n_cap + 1)
 
 
 def find_sample_size(
@@ -268,7 +279,9 @@ def find_sample_size(
     """
     c = threshold.critical_value
     floor = _noncentrality_floor([[c]], target_power)
-    mu, rho = _contrasts(scenario, len(alloc.ratios))
+    mu, rho = _contrasts(
+        scenario.delta, scenario.synergy, scenario.rho_combo_control, len(alloc.ratios)
+    )
     ratios = np.array([alloc.ratios])
     n_star, _ = _scan_totals(
         ratios, mu[None], rho[None], [scenario.sigma2], [[c]], floor, target_power, n_cap

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .allocation import (
-    Allocation, DesignScenario, _arm_correlation_matrix, _check_arm_correlations, _contrasts,
-    optimize_allocation,
+    Allocation, _arm_correlation_matrix, _check_arm_correlations, _check_scenarios, _contrasts,
+    _max_min_shares,
 )
 from .correlation import _NOMINAL_TOTAL, PlatformArms, _pair_correlation
 from .errors import DomainError
@@ -382,8 +382,9 @@ def run_threshold_curves(grid: GridSpec) -> ResultTable:
 def run_design_surface(grid: GridSpec) -> ResultTable:
     """Optimal allocation and minimal N per (synergy, rho, metric) (study 4).
 
-    N* and its achieved power are exact.  Each finished point is logged at
-    INFO level.
+    Each point is the K = 1 scenario (delta, s, sigma2, rho, rho), checked
+    and solved as arrays with no scenario objects.  N* and its achieved
+    power are exact.  Each finished point is logged at INFO level.
     """
     if grid.swept != "synergy":
         raise DomainError(f"the design surface sweeps synergy, not {grid.swept}")
@@ -391,12 +392,10 @@ def run_design_surface(grid: GridSpec) -> ResultTable:
     sigma2 = float(grid.fixed.get("sigma2", 1.0))
     target = float(grid.fixed.get("target_power", 0.8))
     points = [(float(s), float(rho)) for s in grid.sweep_values() for rho in grid.rho_levels]
-    scenarios = [
-        DesignScenario.single(delta, s, sigma2, rho_ab_a=rho, rho_ab_b=rho) for s, rho in points
-    ]
-    ratios = np.array([optimize_allocation(scenario).ratios for scenario in scenarios])
-    mu, rho_cc = map(np.array, zip(*(_contrasts(scenario, 3) for scenario in scenarios)))
     synergy, rho = np.array(points).T
+    _check_scenarios((delta,), synergy[:, None], sigma2, rho[:, None], rho[:, None])
+    ratios = np.array([_max_min_shares((delta,), (s,), (r,)) for s, r in points])
+    mu, rho_cc = _contrasts(delta, synergy[:, None], rho[:, None], 3)
     z_rho = _z_rho(ratios.T, rho, rho)
     c_star, _ = _bivariate_critical_values(z_rho, DEFAULT_TARGETS)
     floor = _noncentrality_floor(c_star, target)

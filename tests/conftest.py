@@ -92,6 +92,42 @@ def grid_allocation_oracle(s, delta, rho, resolution=1e-3, K=1):
     return best_value, best_point
 
 
+def golden_allocation_oracle(scenario) -> tuple:
+    """The max-min shares by the package's golden-section search over
+    q = 1/sqrt(p_A), written the plain way: every probe builds the list of
+    the 2K+1 shares at q and takes its ``sum``.  The package adds the same
+    shares as a running float sum in the same order, so its allocation must
+    equal this one bit for bit."""
+    inv_golden = (math.sqrt(5.0) - 1.0) / 2.0
+    terms, q2_max = [], math.inf
+    for delta, s, rho in zip(scenario.delta, scenario.synergy, scenario.rho_combo_control):
+        d2, b, c = delta**2, (s * delta) ** 2, 1.0 - rho**2
+        terms.append((d2, b, c, rho))
+        q2_max = min(q2_max, d2, b if rho < 0 else (b / c if c > 0 else math.inf))
+
+    def shares(q):
+        out = [1.0 / (q * q)]
+        for d2, b, c, rho in terms:
+            u = rho * q + math.sqrt(b - c * q * q)
+            out += [1.0 / (d2 - q * q), 1.0 / (u * u)]
+        return out
+
+    lo, hi = 0.0, math.sqrt(q2_max)
+    x1, x2 = hi - inv_golden * hi, inv_golden * hi
+    f1, f2 = sum(shares(x1)), sum(shares(x2))
+    for _ in range(60):
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - inv_golden * (hi - lo)
+            f1 = sum(shares(x1))
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + inv_golden * (hi - lo)
+            f2 = sum(shares(x2))
+    best = shares(0.5 * (lo + hi))
+    return tuple(p / sum(best) for p in best)
+
+
 def ray_allocation_oracle(s, resolution=1e-4):
     """Brute-force argmax of the zero-correlation combination noncentrality
     W1 along the single-substudy ray p_B = s p_AB (delta and N scale W1 only,
@@ -130,7 +166,9 @@ def package_design_power(scenario, counts, c: float) -> float:
     at the smallest of its noncentralities.  Enumerated on this, N* and every
     power must match the sample-size search bit for bit, as the search only
     skips totals, it does not compute powers another way."""
-    mu, rho = _contrasts(scenario, len(counts))
+    mu, rho = _contrasts(
+        scenario.delta, scenario.synergy, scenario.rho_combo_control, len(counts)
+    )
     w = np.min(_noncentralities(np.asarray([counts]), mu, rho, scenario.sigma2), axis=1)
     return float(marginal_power_oracle(w, c)[0])
 
@@ -141,7 +179,9 @@ def exhaustive_n_star(scenario, alloc, critical_values, target: float, n_max: in
     where no total reaches ``target``.  The sample-size scan only skips
     totals, so it must match this bit for bit."""
     totals = np.arange(2 * scenario.K + 1, n_max + 1)
-    mu, rho = _contrasts(scenario, len(alloc.ratios))
+    mu, rho = _contrasts(
+        scenario.delta, scenario.synergy, scenario.rho_combo_control, len(alloc.ratios)
+    )
     w = np.min(
         _noncentralities(alloc.arm_counts_table(totals), mu, rho, scenario.sigma2), axis=1
     )

@@ -320,6 +320,34 @@ class TestOptimizer:
     @given(
         substudies=st.lists(
             st.tuples(
+                st.floats(0.05, 3.0),  # delta
+                st.floats(0.05, 10.0),  # |synergy|
+                st.sampled_from((-1.0, 1.0)),  # sign of synergy
+                st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),  # rho_cc
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_property_equals_the_list_sum_search(self, substudies):
+        # the search sums each probe's shares as it goes, in the order of the
+        # list it no longer builds: every ratio is the list-sum search's
+        from conftest import golden_allocation_oracle
+
+        delta, magnitude, sign, rho = zip(*substudies)
+        norm = math.sqrt(sum(r * r for r in rho))
+        if norm > 1.0:
+            rho = tuple(r / norm for r in rho)
+        scenario = DesignScenario(
+            delta, tuple(m * g for m, g in zip(magnitude, sign)),
+            rho_combo_control=rho, rho_combo_mono=(0.0,) * len(delta),
+        )
+        assert optimize_allocation(scenario).ratios == golden_allocation_oracle(scenario)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        substudies=st.lists(
+            st.tuples(
                 st.floats(0.05, 3.0),
                 st.floats(0.05, 10.0),
                 st.sampled_from((-1.0, 1.0)),

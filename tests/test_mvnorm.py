@@ -1,5 +1,6 @@
 """Numeric kernel: normal functions, Cholesky, rectangles."""
 
+import itertools
 import math
 
 import mpmath as mp
@@ -68,6 +69,23 @@ class TestUnivariate:
     def test_cdf_rejects_nan(self):
         with pytest.raises(DomainError):
             std_normal_cdf(float("nan"))
+
+    def test_cdf_of_any_array_layout_is_erfc_per_entry(self, rng):
+        # 0-d, 1-d, 2-d, transposed, strided and broadcast views: each entry
+        # is math.erfc's value, in the array's own shape
+        grid = rng.normal(0.0, 4.0, (6, 7))
+        for x in (
+            np.array(1.25), grid[0], grid, grid.T, grid[::2, ::3],
+            np.broadcast_to(grid[0], (4, 7)), np.arange(-5, 6),
+        ):
+            values = std_normal_cdf(x)
+            assert values.shape == x.shape and values.dtype == np.float64
+            expected = [0.5 * math.erfc(-v / math.sqrt(2.0)) for v in np.ravel(x).tolist()]
+            assert np.ravel(values).tolist() == expected
+        for x in (np.array(math.nan), grid.T.copy()):
+            x[(0,) * x.ndim] = math.nan
+            with pytest.raises(DomainError, match="finite argument"):
+                std_normal_cdf(x)
 
     def test_quantile_symmetry(self):
         assert std_normal_quantile(0.5) == 0.0
@@ -281,6 +299,37 @@ class TestBvnRectangle:
         for i in range(3):
             for j in range(2):
                 assert values[i, j] == bvn_rectangle(lower[j], upper[j], rho[i, 0])
+
+
+class TestBvnUpper:
+    # correlations in every band: 0, each quadrature rule's band and its
+    # edges, the expansion about |r| = 1 and r = +-1, of both signs
+    R_VALUES = (0.0, 0.1, -0.1, 0.3, -0.3, 0.5, -0.5, 0.75, -0.75, 0.8, -0.8, 0.925, -0.925,
+                0.95, -0.95, 0.9999, -0.9999, 1.0, -1.0)
+    # bounds of both signs, 0, near and beyond +-40, and infinite
+    H_VALUES = (-60.0, -40.0, -39.5, -6.0, -1.96, -0.3, 0.0, 0.3, 1.96, 6.0, 39.5, 40.0, 60.0,
+                -math.inf, math.inf)
+
+    def test_equal_bounds_as_one_object_take_every_branch_alike(self, rng):
+        # _bvn_upper(h, h, r) computes one tail per bound where h and an equal
+        # copy compute two; the values agree bit for bit in every branch
+        h, r = (np.array(axis) for axis in zip(*itertools.product(self.H_VALUES, self.R_VALUES)))
+        h = np.concatenate([h, rng.normal(0.0, 3.0, 300)])
+        r = np.concatenate([r, rng.uniform(-1.0, 1.0, 300)])
+        for rows in (h.size, 5):
+            shape = (rows, -1)
+            once = mvnorm._bvn_upper(h.reshape(shape), h.reshape(shape), r.reshape(shape))
+            twice = mvnorm._bvn_upper(h.reshape(shape), h.reshape(shape).copy(), r.reshape(shape))
+            assert once.tobytes() == twice.tobytes()
+        # one branch alone, as the K = 1 levels call it
+        for band in ((0.0, 0.3), (0.3, 0.75), (0.75, 0.925), (0.925, 1.0)):
+            for sign in (1.0, -1.0):
+                r_band = sign * rng.uniform(*band, 50)
+                h_band = rng.normal(1.0, 2.0, 50)
+                assert (
+                    mvnorm._bvn_upper(h_band, h_band, r_band).tobytes()
+                    == mvnorm._bvn_upper(h_band, h_band.copy(), r_band).tobytes()
+                )
 
 
 def _random_correlation(dim: int, seed: int) -> np.ndarray:

@@ -72,7 +72,10 @@ _SUBSTUDY = st.tuples(
 def _design_rows(designs):
     """The scan's per-design rows (ratios, mu, rho, sigma2) of (scenario,
     allocation) pairs."""
-    mu, rho = zip(*(_contrasts(scenario, len(alloc.ratios)) for scenario, alloc in designs))
+    mu, rho = zip(*(
+        _contrasts(scenario.delta, scenario.synergy, scenario.rho_combo_control, len(alloc.ratios))
+        for scenario, alloc in designs
+    ))
     return (
         np.array([alloc.ratios for _, alloc in designs]), np.array(mu), np.array(rho),
         np.array([scenario.sigma2 for scenario, _ in designs]),
@@ -361,6 +364,21 @@ class TestFindSampleSize:
         for i, (scenario, alloc) in enumerate(designs):
             reference = exhaustive_n_star(scenario, alloc, c, target, int(n_star[i].max()))
             assert list(zip(n_star[i].tolist(), powers[i].tolist())) == reference
+
+    def test_an_open_pair_restarts_its_design_at_its_own_frontier(self):
+        # at floor 0 the first critical value takes the first two sub-blocks
+        # and misses there; the second, whose N* lies past the first 2,048
+        # totals, takes only the first, which its bound cannot rule out.  The
+        # next round must start after the first pair's sub-blocks, not after
+        # the window, or that pair's N* is skipped
+        scenario = DesignScenario.single(0.3, 1.0, rho_ab_a=0.3)
+        alloc = optimize_allocation(scenario)
+        c = np.array([[1.96, 8.0]])
+        floor = _noncentrality_floor(c, 0.8) * [[0.0, 1.0]]
+        n_star, powers = _scan_totals(*_design_rows([(scenario, alloc)]), c, floor, 0.8, 10**6)
+        reference = exhaustive_n_star(scenario, alloc, c[0], 0.8, int(n_star.max()))
+        assert list(zip(n_star[0].tolist(), powers[0].tolist())) == reference
+        assert 3 + 2 * 16 <= n_star[0, 0] < 3 + 2_048 <= n_star[0, 1]
 
     def test_trace_and_counts_consistent(self):
         scenario = DesignScenario.single(0.4, 1.2, rho_ab_a=0.3)

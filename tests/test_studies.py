@@ -1,5 +1,6 @@
 """Simulation-study grids and tidy result tables."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,7 +25,11 @@ from platformdesign.correlation import PlatformArms, classical_dunnett_correlati
 from platformdesign.errors import DomainError
 from platformdesign.estimation import TrialEstimates, table1_pipeline
 from platformdesign.multiplicity import (
+    DEFAULT_TARGETS,
     ErrorMetric,
+    ThresholdResult,
+    _bivariate_critical_values,
+    _p_threshold,
     bivariate_error_rates,
     classical_dunnett_threshold,
     platform_threshold,
@@ -416,6 +421,72 @@ class TestDesignSurface:
             assert [(row["value"], row["achieved_power"]) for row in point] == reference
         if grid.rho_levels[0] < 0:
             assert max(table.column("value")) == 3_541
+
+    @pytest.mark.parametrize("grid", [
+        design_surface_grid(),
+        design_surface_grid(start=0.4, stop=1.6, step=0.3, rho_levels=(-0.3, 0.0, 0.6)),
+    ], ids=["default", "wide"])
+    def test_batched_rows_equal_the_per_point_path(self, grid):
+        # the surface checks, allocates and scans all its points at once, with
+        # no scenario objects; each row is what one scenario gets through the
+        # public path, bit for bit
+        expected = []
+        for s in grid.sweep_values().tolist():
+            for rho in grid.rho_levels:
+                scenario = DesignScenario.single(0.3, s, 1.0, rho_ab_a=rho, rho_ab_b=rho)
+                alloc = optimize_allocation(scenario)
+                z = _point_z_rho(alloc.ratios, rho, rho)
+                c_star, achieved = _bivariate_critical_values(z, DEFAULT_TARGETS)
+                for metric, c, level in zip(DEFAULT_TARGETS, c_star[0].tolist(), achieved[0]):
+                    threshold = ThresholdResult(
+                        c, _p_threshold(c), metric, CorrelationMatrix.bivariate(z), level
+                    )
+                    result = find_sample_size(scenario, alloc, threshold, 0.8)
+                    expected.append((
+                        s, rho, *alloc.ratios, z, metric.kind, c, _p_threshold(c),
+                        result.achieved_power, result.n_star,
+                    ))
+        assert run_design_surface(grid).rows == tuple(expected)
+
+    @pytest.mark.parametrize("fixed, sweep, message", [
+        ({"delta": 0.0}, {}, "every delta must be positive and finite"),
+        ({"sigma2": -1.0}, {}, "sigma2 must be positive and finite"),
+        ({}, {"start": -0.2, "stop": 0.2}, "synergy must be nonzero"),
+        ({}, {"rho_levels": (0.3, 0.8, 0.9)}, "cannot form a trial"),
+        ({}, {"rho_levels": (math.nan,)}, "correlation must lie in"),
+    ], ids=["delta", "sigma2", "synergy", "rho", "nan-rho"])
+    def test_refuses_what_a_scenario_refuses(self, fixed, sweep, message):
+        # the batched checks refuse the grids the per-point scenarios and
+        # allocations refuse, with the first message those would give
+        grid = design_surface_grid(**sweep)
+        grid = dataclasses.replace(grid, fixed={**grid.fixed, **fixed})
+        points = [(s, rho) for s in grid.sweep_values().tolist() for rho in grid.rho_levels]
+        with pytest.raises(DomainError) as per_point:
+            scenarios = [
+                DesignScenario.single(grid.fixed["delta"], s, grid.fixed["sigma2"], rho, rho)
+                for s, rho in points
+            ]
+            for scenario in scenarios:
+                optimize_allocation(scenario)
+        with pytest.raises(DomainError, match=message) as batched:
+            run_design_surface(grid)
+        assert str(batched.value) == str(per_point.value)
+
+    @pytest.mark.parametrize("grid, rounds", [
+        (design_surface_grid(), 1),
+        (design_surface_grid(start=0.4, stop=1.6, step=0.3, rho_levels=(-0.3, 0.0, 0.6)), 2),
+    ], ids=["default", "wide"])
+    def test_each_metric_takes_its_own_sub_blocks(self, monkeypatch, grid, rounds):
+        # every (point, metric) takes its first two sub-blocks that reach its
+        # own floor, so the metrics, whose N* lie tens of totals apart, close
+        # in the same round
+        calls = []
+        bound = power._noncentrality_bound
+        monkeypatch.setattr(
+            power, "_noncentrality_bound", lambda *args: calls.append(args) or bound(*args)
+        )
+        run_design_surface(grid)
+        assert len(calls) == rounds
 
 
 class TestResultTable:
