@@ -22,7 +22,7 @@ from .mvnorm import (
     CorrelationMatrix,
     QmcLattice,
     RectangleEstimate,
-    _bvn_upper,
+    _equal_orthant,
     std_normal_cdf,
     std_normal_quantile,
 )
@@ -181,19 +181,22 @@ def _bivariate_levels(rho, c, laws) -> tuple[list, list]:
     a level and a slope per (count, sided) in ``laws``, elementwise over the
     broadcast arrays ``rho`` and ``c``.
 
-    Every level comes from the tail t = Phi(-c) and one kernel call for the
-    upper orthants U(r) = P(Z1 > c, Z2 > c) at r = rho, and at r = -rho if a
-    law is two-sided (Genz 2004):
+    Every level comes from the tail t = Phi(-c) and one call of the
+    equal-bound kernel :func:`_equal_orthant` (Owen's T integral; Owen
+    1956) for the upper orthants U(r) = P(Z1 > c, Z2 > c) at r = rho, and at
+    r = -rho if a law is two-sided.  The kernel takes t and the conditional
+    tail Phi(-c a), a = sqrt((1 - r) / (1 + r)), that the slope needs
+    anyway, and is accurate to 5e-14 relative wherever U >= 1e-20:
 
     * both exceed: U(rho) one-sided (msfp); two-sided (fmer) the same-sign
       and opposite-sign orthants 2 U(rho) + 2 U(-rho), for c > 0;
     * at least one exceeds: 2 t - both one-sided, 4 t - both two-sided
       (fwer), which keeps its relative precision far in the tail, where
       1 - P(box) loses it;
-    * slopes: dt/dc = -phi(c) and dU(r)/dc = -2 phi(c) Phi(-c sqrt((1 - r)
-      / (1 + r))).
+    * slopes: dt/dc = -phi(c) and dU(r)/dc = -2 phi(c) Phi(-c a).
 
-    A two-sided level is 1, with slope 0, at c <= 0.
+    The kernel takes c >= 0; below 0, U(c) = 1 - 2 Phi(c) + U(-c).  A
+    two-sided level is 1, with slope 0, at c <= 0.
     """
     rho, c = np.broadcast_arrays(np.asarray(rho, dtype=float), np.asarray(c, dtype=float))
     if np.isnan(c).any():
@@ -201,24 +204,32 @@ def _bivariate_levels(rho, c, laws) -> tuple[list, list]:
     outside = ~(np.abs(rho) <= 1.0)
     if outside.any():
         raise DomainError(f"correlation must lie in [-1, 1], got {rho[outside].flat[0]}")
-    if any(sided == "two" for _, sided in laws):
-        h, r = np.stack((c, c)), np.stack((rho, -rho))
-    else:
-        h, r = c[None], rho[None]
-    orthant = _bvn_upper(h, h, r)
+    two_sided = any(sided == "two" for _, sided in laws)
+    r = np.multiply.outer((1.0, -1.0), rho) if two_sided else rho[None]
+    size = np.abs(c)
+    tail = std_normal_cdf(-size)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # infinite at r = -1, but 0 at c = 0, and 0 at r = 1 whatever c
-        shift = np.where((c == 0.0) | (r == 1.0), 0.0, c * np.sqrt((1.0 - r) / (1.0 + r)))
+        a = np.sqrt((1.0 - r) / (1.0 + r))
+        # c a: infinite at r = -1, but 0 at c = 0, and 0 at r = 1 whatever c
+        shift = np.where((size == 0.0) | (r == 1.0), 0.0, size * a)
+    conditional = std_normal_cdf(-shift)
+    orthant = _equal_orthant(size, a, tail, conditional)
+    negative = c < 0.0
+    if negative.any():
+        orthant = orthant + np.where(negative, 1.0 - 2.0 * tail, 0.0)
+        tail = np.where(negative, 1.0 - tail, tail)
+        conditional = np.where(negative, 1.0 - conditional, conditional)
     density = np.exp(-0.5 * c * c) / _SQRT_2PI
-    orthant_slope = -2.0 * density * std_normal_cdf(-shift)
+    orthant_slope = -2.0 * density * conditional
+    positive = c > 0.0
     levels, slopes = [], []
     for count, sided in laws:
         sides = 2 if sided == "two" else 1
         level, slope = (sides * u[:sides].sum(axis=0) for u in (orthant, orthant_slope))
         if count == 1:
-            level, slope = 2 * sides * std_normal_cdf(-c) - level, -2 * sides * density - slope
+            level, slope = 2 * sides * tail - level, -2 * sides * density - slope
         if sides == 2:
-            level, slope = np.where(c > 0.0, level, 1.0), np.where(c > 0.0, slope, 0.0)
+            level, slope = np.where(positive, level, 1.0), np.where(positive, slope, 0.0)
         levels.append(level)
         slopes.append(slope)
     return levels, slopes

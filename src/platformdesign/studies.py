@@ -24,14 +24,16 @@ from .allocation import (
     Allocation, _arm_correlation_matrix, _check_arm_correlations, _check_scenarios, _contrasts,
     _max_min_shares,
 )
-from .correlation import _NOMINAL_TOTAL, PlatformArms, _pair_correlation
+from .correlation import (
+    _NOMINAL_TOTAL, PlatformArms, _pair_correlation, classical_dunnett_correlation,
+)
 from .errors import DomainError
 from .multiplicity import (
     DEFAULT_TARGETS,
+    ErrorMetric,
     _bivariate_critical_values,
     _p_threshold,
     bivariate_error_rates,
-    classical_dunnett_threshold,
 )
 from .mvnorm import _bvn_upper, std_normal_quantile
 from .power import _noncentrality_floor, _scan_totals
@@ -341,12 +343,12 @@ def run_adjustment_comparison(grid: GridSpec) -> ResultTable:
     c_holm_last = std_normal_quantile(1.0 - alpha / 2.0)
     # rows by (allocation, sweep point, method, metric)
     z_rho, leading = _sweep(grid, grid.allocations, method=_METHODS, metric=_METRICS)
-    c_dunnett = np.array([
-        classical_dunnett_threshold(
-            PlatformArms.single(*(_NOMINAL_TOTAL * p for p in alloc)), alpha
-        ).critical_value
+    # the classical comparator's critical value per allocation, in one search
+    rho_star = [
+        classical_dunnett_correlation(PlatformArms.single(*(_NOMINAL_TOTAL * p for p in alloc)))
         for alloc in grid.allocations
-    ])
+    ]
+    c_dunnett = _bivariate_critical_values(rho_star, (ErrorMetric.fwer(alpha),))[0][:, 0]
     # the rates at every cut in one call: cuts by allocation by point
     cuts = np.broadcast_arrays(c_nominal, c_bonf, c_dunnett[:, None], z_rho)[:-1]
     rates = bivariate_error_rates(z_rho, np.stack(cuts))

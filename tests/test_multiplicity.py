@@ -221,6 +221,16 @@ class TestGeneralizedDunnett:
         result = platform_threshold(CorrelationMatrix.bivariate(rho), ErrorMetric.fwer(1e-10))
         assert abs(result.achieved / 1e-10 - 1.0) <= 1e-9
 
+    def test_msfp_solve_reaches_a_tiny_level_at_negative_correlation(self):
+        # at rho -0.9 the orthant at the root is a small part of its tails'
+        # product; the level there, from mpmath and not from the kernel, is
+        # alpha to 1e-11
+        result = platform_threshold(CorrelationMatrix.bivariate(-0.9), ErrorMetric.msfp(1e-10))
+        c = result.critical_value
+        with mp.workdps(40):
+            level = _mp_orthant(c, c, -0.9)
+        assert abs(float(level / mp.mpf(1e-10)) - 1.0) <= 1e-11
+
 
 _BIVARIATE_LAWS = [(1, "two"), (2, "two"), (1, "one"), (2, "one")]
 

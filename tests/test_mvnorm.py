@@ -310,26 +310,86 @@ class TestBvnUpper:
     H_VALUES = (-60.0, -40.0, -39.5, -6.0, -1.96, -0.3, 0.0, 0.3, 1.96, 6.0, 39.5, 40.0, 60.0,
                 -math.inf, math.inf)
 
-    def test_equal_bounds_as_one_object_take_every_branch_alike(self, rng):
-        # _bvn_upper(h, h, r) computes one tail per bound where h and an equal
-        # copy compute two; the values agree bit for bit in every branch
+    def test_general_kernel_agrees_with_the_equal_bound_kernel(self, rng):
+        # the two kernels share no branch: at equal bounds h = k >= 0 they
+        # agree to the general kernel's absolute precision in every band
         h, r = (np.array(axis) for axis in zip(*itertools.product(self.H_VALUES, self.R_VALUES)))
-        h = np.concatenate([h, rng.normal(0.0, 3.0, 300)])
-        r = np.concatenate([r, rng.uniform(-1.0, 1.0, 300)])
-        for rows in (h.size, 5):
-            shape = (rows, -1)
-            once = mvnorm._bvn_upper(h.reshape(shape), h.reshape(shape), r.reshape(shape))
-            twice = mvnorm._bvn_upper(h.reshape(shape), h.reshape(shape).copy(), r.reshape(shape))
-            assert once.tobytes() == twice.tobytes()
-        # one branch alone, as the K = 1 levels call it
-        for band in ((0.0, 0.3), (0.3, 0.75), (0.75, 0.925), (0.925, 1.0)):
-            for sign in (1.0, -1.0):
-                r_band = sign * rng.uniform(*band, 50)
-                h_band = rng.normal(1.0, 2.0, 50)
-                assert (
-                    mvnorm._bvn_upper(h_band, h_band, r_band).tobytes()
-                    == mvnorm._bvn_upper(h_band, h_band.copy(), r_band).tobytes()
-                )
+        keep = h >= 0.0
+        h = np.concatenate([h[keep], np.abs(rng.normal(0.0, 3.0, 300))])
+        r = np.concatenate([r[keep], rng.uniform(-1.0, 1.0, 300)])
+        general = mvnorm._bvn_upper(h, h.copy(), r)
+        np.testing.assert_allclose(_equal_orthant(h, r), general, rtol=0.0, atol=1e-15)
+
+
+def _equal_orthant(c: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """mvnorm._equal_orthant at bounds c >= 0 and correlations r, with the
+    inputs it is given: a = sqrt((1 - r) / (1 + r)) and the tails Phi(-c)
+    and Phi(-c a), the latter Phi(0) at c = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.sqrt((1.0 - r) / (1.0 + r))
+        shift = np.where((c == 0.0) | (r == 1.0), 0.0, c * a)
+    return mvnorm._equal_orthant(c, a, std_normal_cdf(-c), std_normal_cdf(-shift))
+
+
+def _owen_orthant(c: float, r: float) -> mp.mpf:
+    """P(Z1 > c, Z2 > c) at correlation r from Owen's integral (1/pi)
+    int_a^inf exp(-c^2 (1 + u^2) / 2) / (1 + u^2) du, a = sqrt((1 - r) / (1 +
+    r)), by mpmath's tanh-sinh quadrature at 40 digits.  The integrand falls
+    by about e per w = 1 / (c^2 a + c) beyond a, so it is integrated in s =
+    (u - a) / w, split at s = 8."""
+    with mp.workdps(40):
+        c, r = mp.mpf(c), mp.mpf(r)
+        a = mp.sqrt((1 - r) / (1 + r))
+        k = c * c / 2
+        w = 1 / (c * c * a + c) if c else mp.mpf(1)
+
+        def integrand(s):
+            v = 1 + (a + w * s) ** 2
+            return mp.exp(-k * v) / v
+
+        return mp.quad(integrand, [0, 8, mp.inf]) * w / mp.pi
+
+
+class TestEqualOrthant:
+    """U(c, c, r) = P(Z1 > c, Z2 > c), c >= 0, from Owen's T integral."""
+
+    C_VALUES = (0.0, 1e-3, 0.01, 0.05, 0.15, 0.3, 0.5, 0.7, 1.0, 1.3, 1.5, 2.0, 2.5, 3.0, 4.0,
+                5.0, 6.0, 7.0, 8.0)
+    R_VALUES = (0.0, *(sign * r for r in (0.01, 0.05, 0.1, 0.2, 0.3, 0.45, 0.6, 0.7, 0.8, 0.9,
+                                          0.925, 0.95, 0.99, 0.999, 0.9999, 0.999999)
+                       for sign in (1.0, -1.0)))
+
+    def test_against_owens_integral_in_mpmath(self):
+        # relative precision wherever the orthant is not negligible, and
+        # absolute precision at every point, out to r = -0.999999, where the
+        # general kernel is 1.7e-3 off at c 3, r -0.7
+        c, r = (np.array(axis) for axis in zip(*itertools.product(self.C_VALUES, self.R_VALUES)))
+        got = _equal_orthant(c, r)
+        exact = [_owen_orthant(x, y) for x, y in zip(c.tolist(), r.tolist())]
+        for x, y, value, reference in zip(c.tolist(), r.tolist(), got.tolist(), exact):
+            assert abs(value - float(reference)) <= 2e-16, (x, y)
+            if reference >= 1e-20 and x >= 0.5:
+                assert abs(value / reference - 1) <= 1e-13, (x, y)
+
+    def test_closed_forms_at_the_ends(self):
+        # U = Phi(-c) at r = 1, 0 at r = -1 for c > 0, Phi(-c)^2 at r = 0,
+        # and 1/4 + asin(r) / (2 pi) at c = 0; far bounds give 0
+        c = np.array([0.0, 0.3, 2.0, 7.0, 39.0, 40.0, 60.0, math.inf])
+        tail = std_normal_cdf(-c)
+        np.testing.assert_allclose(_equal_orthant(c, np.ones(c.size)), tail, rtol=1e-15)
+        assert np.all(_equal_orthant(c[1:], -np.ones(c.size - 1)) == 0.0)
+        np.testing.assert_allclose(_equal_orthant(c, np.zeros(c.size)), tail**2, rtol=1e-15)
+        r = np.linspace(-1.0, 1.0, 41)
+        np.testing.assert_allclose(
+            _equal_orthant(np.zeros(r.size), r), 0.25 + np.arcsin(r) / (2.0 * math.pi),
+            rtol=0.0, atol=2e-16,
+        )
+
+    def test_unit_rule_integrates_every_polynomial_it_should(self):
+        # the 20-point rule on [0, 1] is exact through degree 39
+        for degree in range(40):
+            got = float(np.sum(mvnorm._GL20_UNIT_W * mvnorm._GL20_UNIT_X**degree))
+            assert got == pytest.approx(1.0 / (degree + 1), rel=1e-14)
 
 
 def _random_correlation(dim: int, seed: int) -> np.ndarray:
