@@ -1,19 +1,14 @@
 """Exact power and the minimal sample-size search.
 
 Under the alternative each test statistic is normal with unit variance and
-mean mu / sd, where mu is its contrast's mean difference and sd the
-contrast's standard deviation at the arm counts.  So the power of one
-comparison is an exact two-sided normal tail.  The power of a design is the
-minimum over its 2K comparisons; the tail grows with |mu / sd|, so that is the
-tail at the smallest one.  The sample-size search returns the smallest total
-N whose largest-remainder integer design reaches the target.  Power is
-increasing in the noncentrality, so the target is met exactly where the
-smallest noncentrality reaches one value W*, solved once per critical value.
-The smallest noncentrality at integer counts is not monotone in N, so the
-search scans N upward on noncentralities alone, for many designs of one K at
-once.  A bound on the noncentralities of each sub-block of totals, from the
-range of its arm counts, rules out most totals before any arm counts are
-computed; the power is evaluated only at the few totals that reach W*.
+mean mu / sd, so a comparison's power is an exact two-sided normal tail and
+a design's power, the smallest over its 2K comparisons, is that tail at its
+smallest noncentrality.  N* is the smallest total whose largest-remainder
+integer design reaches the target power, that is, whose smallest
+noncentrality reaches W*.  That noncentrality is not monotone in N at
+integer counts, so N* is the first such total in order; for many designs at
+once, bounds on ranges of totals bracket each N* and only a few totals get
+exact counts.
 """
 
 from __future__ import annotations
@@ -56,7 +51,7 @@ def marginal_power_oracle(W, c):
 @dataclass(frozen=True)
 class SampleSizeResult:
     """N*, the exact power of its integer design, its arm counts, and the
-    power at every total scanned, from 2K+1 to N*."""
+    power at every total from 2K+1 to N*."""
 
     n_star: int
     achieved_power: float
@@ -64,18 +59,15 @@ class SampleSizeResult:
     arm_counts: tuple[int, ...]
 
 
-# The floor lies this far below W*, relatively, and its power must lie at
-# least _POWER_MARGIN below the target.  The margin is far above the rounding
-# of a computed power (a few 1e-16), so no noncentrality under the floor can
-# compute to a power at the target.
-_FLOOR_SHRINK = 1e-6
+# The floor and ceiling lie this far below and above W*, relatively, and
+# their powers at least _POWER_MARGIN below and above the target: far more
+# than a computed power's rounding (a few 1e-16), so no W under the floor
+# computes to a power at the target, nor one over the ceiling to one below.
+_RELATIVE_GAP = 1e-6
 _POWER_MARGIN = 1e-12
 _NEWTON_STEPS = 30
-# the scan bounds _WINDOW sub-blocks of _SUB_BLOCK totals per design and round,
-# and evaluates the first _TAKE of them that its bound does not rule out
+# noncentralities are bounded over ranges of this many totals
 _SUB_BLOCK = 16
-_WINDOW = 128
-_TAKE = 2
 
 
 def _smallest_noncentrality(counts, mu, rho, sigma2) -> np.ndarray:
@@ -87,32 +79,31 @@ def _smallest_noncentrality(counts, mu, rho, sigma2) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(w, -1, 0)).min(axis=0)
 
 
-def _noncentrality_floor(critical_values, target_power: float) -> np.ndarray:
-    """A noncentrality floor for each critical value c: every W under it has
-    ``marginal_power_oracle(W, c)`` below ``target_power``.
+def _noncentrality_floor(critical_values, target_power: float) -> tuple[np.ndarray, np.ndarray]:
+    """A noncentrality floor and ceiling for each critical value c: every W
+    under the floor has ``marginal_power_oracle(W, c)`` below
+    ``target_power``, and every W at or over the ceiling has it at or above.
 
-    The floor is W*(c) (1 - 1e-6), where W* is the noncentrality whose power
-    is the target.  Power is increasing in s = sqrt(W), with slope
-    phi(c - s) - phi(c + s).  Newton steps on s start at c + z_target, where
-    the upper tail alone already gives the target, and take one batched cdf
-    call each for all critical values.  Where the target is at or below the
-    power at W = 0, 2 Phi(-c), there is nothing to solve (the slope is 0
-    there) and the floor is 0.  The power at every solved floor is checked
-    against the target; a floor that fails the check also gives 0, which
-    leaves the scan exact and only makes it evaluate more powers.  A critical
-    value that is not finite is a :class:`DomainError`: no total reaches its
-    target, and the scan would evaluate a power at every total up to its cap.
+    They are W*(c) (1 -+ 1e-6), where W* has power exactly the target.
+    Power is increasing in s = sqrt(W), with slope phi(c - s) - phi(c + s);
+    Newton steps on s start at c + z_target, where the upper tail alone
+    gives the target, with one batched cdf call each.  Where the target is
+    at most the power at W = 0, 2 Phi(-c), W* is 0.  A floor whose power
+    fails its check gives 0 and such a ceiling inf, which leave the search
+    exact, only slower.  A critical value that is not finite is a
+    :class:`DomainError`: no total reaches its target, and the search would
+    evaluate every total up to its cap.
     """
     if not 0.0 < target_power < 1.0:
         raise DomainError(f"target power must lie in (0, 1), got {target_power}")
-    c = np.asarray(critical_values, dtype=float)
-    if np.any(c <= 0):
+    critical = np.asarray(critical_values, dtype=float)
+    if np.any(critical <= 0):
         raise DomainError("critical value must be positive")
-    if not np.isfinite(c).all():
+    if not np.isfinite(critical).all():
         raise DomainError("critical value must be finite")
-    floor = np.zeros(c.shape)
-    solve = target_power > 2.0 * std_normal_cdf(-c)
-    c = c[solve]
+    root = np.zeros(critical.shape)  # sqrt(W*)
+    solve = target_power > 2.0 * std_normal_cdf(-critical)
+    c = critical[solve]
     s = c + std_normal_quantile(target_power)
     for _ in range(_NEWTON_STEPS):
         tails = std_normal_cdf(np.stack((c - s, -c - s)))
@@ -122,80 +113,88 @@ def _noncentrality_floor(critical_values, target_power: float) -> np.ndarray:
         s = np.maximum(s - step, 0.5 * s)
         if np.all(np.abs(step) <= 1e-10 * s):
             break
-    w_floor = (1.0 - _FLOOR_SHRINK) * s * s
-    below = marginal_power_oracle(w_floor, c) < target_power - _POWER_MARGIN
-    floor[solve] = np.where(below, w_floor, 0.0)
-    return floor
+    root[solve] = s
+    floor, ceiling = (1.0 - _RELATIVE_GAP) * root * root, (1.0 + _RELATIVE_GAP) * root * root
+    power = marginal_power_oracle(np.stack((floor, ceiling)), critical)
+    floor = np.where(power[0] < target_power - _POWER_MARGIN, floor, 0.0)
+    return floor, np.where(power[1] >= target_power + _POWER_MARGIN, ceiling, np.inf)
 
 
-def _noncentrality_bound(ratios, mu, rho, sigma2, first, last) -> np.ndarray:
-    """For each design and each range of totals [first, last], a bound on
-    the smallest noncentrality at every total in it, or inf where no bound
-    is proven.
+def _noncentrality_bound(ratios, mu, rho, sigma2, design, first, last) -> tuple:
+    """For each range of totals [first, last] of a design, a lower and an
+    upper bound on the smallest noncentrality at every total in it; the
+    upper bound is inf where none is proven.
 
     ``ratios`` has shape (designs, 2K+1), ``mu`` and ``rho`` (designs, 2K)
-    (:func:`_contrasts`), ``sigma2`` (designs,), and ``first`` and ``last``
-    (designs, ranges).  The largest-remainder count of an arm of share p at
-    a total N is floor(p N) or one more, so over the range it lies in [L, H]
-    = [floor(p first), floor(p last) + 1], the floors taken of the same
+    (:func:`_contrasts`) and ``sigma2`` (designs,); ``design`` (each range's
+    row, or one row for all), ``first`` and ``last`` have shape (ranges,).
+    The largest-remainder count of an arm of share p at a total N is
+    floor(p N) or one more, so over the range it lies in [L, H] =
+    [floor(p first), floor(p last) + 1], the floors taken of the same
     products as the counts' own.  An arm left empty takes one subject from
     the largest arm, so with E arms whose L is 0 every arm keeps at least
-    max(L - E, 1).  Each term of a contrast's variance 1/n_a + 1/n_0 - 2 rho
-    / sqrt(n_a n_0) is then smallest at one end, and mu^2 over sigma2 times
-    the sum of those ends bounds the contrast's noncentrality from above; the
-    smallest noncentrality is at most the smallest of these.  A contrast
-    whose variance bound is not positive bounds nothing.
+    max(L - E, 1).  On that box a contrast's variance 1/n_a + 1/n_0 - 2 rho
+    / sqrt(n_a n_0) is at least the sum of its terms' smallest values and,
+    being convex in (1/sqrt(n_a), 1/sqrt(n_0)), at most its value at a
+    corner; mu^2 / sigma2 over these bounds the noncentrality, from above
+    only where the smallest variance is positive.
     """
-    # arms (and contrasts) first, so each reduction over them is elementwise
-    share = ratios.T[:, :, None]
+    # arms (and contrasts) first, taken contiguous, so each reduction over
+    # them is elementwise
+    share, rho, scale = (np.take(a.T, design, axis=1) for a in (ratios, rho, mu * mu))
     low, high = np.floor(first * share), np.floor(last * share) + 1.0
     low = np.maximum(low - (low < 1.0).sum(axis=0), 1.0)
-    rho = rho.T[:, :, None]
-    # -2 rho / sqrt(n_a n_0) is smallest at the low counts for rho > 0 and
-    # at the high ones for rho < 0
-    ends = np.where(rho > 0.0, low[1:] * low[:1], high[1:] * high[:1])
-    var = 1.0 / high[1:] + 1.0 / high[:1] - 2.0 * rho / np.sqrt(ends)
+    # the terms at each corner (end of n_a, end of n_0), low end first
+    ends = np.stack((low, high))
+    inverse = 1.0 / ends
+    cross = -2.0 * rho / np.sqrt(ends[:, None, 1:] * ends[None, :, :1])
+    var_max = (inverse[:, None, 1:] + inverse[None, :, :1] + cross).max(axis=(0, 1))
+    var_min = inverse[1, 1:] + inverse[1, :1] + np.minimum(cross[0, 0], cross[1, 1])
+    scale /= np.take(sigma2, design)
     with np.errstate(divide="ignore"):
-        bound = (mu * mu).T[:, :, None] / (sigma2[:, None] * var)
-    return np.where(var > 0.0, bound, np.inf).min(axis=0)
+        upper = np.where(var_min > 0.0, scale / var_min, np.inf)
+    return (scale / var_max).min(axis=0), upper.min(axis=0)
+
+
+def _window_end(ratios, mu, rho, sigma2, floor, n_cap: int) -> np.ndarray:
+    """The last total the search first covers, per design: the largest over
+    its critical values of ceil(1.05 W / w1) + 64, W the floor just under
+    W*, at most ``n_cap``, which must hold 2K+1.  N w1 is the design's
+    smallest noncentrality at N before its counts are rounded, which puts N*
+    past this only where an arm holds a few subjects."""
+    if n_cap < ratios.shape[1]:
+        raise DomainError(f"n_cap must be at least 2K+1 = {ratios.shape[1]}, got {n_cap}")
+    w1 = _smallest_noncentrality(ratios, mu, rho, sigma2[:, None])
+    return np.minimum(np.ceil(1.05 * floor / w1[:, None]).max(axis=1) + 64, n_cap).astype(int)
 
 
 def _scan_totals(
-    ratios, mu, rho, sigma2, critical_values, floor, target_power: float, n_cap: int
+    ratios, mu, rho, sigma2, critical_values, floor, ceiling, target_power: float, n_cap: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """N* for each (design, critical value) and the power at each N*, shape
     (designs, critical values) each.
 
     A design is a row of ``ratios`` (its 2K+1 shares), ``mu`` and ``rho``
     (:func:`_contrasts`) and ``sigma2``; every design has the same K.
-    ``floor`` is :func:`_noncentrality_floor` of ``critical_values``.  Each
-    design's totals are scanned upward from 2K+1 in rounds, every round for
-    all designs at once.  A round bounds the noncentralities of the next
-    2,048 totals in sub-blocks of 16 (:func:`_noncentrality_bound`).  A
-    sub-block whose bound is below the floor of an open (design, critical
-    value) pair holds no N* of it.  Each open pair takes its own first two
-    sub-blocks that its floor does not rule out; the sub-blocks any pair of
-    a design took get their exact integer counts and smallest
-    noncentralities.  Then each open pair walks its totals at or above its
-    floor in order, up to its frontier (its third such sub-block, or the
-    end of the 2,048 totals), one power per step, all pairs in one call
-    per step; the first whose power reaches the target is N*.
-    A design's next round starts at the earliest frontier still open.  A
-    power depends on nothing but the smallest noncentrality, so N* is the
-    smallest total whose power reaches the target, as if every total were
-    evaluated.
+    ``floor`` and ``ceiling`` are :func:`_noncentrality_floor` of
+    ``critical_values``.  One :func:`_noncentrality_bound` call covers each
+    design's ranges of 16 totals from 2K+1 to its :func:`_window_end`.  A
+    pair's bracket runs from its first range whose upper bound reaches its
+    floor to the first total of its first range whose lower bound reaches
+    its ceiling.  Only brackets get exact counts; each pair walks its totals
+    at or above its floor in order, one power per step, all pairs in one
+    call per step, and the first reaching the target is N*.  A pair with no
+    N* in the window searches the next, twice as long.
     """
-    ratios, mu, rho, sigma2, c, floor = (
-        np.asarray(a, dtype=float) for a in (ratios, mu, rho, sigma2, critical_values, floor)
+    ratios, mu, rho, sigma2, c, floor, ceiling = (
+        np.asarray(a, dtype=float)
+        for a in (ratios, mu, rho, sigma2, critical_values, floor, ceiling)
     )
     min_n = ratios.shape[1]
-    if n_cap < min_n:
-        raise DomainError(f"n_cap must be at least 2K+1 = {min_n}, got {n_cap}")
     n_star = np.zeros(c.shape, dtype=np.int64)  # 0 until found
     powers = np.zeros(c.shape)
-    # every total of a design below its start misses every target still open
-    start = np.full(len(ratios), min_n)
-    offsets, within = _SUB_BLOCK * np.arange(_WINDOW), np.arange(_SUB_BLOCK)
+    end = _window_end(ratios, mu, rho, sigma2, floor, n_cap)
+    start = np.full(end.shape, min_n)
     while True:
         still_open = n_star == 0
         rows = np.flatnonzero(still_open.any(axis=1))
@@ -203,55 +202,49 @@ def _scan_totals(
             return n_star, powers
         if start[rows].max() > n_cap:
             raise BudgetExceeded(f"no N in [{min_n}, {n_cap}] reaches power {target_power}")
-        first = start[rows, None] + offsets
-        bound = _noncentrality_bound(
-            ratios[rows], mu[rows], rho[rows], sigma2[rows], first, first + _SUB_BLOCK - 1
-        )
-        # by (design, critical value, sub-block): each open pair takes its
-        # own first _TAKE sub-blocks whose bound reaches its floor
-        open_pairs = still_open[rows, :, None]
-        kept = (bound[:, None] >= floor[rows, :, None]) & (first <= n_cap)[:, None] & open_pairs
-        rank = np.cumsum(kept, axis=2)
-        taken = kept & (rank <= _TAKE)
-        # a pair has covered every total before its frontier: its next kept
-        # sub-block, or the end of the window
-        after = first[:, -1:, None] + _SUB_BLOCK
-        frontier = np.where(kept & (rank == _TAKE + 1), first[:, None], after).min(axis=2)
-        # the totals of the sub-blocks any pair of a design took, in order
-        # (0 where a design took fewer)
-        taken = taken.any(axis=1)
-        order = np.cumsum(taken, axis=1)
-        totals = np.zeros((rows.size, order[:, -1].max(), _SUB_BLOCK), dtype=np.int64)
-        row, block = np.nonzero(taken)
-        totals[row, order[row, block] - 1] = first[row, block, None] + within
-        totals = totals.reshape(rows.size, -1)
-        scanned = (totals > 0) & (totals <= n_cap)
+        # each open design's ranges of 16 totals up to its window's end, in turn
+        count = (end[rows] - start[rows]) // _SUB_BLOCK + 1
+        cell = np.repeat(np.arange(rows.size), count)
+        offset = np.cumsum(count) - count
+        first = start[rows][cell] + _SUB_BLOCK * (np.arange(cell.size) - offset[cell])
+        owner = rows[cell]
+        last = first + _SUB_BLOCK - 1
+        lower, upper = _noncentrality_bound(ratios, mu, rho, sigma2, owner, first, last)
+        # by (critical value, range): the leading totals a pair's bracket
+        # takes; critical values first, so the reductions are elementwise
+        closed = np.where(lower >= ceiling.T[:, owner], first, n_cap)
+        limit = np.minimum.reduceat(closed, offset, axis=1)
+        take = np.clip(limit[:, cell] - first + 1, 0, _SUB_BLOCK)
+        take = np.where((upper >= floor.T[:, owner]) & still_open.T[:, owner], take, 0).max(axis=0)
+        # the totals any pair of a design takes, in order, padded with 0
+        kept = np.flatnonzero(take)
+        index, at = np.nonzero(np.arange(_SUB_BLOCK) < take[kept, None])
+        kept = kept[index]
+        row, size = cell[kept], np.add.reduceat(take, offset)
+        totals = np.zeros((rows.size, size.max()), dtype=np.int64)
+        totals[row, np.arange(row.size) - (np.cumsum(size) - size)[row]] = first[kept] + at
+        scanned = totals > 0
         w = np.full(totals.shape, -np.inf)
         if scanned.any():
-            design = np.broadcast_to(rows[:, None], totals.shape)[scanned]
+            design = rows[row]
             w[scanned] = _smallest_noncentrality(
                 _largest_remainder(ratios[design], totals[scanned]),
                 mu[design], rho[design], sigma2[design, None],
             )
-        # the walk: each step takes every open pair's next candidate before
-        # its frontier
-        candidate = (w[:, None] >= floor[rows, :, None]) & open_pairs
-        candidate &= totals[:, None] < frontier[..., None]
-        while True:
+        # the walk: each step takes every open pair's next candidate in its bracket
+        candidate = (w[:, None] >= floor[rows, :, None]) & still_open[rows, :, None]
+        candidate &= totals[:, None] <= limit.T[..., None]
+        while candidate.any():
             r, m = np.nonzero(candidate.any(axis=2))
-            if not r.size:
-                break
             j = candidate[r, m].argmax(axis=1)
             power = marginal_power_oracle(w[r, j], c[rows[r], m])
             hit = power >= target_power
             n_star[rows[r[hit]], m[hit]] = totals[r[hit], j[hit]]
             powers[rows[r[hit]], m[hit]] = power[hit]
-            if hit.all():
-                break
             candidate[r, m, j] = False
             candidate[r[hit], m[hit]] = False
-        # the next round starts at the earliest frontier of a pair still open
-        start[rows] = np.min(frontier, axis=1, where=n_star[rows] == 0, initial=n_cap + 1)
+        start[rows] += _SUB_BLOCK * count
+        end[rows] = np.minimum(2 * end[rows], n_cap)
 
 
 def find_sample_size(
@@ -266,34 +259,37 @@ def find_sample_size(
 
     The design at N is ``alloc.arm_counts(N)`` and its power the exact
     minimum per-comparison power at those counts, at the critical value of
-    ``threshold``.  N* is found on noncentralities, by :func:`_scan_totals`
-    for this one design: it skips the totals whose noncentrality bound
-    rules them out and walks the rest upward for the first whose smallest
-    noncentrality reaches the one where the power meets the target.  The
-    powers of ``search_trace`` are then evaluated in one call on the exact
-    noncentralities of every total from 2K+1 to N*.  ``seed`` has no
-    effect; it is kept for callers that pass one.  Raises
+    ``threshold``.  The powers at every total from 2K+1 to
+    :func:`_window_end` are evaluated in one call; N* is the first reaching
+    the target, and the window doubles only when none does.  ``seed`` has
+    no effect; it is kept for callers that pass one.  Raises
     :class:`BudgetExceeded` when no N <= ``n_cap`` reaches the target, and
     :class:`DomainError` when the K differ or the critical value is not
     finite.
     """
     c = threshold.critical_value
-    floor = _noncentrality_floor([[c]], target_power)
+    floor, _ = _noncentrality_floor([[c]], target_power)
     mu, rho = _contrasts(
         scenario.delta, scenario.synergy, scenario.rho_combo_control, len(alloc.ratios)
     )
     ratios = np.array([alloc.ratios])
-    n_star, _ = _scan_totals(
-        ratios, mu[None], rho[None], [scenario.sigma2], [[c]], floor, target_power, n_cap
-    )
-    n = int(n_star[0, 0])
-    totals = np.arange(ratios.shape[1], n + 1)
-    counts = _largest_remainder(ratios, totals)
-    w = _smallest_noncentrality(counts, mu, rho, scenario.sigma2)
-    powers = marginal_power_oracle(w, c).tolist()
+    min_n = ratios.shape[1]
+    sigma2 = np.array([scenario.sigma2])
+    end = int(_window_end(ratios, mu[None], rho[None], sigma2, floor, n_cap)[0])
+    while True:
+        totals = np.arange(min_n, end + 1)
+        counts = _largest_remainder(ratios, totals)
+        powers = marginal_power_oracle(_smallest_noncentrality(counts, mu, rho, sigma2), c)
+        hits = np.flatnonzero(powers >= target_power)
+        if hits.size:
+            break
+        if end == n_cap:
+            raise BudgetExceeded(f"no N in [{min_n}, {n_cap}] reaches power {target_power}")
+        end = min(2 * end, n_cap)
+    n = hits[0] + 1
     return SampleSizeResult(
-        n_star=n,
-        achieved_power=powers[-1],
-        search_trace=tuple(zip(totals.tolist(), powers)),
-        arm_counts=tuple(counts[-1].tolist()),
+        n_star=int(totals[n - 1]),
+        achieved_power=float(powers[n - 1]),
+        search_trace=tuple(zip(totals[:n].tolist(), powers[:n].tolist())),
+        arm_counts=tuple(counts[n - 1].tolist()),
     )

@@ -400,9 +400,10 @@ def run_design_surface(grid: GridSpec) -> ResultTable:
     mu, rho_cc = _contrasts(delta, synergy[:, None], rho[:, None], 3)
     z_rho = _z_rho(ratios.T, rho, rho)
     c_star, _ = _bivariate_critical_values(z_rho, DEFAULT_TARGETS)
-    floor = _noncentrality_floor(c_star, target)
+    floor, ceiling = _noncentrality_floor(c_star, target)
     n_star, achieved = _scan_totals(
-        ratios, mu, rho_cc, np.full(len(points), sigma2), c_star, floor, target, n_cap=1_000_000
+        ratios, mu, rho_cc, np.full(len(points), sigma2), c_star, floor, ceiling, target,
+        n_cap=1_000_000,
     )
     for i, (point, metric) in enumerate(itertools.product(points, _METRICS)):
         logger.info(

@@ -31,6 +31,7 @@ from platformdesign.power import (
     _noncentrality_bound,
     _noncentrality_floor,
     _scan_totals,
+    _window_end,
     find_sample_size,
     marginal_power_oracle,
 )
@@ -163,15 +164,35 @@ class TestNoncentralityFloor:
     def test_floor_lies_just_under_the_target(self):
         c = np.linspace(0.1, 6.0, 60)
         for target in np.linspace(0.01, 0.999, 40):
-            floor = _noncentrality_floor(c, target)
+            floor, ceiling = _noncentrality_floor(c, target)
             # nothing to solve where W = 0 already reaches the target
             solved = target > 2.0 * std_normal_cdf(-c)
-            assert (floor[~solved] == 0.0).all()
+            assert (floor[~solved] == 0.0).all() and (ceiling[~solved] == 0.0).all()
             assert (floor[solved] > 0.0).all()
             c_solved, floor_solved = c[solved], floor[solved]
             assert (marginal_power_oracle(floor_solved, c_solved) < target).all()
             w_star = floor_solved / (1.0 - 1e-6)
             assert marginal_power_oracle(w_star, c_solved) == pytest.approx(target, abs=1e-12)
+            assert ceiling[solved] == pytest.approx(w_star * (1.0 + 1e-6), rel=1e-15)
+            assert (marginal_power_oracle(ceiling, c) >= target).all()
+
+    def test_a_failed_check_leaves_the_search_exact(self, monkeypatch):
+        # with no gap around W* the floor's and the ceiling's powers fail
+        # their checks: the floor falls to 0 and the ceiling rises to inf,
+        # and the scan finds the same N* and powers, evaluating more totals
+        scenario = DesignScenario.single(0.3, 1.1, rho_ab_a=0.3, rho_ab_b=0.5)
+        alloc = optimize_allocation(scenario)
+        rows = _design_rows([(scenario, alloc)])
+        c = np.array([[1.96, 2.3]])
+        expected = _scan_totals(*rows, c, *_noncentrality_floor(c, 0.8), 0.8, 10**6)
+        monkeypatch.setattr("platformdesign.power._RELATIVE_GAP", 0.0)
+        floor, ceiling = _noncentrality_floor(c, 0.8)
+        assert (floor == 0.0).all() and (ceiling == np.inf).all()
+        n_star, powers = _scan_totals(*rows, c, floor, ceiling, 0.8, 10**6)
+        assert n_star.tolist() == expected[0].tolist()
+        assert powers.tolist() == expected[1].tolist()
+        reference = exhaustive_n_star(scenario, alloc, c[0], 0.8, int(n_star.max()))
+        assert list(zip(n_star[0].tolist(), powers[0].tolist())) == reference
 
     @pytest.mark.parametrize("c", [np.inf, np.nan])
     def test_critical_value_must_be_finite(self, c):
@@ -229,16 +250,19 @@ class TestNoncentralityBound:
         # ranges of ``width`` totals from 2K+1 + offset up to 5,000: the first
         # ones lie where arms of the smallest shares are empty and get a
         # subject from the largest arm
-        first = np.arange(2 * scenario.K + 1 + offset, 5_000, width)[None]
-        bound = _noncentrality_bound(ratios, mu, rho, sigma2, first, first + width - 1)[0]
-        totals = np.arange(first[0, 0], first[0, -1] + width)
+        first = np.arange(2 * scenario.K + 1 + offset, 5_000, width)
+        lower, upper = _noncentrality_bound(
+            ratios, mu, rho, sigma2, [0], first, first + width - 1
+        )
+        totals = np.arange(first[0], first[-1] + width)
         w = np.min(_noncentralities(alloc.arm_counts_table(totals), mu[0], rho[0], 1.0), axis=1)
-        exact = w.reshape(-1, width).max(axis=1)
-        assert ((bound >= exact) | (bound == np.inf)).all()
+        w = w.reshape(-1, width)
+        assert ((upper >= w.max(axis=1)) | (upper == np.inf)).all()
+        assert (lower <= w.min(axis=1)).all()
         # a variance bound is positive unless a combination arm correlates
         # positively with control
         if max(rho_cc) <= 0.0:
-            assert np.isfinite(bound).all()
+            assert np.isfinite(upper).all()
 
     def test_an_empty_arm_takes_a_subject_from_the_largest(self):
         # at N = 7 the combination arm (share 0.044) is empty and takes its
@@ -249,10 +273,11 @@ class TestNoncentralityBound:
         alloc = Allocation((0.7617990974513373, 0.1943907473619217, 0.04381015518674093))
         assert alloc.arm_counts(7) == (4, 2, 1)
         ratios, mu, rho, sigma2 = _design_rows([(scenario, alloc)])
-        first = np.arange(3, 40)[None]
-        bound = _noncentrality_bound(ratios, mu, rho, sigma2, first, first)[0]
-        w = np.min(_noncentralities(alloc.arm_counts_table(first[0]), mu, rho, 1.0), axis=1)
-        assert (bound >= w).all()
+        first = np.arange(3, 40)
+        lower, upper = _noncentrality_bound(ratios, mu, rho, sigma2, [0], first, first)
+        w = np.min(_noncentralities(alloc.arm_counts_table(first), mu, rho, 1.0), axis=1)
+        assert (upper >= w).all()
+        assert (lower <= w).all()
 
 
 class TestFindSampleSize:
@@ -317,16 +342,19 @@ class TestFindSampleSize:
         assert result.n_star == expected
 
     def test_scan_without_a_floor_finds_the_same_sample_sizes(self):
-        # at floor 0 no sub-block is ruled out and every total is a
-        # candidate: the walk starts at 2K+1 and its powers fail at every
-        # total, round after round, up to N* = 1,679
+        # at floor 0 and ceiling inf no range is ruled out or closes a
+        # bracket, and every total is a candidate: the walk starts at 2K+1
+        # and its powers fail at every total, window after window, up to
+        # N* = 1,679
         scenario = _scenario([_PLAIN_SUBSTUDY])
         alloc = optimize_allocation(scenario)
         rows = _design_rows([(scenario, alloc)])
         c = np.array([[2.0, 2.5]])
-        n_star, powers = _scan_totals(*rows, c, np.zeros(c.shape), 0.999, 10**6)
+        n_star, powers = _scan_totals(
+            *rows, c, np.zeros(c.shape), np.full(c.shape, np.inf), 0.999, 10**6
+        )
         floored, floored_powers = _scan_totals(
-            *rows, c, _noncentrality_floor(c, 0.999), 0.999, 10**6
+            *rows, c, *_noncentrality_floor(c, 0.999), 0.999, 10**6
         )
         results = [find_sample_size(scenario, alloc, _threshold_at(ci), 0.999) for ci in c[0]]
         reference = exhaustive_n_star(scenario, alloc, c[0], 0.999, 3_000)
@@ -359,26 +387,72 @@ class TestFindSampleSize:
         critical_values = np.tile(c, (len(designs), 1))
         n_star, powers = _scan_totals(
             *_design_rows(designs), critical_values,
-            _noncentrality_floor(critical_values, target), target, 10**6,
+            *_noncentrality_floor(critical_values, target), target, 10**6,
         )
         for i, (scenario, alloc) in enumerate(designs):
             reference = exhaustive_n_star(scenario, alloc, c, target, int(n_star[i].max()))
             assert list(zip(n_star[i].tolist(), powers[i].tolist())) == reference
 
-    def test_an_open_pair_restarts_its_design_at_its_own_frontier(self):
-        # at floor 0 the first critical value takes the first two sub-blocks
-        # and misses there; the second, whose N* lies past the first 2,048
-        # totals, takes only the first, which its bound cannot rule out.  The
-        # next round must start after the first pair's sub-blocks, not after
-        # the window, or that pair's N* is skipped
-        scenario = DesignScenario.single(0.3, 1.0, rho_ab_a=0.3)
-        alloc = optimize_allocation(scenario)
-        c = np.array([[1.96, 8.0]])
-        floor = _noncentrality_floor(c, 0.8) * [[0.0, 1.0]]
-        n_star, powers = _scan_totals(*_design_rows([(scenario, alloc)]), c, floor, 0.8, 10**6)
-        reference = exhaustive_n_star(scenario, alloc, c[0], 0.8, int(n_star.max()))
+    @settings(max_examples=40, deadline=None)
+    @given(
+        scenario=st.lists(_SUBSTUDY, min_size=1, max_size=3).map(_scenario),
+        alloc=st.none(),
+        c=st.lists(st.floats(0.5, 4.0), min_size=1, max_size=3),
+        target=st.floats(0.05, 0.99),
+    )
+    # the empty-arm allocation of the bound test: an arm is empty at N = 7
+    @example(
+        scenario=DesignScenario.single(0.8405, 0.6044, rho_ab_a=0.9658, rho_ab_b=0.2576),
+        alloc=Allocation((0.7617990974513373, 0.1943907473619217, 0.04381015518674093)),
+        c=[1.96, 2.5], target=0.8,
+    )
+    # a combination arm of share 0.0024 (counts 278/278/2 at N* = 558): N*
+    # lies past the first window, which ends at ceil(1.05 W* / w1) + 64 = 507
+    @example(
+        scenario=DesignScenario.single(0.3, 10.0, rho_ab_a=0.3, rho_ab_b=0.5),
+        alloc=None, c=[2.2332477468154197], target=0.8,
+    )
+    def test_property_bracket_holds_n_star(self, scenario, alloc, c, target):
+        # N* lies between the first range of 16 totals whose upper bound
+        # reaches the floor and the first whose lower bound reaches the
+        # ceiling, and the scan finds it as if every total were evaluated
+        alloc = alloc or optimize_allocation(scenario)
+        rows = _design_rows([(scenario, alloc)])
+        c = np.array([c])
+        floor, ceiling = _noncentrality_floor(c, target)
+        n_star, powers = _scan_totals(*rows, c, floor, ceiling, target, 10**6)
+        reference = exhaustive_n_star(scenario, alloc, c[0], target, int(n_star.max()))
         assert list(zip(n_star[0].tolist(), powers[0].tolist())) == reference
-        assert 3 + 2 * 16 <= n_star[0, 0] < 3 + 2_048 <= n_star[0, 1]
+        first = np.arange(2 * scenario.K + 1, n_star.max() + 64, 16)
+        lower, upper = _noncentrality_bound(*rows, [0], first, first + 15)
+        for n, low, high in zip(n_star[0], floor[0], ceiling[0]):
+            n_lo = first[np.argmax(upper >= low)]
+            closed = first[lower >= high]
+            assert n_lo <= n <= (closed[0] if closed.size else np.inf)
+
+    def test_a_near_empty_arm_extends_the_window(self):
+        # N* = 558 lies past the first window, so the scan bounds a second
+        # one and find_sample_size doubles its trace; both stay exact
+        scenario = DesignScenario.single(0.3, 10.0, rho_ab_a=0.3, rho_ab_b=0.5)
+        alloc = optimize_allocation(scenario)
+        rows = _design_rows([(scenario, alloc)])
+        threshold = platform_threshold(
+            CorrelationMatrix.bivariate(0.19409459373953994), ErrorMetric.fwer(0.05)
+        )
+        c = np.array([[threshold.critical_value]])
+        floor, ceiling = _noncentrality_floor(c, 0.8)
+        assert _window_end(*rows, floor, 10**6).tolist() == [507]
+        n_star, powers = _scan_totals(*rows, c, floor, ceiling, 0.8, 10**6)
+        result = find_sample_size(scenario, alloc, threshold, 0.8)
+        reference = exhaustive_n_star(scenario, alloc, c[0], 0.8, 600)
+        assert [(result.n_star, result.achieved_power)] == reference == [
+            (int(n_star[0, 0]), float(powers[0, 0]))
+        ]
+        assert result.n_star == 558 and result.arm_counts == (278, 278, 2)
+        _, expected = n_star_enumeration_oracle(
+            scenario, alloc, c[0, 0], 0.8, power=package_design_power
+        )
+        assert result.search_trace == tuple(expected.items())
 
     def test_trace_and_counts_consistent(self):
         scenario = DesignScenario.single(0.4, 1.2, rho_ab_a=0.3)

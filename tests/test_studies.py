@@ -472,21 +472,26 @@ class TestDesignSurface:
             run_design_surface(grid)
         assert str(batched.value) == str(per_point.value)
 
-    @pytest.mark.parametrize("grid, rounds", [
-        (design_surface_grid(), 1),
-        (design_surface_grid(start=0.4, stop=1.6, step=0.3, rho_levels=(-0.3, 0.0, 0.6)), 2),
+    @pytest.mark.parametrize("grid", [
+        design_surface_grid(),
+        design_surface_grid(start=0.4, stop=1.6, step=0.3, rho_levels=(-0.3, 0.0, 0.6)),
     ], ids=["default", "wide"])
-    def test_each_metric_takes_its_own_sub_blocks(self, monkeypatch, grid, rounds):
-        # every (point, metric) takes its first two sub-blocks that reach its
-        # own floor, so the metrics, whose N* lie tens of totals apart, close
-        # in the same round
-        calls = []
-        bound = power._noncentrality_bound
+    def test_each_metric_takes_its_own_bracket(self, monkeypatch, grid):
+        # one bound call covers every N* of the surface, and each (point,
+        # metric) takes exact counts only in its own bracket: about one
+        # range of 16 totals and the first total of the next
+        calls, counted = [], []
+        bound, counts = power._noncentrality_bound, power._largest_remainder
         monkeypatch.setattr(
             power, "_noncentrality_bound", lambda *args: calls.append(args) or bound(*args)
         )
-        run_design_surface(grid)
-        assert len(calls) == rounds
+        monkeypatch.setattr(
+            power, "_largest_remainder",
+            lambda ratios, totals: counted.append(len(totals)) or counts(ratios, totals),
+        )
+        table = run_design_surface(grid)
+        assert len(calls) == 1
+        assert sum(counted) <= 33 * len(table.rows)
 
 
 class TestResultTable:
