@@ -128,6 +128,7 @@ def _solve_decreasing(
     high: np.ndarray,
     start: np.ndarray,
     x_tol: float,
+    predicted_stop: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Roots of nonincreasing ``level(c) - target``, one per bracket
     [low[i], high[i]] of the 1-d arrays ``low`` and ``high``, with the level
@@ -142,9 +143,13 @@ def _solve_decreasing(
     bracket end that has not been evaluated goes to that end, since the root
     may lie on it; any other step that leaves the bracket, or that h cannot
     give, is replaced by bisection.  An element stops at the point just
-    evaluated once its next step is at most ``x_tol``.  Where the level does
-    not cross the target inside a bracket, the search ends on the bracket's
-    end and the caller's level check decides.
+    evaluated once its next step is at most ``x_tol``; with
+    ``predicted_stop``, also on that step, unevaluated, if it and the last
+    are Newton steps (not bisected or clamped), it the shorter, and the one
+    after it is predicted at |step|^3 / |last|^2 <= ``x_tol`` / 10, at the
+    level's second-order Taylor value (curvature from the last two slopes).
+    Where the level does not cross the target inside a bracket, the search
+    ends on the bracket's end and the caller's level check decides.
     """
     x, lo, hi = (np.array(a, dtype=float, ndmin=1) for a in (start, low, high))
     target = np.broadcast_to(np.asarray(target, dtype=float), x.shape)
@@ -152,6 +157,8 @@ def _solve_decreasing(
     # whether each bracket end is still the unevaluated bound it started as
     open_lo, open_hi = np.ones(x.size, dtype=bool), np.ones(x.size, dtype=bool)
     x_out, f_out = np.empty(x.size), np.empty(x.size)
+    # each element's last step if a Newton step, else NaN, and the slope before it
+    last_step, last_slope = np.full(x.size, math.nan), np.full(x.size, math.nan)
     active = np.arange(x.size)
     while active.size:
         f, slope = level(x, active)
@@ -163,12 +170,21 @@ def _solve_decreasing(
             # -(h - h_target) / h', with h' = -slope / (f * h)
             newton = x + (h_target - h) * f * h / -slope
         newton[~((0.0 < f) & (f < 1.0) & (slope < 0.0))] = math.nan
+        raw = newton  # the Newton point before any clamp to a bracket end
         newton = np.where(open_lo & (newton < lo), lo, newton)
         newton = np.where(open_hi & (newton > hi), hi, newton)
         following = np.where((lo <= newton) & (newton <= hi), newton, (lo + hi) / 2.0)
         done = np.abs(following - x) <= x_tol
         x_out[active[done]], f_out[active[done]] = x[done], f[done]
         going = ~done
+        if predicted_stop:
+            step = np.where((lo <= raw) & (raw <= hi) & going, following - x, math.nan)
+            size, last = np.abs(step), np.abs(last_step)
+            ends = (size < last) & (size**3 <= x_tol / 10 * last**2)
+            taylor = f + step * (slope + 0.5 * step * (slope - last_slope) / last_step)
+            x_out[active[ends]], f_out[active[ends]] = following[ends], taylor[ends]
+            going &= ~ends
+            last_step, last_slope = step[going], slope[going]
         active, x, lo, hi = active[going], following[going], lo[going], hi[going]
         target, h_target = target[going], h_target[going]
         open_lo, open_hi = open_lo[going], open_hi[going]
@@ -469,10 +485,12 @@ def platform_threshold(
     variance first).  Its points grow at the bracket's upper end until the
     level's standard error is at most ``precision``, then stay fixed, so the
     level is a smooth deterministic function of c whose slope each lattice
-    pass also returns; the search takes about four passes and stops once
-    its next step is at most 1e-8.  Should the standard error at the root
-    still exceed ``precision``, the lattice grows there and the search goes
-    on from that root.
+    pass also returns; the search takes about three passes.  It ends on a
+    Newton step predicted to leave its successor under 1e-9 without a pass
+    at it, so ``achieved`` is the last pass's second-order Taylor value at
+    the root, and ``achieved_stderr`` that pass's standard error.  Should
+    that exceed ``precision``, the lattice grows at the root and the search
+    goes on from it.
     Count-based metrics (at least m >= 2 of more than two statistics exceed
     c) integrate the radius exactly over a common pool of ``replications``
     null directions (spherical-radial integration: Deak 1980; Genz & Bretz
@@ -521,7 +539,9 @@ def platform_threshold(
 
         start = high
         while True:
-            c_values, levels = _solve_decreasing(level, metric.alpha, low, high, start, 1e-8)
+            c_values, levels = _solve_decreasing(
+                level, metric.alpha, low, high, start, 1e-8, predicted_stop=True
+            )
             stderr = estimates[-1].stderr
             if stderr <= precision:
                 break

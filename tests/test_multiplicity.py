@@ -598,7 +598,7 @@ class TestThresholdSolver:
         calls = _counting(monkeypatch, QmcLattice, "estimate")
         result = platform_threshold(_platform_z_corr(K), ErrorMetric.fwer(0.05))
         assert len(builds) == 1
-        assert 0 < len(calls) <= 8
+        assert 0 < len(calls) <= 5
         assert result.achieved_stderr <= 1e-4
 
     @pytest.mark.parametrize("K", [2, 3, 4, 5, 6])
@@ -631,6 +631,45 @@ class TestThresholdSolver:
         assert curve.visited[:3] == [high, low, (low + high) / 2.0]
         assert len(curve.visited) <= 8
 
+    @pytest.mark.parametrize(
+        "place, steepness",
+        [(2.3, 5.0), (2.1, 2.0), (2.6, 1.0), (2.5, 0.5), ("low", 5.0), ("middle", 5.0)],
+    )
+    def test_lattice_search_ends_unevaluated_only_after_two_newton_steps(
+        self, monkeypatch, place, steepness
+    ):
+        # the search may end on a step it does not evaluate only when that
+        # step and the one before it are Newton steps on h.  "low" and
+        # "middle" put the root 5e-4 past the bracket's lower end and its
+        # midpoint, where the search lands by a clamped step and by a
+        # bisection; the short Newton step out of either is still evaluated
+        alpha, metric = 0.05, ErrorMetric.fwer(0.05)
+        low, high = (float(end) for end in multiplicity._bracket(metric, 12, 0.0))
+        landing = {"low": low, "middle": (low + high) / 2.0}.get(place)
+        root = place if landing is None else landing + 5e-4
+        curve = _CurveLattice(
+            lambda c: alpha * (1.0 + 0.9 * math.tanh(steepness * (root - c))),
+            lambda c: -0.9 * steepness * alpha / math.cosh(steepness * (root - c)) ** 2,
+        )
+        _lattice_is_curve(monkeypatch, curve, metric, 12)
+        h_target = math.sqrt(-2.0 * math.log(alpha))
+
+        def newton(c):  # the unclamped Newton point on h from c
+            f = curve.level(c)
+            h = math.sqrt(-2.0 * math.log(f))
+            return c + (h_target - h) * f * h / -curve.d_level(c)
+
+        result = platform_threshold(CorrelationMatrix(np.eye(12)), metric)
+        c, visited = result.critical_value, curve.visited
+        assert abs(c - root) <= 1e-8
+        assert result.achieved == pytest.approx(alpha, abs=1e-9)
+        if c not in visited:  # ended on a Newton step out of a Newton step
+            assert c == pytest.approx(newton(visited[-1]), abs=1e-14)
+            assert visited[-1] == pytest.approx(newton(visited[-2]), abs=1e-14)
+        if landing is not None:
+            i = visited.index(landing)
+            assert visited[i + 1 : i + 2] == [pytest.approx(newton(landing), abs=1e-14)]
+
     def test_lattice_search_without_a_crossing_returns_the_bracket_end(self, monkeypatch):
         # a level above alpha everywhere: the search stops at the upper end
         # and platform_threshold's level check reports the miss
@@ -642,12 +681,13 @@ class TestThresholdSolver:
 
     def test_k4_lattice_solve_is_pinned(self, monkeypatch):
         # three estimates at the bracket's upper end (the lattice grows
-        # twice there), then two Newton steps on h with the lattice's own
-        # slope; the third step is under 1e-8 and not taken
+        # twice there), then one Newton step on h with the lattice's own
+        # slope; the second Newton step is predicted to leave a third under
+        # 1e-9, so it is taken without a pass to confirm it
         calls = _counting(monkeypatch, QmcLattice, "estimate")
         result = platform_threshold(_platform_z_corr(4), ErrorMetric.fwer(0.05))
         assert repr(result.critical_value) == "2.6900007154873746"
-        assert len(calls) == 5
+        assert len(calls) == 4
 
     def test_regrowth_at_the_root_continues_from_it(self, monkeypatch):
         # at this precision and seed the standard error meets the precision
@@ -754,6 +794,39 @@ class TestLatticeFollowsPrecision:
             assert result.achieved_stderr <= precision
             totals.append(builds[-1][0].total_points)
         assert totals == sorted(totals, reverse=True)
+
+
+class TestPredictedStop:
+    """A K > 1 fwer solve ends on a Newton step predicted to leave its
+    successor under 1e-9, without a pass to confirm it: the same c* as the
+    evaluated stop, and a Taylor level that agrees with the lattice's."""
+
+    @pytest.mark.parametrize("K, index", _DESIGNS)
+    def test_same_c_star_and_level_as_an_evaluated_stop(self, monkeypatch, K, index):
+        builds = _counting(monkeypatch, QmcLattice, "__init__")
+        calls = _counting(monkeypatch, QmcLattice, "estimate")
+        z_corr, dim = _optimised_design_z_corr(K, index), 2 * K
+        solve = multiplicity._solve_decreasing
+
+        def evaluated_stop(*args, predicted_stop=False):
+            return solve(*args)
+
+        for sided in ("two", "one"):
+            metric = ErrorMetric.mfwer(1, 0.05, sided)
+            for precision in (1e-4, 2e-5):
+                calls.clear()
+                result = platform_threshold(z_corr, metric, precision=precision)
+                lattice, predicted_calls = builds[-1][0], len(calls)
+                c = result.critical_value
+                lower = np.full(dim, -c if sided == "two" else -math.inf)
+                on_its_points = 1.0 - lattice.estimate(lower, np.full(dim, c)).value
+                assert abs(result.achieved - on_its_points) <= 1e-10
+                with monkeypatch.context() as patch:
+                    patch.setattr(multiplicity, "_solve_decreasing", evaluated_stop)
+                    calls.clear()
+                    reference = platform_threshold(z_corr, metric, precision=precision)
+                assert c == reference.critical_value
+                assert predicted_calls <= len(calls)
 
 
 def _decreasing_family(n, seed):
