@@ -313,7 +313,8 @@ def _tail_count_statistic(
     fit the kept bound (:func:`_block_normals`).  They are turned into
     statistics one row at a time by the Cholesky factor's nonzero part
     (einsum, not BLAS, whose threads would spin on the cores), and a running
-    top-m pass over the rows keeps each draw's m largest.  The blocks are
+    top-m pass over the rows keeps each draw's m largest; a value pushed
+    past the m-th is dropped, not computed.  The blocks are
     reduced in turn on the calling thread.  The pool is a pure function of
     the arguments, whatever was drawn before it.
     """
@@ -332,60 +333,68 @@ def _tail_count_statistic(
             np.einsum("k,kn->n", factor[j, : j + 1], draws[: j + 1], out=row)
             if sided == "two":
                 np.abs(row, out=row)
-            # insert the row: each rank keeps the larger, the smaller moves down
-            for i in range(min(j + 1, m)):
+            # insert the row: each rank keeps the larger, the smaller moves
+            # down, and what falls past the last rank is dropped
+            ranks = min(j + 1, m)
+            for i in range(ranks):
                 np.maximum(top[i], row, out=spare)
-                np.minimum(top[i], row, out=row)
+                if i + 1 < ranks:
+                    np.minimum(top[i], row, out=row)
                 top[i], spare = spare, top[i]
         np.sqrt(np.einsum("kn,kn->n", draws, draws, out=row), out=row)
         np.divide(top[m - 1], row, out=stat[start : start + size])
     return stat
 
 
-def _chi_tail(
-    x: np.ndarray, dim: int, work: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """P(chi_dim > x) and the chi_dim density at x, elementwise for x >= 0.
+def _radial_level(stat: np.ndarray, dim: int) -> Callable:
+    """The pool's level at c >= 0, the mean over directions of P(chi_dim >
+    c / T), 0 where T <= 0, as ``law(c)``, which returns it and its slope in
+    c; ``law(c, spread=True)`` returns the mean squared term instead.
 
-    With t = x^2 / 2 the tail is e^-t sum_a t^a / Gamma(a + 1) over a =
-    dim/2 - 1, dim/2 - 2, ... down to 0 for even dim, and to 1/2 for odd dim,
-    which also adds 2 Phi(-x) (Genz & Bretz 2009, ch. 4), taken as e^-t
-    erfcx(x / sqrt(2)) so that it shares the factor e^-t; the density is x
-    e^-t t^(dim/2 - 1) / Gamma(dim/2).  The sum is taken by Horner's rule
-    and e^-t as two factors e^(-t/2), so nothing underflows before the
-    result does.  Past sqrt(dim) + 40 both are 0 in double precision, and x
-    is cut there, in place, so that the powers of t stay finite.  Both are
-    written into the (3, len(x)) array ``work``, made if not given, so a
-    search that evaluates them again and again allocates nothing per point.
+    With s = 1 / T, y = s^2, w = c^2 / 2 and E = e^(-w y), the tail is E
+    sum_a (w y)^a / Gamma(a + 1) over a = 0, 1, ... up to dim/2 - 1; for odd
+    dim over a = 1/2, 3/2, ..., where (w y)^(1/2) = sqrt(w) s, plus 2 Phi(-c
+    s) = E erfcx(c s / sqrt(2)) (Genz & Bretz 2009, ch. 4).  So the level
+    sums over directions first: one exponential each, then the moments sum_i
+    y_i^a E_i (s_i y_i^a E_i for odd dim) weighted by w^a / Gamma(a + 1),
+    and the slope, the mean of -c^(dim-1) s^dim E / (2^(dim/2-1)
+    Gamma(dim/2)), is the next moment.  T is raised to 2^(-960/dim) so that
+    the moments stay finite, which moves no term at c > 4e-23 for dim <= 12;
+    c is cut to 1000, past which every term is 0.
     """
-    np.minimum(x, math.sqrt(dim) + 40.0, out=x)
-    t, half, tail = np.empty((3, x.size)) if work is None else work
-    np.multiply(x, x, out=t)
-    t *= 0.5
-    np.multiply(t, -0.5, out=half)
-    np.exp(half, out=half)
-    lowest, top = 0.5 * (dim % 2), 0.5 * dim - 1.0
-    tail.fill(1.0)
-    for a in np.arange(top, lowest, -1.0):
-        tail *= t
-        tail /= a
-        tail += 1.0
-    if lowest:  # t^(1/2) / Gamma(3/2), and 2 Phi(-x) = e^-t erfcx(x / sqrt(2))
-        # imported here: a platform's dim 2K is even, and scipy.special is
-        # most of a CLI call's import time
-        from scipy.special import erfcx
+    size, base = stat.size, 0.5 * (dim % 2)
+    s = np.reciprocal(np.maximum(stat[stat > 0.0], 2.0 ** -(960 // dim)))
+    y, power = s * s, np.empty(s.size)
+    constant = 2.0 ** (0.5 * dim - 1.0) * math.gamma(0.5 * dim)
 
-        tail *= x
-        tail *= math.sqrt(2.0 / math.pi)
-        tail += erfcx(x * math.sqrt(0.5))
-    tail *= half
-    tail *= half
-    density = np.power(t, top, out=t)
-    density *= x
-    density *= half
-    density *= half
-    density /= math.gamma(top + 1.0)
-    return tail, density
+    def law(c: float, spread: bool = False):
+        c = min(c, 1000.0)
+        w, level = 0.5 * c * c, 0.0
+        terms = np.zeros(s.size) if spread else None
+        np.exp(np.multiply(y, -w, out=power), out=power)
+        if base:
+            # imported here: a platform's dim 2K is even, and scipy.special
+            # is most of a CLI call's import time
+            from scipy.special import erfcx
+
+            terms = erfcx(s * (c * math.sqrt(0.5))) * power
+            level = float(terms.sum())
+            np.multiply(power, s, out=power)
+        for a in range(dim // 2):
+            if a:
+                np.multiply(power, y, out=power)
+            weight = w ** (a + base) / math.gamma(a + base + 1.0)
+            if spread:
+                terms += weight * power
+            else:
+                level += weight * float(power.sum())
+        # einsum, not BLAS, whose threads would spin on the cores
+        if spread:
+            return float(np.einsum("i,i->", terms, terms)) / size
+        slope = -float(np.einsum("i,i->", power, y)) * c ** (dim - 1) / constant
+        return level / size, slope / size
+
+    return law
 
 
 def _bracket(metric: ErrorMetric, dim: int, rho) -> tuple[np.ndarray, np.ndarray]:
@@ -499,11 +508,13 @@ def platform_threshold(
     the direction's m-th largest statistic over its norm
     (:func:`_tail_count_statistic`).  So the level is the mean over
     directions of P(chi_dim > c / T), and 0 where T <= 0: a smooth
-    deterministic function of c with a closed-form slope, solved by the same
-    search from the Markov bound on the count, to steps of 1e-9.
-    ``achieved`` is the level at the root, and ``achieved_stderr`` the
-    standard deviation of the directions' terms there over
-    sqrt(``replications``); ``precision`` is validated but unused.  The
+    deterministic function of c with a closed-form slope, summed over the
+    directions as power moments (:func:`_radial_level`), one exponential per
+    direction per evaluation, and solved by the same search from the Markov
+    bound on the count, to steps of 1e-9.  ``achieved`` is the level at the
+    root, and ``achieved_stderr`` the standard deviation of the directions'
+    terms there over sqrt(``replications``), from one more pass that keeps
+    each term; ``precision`` is validated but unused.  The
     directions are drawn in seeded blocks, kept for the life of the process
     up to the default K = 6 pool, and reduced on the calling thread; they
     depend only on the arguments, not on earlier calls.
@@ -552,27 +563,16 @@ def platform_threshold(
             estimates.clear()
         c_star, achieved = float(c_values[0]), float(levels[0])
     else:
-        scale = _tail_count_statistic(
-            z_corr, metric.exceedance_count, metric.effective_sided, replications, seed
-        )
-        # 1 / T of the directions with T > 0; the others never count at c >= 0
-        scale = scale[scale > 0.0]
-        np.reciprocal(scale, out=scale)
-        # c / T and the tail's work, kept for the whole search; the sum of
-        # squares of the last level's terms, for their spread
-        x, work, squares = np.empty(scale.size), np.empty((3, scale.size)), [0.0]
+        count, sided = metric.exceedance_count, metric.effective_sided
+        law = _radial_level(_tail_count_statistic(z_corr, count, sided, replications, seed), dim)
 
         def level(c: np.ndarray, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            tail, density = _chi_tail(np.multiply(scale, c[0], out=x), dim, work)
-            # einsum, not BLAS, whose threads would spin on the cores
-            squares[0] = float(np.einsum("i,i->", tail, tail))
-            slope = -float(np.einsum("i,i->", density, scale))
-            return np.array([tail.sum() / replications]), np.array([slope / replications])
+            return tuple(np.array([value]) for value in law(float(c[0])))
 
         low, high = _bracket(metric, dim, rho)
         c_values, levels = _solve_decreasing(level, metric.alpha, low, high, high, 1e-9)
         c_star, achieved = float(c_values[0]), float(levels[0])
-        stderr = math.sqrt(max(squares[0] / replications - achieved**2, 0.0) / replications)
+        stderr = math.sqrt(max(law(c_star, spread=True) - achieved**2, 0.0) / replications)
 
     if dim > 2:  # the bivariate solve checks its own level
         tolerance = max(1e-4, 3.0 * stderr) if stderr > 0.0 else _PROB_TOL * metric.alpha

@@ -732,10 +732,9 @@ for argv in calls:
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
     assert "scipy.special" not in sys.modules, " ".join(argv[:3])
-    # the m-FWER pool runs on the calling thread; only design's scipy.optimize
-    # loads a thread pool module
-    if argv[0] == "adjust":
-        assert "concurrent.futures" not in sys.modules, " ".join(argv[:3])
+    # the m-FWER pool runs on the calling thread, and no call loads a thread
+    # pool module
+    assert "concurrent.futures" not in sys.modules, " ".join(argv[:3])
 """
 
 

@@ -1,11 +1,20 @@
 """Error metrics, conventional adjustments, and threshold solvers."""
 
+import hashlib
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
-from conftest import bvn_rectangle, holm_reject, mc_error_rates, mvn_draws
+from conftest import (
+    bvn_rectangle,
+    chi_tail,
+    holm_reject,
+    mc_error_rates,
+    mvn_draws,
+    pool_threshold_oracle,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
@@ -432,8 +441,8 @@ class TestPlatformThreshold:
 
     def test_pool_critical_values_are_pinned(self):
         # the null pool is seeded blocks of directions, each integrated over
-        # the radius; any change to those draws or to the chi tail moves
-        # these values
+        # the radius; any change to those draws, to the radial sums or to
+        # their order moves these values
         corr = _platform_z_corr(2)
         two = platform_threshold(corr, ErrorMetric.mfwer(2, 0.05))
         one = platform_threshold(corr, ErrorMetric.mfwer(2, 0.05, sided="one"), seed=5)
@@ -1049,6 +1058,40 @@ class TestNullPool:
             expected = np.partition(rows, dim - m, axis=0)[dim - m] / norms
             np.testing.assert_allclose(stat, expected, rtol=1e-14, atol=0.0)
 
+    # sha256 of the pool's bytes for m = 1-4, sided two and one, at dim 6
+    POOL_SHA256 = {
+        ("two", 1): "87aa933c7c755e0ed1c4240d5ba06cf42a234c283d44116136e6bfc18219e37b",
+        ("two", 2): "7924641526082d1d2a3adb44e8257a2bf2b149e34dae6667b6b580fe56ad0aab",
+        ("two", 3): "490ef51324c88367e36820059092f8b753f694da40d863918dbca80978df8a2c",
+        ("two", 4): "5e2e7844a6748e761b2f8f0125cd75d25515d15f204b15f41cc2a4ab27bddfad",
+        ("one", 1): "69b245ca492b99d92285d68d1c680ab0e62b6c03d968c342eaef339ad4d6178e",
+        ("one", 2): "5f6f1ca24dd111da5be4594a08b4dc0578cc9707c6ce19ba22a3b9d0bf42a4e8",
+        ("one", 3): "f3bc5274adf0b805c24463a5aeaf50b44b9b0a8fee61a2f8f0620a850bc3cac5",
+        ("one", 4): "63e59c5f0f4756119a3fcc24d4fe08bc8541e53b670bc871decf2460ec7a1093",
+    }
+
+    @pytest.mark.parametrize("sided, m", sorted(POOL_SHA256))
+    def test_pool_bytes_are_pinned(self, sided, m):
+        # the top-m pass drops what falls past the last rank without
+        # computing it; the pool is the same bits either way
+        stat = multiplicity._tail_count_statistic(_platform_z_corr(3), m, sided, 16_385, 7)
+        assert hashlib.sha256(stat.tobytes()).hexdigest() == self.POOL_SHA256[sided, m]
+
+    @pytest.mark.parametrize("K", range(2, 7))
+    def test_solves_match_the_per_direction_oracle(self, K):
+        # the moment sums against each direction's chi tail on its own, on
+        # the same pool: 12 solves per K, 60 in all
+        metrics = [ErrorMetric.mfwer(m, 0.05, sided) for m in (2, 3) for sided in ("two", "one")]
+        for seed in (0, 1):
+            z_corr = _feasible_platform_z_corr(K, seed)
+            for metric in (*metrics, ErrorMetric.fmer(), ErrorMetric.msfp()):
+                result = platform_threshold(z_corr, metric)
+                c_star, achieved, stderr = pool_threshold_oracle(z_corr, metric)
+                case = (seed, metric)
+                assert abs(result.critical_value - c_star) <= 4 * math.ulp(c_star), case
+                assert abs(result.achieved - achieved) <= 1e-15, case
+                assert result.achieved_stderr == pytest.approx(stderr, rel=1e-13), case
+
     def test_k6_pool_levels_against_brute_force(self):
         # twelve statistics: the pool's critical values against a
         # separately seeded direct count
@@ -1096,6 +1139,9 @@ class TestNullPool:
             values = np.abs(draws) if sided == "two" else draws
             result = platform_threshold(corr, ErrorMetric.mfwer(2, 0.05, sided=sided), seed=3)
             assert abs(result.achieved - 0.05) <= 1e-9
+            c_star, _, stderr = pool_threshold_oracle(corr, result.metric, seed=3)
+            assert abs(result.critical_value - c_star) <= 4 * math.ulp(c_star)
+            assert result.achieved_stderr == pytest.approx(stderr, rel=1e-13)
             oracle = float(((values > result.critical_value).sum(axis=1) >= 2).mean())
             se = _se(oracle, len(draws))
             assert abs(oracle - 0.05) <= 5 * math.hypot(se, result.achieved_stderr)
@@ -1111,12 +1157,8 @@ class TestNullPool:
         z_corr, metric = _feasible_platform_z_corr(K, seed), ErrorMetric.mfwer(m, 0.05, sided)
         low, high = multiplicity._bracket(metric, 2 * K, z_corr.entries[0, 1])
         stat = multiplicity._tail_count_statistic(z_corr, m, sided, 16_384, seed)
-        scale = 1.0 / stat[stat > 0.0]
-
-        def level(c):
-            return multiplicity._chi_tail(c * scale, 2 * K)[0].sum() / stat.size
-
-        assert level(float(low)) >= 0.05 >= level(float(high))
+        law = multiplicity._radial_level(stat, 2 * K)
+        assert law(float(low))[0] >= 0.05 >= law(float(high))[0]
 
 
 def _feasible_platform_z_corr(K, seed):
@@ -1135,45 +1177,57 @@ def _feasible_platform_z_corr(K, seed):
     return platform_z_correlation_matrix(arms)
 
 
-class TestChiTail:
-    """P(chi_dim > x) and the chi_dim density, the radial law the pool
-    integrates over."""
+class TestRadialLevel:
+    """The pool's level, the mean over directions of P(chi_dim > c / T), and
+    its slope, from power-moment sums over the directions."""
+
+    # T from 1e-300 to 1, so that c / T runs far past sqrt(dim) + 40, and two
+    # directions that never count
+    POOL = np.concatenate([np.logspace(-300.0, 0.0, 31), np.linspace(0.05, 0.95, 19), [0.0, -0.4]])
 
     @pytest.mark.parametrize("dim", range(3, 13))
     def test_against_mpmath(self, dim):
-        # 1e-12 relative wherever the value is a normal double; below the
-        # smallest normal double (x near 38 and beyond) only absolutely.  At
-        # x = 37.68 the odd-dim 2 Phi(-x) is subnormal and the tail is not.
-        x = np.concatenate([
-            np.linspace(0.0, 40.0, 161), [1e-8, 0.3, 1.7, 2.25, 5.5, 37.68, 38.6],
-        ])
-        tail, density = multiplicity._chi_tail(x.copy(), dim)
-        tiny, a = np.finfo(float).tiny, mp.mpf(dim) / 2
-
-        def close(got, want):
-            return got == pytest.approx(want, rel=1e-12, abs=0.0 if want >= tiny else tiny)
-
+        law, a = multiplicity._radial_level(self.POOL, dim), mp.mpf(dim) / 2
         with mp.workdps(40):
-            for xi, got_tail, got_density in zip(x.tolist(), tail, density):
-                t = mp.mpf(xi) ** 2 / 2
-                want_tail = float(mp.gammainc(a, t, mp.inf, regularized=True))
-                want_density = float(
-                    mp.mpf(xi) ** (dim - 1) * mp.exp(-t) / (2 ** (a - 1) * mp.gamma(a))
-                )
-                assert close(got_tail, want_tail), xi
-                assert close(got_density, want_density), xi
+            for c in (0.0, 1e-8, 0.3, 1.7, 2.25, 5.5, 37.68):
+                level = slope = mp.mpf(0)
+                for T in self.POOL[self.POOL > 0.0].tolist():
+                    x = mp.mpf(c) / mp.mpf(T)
+                    level += mp.gammainc(a, x * x / 2, mp.inf, regularized=True)
+                    density = x ** (dim - 1) * mp.exp(-x * x / 2) / (2 ** (a - 1) * mp.gamma(a))
+                    slope -= density / mp.mpf(T)
+                want = [float(v / self.POOL.size) for v in (level, slope)]
+                assert list(law(c)) == pytest.approx(want, rel=1e-13, abs=0.0), c
 
     @pytest.mark.parametrize("dim", [3, 4, 7, 12])
-    def test_density_is_minus_the_tail_slope(self, dim):
-        x, h = np.linspace(0.5, 8.0, 16), 1e-6
-        _, density = multiplicity._chi_tail(x.copy(), dim)
-        above, _ = multiplicity._chi_tail(x + h, dim)
-        below, _ = multiplicity._chi_tail(x - h, dim)
-        np.testing.assert_allclose(density, (below - above) / (2 * h), rtol=1e-6, atol=1e-9)
+    def test_slope_is_the_level_difference(self, dim):
+        law, h = multiplicity._radial_level(self.POOL, dim), 1e-6
+        for c in np.linspace(0.2, 8.0, 14).tolist():
+            difference = (law(c + h)[0] - law(c - h)[0]) / (2 * h)
+            assert law(c)[1] == pytest.approx(difference, rel=1e-6, abs=1e-12), c
 
-    def test_far_tail_is_zero_not_nan(self):
-        tail, density = multiplicity._chi_tail(np.array([50.0, 1e10, math.inf]), 12)
-        assert tail.tolist() == [0.0] * 3 and density.tolist() == [0.0] * 3
+    @pytest.mark.parametrize("dim", [3, 4, 5, 12])
+    def test_extreme_pools_and_c_stay_finite_without_warnings(self, dim):
+        # 1 / 5e-324 and (1 / 1e-300)^2 overflow unless T is raised
+        stat = np.array([5e-324, 1e-300, 1e-20, 0.5, 1.0, 0.0, -0.3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            law = multiplicity._radial_level(stat, dim)
+            assert law(0.0) == (5 / 7, 0.0) and law(0.0, spread=True) == 5 / 7
+            for c in (1e-300, 1e-30, 1e-8, 1.7, 37.68, 1e5):
+                level, slope = law(c)
+                assert 0.0 <= level <= 5 / 7 and -math.inf < slope <= 0.0, c
+                assert 0.0 <= law(c, spread=True) <= 5 / 7, c
+            assert law(math.inf) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("K", [2, 4, 6])
+    def test_spread_is_the_mean_squared_term(self, K):
+        # the terms at c, each direction's chi tail on its own
+        stat = multiplicity._tail_count_statistic(_platform_z_corr(K), 2, "two", 20_000, 4)
+        law, c = multiplicity._radial_level(stat, 2 * K), 2.1
+        terms, _ = chi_tail(c / stat[stat > 0.0], 2 * K)
+        assert law(c, spread=True) == pytest.approx(terms @ terms / stat.size, rel=1e-14)
+        assert law(c)[0] == pytest.approx(terms.sum() / stat.size, rel=1e-14)
 
 
 class TestEmpiricalErrorRates:
