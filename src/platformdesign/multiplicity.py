@@ -142,12 +142,15 @@ def _solve_decreasing(
     keeps a bracket by the sign of level - target.  A Newton step past a
     bracket end that has not been evaluated goes to that end, since the root
     may lie on it; any other step that leaves the bracket, or that h cannot
-    give, is replaced by bisection.  An element stops at the point just
-    evaluated once its next step is at most ``x_tol``; with
-    ``predicted_stop``, also on that step, unevaluated, if it and the last
-    are Newton steps (not bisected or clamped), it the shorter, and the one
-    after it is predicted at |step|^3 / |last|^2 <= ``x_tol`` / 10, at the
-    level's second-order Taylor value (curvature from the last two slopes).
+    give, is replaced by bisection, and so is a step inside the bracket
+    longer than half the element's step before its last (the safeguard of
+    Numerical Recipes' rtsafe), as a slope too small by half or more would
+    alternate across the root.  An element stops at the point just evaluated
+    once its next step is at most ``x_tol``; with ``predicted_stop``, also
+    on that step, unevaluated, if it and the last are Newton steps (not
+    bisected or clamped), it the shorter, and the one after it is predicted
+    at |step|^3 / |last|^2 <= ``x_tol`` / 10, at the level's second-order
+    Taylor value (curvature from the last two slopes).
     Where the level does not cross the target inside a bracket, the search
     ends on the bracket's end and the caller's level check decides.
     """
@@ -159,6 +162,8 @@ def _solve_decreasing(
     x_out, f_out = np.empty(x.size), np.empty(x.size)
     # each element's last step if a Newton step, else NaN, and the slope before it
     last_step, last_slope = np.full(x.size, math.nan), np.full(x.size, math.nan)
+    # each element's last two steps of any kind, the earlier one first
+    earlier, latest = np.full(x.size, math.inf), np.full(x.size, math.inf)
     active = np.arange(x.size)
     while active.size:
         f, slope = level(x, active)
@@ -170,6 +175,9 @@ def _solve_decreasing(
             # -(h - h_target) / h', with h' = -slope / (f * h)
             newton = x + (h_target - h) * f * h / -slope
         newton[~((0.0 < f) & (f < 1.0) & (slope < 0.0))] = math.nan
+        # an in-bracket Newton step longer than half the step before the
+        # last is not converging; bisection replaces it
+        newton[(lo <= newton) & (newton <= hi) & (np.abs(newton - x) > earlier / 2.0)] = math.nan
         raw = newton  # the Newton point before any clamp to a bracket end
         newton = np.where(open_lo & (newton < lo), lo, newton)
         newton = np.where(open_hi & (newton > hi), hi, newton)
@@ -185,6 +193,7 @@ def _solve_decreasing(
             x_out[active[ends]], f_out[active[ends]] = following[ends], taylor[ends]
             going &= ~ends
             last_step, last_slope = step[going], slope[going]
+        earlier, latest = latest[going], np.abs(following - x)[going]
         active, x, lo, hi = active[going], following[going], lo[going], hi[going]
         target, h_target = target[going], h_target[going]
         open_lo, open_hi = open_lo[going], open_hi[going]

@@ -3,13 +3,13 @@
 Univariate normal cdf/quantile (``math.erfc``, no scipy), Cholesky
 factorization with diagonal jitter, and rectangle probabilities:
 
-* in dimension 2, the upper orthant P(X > h, Y > k), from which every box
-  follows, by a deterministic Gauss-Legendre scheme (Drezner-Wesolowsky
-  integral representation, accurate to ~1e-15), so root finders see a
-  smooth noise-free objective; it is elementwise over arrays of bounds and
-  correlations, as is the normal cdf.  The equal-bound orthant P(X > c,
-  Y > c) has its own kernel on Owen's T integral, which keeps its relative
-  precision at every correlation;
+* in dimension 2, the upper orthant P(X > h, Y > k), h, k >= 0, on Owen's
+  T integral (Owen 1956): one 20-point Gauss-Legendre sum of exponentials
+  per element, deterministic, so root finders see a smooth noise-free
+  objective, and relatively precise at every correlation.  The equal-bound
+  orthant P(X > c, Y > c) is one such integral, and unequal bounds are two
+  halves of it in one call; both are elementwise over arrays of bounds and
+  correlations, as is the normal cdf;
 * higher dimensions use a randomized separation-of-variables estimate
   (shifted Richtmyer lattices after the sequential-conditioning transform)
   with a reported standard error.  A :class:`QmcLattice` holds its points
@@ -185,21 +185,9 @@ class CorrelationMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Bivariate upper orthant (deterministic quadrature)
+# Bivariate upper orthant (Owen's T integral)
 # ---------------------------------------------------------------------------
 
-# Gauss-Legendre nodes/weights used by the Drezner-Wesolowsky scheme; the
-# order grows with |rho| to keep the absolute error near machine precision.
-_GL6_W = np.array([0.1713244923791705, 0.3607615730481384, 0.4679139345726904])
-_GL6_X = np.array([0.9324695142031522, 0.6612093864662647, 0.2386191860831970])
-_GL12_W = np.array(
-    [0.04717533638651177, 0.1069393259953183, 0.1600783285433464,
-     0.2031674267230659, 0.2334925365383547, 0.2491470458134029]
-)
-_GL12_X = np.array(
-    [0.9815606342467191, 0.9041172563704750, 0.7699026741943050,
-     0.5873179542866171, 0.3678314989981802, 0.1252334085114692]
-)
 _GL20_W = np.array(
     [0.01761400713915212, 0.04060142980038694, 0.06267204833410906,
      0.08327674157670475, 0.1019301198172404, 0.1181945319615184,
@@ -212,124 +200,13 @@ _GL20_X = np.array(
      0.5108670019508271, 0.3737060887154196, 0.2277858511416451,
      0.07652652113349733]
 )
-
-
-# Each rule as weights and nodes on [0, 2]: the rule on [-1, 1] shifted by one.
-_GL_RULES = tuple(
-    (np.concatenate([w, w]), np.concatenate([1.0 - x, 1.0 + x]))
-    for w, x in ((_GL6_W, _GL6_X), (_GL12_W, _GL12_X), (_GL20_W, _GL20_X))
-)
-# |r| below which each rule is used; from the last one on, the expansion
-# about |r| = 1
-_GL_BANDS = np.array([0.3, 0.75, 0.925])
-
-
-def _bvn_quadrature(h, k, r, weights, nodes):
-    """P(X > h, Y > k) for 0 < |r| < 0.925: the tails' product plus the
-    Drezner-Wesolowsky integral over asin(r), one (elements x nodes) product."""
-    hk = (h * k)[:, None]
-    hs = ((h * h + k * k) / 2.0)[:, None]
-    asr = np.arcsin(r) / 2.0
-    sn = np.sin(asr[:, None] * nodes)
-    integral = (np.exp((sn * hk - hs) / (1.0 - sn * sn)) * weights).sum(axis=1)
-    return integral * asr / (2.0 * math.pi) + std_normal_cdf(-h) * std_normal_cdf(-k)
-
-
-def _bvn_near_singular(h, k, r, weights, nodes):
-    """P(X > h, Y > k) for |r| >= 0.925: Genz's expansion about the singular
-    law at r = +-1, with its Gauss-Legendre correction term.
-
-    Lanes whose terms are negligible (exponent below -100) are masked to 0,
-    and the exponentials see a harmless argument there.
-    """
-    tp = 2.0 * math.pi
-    negative = r < 0.0
-    k = np.where(negative, -k, k)
-    hk = h * k
-    bvn = np.zeros(h.size)
-    inner = np.flatnonzero(np.abs(r) < 1.0)
-    if inner.size:
-        h_i, k_i, hk_i, r_i = h[inner], k[inner], hk[inner], r[inner]
-        as_ = (1.0 - r_i) * (1.0 + r_i)
-        a = np.sqrt(as_)
-        bs = (h_i - k_i) ** 2
-        c = (4.0 - hk_i) / 8.0
-        d = (12.0 - hk_i) / 16.0
-        asr = -(bs / as_ + hk_i) / 2.0
-        part = np.where(
-            asr > -100.0,
-            a * np.exp(asr)
-            * (1.0 - c * (bs - as_) * (1.0 - d * bs / 5.0) / 3.0 + c * d * as_ * as_ / 5.0),
-            0.0,
-        )
-        near = -hk_i < 100.0
-        b = np.sqrt(bs)
-        sp = math.sqrt(tp) * std_normal_cdf(-b / a)
-        tail = np.exp(np.where(near, -hk_i, 0.0) / 2.0) * sp * b * (
-            1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0
-        )
-        part -= np.where(near, tail, 0.0)
-        a /= 2.0
-        xs = (a[:, None] * nodes) ** 2
-        asr_v = -(bs[:, None] / xs + hk_i[:, None]) / 2.0
-        keep = asr_v > -100.0
-        rs = np.sqrt(1.0 - xs)
-        sp_v = 1.0 + c[:, None] * xs * (1.0 + d[:, None] * xs)
-        ep = np.exp(np.where(keep, -hk_i[:, None] * (1.0 - rs) / (2.0 * (1.0 + rs)), 0.0)) / rs
-        terms = np.where(keep, np.exp(asr_v) * (ep - sp_v), 0.0)
-        part += a * (terms * weights).sum(axis=1)
-        bvn[inner] = -part / tp
-    positive = bvn + std_normal_cdf(-np.maximum(h, k))
-    negative_law = -bvn + np.maximum(0.0, std_normal_cdf(-h) - std_normal_cdf(-k))
-    return np.where(negative, negative_law, positive)
-
-
-# Branch labels of _bvn_upper beyond the quadrature rules' 0, 1, 2
-_NEAR_SINGULAR, _INFINITE = 3, 4
+# The 20-point Gauss-Legendre rule on [0, 1]: the rule on [-1, 1] shifted
+# by one and halved
+_GL20_UNIT_W = np.concatenate([_GL20_W, _GL20_W]) / 2.0
+_GL20_UNIT_X = np.concatenate([1.0 - _GL20_X, 1.0 + _GL20_X]) / 2.0
 # A bound this many standard deviations out is infinite to double precision
-# (the normal tail underflows), and larger ones would overflow h * h.
+# (the normal tail underflows), and larger ones would overflow c * c.
 _FAR = 40.0
-
-
-def _bvn_upper(h, k, r) -> np.ndarray:
-    """P(X > h, Y > k) for standard bivariate normals with correlation r,
-    elementwise over the broadcast arrays.
-
-    Each element takes the branch of Genz's scheme (Genz 2004) for its |r|:
-    Gauss-Legendre quadrature below 0.925 (6, 12 or 20 nodes as |r| grows;
-    at r = 0 the integral vanishes and the tails' product is left) and the
-    expansion about |r| = 1 above.
-    Only the branches some element needs are computed; bounds beyond +-40,
-    infinite ones included, give 0 or a univariate tail.
-    """
-    h, k, r = np.asarray(h, dtype=float), np.asarray(k, dtype=float), np.asarray(r, dtype=float)
-    if not h.shape == k.shape == r.shape:
-        h, k, r = np.broadcast_arrays(h, k, r)
-    shape = h.shape
-    h, k, r = h.ravel(), k.ravel(), r.ravel()
-    out = np.zeros(h.size)
-    branch = np.searchsorted(_GL_BANDS, np.abs(r), side="right")
-    finite = (np.abs(h) < _FAR) & (np.abs(k) < _FAR)
-    if not finite.all():
-        branch[~finite] = _INFINITE
-        tail_k = (h <= -_FAR) & (k < _FAR)
-        tail_h = (k <= -_FAR) & (h < _FAR) & ~tail_k
-        for tail, bound in ((tail_k, k), (tail_h, h)):
-            if tail.any():
-                out[tail] = std_normal_cdf(-bound[tail])
-    counts = np.bincount(branch, minlength=_INFINITE)
-    for label in np.flatnonzero(counts[:_INFINITE]).tolist():
-        pick = slice(None) if counts[label] == h.size else np.flatnonzero(branch == label)
-        bounds = (h[pick], k[pick], r[pick])
-        if label == _NEAR_SINGULAR:
-            out[pick] = _bvn_near_singular(*bounds, *_GL_RULES[-1])
-        else:
-            out[pick] = _bvn_quadrature(*bounds, *_GL_RULES[label])
-    return np.minimum(1.0, np.maximum(0.0, out)).reshape(shape)
-
-
-# The 20-point Gauss-Legendre rule on [0, 1]
-_GL20_UNIT_W, _GL20_UNIT_X = _GL_RULES[-1][0] / 2.0, _GL_RULES[-1][1] / 2.0
 # _equal_orthant integrates a tail only while its Gaussian factor falls by
 # e^-_CUT (4e-18), and turns to Owen's identity beyond a = _OWEN_A while
 # (c a)^2 is below _OWEN_CA2
@@ -386,6 +263,28 @@ def _equal_orthant(c, a, tail, tail_ca) -> np.ndarray:
     terms /= x
     start = np.where(owen, tail_ca * (2.0 * tail - 1.0), np.where(anchored, tail * tail, 0.0))
     return np.einsum("...j,j->...", terms, _GL20_UNIT_W) * span / math.pi + start
+
+
+def _unequal_orthant(h, k, r) -> np.ndarray:
+    """U = P(X > h, Y > k) for standard bivariate normals with correlation r
+    and h, k >= 0, elementwise over the broadcast arrays.
+
+    Owen (1956): U = [E(h, a_h) + E(k, a_k)] / 2, with E(c, a) the integral
+    of :func:`_equal_orthant` from a, a_h = (k - r h) / (h sqrt(1 - r^2))
+    and a_k likewise; a negative a reflects, E(c, a) = 2 Phi(-c) - E(c, -a).
+    Both halves are one kernel call.  At r = 1, U is Phi(-max(h, k)), and at
+    r = -1 it is 0.  The bounds are clipped as the kernel clips them.
+    """
+    h, k = (np.minimum(np.maximum(c, 1e-150), _FAR) for c in (h, k))
+    *pairs, r = np.broadcast_arrays(h, k, std_normal_cdf(-h), std_normal_cdf(-k), r)
+    c, tail = np.stack(pairs[:2]), np.stack(pairs[2:])
+    singular = np.abs(r) == 1.0
+    spread = np.sqrt(np.where(singular, 1.0, (1.0 - r) * (1.0 + r)))
+    # c a for each half: the other bound's distance past its conditional mean
+    shift = (c[::-1] - r * c) / spread
+    half = _equal_orthant(c, np.abs(shift) / c, tail, std_normal_cdf(-np.abs(shift)))
+    half = np.where(shift < 0.0, 2.0 * tail - half, half)
+    return np.where(singular, np.where(r > 0.0, np.minimum(*tail), 0.0), (half[0] + half[1]) / 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from .multiplicity import (
     _p_threshold,
     bivariate_error_rates,
 )
-from .mvnorm import _bvn_upper, std_normal_quantile
+from .mvnorm import _unequal_orthant, std_normal_quantile
 from .power import _noncentrality_floor, _scan_totals
 
 __all__ = [
@@ -321,10 +321,12 @@ def _holm_rates(z_rho, first_cut: float, last_cut: float, at_first: dict) -> dic
     other a: P(|Z1| > b, |Z2| > a) + P(|Z1| > a, |Z2| > b) less P(both |Z| >
     b), where each of the first two is 2 U(a, b, rho) + 2 U(a, b, -rho) by
     sign symmetry.  So Holm fmer = 4 [U(a, b, rho) + U(a, b, -rho)] - fmer(b),
-    and likewise Holm msfp = 2 U(a, b, rho) - msfp(b).
+    and likewise Holm msfp = 2 U(a, b, rho) - msfp(b).  Both orthants come
+    from one call of the unequal-bound kernel :func:`_unequal_orthant`
+    (Owen's T integral), relatively precise however small they are.
     """
     a, b = last_cut, first_cut
-    same_sign, opposite_sign = _bvn_upper(a, b, np.stack((z_rho, -z_rho)))
+    same_sign, opposite_sign = _unequal_orthant(a, b, np.stack((z_rho, -z_rho)))
     return {
         "fwer": at_first["fwer"],
         "fmer": 4.0 * (same_sign + opposite_sign) - at_first["fmer"],

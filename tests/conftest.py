@@ -8,14 +8,14 @@ agreement is evidence, not tautology.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy.special import erfcx, ndtr
-from scipy.stats import norm
+from scipy.stats import multivariate_normal, norm
 
 from platformdesign.allocation import _contrasts, _noncentralities
-from platformdesign.mvnorm import _bvn_upper
 from platformdesign.power import marginal_power_oracle
 
 
@@ -50,23 +50,55 @@ def rect_quad_oracle(lower, upper, rho: float) -> float:
     return value
 
 
+# A bound past this many standard deviations is infinite to double precision
+_FAR = 40.0
+
+
 def bvn_rectangle(lower, upper, rho):
     """P(lower <= (X, Y) <= upper) for standard bivariate normals with
-    correlation rho, from the package's upper orthant ``_bvn_upper`` at the
-    four corners of every box: the box probability the tests check against
-    :func:`rect_quad_oracle` and read the exact levels from.
+    correlation rho, box by box from scipy's ``multivariate_normal.cdf``,
+    whose bivariate path is Genz's BVNU (Genz 2004): the box probability the
+    tests check against :func:`rect_quad_oracle` and read the exact levels
+    from.
 
-    Boxes of shape (..., 2) broadcast with ``rho``; one box gives a float.
+    Bounds past +-40 are taken as infinite: at rho 0.999999 scipy gives 1.0
+    for the box (-1e300, 1e200) x (-1, 1).  At |rho| = 1 the box comes from
+    :func:`rect_quad_oracle`'s closed form, so the singular law takes no
+    numerical path; a correlation just inside it, where scipy would refuse
+    the covariance as singular, is allowed.  Boxes of shape (..., 2)
+    broadcast with ``rho``; one box gives a float.
     """
     lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
     a1, a2, b1, b2, rho = np.broadcast_arrays(
         lower[..., 0], lower[..., 1], upper[..., 0], upper[..., 1], np.asarray(rho, dtype=float)
     )
-    corner = _bvn_upper(
-        np.stack((a1, a1, b1, b1)), np.stack((a2, b2, a2, b2)), np.stack((rho,) * 4)
+    lower, upper = (
+        np.where(np.abs(bound) >= _FAR, np.copysign(np.inf, bound), bound)
+        for bound in (np.stack((a1, a2), axis=-1), np.stack((b1, b2), axis=-1))
     )
-    p = np.minimum(1.0, np.maximum(0.0, corner[0] - corner[1] - corner[2] + corner[3]))
+    p = np.empty(rho.shape)
+    for i in np.ndindex(rho.shape):
+        r = float(rho[i])
+        if abs(r) == 1.0:
+            p[i] = rect_quad_oracle(lower[i], upper[i], r)
+        else:
+            p[i] = multivariate_normal.cdf(
+                upper[i], mean=(0.0, 0.0), cov=((1.0, r), (r, 1.0)), lower_limit=lower[i],
+                allow_singular=True,
+            )
     return float(p) if p.ndim == 0 else p
+
+
+def mp_orthant(h: float, k: float, r: float):
+    """P(Z1 > h, Z2 > k) at correlation r, |r| < 1, at mpmath's working
+    precision: quadrature of phi(x) Phi((r x - k) / sqrt(1 - r^2)) over x >
+    h, split where the inner tail steps, at x = k / r."""
+    r = mp.mpf(r)
+    scale = mp.sqrt(1 - r**2)
+    points = [h, h + 2, h + 6]
+    if r and k / r > h:
+        points = sorted({*points, k / r})
+    return mp.quad(lambda x: mp.npdf(x) * mp.ncdf((r * x - k) / scale), [*points, mp.inf])
 
 
 def grid_allocation_oracle(s, delta, rho, resolution=1e-3, K=1):

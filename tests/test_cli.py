@@ -470,6 +470,25 @@ class TestSimulate:
         rows = out_path.read_text().splitlines()
         assert len(rows) - 1 == 2 * 2 * 3
 
+    def test_holm_at_perfect_correlation(self, capsys):
+        # at z_rho = 1 both statistics are one: Holm rejects both at the
+        # Bonferroni cut, so its fwer and fmer are 0.025 and its msfp
+        # 0.0125, with no warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = _run(
+                capsys, "simulate", "--study", "adjustments", "--fixed-rho", "0",
+                "--start", "0.9", "--stop", "1.0", "--step", "0.05",
+            )
+        assert code == 0
+        header, *lines = out.splitlines()
+        rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        holm = {
+            row["metric"]: float(row["value"])
+            for row in rows if row["method"] == "holm" and float(row["z_rho"]) == 1.0
+        }
+        assert holm == pytest.approx({"fwer": 0.025, "fmer": 0.025, "msfp": 0.0125}, abs=1e-15)
+
     def test_progress_is_logged_only_with_the_flag(self, capsys):
         args = (
             "simulate", "--study", "design-surface", "--start", "1.0", "--stop", "1.0",

@@ -12,6 +12,7 @@ from conftest import (
     chi_tail,
     holm_reject,
     mc_error_rates,
+    mp_orthant,
     mvn_draws,
     pool_threshold_oracle,
 )
@@ -237,7 +238,7 @@ class TestGeneralizedDunnett:
         result = platform_threshold(CorrelationMatrix.bivariate(-0.9), ErrorMetric.msfp(1e-10))
         c = result.critical_value
         with mp.workdps(40):
-            level = _mp_orthant(c, c, -0.9)
+            level = mp_orthant(c, c, -0.9)
         assert abs(float(level / mp.mpf(1e-10)) - 1.0) <= 1e-11
 
 
@@ -260,13 +261,6 @@ def _rectangle_level(rho: float, c: float, count: int, sided: str) -> float:
     corners = (((c, c), (inf, inf)), ((-inf, -inf), (-c, -c)),
                ((c, -inf), (inf, -c)), ((-inf, c), (-c, inf)))
     return sum(bvn_rectangle(lower, upper, rho) for lower, upper in corners)
-
-
-def _mp_orthant(h: float, k: float, r: float):
-    """P(Z1 > h, Z2 > k) at correlation r, at mpmath's working precision:
-    quadrature of phi(x) Phi((r x - k) / sqrt(1 - r^2)) over x > h."""
-    scale = mp.sqrt(1 - mp.mpf(r) ** 2)
-    return mp.quad(lambda x: mp.npdf(x) * mp.ncdf((r * x - k) / scale), [h, h + 2, h + 6, mp.inf])
 
 
 class TestBivariateLevels:
@@ -297,7 +291,7 @@ class TestBivariateLevels:
         # 1 - P(box) keeps only about 1e-16 / level of relative precision here
         with mp.workdps(30):
             tail = mp.ncdf(-c)
-            same, opposite = _mp_orthant(c, c, rho), _mp_orthant(c, c, -rho)
+            same, opposite = mp_orthant(c, c, rho), mp_orthant(c, c, -rho)
             fwer, one_sided = 4 * tail - 2 * same - 2 * opposite, 2 * tail - same
         (got_fwer, got_one_sided), _ = multiplicity._bivariate_levels(
             rho, c, ((1, "two"), (1, "one"))
@@ -874,6 +868,28 @@ class TestSharedSearch:
             assert abs(c[i] - expected) <= 1e-12
             assert abs(c[i] - root[i]) <= 1e-11
         assert np.all(np.abs(achieved - 0.05) <= 1e-10)
+
+    @pytest.mark.parametrize("scale", [2.0, 0.5])
+    def test_a_slope_off_by_two_still_reaches_the_root(self, scale):
+        # a slope twice too large halves each Newton step's error; one half
+        # too large steps across the root and back, and without the stall
+        # guard alternates for thousands of evaluations
+        root, level = _decreasing_family(300, seed=1)
+        evaluations = np.zeros(300, dtype=int)
+
+        def misreported(c, active):
+            evaluations[active] += 1
+            assert evaluations.max() <= 1000, "the search stalls"
+            value, slope = level(c, active)
+            return value, scale * slope
+
+        high = np.full(300, 4.0)
+        c, _ = multiplicity._solve_decreasing(misreported, 0.05, np.zeros(300), high, high, 1e-12)
+        # bisection alone would take 42 evaluations to 1e-12 from [0, 4]
+        assert evaluations.max() <= 100
+        # the last step is at most x_tol, and the error at most twice that
+        # when the steps fall short by half
+        assert np.all(np.abs(c - root) <= 2.5e-12)
 
     def test_level_sees_only_the_active_elements(self):
         root, level = _decreasing_family(50, seed=3)

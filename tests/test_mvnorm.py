@@ -2,11 +2,12 @@
 
 import itertools
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
-from conftest import bvn_rectangle
+from conftest import bvn_rectangle, mp_orthant
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -25,8 +26,9 @@ mp.mp.dps = 40
 
 # box bounds: finite, or infinite in either direction
 _BOUND = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([-math.inf, math.inf]))
-# correlations in every branch of the kernel: 0, the three quadrature bands,
-# the expansion about |rho| = 1 from its switch at 0.925, and rho = +-1
+# correlations in every branch of the oracle's Genz scheme: 0, the three
+# quadrature bands, the expansion about |rho| = 1 from its switch at 0.925,
+# and rho = +-1, which the oracle takes in closed form
 _RHO = st.one_of(
     st.floats(-1.0, 1.0),
     st.floats(0.925, 0.9999),
@@ -215,7 +217,7 @@ class TestBvnRectangle:
 
     @pytest.mark.parametrize("rho", [-0.9999, -0.93, 0.924, 0.926, 0.93, 0.9999])
     def test_high_correlation_boundary_region(self, rho):
-        # the series switches representation near |rho| = 0.925
+        # the oracle's Genz scheme switches representation near |rho| = 0.925
         from conftest import rect_quad_oracle
 
         cases = [
@@ -234,11 +236,15 @@ class TestBvnRectangle:
             2 * std_normal_cdf(1.0) - 1.0, abs=1e-10
         )
 
-    @pytest.mark.parametrize("rho", [0.0, 0.3, 0.95, -0.99, 1.0])
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 0.95, -0.99, 0.999999, 1.0])
     def test_far_bounds_act_as_infinite(self, rho):
-        # h * h overflowed for bounds near 1e154, which gave NaN
+        # the oracle takes bounds past +-40 as infinite; scipy alone gives
+        # 1.0 for the first box at rho 0.999999
         assert bvn_rectangle((-1e300, -1.0), (1e200, 1.0), rho) == bvn_rectangle(
             (-INF, -1.0), (INF, 1.0), rho
+        )
+        assert bvn_rectangle((-INF, -1.0), (INF, 1.0), rho) == pytest.approx(
+            2 * std_normal_cdf(1.0) - 1.0, abs=1e-15
         )
         assert bvn_rectangle((1e160, -1.0), (1e170, 1.0), rho) == 0.0
         assert bvn_rectangle((-45.0, -50.0), (2.0, 60.0), rho) == bvn_rectangle(
@@ -301,26 +307,6 @@ class TestBvnRectangle:
                 assert values[i, j] == bvn_rectangle(lower[j], upper[j], rho[i, 0])
 
 
-class TestBvnUpper:
-    # correlations in every band: 0, each quadrature rule's band and its
-    # edges, the expansion about |r| = 1 and r = +-1, of both signs
-    R_VALUES = (0.0, 0.1, -0.1, 0.3, -0.3, 0.5, -0.5, 0.75, -0.75, 0.8, -0.8, 0.925, -0.925,
-                0.95, -0.95, 0.9999, -0.9999, 1.0, -1.0)
-    # bounds of both signs, 0, near and beyond +-40, and infinite
-    H_VALUES = (-60.0, -40.0, -39.5, -6.0, -1.96, -0.3, 0.0, 0.3, 1.96, 6.0, 39.5, 40.0, 60.0,
-                -math.inf, math.inf)
-
-    def test_general_kernel_agrees_with_the_equal_bound_kernel(self, rng):
-        # the two kernels share no branch: at equal bounds h = k >= 0 they
-        # agree to the general kernel's absolute precision in every band
-        h, r = (np.array(axis) for axis in zip(*itertools.product(self.H_VALUES, self.R_VALUES)))
-        keep = h >= 0.0
-        h = np.concatenate([h[keep], np.abs(rng.normal(0.0, 3.0, 300))])
-        r = np.concatenate([r[keep], rng.uniform(-1.0, 1.0, 300)])
-        general = mvnorm._bvn_upper(h, h.copy(), r)
-        np.testing.assert_allclose(_equal_orthant(h, r), general, rtol=0.0, atol=1e-15)
-
-
 def _equal_orthant(c: np.ndarray, r: np.ndarray) -> np.ndarray:
     """mvnorm._equal_orthant at bounds c >= 0 and correlations r, with the
     inputs it is given: a = sqrt((1 - r) / (1 + r)) and the tails Phi(-c)
@@ -361,8 +347,7 @@ class TestEqualOrthant:
 
     def test_against_owens_integral_in_mpmath(self):
         # relative precision wherever the orthant is not negligible, and
-        # absolute precision at every point, out to r = -0.999999, where the
-        # general kernel is 1.7e-3 off at c 3, r -0.7
+        # absolute precision at every point, out to r = -0.999999
         c, r = (np.array(axis) for axis in zip(*itertools.product(self.C_VALUES, self.R_VALUES)))
         got = _equal_orthant(c, r)
         exact = [_owen_orthant(x, y) for x, y in zip(c.tolist(), r.tolist())]
@@ -390,6 +375,58 @@ class TestEqualOrthant:
         for degree in range(40):
             got = float(np.sum(mvnorm._GL20_UNIT_W * mvnorm._GL20_UNIT_X**degree))
             assert got == pytest.approx(1.0 / (degree + 1), rel=1e-14)
+
+
+class TestUnequalOrthant:
+    """U(h, k, r) = P(Z1 > h, Z2 > k), h, k >= 0, from two halves of Owen's
+    T integral on the equal-bound kernel."""
+
+    # Holm's two cuts among them
+    BOUNDS = ((0.05, 3.0), (1.959963984540054, 2.241402727604947), (2.5, 4.0))
+    R_VALUES = (0.0, *(sign * r for r in (0.3, 0.7, 0.92, 0.99, 0.999999) for sign in (1.0, -1.0)))
+
+    def test_against_mpmath(self):
+        # relative precision wherever the orthant is not negligible, and
+        # absolute precision at every point; each pair in both orders, so
+        # that either half may be the reflected one
+        pairs = [*self.BOUNDS, *((k, h) for h, k in self.BOUNDS)]
+        h, k, r = (np.array(axis) for axis in zip(
+            *((h, k, r) for (h, k), r in itertools.product(pairs, self.R_VALUES))
+        ))
+        got = mvnorm._unequal_orthant(h, k, r)
+        with mp.workdps(30):
+            for x, y, z, value in zip(h.tolist(), k.tolist(), r.tolist(), got.tolist()):
+                reference = mp_orthant(x, y, z)
+                assert abs(value - float(reference)) <= 2e-16, (x, y, z)
+                if reference >= 1e-20:
+                    assert abs(value / reference - 1) <= 1e-13, (x, y, z)
+
+    def test_closed_forms_at_the_ends(self):
+        # Phi(-max(h, k)) at r = 1 and 0 at r = -1, with no warning; Phi(-h)
+        # Phi(-k) at r = 0
+        h, k = (np.array(axis) for axis in zip(*self.BOUNDS, (2.0, 2.0), (0.0, 1.5), (7.0, 0.3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            at_one = mvnorm._unequal_orthant(h, k, 1.0)
+            at_minus_one = mvnorm._unequal_orthant(h, k, -1.0)
+        np.testing.assert_allclose(at_one, std_normal_cdf(-np.maximum(h, k)), rtol=1e-15)
+        assert np.all(at_minus_one == 0.0)
+        np.testing.assert_allclose(
+            mvnorm._unequal_orthant(h, k, 0.0), std_normal_cdf(-h) * std_normal_cdf(-k),
+            rtol=1e-14,
+        )
+
+    def test_equal_bounds_give_the_equal_bound_kernel(self, rng):
+        # at h = k both halves are the equal-bound orthant, for bounds from 0
+        # to beyond +-40 and correlations in [-1, 1] with both ends
+        c = np.array([0.0, 0.3, 1.96, 6.0, 39.5, 40.0, 60.0, math.inf])
+        r = np.array([0.0, 0.1, 0.5, 0.925, 0.9999, 1.0])
+        c, r = (np.ravel(axis) for axis in np.meshgrid(c, np.concatenate([r, -r[1:]])))
+        c = np.concatenate([c, np.abs(rng.normal(0.0, 3.0, 300))])
+        r = np.concatenate([r, rng.uniform(-1.0, 1.0, 300)])
+        np.testing.assert_allclose(
+            mvnorm._unequal_orthant(c, c.copy(), r), _equal_orthant(c, r), rtol=1e-13, atol=1e-30
+        )
 
 
 def _random_correlation(dim: int, seed: int) -> np.ndarray:

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from conftest import (
@@ -11,6 +12,7 @@ from conftest import (
     exhaustive_n_star,
     holm_reject,
     mc_error_rates,
+    mp_orthant,
     mvn_draws,
     n_star_enumeration_oracle,
     package_design_power,
@@ -19,7 +21,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
-from platformdesign import cli, correlation, power
+from platformdesign import cli, correlation, power, studies
 from platformdesign.allocation import DesignScenario, optimize_allocation
 from platformdesign.correlation import PlatformArms, classical_dunnett_correlation
 from platformdesign.errors import DomainError
@@ -273,6 +275,28 @@ class TestAdjustments:
             for row in rows:
                 rate = simulated[row["method"]][row["metric"]]
                 assert _within_mc_sigmas(row["value"], rate, n), row
+
+    def test_holm_orthants_of_the_default_grid_against_mpmath(self, monkeypatch):
+        # the same- and opposite-sign orthants U(a, b, +-z_rho) behind the
+        # default grid's Holm rows, every fourth against a 30-digit
+        # quadrature: relatively precise wherever U >= 1e-20, which the
+        # opposite-sign ones from rho -0.47 down are not on Genz's scheme
+        kernel, calls = studies._unequal_orthant, []
+
+        def recorded(h, k, r):
+            calls.append((h, k, r, kernel(h, k, r)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(studies, "_unequal_orthant", recorded)
+        run_adjustment_comparison(adjustment_grid())
+        ((h, k, r, got),) = calls
+        assert r.size == 182 and np.all(got >= 0.0)
+        with mp.workdps(30):
+            for z, value in zip(r.ravel()[::4].tolist(), got.ravel()[::4].tolist()):
+                reference = mp_orthant(h, k, z)
+                assert abs(value - float(reference)) <= 2e-16, z
+                if reference >= 1e-20:
+                    assert abs(value / reference - 1) <= 1e-13, z
 
     def test_independent_statistics_closed_forms(self):
         # at zero correlation every rate is a product of marginal tails: with
