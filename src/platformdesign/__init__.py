@@ -18,7 +18,6 @@ from .correlation import (
     ArmCorrelations,
     PlatformArms,
     classical_dunnett_correlation,
-    design_z_correlation,
     platform_z_correlation_matrix,
     test_stat_correlation,
 )
@@ -46,7 +45,9 @@ from .mvnorm import (
     std_normal_quantile,
 )
 from .power import (
+    DesignResult,
     SampleSizeResult,
+    design,
     find_sample_size,
     marginal_power_oracle,
 )

@@ -56,11 +56,11 @@ def _arm_correlation_matrix(rho_combo_control, rho_combo_mono, rho_control_mono=
     return matrix
 
 
-def _check_arm_correlations(matrix) -> None:
+def _check_arm_correlations(matrix) -> np.ndarray:
     """Refuse arm correlations that no trial can have, for every entry point:
     a symmetric arm correlation matrix, or a stack of them, needs entries in
     [-1, 1] and a smallest eigenvalue of at least -1e-12 (rounding).  The
-    first matrix of a stack that fails is the one reported."""
+    first failing matrix of a stack is reported; passing ones are returned."""
     if not np.abs(matrix).max() <= 1.0:  # a NaN fails this too
         outside = matrix[~(np.abs(matrix) <= 1.0)][0]
         raise DomainError(f"correlation must lie in [-1, 1], got {outside}")
@@ -70,19 +70,22 @@ def _check_arm_correlations(matrix) -> None:
             "arm correlations cannot form a trial: they do not fit together "
             f"(their matrix has smallest eigenvalue {lowest[lowest < -1e-12].flat[0]:.4g} < 0)"
         )
+    return matrix
 
 
-def _check_scenarios(delta, synergy, sigma2: float, rho_combo_control, rho_combo_mono) -> None:
+def _check_scenarios(delta, synergy, sigma2: float, rho_combo_control, rho_combo_mono):
     """The checks of :class:`DesignScenario` on one scenario's per-substudy
     values, or on many at once as arrays of shape (..., K), with one stacked
-    arm-correlation check."""
-    if not np.all(np.greater(delta, 0.0) & np.less(delta, math.inf)):
-        raise DomainError(f"every delta must be positive and finite, got {delta}")
+    arm-correlation check; returns the arm correlation matrices checked."""
+    usable = np.greater(delta, 0.0) & np.less(delta, math.inf)
+    if not usable.all():
+        bad = np.ravel(delta)[np.argmin(usable)]
+        raise DomainError(f"every delta must be positive and finite, got {bad}")
     if not 0 < sigma2 < math.inf:
         raise DomainError(f"sigma2 must be positive and finite, got {sigma2}")
     if not np.isfinite(synergy).all():
         raise DomainError("synergy values must be finite")
-    _check_arm_correlations(_arm_correlation_matrix(rho_combo_control, rho_combo_mono))
+    return _check_arm_correlations(_arm_correlation_matrix(rho_combo_control, rho_combo_mono))
 
 
 @dataclass(frozen=True)

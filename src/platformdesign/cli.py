@@ -23,13 +23,7 @@ import logging
 import os
 import sys
 
-from .allocation import DesignScenario, optimize_allocation
-from .correlation import (
-    ArmCorrelations,
-    PlatformArms,
-    design_z_correlation,
-    platform_z_correlation_matrix,
-)
+from .correlation import ArmCorrelations, PlatformArms, platform_z_correlation_matrix
 from .errors import (
     BudgetExceeded,
     DomainError,
@@ -42,9 +36,9 @@ from .errors import (
     ZeroVariance,
 )
 from .estimation import estimate_trial, ingest_csv, table1_pipeline
-from .multiplicity import DEFAULT_TARGETS, ErrorMetric, platform_threshold
+from .multiplicity import DEFAULT_TARGETS, ErrorMetric, _p_threshold, platform_threshold
 from .mvnorm import CorrelationMatrix
-from .power import find_sample_size
+from .power import design
 from .studies import (
     adjustment_grid,
     design_surface_grid,
@@ -148,12 +142,12 @@ def _platform_arms_from_args(args, k: int) -> PlatformArms:
     return PlatformArms(float(args.n_a), n_mono, n_combo, correlations)
 
 
-def _z_report(z_corr: CorrelationMatrix):
-    """The Z correlation as reported: a scalar for one substudy (two
+def _z_report(z_corr):
+    """The Z correlation matrix as reported: a scalar for one substudy (two
     statistics), the full matrix otherwise."""
-    if z_corr.dim == 2:
-        return float(z_corr.entries[0, 1])
-    return [[round(v, 12) for v in row] for row in z_corr.entries.tolist()]
+    if len(z_corr) == 2:
+        return float(z_corr[0, 1])
+    return [[round(v, 12) for v in row] for row in z_corr.tolist()]
 
 
 def cmd_adjust(args) -> int:
@@ -180,7 +174,7 @@ def cmd_adjust(args) -> int:
             "alpha": metric.alpha,
             "m": metric.m,
             "sided": metric.effective_sided,
-            "z_correlation": _z_report(z_corr),
+            "z_correlation": _z_report(z_corr.entries),
             "critical_value": result.critical_value,
             "p_threshold": result.p_threshold,
             "achieved": result.achieved,
@@ -197,30 +191,24 @@ def cmd_design(args) -> int:
     _require(args.delta is not None, "--delta is required")
     _require(args.synergy is not None, "--synergy is required")
     _require(0.0 < args.power < 1.0, f"--power must lie in (0, 1), got {args.power}")
-    scenario = DesignScenario(
-        delta=_broadcast(args.delta, k, "--delta"),
-        synergy=_broadcast(args.synergy, k, "--synergy"),
-        sigma2=args.sigma2,
-        rho_combo_control=_broadcast(args.rho_ab_a, k, "--rho-ab-a"),
-        rho_combo_mono=_broadcast(args.rho_ab_b, k, "--rho-ab-b"),
-    )
+    per_substudy = [[_broadcast(getattr(args, name), k, "--" + name.replace("_", "-"))]
+                    for name in ("delta", "synergy", "rho_ab_a", "rho_ab_b")]
     metric = _metric_from_args(args)
-    alloc = optimize_allocation(scenario)
-    threshold = platform_threshold(
-        design_z_correlation(scenario, alloc), metric, precision=args.precision,
-        seed=args.seed, replications=args.replications,
+    result = design(
+        *per_substudy, (metric,), args.power, sigma2=args.sigma2, precision=args.precision,
+        seed=args.seed, replications=args.replications, n_cap=args.n_cap,
     )
-    result = find_sample_size(scenario, alloc, threshold, args.power, n_cap=args.n_cap)
+    c = float(result.critical_value[0, 0])
     report = {
         "metric": metric.kind,
         "alpha": metric.alpha,
-        "allocation": [round(r, 12) for r in alloc.ratios],
-        "arm_counts": list(result.arm_counts),
-        "z_rho": _z_report(threshold.z_correlation),
-        "critical_value": threshold.critical_value,
-        "p_threshold": threshold.p_threshold,
-        "n_star": result.n_star,
-        "achieved_power": result.achieved_power,
+        "allocation": [round(r, 12) for r in result.ratios[0].tolist()],
+        "arm_counts": result.arm_counts[0, 0].tolist(),
+        "z_rho": _z_report(result.z_correlation[0]),
+        "critical_value": c,
+        "p_threshold": _p_threshold(c),
+        "n_star": int(result.n_star[0, 0]),
+        "achieved_power": float(result.achieved_power[0, 0]),
         "target_power": args.power,
     }
     _emit(report, args)

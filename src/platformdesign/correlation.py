@@ -15,8 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .allocation import (
-    Allocation, DesignScenario, _arm_correlation_matrix, _check_arm_correlations,
-    _contrast_variance,
+    DesignScenario, _arm_correlation_matrix, _check_arm_correlations, _contrast_variance,
 )
 from .errors import DomainError
 from .mvnorm import CorrelationMatrix
@@ -30,7 +29,6 @@ __all__ = [
     "test_stat_correlation",
     "classical_dunnett_correlation",
     "platform_z_correlation_matrix",
-    "design_z_correlation",
 ]
 
 # Arm labels: the shared control, and per-substudy monotherapy / combination
@@ -228,6 +226,25 @@ def classical_dunnett_correlation(arms: PlatformArms) -> float:
     return 1.0 / math.sqrt((n_a / n_ab + 1.0) * (n_b / n_ab + 1.0))
 
 
+def _z_correlations(sizes, arm_rho) -> np.ndarray:
+    """The matrices of :func:`platform_z_correlation_matrix`, shape (...,
+    2K, 2K), from arm counts ``sizes``, shape (..., 2K+1), and arm
+    correlation matrices ``arm_rho``, shape (..., 2K+1, 2K+1), broadcast
+    together."""
+    sizes, arm_rho = np.asarray(sizes, dtype=float), np.asarray(arm_rho, dtype=float)
+    dim = sizes.shape[-1] - 1
+    # each statistic's arm: combo_k (2k) first, then mono_k (2k - 1)
+    arm = np.arange(1, dim + 1).reshape(-1, 2)[:, ::-1].ravel()
+    i, j = np.triu_indices(dim, 1)
+    u, v = arm[i], arm[j]
+    m = np.tile(np.eye(dim), (*np.broadcast_shapes(sizes.shape[:-1], arm_rho.shape[:-2]), 1, 1))
+    m[..., i, j] = m[..., j, i] = _pair_correlation(
+        sizes[..., u], sizes[..., v], sizes[..., :1],
+        arm_rho[..., u, v], arm_rho[..., u, 0], arm_rho[..., v, 0],
+    )
+    return m
+
+
 def platform_z_correlation_matrix(arms: PlatformArms) -> CorrelationMatrix:
     """2K x 2K correlation matrix of the Z statistics.
 
@@ -235,29 +252,10 @@ def platform_z_correlation_matrix(arms: PlatformArms) -> CorrelationMatrix:
     statistic of each substudy tests the combination arm and the second the
     monotherapy arm.
     """
-    sizes = np.array([arms.n_control, *np.column_stack((arms.n_mono, arms.n_combo)).ravel()])
-    rho = arms.correlations.matrix
-    dim = 2 * arms.K
-    # each statistic's arm: combo_k (2k) first, then mono_k (2k - 1)
-    arm = np.arange(1, dim + 1).reshape(-1, 2)[:, ::-1].ravel()
-    i, j = np.triu_indices(dim, 1)
-    u, v = arm[i], arm[j]
-    m = np.eye(dim)
-    m[i, j] = m[j, i] = _pair_correlation(
-        sizes[u], sizes[v], arms.n_control, rho[u, v], rho[u, 0], rho[v, 0]
-    )
-    return CorrelationMatrix(m)
+    sizes = [arms.n_control, *np.column_stack((arms.n_mono, arms.n_combo)).ravel()]
+    return CorrelationMatrix(_z_correlations(sizes, arms.correlations.matrix))
 
 
 # A design's Z correlations depend on its arm counts only through their
 # ratios; they are computed at the ratios times this many nominal subjects.
 _NOMINAL_TOTAL = 1000.0
-
-
-def design_z_correlation(scenario: DesignScenario, alloc: Allocation) -> CorrelationMatrix:
-    """Z correlation matrix of a design at its nominal counts (the ratios
-    times ``_NOMINAL_TOTAL``); a K mismatch is a :class:`DomainError`."""
-    counts = [_NOMINAL_TOTAL * r for r in alloc.ratios]
-    correlations = ArmCorrelations.from_scenario(scenario)
-    arms = PlatformArms(counts[0], tuple(counts[1::2]), tuple(counts[2::2]), correlations)
-    return platform_z_correlation_matrix(arms)

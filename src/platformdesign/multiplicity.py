@@ -478,6 +478,16 @@ def _bivariate_critical_values(rho, metrics) -> tuple[np.ndarray, np.ndarray]:
     return c_star, achieved
 
 
+def _check_solver_settings(metric: ErrorMetric, dim: int, precision, replications) -> None:
+    """Refuse settings :func:`platform_threshold` cannot use on ``dim`` statistics."""
+    if not 0.0 < precision < math.inf:
+        raise DomainError(f"precision must be positive and finite, got {precision}")
+    if replications < 1:
+        raise DomainError(f"replications must be at least 1, got {replications}")
+    if metric.kind == "mfwer" and not 1 <= metric.m <= dim:
+        raise DomainError(f"m must lie in [1, {dim}], got {metric.m}")
+
+
 def platform_threshold(
     z_corr: CorrelationMatrix,
     metric: ErrorMetric,
@@ -531,12 +541,7 @@ def platform_threshold(
     dim = z_corr.dim
     if dim < 2:
         raise DomainError("platform threshold needs at least two test statistics")
-    if not 0.0 < precision < math.inf:
-        raise DomainError(f"precision must be positive and finite, got {precision}")
-    if replications < 1:
-        raise DomainError(f"replications must be at least 1, got {replications}")
-    if metric.kind == "mfwer" and not 1 <= metric.m <= dim:
-        raise DomainError(f"m must lie in [1, {dim}], got {metric.m}")
+    _check_solver_settings(metric, dim, precision, replications)
 
     rho = float(z_corr.entries[0, 1])
     two_sided = metric.effective_sided == "two"

@@ -1,4 +1,4 @@
-"""Exact power and the minimal sample-size search.
+"""Exact power, the minimal sample-size search, and the design pipeline.
 
 Under the alternative each test statistic is normal with unit variance and
 mean mu / sd, so a comparison's power is an exact two-sided normal tail and
@@ -8,7 +8,7 @@ integer design reaches the target power, that is, whose smallest
 noncentrality reaches W*.  That noncentrality is not monotone in N at
 integer counts, so N* is the first such total in order; for many designs at
 once, bounds on ranges of totals bracket each N* and only a few totals get
-exact counts.
+exact counts.  :func:`design` is the design pipeline for many designs.
 """
 
 from __future__ import annotations
@@ -18,16 +18,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import (
-    Allocation, DesignScenario, _contrasts, _largest_remainder, _noncentralities,
+    Allocation, DesignScenario, _check_scenarios, _contrasts, _largest_remainder,
+    _max_min_shares, _noncentralities,
 )
+from .correlation import _NOMINAL_TOTAL, _z_correlations
 from .errors import BudgetExceeded, DomainError
-from .multiplicity import ThresholdResult
-from .mvnorm import _SQRT_2PI, std_normal_cdf, std_normal_quantile
+from .multiplicity import (
+    ThresholdResult, _bivariate_critical_values, _check_solver_settings, platform_threshold,
+)
+from .mvnorm import _SQRT_2PI, CorrelationMatrix, std_normal_cdf, std_normal_quantile
 
 __all__ = [
     "SampleSizeResult",
+    "DesignResult",
     "marginal_power_oracle",
     "find_sample_size",
+    "design",
 ]
 
 
@@ -293,3 +299,61 @@ def find_sample_size(
         search_trace=tuple(zip(totals[:n].tolist(), powers[:n].tolist())),
         arm_counts=tuple(counts[n - 1].tolist()),
     )
+
+
+@dataclass(frozen=True)
+class DesignResult:
+    """The designs of :func:`design`: per design its allocation ``ratios``
+    (designs, 2K+1) and ``z_correlation`` (designs, 2K, 2K); per (design,
+    metric) ``critical_value``, ``n_star`` and ``achieved_power`` (designs,
+    metrics) and the integer ``arm_counts`` at N* (designs, metrics, 2K+1)."""
+
+    ratios: np.ndarray
+    z_correlation: np.ndarray
+    critical_value: np.ndarray
+    n_star: np.ndarray
+    achieved_power: np.ndarray
+    arm_counts: np.ndarray
+
+
+def design(
+    delta, synergy, rho_combo_control, rho_combo_mono, metrics, target_power: float, *,
+    sigma2: float = 1.0, precision: float = 1e-4, seed: int = 0, replications: int = 65_536,
+    n_cap: int = 1_000_000,
+) -> DesignResult:
+    """Max-min allocation, Z correlation, threshold and N* of many designs
+    of one K, each for every one of ``metrics``.
+
+    A design is a row of the four per-substudy inputs, shape (designs, K)
+    each, with variance ``sigma2``; every input is checked before any work.
+    At K = 1 all thresholds come from one exact search, at K > 1 each from
+    :func:`platform_threshold`, and all N* from one bracketed pass, which
+    raises :class:`BudgetExceeded` past ``n_cap``.  Each result is bit for
+    bit what its design gives alone.
+    """
+    delta, synergy, rho_cc, rho_cm = arrays = [
+        np.asarray(a, dtype=float) for a in (delta, synergy, rho_combo_control, rho_combo_mono)
+    ]
+    if delta.ndim != 2 or not delta.size or len({a.shape for a in arrays}) > 1 or not metrics:
+        raise DomainError("need a metric, and one shape (designs, K >= 1) of the four inputs")
+    arm_rho = _check_scenarios(delta, synergy, sigma2, rho_cc, rho_cm)
+    dim = 2 * delta.shape[1]
+    for metric in metrics:
+        _check_solver_settings(metric, dim, precision, replications)
+    rows = zip(delta.tolist(), synergy.tolist(), rho_cc.tolist())
+    ratios = np.array([_max_min_shares(*row) for row in rows])
+    mu, rho = _contrasts(delta, synergy, rho_cc, dim + 1)
+    z = _z_correlations(_NOMINAL_TOTAL * ratios, arm_rho)
+    if dim == 2:
+        c_star = _bivariate_critical_values(z[:, 0, 1], metrics)[0]
+    else:
+        c_star = np.array([[
+            platform_threshold(CorrelationMatrix(entries), m, precision, seed, replications)
+            .critical_value for m in metrics
+        ] for entries in z])
+    n_star, achieved = _scan_totals(
+        ratios, mu, rho, np.full(len(z), sigma2), c_star,
+        *_noncentrality_floor(c_star, target_power), target_power, n_cap,
+    )
+    counts = _largest_remainder(np.repeat(ratios, len(metrics), axis=0), n_star.ravel())
+    return DesignResult(ratios, z, c_star, n_star, achieved, counts.reshape(*n_star.shape, -1))

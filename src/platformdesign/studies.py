@@ -20,12 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocation import (
-    Allocation, _arm_correlation_matrix, _check_arm_correlations, _check_scenarios, _contrasts,
-    _max_min_shares,
-)
+from .allocation import Allocation, _arm_correlation_matrix, _check_arm_correlations
 from .correlation import (
-    _NOMINAL_TOTAL, PlatformArms, _pair_correlation, classical_dunnett_correlation,
+    _NOMINAL_TOTAL, PlatformArms, _z_correlations, classical_dunnett_correlation,
 )
 from .errors import DomainError
 from .multiplicity import (
@@ -36,7 +33,7 @@ from .multiplicity import (
     bivariate_error_rates,
 )
 from .mvnorm import _unequal_orthant, std_normal_quantile
-from .power import _noncentrality_floor, _scan_totals
+from .power import design
 
 __all__ = [
     "GridSpec",
@@ -253,13 +250,6 @@ def _render(value) -> str:
     return str(value)
 
 
-def _z_rho(alloc: tuple, rho_ab_a: np.ndarray, rho_ab_b: np.ndarray) -> np.ndarray:
-    """Correlation of one substudy's two statistics at each pair of arm
-    correlations (which fit together), at the allocation's nominal counts."""
-    n_a, n_b, n_ab = (_NOMINAL_TOTAL * p for p in alloc)
-    return _pair_correlation(n_ab, n_b, n_a, rho_ab_b, rho_ab_a, 0.0)
-
-
 def _sweep(grid: GridSpec, allocations: tuple, **labels) -> tuple[np.ndarray, dict]:
     """The Z correlation at each (allocation, sweep point), and the columns
     that open every row of a correlation study: the sweep, the arm
@@ -273,9 +263,9 @@ def _sweep(grid: GridSpec, allocations: tuple, **labels) -> tuple[np.ndarray, di
     values = grid.sweep_values()
     held = np.full(values.shape, float(grid.fixed[other]))
     rho_ab_a, rho_ab_b = (values, held) if grid.swept == "rho_ab_a" else (held, values)
-    _check_arm_correlations(_arm_correlation_matrix(rho_ab_a[:, None], rho_ab_b[:, None]))
+    arm_rho = _check_arm_correlations(_arm_correlation_matrix(rho_ab_a[:, None], rho_ab_b[:, None]))
     allocs = np.array(allocations, dtype=float)
-    z_rho = np.stack([_z_rho(alloc, rho_ab_a, rho_ab_b) for alloc in allocations])
+    z_rho = _z_correlations(_NOMINAL_TOTAL * allocs[:, None], arm_rho)[..., 0, 1]
     shape = (*z_rho.shape, *(len(axis) for axis in labels.values()))
 
     def spread(column, axis: int) -> np.ndarray:
@@ -386,8 +376,8 @@ def run_threshold_curves(grid: GridSpec) -> ResultTable:
 def run_design_surface(grid: GridSpec) -> ResultTable:
     """Optimal allocation and minimal N per (synergy, rho, metric) (study 4).
 
-    Each point is the K = 1 scenario (delta, s, sigma2, rho, rho), checked
-    and solved as arrays with no scenario objects.  N* and its achieved
+    Each point is the K = 1 scenario (delta, s, sigma2, rho, rho), and all
+    points and metrics are one :func:`design` call.  N* and its achieved
     power are exact.  Each finished point is logged at INFO level.
     """
     if grid.swept != "synergy":
@@ -396,17 +386,11 @@ def run_design_surface(grid: GridSpec) -> ResultTable:
     sigma2 = float(grid.fixed.get("sigma2", 1.0))
     target = float(grid.fixed.get("target_power", 0.8))
     points = [(float(s), float(rho)) for s in grid.sweep_values() for rho in grid.rho_levels]
-    synergy, rho = np.array(points).T
-    _check_scenarios((delta,), synergy[:, None], sigma2, rho[:, None], rho[:, None])
-    ratios = np.array([_max_min_shares((delta,), (s,), (r,)) for s, r in points])
-    mu, rho_cc = _contrasts(delta, synergy[:, None], rho[:, None], 3)
-    z_rho = _z_rho(ratios.T, rho, rho)
-    c_star, _ = _bivariate_critical_values(z_rho, DEFAULT_TARGETS)
-    floor, ceiling = _noncentrality_floor(c_star, target)
-    n_star, achieved = _scan_totals(
-        ratios, mu, rho_cc, np.full(len(points), sigma2), c_star, floor, ceiling, target,
-        n_cap=1_000_000,
+    synergy, rho = np.array(points).T[:, :, None]
+    result = design(
+        np.full(synergy.shape, delta), synergy, rho, rho, DEFAULT_TARGETS, target, sigma2=sigma2
     )
+    c_star, n_star, ratios = result.critical_value, result.n_star, result.ratios
     for i, (point, metric) in enumerate(itertools.product(points, _METRICS)):
         logger.info(
             "design-surface %d/%d: s=%s rho=%s %s N*=%d",
@@ -415,15 +399,15 @@ def run_design_surface(grid: GridSpec) -> ResultTable:
     # rows by (point, metric)
     shape = c_star.shape
     return ResultTable.from_columns(
-        synergy=np.broadcast_to(synergy[:, None], shape),
-        rho=np.broadcast_to(rho[:, None], shape),
+        synergy=np.broadcast_to(synergy, shape),
+        rho=np.broadcast_to(rho, shape),
         p_control=np.broadcast_to(ratios[:, 0, None], shape),
         p_mono=np.broadcast_to(ratios[:, 1, None], shape),
         p_combo=np.broadcast_to(ratios[:, 2, None], shape),
-        z_rho=np.broadcast_to(z_rho[:, None], shape),
+        z_rho=np.broadcast_to(result.z_correlation[:, 0, 1, None], shape),
         metric=np.broadcast_to(_METRICS, shape),
         c_star=c_star,
         p_threshold=_p_threshold(c_star),
-        achieved_power=achieved,
+        achieved_power=result.achieved_power,
         value=n_star,
     )

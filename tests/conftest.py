@@ -38,15 +38,16 @@ def rect_quad_oracle(lower, upper, rho: float) -> float:
 
     lo, hi = max(a[0], -9.5), min(b[0], 9.5)
     # the integrand steps where rho * x crosses a bound of the second
-    # coordinate, over a width of order t; near |rho| = 1 quad misses such a
-    # narrow step unless it is told where it is.  A step can lie inside
-    # [-9.5, 9.5] only when |v| < 9.5 |rho|, and v / rho is computed only
-    # then, so a subnormal rho cannot overflow it.
+    # coordinate, over a width of order t / |rho|; near |rho| = 1 quad misses
+    # such a narrow step unless it is told where it is, also a step at an
+    # end of [lo, hi], so each step gives break points at itself and 8
+    # widths to either side.  A step can lie inside [-9.5, 9.5] only when
+    # |v| < 9.5 |rho|, and v / rho is computed only then, so a subnormal rho
+    # cannot overflow it; its width is then inf and gives no break point.
     steps = [v / rho for v in (a[1], b[1]) if abs(v) < 9.5 * abs(rho)]
-    value, _ = integrate.quad(
-        inner, lo, hi, points=[x for x in steps if lo < x < hi] or None,
-        epsabs=1e-13, limit=500,
-    )
+    width = 8.0 * float(t) / abs(float(rho)) if steps else 0.0
+    points = [x for step in steps for x in (step - width, step, step + width) if lo < x < hi]
+    value, _ = integrate.quad(inner, lo, hi, points=points or None, epsabs=1e-13, limit=500)
     return value
 
 

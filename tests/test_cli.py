@@ -90,25 +90,6 @@ class TestAdjust:
         assert code == 3
         assert "no critical value" in err and "reaches level 0.4" in err
 
-    @pytest.mark.parametrize(
-        "flags",
-        [
-            ("--precision", "0"),
-            ("--precision", "-1"),
-            ("--metric", "mfwer", "--replications", "0"),
-        ],
-    )
-    @pytest.mark.parametrize("k", ["1", "2"])
-    def test_solver_settings_validated_before_work(self, capsys, k, flags):
-        start = time.perf_counter()
-        code, out, err = _run(
-            capsys, "adjust", "--k", k, "--n-a", "120", "--n-b", "60", "--n-ab", "60", *flags
-        )
-        assert code == 2, err
-        assert out == ""
-        assert flags[-2].lstrip("-") in err
-        assert time.perf_counter() - start < 1.0
-
     def test_mfwer_with_direct_rho(self, capsys):
         # two statistics: solved on the exact bivariate law, like fwer
         code, report, _ = _run_json(
@@ -276,6 +257,35 @@ class TestDesign:
         code, _, err = _run(capsys, "design", "--synergy", "1")
         assert code == 2
         assert "--delta" in err
+
+
+@pytest.mark.parametrize(
+    "k, flags, message",
+    [
+        pytest.param(k, flags, message, id="k" + k + "".join(flags))
+        for k, flags, message in [
+            *((k, flags, message) for k in ("1", "2") for flags, message in [
+                (("--precision", "0"), "precision must be positive and finite"),
+                (("--precision", "-1"), "precision must be positive and finite"),
+                (("--metric", "mfwer", "--replications", "0"), "replications must be at least 1"),
+            ]),
+            ("1", ("--metric", "mfwer", "--m", "3"), "m must lie in [1, 2], got 3"),
+        ]
+    ],
+)
+@pytest.mark.parametrize("command", [
+    ("adjust", "--n-a", "120", "--n-b", "60", "--n-ab", "60"),
+    ("design", "--delta", "0.4", "--synergy", "1.2"),
+], ids=["adjust", "design"])
+def test_solver_settings_validated_before_work(capsys, command, k, flags, message):
+    # design solves K = 1 thresholds without platform_threshold, and still
+    # refuses what it refuses, before any work
+    start = time.perf_counter()
+    code, out, err = _run(capsys, command[0], "--k", k, *command[1:], *flags)
+    assert code == 2, err
+    assert out == ""
+    assert message in err
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize(

@@ -14,11 +14,10 @@ from platformdesign.correlation import (
     PlatformArms,
     classical_dunnett_correlation,
     combo_arm,
-    design_z_correlation,
     mono_arm,
     platform_z_correlation_matrix,
 )
-from platformdesign.allocation import Allocation, DesignScenario, optimize_allocation
+from platformdesign.allocation import DesignScenario
 from platformdesign.correlation import test_stat_correlation as z_correlation
 from platformdesign.errors import DomainError
 
@@ -248,30 +247,6 @@ class TestPlatformMatrix:
         assert table.get(CONTROL, combo_arm(1)) == 0.3
         assert table.get(mono_arm(1), CONTROL) == 0.0
         assert table.get(CONTROL, CONTROL) == 1.0
-
-
-class TestDesignZCorrelation:
-    def test_equals_the_nominal_count_route(self, rng):
-        # bit for bit the matrix of 1000 nominal subjects split by the ratios
-        for _ in range(30):
-            K = int(rng.integers(1, 4))
-            scenario = DesignScenario(
-                tuple(rng.uniform(0.2, 0.8, K)), tuple(rng.uniform(0.7, 2.0, K)), 1.0,
-                tuple(rng.uniform(-0.3, 0.3, K)), tuple(rng.uniform(-0.5, 0.6, K)),
-            )
-            alloc = optimize_allocation(scenario)
-            counts = [1000 * p for p in alloc.ratios]
-            arms = PlatformArms(
-                counts[0], tuple(counts[1::2]), tuple(counts[2::2]),
-                ArmCorrelations.from_scenario(scenario),
-            )
-            expected = platform_z_correlation_matrix(arms).entries
-            assert np.array_equal(design_z_correlation(scenario, alloc).entries, expected)
-
-    def test_k_mismatch_raises(self):
-        scenario = DesignScenario.single(0.5, 1.2, rho_ab_a=0.3, rho_ab_b=0.4)
-        with pytest.raises(DomainError):
-            design_z_correlation(scenario, Allocation.equal(2))
 
 
 class TestPerSubstudy:

@@ -230,6 +230,16 @@ class TestBvnRectangle:
             got = bvn_rectangle(lower, upper, rho)
             assert got == pytest.approx(rect_quad_oracle(lower, upper, rho), abs=1e-8)
 
+    def test_quadrature_oracle_resolves_a_step_at_an_interval_end(self):
+        # the second coordinate's bound 0 puts the oracle integrand's step,
+        # of width sqrt(1 - rho^2), at the first coordinate's lower end
+        from conftest import rect_quad_oracle
+
+        lower, upper, rho = (0.0, -INF), (1.0, 0.0), 0.99999999
+        expected = bvn_rectangle(lower, upper, rho)
+        assert expected == pytest.approx(2.2508e-5, rel=1e-4)
+        assert rect_quad_oracle(lower, upper, rho) == pytest.approx(expected, rel=1e-6)
+
     def test_infinite_bounds(self):
         assert bvn_rectangle((-INF, -INF), (INF, INF), 0.3) == 1.0
         assert bvn_rectangle((-INF, -1.0), (INF, 1.0), 0.7) == pytest.approx(

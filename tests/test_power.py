@@ -24,14 +24,25 @@ from platformdesign.allocation import (
     optimize_allocation,
     wald_noncentrality,
 )
+from platformdesign.correlation import (
+    ArmCorrelations,
+    PlatformArms,
+    platform_z_correlation_matrix,
+)
 from platformdesign.errors import BudgetExceeded, DomainError
-from platformdesign.multiplicity import ErrorMetric, ThresholdResult, platform_threshold
+from platformdesign.multiplicity import (
+    DEFAULT_TARGETS,
+    ErrorMetric,
+    ThresholdResult,
+    platform_threshold,
+)
 from platformdesign.mvnorm import CorrelationMatrix, std_normal_cdf
 from platformdesign.power import (
     _noncentrality_bound,
     _noncentrality_floor,
     _scan_totals,
     _window_end,
+    design,
     find_sample_size,
     marginal_power_oracle,
 )
@@ -553,3 +564,70 @@ class TestFindSampleSize:
         scenario = DesignScenario.single(0.3, 1.0)
         with pytest.raises(DomainError):
             find_sample_size(scenario, Allocation.equal(1), FWER_THRESHOLD, 1.0)
+
+
+_RESULT_FIELDS = ("ratios", "z_correlation", "critical_value", "n_star", "achieved_power",
+                  "arm_counts")
+
+
+def _random_rows(rng, designs: int, K: int) -> list:
+    """delta, synergy, rho combination-control and rho combination-mono,
+    shape (designs, K) each, whose arm correlations fit together."""
+    rho_cc = rng.uniform(-0.3, 0.3, (designs, K)) / math.sqrt(K)
+    return [
+        rng.uniform(0.2, 0.8, (designs, K)), rng.uniform(0.7, 2.0, (designs, K)),
+        rho_cc, rng.uniform(-0.5, 0.6, (designs, K)),
+    ]
+
+
+class TestDesign:
+    @pytest.mark.parametrize("K, metrics", [
+        (1, DEFAULT_TARGETS),
+        (2, (ErrorMetric.fwer(0.05), ErrorMetric.mfwer(2, 0.05))),
+    ], ids=["k1", "k2"])
+    def test_a_batch_gives_each_row_what_it_gives_alone(self, rng, K, metrics):
+        rows = _random_rows(rng, 4 if K == 1 else 2, K)
+        batch = design(*rows, metrics, 0.8)
+        for i in range(len(rows[0])):
+            alone = design(*(a[i:i + 1] for a in rows), metrics, 0.8)
+            for name in _RESULT_FIELDS:
+                assert np.array_equal(getattr(batch, name)[i:i + 1], getattr(alone, name)), name
+
+    def test_equals_the_public_chain(self, rng):
+        # bit for bit: optimize_allocation, the Z correlation of 1000 nominal
+        # subjects split by the ratios, platform_threshold, find_sample_size
+        metrics = (*DEFAULT_TARGETS, ErrorMetric.mfwer(2, 0.05))
+        for i in range(30):
+            K, metric = int(rng.integers(1, 4)), metrics[i % len(metrics)]
+            rows = _random_rows(rng, 1, K)
+            scenario = DesignScenario(*(tuple(a[0].tolist()) for a in rows[:2]), 1.0,
+                                      *(tuple(a[0].tolist()) for a in rows[2:]))
+            alloc = optimize_allocation(scenario)
+            counts = [1000 * p for p in alloc.ratios]
+            z_corr = platform_z_correlation_matrix(PlatformArms(
+                counts[0], tuple(counts[1::2]), tuple(counts[2::2]),
+                ArmCorrelations.from_scenario(scenario),
+            ))
+            threshold = platform_threshold(z_corr, metric, seed=i)
+            chain = find_sample_size(scenario, alloc, threshold, 0.8)
+            result = design(*rows, (metric,), 0.8, seed=i)
+            assert result.ratios[0].tolist() == list(alloc.ratios)
+            assert np.array_equal(result.z_correlation[0], z_corr.entries)
+            assert result.critical_value[0, 0] == threshold.critical_value
+            assert result.n_star[0, 0] == chain.n_star
+            assert result.achieved_power[0, 0] == chain.achieved_power
+            assert tuple(result.arm_counts[0, 0].tolist()) == chain.arm_counts
+
+    def test_validation(self):
+        rows = [[[0.4]], [[1.2]], [[0.3]], [[0.5]]]
+        fwer = (ErrorMetric.fwer(0.05),)
+        with pytest.raises(DomainError, match="one shape"):
+            design(*rows[:3], [[0.5, 0.5]], fwer, 0.8)
+        with pytest.raises(DomainError, match="one shape"):
+            design([0.4], [1.2], [0.3], [0.5], fwer, 0.8)
+        with pytest.raises(DomainError, match="need a metric"):
+            design(*rows, (), 0.8)
+        with pytest.raises(DomainError, match="m must lie in \\[1, 2\\], got 3"):
+            design(*rows, (ErrorMetric.mfwer(3, 0.05),), 0.8)
+        with pytest.raises(BudgetExceeded):
+            design(*rows, fwer, 0.99, n_cap=20)

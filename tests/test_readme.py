@@ -21,10 +21,10 @@ def test_quick_start_runs(capsys):
     namespace = {"__name__": "readme"}
     exec(compile(blocks[0], str(README), "exec"), namespace)
     assert capsys.readouterr().out.strip()
-    # one substudy: the exact bivariate solver, as the README states
-    assert namespace["z_corr"].dim == 2
-    assert namespace["threshold"].achieved_stderr == 0.0
-    assert namespace["result"].n_star > 0
+    # one design of one substudy: two statistics, and the N* the README states
+    result = namespace["result"]
+    assert result.z_correlation.shape == (1, 2, 2)
+    assert result.n_star.tolist() == [[96]]
 
 
 def test_command_line_examples_run(capsys, monkeypatch, tmp_path):

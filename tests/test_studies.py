@@ -404,6 +404,7 @@ class TestDesignSurface:
         # target: the scan evaluates the power at one noncentrality per
         # critical value (the floor's own powers are not counted)
         evaluated, scanning = [], []
+        scan_totals = power._scan_totals
 
         def counting(W, c):
             if scanning:
@@ -413,12 +414,12 @@ class TestDesignSurface:
         def scan(*args, **kwargs):
             scanning.append(True)
             try:
-                return power._scan_totals(*args, **kwargs)
+                return scan_totals(*args, **kwargs)
             finally:
                 scanning.clear()
 
         monkeypatch.setattr("platformdesign.power.marginal_power_oracle", counting)
-        monkeypatch.setattr("platformdesign.studies._scan_totals", scan)
+        monkeypatch.setattr("platformdesign.power._scan_totals", scan)
         table = run_design_surface(design_surface_grid())
         assert len(table.rows) == len(evaluated) == 84
         assert sorted(evaluated) == sorted(table.column("c_star"))
