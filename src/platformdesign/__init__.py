@@ -10,9 +10,7 @@ from . import errors
 from .allocation import (
     Allocation,
     DesignScenario,
-    closed_form_allocation,
     optimize_allocation,
-    wald_noncentrality,
 )
 from .correlation import (
     ArmCorrelations,
@@ -34,7 +32,6 @@ from .multiplicity import (
     ErrorMetric,
     ThresholdResult,
     bivariate_error_rates,
-    classical_dunnett_threshold,
     platform_threshold,
 )
 from .mvnorm import (

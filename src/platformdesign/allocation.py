@@ -5,8 +5,6 @@ substudy, a monotherapy arm and a combination arm, so that the smaller of the
 two Wald noncentrality parameters in every substudy is as large as possible.
 The optimum equalizes all 2K noncentralities; :func:`optimize_allocation`
 finds it exactly by a one-dimensional convex search over the control share.
-The paper's closed form for a single substudy with zero correlation (optimal
-only at s = 1) is kept as the documented form.
 """
 
 from __future__ import annotations
@@ -21,8 +19,6 @@ from .errors import DomainError
 __all__ = [
     "DesignScenario",
     "Allocation",
-    "wald_noncentrality",
-    "closed_form_allocation",
     "optimize_allocation",
 ]
 
@@ -30,6 +26,9 @@ _SUM_TOL = 1e-9
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # each step shrinks the bracket by _INV_GOLDEN: 0.618^60 < 3e-13
 _GOLDEN_STEPS = 60
+# effects and shares in these ranges keep every square, every sum of
+# reciprocal squares and every product of two shares a normal double
+_EFFECT_MIN, _EFFECT_MAX, _SHARE_MIN = 1e-150, 1e150, 1e-150
 
 
 def _as_tuple(value, length: int, name: str) -> tuple[float, ...]:
@@ -85,6 +84,16 @@ def _check_scenarios(delta, synergy, sigma2: float, rho_combo_control, rho_combo
         raise DomainError(f"sigma2 must be positive and finite, got {sigma2}")
     if not np.isfinite(synergy).all():
         raise DomainError("synergy values must be finite")
+    # s = 0 is left to the allocation, which refuses it with its own message
+    with np.errstate(over="ignore", under="ignore"):
+        combo = np.where(np.equal(synergy, 0.0), delta, np.multiply(synergy, delta))
+    size = np.abs(np.concatenate((np.ravel(delta), np.ravel(combo))))
+    usable = (size >= _EFFECT_MIN) & (size <= _EFFECT_MAX)
+    if not usable.all():
+        raise DomainError(
+            "every delta and synergy * delta must lie within 1e-150 to 1e+150 in size, "
+            f"got {size[np.argmin(usable)]:g}"
+        )
     return _check_arm_correlations(_arm_correlation_matrix(rho_combo_control, rho_combo_mono))
 
 
@@ -164,11 +173,8 @@ class Allocation:
     def arm_counts(self, n_total: int) -> tuple[int, ...]:
         """Integer per-arm counts of ``n_total`` subjects by largest-remainder
         rounding, each >= 1."""
-        return tuple(int(c) for c in self.arm_counts_table(np.array([n_total]))[0])
-
-    def arm_counts_table(self, totals: np.ndarray) -> np.ndarray:
-        """:meth:`arm_counts` for each total, one row per total."""
-        return _largest_remainder(np.asarray(self.ratios)[None], np.asarray(totals))
+        counts = _largest_remainder(np.asarray(self.ratios)[None], np.array([n_total]))
+        return tuple(int(c) for c in counts[0])
 
 
 def _largest_remainder(ratios: np.ndarray, totals: np.ndarray) -> np.ndarray:
@@ -238,43 +244,6 @@ def _noncentralities(shares, mu, rho, sigma2) -> np.ndarray:
     return mu * mu / var
 
 
-def wald_noncentrality(
-    scenario: DesignScenario, alloc: Allocation, n_total: int
-) -> np.ndarray:
-    """Per-substudy Wald noncentrality pairs, shape (K, 2).
-
-    Column 0 is the combination-vs-control parameter, column 1 the
-    monotherapy-vs-control parameter (independent of the combination arm).
-    """
-    if n_total < 1:
-        raise DomainError("n_total must be at least 1")
-    mu, rho = _contrasts(
-        scenario.delta, scenario.synergy, scenario.rho_combo_control, len(alloc.ratios)
-    )
-    w = _noncentralities(alloc.ratios, mu, rho, scenario.sigma2)
-    return n_total * w.reshape(scenario.K, 2)[:, ::-1]
-
-
-def closed_form_allocation(s: float) -> Allocation:
-    """Closed-form single-substudy allocation for the zero-correlation case,
-    determined by the synergy parameter alone.
-
-    The formula gives the monotherapy arm s times the combination arm's share
-    and maximizes the combination noncentrality along that ray.  At s = 1 it
-    coincides with the max-min optimum; away from s = 1 the two noncentrality
-    parameters are unequal here and :func:`optimize_allocation` finds a
-    strictly better max-min point, so treat this as the analytic shortcut it
-    is, not as the optimizer.
-    """
-    if s <= 0:
-        raise DomainError(f"synergy must be positive, got {s}")
-    root = math.sqrt(s + 1.0)
-    p_a = (root - 1.0) / s
-    p_b = (s + 1.0 - root) / (s + 1.0)
-    p_ab = (s + 1.0 - root) / (s * (s + 1.0))
-    return Allocation((p_a, p_b, p_ab))
-
-
 def optimize_allocation(scenario: DesignScenario) -> Allocation:
     """Exact max-min allocation: every one of the 2K noncentralities is equal."""
     return Allocation(_max_min_shares(scenario.delta, scenario.synergy, scenario.rho_combo_control))
@@ -340,4 +309,7 @@ def _max_min_shares(delta, synergy, rho_combo_control) -> tuple[float, ...]:
         u = rho * q + math.sqrt(b - c * q * q)
         best += [1.0 / (d2 - q * q), 1.0 / (u * u)]
     norm = sum(best)
-    return tuple(p / norm for p in best)
+    shares = tuple(p / norm for p in best)
+    if min(shares) < _SHARE_MIN:
+        raise DomainError(f"an arm's share {min(shares):g} < 1e-150: effects differ too widely")
+    return shares

@@ -265,7 +265,7 @@ def cmd_estimate(args) -> int:
         reports.append(entry)
 
     payload = reports[0] if len(reports) == 1 and not args.roles else reports
-    _write(json.dumps(payload, indent=2) + "\n", args.out)
+    _write(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.out)
     return EXIT_OK
 
 

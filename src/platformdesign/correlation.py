@@ -9,8 +9,8 @@ correlation matrix of the Z statistics, which the threshold solvers use.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -21,9 +21,6 @@ from .errors import DomainError
 from .mvnorm import CorrelationMatrix
 
 __all__ = [
-    "CONTROL",
-    "mono_arm",
-    "combo_arm",
     "ArmCorrelations",
     "PlatformArms",
     "test_stat_correlation",
@@ -31,59 +28,27 @@ __all__ = [
     "platform_z_correlation_matrix",
 ]
 
-# Arm labels: the shared control, and per-substudy monotherapy / combination
-# arms.  Substudies are numbered from 1.
-Arm = tuple[str, int]
-CONTROL: Arm = ("A", 0)
-
-
-def mono_arm(k: int) -> Arm:
-    return ("B", k)
-
-
-def combo_arm(k: int) -> Arm:
-    return ("AB", k)
-
-
-def _arm_index(arm: Arm, K: int) -> int:
-    """Row of ``arm`` in the arm correlation matrix: A 0, B_k 2k - 1, AB_k 2k."""
-    kind, k = arm
-    if (kind == "A" and k == 0) or (kind in ("B", "AB") and 1 <= k <= K):
-        return 2 * k - (kind == "B")
-    raise DomainError(f"invalid arm label {arm} for K={K}")
-
 
 @dataclass(frozen=True, eq=False)
 class ArmCorrelations:
     """Endpoint correlations between the arms of a K-substudy trial, stored
     as ``matrix``: one read-only (2K+1) x (2K+1) correlation matrix in the
-    arm order of :attr:`Allocation.ratios`, (A, B_1, AB_1, ..., B_K, AB_K).
-    ``pairs``, keyed by unordered arm pairs, set entries of ``matrix``, by
-    default the identity (arms with no overlapping components are
+    arm order of :attr:`Allocation.ratios`, (A, B_1, AB_1, ..., B_K, AB_K),
+    by default the identity (arms with no overlapping components are
     independent).  A table that no trial can have is a :class:`DomainError`
     (:func:`_check_arm_correlations`).
     """
 
     K: int
-    pairs: InitVar[Mapping[tuple[Arm, Arm], float] | None] = None
     matrix: np.ndarray | None = None
 
-    def __post_init__(self, pairs) -> None:
+    def __post_init__(self) -> None:
         if self.K < 1:
             raise DomainError("K must be at least 1")
         n_arms = 2 * self.K + 1
         matrix = np.eye(n_arms) if self.matrix is None else np.array(self.matrix, dtype=float)
         if matrix.shape != (n_arms, n_arms):
             raise DomainError(f"matrix must be {n_arms} x {n_arms} for K={self.K}")
-        given = np.zeros(matrix.shape, dtype=bool)
-        for (a, b), rho in dict(pairs or {}).items():
-            i, j = _arm_index(a, self.K), _arm_index(b, self.K)
-            if i == j:
-                raise DomainError(f"self-correlation for arm {a} is fixed at 1")
-            if given[i, j] and matrix[i, j] != rho:
-                raise DomainError(f"conflicting correlations for pair {a}, {b}")
-            matrix[i, j] = matrix[j, i] = rho
-            given[i, j] = given[j, i] = True
         # before the eigenvalues, which read only the lower triangle; a NaN
         # is left to the range check
         if not np.array_equal(matrix, matrix.T, equal_nan=True) or np.any(np.diag(matrix) != 1.0):
@@ -94,9 +59,6 @@ class ArmCorrelations:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ArmCorrelations) and np.array_equal(self.matrix, other.matrix)
-
-    def get(self, a: Arm, b: Arm) -> float:
-        return float(self.matrix[_arm_index(a, self.K), _arm_index(b, self.K)])
 
     @classmethod
     def per_substudy(

@@ -183,7 +183,9 @@ class TrialEstimates:
     screened_out: bool
 
     def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(asdict(self), indent=indent)
+        """The fields as a JSON object; an undefined ``s_hat`` (NaN) is null."""
+        fields = {**asdict(self), "s_hat": None if math.isnan(self.s_hat) else self.s_hat}
+        return json.dumps(fields, indent=indent, allow_nan=False)
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:

@@ -1,7 +1,6 @@
 """False-positive metrics and critical-value solvers.
 
-The classical shared-control procedure is provided as the comparator.  The
-generalized procedure solves for a common critical value under the exact
+The generalized procedure solves for a common critical value under the exact
 joint normal law of the test statistics, so that a chosen error metric (any
 false rejection, multiple false rejections, multiple superiority claims, or
 at-least-m rejections) lands exactly on its target level.
@@ -15,7 +14,6 @@ from typing import Callable
 
 import numpy as np
 
-from .correlation import PlatformArms, classical_dunnett_correlation
 from .errors import DomainError, RootBracketError
 from .mvnorm import (
     _SQRT_2PI,
@@ -31,7 +29,6 @@ __all__ = [
     "ErrorMetric",
     "DEFAULT_TARGETS",
     "ThresholdResult",
-    "classical_dunnett_threshold",
     "platform_threshold",
     "bivariate_error_rates",
 ]
@@ -272,17 +269,6 @@ def bivariate_error_rates(rho, critical_value) -> dict:
     a :class:`DomainError`."""
     levels, _ = _bivariate_levels(rho, critical_value, tuple(_LAWS.values()))
     return {kind: _as_float(level) for kind, level in zip(_LAWS, levels)}
-
-
-def classical_dunnett_threshold(arms: PlatformArms, alpha: float) -> ThresholdResult:
-    """Single shared-control critical value at the comparator correlation.
-
-    Assumes independent treatment arms; provided as the conventional
-    comparison point rather than as the recommended procedure.  ``arms``
-    must describe one substudy (K=1).
-    """
-    rho_star = classical_dunnett_correlation(arms)
-    return platform_threshold(CorrelationMatrix.bivariate(rho_star), ErrorMetric.fwer(alpha))
 
 
 # null directions per block of the m-FWER pool; block b has its own seeded stream

@@ -63,6 +63,7 @@ DEFAULT_ALLOCATIONS = (
 )
 
 _SWEEPABLE = ("rho_ab_b", "rho_ab_a", "synergy")
+_MAX_SWEEP_POINTS = 100_000
 _METRICS = tuple(metric.kind for metric in DEFAULT_TARGETS)
 
 logger = logging.getLogger(__name__)
@@ -96,6 +97,8 @@ class GridSpec:
             raise DomainError("step must be positive")
         if self.stop < self.start:
             raise DomainError("stop must not precede start")
+        if not self._steps() < _MAX_SWEEP_POINTS:  # an overflowing span is inf
+            raise DomainError(f"a sweep of more than {_MAX_SWEEP_POINTS} points (step {self.step})")
         if self.replications < 1:
             raise DomainError("replications must be positive")
         if not self.allocations:
@@ -107,8 +110,13 @@ class GridSpec:
                     f"combination), got {len(alloc)}"
                 )
 
+    def _steps(self) -> float:
+        """The steps to stop, widened by 1e-9 so that a stop that rounding
+        leaves a hair short of a step is reached."""
+        return (self.stop - self.start) / self.step * (1.0 + 1e-9)
+
     def sweep_values(self) -> np.ndarray:
-        count = int(round((self.stop - self.start) / self.step)) + 1
+        count = math.floor(self._steps()) + 1
         return np.round(self.start + self.step * np.arange(count), 12)
 
 
@@ -207,13 +215,10 @@ class ResultTable:
         """A table with the keyword order as column order."""
         return cls(tuple(columns), tuple(columns.values()))
 
-    def _values(self, name: str) -> list:
-        return self.data[self.columns.index(name)].ravel().tolist()
-
     @property
     def rows(self) -> tuple:
         """The rows as tuples of Python floats, ints and strs."""
-        return tuple(zip(*(self._values(name) for name in self.columns)))
+        return tuple(zip(*(values.ravel().tolist() for values in self.data)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ResultTable):
@@ -237,11 +242,6 @@ class ResultTable:
 
     def as_dicts(self) -> list[dict]:
         return [dict(zip(self.columns, row)) for row in self.rows]
-
-    def column(self, name: str, **match) -> list:
-        values = self._values(name)
-        picks = [(self._values(key), value) for key, value in match.items()]
-        return [v for i, v in enumerate(values) if all(col[i] == want for col, want in picks)]
 
 
 def _render(value) -> str:

@@ -15,7 +15,10 @@ from scipy import integrate
 from scipy.special import erfcx, ndtr
 from scipy.stats import multivariate_normal, norm
 
-from platformdesign.allocation import _contrasts, _noncentralities
+from platformdesign.allocation import Allocation, _contrasts, _largest_remainder, _noncentralities
+from platformdesign.correlation import classical_dunnett_correlation
+from platformdesign.multiplicity import ErrorMetric, platform_threshold
+from platformdesign.mvnorm import CorrelationMatrix
 from platformdesign.power import marginal_power_oracle
 
 
@@ -100,6 +103,53 @@ def mp_orthant(h: float, k: float, r: float):
     if r and k / r > h:
         points = sorted({*points, k / r})
     return mp.quad(lambda x: mp.npdf(x) * mp.ncdf((r * x - k) / scale), [*points, mp.inf])
+
+
+def wald_noncentrality(scenario, alloc, n_total: int) -> np.ndarray:
+    """Per-substudy Wald noncentrality pairs N mu^2 / (sigma2 var) at the
+    allocation's shares, shape (K, 2): column 0 the combination-vs-control
+    parameter, column 1 the monotherapy-vs-control one.  Each contrast's
+    variance 1/p_arm + 1/p_A - 2 rho / sqrt(p_arm p_A) is written out per
+    substudy, rho the arm's correlation with control (0 for a monotherapy)."""
+    p_a = alloc.ratios[0]
+    out = np.empty((scenario.K, 2))
+    for k in range(scenario.K):
+        delta, rho = scenario.delta[k], scenario.rho_combo_control[k]
+        p_b, p_ab = alloc.ratios[2 * k + 1], alloc.ratios[2 * k + 2]
+        var_combo = 1.0 / p_ab + 1.0 / p_a - 2.0 * rho / math.sqrt(p_ab * p_a)
+        var_mono = 1.0 / p_b + 1.0 / p_a
+        out[k] = (scenario.synergy[k] * delta) ** 2 / var_combo, delta**2 / var_mono
+    return n_total * out / scenario.sigma2
+
+
+def closed_form_allocation(s: float) -> Allocation:
+    """The paper's closed-form single-substudy allocation at zero
+    correlation, from the synergy s alone: p_A = (sqrt(s + 1) - 1) / s,
+    p_B = (s + 1 - sqrt(s + 1)) / (s + 1) and p_AB = p_B / s.  It puts the
+    monotherapy arm at s times the combination arm's share and maximizes the
+    combination noncentrality along that ray; only at s = 1 is it the
+    max-min optimum."""
+    root = math.sqrt(s + 1.0)
+    return Allocation(
+        ((root - 1.0) / s, (s + 1.0 - root) / (s + 1.0), (s + 1.0 - root) / (s * (s + 1.0)))
+    )
+
+
+def classical_dunnett_threshold(arms, alpha: float):
+    """The classical shared-control comparator: the fwer threshold of a K=1
+    trial at its comparator correlation."""
+    return platform_threshold(
+        CorrelationMatrix.bivariate(classical_dunnett_correlation(arms)), ErrorMetric.fwer(alpha)
+    )
+
+
+def column(table, name: str, **match) -> list:
+    """The ``name`` values of the table's rows whose other columns equal
+    ``match``, in row order."""
+    return [
+        row[name] for row in table.as_dicts()
+        if all(row[key] == value for key, value in match.items())
+    ]
 
 
 def grid_allocation_oracle(s, delta, rho, resolution=1e-3, K=1):
@@ -215,9 +265,8 @@ def exhaustive_n_star(scenario, alloc, critical_values, target: float, n_max: in
     mu, rho = _contrasts(
         scenario.delta, scenario.synergy, scenario.rho_combo_control, len(alloc.ratios)
     )
-    w = np.min(
-        _noncentralities(alloc.arm_counts_table(totals), mu, rho, scenario.sigma2), axis=1
-    )
+    counts = _largest_remainder(np.asarray([alloc.ratios]), totals)
+    w = np.min(_noncentralities(counts, mu, rho, scenario.sigma2), axis=1)
     out = []
     for c in critical_values:
         powers = marginal_power_oracle(w, c)

@@ -22,29 +22,25 @@ import time
 
 import numpy as np
 import pytest
-from conftest import mc_comparison_power, mc_error_rates, mvn_draws
-
-from platformdesign.allocation import (
-    Allocation,
-    DesignScenario,
+from conftest import (
+    classical_dunnett_threshold,
     closed_form_allocation,
-    optimize_allocation,
+    column,
+    mc_comparison_power,
+    mc_error_rates,
+    mvn_draws,
     wald_noncentrality,
 )
+
+from platformdesign.allocation import Allocation, DesignScenario, optimize_allocation
 from platformdesign.cli import main
 from platformdesign.correlation import (
     ArmCorrelations,
     PlatformArms,
-    combo_arm,
-    mono_arm,
     platform_z_correlation_matrix,
 )
 from platformdesign.correlation import test_stat_correlation as z_correlation
-from platformdesign.multiplicity import (
-    ErrorMetric,
-    classical_dunnett_threshold,
-    platform_threshold,
-)
+from platformdesign.multiplicity import ErrorMetric, platform_threshold
 from platformdesign.mvnorm import CorrelationMatrix
 from platformdesign.power import find_sample_size, marginal_power_oracle
 from platformdesign.studies import design_surface_grid, run_design_surface, threshold_grid, run_threshold_curves
@@ -357,13 +353,13 @@ def test_criterion_08_design_surface_properties():
     checks = []
     for rho in grid.rho_levels:
         for metric in TARGETS:
-            n_stars = table.column("value", rho=float(rho), metric=metric)
+            n_stars = column(table, "value", rho=float(rho), metric=metric)
             monotone = all(b <= a for a, b in zip(n_stars, n_stars[1:]))
             checks.append(
                 (monotone, f"N*(s) rho={rho} {metric}: {n_stars} not nonincreasing")
             )
     for s in s_values:
-        shares = table.column("p_combo", synergy=s, metric="fwer")
+        shares = column(table, "p_combo", synergy=s, metric="fwer")
         checks.append(
             (
                 all(b <= a + 1e-9 for a, b in zip(shares, shares[1:])),
@@ -404,29 +400,22 @@ def test_criterion_09_correlation_formula_vs_simulation():
             n_c = int(rng.integers(30, 300))
             n_mono = tuple(int(v) for v in rng.integers(30, 300, size=2))
             n_combo = tuple(int(v) for v in rng.integers(30, 300, size=2))
-            table = ArmCorrelations(
-                2,
-                {
-                    (combo_arm(1), ("A", 0)): float(rng.uniform(0, 0.4)),
-                    (combo_arm(1), mono_arm(1)): float(rng.uniform(0, 0.4)),
-                    (combo_arm(2), ("A", 0)): float(rng.uniform(0, 0.4)),
-                    (combo_arm(2), mono_arm(2)): float(rng.uniform(0, 0.4)),
-                },
-            )
+            # per substudy, the combination arm's correlations with control
+            # and with its monotherapy arm
+            cc_1, cm_1, cc_2, cm_2 = (float(rng.uniform(0, 0.4)) for _ in range(4))
+            table = ArmCorrelations.per_substudy((cc_1, cc_2), (cm_1, cm_2))
             platform = PlatformArms(n_c, n_mono, n_combo, table)
         analytic = platform_z_correlation_matrix(platform).entries
 
-        order = [("A", 0)]
+        # arm order (A, B_1, AB_1, ..., B_K, AB_K), the table's own
         sizes = [platform.n_control]
         for k in range(1, platform.K + 1):
-            order += [mono_arm(k), combo_arm(k)]
             sizes += [platform.n_mono[k - 1], platform.n_combo[k - 1]]
-        dim = len(order)
+        dim = len(sizes)
         cov = np.empty((dim, dim))
         for a in range(dim):
             for b in range(dim):
-                rho_ab = 1.0 if a == b else platform.correlations.get(order[a], order[b])
-                cov[a, b] = rho_ab / math.sqrt(sizes[a] * sizes[b])
+                cov[a, b] = platform.correlations.matrix[a, b] / math.sqrt(sizes[a] * sizes[b])
         draws = mvn_draws(np.linalg.cholesky(cov), 100_000, seed=i)
         z_cols = []
         for k in range(1, platform.K + 1):

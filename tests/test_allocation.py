@@ -4,17 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from conftest import closed_form_allocation, wald_noncentrality
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from platformdesign.allocation import (
     Allocation,
     DesignScenario,
-    closed_form_allocation,
+    _contrasts,
+    _largest_remainder,
+    _noncentralities,
     optimize_allocation,
-    wald_noncentrality,
 )
-from platformdesign.errors import DomainError
+from platformdesign.errors import DomainError, PlatformDesignError
+from platformdesign.multiplicity import ErrorMetric
+from platformdesign.power import design
 
 
 def _objective(scenario: DesignScenario, alloc: Allocation) -> float:
@@ -71,15 +75,15 @@ class TestAllocationType:
             counts[counts.index(max(counts))] -= 1
             counts[counts.index(min(counts))] += 1
         assert alloc.arm_counts(n_total) == tuple(counts)
-        table = alloc.arm_counts_table(np.arange(13, n_total + 1))
+        table = _largest_remainder(np.asarray([alloc.ratios]), np.arange(13, n_total + 1))
         assert [tuple(row) for row in table.tolist()] == [
             alloc.arm_counts(n) for n in range(13, n_total + 1)
         ]
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_arm_counts_table_bumps_as_a_loop_per_row(self, seed):
+    def test_counts_table_bumps_as_a_loop_per_row(self, seed):
         # shares down to far below 1/N leave several arms empty in many
-        # rows; the table's empty arms are filled as a loop over each row
+        # rows; a table's empty arms are filled as a loop over each row
         # fills them, one subject at a time from its largest arm
         rng = np.random.default_rng(seed)
         n_arms = 2 * int(rng.integers(1, 5)) + 1
@@ -95,7 +99,7 @@ class TestAllocationType:
             while np.any(expected[row] == 0):
                 expected[row, np.argmax(expected[row])] -= 1
                 expected[row, np.argmin(expected[row])] += 1
-        table = alloc.arm_counts_table(totals)
+        table = _largest_remainder(np.asarray([alloc.ratios]), totals)
         assert (table == 0).sum() == 0 and (table.sum(axis=1) == totals).all()
         np.testing.assert_array_equal(table, expected)
 
@@ -103,7 +107,7 @@ class TestAllocationType:
         with pytest.raises(DomainError):
             Allocation((0.5, 0.3, 0.2)).arm_counts(2)
         with pytest.raises(DomainError):
-            Allocation((0.5, 0.3, 0.2)).arm_counts_table(np.array([5, 2]))
+            _largest_remainder(np.array([[0.5, 0.3, 0.2]]), np.array([5, 2]))
 
 
 class TestWaldNoncentrality:
@@ -131,31 +135,23 @@ class TestWaldNoncentrality:
         w_corr = wald_noncentrality(corr, alloc, 100)
         assert w_corr[0, 0] == pytest.approx(2.0 * w_flat[0, 0], rel=1e-12)
 
-    def test_matches_the_per_substudy_formula(self):
-        # mu^2 / (sigma2 var) written out one substudy at a time, K = 3
+    def test_oracle_matches_the_package_noncentralities(self):
+        # the oracle's per-substudy formula against the package's batched
+        # one, K = 3 with correlations of both signs
         scenario = DesignScenario(
             (0.3, 0.5, 0.2), (1.2, 0.8, 1.5), 1.7, (0.3, -0.2, 0.1), (0.4, 0.1, -0.3)
         )
         alloc = Allocation((0.3, 0.1, 0.15, 0.12, 0.08, 0.1, 0.15))
-        w = wald_noncentrality(scenario, alloc, 250)
-        p_a = alloc.ratios[0]
-        for k in range(1, 4):
-            delta, s = scenario.delta[k - 1], scenario.synergy[k - 1]
-            rho = scenario.rho_combo_control[k - 1]
-            p_b, p_ab = alloc.ratios[2 * k - 1], alloc.ratios[2 * k]
-            var_combo = 1 / p_ab + 1 / p_a - 2 * rho / math.sqrt(p_ab * p_a)
-            combo = 250 * (s * delta) ** 2 / (1.7 * var_combo)
-            mono = 250 * delta**2 / (1.7 * (1 / p_b + 1 / p_a))
-            assert w[k - 1].tolist() == pytest.approx([combo, mono], rel=1e-12)
+        mu, rho = _contrasts(scenario.delta, scenario.synergy, scenario.rho_combo_control, 7)
+        package = 250 * _noncentralities(alloc.ratios, mu, rho, scenario.sigma2)
+        oracle = wald_noncentrality(scenario, alloc, 250)[:, ::-1].ravel()
+        np.testing.assert_allclose(oracle, package, rtol=1e-12, atol=0.0)
 
     def test_degenerate_denominator(self):
         scenario = DesignScenario.single(0.3, 1.0, rho_ab_a=1.0)
-        with pytest.raises(DomainError):
-            wald_noncentrality(scenario, Allocation((0.25, 0.5, 0.25)), 100)
-
-    def test_k_mismatch(self):
-        with pytest.raises(DomainError):
-            wald_noncentrality(DesignScenario.single(0.3, 1.0), Allocation.equal(2), 100)
+        mu, rho = _contrasts(scenario.delta, scenario.synergy, scenario.rho_combo_control, 3)
+        with pytest.raises(DomainError, match="contrast variance is not positive"):
+            _noncentralities((0.25, 0.5, 0.25), mu, rho, scenario.sigma2)
 
 
 class TestClosedForm:
@@ -196,12 +192,6 @@ class TestClosedForm:
         scenario = DesignScenario.single(1.0, s)
         searched = optimize_allocation(scenario)
         assert _objective(scenario, searched) > _objective(scenario, closed_form_allocation(s))
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            closed_form_allocation(0.0)
-        with pytest.raises(DomainError):
-            closed_form_allocation(-1.0)
 
 
 class TestOptimizer:
@@ -406,3 +396,38 @@ class TestScenarioType:
         values[field] = (0.3, value) if field == "delta" else value
         with pytest.raises(DomainError, match=f"{field} must be positive and finite"):
             DesignScenario(**values)
+
+    @pytest.mark.parametrize(
+        "delta, synergy", [(1e200, 1.0), (1e-200, 1.0), (1.0, 1e200), (1.0, -1e-200)]
+    )
+    def test_effects_out_of_range_are_refused(self, delta, synergy):
+        # their squares overflow or underflow: the allocation used to raise
+        # OverflowError or ZeroDivisionError
+        with pytest.raises(DomainError, match="synergy \\* delta must lie within"):
+            DesignScenario.single(delta, synergy)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        exponents=st.lists(
+            st.tuples(st.integers(-300, 300), st.integers(-300, 300)), min_size=1, max_size=2
+        ),
+        sign=st.sampled_from((-1.0, 1.0)),
+    )
+    def test_property_any_effects_give_finite_shares_or_a_typed_error(self, exponents, sign):
+        delta = tuple(10.0**e for e, _ in exponents)
+        synergy = tuple(sign * 10.0**e for _, e in exponents)
+        zeros = (0.0,) * len(delta)
+        try:
+            ratios = optimize_allocation(DesignScenario(delta, synergy)).ratios
+        except PlatformDesignError:
+            pass
+        else:
+            assert all(0.0 < p < 1.0 for p in ratios)
+        try:
+            result = design(
+                [delta], [synergy], [zeros], [zeros], [ErrorMetric.fwer(0.05)], 0.8, n_cap=2_000
+            )
+        except PlatformDesignError:
+            pass
+        else:
+            assert np.isfinite(result.ratios).all() and (result.ratios > 0.0).all()

@@ -316,6 +316,28 @@ class TestEstimate:
         assert report["s_hat"] == pytest.approx(2.0, abs=1e-9)
         assert report["screened_out"] is False
 
+    def test_zero_monotherapy_effect_prints_strict_json(self, capsys, tmp_path):
+        # B's mean equals A's, so s_hat = delta_AB / delta_B is undefined:
+        # null, where it used to be NaN, which strict JSON parsers refuse
+        path = tmp_path / "zero.csv"
+        path.write_text(
+            "model_id,treatment,response\n"
+            "m1,A,1\nm1,B,1\nm1,AB,2\nm2,A,2\nm2,B,3\nm2,AB,4\nm3,A,3\nm3,B,2\nm3,AB,5\n",
+            encoding="utf-8",
+        )
+        code, out, _ = _run(
+            capsys, "estimate", "--input", str(path),
+            "--drug-a", "A", "--drug-b", "B", "--combo", "AB",
+        )
+        assert code == 0
+
+        def refuse(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        report = json.loads(out, parse_constant=refuse)
+        assert report["delta_B"] == 0.0 and report["s_hat"] is None
+        assert report["screened_out"] is True
+
     def test_missing_column_names_it(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("model_id,treatment,score\nm,A,1\n", encoding="utf-8")

@@ -9,23 +9,14 @@ from hypothesis import strategies as st
 from conftest import mvn_draws
 
 from platformdesign.correlation import (
-    CONTROL,
     ArmCorrelations,
     PlatformArms,
     classical_dunnett_correlation,
-    combo_arm,
-    mono_arm,
     platform_z_correlation_matrix,
 )
 from platformdesign.allocation import DesignScenario
 from platformdesign.correlation import test_stat_correlation as z_correlation
 from platformdesign.errors import DomainError
-
-
-def _arm_correlation_matrix(arms: PlatformArms) -> np.ndarray:
-    """Endpoint correlations of the (control, mono, combo) arms of a K=1 trial."""
-    order = (CONTROL, mono_arm(1), combo_arm(1))
-    return np.array([[arms.correlations.get(u, v) for v in order] for u in order])
 
 
 def _single_arm_correlations(rho_ab_a, rho_ab_b, rho_a_b) -> np.ndarray:
@@ -40,7 +31,7 @@ def _arm_mean_cov(arms: PlatformArms) -> np.ndarray:
     """Covariance of the (control, mono, combo) arm means of a K=1 trial, per
     unit endpoint variance."""
     n = np.array([arms.n_control, arms.n_mono[0], arms.n_combo[0]])
-    return _arm_correlation_matrix(arms) / np.sqrt(np.outer(n, n))
+    return arms.correlations.matrix / np.sqrt(np.outer(n, n))
 
 
 def _contrast_z_correlation(arms: PlatformArms) -> float:
@@ -201,17 +192,18 @@ class TestPlatformMatrix:
         assert np.allclose(off_diag, 0.5, atol=1e-12)
 
     def test_k2_cross_substudy_entry_against_simulation(self):
-        corr = ArmCorrelations(2, {(combo_arm(1), mono_arm(2)): 0.4})
+        # arm order (A, B_1, AB_1, B_2, AB_2): combo_1 and mono_2 correlate
+        matrix = np.eye(5)
+        matrix[2, 3] = matrix[3, 2] = 0.4
+        corr = ArmCorrelations(2, matrix=matrix)
         arms = PlatformArms(100, (100, 100), (100, 100), corr)
         analytic = platform_z_correlation_matrix(arms).entries
 
         sizes = np.array([100.0, 100, 100, 100, 100])
-        order = [CONTROL, mono_arm(1), combo_arm(1), mono_arm(2), combo_arm(2)]
         cov = np.empty((5, 5))
         for i in range(5):
             for j in range(5):
-                rho = 1.0 if i == j else corr.get(order[i], order[j])
-                cov[i, j] = rho / math.sqrt(sizes[i] * sizes[j])
+                cov[i, j] = matrix[i, j] / math.sqrt(sizes[i] * sizes[j])
         draws = mvn_draws(np.linalg.cholesky(cov), 100_000, seed=21)
         z = np.empty((draws.shape[0], 4))
         for k, arm in enumerate((2, 1, 4, 3)):  # combo1, mono1, combo2, mono2
@@ -222,49 +214,44 @@ class TestPlatformMatrix:
 
     def test_statistic_ordering(self):
         # combo statistic comes first in each substudy block
-        corr = ArmCorrelations(1, {(combo_arm(1), CONTROL): 0.6})
-        arms = PlatformArms(50, (1000,), (50,), corr)
+        arms = PlatformArms(50, (1000,), (50,), ArmCorrelations.single(rho_ab_a=0.6))
         single = PlatformArms.single(50, 1000, 50, rho_ab_a=0.6)
         matrix = platform_z_correlation_matrix(arms)
         assert matrix.entries[0, 1] == pytest.approx(z_correlation(single), abs=1e-12)
 
     def test_arm_correlations_validation(self):
-        with pytest.raises(DomainError):
-            ArmCorrelations(1, {(combo_arm(2), CONTROL): 0.1})
-        with pytest.raises(DomainError):
-            ArmCorrelations(1, {(combo_arm(1), CONTROL): 1.4})
-        with pytest.raises(DomainError):
-            ArmCorrelations(1, {(CONTROL, CONTROL): 0.5})
+        with pytest.raises(DomainError, match="must be 5 x 5"):
+            ArmCorrelations(2, matrix=np.eye(3))
+        with pytest.raises(DomainError, match="must lie in"):
+            ArmCorrelations.single(rho_ab_a=1.4)
+        with pytest.raises(DomainError, match="unit diagonal"):
+            ArmCorrelations(1, matrix=np.diag([1.0, 0.5, 1.0]))
         # the eigenvalues read only the lower triangle, whose matrix here has
         # a negative one: the asymmetry is the error to report
         asymmetric = [[1.0, 0.1, 0.0], [0.99, 1.0, 0.99], [0.0, 0.99, 1.0]]
         with pytest.raises(DomainError, match="must be symmetric with unit diagonal"):
             ArmCorrelations(1, matrix=asymmetric)
         with pytest.raises(DomainError, match="must lie in"):
-            ArmCorrelations(1, {(combo_arm(1), CONTROL): np.nan})
-        table = ArmCorrelations.single(0.3, 0.4)
-        assert table.get(combo_arm(1), CONTROL) == 0.3
-        assert table.get(CONTROL, combo_arm(1)) == 0.3
-        assert table.get(mono_arm(1), CONTROL) == 0.0
-        assert table.get(CONTROL, CONTROL) == 1.0
+            ArmCorrelations.single(rho_ab_a=np.nan)
+        # arm order (A, B_1, AB_1)
+        assert ArmCorrelations.single(0.3, 0.4).matrix.tolist() == [
+            [1.0, 0.0, 0.3], [0.0, 1.0, 0.4], [0.3, 0.4, 1.0]
+        ]
 
 
 class TestPerSubstudy:
     @pytest.mark.parametrize("control_mono", [(), (0.2, -0.1, 0.3)])
-    def test_matches_an_explicit_pairs_table(self, control_mono):
+    def test_matches_an_explicit_matrix(self, control_mono):
+        # substudy k's mono arm is row 2k - 1, its combination arm row 2k
         combo_control, combo_mono = (0.3, 0.1, -0.2), (0.5, 0.4, 0.6)
-        pairs = {}
+        explicit = np.eye(7)
         for k in range(1, 4):
-            pairs[(combo_arm(k), CONTROL)] = combo_control[k - 1]
-            pairs[(mono_arm(k), combo_arm(k))] = combo_mono[k - 1]
+            explicit[2 * k, 0] = explicit[0, 2 * k] = combo_control[k - 1]
+            explicit[2 * k, 2 * k - 1] = explicit[2 * k - 1, 2 * k] = combo_mono[k - 1]
             if control_mono:
-                pairs[(mono_arm(k), CONTROL)] = control_mono[k - 1]
-        explicit = ArmCorrelations(3, pairs)
+                explicit[2 * k - 1, 0] = explicit[0, 2 * k - 1] = control_mono[k - 1]
         table = ArmCorrelations.per_substudy(combo_control, combo_mono, control_mono)
-        arms = [CONTROL, *(arm(k) for k in range(1, 4) for arm in (mono_arm, combo_arm))]
-        for a in arms:
-            for b in arms:
-                assert table.get(a, b) == explicit.get(a, b), (a, b)
+        assert np.array_equal(table.matrix, explicit)
 
     @pytest.mark.parametrize("lengths", [(2, 1, 0), (2, 2, 1), (0, 0, 0)])
     def test_one_value_per_substudy(self, lengths):
@@ -280,15 +267,17 @@ _BOUNDARY = (1, (0.6,), (0.8,), (0.0,), None)
 @st.composite
 def _arm_correlation_inputs(draw):
     """K in 1-4; per substudy the combination-control, combination-mono and
-    control-mono correlations; and, for K >= 2, one pair across substudies."""
+    control-mono correlations; and, for K >= 2, one pair across substudies:
+    the rows of substudy 1's mono or combination arm and of another
+    substudy's, and their correlation."""
     K = draw(st.integers(1, 4))
     rho_cc, rho_cm, rho_am = (
         tuple(draw(st.lists(_RHO, min_size=K, max_size=K))) for _ in range(3)
     )
     cross = None
     if K >= 2:
-        first = draw(st.sampled_from((mono_arm, combo_arm)))(1)
-        second = draw(st.sampled_from((mono_arm, combo_arm)))(draw(st.integers(2, K)))
+        first = 2 - draw(st.sampled_from((1, 0)))
+        second = 2 * draw(st.integers(2, K)) - draw(st.sampled_from((1, 0)))
         cross = ((first, second), draw(_RHO))
     return K, rho_cc, rho_cm, rho_am, cross
 
@@ -301,19 +290,17 @@ class TestFeasibility:
         K, rho_cc, rho_cm, rho_am, cross = inputs
         pairs = {}
         for k in range(1, K + 1):
-            pairs[(combo_arm(k), CONTROL)] = rho_cc[k - 1]
-            pairs[(combo_arm(k), mono_arm(k))] = rho_cm[k - 1]
-            pairs[(mono_arm(k), CONTROL)] = rho_am[k - 1]
+            pairs[(2 * k, 0)] = rho_cc[k - 1]
+            pairs[(2 * k, 2 * k - 1)] = rho_cm[k - 1]
+            pairs[(2 * k - 1, 0)] = rho_am[k - 1]
         if cross is not None:
             pairs[cross[0]] = cross[1]
-        order = [CONTROL, *(arm(k) for k in range(1, K + 1) for arm in (mono_arm, combo_arm))]
-        matrix = np.eye(len(order))
-        for (a, b), rho in pairs.items():
-            i, j = order.index(a), order.index(b)
+        matrix = np.eye(2 * K + 1)
+        for (i, j), rho in pairs.items():
             matrix[i, j] = matrix[j, i] = rho
         infeasible = np.linalg.eigvalsh(matrix).min() < -1e-12
         try:
-            table = ArmCorrelations(K, pairs)
+            table = ArmCorrelations(K, matrix=matrix)
         except DomainError as exc:
             assert infeasible, str(exc)
             assert "cannot form a trial" in str(exc)

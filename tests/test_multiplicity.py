@@ -10,6 +10,7 @@ import pytest
 from conftest import (
     bvn_rectangle,
     chi_tail,
+    classical_dunnett_threshold,
     holm_reject,
     mc_error_rates,
     mp_orthant,
@@ -25,15 +26,12 @@ from platformdesign.allocation import DesignScenario, optimize_allocation
 from platformdesign.correlation import (
     ArmCorrelations,
     PlatformArms,
-    combo_arm,
-    mono_arm,
     platform_z_correlation_matrix,
 )
 from platformdesign.errors import DomainError, RootBracketError
 from platformdesign.multiplicity import (
     ErrorMetric,
     bivariate_error_rates,
-    classical_dunnett_threshold,
     platform_threshold,
 )
 from platformdesign.mvnorm import (
@@ -367,25 +365,15 @@ class TestPlatformThreshold:
         assert result.critical_value == pytest.approx(1.6565451830949594, abs=5e-3)
 
     def test_structured_k2_matrix_against_brute_force(self):
-        # shared-control platform with one cross-substudy correlation entry
-        from platformdesign.correlation import (
-            ArmCorrelations,
-            PlatformArms,
-            combo_arm,
-            mono_arm,
-            platform_z_correlation_matrix,
-        )
-
-        table = ArmCorrelations(
-            2,
-            {
-                (combo_arm(1), ("A", 0)): 0.3,
-                (combo_arm(1), mono_arm(1)): 0.5,
-                (combo_arm(2), ("A", 0)): 0.2,
-                (combo_arm(2), mono_arm(2)): 0.4,
-                (combo_arm(1), mono_arm(2)): 0.25,
-            },
-        )
+        # shared-control platform with one cross-substudy correlation entry,
+        # (combo_1, mono_2); arm order (A, B_1, AB_1, B_2, AB_2)
+        table = ArmCorrelations(2, matrix=[
+            [1.0, 0.0, 0.3, 0.0, 0.2],
+            [0.0, 1.0, 0.5, 0.0, 0.0],
+            [0.3, 0.5, 1.0, 0.25, 0.0],
+            [0.0, 0.0, 0.25, 1.0, 0.4],
+            [0.2, 0.0, 0.0, 0.4, 1.0],
+        ])
         z_corr = platform_z_correlation_matrix(
             PlatformArms(150, (80, 120), (70, 90), table)
         )
@@ -452,15 +440,10 @@ class TestPlatformThreshold:
 
 def _platform_z_corr(K):
     """Z correlation of a K-substudy platform with unequal arms."""
-    pairs = {}
-    for k in range(1, K + 1):
-        pairs[(combo_arm(k), ("A", 0))] = 0.3
-        pairs[(combo_arm(k), mono_arm(k))] = 0.5
     n_mono = tuple(60.0 + 10 * k for k in range(K))
     n_combo = tuple(90.0 - 5 * k for k in range(K))
-    return platform_z_correlation_matrix(
-        PlatformArms(150.0, n_mono, n_combo, ArmCorrelations(K, pairs))
-    )
+    table = ArmCorrelations.per_substudy((0.3,) * K, (0.5,) * K)
+    return platform_z_correlation_matrix(PlatformArms(150.0, n_mono, n_combo, table))
 
 
 def _optimised_design_z_corr(K, index):
@@ -1184,12 +1167,9 @@ def _feasible_platform_z_corr(K, seed):
     rng = np.random.default_rng([seed, K])
     rho_cm = rng.uniform(0.1, 0.7, K)
     rho_cc = np.sqrt(rng.uniform(0.1, 1.0, K) * 0.9 * (1.0 - rho_cm**2) / K)
-    pairs = {}
-    for k in range(1, K + 1):
-        pairs[(combo_arm(k), ("A", 0))] = float(rho_cc[k - 1])
-        pairs[(combo_arm(k), mono_arm(k))] = float(rho_cm[k - 1])
+    table = ArmCorrelations.per_substudy(rho_cc.tolist(), rho_cm.tolist())
     n = rng.uniform(30.0, 300.0, 2 * K + 1)
-    arms = PlatformArms(float(n[0]), tuple(n[1::2]), tuple(n[2::2]), ArmCorrelations(K, pairs))
+    arms = PlatformArms(float(n[0]), tuple(n[1::2]), tuple(n[2::2]), table)
     return platform_z_correlation_matrix(arms)
 
 

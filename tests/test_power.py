@@ -12,6 +12,7 @@ from conftest import (
     mc_comparison_power,
     n_star_enumeration_oracle,
     package_design_power,
+    wald_noncentrality,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,9 +21,9 @@ from platformdesign.allocation import (
     Allocation,
     DesignScenario,
     _contrasts,
+    _largest_remainder,
     _noncentralities,
     optimize_allocation,
-    wald_noncentrality,
 )
 from platformdesign.correlation import (
     ArmCorrelations,
@@ -266,7 +267,8 @@ class TestNoncentralityBound:
             ratios, mu, rho, sigma2, [0], first, first + width - 1
         )
         totals = np.arange(first[0], first[-1] + width)
-        w = np.min(_noncentralities(alloc.arm_counts_table(totals), mu[0], rho[0], 1.0), axis=1)
+        counts = _largest_remainder(ratios, totals)
+        w = np.min(_noncentralities(counts, mu[0], rho[0], 1.0), axis=1)
         w = w.reshape(-1, width)
         assert ((upper >= w.max(axis=1)) | (upper == np.inf)).all()
         assert (lower <= w.min(axis=1)).all()
@@ -286,7 +288,7 @@ class TestNoncentralityBound:
         ratios, mu, rho, sigma2 = _design_rows([(scenario, alloc)])
         first = np.arange(3, 40)
         lower, upper = _noncentrality_bound(ratios, mu, rho, sigma2, [0], first, first)
-        w = np.min(_noncentralities(alloc.arm_counts_table(first), mu, rho, 1.0), axis=1)
+        w = np.min(_noncentralities(_largest_remainder(ratios, first), mu, rho, 1.0), axis=1)
         assert (upper >= w).all()
         assert (lower <= w).all()
 

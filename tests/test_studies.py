@@ -9,6 +9,8 @@ import pytest
 from conftest import (
     FIXTURE_INDEPENDENT_CSV,
     bvn_rectangle,
+    classical_dunnett_threshold,
+    column,
     exhaustive_n_star,
     holm_reject,
     mc_error_rates,
@@ -33,7 +35,6 @@ from platformdesign.multiplicity import (
     _bivariate_critical_values,
     _p_threshold,
     bivariate_error_rates,
-    classical_dunnett_threshold,
     platform_threshold,
 )
 from platformdesign.mvnorm import CorrelationMatrix
@@ -97,6 +98,25 @@ class TestGridSpec:
         assert len(grid.sweep_values()) == 7
         assert len(grid.rho_levels) == 4
         # one row per (s, rho, metric): 7 * 4 * 3 = 84
+
+    @pytest.mark.parametrize("start, stop, step, expected", [
+        (0.0, 0.75, 0.5, [0.0, 0.5]),
+        (0.5, 2.0, 1.0, [0.5, 1.5]),
+        (0.9, 1.0, 0.05, [0.9, 0.95, 1.0]),
+        (0.3, 0.3, 0.1, [0.3]),
+    ])
+    def test_sweep_stops_at_stop(self, start, stop, step, expected):
+        # a half step or more short of stop used to round up to one more
+        # point past it
+        assert GridSpec("synergy", start, stop, step).sweep_values().tolist() == expected
+
+    @pytest.mark.parametrize("start, stop, step", [
+        (0.05, 0.95, 1e-300), (0.0, 1e-5, 1e-300), (-1e308, 1e308, 1.0), (0.0, 1.0, 1e-5),
+    ])
+    def test_sweep_over_the_point_ceiling_is_refused(self, start, stop, step):
+        # a tiny step used to fail with a ValueError when the points were built
+        with pytest.raises(DomainError, match="more than 100000 points"):
+            GridSpec("rho_ab_b", start, stop, step)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -165,13 +185,13 @@ class TestErrorCurves:
     def test_baseline_columns_exact(self, coarse_error_table):
         _, table = coarse_error_table
         for metric, baseline in BASELINES.items():
-            values = set(table.column("baseline", metric=metric))
+            values = set(column(table, "baseline", metric=metric))
             assert values == {baseline}
 
     def test_fwer_below_baseline_and_nonincreasing(self, coarse_error_table):
         grid, table = coarse_error_table
         for alloc in DEFAULT_ALLOCATIONS:
-            values = table.column("value", metric="fwer", p_control=alloc[0], p_mono=alloc[1])
+            values = column(table, "value", metric="fwer", p_control=alloc[0], p_mono=alloc[1])
             assert values[0] < BASELINES["fwer"]
             assert _nonincreasing(values)
 
@@ -179,7 +199,7 @@ class TestErrorCurves:
         grid, table = coarse_error_table
         for metric in ("fmer", "msfp"):
             for alloc in DEFAULT_ALLOCATIONS:
-                values = table.column("value", metric=metric, p_control=alloc[0], p_mono=alloc[1])
+                values = column(table, "value", metric=metric, p_control=alloc[0], p_mono=alloc[1])
                 assert all(v >= BASELINES[metric] for v in values)
                 assert _nonincreasing([-v for v in values])
 
@@ -202,7 +222,7 @@ class TestErrorCurves:
 
     def test_independent_statistics_give_the_baselines(self):
         table = run_error_curves(INDEPENDENT_GRID)
-        assert table.column("z_rho") == [0.0, 0.0, 0.0]
+        assert column(table, "z_rho") == [0.0, 0.0, 0.0]
         for row in table.as_dicts():
             assert row["value"] == pytest.approx(row["baseline"], rel=1e-12)
 
@@ -215,7 +235,7 @@ class TestAdjustments:
         # equal thirds); below that its exact fwer exceeds 0.05
         grid, table = coarse_adjustment_table
         for method in ("bonferroni", "holm"):
-            for value in table.column("value", method=method, metric="fwer"):
+            for value in column(table, "value", method=method, metric="fwer"):
                 assert value <= 0.05
         alloc = grid.allocations[0]
         assumed = classical_dunnett_correlation(
@@ -232,7 +252,7 @@ class TestAdjustments:
     def test_overconservative_at_high_correlation(self, coarse_adjustment_table):
         _, table = coarse_adjustment_table
         for method in ("bonferroni", "holm", "dunnett"):
-            high = table.column("value", method=method, metric="fwer", swept_value=0.95)
+            high = column(table, "value", method=method, metric="fwer", swept_value=0.95)
             assert all(v < 0.04 for v in high)
 
     def test_noadj_matches_exact_rate(self, coarse_adjustment_table):
@@ -322,7 +342,7 @@ class TestAdjustments:
             allocations=((0.998, 0.001, 0.001),), seed=6,
         )
         table = run_adjustment_comparison(grid)
-        value = table.column("value", method="noadj", metric="fwer")[0]
+        value = column(table, "value", method="noadj", metric="fwer")[0]
         assert value == pytest.approx(0.0975, abs=0.004)
 
 
@@ -373,12 +393,12 @@ class TestDesignSurface:
         _, table = small_surface
         for rho in (0.1, 0.5):
             for metric in ("fwer", "fmer", "msfp"):
-                assert _nonincreasing(table.column("value", rho=rho, metric=metric))
+                assert _nonincreasing(column(table, "value", rho=rho, metric=metric))
 
     def test_combo_share_nonincreasing_in_rho(self, small_surface):
         _, table = small_surface
         for s in (0.7, 1.0, 1.3):
-            shares = table.column("p_combo", synergy=s, metric="fwer")
+            shares = column(table, "p_combo", synergy=s, metric="fwer")
             assert all(b <= a + 1e-9 for a, b in zip(shares, shares[1:]))
 
     def test_smaller_critical_value_never_needs_more_subjects(self, small_surface):
@@ -396,7 +416,7 @@ class TestDesignSurface:
 
     def test_achieved_power_near_target(self, small_surface):
         _, table = small_surface
-        for power in table.column("achieved_power"):
+        for power in column(table, "achieved_power"):
             assert 0.8 <= power <= 0.9
 
     def test_default_surface_evaluates_one_power_per_critical_value(self, monkeypatch):
@@ -422,7 +442,7 @@ class TestDesignSurface:
         monkeypatch.setattr("platformdesign.power._scan_totals", scan)
         table = run_design_surface(design_surface_grid())
         assert len(table.rows) == len(evaluated) == 84
-        assert sorted(evaluated) == sorted(table.column("c_star"))
+        assert sorted(evaluated) == sorted(column(table, "c_star"))
 
     @pytest.mark.parametrize("grid", [
         design_surface_grid(),
@@ -445,7 +465,7 @@ class TestDesignSurface:
             )
             assert [(row["value"], row["achieved_power"]) for row in point] == reference
         if grid.rho_levels[0] < 0:
-            assert max(table.column("value")) == 3_541
+            assert max(column(table, "value")) == 3_541
 
     @pytest.mark.parametrize("grid", [
         design_surface_grid(),
@@ -537,7 +557,7 @@ class TestResultTable:
     def test_column_filter(self):
         grid = threshold_grid(start=0.3, stop=0.5, step=0.2, seed=1)
         table = run_threshold_curves(grid)
-        fmer_only = table.column("c_star", metric="fmer")
+        fmer_only = column(table, "c_star", metric="fmer")
         assert len(fmer_only) == 2
 
 
