@@ -7,7 +7,8 @@ checked with its flag's own type and choices and becomes that subcommand's
 default, so a flag given on the command line wins; a key that names no flag
 of the subcommand is refused.  For the subcommands that have a ``--seed``
 flag, the ``PLATFORMDESIGN_SEED`` environment variable supplies the seed when
-the flag is absent.
+the flag is absent.  A subcommand imports the modules that only it uses
+when it runs, so a call compiles no module it does not run.
 
 Exit codes: 0 success, 2 validation failure (including an ``--out`` path
 that cannot be written), 3 numerical failure (no root / not positive
@@ -19,11 +20,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import logging
 import os
 import sys
 
-from .correlation import ArmCorrelations, PlatformArms, platform_z_correlation_matrix
 from .errors import (
     BudgetExceeded,
     DomainError,
@@ -35,20 +34,8 @@ from .errors import (
     SchemaError,
     ZeroVariance,
 )
-from .estimation import estimate_trial, ingest_csv, table1_pipeline
 from .multiplicity import DEFAULT_TARGETS, ErrorMetric, _p_threshold, platform_threshold
 from .mvnorm import CorrelationMatrix
-from .power import design
-from .studies import (
-    adjustment_grid,
-    design_surface_grid,
-    error_curves_grid,
-    run_adjustment_comparison,
-    run_design_surface,
-    run_error_curves,
-    run_threshold_curves,
-    threshold_grid,
-)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -128,7 +115,10 @@ def _metric_from_args(args) -> ErrorMetric:
     return ErrorMetric(args.metric, alpha)
 
 
-def _platform_arms_from_args(args, k: int) -> PlatformArms:
+def _arm_level_z_correlation(args, k: int) -> CorrelationMatrix:
+    """The Z correlation of the platform the arm-level flags describe."""
+    from .correlation import ArmCorrelations, PlatformArms, platform_z_correlation_matrix
+
     _require(args.n_a is not None, "--n-a is required for arm-level correlation input")
     _require(args.n_b is not None, "--n-b is required for arm-level correlation input")
     _require(args.n_ab is not None, "--n-ab is required for arm-level correlation input")
@@ -139,7 +129,9 @@ def _platform_arms_from_args(args, k: int) -> PlatformArms:
         _broadcast(args.rho_ab_b, k, "--rho-ab-b"),
         _broadcast(args.rho_a_b, k, "--rho-a-b"),
     )
-    return PlatformArms(float(args.n_a), n_mono, n_combo, correlations)
+    return platform_z_correlation_matrix(
+        PlatformArms(float(args.n_a), n_mono, n_combo, correlations)
+    )
 
 
 def _z_report(z_corr):
@@ -162,7 +154,7 @@ def cmd_adjust(args) -> int:
         _require(-1.0 <= args.rho <= 1.0, f"--rho must lie in [-1, 1], got {args.rho}")
         z_corr = CorrelationMatrix.bivariate(args.rho)
     else:
-        z_corr = platform_z_correlation_matrix(_platform_arms_from_args(args, k))
+        z_corr = _arm_level_z_correlation(args, k)
     result = platform_threshold(
         z_corr, metric, precision=args.precision, seed=args.seed,
         replications=args.replications,
@@ -186,6 +178,8 @@ def cmd_adjust(args) -> int:
 
 
 def cmd_design(args) -> int:
+    from .power import design
+
     k = args.k
     _require(k >= 1, f"--k must be at least 1, got {k}")
     _require(args.delta is not None, "--delta is required")
@@ -216,6 +210,8 @@ def cmd_design(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    from .estimation import estimate_trial, ingest_csv, table1_pipeline
+
     _require(args.input is not None, "--input is required")
     try:
         table = ingest_csv(
@@ -272,6 +268,8 @@ def cmd_estimate(args) -> int:
 @contextlib.contextmanager
 def _progress_to_stderr(enabled: bool):
     """Print the package's INFO log records (study progress) to stderr."""
+    import logging
+
     if not enabled:
         yield
         return
@@ -288,6 +286,8 @@ def _progress_to_stderr(enabled: bool):
 
 
 def cmd_simulate(args) -> int:
+    from . import studies
+
     surface = args.study == "design-surface"
     where = "error-curves, adjustments or thresholds" if surface else "design-surface"
     for flag in ("swept", "fixed_rho") if surface else ("progress", "rho_levels"):
@@ -305,14 +305,14 @@ def cmd_simulate(args) -> int:
     if surface:
         if args.rho_levels:
             sweep["rho_levels"] = tuple(args.rho_levels)
-        grid = design_surface_grid(**sweep)
+        grid = studies.design_surface_grid(**sweep)
         with _progress_to_stderr(args.progress):
-            table = run_design_surface(grid)
+            table = studies.run_design_surface(grid)
     else:
         factory, runner = {
-            "error-curves": (error_curves_grid, run_error_curves),
-            "adjustments": (adjustment_grid, run_adjustment_comparison),
-            "thresholds": (threshold_grid, run_threshold_curves),
+            "error-curves": (studies.error_curves_grid, studies.run_error_curves),
+            "adjustments": (studies.adjustment_grid, studies.run_adjustment_comparison),
+            "thresholds": (studies.threshold_grid, studies.run_threshold_curves),
         }[args.study]
         table = runner(factory(**sweep))
 

@@ -167,11 +167,13 @@ def _window_end(ratios, mu, rho, sigma2, floor, n_cap: int) -> np.ndarray:
     its critical values of ceil(1.05 W / w1) + 64, W the floor just under
     W*, at most ``n_cap``, which must hold 2K+1.  N w1 is the design's
     smallest noncentrality at N before its counts are rounded, which puts N*
-    past this only where an arm holds a few subjects."""
+    past this only where an arm holds a few subjects, and a w1 of 0 (an
+    effect underflowing next to sigma) puts the end at ``n_cap``."""
     if n_cap < ratios.shape[1]:
         raise DomainError(f"n_cap must be at least 2K+1 = {ratios.shape[1]}, got {n_cap}")
-    w1 = _smallest_noncentrality(ratios, mu, rho, sigma2[:, None])
-    return np.minimum(np.ceil(1.05 * floor / w1[:, None]).max(axis=1) + 64, n_cap).astype(int)
+    w1 = _smallest_noncentrality(ratios, mu, rho, sigma2[:, None])[:, None]
+    reach = np.divide(1.05 * floor, w1, out=np.full(floor.shape, np.inf), where=w1 > 0)
+    return np.minimum(np.ceil(reach).max(axis=1) + 64, n_cap).astype(int)
 
 
 def _scan_totals(

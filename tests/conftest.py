@@ -7,6 +7,10 @@ agreement is evidence, not tautology.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -404,3 +408,14 @@ FIXTURE_INDEPENDENT_CSV = "model_id,treatment,response\n" + "".join(
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def run_python(*args: str, timeout: float = 120) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter, with this checkout's package
+    first on its path."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
+    )

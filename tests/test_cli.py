@@ -1,16 +1,12 @@
 """Command-line interface: flags, outputs, exit codes, determinism."""
 
 import json
-import os
-import subprocess
-import sys
 import time
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import FIXTURE_INDEPENDENT_CSV
+from conftest import FIXTURE_INDEPENDENT_CSV, run_python
 
 from platformdesign.cli import SEED_ENV_VAR, main
 
@@ -215,6 +211,14 @@ class TestDesign:
             "--rho-ab-a", "0", "--power", "0.99", "--n-cap", "100", "--seed", "1",
         )
         assert code == 4
+
+    def test_an_effect_underflowing_next_to_sigma_exhausts_the_budget_quietly(self):
+        # delta^2 / sigma2 underflows to a zero noncentrality: the refusal is
+        # all of stderr, with no numpy divide warning before it
+        proc = run_python("-m", "platformdesign.cli", "design", "--delta", "1e-150",
+                          "--synergy", "1", "--sigma2", "1e300")
+        assert (proc.returncode, proc.stdout) == (4, "")
+        assert proc.stderr == "budget exceeded: no N in [3, 1000000] reaches power 0.8\n"
 
     def test_zero_synergy_is_a_validation_error(self, capsys):
         # no allocation gives the combination contrast power at s = 0
@@ -761,44 +765,47 @@ class TestConfigAndSeed:
         assert report["critical_value"] == report_b["critical_value"]
 
 
-_NO_SCIPY_SPECIAL = """
-import contextlib, io, sys
-import platformdesign
+_LOADED_MODULES = """
+import contextlib, io, json, sys
 from platformdesign.cli import main
-assert "scipy.special" not in sys.modules, "import platformdesign"
-csv_path = sys.argv[1]
-calls = [
-    ["adjust", "--rho", "0.461", "--format", "json"],
-    ["adjust", "--metric", "mfwer", "--m", "2", "--k", "2", "--n-a", "120",
-     "--n-b", "60", "60", "--n-ab", "60", "60", "--rho-ab-a", "0.3", "0.2",
-     "--rho-ab-b", "0.5", "0.4", "--replications", "20000", "--format", "json"],
-    ["design", "--delta", "0.663", "--synergy", "1.161", "--rho-ab-a", "0.626",
-     "--rho-ab-b", "0.660", "--metric", "fwer", "--format", "json"],
-    ["estimate", "--input", csv_path, "--drug-a", "A", "--drug-b", "B",
-     "--combo", "AB", "--with-thresholds"],
-    *(["simulate", "--study", study, "--format", "csv"]
-      for study in ("error-curves", "adjustments", "thresholds", "design-surface")),
-]
-for argv in calls:
+for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
     assert "scipy.special" not in sys.modules, " ".join(argv[:3])
     # the m-FWER pool runs on the calling thread, and no call loads a thread
     # pool module
     assert "concurrent.futures" not in sys.modules, " ".join(argv[:3])
+print(*sorted(name.split(".")[1] for name in sys.modules if name.startswith("platformdesign.")))
 """
 
 
 def test_cli_calls_do_not_load_scipy_special(tmp_path):
     # scipy.special is most of the import time of a CLI call; these paths
-    # need only math.erfc and numpy
+    # need only math.erfc and numpy.  In a fresh interpreter each subcommand
+    # loads only the package modules its path calls.
     path = tmp_path / "pdx.csv"
     path.write_text(FIXTURE_INDEPENDENT_CSV, encoding="utf-8")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY_SPECIAL, str(path)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
+    studies = ("error-curves", "adjustments", "thresholds", "design-surface")
+    # the package modules besides cli that an adjust on --rho and an
+    # arm-level adjust load
+    on_rho = {"errors", "mvnorm", "multiplicity"}
+    arm_level = on_rho | {"correlation", "allocation"}
+    cases = [
+        ([["adjust", "--rho", "0.461", "--format", "json"]], on_rho),
+        ([["adjust", "--metric", "mfwer", "--m", "2", "--k", "2", "--n-a", "120",
+           "--n-b", "60", "60", "--n-ab", "60", "60", "--rho-ab-a", "0.3", "0.2",
+           "--rho-ab-b", "0.5", "0.4", "--replications", "20000", "--format", "json"]],
+         arm_level),
+        ([["design", "--delta", "0.663", "--synergy", "1.161", "--rho-ab-a", "0.626",
+           "--rho-ab-b", "0.660", "--metric", "fwer", "--format", "json"]],
+         arm_level | {"power"}),
+        ([["estimate", "--input", str(path), "--drug-a", "A", "--drug-b", "B",
+           "--combo", "AB", "--with-thresholds"]],
+         arm_level | {"estimation"}),
+        ([["simulate", "--study", study, "--format", "csv"] for study in studies],
+         arm_level | {"power", "studies"}),
+    ]
+    for calls, modules in cases:
+        proc = run_python("-c", _LOADED_MODULES, json.dumps(calls))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == sorted(modules | {"cli"}), calls[0][:3]

@@ -633,3 +633,10 @@ class TestDesign:
             design(*rows, (ErrorMetric.mfwer(3, 0.05),), 0.8)
         with pytest.raises(BudgetExceeded):
             design(*rows, fwer, 0.99, n_cap=20)
+
+    def test_an_effect_underflowing_next_to_sigma_exhausts_the_budget(self):
+        # delta^2 / sigma2 underflows to a zero smallest noncentrality: the
+        # first window ends at n_cap without a divide warning
+        with pytest.raises(BudgetExceeded, match=r"no N in \[3, 1000000\]"):
+            design([[1e-150]], [[1.0]], [[0.0]], [[0.0]], (ErrorMetric.fwer(0.05),), 0.8,
+                   sigma2=1e300)
