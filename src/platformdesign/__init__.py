@@ -21,8 +21,7 @@ _EXPORTS = {
                    "ingest_csv", "pooled_sd", "table1_pipeline"),
     "multiplicity": ("ErrorMetric", "ThresholdResult", "bivariate_error_rates",
                      "platform_threshold"),
-    "mvnorm": ("CorrelationMatrix", "QmcLattice", "cholesky", "std_normal_cdf",
-               "std_normal_quantile"),
+    "mvnorm": ("CorrelationMatrix", "QmcLattice", "std_normal_cdf", "std_normal_quantile"),
     "power": ("DesignResult", "SampleSizeResult", "design", "find_sample_size",
               "marginal_power_oracle"),
     "studies": ("GridSpec", "ResultTable", "run_adjustment_comparison", "run_design_surface",

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .correlation import _arm_correlation_matrix, _check_arm_correlations, _contrast_variance
 from .errors import DomainError
 
 __all__ = [
@@ -38,38 +39,6 @@ def _as_tuple(value, length: int, name: str) -> tuple[float, ...]:
     if len(out) != length:
         raise DomainError(f"{name} must have one entry per substudy ({length}), got {len(out)}")
     return out
-
-
-def _arm_correlation_matrix(rho_combo_control, rho_combo_mono, rho_control_mono=0.0):
-    """Arm correlation matrices, shape (..., 2K+1, 2K+1), in the arm order of
-    :attr:`Allocation.ratios` from each substudy's combination-control
-    correlations, shape (..., K), and its combination-mono and control-mono
-    correlations, which broadcast to that shape; pairs across substudies are 0."""
-    rho_cc = np.asarray(rho_combo_control, dtype=float)
-    n_arms = 2 * rho_cc.shape[-1] + 1
-    matrix = np.tile(np.eye(n_arms), (*rho_cc.shape[:-1], 1, 1))
-    matrix[..., 0, 2::2] = matrix[..., 2::2, 0] = rho_cc
-    matrix[..., 0, 1::2] = matrix[..., 1::2, 0] = rho_control_mono
-    mono = np.arange(1, n_arms, 2)
-    matrix[..., mono, mono + 1] = matrix[..., mono + 1, mono] = rho_combo_mono
-    return matrix
-
-
-def _check_arm_correlations(matrix) -> np.ndarray:
-    """Refuse arm correlations that no trial can have, for every entry point:
-    a symmetric arm correlation matrix, or a stack of them, needs entries in
-    [-1, 1] and a smallest eigenvalue of at least -1e-12 (rounding).  The
-    first failing matrix of a stack is reported; passing ones are returned."""
-    if not np.abs(matrix).max() <= 1.0:  # a NaN fails this too
-        outside = matrix[~(np.abs(matrix) <= 1.0)][0]
-        raise DomainError(f"correlation must lie in [-1, 1], got {outside}")
-    lowest = np.linalg.eigvalsh(matrix).min(axis=-1)
-    if (lowest < -1e-12).any():
-        raise DomainError(
-            "arm correlations cannot form a trial: they do not fit together "
-            f"(their matrix has smallest eigenvalue {lowest[lowest < -1e-12].flat[0]:.4g} < 0)"
-        )
-    return matrix
 
 
 def _check_scenarios(delta, synergy, sigma2: float, rho_combo_control, rho_combo_mono):
@@ -207,13 +176,6 @@ def _largest_remainder(ratios: np.ndarray, totals: np.ndarray) -> np.ndarray:
         counts[rows] = bumped
         rows = rows[(bumped == 0).any(axis=1)]
     return counts
-
-
-def _contrast_variance(n_arm, n_control, rho):
-    """Variance of an arm's mean minus the control mean, per unit sigma2, at
-    arm sizes or shares ``n_arm`` and ``n_control`` whose outcomes correlate
-    by ``rho``; elementwise on arrays."""
-    return 1.0 / n_arm + 1.0 / n_control - 2.0 * rho / np.sqrt(n_arm * n_control)
 
 
 def _contrasts(delta, synergy, rho_combo_control, n_arms: int) -> tuple[np.ndarray, np.ndarray]:

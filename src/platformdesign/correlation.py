@@ -4,21 +4,23 @@ Two investigational arms that share treatment components (or merely share the
 control) produce correlated Z statistics.  This module maps endpoint
 correlations between arms, together with per-arm sample sizes, onto the
 correlation matrix of the Z statistics, which the threshold solvers use.
+It also owns the arm correlation table itself: its builder, the check that a
+trial can have it, and the variance of a contrast with control.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .allocation import (
-    DesignScenario, _arm_correlation_matrix, _check_arm_correlations, _contrast_variance,
-)
 from .errors import DomainError
 from .mvnorm import CorrelationMatrix
+
+if TYPE_CHECKING:
+    from .allocation import DesignScenario
 
 __all__ = [
     "ArmCorrelations",
@@ -27,6 +29,45 @@ __all__ = [
     "classical_dunnett_correlation",
     "platform_z_correlation_matrix",
 ]
+
+
+def _arm_correlation_matrix(rho_combo_control, rho_combo_mono, rho_control_mono=0.0):
+    """Arm correlation matrices, shape (..., 2K+1, 2K+1), in the arm order of
+    :attr:`Allocation.ratios` from each substudy's combination-control
+    correlations, shape (..., K), and its combination-mono and control-mono
+    correlations, which broadcast to that shape; pairs across substudies are 0."""
+    rho_cc = np.asarray(rho_combo_control, dtype=float)
+    n_arms = 2 * rho_cc.shape[-1] + 1
+    matrix = np.tile(np.eye(n_arms), (*rho_cc.shape[:-1], 1, 1))
+    matrix[..., 0, 2::2] = matrix[..., 2::2, 0] = rho_cc
+    matrix[..., 0, 1::2] = matrix[..., 1::2, 0] = rho_control_mono
+    mono = np.arange(1, n_arms, 2)
+    matrix[..., mono, mono + 1] = matrix[..., mono + 1, mono] = rho_combo_mono
+    return matrix
+
+
+def _check_arm_correlations(matrix) -> np.ndarray:
+    """Refuse arm correlations that no trial can have, for every entry point:
+    a symmetric arm correlation matrix, or a stack of them, needs entries in
+    [-1, 1] and a smallest eigenvalue of at least -1e-12 (rounding).  The
+    first failing matrix of a stack is reported; passing ones are returned."""
+    if not np.abs(matrix).max() <= 1.0:  # a NaN fails this too
+        outside = matrix[~(np.abs(matrix) <= 1.0)][0]
+        raise DomainError(f"correlation must lie in [-1, 1], got {outside}")
+    lowest = np.linalg.eigvalsh(matrix).min(axis=-1)
+    if (lowest < -1e-12).any():
+        raise DomainError(
+            "arm correlations cannot form a trial: they do not fit together "
+            f"(their matrix has smallest eigenvalue {lowest[lowest < -1e-12].flat[0]:.4g} < 0)"
+        )
+    return matrix
+
+
+def _contrast_variance(n_arm, n_control, rho):
+    """Variance of an arm's mean minus the control mean, per unit sigma2, at
+    arm sizes or shares ``n_arm`` and ``n_control`` whose outcomes correlate
+    by ``rho``; elementwise on arrays."""
+    return 1.0 / n_arm + 1.0 / n_control - 2.0 * rho / np.sqrt(n_arm * n_control)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,8 +148,11 @@ class PlatformArms:
                 f"correlation table is for K={self.correlations.K}, "
                 f"but {len(n_mono)} substudies were given"
             )
-        if self.n_control < 1 or any(n < 1 for n in (*n_mono, *n_combo)):
-            raise DomainError("every arm needs at least one subject")
+        counts = {"n_control": (self.n_control,), "n_mono": n_mono, "n_combo": n_combo}
+        for name, values in counts.items():
+            bad = [n for n in values if not 1.0 <= n < math.inf]  # a NaN fails this too
+            if bad:
+                raise DomainError(f"{name} must be a finite count of at least 1, got {bad[0]}")
         object.__setattr__(self, "n_mono", n_mono)
         object.__setattr__(self, "n_combo", n_combo)
 

@@ -105,10 +105,11 @@ def ingest_csv(
 
     Column names are configurable; a missing column raises
     :class:`SchemaError` naming it, text that is not UTF-8 raises
-    :class:`ParseError` naming the path, malformed rows raise it with their
-    line number, and duplicate (model, treatment) pairs follow the
-    ``duplicates`` policy ('error' rejects, 'mean' averages).  A
-    ``delimiter`` that is not one character is a :class:`DomainError`.
+    :class:`ParseError` naming the path, malformed rows and responses that
+    are not finite numbers raise it with their line number, and duplicate
+    (model, treatment) pairs follow the ``duplicates`` policy ('error'
+    rejects, 'mean' averages).  A ``delimiter`` that is not one character is
+    a :class:`DomainError`.
     """
     if len(delimiter) != 1:
         raise DomainError(f"delimiter must be one character, got {delimiter!r}")
@@ -144,9 +145,9 @@ def ingest_csv(
             try:
                 response = float(raw)
             except ValueError:
-                raise ParseError(
-                    f"{path}:{line_no}: response {raw!r} is not a number"
-                ) from None
+                response = math.nan
+            if not math.isfinite(response):
+                raise ParseError(f"{path}:{line_no}: response {raw!r} is not a finite number")
             records.append((model, treatment, response))
     return PairedEndpointTable.from_records(records, duplicates)
 

@@ -1,7 +1,8 @@
 """Multivariate normal kernel.
 
-Univariate normal cdf/quantile (``math.erfc``, no scipy), Cholesky
-factorization with diagonal jitter, and rectangle probabilities:
+Univariate normal cdf/quantile (``math.erfc``, no scipy), correlation
+matrices validated and factored with diagonal jitter, and rectangle
+probabilities:
 
 * in dimension 2, the upper orthant P(X > h, Y > k), h, k >= 0, on Owen's
   T integral (Owen 1956): one 20-point Gauss-Legendre sum of exponentials
@@ -42,15 +43,13 @@ from .errors import DomainError, NotPositiveDefinite, PrecisionUnreachable
 __all__ = [
     "std_normal_cdf",
     "std_normal_quantile",
-    "cholesky",
-    "CholeskyResult",
     "CorrelationMatrix",
     "QmcLattice",
     "RectangleEstimate",
 ]
 
 _SYMMETRY_TOL = 1e-10
-# the largest diagonal jitter cholesky adds
+# the largest diagonal jitter a CorrelationMatrix adds to factor its matrix
 _MAX_JITTER = 1e-8
 
 
@@ -104,60 +103,29 @@ def std_normal_quantile(p: float) -> float:
     return x if p >= 0.5 else -x
 
 
-class CholeskyResult(NamedTuple):
-    factor: np.ndarray
-    jitter: float
-
-
-def cholesky(matrix: np.ndarray) -> CholeskyResult:
-    """Lower-triangular Cholesky factor, adding diagonal jitter if needed.
-
-    Jitter escalates geometrically and never exceeds 1e-8; the amount
-    actually added is reported so callers can decide whether to trust the
-    factorization.  Raises :class:`NotPositiveDefinite` when even the maximum
-    jitter does not make the matrix factorizable.
-    """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise DomainError("matrix entries must be finite")
-    if np.max(np.abs(m - m.T), initial=0.0) > _SYMMETRY_TOL:
-        raise DomainError("matrix is not symmetric within 1e-10")
-
-    sym = (m + m.T) / 2.0
-    eye = np.eye(sym.shape[0])
-    jitter = 0.0
-    while True:
-        try:
-            factor = np.linalg.cholesky(sym + jitter * eye)
-            return CholeskyResult(factor, jitter)
-        except np.linalg.LinAlgError:
-            if jitter >= _MAX_JITTER:
-                raise NotPositiveDefinite(
-                    f"Cholesky failed even with jitter {_MAX_JITTER:g}"
-                ) from None
-            jitter = min(_MAX_JITTER, 1e-14 if jitter == 0.0 else jitter * 100.0)
-
-
 @dataclass(frozen=True)
 class CorrelationMatrix:
-    """Validated correlation matrix with a cached Cholesky factor.
+    """Validated correlation matrix with its Cholesky factor.
 
-    Validation is eager: symmetry, unit diagonal, off-diagonal range, and
-    positive semi-definiteness (after at most 1e-8 of diagonal jitter) are
-    all checked at construction.
+    Validation is eager: the matrix must be square and finite, symmetric
+    within 1e-10, with unit diagonal and correlations in [-1, 1].
+    ``factor`` is the lower Cholesky factor of its symmetric part, after
+    diagonal ``jitter`` that escalates geometrically to at most 1e-8, past
+    which the matrix is :class:`NotPositiveDefinite`.
     """
 
     entries: np.ndarray
-    _chol: CholeskyResult = field(init=False, repr=False, compare=False)
+    factor: np.ndarray = field(init=False, repr=False, compare=False)
+    jitter: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = np.array(self.entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DomainError(f"correlation matrix must be square, got {m.shape}")
+        if not np.isfinite(m).all():
+            raise DomainError("correlation matrix entries must be finite")
         if np.max(np.abs(m - m.T), initial=0.0) > _SYMMETRY_TOL:
-            raise DomainError("correlation matrix is not symmetric")
+            raise DomainError("correlation matrix is not symmetric within 1e-10")
         if np.max(np.abs(np.diag(m) - 1.0), initial=0.0) > 1e-12:
             raise DomainError("correlation matrix diagonal must be 1")
         off = m - np.diag(np.diag(m))
@@ -165,19 +133,23 @@ class CorrelationMatrix:
             raise DomainError("correlations must lie in [-1, 1]")
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
-        object.__setattr__(self, "_chol", cholesky(m))
+        sym, eye, jitter = (m + m.T) / 2.0, np.eye(len(m)), 0.0
+        while True:
+            try:
+                factor = np.linalg.cholesky(sym + jitter * eye)
+                break
+            except np.linalg.LinAlgError:
+                if jitter >= _MAX_JITTER:
+                    raise NotPositiveDefinite(
+                        f"Cholesky failed even with jitter {_MAX_JITTER:g}"
+                    ) from None
+                jitter = min(_MAX_JITTER, 1e-14 if jitter == 0.0 else jitter * 100.0)
+        object.__setattr__(self, "factor", factor)
+        object.__setattr__(self, "jitter", jitter)
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    @property
-    def factor(self) -> np.ndarray:
-        return self._chol.factor
-
-    @property
-    def jitter(self) -> float:
-        return self._chol.jitter
 
     @classmethod
     def bivariate(cls, rho: float) -> "CorrelationMatrix":
@@ -384,7 +356,7 @@ class QmcLattice:
         if dim < 2:
             raise DomainError("a lattice needs at least two dimensions")
         self.order = _smallest_residual_order(correlation.entries)
-        self.factor = cholesky(correlation.entries[np.ix_(self.order, self.order)]).factor
+        self.factor = CorrelationMatrix(correlation.entries[np.ix_(self.order, self.order)]).factor
         self.n_points = _START_POINTS * dim // 2  # points per batch; grow() doubles it
         self.total_points = 0
         self._generators = np.sqrt(np.array(_first_primes(dim - 1), dtype=float))

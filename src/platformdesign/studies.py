@@ -20,9 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocation import Allocation, _arm_correlation_matrix, _check_arm_correlations
+from .allocation import Allocation
 from .correlation import (
-    _NOMINAL_TOTAL, PlatformArms, _z_correlations, classical_dunnett_correlation,
+    _NOMINAL_TOTAL, PlatformArms, _arm_correlation_matrix, _check_arm_correlations,
+    _z_correlations, classical_dunnett_correlation,
 )
 from .errors import DomainError
 from .multiplicity import (

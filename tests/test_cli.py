@@ -117,6 +117,17 @@ class TestAdjust:
         assert code == 2
         assert "do not fit together" in err
 
+    @pytest.mark.parametrize("count", ["inf", "nan"])
+    @pytest.mark.parametrize("flag, name", [("--n-a", "n_control"), ("--n-b", "n_mono"),
+                                            ("--n-ab", "n_combo")])
+    def test_arm_count_that_is_not_finite_refused(self, capsys, flag, name, count):
+        counts = {"--n-a": "60", "--n-b": "60", "--n-ab": "60", flag: count}
+        code, out, err = _run(
+            capsys, "adjust", "--metric", "fwer", *(x for item in counts.items() for x in item),
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {name} must be a finite count of at least 1, got {float(count)}\n"
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -413,6 +424,21 @@ class TestEstimate:
                 )
             assert (code, out) == (2, ""), value
             assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("raw", ["nan", "inf"])
+    def test_non_finite_response_refused(self, capsys, tmp_path, raw):
+        # a validation failure (exit 2) naming the line, not a traceback from
+        # the JSON writer or a numpy warning
+        path = tmp_path / "pdx.csv"
+        path.write_text(FIXTURE_CSV.replace("m2,AB,17.0", f"m2,AB,{raw}"), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = _run(
+                capsys, "estimate", "--input", str(path), "--drug-a", "A",
+                "--drug-b", "B", "--combo", "AB", "--with-thresholds",
+            )
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}:10: response {raw!r} is not a finite number\n"
 
     @pytest.mark.parametrize("delimiter", [";;", "", "\\t"])
     def test_delimiter_of_other_than_one_character_refused(self, capsys, tmp_path, delimiter):
@@ -789,7 +815,7 @@ def test_cli_calls_do_not_load_scipy_special(tmp_path):
     # the package modules besides cli that an adjust on --rho and an
     # arm-level adjust load
     on_rho = {"errors", "mvnorm", "multiplicity"}
-    arm_level = on_rho | {"correlation", "allocation"}
+    arm_level = on_rho | {"correlation"}
     cases = [
         ([["adjust", "--rho", "0.461", "--format", "json"]], on_rho),
         ([["adjust", "--metric", "mfwer", "--m", "2", "--k", "2", "--n-a", "120",
@@ -798,12 +824,12 @@ def test_cli_calls_do_not_load_scipy_special(tmp_path):
          arm_level),
         ([["design", "--delta", "0.663", "--synergy", "1.161", "--rho-ab-a", "0.626",
            "--rho-ab-b", "0.660", "--metric", "fwer", "--format", "json"]],
-         arm_level | {"power"}),
+         arm_level | {"allocation", "power"}),
         ([["estimate", "--input", str(path), "--drug-a", "A", "--drug-b", "B",
            "--combo", "AB", "--with-thresholds"]],
          arm_level | {"estimation"}),
         ([["simulate", "--study", study, "--format", "csv"] for study in studies],
-         arm_level | {"power", "studies"}),
+         arm_level | {"allocation", "power", "studies"}),
     ]
     for calls, modules in cases:
         proc = run_python("-c", _LOADED_MODULES, json.dumps(calls))

@@ -137,6 +137,15 @@ class TestSingleStudy:
         with pytest.raises(DomainError):
             PlatformArms.single(10, 10, 10, rho_ab_a=1.5)
 
+    @pytest.mark.parametrize("count", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_count_that_is_not_finite_is_named(self, count, position):
+        counts = [10.0, 10.0, 10.0]
+        counts[position] = count
+        name = ("n_control", "n_mono", "n_combo")[position]
+        with pytest.raises(DomainError, match=f"{name} must be a finite count of at least 1"):
+            PlatformArms.single(*counts)
+
 
 class TestClassicalComparator:
     def test_equal_allocation(self):

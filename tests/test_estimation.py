@@ -119,6 +119,16 @@ class TestIngestCsv:
             ingest_csv(path)
         assert ":3:" in str(excinfo.value)
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_response_reports_line_and_value(self, tmp_path, raw):
+        path = _write(
+            tmp_path / "bad.csv",
+            f"model_id,treatment,response\nm1,a,1.0\nm2,b,{raw}\n",
+        )
+        with pytest.raises(ParseError) as excinfo:
+            ingest_csv(path)
+        assert f"bad.csv:3: response {raw!r}" in str(excinfo.value)
+
     def test_custom_columns_and_delimiter(self, tmp_path):
         path = _write(
             tmp_path / "alt.csv", "pdx;drug;shrinkage\nm1;a;0.5\nm1;b;0.6\n"

@@ -1,4 +1,4 @@
-"""Numeric kernel: normal functions, Cholesky, rectangles."""
+"""Numeric kernel: normal functions, correlation matrices, rectangles."""
 
 import itertools
 import math
@@ -16,7 +16,6 @@ from platformdesign.errors import DomainError, NotPositiveDefinite, PrecisionUnr
 from platformdesign.mvnorm import (
     CorrelationMatrix,
     QmcLattice,
-    cholesky,
     std_normal_cdf,
     std_normal_quantile,
 )
@@ -118,68 +117,55 @@ class TestUnivariate:
             std_normal_quantile(p)
 
 
-class TestCholesky:
+class TestCorrelationMatrix:
     def test_identity(self):
-        factor, jitter = cholesky(np.eye(3))
-        assert jitter == 0.0
-        assert np.allclose(factor, np.eye(3))
+        m = CorrelationMatrix(np.eye(3))
+        assert m.jitter == 0.0
+        assert np.allclose(m.factor, np.eye(3))
 
     def test_hand_factor(self):
-        factor, jitter = cholesky(np.array([[1.0, 0.5], [0.5, 1.0]]))
-        assert jitter == 0.0
+        m = CorrelationMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
+        assert m.jitter == 0.0
         expected = np.array([[1.0, 0.0], [0.5, math.sqrt(1 - 0.25)]])
-        assert np.allclose(factor, expected, atol=1e-12)
+        assert np.allclose(m.factor, expected, atol=1e-12)
 
     def test_rank_deficient_uses_jitter(self):
-        m = np.array([[1.0, 1.0], [1.0, 1.0]])
-        factor, jitter = cholesky(m)
-        assert 0.0 < jitter <= 1e-8
-        assert np.max(np.abs(factor @ factor.T - m)) <= max(1e-8, jitter)
+        m = CorrelationMatrix.bivariate(1.0)
+        assert 0.0 < m.jitter <= 1e-8
+        assert np.max(np.abs(m.factor @ m.factor.T - m.entries)) <= max(1e-8, m.jitter)
 
     def test_reconstruction(self, rng):
         for _ in range(20):
             a = rng.standard_normal((4, 4))
-            m = a @ a.T + 1e-3 * np.eye(4)
-            factor, jitter = cholesky(m)
-            assert jitter == 0.0
-            assert np.max(np.abs(factor @ factor.T - m)) <= 1e-8
-
-    def test_indefinite_rejected(self):
-        with pytest.raises(NotPositiveDefinite):
-            cholesky(np.array([[1.0, 0.0], [0.0, -1.0]]))
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(DomainError):
-            cholesky(np.array([[1.0, 0.2], [0.4, 1.0]]))
-
-    def test_non_square_rejected(self):
-        with pytest.raises(DomainError):
-            cholesky(np.ones((2, 3)))
-
-
-class TestCorrelationMatrix:
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            CorrelationMatrix(np.array([[1.0, 0.2], [0.2, 0.9]]))
-        with pytest.raises(DomainError):
-            CorrelationMatrix(np.array([[1.0, 1.2], [1.2, 1.0]]))
-        with pytest.raises(DomainError):
-            CorrelationMatrix(np.array([[1.0, 0.1], [0.3, 1.0]]))
-
-    def test_near_singular_jitter(self):
-        m = CorrelationMatrix.bivariate(1.0)
-        assert m.jitter <= 1e-8
-        assert m.factor.shape == (2, 2)
-
-    def test_entries_frozen(self):
-        m = CorrelationMatrix(np.eye(2))
-        with pytest.raises(ValueError):
-            m.entries[0, 1] = 0.5
+            cov = a @ a.T + 1e-3 * np.eye(4)
+            scale = 1.0 / np.sqrt(np.diag(cov))
+            corr = cov * np.outer(scale, scale)
+            np.fill_diagonal(corr, 1.0)
+            m = CorrelationMatrix(corr)
+            assert m.jitter == 0.0
+            assert np.max(np.abs(m.factor @ m.factor.T - corr)) <= 1e-8
 
     def test_indefinite_rejected(self):
         bad = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
         with pytest.raises(NotPositiveDefinite):
             CorrelationMatrix(bad)
+
+    @pytest.mark.parametrize("entries", [
+        np.ones((2, 3)),
+        np.array([[1.0, 0.2], [0.4, 1.0]]),
+        np.array([[1.0, math.nan], [math.nan, 1.0]]),
+        np.array([[1.0, math.inf], [math.inf, 1.0]]),
+        np.array([[1.0, 0.2], [0.2, 0.9]]),
+        np.array([[1.0, 1.2], [1.2, 1.0]]),
+    ], ids=["non-square", "asymmetric", "nan", "inf", "diagonal", "out-of-range"])
+    def test_rejected(self, entries):
+        with pytest.raises(DomainError):
+            CorrelationMatrix(entries)
+
+    def test_entries_frozen(self):
+        m = CorrelationMatrix(np.eye(2))
+        with pytest.raises(ValueError):
+            m.entries[0, 1] = 0.5
 
 
 INF = math.inf
@@ -548,7 +534,7 @@ class TestQmcLattice:
 
         lattice = QmcLattice(corr, seed=7)
         order = lattice.order
-        factor = cholesky(m[np.ix_(order, order)]).factor
+        factor = CorrelationMatrix(m[np.ix_(order, order)]).factor
         box_lower, box_upper = lower[order], upper[order]
         generators = np.sqrt([2.0, 3.0, 5.0, 7.0, 11.0, 13.0, 17.0][: dim - 1])
         shifts = np.random.default_rng([7, dim])
