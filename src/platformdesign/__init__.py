@@ -16,7 +16,7 @@ _EXPORTS = {
     "errors": (),
     "allocation": ("Allocation", "DesignScenario", "optimize_allocation"),
     "correlation": ("ArmCorrelations", "PlatformArms", "classical_dunnett_correlation",
-                    "platform_z_correlation_matrix", "test_stat_correlation"),
+                    "platform_z_correlation_matrix"),
     "estimation": ("PairedEndpointTable", "Table1Result", "TrialEstimates", "estimate_trial",
                    "ingest_csv", "pooled_sd", "table1_pipeline"),
     "multiplicity": ("ErrorMetric", "ThresholdResult", "bivariate_error_rates",

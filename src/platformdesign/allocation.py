@@ -68,7 +68,8 @@ def _check_scenarios(delta, synergy, sigma2: float, rho_combo_control, rho_combo
 
 @dataclass(frozen=True)
 class DesignScenario:
-    """Per-substudy effect sizes, synergy, variance, and arm correlations.
+    """Per-substudy effect sizes, synergy, variance, and arm correlations,
+    each per-substudy value a sequence or, for one substudy, a number.
 
     ``delta[k]`` is the monotherapy effect over control in substudy k and
     ``synergy[k]`` scales it to the combination effect.  The
@@ -102,17 +103,6 @@ class DesignScenario:
     def K(self) -> int:
         return len(self.delta)
 
-    @classmethod
-    def single(
-        cls,
-        delta: float,
-        synergy: float,
-        sigma2: float = 1.0,
-        rho_ab_a: float = 0.0,
-        rho_ab_b: float = 0.0,
-    ) -> "DesignScenario":
-        return cls((delta,), (synergy,), sigma2, (rho_ab_a,), (rho_ab_b,))
-
 
 @dataclass(frozen=True)
 class Allocation:
@@ -133,17 +123,6 @@ class Allocation:
     @property
     def K(self) -> int:
         return (len(self.ratios) - 1) // 2
-
-    @classmethod
-    def equal(cls, K: int = 1) -> "Allocation":
-        n_arms = 2 * K + 1
-        return cls((1.0 / n_arms,) * n_arms)
-
-    def arm_counts(self, n_total: int) -> tuple[int, ...]:
-        """Integer per-arm counts of ``n_total`` subjects by largest-remainder
-        rounding, each >= 1."""
-        counts = _largest_remainder(np.asarray(self.ratios)[None], np.array([n_total]))
-        return tuple(int(c) for c in counts[0])
 
 
 def _largest_remainder(ratios: np.ndarray, totals: np.ndarray) -> np.ndarray:

@@ -5,10 +5,8 @@ sample size), ``estimate`` (preclinical CSV to design parameters), and
 ``simulate`` (the grid studies).  Each ``--config`` value is converted and
 checked with its flag's own type and choices and becomes that subcommand's
 default, so a flag given on the command line wins; a key that names no flag
-of the subcommand is refused.  For the subcommands that have a ``--seed``
-flag, the ``PLATFORMDESIGN_SEED`` environment variable supplies the seed when
-the flag is absent.  A subcommand imports the modules that only it uses
-when it runs, so a call compiles no module it does not run.
+of the subcommand is refused.  A subcommand imports the modules that only
+it uses when it runs, so a call compiles no module it does not run.
 
 Exit codes: 0 success, 2 validation failure (including an ``--out`` path
 that cannot be written), 3 numerical failure (no root / not positive
@@ -20,19 +18,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 
 from .errors import (
-    BudgetExceeded,
-    DomainError,
-    InsufficientData,
-    NotPositiveDefinite,
-    ParseError,
-    PrecisionUnreachable,
-    RootBracketError,
-    SchemaError,
-    ZeroVariance,
+    BudgetExceeded, DomainError, InsufficientData, NotPositiveDefinite, ParseError,
+    PrecisionUnreachable, RootBracketError, SchemaError, ZeroVariance,
 )
 from .multiplicity import DEFAULT_TARGETS, ErrorMetric, _p_threshold, platform_threshold
 from .mvnorm import CorrelationMatrix
@@ -41,8 +31,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 EXIT_BUDGET = 4
-
-SEED_ENV_VAR = "PLATFORMDESIGN_SEED"
 
 _VALIDATION_ERRORS = (DomainError, SchemaError, ParseError, InsufficientData, ZeroVariance)
 _NUMERIC_ERRORS = (RootBracketError, NotPositiveDefinite, PrecisionUnreachable)
@@ -349,7 +337,7 @@ def _add_threshold_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--replications", type=int, default=65_536,
                         help="null directions of the count-metric pool "
                              "(K > 1 fmer, msfp, mfwer m >= 2)")
-    parser.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
+    parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     _add_common_output(parser)
 
 
@@ -420,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="flip response signs (endpoint where lower is favorable)")
     estimate.add_argument("--with-thresholds", action="store_true",
                           help="append z-correlation, unadjusted rates, and p-thresholds")
-    estimate.add_argument("--seed", type=int, default=None,
+    estimate.add_argument("--seed", type=int, default=0,
                           help="has no effect; the results are exact")
     estimate.add_argument("--out", help="output path (default: stdout)")
     estimate.set_defaults(func=cmd_estimate, format="json")
@@ -515,12 +503,6 @@ def main(argv: list[str] | None = None) -> int:
             sub = commands.choices[args.command]
             sub.set_defaults(**_config_defaults(sub, args.config))
             args = parser.parse_args(argv)
-        if hasattr(args, "seed") and args.seed is None:
-            env = os.environ.get(SEED_ENV_VAR)
-            try:
-                args.seed = int(env) if env else 0
-            except ValueError:
-                raise DomainError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
         return args.func(args)
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,7 +25,6 @@ if TYPE_CHECKING:
 __all__ = [
     "ArmCorrelations",
     "PlatformArms",
-    "test_stat_correlation",
     "classical_dunnett_correlation",
     "platform_z_correlation_matrix",
 ]
@@ -103,23 +102,20 @@ class ArmCorrelations:
 
     @classmethod
     def per_substudy(
-        cls, rho_combo_control: Sequence[float], rho_combo_mono: Sequence[float],
-        rho_control_mono: Sequence[float] = (),
+        cls, rho_combo_control: float | Sequence[float], rho_combo_mono: float | Sequence[float],
+        rho_control_mono: float | Sequence[float] = (),
     ) -> "ArmCorrelations":
         """Entry k - 1 of each sequence is substudy k's correlation for that
-        pair of arms; unlisted pairs, and those across substudies, stay 0."""
-        K = len(rho_combo_control)
-        if len(rho_combo_mono) != K or len(rho_control_mono) not in (0, K):
+        pair of arms, and a number is a one-substudy sequence; unlisted
+        pairs, and those across substudies, stay 0."""
+        rho_cc, rho_cm, rho_ca = map(np.atleast_1d, (rho_combo_control, rho_combo_mono,
+                                                     rho_control_mono))
+        K = len(rho_cc)
+        if len(rho_cm) != K or len(rho_ca) not in (0, K):
             raise DomainError(f"need one correlation per substudy ({K}) in each sequence")
         return cls(K, matrix=_arm_correlation_matrix(
-            rho_combo_control, rho_combo_mono, rho_control_mono if len(rho_control_mono) else 0.0
+            rho_cc, rho_cm, rho_ca if len(rho_ca) else 0.0
         ))
-
-    @classmethod
-    def single(
-        cls, rho_ab_a: float = 0.0, rho_ab_b: float = 0.0, rho_a_b: float = 0.0
-    ) -> "ArmCorrelations":
-        return cls.per_substudy((rho_ab_a,), (rho_ab_b,), (rho_a_b,))
 
     @classmethod
     def from_scenario(cls, scenario: DesignScenario) -> "ArmCorrelations":
@@ -128,7 +124,8 @@ class ArmCorrelations:
 
 @dataclass(frozen=True)
 class PlatformArms:
-    """Counts and arm correlations for a K-substudy platform trial.
+    """Counts and arm correlations for a K-substudy platform trial; a number
+    for ``n_mono`` or ``n_combo`` is a one-substudy sequence.
 
     The endpoint variance is left out: Z correlations do not depend on it.
     """
@@ -139,8 +136,7 @@ class PlatformArms:
     correlations: ArmCorrelations
 
     def __post_init__(self) -> None:
-        n_mono = tuple(float(n) for n in self.n_mono)
-        n_combo = tuple(float(n) for n in self.n_combo)
+        n_mono, n_combo = (tuple(map(float, np.atleast_1d(n))) for n in (self.n_mono, self.n_combo))
         if len(n_mono) != len(n_combo) or not n_mono:
             raise DomainError("n_mono and n_combo must have equal, positive length")
         if self.correlations.K != len(n_mono):
@@ -159,24 +155,6 @@ class PlatformArms:
     @property
     def K(self) -> int:
         return len(self.n_mono)
-
-    @classmethod
-    def single(
-        cls,
-        n_a: float,
-        n_b: float,
-        n_ab: float,
-        rho_ab_a: float = 0.0,
-        rho_ab_b: float = 0.0,
-        rho_a_b: float = 0.0,
-    ) -> "PlatformArms":
-        """One (control, monotherapy, combination) study.
-
-        The control-monotherapy correlation defaults to zero: monotherapies
-        are usually chosen to act through a different mechanism than the
-        control.
-        """
-        return cls(n_a, (n_b,), (n_ab,), ArmCorrelations.single(rho_ab_a, rho_ab_b, rho_a_b))
 
 
 def _pair_correlation(n_u, n_v, n_a, rho_uv, rho_ua, rho_va):
@@ -209,23 +187,13 @@ def _check_single(arms: PlatformArms) -> None:
         raise DomainError(f"expected a single-substudy (K=1) trial, got K={arms.K}")
 
 
-def test_stat_correlation(arms: PlatformArms) -> float:
-    """Correlation between the combination and monotherapy Z statistics of a
-    K=1 trial.
-
-    With all arm correlations at zero this reduces to the classical
-    shared-control value 1/sqrt((n_a/n_ab + 1)(n_a/n_b + 1)).
-    """
-    _check_single(arms)
-    return float(platform_z_correlation_matrix(arms).entries[0, 1])
-
-
 def classical_dunnett_correlation(arms: PlatformArms) -> float:
     """The comparator value used by the classical shared-control procedure,
     for a K=1 trial.
 
     Note the second factor uses n_b/n_ab, unlike the zero-correlation
-    reduction of :func:`test_stat_correlation`; both are kept as written.
+    reduction of :func:`platform_z_correlation_matrix`, whose entry is
+    1/sqrt((n_a/n_ab + 1)(n_a/n_b + 1)); both are kept as written.
     """
     _check_single(arms)
     n_a, n_b, n_ab = arms.n_control, arms.n_mono[0], arms.n_combo[0]

@@ -18,19 +18,10 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .correlation import PlatformArms, platform_z_correlation_matrix
-from .errors import (
-    DomainError,
-    InsufficientData,
-    ParseError,
-    SchemaError,
-    ZeroVariance,
-)
+from .correlation import ArmCorrelations, PlatformArms, platform_z_correlation_matrix
+from .errors import DomainError, InsufficientData, ParseError, SchemaError, ZeroVariance
 from .multiplicity import (
-    DEFAULT_TARGETS,
-    ThresholdResult,
-    bivariate_error_rates,
-    platform_threshold,
+    DEFAULT_TARGETS, ThresholdResult, bivariate_error_rates, platform_threshold,
 )
 from .mvnorm import std_normal_quantile
 
@@ -89,7 +80,14 @@ class PairedEndpointTable:
                 f"duplicate (model, treatment) pairs: {offenders[:10]}"
                 + (" ..." if len(offenders) > 10 else "")
             )
-        responses = {k: float(np.mean(v)) for k, v in seen.items()}
+        with np.errstate(over="ignore"):
+            responses = {k: float(np.mean(v)) for k, v in seen.items()}
+        overflowed = [k for k, v in responses.items() if not math.isfinite(v)]
+        if overflowed:
+            raise ParseError(
+                f"the mean of the responses of (model, treatment) {overflowed[0]} "
+                "is not a finite number"
+            )
         return cls(responses, n_rows)
 
 
@@ -189,12 +187,21 @@ class TrialEstimates:
         return json.dumps(fields, indent=indent, allow_nan=False)
 
 
-def _pearson(x: np.ndarray, y: np.ndarray) -> float:
-    if x.size < 2:
+def _pearson(table: PairedEndpointTable, u: str, v: str, sign: float) -> float:
+    """The correlation of treatments ``u`` and ``v`` over the models having
+    both; one that overflows a double is a :class:`DomainError` naming them."""
+    models = table.models_with(u, v)
+    if len(models) < 2:
         raise InsufficientData("need at least 2 paired observations for a correlation")
-    if np.std(x) == 0.0 or np.std(y) == 0.0:
-        raise ZeroVariance("an arm's responses are constant; correlation undefined")
-    return float(np.clip(np.corrcoef(x, y)[0, 1], -1.0, 1.0))
+    x, y = (sign * table.arm_responses(t, models) for t in (u, v))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sds = np.std(x), np.std(y)
+        if 0.0 in sds:
+            raise ZeroVariance("an arm's responses are constant; correlation undefined")
+        r = np.corrcoef(x, y)[0, 1] if np.isfinite(sds).all() else math.nan
+    if not math.isfinite(r):
+        raise DomainError(f"the correlation of {u!r} and {v!r} is not a finite number")
+    return float(np.clip(r, -1.0, 1.0))
 
 
 def estimate_trial(
@@ -222,27 +229,27 @@ def estimate_trial(
             f"need at least {min_triples}"
         )
     sign = 1.0 if higher_is_better else -1.0
-    y_a = sign * table.arm_responses(drug_a, triple_models)
-    y_b = sign * table.arm_responses(drug_b, triple_models)
-    y_ab = sign * table.arm_responses(combo, triple_models)
+    moments = []
+    for treatment in (drug_a, drug_b, combo):
+        y = sign * table.arm_responses(treatment, triple_models)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, sd = float(np.mean(y)), float(np.std(y, ddof=1))
+        if not (math.isfinite(mean) and math.isfinite(sd)):
+            raise DomainError(f"the mean or SD of {treatment!r} is not a finite number")
+        moments.append((mean, sd))
+    (mean_a, sd_a), (mean_b, sd_b), (mean_ab, sd_ab) = moments
     n = len(triple_models)
-    sd_a, sd_b, sd_ab = (float(np.std(v, ddof=1)) for v in (y_a, y_b, y_ab))
     if sd_a == 0.0 or sd_b == 0.0 or sd_ab == 0.0:
         raise ZeroVariance("an arm's responses are constant across models")
 
-    pairs_ab_a = table.models_with(combo, drug_a)
-    pairs_ab_b = table.models_with(combo, drug_b)
-    rho_ab_a = _pearson(
-        sign * table.arm_responses(combo, pairs_ab_a),
-        sign * table.arm_responses(drug_a, pairs_ab_a),
-    )
-    rho_ab_b = _pearson(
-        sign * table.arm_responses(combo, pairs_ab_b),
-        sign * table.arm_responses(drug_b, pairs_ab_b),
-    )
+    rho_ab_a, rho_ab_b = (_pearson(table, combo, mono, sign) for mono in (drug_a, drug_b))
 
-    delta_ab = float((y_ab.mean() - y_a.mean()) / pooled_sd(sd_ab, n, sd_a, n))
-    delta_b = float((y_b.mean() - y_a.mean()) / pooled_sd(sd_a, n, sd_b, n))
+    pooled = [pooled_sd(sd_ab, n, sd_a, n), pooled_sd(sd_a, n, sd_b, n)]
+    for arm, sd in zip((combo, drug_b), pooled):
+        if not math.isfinite(sd):
+            raise DomainError(f"the pooled SD of {arm!r} and {drug_a!r} is not a finite number")
+    delta_ab = float((mean_ab - mean_a) / pooled[0])
+    delta_b = float((mean_b - mean_a) / pooled[1])
     s_hat = delta_ab / delta_b if delta_b != 0.0 else math.nan
     return TrialEstimates(
         rho_AB_A=rho_ab_a,
@@ -285,9 +292,9 @@ def table1_pipeline(estimates: TrialEstimates) -> Table1Result:
             "trial was screened out (a standardized effect is nonpositive); "
             "thresholds would not be meaningful"
         )
-    arms = PlatformArms.single(
+    arms = PlatformArms(
         estimates.n_A, estimates.n_B, estimates.n_AB,
-        rho_ab_a=estimates.rho_AB_A, rho_ab_b=estimates.rho_AB_B,
+        ArmCorrelations.per_substudy(estimates.rho_AB_A, estimates.rho_AB_B),
     )
     z_corr = platform_z_correlation_matrix(arms)
     rho = float(z_corr.entries[0, 1])

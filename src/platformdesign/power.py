@@ -265,7 +265,8 @@ def find_sample_size(
 ) -> SampleSizeResult:
     """Smallest total N whose integer design reaches ``target_power``.
 
-    The design at N is ``alloc.arm_counts(N)`` and its power the exact
+    The design at N is ``alloc``'s shares of N rounded by
+    :func:`_largest_remainder`, and its power the exact
     minimum per-comparison power at those counts, at the critical value of
     ``threshold``.  The powers at every total from 2K+1 to
     :func:`_window_end` are evaluated in one call; N* is the first reaching

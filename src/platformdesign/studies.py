@@ -22,8 +22,8 @@ import numpy as np
 
 from .allocation import Allocation
 from .correlation import (
-    _NOMINAL_TOTAL, PlatformArms, _arm_correlation_matrix, _check_arm_correlations,
-    _z_correlations, classical_dunnett_correlation,
+    _NOMINAL_TOTAL, ArmCorrelations, PlatformArms, _arm_correlation_matrix,
+    _check_arm_correlations, _z_correlations, classical_dunnett_correlation,
 )
 from .errors import DomainError
 from .multiplicity import (
@@ -338,7 +338,9 @@ def run_adjustment_comparison(grid: GridSpec) -> ResultTable:
     z_rho, leading = _sweep(grid, grid.allocations, method=_METHODS, metric=_METRICS)
     # the classical comparator's critical value per allocation, in one search
     rho_star = [
-        classical_dunnett_correlation(PlatformArms.single(*(_NOMINAL_TOTAL * p for p in alloc)))
+        classical_dunnett_correlation(
+            PlatformArms(*(_NOMINAL_TOTAL * p for p in alloc), ArmCorrelations(1))
+        )
         for alloc in grid.allocations
     ]
     c_dunnett = _bivariate_critical_values(rho_star, (ErrorMetric.fwer(alpha),))[0][:, 0]

@@ -282,13 +282,14 @@ def exhaustive_n_star(scenario, alloc, critical_values, target: float, n_max: in
 def n_star_enumeration_oracle(
     scenario, alloc, c: float, target: float, n_cap: int = 10**5, power=integer_design_power
 ):
-    """Smallest N >= 2K+1 whose ``alloc.arm_counts(N)`` design reaches
+    """Smallest N >= 2K+1 whose largest-remainder design at N reaches
     ``target``, found by trying every N in turn, and the power at each N
     tried; (None, powers) when no N <= n_cap passes.  ``power(scenario,
     counts, c)`` is the power of one integer design."""
     powers = {}
     for n in range(2 * scenario.K + 1, n_cap + 1):
-        powers[n] = power(scenario, alloc.arm_counts(n), c)
+        counts = _largest_remainder(np.array([alloc.ratios]), np.array([n]))[0]
+        powers[n] = power(scenario, tuple(counts.tolist()), c)
         if powers[n] >= target:
             return n, powers
     return None, powers

@@ -39,7 +39,6 @@ from platformdesign.correlation import (
     PlatformArms,
     platform_z_correlation_matrix,
 )
-from platformdesign.correlation import test_stat_correlation as z_correlation
 from platformdesign.multiplicity import ErrorMetric, platform_threshold
 from platformdesign.mvnorm import CorrelationMatrix
 from platformdesign.power import find_sample_size, marginal_power_oracle
@@ -104,7 +103,7 @@ def test_criterion_03_sidak_dunnett_oracles():
 
     c_indep = platform_threshold(CorrelationMatrix.bivariate(0.0), ErrorMetric.fwer(0.05)).critical_value
     c_degen = platform_threshold(CorrelationMatrix.bivariate(1.0), ErrorMetric.fwer(0.05)).critical_value
-    arms = PlatformArms.single(90, 90, 90)  # comparator correlation 0.5
+    arms = PlatformArms(90, 90, 90, ArmCorrelations(1))  # comparator correlation 0.5
     c_classical = classical_dunnett_threshold(arms, 0.05).critical_value
     c_oracle = brentq(
         lambda c: rect_quad_oracle((-c, -c), (c, c), 0.5) - 0.95, 1.5, 3.0, xtol=1e-12
@@ -135,7 +134,7 @@ def test_criterion_04_closed_form_allocation():
     start = time.perf_counter()
     checks = []
     for s in (0.7, 1.0, 2.0):
-        scenario = DesignScenario.single(1.0, s)
+        scenario = DesignScenario(1.0, s)
         grid_value, grid_point = grid_allocation_oracle(s, 1.0, 0.0, resolution=1e-3)
         searched = optimize_allocation(scenario)
         searched_value = _max_min_value(scenario, searched)
@@ -211,14 +210,13 @@ def test_criterion_04_closed_form_allocation():
 
 
 def _design_row(delta, synergy, rho_a, rho_b):
-    scenario = DesignScenario.single(delta, synergy, rho_ab_a=rho_a, rho_ab_b=rho_b)
+    scenario = DesignScenario(delta, synergy, rho_combo_control=rho_a, rho_combo_mono=rho_b)
     alloc = optimize_allocation(scenario)
-    rho = z_correlation(
-        PlatformArms.single(
-            1000 * alloc.ratios[0], 1000 * alloc.ratios[1], 1000 * alloc.ratios[2],
-            rho_ab_a=rho_a, rho_ab_b=rho_b,
-        )
+    arms = PlatformArms(
+        1000 * alloc.ratios[0], 1000 * alloc.ratios[1], 1000 * alloc.ratios[2],
+        ArmCorrelations.per_substudy(rho_a, rho_b),
     )
+    rho = platform_z_correlation_matrix(arms).entries[0, 1]
     threshold = platform_threshold(CorrelationMatrix.bivariate(rho), ErrorMetric.fwer(0.05))
     result = find_sample_size(scenario, alloc, threshold, 0.80)
     return alloc, result
@@ -255,7 +253,7 @@ def test_criterion_05_design_rows():
     start = time.perf_counter()
     alloc_2, result_2 = _design_row(0.329, 2.283, 0.227, 0.250)
     elapsed_row_2 = time.perf_counter() - start
-    scenario_2 = DesignScenario.single(0.329, 2.283, rho_ab_a=0.227, rho_ab_b=0.250)
+    scenario_2 = DesignScenario(0.329, 2.283, rho_combo_control=0.227, rho_combo_mono=0.250)
     grid_value, grid_point = grid_allocation_oracle(2.283, 0.329, 0.227, resolution=1e-3)
     value_2 = _max_min_value(scenario_2, alloc_2)
     reference_value = _max_min_value(scenario_2, Allocation(ROW_2_REFERENCE_ALLOCATION))
@@ -313,11 +311,11 @@ def test_criterion_07_power_oracle_equivalence():
     threshold = platform_threshold(CorrelationMatrix.bivariate(0.3), ErrorMetric.fwer(0.05))
     checks = []
     for i in range(20):
-        scenario = DesignScenario.single(
+        scenario = DesignScenario(
             float(rng.uniform(0.15, 0.6)),
             float(rng.uniform(0.7, 2.0)),
-            rho_ab_a=float(rng.uniform(0.0, 0.6)),
-            rho_ab_b=float(rng.uniform(0.0, 0.6)),
+            rho_combo_control=float(rng.uniform(0.0, 0.6)),
+            rho_combo_mono=float(rng.uniform(0.0, 0.6)),
         )
         theta = rng.standard_normal(3) * 0.4
         alloc = Allocation(tuple(np.exp(theta) / np.exp(theta).sum()))
@@ -392,9 +390,9 @@ def test_criterion_09_correlation_formula_vs_simulation():
         if i % 2 == 0:
             n = rng.integers(30, 300, size=3)
             rho_pair = rng.uniform(0.0, 0.55, size=2)
-            platform = PlatformArms.single(
+            platform = PlatformArms(
                 int(n[0]), int(n[1]), int(n[2]),
-                rho_ab_a=float(rho_pair[0]), rho_ab_b=float(rho_pair[1]),
+                ArmCorrelations.per_substudy(float(rho_pair[0]), float(rho_pair[1])),
             )
         else:
             n_c = int(rng.integers(30, 300))

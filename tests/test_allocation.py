@@ -40,14 +40,12 @@ class TestAllocationType:
         assert alloc.ratios == (0.5, 0.3, 0.2)
 
     def test_arm_counts_largest_remainder(self):
-        alloc = Allocation((0.445, 0.450, 0.105))
-        counts = alloc.arm_counts(97)
-        assert counts == (43, 44, 10)
+        counts = _largest_remainder(np.array([[0.445, 0.450, 0.105]]), np.array([97]))[0]
+        assert counts.tolist() == [43, 44, 10]
         assert sum(counts) == 97
 
     def test_arm_counts_floor_one(self):
-        alloc = Allocation((0.989, 0.006, 0.005))
-        counts = alloc.arm_counts(100)
+        counts = _largest_remainder(np.array([[0.989, 0.006, 0.005]]), np.array([100]))[0]
         assert sum(counts) == 100
         assert min(counts) >= 1
 
@@ -63,7 +61,6 @@ class TestAllocationType:
     )
     def test_arm_counts_match_a_plain_largest_remainder(self, weights, n_total):
         ratios = tuple(w / sum(weights) for w in weights)
-        alloc = Allocation(ratios)
         # the loop version: leftover subjects to the largest remainders, equal
         # remainders to the earlier arm, then empty arms filled from the largest
         raw = [r * n_total for r in ratios]
@@ -74,10 +71,11 @@ class TestAllocationType:
         while min(counts) == 0:
             counts[counts.index(max(counts))] -= 1
             counts[counts.index(min(counts))] += 1
-        assert alloc.arm_counts(n_total) == tuple(counts)
-        table = _largest_remainder(np.asarray([alloc.ratios]), np.arange(13, n_total + 1))
+        table = _largest_remainder(np.asarray([ratios]), np.arange(13, n_total + 1))
+        assert table[-1].tolist() == counts
         assert [tuple(row) for row in table.tolist()] == [
-            alloc.arm_counts(n) for n in range(13, n_total + 1)
+            tuple(_largest_remainder(np.asarray([ratios]), np.array([n]))[0].tolist())
+            for n in range(13, n_total + 1)
         ]
 
     @pytest.mark.parametrize("seed", range(8))
@@ -105,22 +103,22 @@ class TestAllocationType:
 
     def test_arm_counts_need_a_subject_per_arm(self):
         with pytest.raises(DomainError):
-            Allocation((0.5, 0.3, 0.2)).arm_counts(2)
+            _largest_remainder(np.array([[0.5, 0.3, 0.2]]), np.array([2]))
         with pytest.raises(DomainError):
             _largest_remainder(np.array([[0.5, 0.3, 0.2]]), np.array([5, 2]))
 
 
 class TestWaldNoncentrality:
     def test_hand_value_equal_thirds(self):
-        scenario = DesignScenario.single(0.3, 1.0)
-        w = wald_noncentrality(scenario, Allocation.equal(1), 300)
+        scenario = DesignScenario(0.3, 1.0)
+        w = wald_noncentrality(scenario, Allocation((1 / 3,) * 3), 300)
         assert w[0, 0] == pytest.approx(4.5, abs=1e-12)
         assert w[0, 1] == pytest.approx(4.5, abs=1e-12)
 
     def test_synergy_scaling(self):
-        base = DesignScenario.single(0.3, 1.0)
-        doubled = DesignScenario.single(0.3, 2.0)
-        alloc = Allocation.equal(1)
+        base = DesignScenario(0.3, 1.0)
+        doubled = DesignScenario(0.3, 2.0)
+        alloc = Allocation((1 / 3,) * 3)
         w0 = wald_noncentrality(base, alloc, 300)
         w1 = wald_noncentrality(doubled, alloc, 300)
         assert w1[0, 0] == pytest.approx(4.0 * w0[0, 0], rel=1e-12)
@@ -128,8 +126,8 @@ class TestWaldNoncentrality:
 
     def test_correlation_halves_denominator(self):
         # with p_control = p_combo, rho = 0.5 turns (2/p) into (1/p)
-        flat = DesignScenario.single(0.3, 1.0, rho_ab_a=0.0)
-        corr = DesignScenario.single(0.3, 1.0, rho_ab_a=0.5)
+        flat = DesignScenario(0.3, 1.0, rho_combo_control=0.0)
+        corr = DesignScenario(0.3, 1.0, rho_combo_control=0.5)
         alloc = Allocation((0.4, 0.2, 0.4))
         w_flat = wald_noncentrality(flat, alloc, 100)
         w_corr = wald_noncentrality(corr, alloc, 100)
@@ -148,7 +146,7 @@ class TestWaldNoncentrality:
         np.testing.assert_allclose(oracle, package, rtol=1e-12, atol=0.0)
 
     def test_degenerate_denominator(self):
-        scenario = DesignScenario.single(0.3, 1.0, rho_ab_a=1.0)
+        scenario = DesignScenario(0.3, 1.0, rho_combo_control=1.0)
         mu, rho = _contrasts(scenario.delta, scenario.synergy, scenario.rho_combo_control, 3)
         with pytest.raises(DomainError, match="contrast variance is not positive"):
             _noncentralities((0.25, 0.5, 0.25), mu, rho, scenario.sigma2)
@@ -180,23 +178,23 @@ class TestClosedForm:
     def test_balance_only_at_additivity(self):
         # the formula equalizes the noncentralities at s = 1 only: for s > 1
         # the combination parameter overshoots, for s < 1 it undershoots
-        w_eq = wald_noncentrality(DesignScenario.single(1.0, 1.0), closed_form_allocation(1.0), 1000)
+        w_eq = wald_noncentrality(DesignScenario(1.0, 1.0), closed_form_allocation(1.0), 1000)
         assert w_eq[0, 0] == pytest.approx(w_eq[0, 1], rel=1e-10)
-        w_hi = wald_noncentrality(DesignScenario.single(1.0, 2.0), closed_form_allocation(2.0), 1000)
+        w_hi = wald_noncentrality(DesignScenario(1.0, 2.0), closed_form_allocation(2.0), 1000)
         assert w_hi[0, 0] > w_hi[0, 1]
-        w_lo = wald_noncentrality(DesignScenario.single(1.0, 0.7), closed_form_allocation(0.7), 1000)
+        w_lo = wald_noncentrality(DesignScenario(1.0, 0.7), closed_form_allocation(0.7), 1000)
         assert w_lo[0, 0] < w_lo[0, 1]
 
     @pytest.mark.parametrize("s", [0.7, 2.0])
     def test_dominated_by_direct_search_away_from_additivity(self, s):
-        scenario = DesignScenario.single(1.0, s)
+        scenario = DesignScenario(1.0, s)
         searched = optimize_allocation(scenario)
         assert _objective(scenario, searched) > _objective(scenario, closed_form_allocation(s))
 
 
 class TestOptimizer:
     def test_matches_closed_form_at_additivity(self):
-        scenario = DesignScenario.single(0.3, 1.0)
+        scenario = DesignScenario(0.3, 1.0)
         numerical = optimize_allocation(scenario)
         assert np.allclose(numerical.ratios, closed_form_allocation(1.0).ratios, atol=1e-3)
 
@@ -206,7 +204,7 @@ class TestOptimizer:
         # a looser tolerance than the objective value itself
         from conftest import grid_allocation_oracle
 
-        scenario = DesignScenario.single(1.0, s)
+        scenario = DesignScenario(1.0, s)
         best_value, point = grid_allocation_oracle(s, 1.0, 0.0, resolution=1e-3)
         alloc = optimize_allocation(scenario)
         assert _objective(scenario, alloc) >= best_value - 1e-6
@@ -214,7 +212,7 @@ class TestOptimizer:
 
     def test_published_row_with_moderate_synergy(self):
         # s = 1.161, rho_ab_a = 0.626: reproduces the published allocation
-        scenario = DesignScenario.single(0.663, 1.161, rho_ab_a=0.626, rho_ab_b=0.660)
+        scenario = DesignScenario(0.663, 1.161, rho_combo_control=0.626, rho_combo_mono=0.660)
         alloc = optimize_allocation(scenario)
         assert np.allclose(alloc.ratios, (0.445, 0.450, 0.105), atol=0.01)
 
@@ -222,7 +220,7 @@ class TestOptimizer:
         # s = 2.283, rho_ab_a = 0.227: the max-min optimum strictly dominates
         # the published (0.501, 0.455, 0.044), whose W1 != W2; see the
         # balance assertion below and the grid oracle
-        scenario = DesignScenario.single(0.329, 2.283, rho_ab_a=0.227, rho_ab_b=0.250)
+        scenario = DesignScenario(0.329, 2.283, rho_combo_control=0.227, rho_combo_mono=0.250)
         alloc = optimize_allocation(scenario)
         published = Allocation((0.501, 0.455, 0.044))
         assert _objective(scenario, alloc) > _objective(scenario, published)
@@ -232,13 +230,13 @@ class TestOptimizer:
     @pytest.mark.parametrize("s", [0.7, 1.0, 1.3])
     @pytest.mark.parametrize("rho", [0.0, 0.3, 0.6])
     def test_balance_at_optimum(self, s, rho):
-        scenario = DesignScenario.single(0.3, s, rho_ab_a=rho)
+        scenario = DesignScenario(0.3, s, rho_combo_control=rho)
         w = wald_noncentrality(scenario, optimize_allocation(scenario), 500)
         assert abs(w[0, 0] - w[0, 1]) / w.max() <= 1e-3
 
     def test_scale_invariance(self):
-        lean = DesignScenario.single(0.3, 1.1, sigma2=1.0, rho_ab_a=0.4)
-        scaled = DesignScenario.single(0.9, 1.1, sigma2=4.0, rho_ab_a=0.4)
+        lean = DesignScenario(0.3, 1.1, sigma2=1.0, rho_combo_control=0.4)
+        scaled = DesignScenario(0.9, 1.1, sigma2=4.0, rho_combo_control=0.4)
         a = optimize_allocation(lean)
         b = optimize_allocation(scaled)
         assert np.allclose(a.ratios, b.ratios, atol=1e-6)
@@ -250,7 +248,7 @@ class TestOptimizer:
             s = float(rng.uniform(0.5, 3.0))
             delta = float(rng.uniform(0.1, 1.0))
             rho = float(rng.uniform(0.0, 0.7))
-            scenario = DesignScenario.single(delta, s, rho_ab_a=rho)
+            scenario = DesignScenario(delta, s, rho_combo_control=rho)
             alloc = optimize_allocation(scenario)
             best_value, _ = grid_allocation_oracle(s, delta, rho, resolution=0.005)
             assert _objective(scenario, alloc) >= best_value - 1e-6
@@ -258,7 +256,7 @@ class TestOptimizer:
     def test_combo_share_nonincreasing_in_synergy(self):
         shares = []
         for s in np.arange(0.7, 1.31, 0.1):
-            scenario = DesignScenario.single(0.3, float(s), rho_ab_a=0.3, rho_ab_b=0.3)
+            scenario = DesignScenario(0.3, float(s), rho_combo_control=0.3, rho_combo_mono=0.3)
             shares.append(optimize_allocation(scenario).ratios[2])
         assert all(b <= a + 1e-6 for a, b in zip(shares, shares[1:]))
 
@@ -272,7 +270,7 @@ class TestOptimizer:
         alloc = optimize_allocation(scenario)
         assert alloc.K == 2
         assert sum(alloc.ratios) == pytest.approx(1.0, abs=1e-9)
-        assert _objective(scenario, alloc) >= _objective(scenario, Allocation.equal(2))
+        assert _objective(scenario, alloc) >= _objective(scenario, Allocation((0.2,) * 5))
 
     @pytest.mark.parametrize("K", [2, 4, 6])
     def test_balance_across_substudies(self, K):
@@ -303,7 +301,7 @@ class TestOptimizer:
             optimize_allocation(scenario)
 
     def test_deterministic(self):
-        scenario = DesignScenario.single(0.3, 1.4, rho_ab_a=0.25)
+        scenario = DesignScenario(0.3, 1.4, rho_combo_control=0.25)
         assert optimize_allocation(scenario).ratios == optimize_allocation(scenario).ratios
 
     @settings(max_examples=200, deadline=None)
@@ -404,7 +402,7 @@ class TestScenarioType:
         # their squares overflow or underflow: the allocation used to raise
         # OverflowError or ZeroDivisionError
         with pytest.raises(DomainError, match="synergy \\* delta must lie within"):
-            DesignScenario.single(delta, synergy)
+            DesignScenario(delta, synergy)
 
     @settings(max_examples=200, deadline=None)
     @given(

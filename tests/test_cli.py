@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from conftest import FIXTURE_INDEPENDENT_CSV, run_python
 
-from platformdesign.cli import SEED_ENV_VAR, main
+from platformdesign.cli import main
 
 
 def _run(capsys, *argv):
@@ -58,7 +58,9 @@ class TestAdjust:
         assert report["critical_value"] == pytest.approx(1.960, abs=1e-3)
 
     def test_arm_level_input(self, capsys):
-        from platformdesign.correlation import PlatformArms, test_stat_correlation
+        from platformdesign.correlation import (
+            ArmCorrelations, PlatformArms, platform_z_correlation_matrix,
+        )
 
         code, report, _ = _run_json(
             capsys, "adjust", "--metric", "fwer",
@@ -66,9 +68,8 @@ class TestAdjust:
             "--rho-ab-a", "0.626", "--rho-ab-b", "0.660",
         )
         assert code == 0
-        expected = test_stat_correlation(
-            PlatformArms.single(100, 100, 100, rho_ab_a=0.626, rho_ab_b=0.660)
-        )
+        arms = PlatformArms(100, 100, 100, ArmCorrelations.per_substudy(0.626, 0.660))
+        expected = platform_z_correlation_matrix(arms).entries[0, 1]
         assert report["z_correlation"] == pytest.approx(expected, abs=1e-9)
 
     def test_alpha_validation_names_flag(self, capsys):
@@ -440,6 +441,37 @@ class TestEstimate:
         assert (code, out) == (2, "")
         assert err == f"error: {path}:10: response {raw!r} is not a finite number\n"
 
+    @pytest.mark.parametrize(
+        "rows, duplicates, message",
+        [
+            # finite responses whose combination SD overflows a double
+            ("m0,AB,1e308\nm1,AB,-1e308\nm2,AB,0", "error",
+             "the mean or SD of 'AB' is not a finite number"),
+            # two finite duplicates whose mean overflows a double
+            ("m0,AB,1e308\nm0,AB,1e308\nm1,AB,17.5\nm2,AB,17", "mean",
+             "the mean of the responses of (model, treatment) ('m0', 'AB') "
+             "is not a finite number"),
+        ],
+        ids=["sd-overflows", "duplicate-mean-overflows"],
+    )
+    def test_overflowing_screen_refused(self, capsys, tmp_path, rows, duplicates, message):
+        # a validation failure (exit 2), not estimates from an infinite SD or
+        # a traceback from the JSON writer, and no numpy warning
+        path = tmp_path / "pdx.csv"
+        path.write_text(
+            "model_id,treatment,response\nm0,A,10\nm0,B,15.5\nm1,A,11\nm1,B,18.5\n"
+            f"m2,A,12\nm2,B,12.5\n{rows}\n",
+            encoding="utf-8",
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = _run(
+                capsys, "estimate", "--input", str(path), "--drug-a", "A",
+                "--drug-b", "B", "--combo", "AB", "--duplicates", duplicates,
+            )
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("delimiter", [";;", "", "\\t"])
     def test_delimiter_of_other_than_one_character_refused(self, capsys, tmp_path, delimiter):
         # a validation failure (exit 2), not csv's TypeError
@@ -756,39 +788,27 @@ class TestConfigAndSeed:
         assert out == ""
         assert err == f"error: --config key {next(iter(values))!r} does not match any flag\n"
 
-    def test_env_seed_used_when_flag_absent(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setenv(SEED_ENV_VAR, "12345")
-        code, report, _ = _run_json(
-            capsys, "adjust", "--metric", "mfwer", "--m", "2", "--alpha", "0.05",
-            "--k", "2", "--n-a", "50", "--n-b", "50", "--n-ab", "50",
-        )
-        assert code == 0
-        monkeypatch.setenv(SEED_ENV_VAR, "99")
-        code_b, report_b, _ = _run_json(
-            capsys, "adjust", "--metric", "mfwer", "--m", "2", "--alpha", "0.05",
-            "--k", "2", "--n-a", "50", "--n-b", "50", "--n-ab", "50",
-        )
-        assert report["critical_value"] != report_b["critical_value"]
-
-    def test_non_integer_env_seed_is_a_validation_error(self, capsys, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "abc")
-        code, out, err = _run(capsys, "adjust", "--rho", "0.3")
-        assert code == 2
-        assert out == ""
-        assert err == "error: PLATFORMDESIGN_SEED must be an integer, got 'abc'\n"
-
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "12345")
-        code, report, _ = _run_json(
-            capsys, "adjust", "--metric", "mfwer", "--m", "2", "--alpha", "0.05",
-            "--k", "2", "--n-a", "50", "--n-b", "50", "--n-ab", "50", "--seed", "0",
-        )
-        monkeypatch.delenv(SEED_ENV_VAR)
-        code_b, report_b, _ = _run_json(
-            capsys, "adjust", "--metric", "mfwer", "--m", "2", "--alpha", "0.05",
-            "--k", "2", "--n-a", "50", "--n-b", "50", "--n-ab", "50", "--seed", "0",
-        )
-        assert report["critical_value"] == report_b["critical_value"]
+    def test_config_seed_is_used_and_the_flag_beats_it(self, capsys, tmp_path):
+        # the K = 2 m-FWER threshold is solved on seeded null directions, so
+        # its c* moves with the seed
+        argv = ("adjust", "--metric", "mfwer", "--m", "2", "--alpha", "0.05",
+                "--k", "2", "--n-a", "50", "--n-b", "50", "--n-ab", "50")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 12345}), encoding="utf-8")
+        runs = {
+            "default": argv,
+            "seed 0": (*argv, "--seed", "0"),
+            "config": ("--config", str(config), *argv),
+            "seed 12345": (*argv, "--seed", "12345"),
+            "config and seed 0": ("--config", str(config), *argv, "--seed", "0"),
+        }
+        c_star = {}
+        for name, run in runs.items():
+            code, report, _ = _run_json(capsys, *run)
+            assert code == 0, name
+            c_star[name] = report["critical_value"]
+        assert c_star["default"] == c_star["seed 0"] == c_star["config and seed 0"]
+        assert c_star["config"] == c_star["seed 12345"] != c_star["default"]
 
 
 _LOADED_MODULES = """

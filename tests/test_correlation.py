@@ -15,8 +15,13 @@ from platformdesign.correlation import (
     platform_z_correlation_matrix,
 )
 from platformdesign.allocation import DesignScenario
-from platformdesign.correlation import test_stat_correlation as z_correlation
 from platformdesign.errors import DomainError
+
+
+def z_correlation(arms: PlatformArms) -> float:
+    """The correlation of a K=1 trial's combination and monotherapy Z
+    statistics."""
+    return platform_z_correlation_matrix(arms).entries[0, 1]
 
 
 def _single_arm_correlations(rho_ab_a, rho_ab_b, rho_a_b) -> np.ndarray:
@@ -53,22 +58,22 @@ def _empirical_z_correlation(arms: PlatformArms, n_draws: int = 100_000, seed: i
 
 class TestSingleStudy:
     def test_equal_allocation_classical_value(self):
-        arms = PlatformArms.single(100, 100, 100)
+        arms = PlatformArms(100, 100, 100, ArmCorrelations(1))
         assert z_correlation(arms) == pytest.approx(0.5, abs=1e-12)
 
     def test_stated_reduction_hand_value(self):
-        arms = PlatformArms.single(200, 100, 50)
+        arms = PlatformArms(200, 100, 50, ArmCorrelations(1))
         assert z_correlation(arms) == pytest.approx(1 / math.sqrt(15), abs=1e-12)
 
     def test_zero_correlation_reduction_identity(self, rng):
         for _ in range(200):
             n_a, n_b, n_ab = rng.integers(2, 500, size=3)
-            arms = PlatformArms.single(int(n_a), int(n_b), int(n_ab))
+            arms = PlatformArms(int(n_a), int(n_b), int(n_ab), ArmCorrelations(1))
             reduction = 1.0 / math.sqrt((n_a / n_ab + 1.0) * (n_a / n_b + 1.0))
             assert z_correlation(arms) == pytest.approx(reduction, abs=1e-14)
 
     def test_against_simulation_oracle(self):
-        arms = PlatformArms.single(120, 120, 120, rho_ab_a=0.3, rho_ab_b=0.3)
+        arms = PlatformArms(120, 120, 120, ArmCorrelations.per_substudy(0.3, 0.3))
         assert z_correlation(arms) == pytest.approx(
             _empirical_z_correlation(arms, seed=5), abs=0.01
         )
@@ -77,17 +82,17 @@ class TestSingleStudy:
         for seed in range(20):
             n = rng.integers(20, 300, size=3)
             rho_ab_a, rho_ab_b = rng.uniform(0.0, 0.6, size=2)
-            arms = PlatformArms.single(
+            arms = PlatformArms(
                 int(n[0]), int(n[1]), int(n[2]),
-                rho_ab_a=float(rho_ab_a), rho_ab_b=float(rho_ab_b),
+                ArmCorrelations.per_substudy(float(rho_ab_a), float(rho_ab_b)),
             )
             assert z_correlation(arms) == pytest.approx(
                 _empirical_z_correlation(arms, seed=seed), abs=0.015
             )
 
     def test_nonzero_control_mono_correlation_honored(self):
-        with_term = PlatformArms.single(80, 80, 80, rho_ab_a=0.2, rho_ab_b=0.2, rho_a_b=0.4)
-        without = PlatformArms.single(80, 80, 80, rho_ab_a=0.2, rho_ab_b=0.2)
+        with_term = PlatformArms(80, 80, 80, ArmCorrelations.per_substudy(0.2, 0.2, 0.4))
+        without = PlatformArms(80, 80, 80, ArmCorrelations.per_substudy(0.2, 0.2))
         assert z_correlation(with_term) != z_correlation(without)
         assert z_correlation(with_term) == pytest.approx(
             _empirical_z_correlation(with_term, seed=9), abs=0.015
@@ -96,7 +101,7 @@ class TestSingleStudy:
     def test_inconsistent_inputs_raise(self):
         # rho_ab_a = 1 with n_ab = n_a zeroes the contrast variance
         with pytest.raises(DomainError):
-            z_correlation(PlatformArms.single(50, 50, 50, rho_ab_a=1.0))
+            z_correlation(PlatformArms(50, 50, 50, ArmCorrelations.per_substudy(1.0, 0.0)))
 
     def test_arm_correlations_that_do_not_fit_together_raise(self):
         # the unclipped Z correlation here would be 1.23, which no trial can
@@ -104,7 +109,7 @@ class TestSingleStudy:
         matrix = _single_arm_correlations(rho_ab_a=0.8, rho_ab_b=0.9, rho_a_b=0.0)
         assert np.linalg.eigvalsh(matrix).min() < 0
         with pytest.raises(DomainError, match="cannot form a trial"):
-            PlatformArms.single(50, 50, 50, rho_ab_a=0.8, rho_ab_b=0.9)
+            PlatformArms(50, 50, 50, ArmCorrelations.per_substudy(0.8, 0.9))
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -116,9 +121,7 @@ class TestSingleStudy:
         # positive definite with a margin, so rounding cannot reach the bound
         matrix = _single_arm_correlations(rho_ab_a, rho_ab_b, rho_a_b)
         assume(np.linalg.eigvalsh(matrix).min() > 1e-6)
-        arms = PlatformArms.single(
-            *counts, rho_ab_a=rho_ab_a, rho_ab_b=rho_ab_b, rho_a_b=rho_a_b
-        )
+        arms = PlatformArms(*counts, ArmCorrelations.per_substudy(rho_ab_a, rho_ab_b, rho_a_b))
         r = z_correlation(arms)
         assert -1.0 <= r <= 1.0
         assert r == pytest.approx(_contrast_z_correlation(arms), abs=1e-9)
@@ -127,15 +130,13 @@ class TestSingleStudy:
     def test_requires_one_substudy(self):
         arms = PlatformArms(100, (100, 100), (100, 100), ArmCorrelations(2))
         with pytest.raises(DomainError):
-            z_correlation(arms)
-        with pytest.raises(DomainError):
             classical_dunnett_correlation(arms)
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            PlatformArms.single(0, 10, 10)
+            PlatformArms(0, 10, 10, ArmCorrelations(1))
         with pytest.raises(DomainError):
-            PlatformArms.single(10, 10, 10, rho_ab_a=1.5)
+            PlatformArms(10, 10, 10, ArmCorrelations.per_substudy(1.5, 0.0))
 
     @pytest.mark.parametrize("count", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("position", [0, 1, 2])
@@ -144,51 +145,57 @@ class TestSingleStudy:
         counts[position] = count
         name = ("n_control", "n_mono", "n_combo")[position]
         with pytest.raises(DomainError, match=f"{name} must be a finite count of at least 1"):
-            PlatformArms.single(*counts)
+            PlatformArms(*counts, ArmCorrelations(1))
 
 
 class TestClassicalComparator:
     def test_equal_allocation(self):
-        assert classical_dunnett_correlation(PlatformArms.single(100, 100, 100)) == 0.5
+        arms = PlatformArms(100, 100, 100, ArmCorrelations(1))
+        assert classical_dunnett_correlation(arms) == 0.5
 
     def test_hand_value(self):
-        arms = PlatformArms.single(200, 100, 50)
+        arms = PlatformArms(200, 100, 50, ArmCorrelations(1))
         assert classical_dunnett_correlation(arms) == pytest.approx(
             1 / math.sqrt(15), abs=1e-12
         )
 
     def test_limit_large_combo_arm(self):
-        arms = PlatformArms.single(100, 100, 10_000_000)
+        arms = PlatformArms(100, 100, 10_000_000, ArmCorrelations(1))
         assert classical_dunnett_correlation(arms) == pytest.approx(1.0, abs=1e-4)
 
     def test_differs_from_general_reduction(self):
         # the comparator uses n_b/n_ab where the reduction uses n_a/n_b; they
         # agree only when n_b^2 = n_a * n_ab
-        agreeing = PlatformArms.single(200, 100, 50)
+        agreeing = PlatformArms(200, 100, 50, ArmCorrelations(1))
         assert classical_dunnett_correlation(agreeing) == pytest.approx(
             z_correlation(agreeing), abs=1e-12
         )
-        skewed = PlatformArms.single(100, 100, 50)
+        skewed = PlatformArms(100, 100, 50, ArmCorrelations(1))
         assert classical_dunnett_correlation(skewed) == pytest.approx(1 / 3, abs=1e-12)
         assert z_correlation(skewed) == pytest.approx(1 / math.sqrt(6), abs=1e-12)
 
 
 class TestPlatformMatrix:
     def test_k1_reduction(self):
-        arms = PlatformArms.single(100, 100, 100)
+        arms = PlatformArms(100, 100, 100, ArmCorrelations(1))
         matrix = platform_z_correlation_matrix(arms)
         assert np.allclose(matrix.entries, [[1.0, 0.5], [0.5, 1.0]])
 
-    def test_k1_matches_single_study_for_random_configs(self, rng):
+    def test_k1_numbers_match_one_substudy_sequences_for_random_configs(self, rng):
         for _ in range(1000):
             n = rng.integers(2, 400, size=3)
             rho = rng.uniform(0.0, 0.7, size=2)
-            single = PlatformArms.single(
+            single = PlatformArms(
                 int(n[0]), int(n[1]), int(n[2]),
-                rho_ab_a=float(rho[0]), rho_ab_b=float(rho[1]),
+                ArmCorrelations.per_substudy(float(rho[0]), float(rho[1])),
             )
+            sequences = PlatformArms(
+                int(n[0]), (int(n[1]),), (int(n[2]),),
+                ArmCorrelations.per_substudy((float(rho[0]),), (float(rho[1]),)),
+            )
+            assert single == sequences
             matrix = platform_z_correlation_matrix(single)
-            assert matrix.entries[0, 1] == z_correlation(single)
+            assert np.array_equal(matrix.entries, platform_z_correlation_matrix(sequences).entries)
             assert matrix.entries[0, 1] == pytest.approx(
                 _contrast_z_correlation(single), abs=1e-12
             )
@@ -223,8 +230,8 @@ class TestPlatformMatrix:
 
     def test_statistic_ordering(self):
         # combo statistic comes first in each substudy block
-        arms = PlatformArms(50, (1000,), (50,), ArmCorrelations.single(rho_ab_a=0.6))
-        single = PlatformArms.single(50, 1000, 50, rho_ab_a=0.6)
+        arms = PlatformArms(50, (1000,), (50,), ArmCorrelations.per_substudy((0.6,), (0.0,)))
+        single = PlatformArms(50, 1000, 50, ArmCorrelations.per_substudy(0.6, 0.0))
         matrix = platform_z_correlation_matrix(arms)
         assert matrix.entries[0, 1] == pytest.approx(z_correlation(single), abs=1e-12)
 
@@ -232,7 +239,7 @@ class TestPlatformMatrix:
         with pytest.raises(DomainError, match="must be 5 x 5"):
             ArmCorrelations(2, matrix=np.eye(3))
         with pytest.raises(DomainError, match="must lie in"):
-            ArmCorrelations.single(rho_ab_a=1.4)
+            ArmCorrelations.per_substudy(1.4, 0.0)
         with pytest.raises(DomainError, match="unit diagonal"):
             ArmCorrelations(1, matrix=np.diag([1.0, 0.5, 1.0]))
         # the eigenvalues read only the lower triangle, whose matrix here has
@@ -241,9 +248,9 @@ class TestPlatformMatrix:
         with pytest.raises(DomainError, match="must be symmetric with unit diagonal"):
             ArmCorrelations(1, matrix=asymmetric)
         with pytest.raises(DomainError, match="must lie in"):
-            ArmCorrelations.single(rho_ab_a=np.nan)
+            ArmCorrelations.per_substudy(np.nan, 0.0)
         # arm order (A, B_1, AB_1)
-        assert ArmCorrelations.single(0.3, 0.4).matrix.tolist() == [
+        assert ArmCorrelations.per_substudy(0.3, 0.4).matrix.tolist() == [
             [1.0, 0.0, 0.3], [0.0, 1.0, 0.4], [0.3, 0.4, 1.0]
         ]
 
@@ -266,6 +273,30 @@ class TestPerSubstudy:
     def test_one_value_per_substudy(self, lengths):
         with pytest.raises(DomainError):
             ArmCorrelations.per_substudy(*((0.1,) * n for n in lengths))
+
+    @pytest.mark.parametrize("control_mono", [(), (0.2,)])
+    def test_numbers_are_one_substudy_sequences(self, control_mono):
+        numbers = ArmCorrelations.per_substudy(0.3, np.float64(-0.4), *control_mono)
+        assert numbers == ArmCorrelations.per_substudy((0.3,), (-0.4,), control_mono)
+        assert numbers.K == 1
+
+    def test_a_number_beside_two_substudies_is_refused(self):
+        with pytest.raises(DomainError, match="one correlation per substudy"):
+            ArmCorrelations.per_substudy((0.3, 0.1), 0.4)
+
+
+class TestPlatformArmsCounts:
+    @pytest.mark.parametrize("n_mono, n_combo", [(90, 110), (np.float64(90), 110.0)])
+    def test_numbers_are_one_substudy_sequences(self, n_mono, n_combo):
+        correlations = ArmCorrelations.per_substudy(0.3, 0.4)
+        numbers = PlatformArms(100, n_mono, n_combo, correlations)
+        assert numbers == PlatformArms(100, (90,), (110,), correlations)
+        assert numbers.n_mono == (90.0,) and numbers.n_combo == (110.0,)
+        assert numbers.K == 1
+
+    def test_a_number_beside_two_substudies_is_refused(self):
+        with pytest.raises(DomainError, match="equal, positive length"):
+            PlatformArms(100, 90, (110, 120), ArmCorrelations(2))
 
 
 _RHO = st.floats(-1.0, 1.0)

@@ -104,6 +104,18 @@ class TestIngestCsv:
         table = ingest_csv(path, duplicates="mean")
         assert table.responses[("m1", "a")] == 1.5
 
+    def test_duplicate_mean_that_overflows_is_refused(self, tmp_path):
+        path = _write(
+            tmp_path / "dup.csv",
+            "model_id,treatment,response\nm1,a,1e308\nm1,a,1e308\nm2,a,1.0\n",
+        )
+        with pytest.raises(ParseError, match=r"\('m1', 'a'\) is not a finite number"):
+            ingest_csv(path, duplicates="mean")
+        with pytest.raises(ParseError, match=r"\('m1', 'a'\) is not a finite number"):
+            PairedEndpointTable.from_records(
+                [("m1", "a", -1e308), ("m1", "a", -1e308)], duplicates="mean"
+            )
+
     def test_missing_column_named(self, tmp_path):
         path = _write(tmp_path / "bad.csv", "model_id,treatment,value\nm1,a,1.0\n")
         with pytest.raises(SchemaError) as excinfo:
@@ -243,6 +255,44 @@ class TestEstimateTrial:
             records.append((f"m{i}", "ab", float(2 * i)))
         with pytest.raises(ZeroVariance):
             estimate_trial(PairedEndpointTable.from_records(records), "a", "b", "ab")
+
+    @pytest.mark.parametrize(
+        "treatment, responses",
+        [("ab", (1e308, -1e308, 0.0)), ("ab", (1e308, 1e308, -1e308)), ("b", (-1e308, 1e308, 5.0))],
+    )
+    def test_an_arm_whose_mean_or_sd_overflows_is_named(self, treatment, responses):
+        # finite responses whose mean or SD is not a finite double: refused,
+        # where estimates from an infinite SD used to come back (delta 0)
+        arms = {"a": (10.0, 11.0, 12.0), "b": (15.5, 18.5, 12.5), "ab": (17.0, 17.5, 19.0)}
+        arms[treatment] = responses
+        table = PairedEndpointTable.from_records(
+            [(f"m{i}", t, values[i]) for t, values in arms.items() for i in range(3)]
+        )
+        with pytest.raises(DomainError, match=f"the mean or SD of '{treatment}' is not a finite"):
+            estimate_trial(table, "a", "b", "ab")
+
+    def test_a_pooled_sd_that_overflows_is_named(self):
+        # each arm's SD is a finite double, 9.2e153, but the sum of the two
+        # arms' squared deviations is not: the pooled SD would be inf and
+        # delta_AB 0, where it is about 1.08
+        arms = {"a": (0.0, 1.6e154, 0.0), "b": (1.0, 2.0, 4.0), "ab": (1e154, 2.6e154, 1e154)}
+        table = PairedEndpointTable.from_records(
+            [(f"m{i}", t, values[i]) for t, values in arms.items() for i in range(3)]
+        )
+        with pytest.raises(DomainError, match="the pooled SD of 'ab' and 'a' is not a finite"):
+            estimate_trial(table, "a", "b", "ab")
+
+    def test_a_correlation_that_overflows_is_named(self):
+        # the complete triples are finite; a model carrying only (a, ab)
+        # makes that pair's spread overflow, so its correlation is undefined
+        table = _synthetic_table(n_models=5)
+        records = [(m, t, v) for (m, t), v in table.responses.items()]
+        records += [("x", "drugA", 1e308), ("x", "drugA+drugB", -1e308)]
+        merged = PairedEndpointTable.from_records(records)
+        with pytest.raises(
+            DomainError, match="the correlation of 'drugA\\+drugB' and 'drugA' is not a finite"
+        ):
+            estimate_trial(merged, "drugA", "drugB", "drugA+drugB")
 
     def test_json_field_names(self):
         est = estimate_trial(_synthetic_table(), "drugA", "drugB", "drugA+drugB")

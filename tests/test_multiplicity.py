@@ -307,7 +307,7 @@ class TestBivariateLevels:
 
 class TestClassicalDunnett:
     def test_equal_allocation_against_quadrature_oracle(self):
-        arms = PlatformArms.single(90, 90, 90)
+        arms = PlatformArms(90, 90, 90, ArmCorrelations(1))
         result = classical_dunnett_threshold(arms, 0.05)
         assert result.critical_value == pytest.approx(DUNNETT_HALF_C, abs=1e-4)
 
@@ -321,13 +321,14 @@ class TestClassicalDunnett:
         assert c == pytest.approx(DUNNETT_HALF_C, abs=1e-9)
 
     def test_small_comparator_correlation_approaches_sidak(self):
-        arms = PlatformArms.single(1, 1, 1e8)  # rho* -> 1/(n_ab terms) ~ 0... stays tiny
-        arms = PlatformArms.single(1e8, 1e8, 1)
+        # rho* -> 1/(n_ab terms) ~ 0... stays tiny
+        arms = PlatformArms(1, 1, 1e8, ArmCorrelations(1))
+        arms = PlatformArms(1e8, 1e8, 1, ArmCorrelations(1))
         result = classical_dunnett_threshold(arms, 0.05)
         assert result.critical_value == pytest.approx(SIDAK_C, abs=1e-3)
 
     def test_perfect_comparator_correlation_single_test(self):
-        arms = PlatformArms.single(1, 1, 1e12)
+        arms = PlatformArms(1, 1, 1e12, ArmCorrelations(1))
         result = classical_dunnett_threshold(arms, 0.05)
         assert result.critical_value == pytest.approx(Z_975, abs=1e-3)
 

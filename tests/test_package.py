@@ -13,7 +13,7 @@ _MODULES = ("allocation", "correlation", "estimation", "multiplicity", "mvnorm",
 
 def test_each_public_name_is_its_home_modules_object():
     homes = [importlib.import_module(f"platformdesign.{name}") for name in _MODULES]
-    assert len(set(platformdesign.__all__)) == len(platformdesign.__all__) == 35
+    assert len(set(platformdesign.__all__)) == len(platformdesign.__all__) == 34
     for name in platformdesign.__all__:
         value = getattr(platformdesign, name)
         if name == "errors":

@@ -126,7 +126,7 @@ class TestMarginalOracle:
 
 class TestMcPower:
     def test_matches_oracle_equal_thirds(self):
-        scenario = DesignScenario.single(0.3, 1.0)
+        scenario = DesignScenario(0.3, 1.0)
         power = mc_comparison_power(
             scenario, [100.0, 100.0, 100.0], FWER_THRESHOLD.critical_value, 100_000, seed=11
         )
@@ -135,11 +135,11 @@ class TestMcPower:
 
     def test_oracle_agreement_random_scenarios(self, rng):
         for _ in range(8):
-            scenario = DesignScenario.single(
+            scenario = DesignScenario(
                 float(rng.uniform(0.2, 0.6)),
                 float(rng.uniform(0.8, 1.5)),
-                rho_ab_a=float(rng.uniform(0.0, 0.6)),
-                rho_ab_b=float(rng.uniform(0.0, 0.6)),
+                rho_combo_control=float(rng.uniform(0.0, 0.6)),
+                rho_combo_mono=float(rng.uniform(0.0, 0.6)),
             )
             theta = rng.standard_normal(3) * 0.3
             alloc = Allocation(tuple(np.exp(theta) / np.exp(theta).sum()))
@@ -162,7 +162,7 @@ class TestMcPower:
             delta=(0.3, 0.45), synergy=(1.1, 0.9),
             rho_combo_control=(0.2, 0.3), rho_combo_mono=(0.3, 0.2),
         )
-        counts = Allocation.equal(2).arm_counts(400)
+        counts = tuple(_largest_remainder(np.full((1, 5), 0.2), np.array([400]))[0].tolist())
         c = FWER_THRESHOLD.critical_value
         power = mc_comparison_power(scenario, counts, c, 100_000, seed=6)
         assert power.shape == (4,)
@@ -192,7 +192,7 @@ class TestNoncentralityFloor:
         # with no gap around W* the floor's and the ceiling's powers fail
         # their checks: the floor falls to 0 and the ceiling rises to inf,
         # and the scan finds the same N* and powers, evaluating more totals
-        scenario = DesignScenario.single(0.3, 1.1, rho_ab_a=0.3, rho_ab_b=0.5)
+        scenario = DesignScenario(0.3, 1.1, rho_combo_control=0.3, rho_combo_mono=0.5)
         alloc = optimize_allocation(scenario)
         rows = _design_rows([(scenario, alloc)])
         c = np.array([[1.96, 2.3]])
@@ -215,7 +215,7 @@ class TestNoncentralityFloor:
             _noncentrality_floor([2.0, c], 0.8)
         threshold = dataclasses.replace(FWER_THRESHOLD, critical_value=c)
         with pytest.raises(DomainError, match="critical value must be finite"):
-            find_sample_size(DesignScenario.single(0.4, 1.2), Allocation.equal(1), threshold, 0.8)
+            find_sample_size(DesignScenario(0.4, 1.2), Allocation((1 / 3,) * 3), threshold, 0.8)
 
     def test_validation(self):
         with pytest.raises(DomainError, match="critical value must be positive"):
@@ -282,9 +282,9 @@ class TestNoncentralityBound:
         # subject from control, which falls below floor(0.762 * 7) = 5: the
         # bound must allow for that loss, and does so by one subject per
         # arm that can be empty
-        scenario = DesignScenario.single(0.8405, 0.6044, rho_ab_a=0.9658, rho_ab_b=0.2576)
+        scenario = DesignScenario(0.8405, 0.6044, rho_combo_control=0.9658, rho_combo_mono=0.2576)
         alloc = Allocation((0.7617990974513373, 0.1943907473619217, 0.04381015518674093))
-        assert alloc.arm_counts(7) == (4, 2, 1)
+        assert _largest_remainder(np.array([alloc.ratios]), np.array([7])).tolist() == [[4, 2, 1]]
         ratios, mu, rho, sigma2 = _design_rows([(scenario, alloc)])
         first = np.arange(3, 40)
         lower, upper = _noncentrality_bound(ratios, mu, rho, sigma2, [0], first, first)
@@ -295,7 +295,7 @@ class TestNoncentralityBound:
 
 class TestFindSampleSize:
     def test_reproduces_moderate_synergy_row(self):
-        scenario = DesignScenario.single(0.663, 1.161, rho_ab_a=0.626, rho_ab_b=0.660)
+        scenario = DesignScenario(0.663, 1.161, rho_combo_control=0.626, rho_combo_mono=0.660)
         alloc = optimize_allocation(scenario)
         threshold = platform_threshold(
             CorrelationMatrix.bivariate(0.4601786197092176), ErrorMetric.fwer(0.05)
@@ -307,7 +307,8 @@ class TestFindSampleSize:
         assert result.achieved_power == pytest.approx(0.8033, abs=1e-4)
         # power at integer counts is not monotone in N: 0.8033 at 96 and 97,
         # then 0.8022 at 98, so a bisection on N has no valid contract
-        powers = [integer_design_power(scenario, alloc.arm_counts(n), c) for n in (96, 97, 98)]
+        counts = _largest_remainder(np.array([alloc.ratios]), np.array([96, 97, 98]))
+        powers = [integer_design_power(scenario, tuple(row), c) for row in counts.tolist()]
         assert powers[0] == pytest.approx(0.8033, abs=1e-4)
         assert powers[1] == pytest.approx(0.8033, abs=1e-4)
         assert powers[2] == pytest.approx(0.8022, abs=1e-4)
@@ -334,7 +335,8 @@ class TestFindSampleSize:
             scenario, alloc, c, target, power=package_design_power
         )
         assert result.n_star == n_star
-        assert result.arm_counts == alloc.arm_counts(n_star)
+        counts = _largest_remainder(np.array([alloc.ratios]), np.array([n_star]))
+        assert [result.arm_counts] == [tuple(row) for row in counts.tolist()]
         assert result.achieved_power == powers[n_star] >= target
         assert result.search_trace == tuple(powers.items())
         # and with an independent route to the power: to rounding
@@ -415,14 +417,14 @@ class TestFindSampleSize:
     )
     # the empty-arm allocation of the bound test: an arm is empty at N = 7
     @example(
-        scenario=DesignScenario.single(0.8405, 0.6044, rho_ab_a=0.9658, rho_ab_b=0.2576),
+        scenario=DesignScenario(0.8405, 0.6044, rho_combo_control=0.9658, rho_combo_mono=0.2576),
         alloc=Allocation((0.7617990974513373, 0.1943907473619217, 0.04381015518674093)),
         c=[1.96, 2.5], target=0.8,
     )
     # a combination arm of share 0.0024 (counts 278/278/2 at N* = 558): N*
     # lies past the first window, which ends at ceil(1.05 W* / w1) + 64 = 507
     @example(
-        scenario=DesignScenario.single(0.3, 10.0, rho_ab_a=0.3, rho_ab_b=0.5),
+        scenario=DesignScenario(0.3, 10.0, rho_combo_control=0.3, rho_combo_mono=0.5),
         alloc=None, c=[2.2332477468154197], target=0.8,
     )
     def test_property_bracket_holds_n_star(self, scenario, alloc, c, target):
@@ -446,7 +448,7 @@ class TestFindSampleSize:
     def test_a_near_empty_arm_extends_the_window(self):
         # N* = 558 lies past the first window, so the scan bounds a second
         # one and find_sample_size doubles its trace; both stay exact
-        scenario = DesignScenario.single(0.3, 10.0, rho_ab_a=0.3, rho_ab_b=0.5)
+        scenario = DesignScenario(0.3, 10.0, rho_combo_control=0.3, rho_combo_mono=0.5)
         alloc = optimize_allocation(scenario)
         rows = _design_rows([(scenario, alloc)])
         threshold = platform_threshold(
@@ -468,7 +470,7 @@ class TestFindSampleSize:
         assert result.search_trace == tuple(expected.items())
 
     def test_trace_and_counts_consistent(self):
-        scenario = DesignScenario.single(0.4, 1.2, rho_ab_a=0.3)
+        scenario = DesignScenario(0.4, 1.2, rho_combo_control=0.3)
         alloc = optimize_allocation(scenario)
         result = find_sample_size(scenario, alloc, FWER_THRESHOLD, 0.8, seed=2)
         assert sum(result.arm_counts) == result.n_star
@@ -479,7 +481,7 @@ class TestFindSampleSize:
             assert probed[result.n_star - 1] < 0.8
 
     def test_reproducible(self):
-        scenario = DesignScenario.single(0.35, 1.1, rho_ab_a=0.2, rho_ab_b=0.4)
+        scenario = DesignScenario(0.35, 1.1, rho_combo_control=0.2, rho_combo_mono=0.4)
         alloc = optimize_allocation(scenario)
         a = find_sample_size(scenario, alloc, FWER_THRESHOLD, 0.8, seed=42)
         b = find_sample_size(scenario, alloc, FWER_THRESHOLD, 0.8, seed=42)
@@ -489,7 +491,7 @@ class TestFindSampleSize:
     def test_sample_size_nonincreasing_in_synergy(self):
         n_values = []
         for s in (0.7, 1.0, 1.3):
-            scenario = DesignScenario.single(0.3, s, rho_ab_a=0.3, rho_ab_b=0.3)
+            scenario = DesignScenario(0.3, s, rho_combo_control=0.3, rho_combo_mono=0.3)
             alloc = optimize_allocation(scenario)
             threshold = platform_threshold(CorrelationMatrix.bivariate(0.4), ErrorMetric.fwer(0.05))
             n_values.append(
@@ -522,13 +524,13 @@ class TestFindSampleSize:
         assert probed[result.n_star] >= 0.8
 
     def test_budget_cap(self):
-        scenario = DesignScenario.single(0.01, 1.0)
+        scenario = DesignScenario(0.01, 1.0)
         with pytest.raises(BudgetExceeded):
             find_sample_size(
-                scenario, Allocation.equal(1), FWER_THRESHOLD, 0.99, n_cap=5_000, seed=1
+                scenario, Allocation((1 / 3,) * 3), FWER_THRESHOLD, 0.99, n_cap=5_000, seed=1
             )
         # the cap is inclusive: a design at N* = n_cap is found
-        scenario = DesignScenario.single(0.4, 1.2, rho_ab_a=0.3)
+        scenario = DesignScenario(0.4, 1.2, rho_combo_control=0.3)
         alloc = optimize_allocation(scenario)
         n_star = find_sample_size(scenario, alloc, FWER_THRESHOLD, 0.8).n_star
         assert find_sample_size(scenario, alloc, FWER_THRESHOLD, 0.8, n_cap=n_star).n_star == n_star
@@ -538,17 +540,18 @@ class TestFindSampleSize:
     def test_cap_below_the_smallest_design_is_a_domain_error(self):
         # 2K+1 subjects is the smallest design: a lower cap is an input error,
         # not an exhausted budget
-        scenario = DesignScenario.single(0.4, 1.2)
+        scenario = DesignScenario(0.4, 1.2)
         with pytest.raises(DomainError, match="n_cap must be at least 2K\\+1 = 3"):
-            find_sample_size(scenario, Allocation.equal(1), FWER_THRESHOLD, 0.8, n_cap=2)
+            find_sample_size(scenario, Allocation((1 / 3,) * 3), FWER_THRESHOLD, 0.8, n_cap=2)
 
     @pytest.mark.parametrize("scenario_k, alloc_k", [(2, 1), (1, 2)])
     def test_k_mismatch_is_a_domain_error(self, scenario_k, alloc_k):
         scenario = DesignScenario((0.4,) * scenario_k, (1.2,) * scenario_k)
+        alloc = Allocation((1 / (2 * alloc_k + 1),) * (2 * alloc_k + 1))
         with pytest.raises(
             DomainError, match=f"allocation has K={alloc_k} but scenario has K={scenario_k}"
         ):
-            find_sample_size(scenario, Allocation.equal(alloc_k), FWER_THRESHOLD, 0.8)
+            find_sample_size(scenario, alloc, FWER_THRESHOLD, 0.8)
 
     def test_arm_correlations_must_fit_together(self):
         # the README reference pair copied to two substudies: the arm
@@ -560,12 +563,12 @@ class TestFindSampleSize:
                 rho_combo_control=(0.626, 0.626), rho_combo_mono=(0.660, 0.660),
             )
         # one substudy with the same pair fits
-        DesignScenario.single(0.663, 1.161, rho_ab_a=0.626, rho_ab_b=0.660)
+        DesignScenario(0.663, 1.161, rho_combo_control=0.626, rho_combo_mono=0.660)
 
     def test_validation(self):
-        scenario = DesignScenario.single(0.3, 1.0)
+        scenario = DesignScenario(0.3, 1.0)
         with pytest.raises(DomainError):
-            find_sample_size(scenario, Allocation.equal(1), FWER_THRESHOLD, 1.0)
+            find_sample_size(scenario, Allocation((1 / 3,) * 3), FWER_THRESHOLD, 1.0)
 
 
 _RESULT_FIELDS = ("ratios", "z_correlation", "critical_value", "n_star", "achieved_power",

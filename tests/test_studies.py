@@ -23,9 +23,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
-from platformdesign import cli, correlation, power, studies
+from platformdesign import cli, power, studies
 from platformdesign.allocation import DesignScenario, optimize_allocation
-from platformdesign.correlation import PlatformArms, classical_dunnett_correlation
+from platformdesign.correlation import (
+    ArmCorrelations, PlatformArms, classical_dunnett_correlation, platform_z_correlation_matrix,
+)
 from platformdesign.errors import DomainError
 from platformdesign.estimation import TrialEstimates, table1_pipeline
 from platformdesign.multiplicity import (
@@ -239,7 +241,7 @@ class TestAdjustments:
                 assert value <= 0.05
         alloc = grid.allocations[0]
         assumed = classical_dunnett_correlation(
-            PlatformArms.single(1000 * alloc[0], 1000 * alloc[1], 1000 * alloc[2])
+            PlatformArms(1000 * alloc[0], 1000 * alloc[1], 1000 * alloc[2], ArmCorrelations(1))
         )
         assert assumed == pytest.approx(0.5, abs=1e-12)
         for row in table.as_dicts():
@@ -269,7 +271,7 @@ class TestAdjustments:
         # the step-down decisions of holm_reject on each simulated trial
         grid, table = coarse_adjustment_table
         alloc = grid.allocations[0]
-        arms = PlatformArms.single(1000 * alloc[0], 1000 * alloc[1], 1000 * alloc[2])
+        arms = PlatformArms(1000 * alloc[0], 1000 * alloc[1], 1000 * alloc[2], ArmCorrelations(1))
         cuts = {
             "noadj": Z_975,
             "bonferroni": float(-ndtri(0.05 / 4)),
@@ -456,9 +458,8 @@ class TestDesignSurface:
         rows = table.as_dicts()
         for at in range(0, len(rows), len(self.METRICS)):
             point = rows[at:at + len(self.METRICS)]
-            scenario = DesignScenario.single(
-                0.3, point[0]["synergy"], 1.0, rho_ab_a=point[0]["rho"], rho_ab_b=point[0]["rho"]
-            )
+            synergy, rho = point[0]["synergy"], point[0]["rho"]
+            scenario = DesignScenario(0.3, synergy, 1.0, rho_combo_control=rho, rho_combo_mono=rho)
             reference = exhaustive_n_star(
                 scenario, optimize_allocation(scenario), [row["c_star"] for row in point], 0.8,
                 max(row["value"] for row in point),
@@ -478,7 +479,7 @@ class TestDesignSurface:
         expected = []
         for s in grid.sweep_values().tolist():
             for rho in grid.rho_levels:
-                scenario = DesignScenario.single(0.3, s, 1.0, rho_ab_a=rho, rho_ab_b=rho)
+                scenario = DesignScenario(0.3, s, 1.0, rho_combo_control=rho, rho_combo_mono=rho)
                 alloc = optimize_allocation(scenario)
                 z = _point_z_rho(alloc.ratios, rho, rho)
                 c_star, achieved = _bivariate_critical_values(z, DEFAULT_TARGETS)
@@ -508,7 +509,7 @@ class TestDesignSurface:
         points = [(s, rho) for s in grid.sweep_values().tolist() for rho in grid.rho_levels]
         with pytest.raises(DomainError) as per_point:
             scenarios = [
-                DesignScenario.single(grid.fixed["delta"], s, grid.fixed["sigma2"], rho, rho)
+                DesignScenario(grid.fixed["delta"], s, grid.fixed["sigma2"], rho, rho)
                 for s, rho in points
             ]
             for scenario in scenarios:
@@ -575,10 +576,11 @@ class TestResultTable:
 
 
 def _point_z_rho(alloc, rho_ab_a, rho_ab_b):
-    return correlation.test_stat_correlation(
-        PlatformArms.single(1000 * alloc[0], 1000 * alloc[1], 1000 * alloc[2],
-                            rho_ab_a=rho_ab_a, rho_ab_b=rho_ab_b)
+    arms = PlatformArms(
+        1000 * alloc[0], 1000 * alloc[1], 1000 * alloc[2],
+        ArmCorrelations.per_substudy(rho_ab_a, rho_ab_b),
     )
+    return float(platform_z_correlation_matrix(arms).entries[0, 1])
 
 
 def _point_rhos(grid, value):
@@ -616,9 +618,8 @@ class TestRowsMatchPointByPoint:
         a, b = float(ndtri(0.975)), float(ndtri(1 - 0.0125))
         expected = []
         for alloc in grid.allocations:
-            dunnett = classical_dunnett_threshold(
-                PlatformArms.single(1000 * alloc[0], 1000 * alloc[1], 1000 * alloc[2]), 0.05
-            ).critical_value
+            arms = PlatformArms(*(1000 * p for p in alloc), ArmCorrelations(1))
+            dunnett = classical_dunnett_threshold(arms, 0.05).critical_value
             for value in grid.sweep_values().tolist():
                 z = _point_z_rho(alloc, 0.3, value)
                 at_a, at_b = bivariate_error_rates(z, a), bivariate_error_rates(z, b)
@@ -664,7 +665,7 @@ class TestRowsMatchPointByPoint:
         expected = []
         for s in grid.sweep_values().tolist():
             for rho in grid.rho_levels:
-                scenario = DesignScenario.single(0.3, s, 1.0, rho_ab_a=rho, rho_ab_b=rho)
+                scenario = DesignScenario(0.3, s, 1.0, rho_combo_control=rho, rho_combo_mono=rho)
                 alloc = optimize_allocation(scenario)
                 z = _point_z_rho(alloc.ratios, rho, rho)
                 for metric in (ErrorMetric.fwer(0.05), ErrorMetric.fmer(0.0025),
@@ -685,9 +686,8 @@ class TestRowsMatchPointByPoint:
         table = run_design_surface(grid)
         assert len(table.rows) == 2 * len(self.METRICS)
         for row in table.as_dicts():
-            scenario = DesignScenario.single(
-                0.3, row["synergy"], 1.0, rho_ab_a=row["rho"], rho_ab_b=row["rho"]
-            )
+            rho = row["rho"]
+            scenario = DesignScenario(0.3, row["synergy"], 1.0, rho_combo_control=rho, rho_combo_mono=rho)
             n_star, powers = n_star_enumeration_oracle(
                 scenario, optimize_allocation(scenario), row["c_star"], 0.8,
                 power=package_design_power,
@@ -719,7 +719,7 @@ def test_exact_paths_draw_no_random_numbers(monkeypatch, tmp_path):
         n_A=29, n_B=29, n_AB=29, drug_A="a", drug_B="b", combo="ab", screened_out=False,
     )
     table1_pipeline(estimates)
-    scenario_1 = DesignScenario.single(0.4, 1.2, rho_ab_a=0.3)
+    scenario_1 = DesignScenario(0.4, 1.2, rho_combo_control=0.3)
     threshold_1 = platform_threshold(CorrelationMatrix.bivariate(0.4), ErrorMetric.fwer(0.05))
     find_sample_size(scenario_1, optimize_allocation(scenario_1), threshold_1, 0.8)
     find_sample_size(scenario_2, optimize_allocation(scenario_2), threshold_2, 0.8)
