@@ -151,12 +151,21 @@ def ingest_csv(
 
 
 def pooled_sd(sd1: float, n1: int, sd2: float, n2: int) -> float:
-    """Two-sample pooled standard deviation."""
+    """Two-sample pooled standard deviation; :class:`DomainError` for an SD
+    that is negative or not finite, and for a pooled variance that
+    overflows."""
     if n1 < 1 or n2 < 1 or n1 + n2 < 3:
         raise DomainError(f"need n1 + n2 >= 3 with both positive, got {n1}, {n2}")
-    if sd1 < 0 or sd2 < 0:
-        raise DomainError("standard deviations must be nonnegative")
-    return math.sqrt(((n1 - 1) * sd1**2 + (n2 - 1) * sd2**2) / (n1 + n2 - 2))
+    sd1, sd2 = float(sd1), float(sd2)
+    if not (0.0 <= sd1 < math.inf and 0.0 <= sd2 < math.inf):
+        raise DomainError(f"standard deviations must be finite and nonnegative, got {sd1}, {sd2}")
+    try:
+        variance = ((n1 - 1) * sd1**2 + (n2 - 1) * sd2**2) / (n1 + n2 - 2)
+    except OverflowError:  # a square; finite squares may still sum to inf
+        variance = math.inf
+    if math.isinf(variance):
+        raise DomainError(f"the pooled variance of SDs {sd1:g} and {sd2:g} overflows")
+    return math.sqrt(variance)
 
 
 @dataclass(frozen=True)
@@ -244,10 +253,14 @@ def estimate_trial(
 
     rho_ab_a, rho_ab_b = (_pearson(table, combo, mono, sign) for mono in (drug_a, drug_b))
 
-    pooled = [pooled_sd(sd_ab, n, sd_a, n), pooled_sd(sd_a, n, sd_b, n)]
-    for arm, sd in zip((combo, drug_b), pooled):
-        if not math.isfinite(sd):
-            raise DomainError(f"the pooled SD of {arm!r} and {drug_a!r} is not a finite number")
+    pooled = []
+    for arm, sd in ((combo, sd_ab), (drug_b, sd_b)):
+        try:
+            pooled.append(pooled_sd(sd, n, sd_a, n))
+        except DomainError:  # the arms' SDs are finite, so their pool overflows
+            raise DomainError(
+                f"the pooled SD of {arm!r} and {drug_a!r} is not a finite number"
+            ) from None
     delta_ab = float((mean_ab - mean_a) / pooled[0])
     delta_b = float((mean_b - mean_a) / pooled[1])
     s_hat = delta_ab / delta_b if delta_b != 0.0 else math.nan

@@ -1,8 +1,7 @@
 """Multivariate normal kernel.
 
-Univariate normal cdf/quantile (``math.erfc``, no scipy), correlation
-matrices validated and factored with diagonal jitter, and rectangle
-probabilities:
+Univariate normal cdf/quantile (``math.erfc``), correlation matrices
+validated and factored with diagonal jitter, and rectangle probabilities:
 
 * in dimension 2, the upper orthant P(X > h, Y > k), h, k >= 0, on Owen's
   T integral (Owen 1956): one 20-point Gauss-Legendre sum of exponentials
@@ -21,10 +20,13 @@ probabilities:
   variables in one order per matrix, each next the one with the smallest
   residual variance given those before it (variable prioritisation, Genz
   1992); on the Z correlations of optimised platform designs this lowers
-  the estimate's variance about twofold at four and six substudies.  Each
-  pass writes every per-point step into one work array the lattice keeps
-  and resizes as it grows, so repeated evaluations allocate nothing per
-  point.
+  the estimate's variance about twofold at four and six substudies.  A
+  pass takes Phi and Phi^-1 from two numpy rationals, Hart's algorithm 5666
+  and Wichura's AS241, precise in absolute terms (3.4e-16 and 8.7e-16),
+  which is what a box probability needs.  Each pass writes every per-point
+  step into one work array the lattice keeps and resizes as it grows, so
+  repeated evaluations allocate per point only a sign mask and Phi^-1's
+  tail points.
 
 The lattice shifts are the module's only random numbers; every estimate is
 a pure function of (inputs, seed).
@@ -284,7 +286,7 @@ def _first_primes(n: int) -> list[int]:
     return primes
 
 
-_NDTRI_CLIP = 1e-15
+_QUANTILE_CLIP = 1e-15
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # independently shifted copies of the lattice; their spread is the stderr
 _N_BATCHES = 12
@@ -293,24 +295,100 @@ _START_POINTS = 32
 # the most points refine() spends on one box
 _MAX_POINTS = 1 << 22
 
+# Hart's (1968) algorithm 5666 in West's (2005) form: Phi(-t) = exp(-t^2 / 2)
+# P(t) / Q(t) for t >= 0, coefficients highest power first
+_HART_P = (0.0352624965998911, 0.700383064443688, 6.37396220353165, 33.912866078383,
+           112.079291497871, 221.213596169931, 220.206867912376)
+_HART_Q = (0.0883883476483184, 1.75566716318264, 16.064177579207, 86.7807322029461,
+           296.564248779674, 637.333633378831, 793.826512519948, 440.413735824752)
+# Wichura's (1988) AS241: Phi^-1(1/2 + q) = q N(r) / D(r) with r = 0.180625
+# - q^2 for |q| <= 0.425, and beyond it sign(q) N(r) / D(r) with r = sqrt(-log
+# min(u, 1 - u)) - 1.6 while that root is at most 5, and - 5 past it.
+# Coefficients highest power first; the tail's two pairs are stacked, each
+# step shaped to broadcast over a (2, 2, m) Horner array.
+_AS241_N = (2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
+            4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
+            1.3314166789178437745e2, 3.3871328727963666080e0)
+_AS241_D = (5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
+            2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
+            4.2313330701600911252e1, 1.0)
+_AS241_TAIL = tuple(np.array([
+    [[7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1,
+      1.2704582524523683826e0, 3.6478483247632045265e0, 5.7694972214606914055e0,
+      4.6303378461565452959e0, 1.4234371107496835773e0],
+     [1.0507500716444168432e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2,
+      1.4810397642748007459e-1, 6.8976733498510000455e-1, 1.6763848301838038494e0,
+      2.0531916266377588219e0, 1.0]],
+    [[2.0103343992922881327e-7, 2.7115555687434875782e-5, 1.2426609473880784386e-3,
+      2.6532189526576123093e-2, 2.9656057182850489123e-1, 1.7848265399172913358e0,
+      5.4637849111641143699e0, 6.6579046435011037772e0],
+     [2.0442631033899397856e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5,
+      7.8686913114561325910e-4, 1.4875361290850614853e-2, 1.3692988092273580531e-1,
+      5.9983220655588793769e-1, 1.0]],
+]).transpose(2, 0, 1)[..., None])
+# the tail rationals' shifts of r, and the root past which the second holds
+_AS241_SHIFT, _AS241_SWITCH = np.array([1.6, 5.0])[:, None, None], 5.0
 
-def _cdf_and_slope(ndtr, bound: float, s, d_bound, ct: float, cdf, slope) -> None:
-    """Write Phi((bound - s) / ct) into ``cdf`` and its derivative into
-    ``slope``, given the derivative ``d_bound`` of bound - s; an infinite
-    bound gives 0 or 1 and slope 0."""
-    if math.isinf(bound):
-        cdf.fill(0.0 if bound < 0.0 else 1.0)
-        slope.fill(0.0)
-        return
-    x = np.divide(np.subtract(bound, s, out=cdf), ct, out=cdf)
-    # beyond |x| ~ 1e154 the square overflows to inf, and the density is 0
-    with np.errstate(over="ignore"):
-        np.square(x, out=slope)
-    slope *= -0.5
-    np.exp(slope, out=slope)
-    slope *= d_bound
-    slope /= ct * _SQRT_2PI
-    ndtr(x, out=cdf)
+
+def _horner(coefficients, t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Evaluate a polynomial at ``t`` into ``out``, in place, coefficients
+    highest power first: numbers, or arrays that broadcast with ``t`` to the
+    shape of ``out`` to evaluate several polynomials at once.  A number is
+    numpy's fast path; an array that broadcasts along the last axis is not,
+    so past a few hundred points one call per polynomial is faster."""
+    np.multiply(t, coefficients[0], out=out)
+    for c in coefficients[1:-1]:
+        out += c
+        out *= t
+    out += coefficients[-1]
+    return out
+
+
+def _cdf_rational(x: np.ndarray, density: np.ndarray, acc: np.ndarray) -> None:
+    """Overwrite ``x``, of shape (rows, n), with Phi(x) and write exp(-x^2 /
+    2) into ``density``, on Hart's rational: within 3.4e-16 absolute of Phi
+    on [-40, 40], and exactly 0 or 1 where the density underflows; ``acc`` is
+    work of shape (2, rows, n).
+
+    West's form turns to a continued fraction past |x| = 7.0710678, where
+    Phi(-|x|) < 8e-13, to keep relative precision there; against mpmath the
+    rational alone stays within 2.3e-21 absolute on [7.07, 40], so the
+    lattice, which needs absolute precision, takes the rational throughout.
+    |x| is capped at 40, past which the density is already 0, so no lane
+    overflows.
+    """
+    positive = x > 0.0
+    t = np.minimum(np.abs(x, out=x), _FAR, out=x)
+    np.square(t, out=density)
+    density *= -0.5
+    np.exp(density, out=density)
+    np.divide(_horner(_HART_P, t, acc[0]), _horner(_HART_Q, t, acc[1]), out=x)
+    x *= density
+    np.subtract(1.0, x, out=x, where=positive)
+
+
+def _quantile_rational(u: np.ndarray, out: np.ndarray, acc: np.ndarray) -> None:
+    """Write Phi^-1(u) into ``out`` for u of shape (n,) in [1e-15, 1 - 1e-15],
+    on Wichura's AS241: within 8.7e-16 of mpmath, absolute for |Phi^-1(u)| <=
+    1 and relative beyond.  The central rational runs on every point, and the
+    two tail ones on the points past it only; ``acc`` is work of shape (3,
+    n)."""
+    q = np.subtract(u, 0.5, out=out)
+    # 0.180625 - q^2 > -0.0694 on (0, 1), short of D's largest root, -0.0729,
+    # so the central rational is finite where the tail one replaces it
+    r = np.multiply(q, q, out=acc[2])
+    np.subtract(0.180625, r, out=r)
+    _horner(_AS241_N, r, acc[0])
+    _horner(_AS241_D, r, acc[1])
+    acc[0] *= q
+    tail = np.abs(q, out=acc[2]) > 0.425
+    np.divide(acc[0], acc[1], out=out)
+    ut = u[tail]
+    if ut.size:
+        r = np.sqrt(-np.log(np.minimum(ut, 1.0 - ut)))
+        both = _horner(_AS241_TAIL, r - _AS241_SHIFT, np.empty((2, 2, ut.size)))
+        ratio = both[:, 0] / both[:, 1]
+        out[tail] = np.copysign(np.where(r > _AS241_SWITCH, ratio[1], ratio[0]), ut - 0.5)
 
 
 def _smallest_residual_order(matrix: np.ndarray) -> np.ndarray:
@@ -357,6 +435,12 @@ class QmcLattice:
             raise DomainError("a lattice needs at least two dimensions")
         self.order = _smallest_residual_order(correlation.entries)
         self.factor = CorrelationMatrix(correlation.entries[np.ix_(self.order, self.order)]).factor
+        # each variable's conditional sd ct, the factor's rows over it, and
+        # the lower and upper bounds' derivatives as the box widens, -/+ 1 /
+        # (ct sqrt(2 pi)), in the units of the density exp(-x^2 / 2)
+        self._ct = np.maximum(np.diag(self.factor), 1e-12)
+        self._scaled = self.factor / self._ct[:, None]
+        self._dbound = np.array([[-1.0], [1.0]]) / (self._ct * _SQRT_2PI)
         self.n_points = _START_POINTS * dim // 2  # points per batch; grow() doubles it
         self.total_points = 0
         self._generators = np.sqrt(np.array(_first_primes(dim - 1), dtype=float))
@@ -388,18 +472,17 @@ class QmcLattice:
         at t = 0, infinite bounds held fixed.
 
         Bounds must have shape (dim,) and no NaN (:class:`DomainError`).
-        The slope is carried through the same pass in forward mode: each
-        bound's cdf contributes its density times the bound's derivative,
-        and each transformed point y = Phi^-1(u) the derivative du / phi(y),
-        0 where u is clipped, so the pass adds exponentials and
-        multiply-adds but no ``ndtr`` or ``ndtri`` call.  An infinite bound
-        gives a cdf of exactly 0 or 1 without calling ``ndtr``.
+        Past the first variable, whose two cdfs are ``math.erfc`` values,
+        Phi and Phi^-1 are the numpy rationals :func:`_cdf_rational` and
+        :func:`_quantile_rational`, both bounds of a variable in one call;
+        they are precise in absolute terms, as the estimate needs.  The
+        slope is carried through the same pass in forward mode: each bound's
+        cdf contributes its density, which Phi's rational reuses, times the
+        bound's derivative, and each transformed point y = Phi^-1(u) the
+        derivative du / phi(y), 0 where u is clipped.  An infinite bound
+        gives a cdf of exactly 0 or 1 and no slope.
         """
-        # scipy.special is most of the package's import time, so only the
-        # paths that use it import it
-        from scipy.special import ndtr, ndtri
-
-        factor, points = self.factor, self._points
+        factor, points = self._scaled, self._points
         dim = factor.shape[0]
         lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
         if lower.shape != (dim,) or upper.shape != (dim,):
@@ -408,58 +491,72 @@ class QmcLattice:
             )
         if np.isnan(lower).any() or np.isnan(upper).any():
             raise DomainError("box bounds must not be NaN")
-        lower, upper = lower[self.order], upper[self.order]
+        # the bounds over each variable's conditional sd, as columns; one
+        # that passes the largest double is infinite, as it is in effect
+        with np.errstate(over="ignore"):
+            bounds = np.stack([lower[self.order], upper[self.order]]) / self._ct
+        infinite = np.isinf(bounds).tolist()
         n = points.shape[1]
         if self._work.shape[1] != n:  # new points since the last call
             # y = Phi^-1(u) and dy per earlier variable, seven per-point
-            # rows, and the lower and upper bounds' cdfs with their slopes
+            # rows, and both bounds' cdfs and slopes
             self._work = np.empty((2 * (dim - 1) + 7 + 4, n))
             self._clipped = np.empty(n, dtype=bool)
         work, clipped = self._work, self._clipped
-        y, dy = work[: dim - 1], work[dim - 1 : 2 * dim - 2]
-        prob, slope, u, du, tmp, s, ds = work[2 * dim - 2 : 2 * dim + 5]
-        cdfs = work[2 * dim + 5 :]
-        prob.fill(1.0)
-        slope.fill(0.0)
-        for i in range(dim):
-            if i:
-                # u = d + x (e - d) at the previous variable's cdfs, and du
-                np.subtract(e_cur, d_cur, out=u)
-                u *= points[i - 1]
-                u += d_cur
-                np.subtract(de_cur, dd_cur, out=du)
-                du *= points[i - 1]
-                du += dd_cur
-                # y = Phi^-1(u) and dy = du / phi(y), 0 where u is clipped
-                np.clip(u, _NDTRI_CLIP, 1.0 - _NDTRI_CLIP, out=tmp)
-                np.not_equal(tmp, u, out=clipped)
-                ndtri(tmp, out=y[i - 1])
-                np.copyto(du, 0.0, where=clipped)
-                np.square(y[i - 1], out=tmp)
-                tmp *= 0.5
-                np.exp(tmp, out=tmp)
-                tmp *= _SQRT_2PI
-                np.multiply(du, tmp, out=dy[i - 1])
-                # einsum, not @: OpenBLAS's threaded gemv can be many
-                # times slower on a loaded host
-                np.einsum("k,kn->n", factor[i, :i], y[:i], out=s)
-                np.einsum("k,kn->n", factor[i, :i], dy[:i], out=ds)
-            # the first variable's bounds are the same at every point, so
-            # its cdfs are one element each
-            cols, s_i, ds_i = (slice(None), s, ds) if i else (slice(1), 0.0, 0.0)
-            d_cur, dd_cur, e_cur, de_cur = cdfs[:, cols]
-            ct = max(factor[i, i], 1e-12)
-            d_bound = du[cols]
-            _cdf_and_slope(ndtr, lower[i], s_i, np.subtract(-1.0, ds_i, out=d_bound), ct,
-                           d_cur, dd_cur)
-            _cdf_and_slope(ndtr, upper[i], s_i, np.subtract(1.0, ds_i, out=d_bound), ct,
-                           e_cur, de_cur)
-            width = np.maximum(np.subtract(e_cur, d_cur, out=u[cols]), 0.0, out=u[cols])
-            # slope = slope * width + prob * (de_cur - dd_cur)
-            np.multiply(prob, np.subtract(de_cur, dd_cur, out=d_bound), out=tmp)
-            slope *= width
-            slope += tmp
-            prob *= width
+        # rows [y, dy], [prob, slope], [u, du], tmp, [s, ds], and [[d, e],
+        # [dd, de]], the lower and upper bounds' cdfs and slopes
+        base = 2 * dim - 2
+        y_dy = work[:base].reshape(2, dim - 1, n)
+        prob_slope, u_du = work[base : base + 2], work[base + 2 : base + 4]
+        tmp, s_ds = work[base + 4], work[base + 5 : base + 7]
+        cd = work[base + 7 :].reshape(2, 2, n)
+        # Phi's polynomial work: [u, du], tmp and s, free once x is formed;
+        # Phi^-1's: the cdf rows, free once [u, du] is
+        cdf_work = work[base + 2 : base + 6].reshape(2, 2, n)
+        quantile_work = work[base + 7 : base + 10]
+        # the first variable's bounds are the same at every point
+        first = np.array([
+            [0.5 * math.erfc(-b / _SQRT2), math.exp(-0.5 * b * b) * dbound]
+            for b, dbound in zip(bounds[:, 0].tolist(), self._dbound[:, 0].tolist())
+        ]).T
+        cd[...] = first[:, :, None]
+        prob_slope[...] = [[max(first[0, 1] - first[0, 0], 0.0)], [first[1, 1] - first[1, 0]]]
+        for i in range(1, dim):
+            # [u, du] = [d, dd] + x ([e, de] - [d, dd]) at the previous
+            # variable's cdfs
+            np.subtract(cd[:, 1], cd[:, 0], out=u_du)
+            u_du *= points[i - 1]
+            u_du += cd[:, 0]
+            u, du = u_du
+            # y = Phi^-1(u) and dy = du / (sqrt(2 pi) phi(y)), 0 where u is
+            # clipped (dbound holds the sqrt(2 pi))
+            np.minimum(np.maximum(u, _QUANTILE_CLIP, out=tmp), 1.0 - _QUANTILE_CLIP, out=tmp)
+            np.not_equal(tmp, u, out=clipped)
+            _quantile_rational(tmp, y_dy[0, i - 1], quantile_work)
+            np.copyto(du, 0.0, where=clipped)
+            np.square(y_dy[0, i - 1], out=tmp)
+            tmp *= 0.5
+            np.exp(tmp, out=tmp)
+            np.multiply(du, tmp, out=y_dy[1, i - 1])
+            # [s, ds]; einsum, not @: OpenBLAS's threaded gemv can be many
+            # times slower on a loaded host
+            np.einsum("k,jkn->jn", factor[i, :i], y_dy[:, :i], out=s_ds)
+            # each finite bound's cdf, and its slope: its density times
+            # dbound - ds; an infinite one has cdf 0 or 1 and slope 0
+            rows = slice(int(infinite[0][i]), 2 - int(infinite[1][i]))
+            x = np.subtract(bounds[rows, i, None], s_ds[0], out=cd[0, rows])
+            _cdf_rational(x, cd[1, rows], cdf_work[:, rows])
+            cd[1, rows] *= np.subtract(self._dbound[rows, i, None], s_ds[1], out=cdf_work[0, rows])
+            for side in (0, 1):
+                if infinite[side][i]:
+                    cd[:, side] = [[float(bounds[side, i] > 0.0)], [0.0]]
+            # prob = prob * width, slope = slope * width + prob * (de - dd)
+            width, d_width = np.subtract(cd[:, 1], cd[:, 0], out=u_du)
+            np.maximum(width, 0.0, out=width)
+            np.multiply(prob_slope[0], d_width, out=tmp)
+            prob_slope *= width
+            prob_slope[1] += tmp
+        prob, slope = prob_slope
         means = prob.reshape(_N_BATCHES, -1).mean(axis=1)
         value = float(means.mean())
         stderr = float(means.std(ddof=1) / math.sqrt(_N_BATCHES))

@@ -827,8 +827,9 @@ print(*sorted(name.split(".")[1] for name in sys.modules if name.startswith("pla
 
 def test_cli_calls_do_not_load_scipy_special(tmp_path):
     # scipy.special is most of the import time of a CLI call; these paths
-    # need only math.erfc and numpy.  In a fresh interpreter each subcommand
-    # loads only the package modules its path calls.
+    # need only math.erfc and numpy, the K = 2 lattice calls included (its
+    # Phi and Phi^-1 are numpy rationals).  In a fresh interpreter each
+    # subcommand loads only the package modules its path calls.
     path = tmp_path / "pdx.csv"
     path.write_text(FIXTURE_INDEPENDENT_CSV, encoding="utf-8")
     studies = ("error-curves", "adjustments", "thresholds", "design-surface")
@@ -836,6 +837,8 @@ def test_cli_calls_do_not_load_scipy_special(tmp_path):
     # arm-level adjust load
     on_rho = {"errors", "mvnorm", "multiplicity"}
     arm_level = on_rho | {"correlation"}
+    k2_arms = ["adjust", "--k", "2", "--n-a", "120", "--n-b", "60", "60", "--n-ab", "60", "60",
+               "--rho-ab-a", "0.3", "0.4", "--rho-ab-b", "0.5", "0.2"]
     cases = [
         ([["adjust", "--rho", "0.461", "--format", "json"]], on_rho),
         ([["adjust", "--metric", "mfwer", "--m", "2", "--k", "2", "--n-a", "120",
@@ -844,6 +847,16 @@ def test_cli_calls_do_not_load_scipy_special(tmp_path):
          arm_level),
         ([["design", "--delta", "0.663", "--synergy", "1.161", "--rho-ab-a", "0.626",
            "--rho-ab-b", "0.660", "--metric", "fwer", "--format", "json"]],
+         arm_level | {"allocation", "power"}),
+        # on the lattice: a K = 2 fwer adjust at --precision 1e-5, a one-sided
+        # K = 2 m-FWER at m = 1 (its lower bounds are -inf) and a K = 2 fwer
+        # design
+        ([[*k2_arms, "--metric", "fwer", "--precision", "1e-5", "--format", "json"],
+          [*k2_arms, "--metric", "mfwer", "--m", "1", "--sided", "one", "--format", "json"]],
+         arm_level),
+        ([["design", "--k", "2", "--delta", "0.35", "0.5", "--synergy", "1.2", "0.9",
+           "--rho-ab-a", "0.2", "0.4", "--rho-ab-b", "0.3", "0.1", "--metric", "fwer",
+           "--format", "json"]],
          arm_level | {"allocation", "power"}),
         ([["estimate", "--input", str(path), "--drug-a", "A", "--drug-b", "B",
            "--combo", "AB", "--with-thresholds"]],

@@ -69,6 +69,21 @@ class TestPooledSd:
         with pytest.raises(DomainError):
             pooled_sd(-1.0, 5, 1.0, 5)
 
+    @pytest.mark.parametrize("sd", [math.nan, math.inf])
+    def test_sd_that_is_not_finite_is_refused(self, sd):
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            pooled_sd(sd, 3, 1.0, 3)
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            pooled_sd(1.0, 3, sd, 3)
+
+    def test_pooled_variance_that_overflows_is_refused(self):
+        # 1e200 squared overflows; 1e154 squares to a finite 1e308, but 299
+        # of them do not sum to one
+        with pytest.raises(DomainError, match="overflows"):
+            pooled_sd(1e200, 3, 1.0, 3)
+        with pytest.raises(DomainError, match="overflows"):
+            pooled_sd(1e154, 300, 1.0, 3)
+
 
 class TestIngestCsv:
     def test_minimal_fixture(self, tmp_path):

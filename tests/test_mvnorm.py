@@ -7,7 +7,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from conftest import bvn_rectangle, mp_orthant
+from conftest import bvn_rectangle, mp_orthant, run_python
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -445,6 +445,101 @@ def _random_box(dim: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return lower, upper
 
 
+def _lattice_cdf(x) -> np.ndarray:
+    x = np.array(x, dtype=float, ndmin=2)
+    density = np.empty_like(x)
+    mvnorm._cdf_rational(x, density, np.empty((2, *x.shape)))
+    return x if x.shape[0] > 1 else x[0]
+
+
+def _lattice_quantile(u) -> np.ndarray:
+    u = np.array(u, dtype=float)
+    out = np.empty_like(u)
+    mvnorm._quantile_rational(u, out, np.empty((3, *u.shape)))
+    return out
+
+
+def _quantile_reference(u: float) -> mp.mpf:
+    return mp.sqrt(2) * mp.erfinv(2 * mp.mpf(u) - 1)
+
+
+# West's switch of Hart's algorithm to a continued fraction
+_WEST_CUT = 7.07106781186547
+# AS241's switches: |u - 1/2| = 0.425, and u = e^-25, where the tail's
+# sqrt(-log u) passes 5
+_AS241_SWITCHES = (0.075, 0.925, math.exp(-25.0), 1.0 - math.exp(-25.0))
+
+
+class TestLatticeKernels:
+    # the lattice's numpy Phi and Phi^-1, against mpmath; they are precise
+    # in absolute terms, which is what a box probability needs
+
+    def test_cdf_against_mpmath(self):
+        cut = [np.nextafter(_WEST_CUT, 0.0), _WEST_CUT, np.nextafter(_WEST_CUT, 8.0)]
+        points = np.concatenate([
+            [0.0, -0.0, 40.0, 1e10], cut, np.linspace(0.0, 40.0, 4001),
+        ])
+        points = np.concatenate([points, -points])
+        values = _lattice_cdf(points)
+        errors = [abs(v - _cdf_reference(x)) for x, v in zip(points.tolist(), values.tolist())]
+        assert max(errors) <= 4e-16
+        assert _lattice_cdf([0.0, -0.0]).tolist() == [0.5, 0.5]
+        assert _lattice_cdf([-1e10, 1e10, -40.0, 40.0]).tolist() == [0.0, 1.0, 0.0, 1.0]
+
+    def test_cdf_writes_the_density(self):
+        x = np.array([[-50.0, -3.0, -0.5], [0.0, 2.0, 45.0]])
+        density = np.empty_like(x)
+        mvnorm._cdf_rational(x.copy(), density, np.empty((2, *x.shape)))
+        assert density.tolist() == np.exp(-0.5 * x * x).tolist()
+        assert density[0, 0] == density[1, 2] == 0.0
+
+    def test_cdf_of_a_box_row_is_the_cdf_per_entry(self, rng):
+        # both bounds of a variable go through one call; each row is what
+        # the row alone gives
+        x = rng.normal(0.0, 4.0, (2, 300))
+        both = _lattice_cdf(x)
+        assert both.tolist() == [_lattice_cdf(row).tolist() for row in x]
+
+    def test_quantile_against_mpmath(self):
+        beside = [np.nextafter(u, side) for u in _AS241_SWITCHES for side in (0.0, 1.0)]
+        points = np.concatenate([
+            [1e-15, 1.0 - 1e-15, 0.5, 0.3, 0.7], _AS241_SWITCHES, beside,
+            np.logspace(-15, math.log10(0.5), 301),
+            1.0 - np.logspace(-15, math.log10(0.5), 301),
+        ])
+        values = _lattice_quantile(points)
+        for u, y in zip(points.tolist(), values.tolist()):
+            reference = _quantile_reference(u)
+            scale = max(1.0, abs(float(reference)))
+            assert abs(y - float(reference)) <= 1e-15 * scale, u
+        assert _lattice_quantile([0.5]).tolist() == [0.0]
+
+    @pytest.mark.parametrize("switch", [0.0, _WEST_CUT, -_WEST_CUT, 38.6, -38.6, 40.0, -40.0])
+    def test_cdf_monotone_across_each_switch(self, switch):
+        # steps of 1e-9 never lower Phi, and raise it wherever the step
+        # moves Phi by more than an ulp of its value (to the left of 7); at
+        # single ulps a fall is within the 4e-16 error
+        steps = np.arange(-200, 201)
+        wide = np.diff(_lattice_cdf(switch + 1e-9 * steps))
+        assert np.all(wide >= 0.0)
+        if -10.0 < switch <= 0.0:
+            assert np.all(wide > 0.0)
+        ulps = _lattice_cdf(switch + np.spacing(max(abs(switch), 1e-300)) * steps)
+        assert np.all(np.diff(ulps) >= -4e-16)
+
+    @pytest.mark.parametrize("switch, step", [
+        (0.075, 1e-12), (0.925, 1e-12), (math.exp(-25.0), 1e-20), (1.0 - math.exp(-25.0), 1e-15),
+    ])
+    def test_quantile_monotone_across_each_switch(self, switch, step):
+        # each step moves Phi^-1 by far more than its error, so it rises;
+        # at single ulps the rationals on either side of a switch may differ
+        # by an ulp or so of y, within the 1e-15 relative error
+        steps = np.arange(-200, 201)
+        assert np.all(np.diff(_lattice_quantile(switch + step * steps)) > 0.0)
+        ulps = _lattice_quantile(switch + np.spacing(switch) * steps)
+        assert np.all(np.diff(ulps) >= -1e-15 * np.abs(ulps[1:]).clip(1.0))
+
+
 class TestQmcLattice:
     def test_independence_product_4d(self):
         c = 1.959963984540054
@@ -488,6 +583,12 @@ class TestQmcLattice:
         infinite = lattice.estimate(np.where(lower < -1e100, -INF, lower),
                                     np.where(upper > 1e100, INF, upper))
         assert far == infinite
+        # near-perfect correlation: a bound over its conditional sd, about
+        # 1e-3, passes the largest double and is infinite
+        corr = CorrelationMatrix(np.eye(3) * 1e-6 + np.full((3, 3), 1.0 - 1e-6))
+        lattice = QmcLattice(corr, seed=2)
+        far = lattice.estimate(np.full(3, -1e308), np.array([1e308, 1e308, 0.5]))
+        assert far == lattice.estimate(np.full(3, -INF), np.array([INF, INF, 0.5]))
 
     def test_deterministic_given_seed(self):
         corr = CorrelationMatrix(np.eye(4) * 0.5 + np.full((4, 4), 0.5))
@@ -681,6 +782,24 @@ class TestQmcLattice:
             assert lattice.estimate(*box_b) != first
             assert lattice.estimate(*box_a) == first
             assert fresh.estimate(*box_a) == first
+
+    def test_refine_does_not_load_scipy_special(self):
+        # a fresh interpreter refines boxes at dims 3, 8 and 12, one with
+        # -inf lower bounds, on numpy alone
+        code = """
+import sys
+import numpy as np
+from platformdesign.mvnorm import CorrelationMatrix, QmcLattice
+for dim in (3, 8, 12):
+    corr = CorrelationMatrix(np.eye(dim) * 0.6 + np.full((dim, dim), 0.4))
+    for lower in (np.full(dim, -2.5), np.full(dim, -np.inf)):
+        estimate = QmcLattice(corr, seed=dim).refine(lower, np.full(dim, 2.5), 1e-4)
+        assert 0.0 < estimate.value < 1.0 and estimate.stderr <= 1e-4
+print("scipy.special" in sys.modules)
+"""
+        proc = run_python("-W", "error", "-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
 
     def test_lattice_needs_two_dimensions(self):
         with pytest.raises(DomainError):
