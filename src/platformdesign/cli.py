@@ -152,7 +152,7 @@ def cmd_adjust(args) -> int:
         {
             "metric": metric.kind,
             "alpha": metric.alpha,
-            "m": metric.m,
+            "m": metric.exceedance_count,
             "sided": metric.effective_sided,
             "z_correlation": _z_report(z_corr.entries),
             "critical_value": result.critical_value,

@@ -301,7 +301,8 @@ def _tail_count_statistic(
 ) -> np.ndarray:
     """T(u) of :func:`platform_threshold`'s radial integration for
     ``replications`` null directions u: the m-th largest exceedance
-    statistic of a draw over the norm of the draw's normals.
+    statistic of a draw over the norm of the draw's normals, which for an
+    odd dim are dim + 1, the last in the norm only.
 
     The draws come in blocks of ``_POOL_BLOCK``.  Block b is standard
     normals from the stream (seed, 1, b), drawn once per process while they
@@ -320,7 +321,7 @@ def _tail_count_statistic(
     stat = np.empty(replications)
     for start in range(0, replications, _POOL_BLOCK):
         size = min(_POOL_BLOCK, replications - start)
-        draws = _block_normals(key, start // _POOL_BLOCK, dim, size)
+        draws = _block_normals(key, start // _POOL_BLOCK, dim + dim % 2, size)
         # top[0] >= ... >= top[m - 1], the m largest of the rows so far
         top = [np.full(size, -np.inf) for _ in range(m)]
         row, spare = np.empty(size), np.empty(size)
@@ -343,22 +344,20 @@ def _tail_count_statistic(
 
 def _radial_level(stat: np.ndarray, dim: int) -> Callable:
     """The pool's level at c >= 0, the mean over directions of P(chi_dim >
-    c / T), 0 where T <= 0, as ``law(c)``, which returns it and its slope in
-    c; ``law(c, spread=True)`` returns the mean squared term instead.
+    c / T) for an even ``dim``, 0 where T <= 0, as ``law(c)``, which returns
+    it and its slope in c; ``law(c, spread=True)`` returns the mean squared
+    term instead.
 
-    With s = 1 / T, y = s^2, w = c^2 / 2 and E = e^(-w y), the tail is E
-    sum_a (w y)^a / Gamma(a + 1) over a = 0, 1, ... up to dim/2 - 1; for odd
-    dim over a = 1/2, 3/2, ..., where (w y)^(1/2) = sqrt(w) s, plus 2 Phi(-c
-    s) = E erfcx(c s / sqrt(2)) (Genz & Bretz 2009, ch. 4).  So the level
-    sums over directions first: one exponential each, then the moments sum_i
-    y_i^a E_i (s_i y_i^a E_i for odd dim) weighted by w^a / Gamma(a + 1),
-    and the slope, the mean of -c^(dim-1) s^dim E / (2^(dim/2-1)
-    Gamma(dim/2)), is the next moment.  T is raised to 2^(-960/dim) so that
-    the moments stay finite, which moves no term at c > 4e-23 for dim <= 12;
-    c is cut to 1000, past which every term is 0.
+    With y = 1 / T^2, w = c^2 / 2 and E = e^(-w y), the tail is the Poisson
+    sum E sum_a (w y)^a / a! over a = 0, 1, ..., dim/2 - 1 (Genz & Bretz
+    2009, ch. 4).  So the level sums over directions first: one exponential
+    each, then the moments sum_i y_i^a E_i weighted by w^a / a!, and the
+    slope, the mean of -c^(dim-1) y^(dim/2) E / (2^(dim/2-1) (dim/2 - 1)!),
+    is the next moment.  T is raised to 2^(-960/dim) so that the moments
+    stay finite, which moves no term at c > 4e-23 for dim <= 12; c is cut to
+    1000, past which every term is 0.
     """
-    size, base = stat.size, 0.5 * (dim % 2)
-    s = np.reciprocal(np.maximum(stat[stat > 0.0], 2.0 ** -(960 // dim)))
+    size, s = stat.size, np.reciprocal(np.maximum(stat[stat > 0.0], 2.0 ** -(960 // dim)))
     y, power = s * s, np.empty(s.size)
     constant = 2.0 ** (0.5 * dim - 1.0) * math.gamma(0.5 * dim)
 
@@ -367,18 +366,10 @@ def _radial_level(stat: np.ndarray, dim: int) -> Callable:
         w, level = 0.5 * c * c, 0.0
         terms = np.zeros(s.size) if spread else None
         np.exp(np.multiply(y, -w, out=power), out=power)
-        if base:
-            # imported here: a platform's dim 2K is even, and scipy.special
-            # is most of a CLI call's import time
-            from scipy.special import erfcx
-
-            terms = erfcx(s * (c * math.sqrt(0.5))) * power
-            level = float(terms.sum())
-            np.multiply(power, s, out=power)
         for a in range(dim // 2):
             if a:
                 np.multiply(power, y, out=power)
-            weight = w ** (a + base) / math.gamma(a + base + 1.0)
+            weight = w ** a / math.gamma(a + 1.0)
             if spread:
                 terms += weight * power
             else:
@@ -512,7 +503,10 @@ def platform_threshold(
     direction u, at least m statistics exceed c exactly when R > c / T(u), T
     the direction's m-th largest statistic over its norm
     (:func:`_tail_count_statistic`).  So the level is the mean over
-    directions of P(chi_dim > c / T), and 0 where T <= 0: a smooth
+    directions of P(chi_dim > c / T), and 0 where T <= 0.  An odd dim draws
+    one more normal W per direction, into the norm only: with Z = L X, |(X,
+    W)| ~ chi_(dim+1) is independent of the direction of (X, W), so the level
+    is exactly the mean of P(chi_(dim+1) > c / T).  It is a smooth
     deterministic function of c with a closed-form slope, summed over the
     directions as power moments (:func:`_radial_level`), one exponential per
     direction per evaluation, and solved by the same search from the Markov
@@ -564,7 +558,8 @@ def platform_threshold(
         c_star, achieved = float(c_values[0]), float(levels[0])
     else:
         count, sided = metric.exceedance_count, metric.effective_sided
-        law = _radial_level(_tail_count_statistic(z_corr, count, sided, replications, seed), dim)
+        stat = _tail_count_statistic(z_corr, count, sided, replications, seed)
+        law = _radial_level(stat, dim + dim % 2)
 
         def level(c: np.ndarray, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             return tuple(np.array([value]) for value in law(float(c[0])))

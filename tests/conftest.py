@@ -16,7 +16,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import erfcx, ndtr
+from scipy.special import ndtr
 from scipy.stats import multivariate_normal, norm
 
 from platformdesign.allocation import Allocation, _contrasts, _largest_remainder, _noncentralities
@@ -315,26 +315,23 @@ def mc_error_rates(z_corr, c: float, count: int, seed: int) -> dict:
 
 
 def chi_tail(x, dim: int):
-    """P(chi_dim > x) and the chi_dim density at x, elementwise for x >= 0,
-    each element on its own.
+    """P(chi_dim > x) and the chi_dim density at x for an even ``dim``,
+    elementwise for x >= 0, each element on its own.
 
     With t = x^2 / 2 the tail is e^-t sum_a t^a / Gamma(a + 1) over a =
-    dim/2 - 1, dim/2 - 2, ... down to 0 for even dim, and to 1/2 for odd dim,
-    which also adds 2 Phi(-x) = e^-t erfcx(x / sqrt(2)) (Genz & Bretz 2009,
-    ch. 4); the density is x e^-t t^(dim/2 - 1) / Gamma(dim/2).  The sum is
-    taken by Horner's rule and e^-t as two factors e^(-t/2), so nothing
-    underflows before the result does; past sqrt(dim) + 40 both are 0 in
-    double precision, and x is cut there so that the powers of t stay finite.
+    dim/2 - 1, dim/2 - 2, ..., 0 (Genz & Bretz 2009, ch. 4); the density is
+    x e^-t t^(dim/2 - 1) / Gamma(dim/2).  The sum is taken by Horner's rule
+    and e^-t as two factors e^(-t/2), so nothing underflows before the
+    result does; past sqrt(dim) + 40 both are 0 in double precision, and x
+    is cut there so that the powers of t stay finite.
     """
     x = np.minimum(x, math.sqrt(dim) + 40.0)
     t = x * x * 0.5
     half = np.exp(t * -0.5)
-    lowest, top = 0.5 * (dim % 2), 0.5 * dim - 1.0
+    top = 0.5 * dim - 1.0
     tail = np.ones(x.size)
-    for a in np.arange(top, lowest, -1.0):
+    for a in np.arange(top, 0.0, -1.0):
         tail = tail * t / a + 1.0
-    if lowest:  # t^(1/2) / Gamma(3/2)
-        tail = tail * x * math.sqrt(2.0 / math.pi) + erfcx(x * math.sqrt(0.5))
     tail = tail * half * half
     density = np.power(t, top) * x * half * half / math.gamma(top + 1.0)
     return tail, density
@@ -344,7 +341,9 @@ def pool_threshold_oracle(z_corr, metric, seed: int = 0, replications: int = 65_
     """The count pool's (critical value, achieved level, its standard
     error) with each direction's chi tail taken on its own by
     :func:`chi_tail`: the same pool, bracket and search as
-    ``platform_threshold``, and the stderr from the last level's terms."""
+    ``platform_threshold``, and the stderr from the last level's terms.  An
+    odd dim's pool draws one more normal per direction, into its norm only,
+    so its tail is that of chi_(dim+1)."""
     from platformdesign import multiplicity
 
     stat = multiplicity._tail_count_statistic(
@@ -353,7 +352,7 @@ def pool_threshold_oracle(z_corr, metric, seed: int = 0, replications: int = 65_
     scale, squares = 1.0 / stat[stat > 0.0], [0.0]
 
     def level(c, active):
-        tail, density = chi_tail(scale * c[0], z_corr.dim)
+        tail, density = chi_tail(scale * c[0], z_corr.dim + z_corr.dim % 2)
         squares[0] = float(np.einsum("i,i->", tail, tail))
         slope = -float(np.einsum("i,i->", density, scale))
         return np.array([tail.sum() / replications]), np.array([slope / replications])

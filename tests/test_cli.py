@@ -161,6 +161,16 @@ class TestAdjust:
         assert abs(report["achieved"] - 0.05) <= 1e-3
         assert np.asarray(report["z_correlation"]).shape == (4, 4)
 
+    @pytest.mark.parametrize("metric, m, sided", [
+        (["fwer"], 1, "two"), (["fmer"], 2, "two"), (["msfp"], 2, "one"),
+        (["mfwer", "--m", "1"], 1, "two"), (["mfwer", "--m", "2", "--sided", "one"], 2, "one"),
+    ], ids=["fwer", "fmer", "msfp", "mfwer-m1", "mfwer-m2-one"])
+    def test_m_is_the_exceedance_count(self, capsys, metric, m, sided):
+        # fmer and msfp count two exceedances, as m-FWER counts m
+        code, report, _ = _run_json(capsys, "adjust", "--metric", *metric, "--rho", "0.3")
+        assert code == 0
+        assert (report["m"], report["sided"]) == (m, sided)
+
 
 class TestDesign:
     def test_closed_form_case(self, capsys):

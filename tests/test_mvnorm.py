@@ -7,7 +7,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from conftest import bvn_rectangle, mp_orthant, run_python
+from conftest import bvn_rectangle, mp_orthant
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -782,24 +782,6 @@ class TestQmcLattice:
             assert lattice.estimate(*box_b) != first
             assert lattice.estimate(*box_a) == first
             assert fresh.estimate(*box_a) == first
-
-    def test_refine_does_not_load_scipy_special(self):
-        # a fresh interpreter refines boxes at dims 3, 8 and 12, one with
-        # -inf lower bounds, on numpy alone
-        code = """
-import sys
-import numpy as np
-from platformdesign.mvnorm import CorrelationMatrix, QmcLattice
-for dim in (3, 8, 12):
-    corr = CorrelationMatrix(np.eye(dim) * 0.6 + np.full((dim, dim), 0.4))
-    for lower in (np.full(dim, -2.5), np.full(dim, -np.inf)):
-        estimate = QmcLattice(corr, seed=dim).refine(lower, np.full(dim, 2.5), 1e-4)
-        assert 0.0 < estimate.value < 1.0 and estimate.stderr <= 1e-4
-print("scipy.special" in sys.modules)
-"""
-        proc = run_python("-W", "error", "-c", code)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False"]
 
     def test_lattice_needs_two_dimensions(self):
         with pytest.raises(DomainError):

@@ -2,9 +2,10 @@
 module's object, and ``import platformdesign`` alone loads no module."""
 
 import importlib
+import json
 
 import pytest
-from conftest import run_python
+from conftest import FIXTURE_INDEPENDENT_CSV, run_python
 
 import platformdesign
 
@@ -45,3 +46,57 @@ def test_import_loads_neither_numpy_nor_a_module():
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+_WITHOUT_SCIPY = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None  # any import of scipy, or of a module in it, fails
+import numpy as np
+from platformdesign.cli import main
+from platformdesign.correlation import ArmCorrelations, PlatformArms, platform_z_correlation_matrix
+from platformdesign.multiplicity import ErrorMetric, platform_threshold
+from platformdesign.mvnorm import CorrelationMatrix, QmcLattice
+
+# lattice boxes at dims 3, 8 and 12, two-sided and with -inf lower bounds
+for dim in (3, 8, 12):
+    corr = CorrelationMatrix(np.eye(dim) * 0.6 + np.full((dim, dim), 0.4))
+    for lower in (np.full(dim, -2.5), np.full(dim, -np.inf)):
+        estimate = QmcLattice(corr, seed=dim).refine(lower, np.full(dim, 2.5), 1e-4)
+        assert 0.0 < estimate.value < 1.0 and estimate.stderr <= 1e-4
+# m-FWER count pools of odd dims 3 and 5, both sides; a K = 2 count pool and
+# a K = 2 fwer lattice
+table = ArmCorrelations.per_substudy((0.3, 0.2), (0.5, 0.4))
+k2 = platform_z_correlation_matrix(PlatformArms(120.0, (60.0, 60.0), (60.0, 60.0), table))
+solves = [(CorrelationMatrix(np.eye(dim) * 0.7 + np.full((dim, dim), 0.3)),
+           ErrorMetric.mfwer(2, 0.05, sided)) for dim in (3, 5) for sided in ("two", "one")]
+for corr, metric in [*solves, (k2, ErrorMetric.mfwer(2, 0.05)), (k2, ErrorMetric.fwer())]:
+    assert abs(platform_threshold(corr, metric).achieved - 0.05) <= 1e-8, (corr.dim, metric)
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print(sys.modules["scipy"] is None)
+"""
+
+
+def test_the_package_runs_without_scipy(tmp_path):
+    # scipy is a test oracle only: with it blocked, a fresh interpreter runs
+    # the lattice, odd- and even-dimension count pools and every subcommand
+    path = tmp_path / "pdx.csv"
+    path.write_text(FIXTURE_INDEPENDENT_CSV, encoding="utf-8")
+    small_grid = ["--start", "0", "--stop", "0.5", "--step", "0.5"]
+    calls = [
+        ["adjust", "--rho", "0.461"],
+        ["adjust", "--metric", "mfwer", "--m", "2", "--k", "2", "--n-a", "120", "--n-b", "60",
+         "60", "--n-ab", "60", "60", "--rho-ab-a", "0.3", "0.2", "--rho-ab-b", "0.5", "0.4"],
+        ["design", "--delta", "0.663", "--synergy", "1.161", "--rho-ab-a", "0.626",
+         "--rho-ab-b", "0.660", "--metric", "fwer"],
+        ["estimate", "--input", str(path), "--drug-a", "A", "--drug-b", "B", "--combo", "AB",
+         "--with-thresholds"],
+        *(["simulate", "--study", study, *small_grid]
+          for study in ("error-curves", "adjustments", "thresholds")),
+        ["simulate", "--study", "design-surface", "--start", "0.5", "--stop", "1.0", "--step",
+         "0.5", "--rho-levels", "0.3"],
+    ]
+    proc = run_python("-W", "error", "-c", _WITHOUT_SCIPY, json.dumps(calls))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"]
