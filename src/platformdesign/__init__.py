@@ -18,12 +18,11 @@ _EXPORTS = {
     "correlation": ("ArmCorrelations", "PlatformArms", "classical_dunnett_correlation",
                     "platform_z_correlation_matrix"),
     "estimation": ("PairedEndpointTable", "Table1Result", "TrialEstimates", "estimate_trial",
-                   "ingest_csv", "pooled_sd", "table1_pipeline"),
+                   "ingest_csv", "table1_pipeline"),
     "multiplicity": ("ErrorMetric", "ThresholdResult", "bivariate_error_rates",
                      "platform_threshold"),
-    "mvnorm": ("CorrelationMatrix", "QmcLattice", "std_normal_cdf", "std_normal_quantile"),
-    "power": ("DesignResult", "SampleSizeResult", "design", "find_sample_size",
-              "marginal_power_oracle"),
+    "mvnorm": ("CorrelationMatrix",),
+    "power": ("DesignResult", "SampleSizeResult", "design", "find_sample_size"),
     "studies": ("GridSpec", "ResultTable", "run_adjustment_comparison", "run_design_surface",
                 "run_error_curves", "run_threshold_curves"),
 }

@@ -23,14 +23,13 @@ from .errors import DomainError, InsufficientData, ParseError, SchemaError, Zero
 from .multiplicity import (
     DEFAULT_TARGETS, ThresholdResult, bivariate_error_rates, platform_threshold,
 )
-from .mvnorm import std_normal_quantile
+from .mvnorm import _std_normal_quantile
 
 __all__ = [
     "PairedEndpointTable",
     "TrialEstimates",
     "Table1Result",
     "ingest_csv",
-    "pooled_sd",
     "estimate_trial",
     "table1_pipeline",
 ]
@@ -150,24 +149,6 @@ def ingest_csv(
     return PairedEndpointTable.from_records(records, duplicates)
 
 
-def pooled_sd(sd1: float, n1: int, sd2: float, n2: int) -> float:
-    """Two-sample pooled standard deviation; :class:`DomainError` for an SD
-    that is negative or not finite, and for a pooled variance that
-    overflows."""
-    if n1 < 1 or n2 < 1 or n1 + n2 < 3:
-        raise DomainError(f"need n1 + n2 >= 3 with both positive, got {n1}, {n2}")
-    sd1, sd2 = float(sd1), float(sd2)
-    if not (0.0 <= sd1 < math.inf and 0.0 <= sd2 < math.inf):
-        raise DomainError(f"standard deviations must be finite and nonnegative, got {sd1}, {sd2}")
-    try:
-        variance = ((n1 - 1) * sd1**2 + (n2 - 1) * sd2**2) / (n1 + n2 - 2)
-    except OverflowError:  # a square; finite squares may still sum to inf
-        variance = math.inf
-    if math.isinf(variance):
-        raise DomainError(f"the pooled variance of SDs {sd1:g} and {sd2:g} overflows")
-    return math.sqrt(variance)
-
-
 @dataclass(frozen=True)
 class TrialEstimates:
     """Estimated design inputs for one synthetic (A, B, A+B) trial.
@@ -256,11 +237,12 @@ def estimate_trial(
     pooled = []
     for arm, sd in ((combo, sd_ab), (drug_b, sd_b)):
         try:
-            pooled.append(pooled_sd(sd, n, sd_a, n))
-        except DomainError:  # the arms' SDs are finite, so their pool overflows
-            raise DomainError(
-                f"the pooled SD of {arm!r} and {drug_a!r} is not a finite number"
-            ) from None
+            variance = ((n - 1) * sd**2 + (n - 1) * sd_a**2) / (2 * n - 2)
+        except OverflowError:  # a square; finite squares may still sum to inf
+            variance = math.inf
+        if variance == math.inf:
+            raise DomainError(f"the pooled SD of {arm!r} and {drug_a!r} is not a finite number")
+        pooled.append(math.sqrt(variance))
     delta_ab = float((mean_ab - mean_a) / pooled[0])
     delta_b = float((mean_b - mean_a) / pooled[1])
     s_hat = delta_ab / delta_b if delta_b != 0.0 else math.nan
@@ -314,6 +296,6 @@ def table1_pipeline(estimates: TrialEstimates) -> Table1Result:
     thresholds = {metric.kind: platform_threshold(z_corr, metric) for metric in DEFAULT_TARGETS}
     return Table1Result(
         rho=rho,
-        unadjusted=bivariate_error_rates(rho, std_normal_quantile(0.975)),
+        unadjusted=bivariate_error_rates(rho, _std_normal_quantile(0.975)),
         thresholds=thresholds,
     )

@@ -18,11 +18,11 @@ from .errors import DomainError, RootBracketError
 from .mvnorm import (
     _SQRT_2PI,
     CorrelationMatrix,
-    QmcLattice,
-    RectangleEstimate,
     _equal_orthant,
-    std_normal_cdf,
-    std_normal_quantile,
+    _QmcLattice,
+    _RectangleEstimate,
+    _std_normal_cdf,
+    _std_normal_quantile,
 )
 
 __all__ = [
@@ -115,7 +115,7 @@ class ThresholdResult:
 
 def _p_threshold(c: float) -> float:
     # the exact tail 2 Phi(-c); 1 - Phi(c) would cancel away a small p's digits
-    return 2.0 * std_normal_cdf(-c)
+    return 2.0 * _std_normal_cdf(-c)
 
 
 def _solve_decreasing(
@@ -229,12 +229,12 @@ def _bivariate_levels(rho, c, laws) -> tuple[list, list]:
     two_sided = any(sided == "two" for _, sided in laws)
     r = np.multiply.outer((1.0, -1.0), rho) if two_sided else rho[None]
     size = np.abs(c)
-    tail = std_normal_cdf(-size)
+    tail = _std_normal_cdf(-size)
     with np.errstate(divide="ignore", invalid="ignore"):
         a = np.sqrt((1.0 - r) / (1.0 + r))
         # c a: infinite at r = -1, but 0 at c = 0, and 0 at r = 1 whatever c
         shift = np.where((size == 0.0) | (r == 1.0), 0.0, size * a)
-    conditional = std_normal_cdf(-shift)
+    conditional = _std_normal_cdf(-shift)
     orthant = _equal_orthant(size, a, tail, conditional)
     negative = c < 0.0
     if negative.any():
@@ -399,7 +399,7 @@ def _bracket(metric: ErrorMetric, dim: int, rho) -> tuple[np.ndarray, np.ndarray
     tail = 2.0 if metric.effective_sided == "two" else 1.0
 
     def quantile(t: float) -> float:  # the c at which t(c) = t
-        return -std_normal_quantile(t / tail)
+        return -_std_normal_quantile(t / tail)
 
     rho = np.asarray(rho, dtype=float)
     alpha, m = metric.alpha, metric.exceedance_count
@@ -485,7 +485,7 @@ def platform_threshold(
     bivariate normal, whose slope is closed form, so ``achieved_stderr`` is
     0 and ``precision``, ``seed`` and ``replications`` are validated but
     unused.  With more, the level is a randomized quasi-Monte Carlo
-    rectangle probability on one :class:`QmcLattice` per solve, which takes
+    rectangle probability on one :class:`_QmcLattice` per solve, which takes
     the statistics in an order fixed by ``z_corr`` (smallest residual
     variance first).  Its points grow at the bracket's upper end until the
     level's standard error is at most ``precision``, then stay fixed, so the
@@ -529,8 +529,8 @@ def platform_threshold(
         c_values, levels = _bivariate_critical_values(rho, (metric,))
         c_star, achieved, stderr = float(c_values[0, 0]), float(levels[0, 0]), 0.0
     elif metric.exceedance_count == 1:
-        lattice, (low, high) = QmcLattice(z_corr, seed), _bracket(metric, dim, rho)
-        estimates: list[RectangleEstimate] = []
+        lattice, (low, high) = _QmcLattice(z_corr, seed), _bracket(metric, dim, rho)
+        estimates: list[_RectangleEstimate] = []
 
         def level(c: np.ndarray, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             upper = np.full(dim, float(c[0]))

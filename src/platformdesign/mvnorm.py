@@ -12,7 +12,7 @@ validated and factored with diagonal jitter, and rectangle probabilities:
   correlations, as is the normal cdf;
 * higher dimensions use a randomized separation-of-variables estimate
   (shifted Richtmyer lattices after the sequential-conditioning transform)
-  with a reported standard error.  A :class:`QmcLattice` holds its points
+  with a reported standard error.  A :class:`_QmcLattice` holds its points
   for one correlation matrix, so every box evaluated on it sees the same
   points: a root finder over box bounds then sees a smooth, deterministic
   objective, and each evaluation also returns that objective's derivative
@@ -42,13 +42,7 @@ import numpy as np
 
 from .errors import DomainError, NotPositiveDefinite, PrecisionUnreachable
 
-__all__ = [
-    "std_normal_cdf",
-    "std_normal_quantile",
-    "CorrelationMatrix",
-    "QmcLattice",
-    "RectangleEstimate",
-]
+__all__ = ["CorrelationMatrix"]
 
 _SYMMETRY_TOL = 1e-10
 # the largest diagonal jitter a CorrelationMatrix adds to factor its matrix
@@ -58,7 +52,7 @@ _MAX_JITTER = 1e-8
 _SQRT2 = math.sqrt(2.0)
 
 
-def std_normal_cdf(x):
+def _std_normal_cdf(x):
     """Standard normal cdf via the complementary error function: a float for
     a number, and for an array the array of ``math.erfc`` values entry by
     entry, so both agree to the last bit."""
@@ -72,8 +66,8 @@ def std_normal_cdf(x):
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
-def std_normal_quantile(p: float) -> float:
-    """Inverse of :func:`std_normal_cdf` on (0, 1), to ~1e-15 relative error.
+def _std_normal_quantile(p: float) -> float:
+    """Inverse of :func:`_std_normal_cdf` on (0, 1), to ~1e-15 relative error.
 
     Halley steps from the Abramowitz-Stegun 26.2.23 guess (or the linear one
     near the median) solve for the upper-tail quantile x of q = min(p, 1 - p),
@@ -250,13 +244,13 @@ def _unequal_orthant(h, k, r) -> np.ndarray:
     r = -1 it is 0.  The bounds are clipped as the kernel clips them.
     """
     h, k = (np.minimum(np.maximum(c, 1e-150), _FAR) for c in (h, k))
-    *pairs, r = np.broadcast_arrays(h, k, std_normal_cdf(-h), std_normal_cdf(-k), r)
+    *pairs, r = np.broadcast_arrays(h, k, _std_normal_cdf(-h), _std_normal_cdf(-k), r)
     c, tail = np.stack(pairs[:2]), np.stack(pairs[2:])
     singular = np.abs(r) == 1.0
     spread = np.sqrt(np.where(singular, 1.0, (1.0 - r) * (1.0 + r)))
     # c a for each half: the other bound's distance past its conditional mean
     shift = (c[::-1] - r * c) / spread
-    half = _equal_orthant(c, np.abs(shift) / c, tail, std_normal_cdf(-np.abs(shift)))
+    half = _equal_orthant(c, np.abs(shift) / c, tail, _std_normal_cdf(-np.abs(shift)))
     half = np.where(shift < 0.0, 2.0 * tail - half, half)
     return np.where(singular, np.where(r > 0.0, np.minimum(*tail), 0.0), (half[0] + half[1]) / 2.0)
 
@@ -266,7 +260,7 @@ def _unequal_orthant(h, k, r) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class RectangleEstimate(NamedTuple):
+class _RectangleEstimate(NamedTuple):
     """A box probability; ``n_points`` counts every point its lattice has drawn,
     and ``slope`` is d value / dt for the box pushed outward by t."""
 
@@ -412,7 +406,7 @@ def _smallest_residual_order(matrix: np.ndarray) -> np.ndarray:
     return np.array(order)
 
 
-class QmcLattice:
+class _QmcLattice:
     """Randomly shifted Richtmyer lattices for one correlation matrix.
 
     Twelve shifted copies of one lattice are drawn, tent-periodized and
@@ -431,8 +425,6 @@ class QmcLattice:
 
     def __init__(self, correlation: CorrelationMatrix, seed: int = 0):
         dim = correlation.dim
-        if dim < 2:
-            raise DomainError("a lattice needs at least two dimensions")
         self.order = _smallest_residual_order(correlation.entries)
         self.factor = CorrelationMatrix(correlation.entries[np.ix_(self.order, self.order)]).factor
         # each variable's conditional sd ct, the factor's rows over it, and
@@ -466,16 +458,16 @@ class QmcLattice:
         # tent periodization
         self._points = np.abs(2.0 * z - 1.0).reshape(self._generators.size, -1)
 
-    def estimate(self, lower: np.ndarray, upper: np.ndarray) -> RectangleEstimate:
+    def estimate(self, lower: np.ndarray, upper: np.ndarray) -> _RectangleEstimate:
         """P(lower <= Z <= upper) on the current points, all batches at once,
         with its slope: the derivative in t of the box (lower - t, upper + t)
         at t = 0, infinite bounds held fixed.
 
-        Bounds must have shape (dim,) and no NaN (:class:`DomainError`).
-        Past the first variable, whose two cdfs are ``math.erfc`` values,
-        Phi and Phi^-1 are the numpy rationals :func:`_cdf_rational` and
-        :func:`_quantile_rational`, both bounds of a variable in one call;
-        they are precise in absolute terms, as the estimate needs.  The
+        Bounds have shape (dim,).  Past the first variable, whose two cdfs
+        are ``math.erfc`` values, Phi and Phi^-1 are the numpy rationals
+        :func:`_cdf_rational` and :func:`_quantile_rational`, both bounds of
+        a variable in one call; they are precise in absolute terms, as the
+        estimate needs.  The
         slope is carried through the same pass in forward mode: each bound's
         cdf contributes its density, which Phi's rational reuses, times the
         bound's derivative, and each transformed point y = Phi^-1(u) the
@@ -485,12 +477,6 @@ class QmcLattice:
         factor, points = self._scaled, self._points
         dim = factor.shape[0]
         lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
-        if lower.shape != (dim,) or upper.shape != (dim,):
-            raise DomainError(
-                f"box bounds must have shape ({dim},), got {lower.shape} and {upper.shape}"
-            )
-        if np.isnan(lower).any() or np.isnan(upper).any():
-            raise DomainError("box bounds must not be NaN")
         # the bounds over each variable's conditional sd, as columns; one
         # that passes the largest double is infinite, as it is in effect
         with np.errstate(over="ignore"):
@@ -560,11 +546,11 @@ class QmcLattice:
         means = prob.reshape(_N_BATCHES, -1).mean(axis=1)
         value = float(means.mean())
         stderr = float(means.std(ddof=1) / math.sqrt(_N_BATCHES))
-        return RectangleEstimate(
+        return _RectangleEstimate(
             min(1.0, max(0.0, value)), stderr, self.total_points, float(slope.mean())
         )
 
-    def refine(self, lower: np.ndarray, upper: np.ndarray, precision: float) -> RectangleEstimate:
+    def refine(self, lower: np.ndarray, upper: np.ndarray, precision: float) -> _RectangleEstimate:
         """Grow until the estimate of this box has standard error at most
         ``precision``; :class:`PrecisionUnreachable` beyond 2^22 points."""
         while True:

@@ -26,18 +26,17 @@ from .errors import BudgetExceeded, DomainError
 from .multiplicity import (
     ThresholdResult, _bivariate_critical_values, _check_solver_settings, platform_threshold,
 )
-from .mvnorm import _SQRT_2PI, CorrelationMatrix, std_normal_cdf, std_normal_quantile
+from .mvnorm import _SQRT_2PI, CorrelationMatrix, _std_normal_cdf, _std_normal_quantile
 
 __all__ = [
     "SampleSizeResult",
     "DesignResult",
-    "marginal_power_oracle",
     "find_sample_size",
     "design",
 ]
 
 
-def marginal_power_oracle(W, c):
+def _power(W, c):
     """Exact two-sided rejection probability for one comparison;
     elementwise over arrays of noncentralities and critical values.
 
@@ -46,12 +45,8 @@ def marginal_power_oracle(W, c):
     cdf(-c - sqrt(W)).  Every power the sample-size search reports is this
     function of a design's smallest noncentrality.
     """
-    if np.any(np.asarray(W) < 0):
-        raise DomainError("noncentrality must be nonnegative")
-    if np.any(np.asarray(c) <= 0):
-        raise DomainError("critical value must be positive")
     shift = np.sqrt(W)
-    return 1.0 - std_normal_cdf(c - shift) + std_normal_cdf(-c - shift)
+    return 1.0 - _std_normal_cdf(c - shift) + _std_normal_cdf(-c - shift)
 
 
 @dataclass(frozen=True)
@@ -87,8 +82,8 @@ def _smallest_noncentrality(counts, mu, rho, sigma2) -> np.ndarray:
 
 def _noncentrality_floor(critical_values, target_power: float) -> tuple[np.ndarray, np.ndarray]:
     """A noncentrality floor and ceiling for each critical value c: every W
-    under the floor has ``marginal_power_oracle(W, c)`` below
-    ``target_power``, and every W at or over the ceiling has it at or above.
+    under the floor has ``_power(W, c)`` below ``target_power``, and every
+    W at or over the ceiling has it at or above.
 
     They are W*(c) (1 -+ 1e-6), where W* has power exactly the target.
     Power is increasing in s = sqrt(W), with slope phi(c - s) - phi(c + s);
@@ -108,11 +103,11 @@ def _noncentrality_floor(critical_values, target_power: float) -> tuple[np.ndarr
     if not np.isfinite(critical).all():
         raise DomainError("critical value must be finite")
     root = np.zeros(critical.shape)  # sqrt(W*)
-    solve = target_power > 2.0 * std_normal_cdf(-critical)
+    solve = target_power > 2.0 * _std_normal_cdf(-critical)
     c = critical[solve]
-    s = c + std_normal_quantile(target_power)
+    s = c + _std_normal_quantile(target_power)
     for _ in range(_NEWTON_STEPS):
-        tails = std_normal_cdf(np.stack((c - s, -c - s)))
+        tails = _std_normal_cdf(np.stack((c - s, -c - s)))
         slope = (np.exp(-0.5 * (c - s) ** 2) - np.exp(-0.5 * (c + s) ** 2)) / _SQRT_2PI
         step = (1.0 - tails[0] + tails[1] - target_power) / slope
         # never more than halve s, so it stays positive
@@ -121,7 +116,7 @@ def _noncentrality_floor(critical_values, target_power: float) -> tuple[np.ndarr
             break
     root[solve] = s
     floor, ceiling = (1.0 - _RELATIVE_GAP) * root * root, (1.0 + _RELATIVE_GAP) * root * root
-    power = marginal_power_oracle(np.stack((floor, ceiling)), critical)
+    power = _power(np.stack((floor, ceiling)), critical)
     floor = np.where(power[0] < target_power - _POWER_MARGIN, floor, 0.0)
     return floor, np.where(power[1] >= target_power + _POWER_MARGIN, ceiling, np.inf)
 
@@ -245,7 +240,7 @@ def _scan_totals(
         while candidate.any():
             r, m = np.nonzero(candidate.any(axis=2))
             j = candidate[r, m].argmax(axis=1)
-            power = marginal_power_oracle(w[r, j], c[rows[r], m])
+            power = _power(w[r, j], c[rows[r], m])
             hit = power >= target_power
             n_star[rows[r[hit]], m[hit]] = totals[r[hit], j[hit]]
             powers[rows[r[hit]], m[hit]] = power[hit]
@@ -288,7 +283,7 @@ def find_sample_size(
     while True:
         totals = np.arange(min_n, end + 1)
         counts = _largest_remainder(ratios, totals)
-        powers = marginal_power_oracle(_smallest_noncentrality(counts, mu, rho, sigma2), c)
+        powers = _power(_smallest_noncentrality(counts, mu, rho, sigma2), c)
         hits = np.flatnonzero(powers >= target_power)
         if hits.size:
             break

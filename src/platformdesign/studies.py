@@ -33,7 +33,7 @@ from .multiplicity import (
     _p_threshold,
     bivariate_error_rates,
 )
-from .mvnorm import _unequal_orthant, std_normal_quantile
+from .mvnorm import _std_normal_quantile, _unequal_orthant
 from .power import design
 
 __all__ = [
@@ -294,7 +294,7 @@ def run_error_curves(grid: GridSpec) -> ResultTable:
     """Unadjusted error rates at the conventional critical value (study 1)."""
     # rows by (allocation, sweep point, metric)
     z_rho, leading = _sweep(grid, grid.allocations, metric=_METRICS)
-    rates = bivariate_error_rates(z_rho, std_normal_quantile(0.975))
+    rates = bivariate_error_rates(z_rho, _std_normal_quantile(0.975))
     return ResultTable.from_columns(
         **leading,
         value=np.stack([rates[metric] for metric in _METRICS], axis=-1),
@@ -331,9 +331,9 @@ _METHODS = ("noadj", "bonferroni", "holm", "dunnett")
 def run_adjustment_comparison(grid: GridSpec) -> ResultTable:
     """Error rates of the conventional adjustments per grid point (study 2)."""
     alpha = float(grid.fixed.get("alpha", 0.05))
-    c_nominal = std_normal_quantile(0.975)
-    c_bonf = std_normal_quantile(1.0 - alpha / 4.0)
-    c_holm_last = std_normal_quantile(1.0 - alpha / 2.0)
+    c_nominal = _std_normal_quantile(0.975)
+    c_bonf = _std_normal_quantile(1.0 - alpha / 4.0)
+    c_holm_last = _std_normal_quantile(1.0 - alpha / 2.0)
     # rows by (allocation, sweep point, method, metric)
     z_rho, leading = _sweep(grid, grid.allocations, method=_METHODS, metric=_METRICS)
     # the classical comparator's critical value per allocation, in one search

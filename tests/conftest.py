@@ -23,7 +23,7 @@ from platformdesign.allocation import Allocation, _contrasts, _largest_remainder
 from platformdesign.correlation import classical_dunnett_correlation
 from platformdesign.multiplicity import ErrorMetric, platform_threshold
 from platformdesign.mvnorm import CorrelationMatrix
-from platformdesign.power import marginal_power_oracle
+from platformdesign.power import _power
 
 
 def rect_quad_oracle(lower, upper, rho: float) -> float:
@@ -249,15 +249,15 @@ def integer_design_power(scenario, counts, c: float) -> float:
 
 
 def package_design_power(scenario, counts, c: float) -> float:
-    """The package's own power of one integer design: ``marginal_power_oracle``
-    at the smallest of its noncentralities.  Enumerated on this, N* and every
-    power must match the sample-size search bit for bit, as the search only
-    skips totals, it does not compute powers another way."""
+    """The package's own power of one integer design: ``_power`` at the
+    smallest of its noncentralities.  Enumerated on this, N* and every power
+    must match the sample-size search bit for bit, as the search only skips
+    totals, it does not compute powers another way."""
     mu, rho = _contrasts(
         scenario.delta, scenario.synergy, scenario.rho_combo_control, len(counts)
     )
     w = np.min(_noncentralities(np.asarray([counts]), mu, rho, scenario.sigma2), axis=1)
-    return float(marginal_power_oracle(w, c)[0])
+    return float(_power(w, c)[0])
 
 
 def exhaustive_n_star(scenario, alloc, critical_values, target: float, n_max: int):
@@ -273,7 +273,7 @@ def exhaustive_n_star(scenario, alloc, critical_values, target: float, n_max: in
     w = np.min(_noncentralities(counts, mu, rho, scenario.sigma2), axis=1)
     out = []
     for c in critical_values:
-        powers = marginal_power_oracle(w, c)
+        powers = _power(w, c)
         hits = np.flatnonzero(powers >= target)
         out.append((int(totals[hits[0]]), float(powers[hits[0]])) if hits.size else (None, None))
     return out

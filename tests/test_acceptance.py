@@ -41,7 +41,7 @@ from platformdesign.correlation import (
 )
 from platformdesign.multiplicity import ErrorMetric, platform_threshold
 from platformdesign.mvnorm import CorrelationMatrix
-from platformdesign.power import find_sample_size, marginal_power_oracle
+from platformdesign.power import _power, find_sample_size
 from platformdesign.studies import design_surface_grid, run_design_surface, threshold_grid, run_threshold_curves
 
 Z_975 = 1.959963984540054
@@ -325,8 +325,8 @@ def test_criterion_07_power_oracle_equivalence():
         ).min()
         w = wald_noncentrality(scenario, alloc, n)
         exact = min(
-            marginal_power_oracle(float(w[0, 0]), threshold.critical_value),
-            marginal_power_oracle(float(w[0, 1]), threshold.critical_value),
+            _power(float(w[0, 0]), threshold.critical_value),
+            _power(float(w[0, 1]), threshold.critical_value),
         )
         checks.append(
             (abs(mc - exact) <= 0.01, f"scenario {i}: mc {mc:.4f} vs oracle {exact:.4f}")

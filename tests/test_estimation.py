@@ -21,7 +21,6 @@ from platformdesign.estimation import (
     TrialEstimates,
     estimate_trial,
     ingest_csv,
-    pooled_sd,
     table1_pipeline,
 )
 from platformdesign.mvnorm import CorrelationMatrix
@@ -44,45 +43,6 @@ def _synthetic_table(n_models: int = 12, seed: int = 5) -> PairedEndpointTable:
         records.append((model, "drugB", float(value + 0.5 * sd)))
         records.append((model, "drugA+drugB", float(value + 1.0 * sd)))
     return PairedEndpointTable.from_records(records)
-
-
-class TestPooledSd:
-    def test_equal_inputs(self):
-        assert pooled_sd(2.0, 5, 2.0, 9) == 2.0
-
-    def test_hand_value(self):
-        assert pooled_sd(3.0, 10, 0.0, 10) == pytest.approx(math.sqrt(81 / 18), abs=1e-12)
-
-    def test_minimal_counts(self):
-        assert pooled_sd(1.0, 2, 1.0, 2) == 1.0
-
-    def test_lies_between_inputs(self, rng):
-        for _ in range(50):
-            sd1, sd2 = rng.uniform(0.1, 5.0, 2)
-            n1, n2 = rng.integers(2, 50, 2)
-            pooled = pooled_sd(float(sd1), int(n1), float(sd2), int(n2))
-            assert min(sd1, sd2) <= pooled <= max(sd1, sd2)
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            pooled_sd(1.0, 1, 1.0, 1)
-        with pytest.raises(DomainError):
-            pooled_sd(-1.0, 5, 1.0, 5)
-
-    @pytest.mark.parametrize("sd", [math.nan, math.inf])
-    def test_sd_that_is_not_finite_is_refused(self, sd):
-        with pytest.raises(DomainError, match="finite and nonnegative"):
-            pooled_sd(sd, 3, 1.0, 3)
-        with pytest.raises(DomainError, match="finite and nonnegative"):
-            pooled_sd(1.0, 3, sd, 3)
-
-    def test_pooled_variance_that_overflows_is_refused(self):
-        # 1e200 squared overflows; 1e154 squares to a finite 1e308, but 299
-        # of them do not sum to one
-        with pytest.raises(DomainError, match="overflows"):
-            pooled_sd(1e200, 3, 1.0, 3)
-        with pytest.raises(DomainError, match="overflows"):
-            pooled_sd(1e154, 300, 1.0, 3)
 
 
 class TestIngestCsv:
@@ -285,6 +245,24 @@ class TestEstimateTrial:
         )
         with pytest.raises(DomainError, match=f"the mean or SD of '{treatment}' is not a finite"):
             estimate_trial(table, "a", "b", "ab")
+
+    def test_effects_are_standardized_by_the_pooled_sd(self, rng):
+        # with equal arm counts the pooled variance is the mean of the two
+        # arms' variances, so delta times the pooled SD gives back the mean
+        # difference; n = 2 is the fewest models an SD takes
+        for _ in range(50):
+            n = int(rng.integers(2, 30))
+            arms = {t: rng.normal(rng.uniform(-5, 5), rng.uniform(0.1, 5), n)
+                    for t in ("a", "b", "ab")}
+            table = PairedEndpointTable.from_records(
+                [(f"m{i}", t, float(y[i])) for t, y in arms.items() for i in range(n)]
+            )
+            est = estimate_trial(table, "a", "b", "ab", min_triples=2)
+            means = {t: float(np.mean(y)) for t, y in arms.items()}
+            sds = {t: float(np.std(y, ddof=1)) for t, y in arms.items()}
+            for delta, arm in ((est.delta_B, "b"), (est.delta_AB, "ab")):
+                pooled = math.sqrt((sds[arm] ** 2 + sds["a"] ** 2) / 2)
+                assert delta * pooled == pytest.approx(means[arm] - means["a"], rel=1e-12)
 
     def test_a_pooled_sd_that_overflows_is_named(self):
         # each arm's SD is a finite double, 9.2e153, but the sum of the two

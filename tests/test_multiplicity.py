@@ -36,9 +36,9 @@ from platformdesign.multiplicity import (
 )
 from platformdesign.mvnorm import (
     CorrelationMatrix,
-    QmcLattice,
-    RectangleEstimate,
-    std_normal_cdf,
+    _QmcLattice,
+    _RectangleEstimate,
+    _std_normal_cdf,
 )
 
 def _se(rate: float, count: int) -> float:
@@ -123,7 +123,7 @@ def _bivariate_oracle_c(rho, metric):
         inside = rect_quad_oracle((-c, -c), (c, c), rho)
         if metric.exceedance_count == 1:
             return 1.0 - inside
-        return 1.0 - 2.0 * (2.0 * std_normal_cdf(c) - 1.0) + inside
+        return 1.0 - 2.0 * (2.0 * _std_normal_cdf(c) - 1.0) + inside
 
     return brentq(lambda c: level(c) - metric.alpha, 0.01, 6.0, xtol=1e-13)
 
@@ -140,7 +140,7 @@ class TestGeneralizedDunnett:
     def test_fwer_independent_matches_sidak(self):
         result = platform_threshold(CorrelationMatrix.bivariate(0.0), ErrorMetric.fwer(0.05))
         assert result.critical_value == pytest.approx(SIDAK_C, abs=1e-3)
-        assert result.p_threshold == pytest.approx(2 * (1 - std_normal_cdf(SIDAK_C)), abs=1e-5)
+        assert result.p_threshold == pytest.approx(2 * (1 - _std_normal_cdf(SIDAK_C)), abs=1e-5)
 
     def test_fwer_degenerate_correlation(self):
         result = platform_threshold(CorrelationMatrix.bivariate(1.0), ErrorMetric.fwer(0.05))
@@ -480,7 +480,7 @@ def _counting(monkeypatch, owner, name):
 
 
 class _CurveLattice:
-    """Stands in for a :class:`QmcLattice` whose any-exceedance level is the
+    """Stands in for a :class:`_QmcLattice` whose any-exceedance level is the
     function ``level`` of c, with derivative ``d_level``, and no standard
     error; it records the c of every evaluation."""
 
@@ -490,7 +490,7 @@ class _CurveLattice:
     def estimate(self, lower, upper):
         c = float(upper[0])
         self.visited.append(c)
-        return RectangleEstimate(1.0 - self.level(c), 0.0, 1, -self.d_level(c))
+        return _RectangleEstimate(1.0 - self.level(c), 0.0, 1, -self.d_level(c))
 
     def refine(self, lower, upper, precision):
         return self.estimate(lower, upper)
@@ -500,7 +500,7 @@ def _lattice_is_curve(monkeypatch, curve, metric, dim):
     """Put ``curve`` in place of the lattice of platform_threshold's
     any-exceedance solves, and return the bracket of ``metric`` on ``dim``
     independent statistics."""
-    monkeypatch.setattr(multiplicity, "QmcLattice", lambda z_corr, seed: curve)
+    monkeypatch.setattr(multiplicity, "_QmcLattice", lambda z_corr, seed: curve)
     return tuple(float(end) for end in multiplicity._bracket(metric, dim, 0.0))
 
 
@@ -509,7 +509,7 @@ class TestThresholdSolver:
 
     def test_fixed_lattice_level_is_deterministic_and_monotone(self):
         z_corr = _platform_z_corr(2)
-        lattice = QmcLattice(z_corr, seed=0)
+        lattice = _QmcLattice(z_corr, seed=0)
         grid = np.linspace(1.8, 3.2, 15)
         levels = [1.0 - lattice.estimate(np.full(4, -c), np.full(4, c)).value for c in grid]
         again = [1.0 - lattice.estimate(np.full(4, -c), np.full(4, c)).value for c in grid]
@@ -529,7 +529,7 @@ class TestThresholdSolver:
         # the slope the search steps on is the derivative of the level it
         # solves, on the same points
         dim = 2 * K
-        lattice = QmcLattice(_platform_z_corr(K), seed=0)
+        lattice = _QmcLattice(_platform_z_corr(K), seed=0)
 
         def estimate(c):
             lower = np.full(dim, -c) if sided == "two" else np.full(dim, -math.inf)
@@ -556,7 +556,7 @@ class TestThresholdSolver:
                 c = float(multiplicity._bracket(metric, dim, z_corr.entries[0, 1])[1])
                 lower = np.full(dim, -c if sided == "two" else -math.inf)
                 squares += [
-                    QmcLattice(z_corr, seed).estimate(lower, np.full(dim, c)).stderr ** 2
+                    _QmcLattice(z_corr, seed).estimate(lower, np.full(dim, c)).stderr ** 2
                     for seed in range(12)
                 ]
             return math.sqrt(np.mean(squares))
@@ -581,8 +581,8 @@ class TestThresholdSolver:
 
     @pytest.mark.parametrize("K", [2, 4, 6])
     def test_lattice_evaluations_per_solve(self, monkeypatch, K):
-        builds = _counting(monkeypatch, QmcLattice, "__init__")
-        calls = _counting(monkeypatch, QmcLattice, "estimate")
+        builds = _counting(monkeypatch, _QmcLattice, "__init__")
+        calls = _counting(monkeypatch, _QmcLattice, "estimate")
         result = platform_threshold(_platform_z_corr(K), ErrorMetric.fwer(0.05))
         assert len(builds) == 1
         assert 0 < len(calls) <= 5
@@ -590,7 +590,7 @@ class TestThresholdSolver:
 
     @pytest.mark.parametrize("K", [2, 3, 4, 5, 6])
     def test_lattice_solve_matches_brentq_on_its_points(self, monkeypatch, K):
-        builds = _counting(monkeypatch, QmcLattice, "__init__")
+        builds = _counting(monkeypatch, _QmcLattice, "__init__")
         result = platform_threshold(_platform_z_corr(K), ErrorMetric.fwer(0.05))
         lattice, dim = builds[0][0], 2 * K  # as the solve left it grown
 
@@ -671,7 +671,7 @@ class TestThresholdSolver:
         # twice there), then one Newton step on h with the lattice's own
         # slope; the second Newton step is predicted to leave a third under
         # 1e-9, so it is taken without a pass to confirm it
-        calls = _counting(monkeypatch, QmcLattice, "estimate")
+        calls = _counting(monkeypatch, _QmcLattice, "estimate")
         result = platform_threshold(_platform_z_corr(4), ErrorMetric.fwer(0.05))
         assert repr(result.critical_value) == "2.6900007154873746"
         assert len(calls) == 4
@@ -682,14 +682,14 @@ class TestThresholdSolver:
         # grows there and the search goes on from that root; it grows
         # before evaluating the root again, so no box is evaluated twice on
         # the same points
-        refines = _counting(monkeypatch, QmcLattice, "refine")
-        calls, estimate = [], QmcLattice.estimate
+        refines = _counting(monkeypatch, _QmcLattice, "refine")
+        calls, estimate = [], _QmcLattice.estimate
 
         def logged(lattice, lower, upper):
             calls.append((lattice.total_points, float(upper[0])))
             return estimate(lattice, lower, upper)
 
-        monkeypatch.setattr(QmcLattice, "estimate", logged)
+        monkeypatch.setattr(_QmcLattice, "estimate", logged)
         z_corr = _platform_z_corr(4)
         result = platform_threshold(z_corr, ErrorMetric.fwer(0.05), precision=1e-4, seed=6)
         assert len(calls) <= 8
@@ -698,7 +698,7 @@ class TestThresholdSolver:
         assert len(refines) == 2
         (lattice, lower, upper, _), (_, _, at_root, _) = refines
         assert abs(at_root[0] - result.critical_value) < 1e-3 < upper[0] - at_root[0]
-        grown_at_high = QmcLattice(z_corr, seed=6).refine(lower, upper, 1e-4)
+        grown_at_high = _QmcLattice(z_corr, seed=6).refine(lower, upper, 1e-4)
         assert lattice.total_points > grown_at_high.n_points
 
     def test_pool_root_is_the_smallest_c_at_level(self):
@@ -749,7 +749,7 @@ class TestLatticeFollowsPrecision:
     def test_level_meets_precision_on_a_lattice_sized_to_it(self, monkeypatch, K, index):
         from scipy.stats import multivariate_normal
 
-        builds = _counting(monkeypatch, QmcLattice, "__init__")
+        builds = _counting(monkeypatch, _QmcLattice, "__init__")
         z_corr, dim, precision = _optimised_design_z_corr(K, index), 2 * K, 1e-4
         result = platform_threshold(z_corr, ErrorMetric.fwer(0.05), precision=precision)
         assert 0.0 < result.achieved_stderr <= precision
@@ -764,7 +764,7 @@ class TestLatticeFollowsPrecision:
         # bracket's upper end or at the root
         lattice = builds[0][0]
         if lattice.total_points >= 12 * 128 * dim:
-            at_128 = QmcLattice(z_corr, seed=0)
+            at_128 = _QmcLattice(z_corr, seed=0)
             while at_128.n_points < 128 * dim:
                 at_128.grow()
             high = float(multiplicity._bracket(result.metric, dim, z_corr.entries[0, 1])[1])
@@ -774,7 +774,7 @@ class TestLatticeFollowsPrecision:
 
     @pytest.mark.parametrize("K", range(2, 7))
     def test_looser_precision_draws_no_more_points(self, monkeypatch, K):
-        builds = _counting(monkeypatch, QmcLattice, "__init__")
+        builds = _counting(monkeypatch, _QmcLattice, "__init__")
         z_corr, totals = _optimised_design_z_corr(K, 0), []
         for precision in (1e-5, 1e-4, 1e-3):
             result = platform_threshold(z_corr, ErrorMetric.fwer(0.05), precision=precision)
@@ -790,8 +790,8 @@ class TestPredictedStop:
 
     @pytest.mark.parametrize("K, index", _DESIGNS)
     def test_same_c_star_and_level_as_an_evaluated_stop(self, monkeypatch, K, index):
-        builds = _counting(monkeypatch, QmcLattice, "__init__")
-        calls = _counting(monkeypatch, QmcLattice, "estimate")
+        builds = _counting(monkeypatch, _QmcLattice, "__init__")
+        calls = _counting(monkeypatch, _QmcLattice, "estimate")
         z_corr, dim = _optimised_design_z_corr(K, index), 2 * K
         solve = multiplicity._solve_decreasing
 

@@ -37,15 +37,15 @@ from platformdesign.multiplicity import (
     ThresholdResult,
     platform_threshold,
 )
-from platformdesign.mvnorm import CorrelationMatrix, std_normal_cdf
+from platformdesign.mvnorm import CorrelationMatrix, _std_normal_cdf
 from platformdesign.power import (
     _noncentrality_bound,
     _noncentrality_floor,
+    _power,
     _scan_totals,
     _window_end,
     design,
     find_sample_size,
-    marginal_power_oracle,
 )
 
 FWER_THRESHOLD = platform_threshold(CorrelationMatrix.bivariate(0.0), ErrorMetric.fwer(0.05))
@@ -98,7 +98,7 @@ def _design_rows(designs):
 def _threshold_at(c: float) -> ThresholdResult:
     return ThresholdResult(
         critical_value=c,
-        p_threshold=2 * (1 - std_normal_cdf(c)),
+        p_threshold=2 * (1 - _std_normal_cdf(c)),
         metric=ErrorMetric.fwer(0.05),
         z_correlation=CorrelationMatrix.bivariate(0.0),
         achieved=0.05,
@@ -107,21 +107,15 @@ def _threshold_at(c: float) -> ThresholdResult:
 
 class TestMarginalOracle:
     def test_null_level(self):
-        assert marginal_power_oracle(0.0, 1.96) == pytest.approx(0.05, abs=1e-4)
+        assert _power(0.0, 1.96) == pytest.approx(0.05, abs=1e-4)
 
     def test_known_value(self):
-        assert marginal_power_oracle(4.5, 2.2365) == pytest.approx(
+        assert _power(4.5, 2.2365) == pytest.approx(
             0.45415792978650454, abs=1e-12
         )
 
     def test_limit(self):
-        assert marginal_power_oracle(1e4, 1.96) == pytest.approx(1.0, abs=1e-10)
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            marginal_power_oracle(-0.1, 1.96)
-        with pytest.raises(DomainError):
-            marginal_power_oracle(1.0, 0.0)
+        assert _power(1e4, 1.96) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestMcPower:
@@ -130,7 +124,7 @@ class TestMcPower:
         power = mc_comparison_power(
             scenario, [100.0, 100.0, 100.0], FWER_THRESHOLD.critical_value, 100_000, seed=11
         )
-        oracle = marginal_power_oracle(4.5, FWER_THRESHOLD.critical_value)
+        oracle = _power(4.5, FWER_THRESHOLD.critical_value)
         assert power.min() == pytest.approx(oracle, abs=0.005)
 
     def test_oracle_agreement_random_scenarios(self, rng):
@@ -150,8 +144,8 @@ class TestMcPower:
             )
             w = wald_noncentrality(scenario, alloc, n)
             oracle = min(
-                marginal_power_oracle(float(w[0, 0]), FWER_THRESHOLD.critical_value),
-                marginal_power_oracle(float(w[0, 1]), FWER_THRESHOLD.critical_value),
+                _power(float(w[0, 0]), FWER_THRESHOLD.critical_value),
+                _power(float(w[0, 1]), FWER_THRESHOLD.critical_value),
             )
             assert power.min() == pytest.approx(oracle, abs=0.01)
 
@@ -178,15 +172,15 @@ class TestNoncentralityFloor:
         for target in np.linspace(0.01, 0.999, 40):
             floor, ceiling = _noncentrality_floor(c, target)
             # nothing to solve where W = 0 already reaches the target
-            solved = target > 2.0 * std_normal_cdf(-c)
+            solved = target > 2.0 * _std_normal_cdf(-c)
             assert (floor[~solved] == 0.0).all() and (ceiling[~solved] == 0.0).all()
             assert (floor[solved] > 0.0).all()
             c_solved, floor_solved = c[solved], floor[solved]
-            assert (marginal_power_oracle(floor_solved, c_solved) < target).all()
+            assert (_power(floor_solved, c_solved) < target).all()
             w_star = floor_solved / (1.0 - 1e-6)
-            assert marginal_power_oracle(w_star, c_solved) == pytest.approx(target, abs=1e-12)
+            assert _power(w_star, c_solved) == pytest.approx(target, abs=1e-12)
             assert ceiling[solved] == pytest.approx(w_star * (1.0 + 1e-6), rel=1e-15)
-            assert (marginal_power_oracle(ceiling, c) >= target).all()
+            assert (_power(ceiling, c) >= target).all()
 
     def test_a_failed_check_leaves_the_search_exact(self, monkeypatch):
         # with no gap around W* the floor's and the ceiling's powers fail

@@ -40,7 +40,7 @@ from platformdesign.multiplicity import (
     platform_threshold,
 )
 from platformdesign.mvnorm import CorrelationMatrix
-from platformdesign.power import find_sample_size, marginal_power_oracle
+from platformdesign.power import _power, find_sample_size
 from platformdesign.studies import (
     BASELINES,
     DEFAULT_ALLOCATIONS,
@@ -354,11 +354,11 @@ class TestThresholdCurves:
         table = run_threshold_curves(grid)
         rows = table.as_dicts()
         # p_threshold consistency with the critical value
-        from platformdesign.mvnorm import std_normal_cdf
+        from platformdesign.mvnorm import _std_normal_cdf
 
         for row in rows:
             assert row["value"] == pytest.approx(
-                2 * (1 - std_normal_cdf(row["c_star"])), abs=1e-12
+                2 * (1 - _std_normal_cdf(row["c_star"])), abs=1e-12
             )
         # fmer threshold shrinks as the swept correlation inflates fmer
         fmer = [r["value"] for r in rows if r["metric"] == "fmer"]
@@ -431,7 +431,7 @@ class TestDesignSurface:
         def counting(W, c):
             if scanning:
                 evaluated.extend(np.broadcast_to(c, np.shape(W)).ravel().tolist())
-            return marginal_power_oracle(W, c)
+            return _power(W, c)
 
         def scan(*args, **kwargs):
             scanning.append(True)
@@ -440,7 +440,7 @@ class TestDesignSurface:
             finally:
                 scanning.clear()
 
-        monkeypatch.setattr("platformdesign.power.marginal_power_oracle", counting)
+        monkeypatch.setattr("platformdesign.power._power", counting)
         monkeypatch.setattr("platformdesign.power._scan_totals", scan)
         table = run_design_surface(design_surface_grid())
         assert len(table.rows) == len(evaluated) == 84
@@ -641,7 +641,7 @@ class TestRowsMatchPointByPoint:
                     for method in per_method for m in self.METRICS
                 ]
         table = run_adjustment_comparison(grid)
-        # the cuts come from ndtri here and std_normal_quantile in the package
+        # the cuts come from ndtri here and _std_normal_quantile in the package
         for got, want in zip(table.rows, expected, strict=True):
             assert got[:10] == want[:10] and got[11:] == want[11:]
             assert got[10] == pytest.approx(want[10], abs=1e-15)
