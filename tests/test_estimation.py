@@ -264,6 +264,58 @@ class TestEstimateTrial:
                 pooled = math.sqrt((sds[arm] ** 2 + sds["a"] ** 2) / 2)
                 assert delta * pooled == pytest.approx(means[arm] - means["a"], rel=1e-12)
 
+    def test_equal_sds_pool_to_that_sd(self):
+        # every arm's SD is 2, so each delta is its mean difference over 2
+        arms = {"a": (0.0, 2.0, 4.0), "b": (1.0, 3.0, 5.0), "ab": (7.0, 5.0, 3.0)}
+        table = PairedEndpointTable.from_records(
+            [(f"m{i}", t, values[i]) for t, values in arms.items() for i in range(3)]
+        )
+        est = estimate_trial(table, "a", "b", "ab")
+        assert est.delta_B == 0.5 and est.delta_AB == 1.5
+
+    def test_pooled_sd_hand_value(self):
+        # SDs 1, 2 and sqrt(3) about means 1, 6 and 3: pooled variances
+        # (1 + 4) / 2 and (1 + 3) / 2, so delta_B = 5 / sqrt(2.5) = sqrt(10)
+        # and delta_AB = 2 / sqrt(2) = sqrt(2)
+        arms = {"a": (0.0, 1.0, 2.0), "b": (4.0, 6.0, 8.0), "ab": (2.0, 5.0, 2.0)}
+        table = PairedEndpointTable.from_records(
+            [(f"m{i}", t, values[i]) for t, values in arms.items() for i in range(3)]
+        )
+        est = estimate_trial(table, "a", "b", "ab")
+        assert est.delta_B == pytest.approx(math.sqrt(10.0), abs=1e-12)
+        assert est.delta_AB == pytest.approx(math.sqrt(2.0), abs=1e-12)
+        assert est.s_hat == pytest.approx(math.sqrt(0.2), abs=1e-12)
+
+    def test_pooled_sd_at_minimal_counts(self):
+        # two models: SDs sqrt(2), sqrt(2) and 2 sqrt(2), so the pooled
+        # variances are 2 and (2 + 8) / 2
+        arms = {"a": (0.0, 2.0), "b": (1.0, 3.0), "ab": (2.0, 6.0)}
+        table = PairedEndpointTable.from_records(
+            [(f"m{i}", t, values[i]) for t, values in arms.items() for i in range(2)]
+        )
+        est = estimate_trial(table, "a", "b", "ab", min_triples=2)
+        assert est.n_A == est.n_B == est.n_AB == 2
+        assert est.delta_B == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
+        assert est.delta_AB == pytest.approx(3.0 / math.sqrt(5.0), abs=1e-12)
+
+    def test_pooled_sd_lies_between_the_arm_sds(self, rng):
+        # |delta| is the mean difference over a pooled SD that lies between
+        # the two arms' SDs
+        for _ in range(50):
+            n = int(rng.integers(2, 30))
+            arms = {t: rng.normal(rng.uniform(-5, 5), rng.uniform(0.1, 5), n)
+                    for t in ("a", "b", "ab")}
+            table = PairedEndpointTable.from_records(
+                [(f"m{i}", t, float(y[i])) for t, y in arms.items() for i in range(n)]
+            )
+            est = estimate_trial(table, "a", "b", "ab", min_triples=2)
+            sd_a = float(np.std(arms["a"], ddof=1))
+            for delta, arm in ((est.delta_B, "b"), (est.delta_AB, "ab")):
+                diff = abs(float(np.mean(arms[arm]) - np.mean(arms["a"])))
+                sds = (sd_a, float(np.std(arms[arm], ddof=1)))
+                slack = 1e-12 * diff / min(sds)
+                assert diff / max(sds) - slack <= abs(delta) <= diff / min(sds) + slack
+
     def test_a_pooled_sd_that_overflows_is_named(self):
         # each arm's SD is a finite double, 9.2e153, but the sum of the two
         # arms' squared deviations is not: the pooled SD would be inf and
