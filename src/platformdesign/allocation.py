@@ -4,7 +4,8 @@ The design problem: split a total sample across a shared control arm and, per
 substudy, a monotherapy arm and a combination arm, so that the smaller of the
 two Wald noncentrality parameters in every substudy is as large as possible.
 The optimum equalizes all 2K noncentralities; :func:`optimize_allocation`
-finds it exactly by a one-dimensional convex search over the control share.
+finds it exactly by Newton's method on the derivative of a one-dimensional
+convex function of the control share.
 """
 
 from __future__ import annotations
@@ -24,9 +25,6 @@ __all__ = [
 ]
 
 _SUM_TOL = 1e-9
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# each step shrinks the bracket by _INV_GOLDEN: 0.618^60 < 3e-13
-_GOLDEN_STEPS = 60
 # effects and shares in these ranges keep every square, every sum of
 # reciprocal squares and every product of two shares a normal double
 _EFFECT_MIN, _EFFECT_MAX, _SHARE_MIN = 1e-150, 1e150, 1e-150
@@ -203,8 +201,17 @@ def _max_min_shares(delta, synergy, rho_combo_control) -> tuple[float, ...]:
     are homogeneous of degree one in the shares, so dividing these shares by
     their total F(q) gives a point of the simplex whose noncentralities all
     equal 1/F(q); the max-min allocation is the one at the q minimizing F.
-    F adds the shares as it goes, in their order (p_A, then p_B and p_AB per
-    substudy), so it is bit for bit the sum of the list of shares.
+
+    F is convex on the feasible (0, q_max): 1/q^2 and 1/(delta^2 - q^2) are
+    convex there, and 1/u^2 is a convex decreasing function of u, which is
+    concave in q (a line plus the upper half of an ellipse) and positive.
+    Its minimum is the root of F', found by safeguarded Newton with the
+    closed-form F'' in t = q / q_max from t = 1/2, where every square is of
+    order one whatever the effects' size: a step that leaves the sign
+    bracket of F' is bisected, and the search stops on a step of at most
+    4e-16 t before that step updates the bracket, lest rounding noise in F'
+    at the root set off bisections, or once the bracket holds no double
+    between its ends.
     """
     if any(s == 0.0 for s in synergy):
         raise DomainError(
@@ -214,41 +221,45 @@ def _max_min_shares(delta, synergy, rho_combo_control) -> tuple[float, ...]:
     terms = []
     q2_max = math.inf
     for d, s, rho in zip(delta, synergy, rho_combo_control):
-        d2, b, c = d**2, (s * d) ** 2, 1.0 - rho**2
+        # (1 - rho)(1 + rho), not 1 - rho^2, keeps c's digits as |rho| -> 1
+        d2, b, c = d**2, (s * d) ** 2, (1.0 - rho) * (1.0 + rho)
         terms.append((d2, b, c, rho))
         # feasible q: q^2 < delta^2 keeps p_B finite; u is real and positive
         # while q^2 <= b/c for rho >= 0 and while q^2 < b for rho < 0
         u_limit = b if rho < 0 else (b / c if c > 0 else math.inf)
         q2_max = min(q2_max, d2, u_limit)
+    # in t: D = delta^2 / q_max^2 >= 1 and B = s^2 delta^2 / q_max^2, each
+    # inf past the double range, where its shares are 0
+    terms = [(d2 / q2_max, b / q2_max, c, rho) for d2, b, c, rho in terms]
 
-    def total(q: float) -> float:
-        f = 1.0 / (q * q)
-        for d2, b, c, rho in terms:
-            u = rho * q + math.sqrt(b - c * q * q)
-            f = f + 1.0 / (d2 - q * q) + 1.0 / (u * u)
-        return f
-
-    # Golden-section search over the open feasible interval (0, q_max), where
-    # every probe is finite.  F is convex in q: 1/q^2 and 1/(delta^2 - q^2)
-    # are convex there, and 1/u^2 is a convex decreasing function of u, which
-    # is concave in q (a line plus the upper half of an ellipse) and positive.
-    lo, hi = 0.0, math.sqrt(q2_max)
-    x1, x2 = hi - _INV_GOLDEN * hi, _INV_GOLDEN * hi
-    f1, f2 = total(x1), total(x2)
-    for _ in range(_GOLDEN_STEPS):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_GOLDEN * (hi - lo)
-            f1 = total(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_GOLDEN * (hi - lo)
-            f2 = total(x2)
-    q = 0.5 * (lo + hi)
-    best = [1.0 / (q * q)]
-    for d2, b, c, rho in terms:
-        u = rho * q + math.sqrt(b - c * q * q)
-        best += [1.0 / (d2 - q * q), 1.0 / (u * u)]
+    t, lo, hi = 0.5, 0.0, 1.0
+    while True:
+        inv = 1.0 / t
+        slope, curve = -2.0 * inv * inv * inv, 6.0 * inv * inv * inv * inv
+        for D, B, c, rho in terms:
+            w = 1.0 / (D - t * t)  # p_B
+            r = math.sqrt(B - c * t * t)
+            k = c / r
+            dv, iv = rho - k * t, 1.0 / (rho * t + r)  # v' and 1/v, p_AB = 1/v^2
+            iv3 = iv * iv * iv
+            slope += 2.0 * t * w * w - 2.0 * dv * iv3
+            # -v'' = c B / r^3 = k + k^2 t^2 / r
+            curve += 2.0 * w * w * (1.0 + 4.0 * t * t * w) + iv3 * (
+                6.0 * dv * dv * iv + 2.0 * (k + k * k * t * t / r)
+            )
+        step = -slope / curve
+        if abs(step) <= 4e-16 * t:
+            break
+        lo, hi = (lo, t) if slope > 0.0 else (t, hi)
+        t += step
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+            if not lo < t < hi:  # the bracket is two adjacent doubles
+                break
+    best = [1.0 / (t * t)]
+    for D, B, c, rho in terms:
+        v = rho * t + math.sqrt(B - c * t * t)
+        best += [1.0 / (D - t * t), 1.0 / (v * v)]
     norm = sum(best)
     shares = tuple(p / norm for p in best)
     if min(shares) < _SHARE_MIN:

@@ -236,10 +236,9 @@ def estimate_trial(
 
     pooled = []
     for arm, sd in ((combo, sd_ab), (drug_b, sd_b)):
-        try:
-            variance = ((n - 1) * sd**2 + (n - 1) * sd_a**2) / (2 * n - 2)
-        except OverflowError:  # a square; finite squares may still sum to inf
-            variance = math.inf
+        # a finite SD is at most sqrt(DBL_MAX), whose square is finite; the
+        # products and their sum may still overflow to inf
+        variance = ((n - 1) * sd**2 + (n - 1) * sd_a**2) / (2 * n - 2)
         if variance == math.inf:
             raise DomainError(f"the pooled SD of {arm!r} and {drug_a!r} is not a finite number")
         pooled.append(math.sqrt(variance))

@@ -125,7 +125,6 @@ def _solve_decreasing(
     high: np.ndarray,
     start: np.ndarray,
     x_tol: float,
-    predicted_stop: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Roots of nonincreasing ``level(c) - target``, one per bracket
     [low[i], high[i]] of the 1-d arrays ``low`` and ``high``, with the level
@@ -142,18 +141,20 @@ def _solve_decreasing(
     give, is replaced by bisection, and so is a step inside the bracket
     longer than half the element's step before its last (the safeguard of
     Numerical Recipes' rtsafe), as a slope too small by half or more would
-    alternate across the root.  An element stops at the point just evaluated
-    once its next step is at most ``x_tol``; with ``predicted_stop``, also
-    on that step, unevaluated, if it and the last are Newton steps (not
-    bisected or clamped), it the shorter, and the one after it is predicted
-    at |step|^3 / |last|^2 <= ``x_tol`` / 10, at the level's second-order
-    Taylor value (curvature from the last two slopes).
+    alternate across the root.  An element stops on its next step,
+    unevaluated, if it and the last are Newton steps (not bisected or
+    clamped), it the shorter, and the one after it is predicted at
+    |step|^3 / |last|^2 <= ``x_tol`` / 10, at the level's second-order
+    Taylor value (curvature from the last two slopes): a pass there would
+    only confirm it.  Otherwise it stops at the point just evaluated once
+    its next step is at most ``x_tol``.
     Where the level does not cross the target inside a bracket, the search
     ends on the bracket's end and the caller's level check decides.
     """
     x, lo, hi = (np.array(a, dtype=float, ndmin=1) for a in (start, low, high))
     target = np.broadcast_to(np.asarray(target, dtype=float), x.shape)
-    h_target = np.array([math.sqrt(-2.0 * math.log(t)) for t in target.tolist()])
+    targets, each = np.unique(target, return_inverse=True)
+    h_target = np.array([math.sqrt(-2.0 * math.log(t)) for t in targets.tolist()])[each]
     # whether each bracket end is still the unevaluated bound it started as
     open_lo, open_hi = np.ones(x.size, dtype=bool), np.ones(x.size, dtype=bool)
     x_out, f_out = np.empty(x.size), np.empty(x.size)
@@ -181,15 +182,13 @@ def _solve_decreasing(
         following = np.where((lo <= newton) & (newton <= hi), newton, (lo + hi) / 2.0)
         done = np.abs(following - x) <= x_tol
         x_out[active[done]], f_out[active[done]] = x[done], f[done]
-        going = ~done
-        if predicted_stop:
-            step = np.where((lo <= raw) & (raw <= hi) & going, following - x, math.nan)
-            size, last = np.abs(step), np.abs(last_step)
-            ends = (size < last) & (size**3 <= x_tol / 10 * last**2)
-            taylor = f + step * (slope + 0.5 * step * (slope - last_slope) / last_step)
-            x_out[active[ends]], f_out[active[ends]] = following[ends], taylor[ends]
-            going &= ~ends
-            last_step, last_slope = step[going], slope[going]
+        step = np.where((lo <= raw) & (raw <= hi) & ~done, following - x, math.nan)
+        size, last = np.abs(step), np.abs(last_step)
+        ends = (size < last) & (size**3 <= x_tol / 10 * last**2)
+        taylor = f + step * (slope + 0.5 * step * (slope - last_slope) / last_step)
+        x_out[active[ends]], f_out[active[ends]] = following[ends], taylor[ends]
+        going = ~done & ~ends
+        last_step, last_slope = step[going], slope[going]
         earlier, latest = latest[going], np.abs(following - x)[going]
         active, x, lo, hi = active[going], following[going], lo[going], hi[going]
         target, h_target = target[going], h_target[going]
@@ -345,8 +344,8 @@ def _tail_count_statistic(
 def _radial_level(stat: np.ndarray, dim: int) -> Callable:
     """The pool's level at c >= 0, the mean over directions of P(chi_dim >
     c / T) for an even ``dim``, 0 where T <= 0, as ``law(c)``, which returns
-    it and its slope in c; ``law(c, spread=True)`` returns the mean squared
-    term instead.
+    it and its slope in c; ``law(c, spread=True)`` returns it, bit for bit,
+    and the mean squared term.
 
     With y = 1 / T^2, w = c^2 / 2 and E = e^(-w y), the tail is the Poisson
     sum E sum_a (w y)^a / a! over a = 0, 1, ..., dim/2 - 1 (Genz & Bretz
@@ -370,13 +369,12 @@ def _radial_level(stat: np.ndarray, dim: int) -> Callable:
             if a:
                 np.multiply(power, y, out=power)
             weight = w ** a / math.gamma(a + 1.0)
+            level += weight * float(power.sum())
             if spread:
                 terms += weight * power
-            else:
-                level += weight * float(power.sum())
         # einsum, not BLAS, whose threads would spin on the cores
         if spread:
-            return float(np.einsum("i,i->", terms, terms)) / size
+            return level / size, float(np.einsum("i,i->", terms, terms)) / size
         slope = -float(np.einsum("i,i->", power, y)) * c ** (dim - 1) / constant
         return level / size, slope / size
 
@@ -429,12 +427,12 @@ def _check_level(metric: ErrorMetric, c_star, achieved, tolerance: float) -> Non
         )
 
 
-def _bivariate_critical_values(rho, metrics) -> tuple[np.ndarray, np.ndarray]:
+def _bivariate_critical_values(rho, metrics) -> np.ndarray:
     """Critical values of two statistics with correlation ``rho`` under the
-    exact bivariate law, and the levels they reach, shape (correlations,
-    metrics) each: one elementwise search (:func:`_solve_decreasing`) over
-    every (correlation, metric), each toward its metric's alpha from the
-    upper end of its bracket, on the level and its closed-form slope."""
+    exact bivariate law, shape (correlations, metrics): one elementwise
+    search (:func:`_solve_decreasing`) over every (correlation, metric), each
+    toward its metric's alpha from the upper end of its bracket, on the
+    level and its closed-form slope."""
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     # the elements run metric by metric, each over every correlation
     metric_laws = [(m.exceedance_count, m.effective_sided) for m in metrics]
@@ -452,7 +450,7 @@ def _bivariate_critical_values(rho, metrics) -> tuple[np.ndarray, np.ndarray]:
     c_star, achieved = (a.reshape(len(metrics), rho.size).T for a in (c_star, achieved))
     for j, metric in enumerate(metrics):
         _check_level(metric, c_star[:, j], achieved[:, j], _PROB_TOL * metric.alpha)
-    return c_star, achieved
+    return c_star
 
 
 def _check_solver_settings(metric: ErrorMetric, dim: int, precision, replications) -> None:
@@ -475,27 +473,30 @@ def platform_threshold(
     """Common critical value for correlated Z statistics (2K for a
     K-substudy platform trial) under the chosen error metric.
 
-    Metrics counting any exceedance, and every metric with two statistics
-    (K=1), are solved by one root search, :func:`_solve_decreasing`, on an
-    analytic bracket: one statistic's level against the union bound, or for
-    two exceedances of two statistics their product against one statistic's
-    level.  The search is a safeguarded Newton on h(c) = sqrt(-2 log
+    Every law is solved by one root search, :func:`_solve_decreasing`, on
+    an analytic bracket: for any exceedance one statistic's level against
+    the union bound, for two exceedances of two statistics their product
+    against one statistic's level, and for at least m the Markov bound on
+    the count.  The search is a safeguarded Newton on h(c) = sqrt(-2 log
     level(c)), nearly linear in c, from the bracket's upper end; each law
-    gives its level and its slope.  With two statistics the law is the exact
-    bivariate normal, whose slope is closed form, so ``achieved_stderr`` is
-    0 and ``precision``, ``seed`` and ``replications`` are validated but
-    unused.  With more, the level is a randomized quasi-Monte Carlo
-    rectangle probability on one :class:`_QmcLattice` per solve, which takes
-    the statistics in an order fixed by ``z_corr`` (smallest residual
-    variance first).  Its points grow at the bracket's upper end until the
-    level's standard error is at most ``precision``, then stay fixed, so the
-    level is a smooth deterministic function of c whose slope each lattice
-    pass also returns; the search takes about three passes.  It ends on a
-    Newton step predicted to leave its successor under 1e-9 without a pass
-    at it, so ``achieved`` is the last pass's second-order Taylor value at
-    the root, and ``achieved_stderr`` that pass's standard error.  Should
-    that exceed ``precision``, the lattice grows at the root and the search
-    goes on from it.
+    gives its level and its slope.  Every search ends on a Newton step
+    predicted to leave its successor under a tenth of its tolerance, without
+    the pass at that step that would only confirm it.  With two statistics
+    (K=1) the law is the exact bivariate normal, whose slope is closed form,
+    solved to 1e-12; ``achieved`` is its level at c*, from one evaluation
+    there, ``achieved_stderr`` is 0, and ``precision``, ``seed`` and
+    ``replications`` are validated but unused.  With more, an
+    any-exceedance level is a randomized quasi-Monte Carlo rectangle
+    probability on one :class:`_QmcLattice` per solve, which takes the
+    statistics in an order fixed by ``z_corr`` (smallest residual variance
+    first).  Its points grow at the bracket's upper end until the level's
+    standard error is at most ``precision``, then stay fixed, so the level
+    is a smooth deterministic function of c whose slope each lattice pass
+    also returns; the search takes about three passes, to 1e-8.
+    ``achieved`` is the last pass's second-order Taylor value at the root,
+    and ``achieved_stderr`` that pass's standard error.  Should that exceed
+    ``precision``, the lattice grows at the root and the search goes on
+    from it.
     Count-based metrics (at least m >= 2 of more than two statistics exceed
     c) integrate the radius exactly over a common pool of ``replications``
     null directions (spherical-radial integration: Deak 1980; Genz & Bretz
@@ -509,14 +510,13 @@ def platform_threshold(
     is exactly the mean of P(chi_(dim+1) > c / T).  It is a smooth
     deterministic function of c with a closed-form slope, summed over the
     directions as power moments (:func:`_radial_level`), one exponential per
-    direction per evaluation, and solved by the same search from the Markov
-    bound on the count, to steps of 1e-9.  ``achieved`` is the level at the
-    root, and ``achieved_stderr`` the standard deviation of the directions'
-    terms there over sqrt(``replications``), from one more pass that keeps
-    each term; ``precision`` is validated but unused.  The
-    directions are drawn in seeded blocks, kept for the life of the process
-    up to the default K = 6 pool, and reduced on the calling thread; they
-    depend only on the arguments, not on earlier calls.
+    direction per evaluation, and solved to 1e-9.  ``achieved`` is the level
+    at the root, and ``achieved_stderr`` the standard deviation of the
+    directions' terms there over sqrt(``replications``), both from one pass
+    at the root that keeps each term; ``precision`` is validated but
+    unused.  The directions are drawn in seeded blocks, kept for the life of
+    the process up to the default K = 6 pool, and reduced on the calling
+    thread; they depend only on the arguments, not on earlier calls.
     """
     dim = z_corr.dim
     if dim < 2:
@@ -526,8 +526,9 @@ def platform_threshold(
     rho = float(z_corr.entries[0, 1])
     two_sided = metric.effective_sided == "two"
     if dim == 2:
-        c_values, levels = _bivariate_critical_values(rho, (metric,))
-        c_star, achieved, stderr = float(c_values[0, 0]), float(levels[0, 0]), 0.0
+        c_star, stderr = float(_bivariate_critical_values(rho, (metric,))[0, 0]), 0.0
+        laws = ((metric.exceedance_count, metric.effective_sided),)
+        achieved = float(_bivariate_levels(rho, np.array([c_star]), laws)[0][0][0])
     elif metric.exceedance_count == 1:
         lattice, (low, high) = _QmcLattice(z_corr, seed), _bracket(metric, dim, rho)
         estimates: list[_RectangleEstimate] = []
@@ -544,9 +545,7 @@ def platform_threshold(
 
         start = high
         while True:
-            c_values, levels = _solve_decreasing(
-                level, metric.alpha, low, high, start, 1e-8, predicted_stop=True
-            )
+            c_values, levels = _solve_decreasing(level, metric.alpha, low, high, start, 1e-8)
             stderr = estimates[-1].stderr
             if stderr <= precision:
                 break
@@ -565,9 +564,9 @@ def platform_threshold(
             return tuple(np.array([value]) for value in law(float(c[0])))
 
         low, high = _bracket(metric, dim, rho)
-        c_values, levels = _solve_decreasing(level, metric.alpha, low, high, high, 1e-9)
-        c_star, achieved = float(c_values[0]), float(levels[0])
-        stderr = math.sqrt(max(law(c_star, spread=True) - achieved**2, 0.0) / replications)
+        c_star = float(_solve_decreasing(level, metric.alpha, low, high, high, 1e-9)[0][0])
+        achieved, mean_square = law(c_star, spread=True)
+        stderr = math.sqrt(max(mean_square - achieved**2, 0.0) / replications)
 
     if dim > 2:  # the bivariate solve checks its own level
         tolerance = max(1e-4, 3.0 * stderr) if stderr > 0.0 else _PROB_TOL * metric.alpha

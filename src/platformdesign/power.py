@@ -343,7 +343,7 @@ def design(
     mu, rho = _contrasts(delta, synergy, rho_cc, dim + 1)
     z = _z_correlations(_NOMINAL_TOTAL * ratios, arm_rho)
     if dim == 2:
-        c_star = _bivariate_critical_values(z[:, 0, 1], metrics)[0]
+        c_star = _bivariate_critical_values(z[:, 0, 1], metrics)
     else:
         c_star = np.array([[
             platform_threshold(CorrelationMatrix(entries), m, precision, seed, replications)

@@ -343,7 +343,7 @@ def run_adjustment_comparison(grid: GridSpec) -> ResultTable:
         )
         for alloc in grid.allocations
     ]
-    c_dunnett = _bivariate_critical_values(rho_star, (ErrorMetric.fwer(alpha),))[0][:, 0]
+    c_dunnett = _bivariate_critical_values(rho_star, (ErrorMetric.fwer(alpha),))[:, 0]
     # the rates at every cut in one call: cuts by allocation by point
     cuts = np.broadcast_arrays(c_nominal, c_bonf, c_dunnett[:, None], z_rho)[:-1]
     rates = bivariate_error_rates(z_rho, np.stack(cuts))
@@ -372,7 +372,7 @@ def run_threshold_curves(grid: GridSpec) -> ResultTable:
     z_rho, leading = _sweep(grid, grid.allocations[:1], metric=_METRICS)
     for share in ("p_control", "p_mono", "p_combo"):
         del leading[share]
-    c_star, _ = _bivariate_critical_values(z_rho[0], DEFAULT_TARGETS)
+    c_star = _bivariate_critical_values(z_rho[0], DEFAULT_TARGETS)
     return ResultTable.from_columns(**leading, c_star=c_star, value=_p_threshold(c_star))
 
 

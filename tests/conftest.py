@@ -179,40 +179,38 @@ def grid_allocation_oracle(s, delta, rho, resolution=1e-3, K=1):
     return best_value, best_point
 
 
-def golden_allocation_oracle(scenario) -> tuple:
-    """The max-min shares by the package's golden-section search over
-    q = 1/sqrt(p_A), written the plain way: every probe builds the list of
-    the 2K+1 shares at q and takes its ``sum``.  The package adds the same
-    shares as a running float sum in the same order, so its allocation must
-    equal this one bit for bit."""
-    inv_golden = (math.sqrt(5.0) - 1.0) / 2.0
-    terms, q2_max = [], math.inf
-    for delta, s, rho in zip(scenario.delta, scenario.synergy, scenario.rho_combo_control):
-        d2, b, c = delta**2, (s * delta) ** 2, 1.0 - rho**2
-        terms.append((d2, b, c, rho))
-        q2_max = min(q2_max, d2, b if rho < 0 else (b / c if c > 0 else math.inf))
+def mp_allocation_oracle(scenario) -> tuple:
+    """The max-min shares at the root of F'(q), F(q) the total of the 2K+1
+    closed-form shares at control share 1/q^2, found by 200 bisections of
+    (0, q_max) on the sign of F' in 50-digit mpmath: with p_A = 1/q^2,
+    p_B = 1/(delta^2 - q^2) and p_AB = 1/u^2, u = rho q + sqrt(s^2 delta^2 -
+    (1 - rho^2) q^2), F' = -2/q^3 + sum 2q/(delta^2 - q^2)^2 - 2u'/u^3."""
+    with mp.workdps(50):
+        terms, q2_max = [], mp.inf
+        for delta, s, rho in zip(scenario.delta, scenario.synergy, scenario.rho_combo_control):
+            d2, b, rho = mp.mpf(delta) ** 2, (mp.mpf(s) * delta) ** 2, mp.mpf(rho)
+            c = 1 - rho**2
+            terms.append((d2, b, c, rho))
+            q2_max = min(q2_max, d2, b if rho < 0 else (b / c if c > 0 else mp.inf))
 
-    def shares(q):
-        out = [1.0 / (q * q)]
+        def slope(q):
+            total = -2 / q**3
+            for d2, b, c, rho in terms:
+                root = mp.sqrt(b - c * q * q)
+                u, du = rho * q + root, rho - c * q / root
+                total += 2 * q / (d2 - q * q) ** 2 - 2 * du / u**3
+            return total
+
+        lo, hi = mp.mpf(0), mp.sqrt(q2_max)
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if slope(mid) > 0 else (mid, hi)
+        q = (lo + hi) / 2
+        shares = [1 / q**2]
         for d2, b, c, rho in terms:
-            u = rho * q + math.sqrt(b - c * q * q)
-            out += [1.0 / (d2 - q * q), 1.0 / (u * u)]
-        return out
-
-    lo, hi = 0.0, math.sqrt(q2_max)
-    x1, x2 = hi - inv_golden * hi, inv_golden * hi
-    f1, f2 = sum(shares(x1)), sum(shares(x2))
-    for _ in range(60):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv_golden * (hi - lo)
-            f1 = sum(shares(x1))
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv_golden * (hi - lo)
-            f2 = sum(shares(x2))
-    best = shares(0.5 * (lo + hi))
-    return tuple(p / sum(best) for p in best)
+            shares += [1 / (d2 - q * q), 1 / (rho * q + mp.sqrt(b - c * q * q)) ** 2]
+        total = mp.fsum(shares)
+        return tuple(p / total for p in shares)
 
 
 def ray_allocation_oracle(s, resolution=1e-4):
@@ -341,7 +339,7 @@ def pool_threshold_oracle(z_corr, metric, seed: int = 0, replications: int = 65_
     """The count pool's (critical value, achieved level, its standard
     error) with each direction's chi tail taken on its own by
     :func:`chi_tail`: the same pool, bracket and search as
-    ``platform_threshold``, and the stderr from the last level's terms.  An
+    ``platform_threshold``, and the level and stderr from the terms at c*.  An
     odd dim's pool draws one more normal per direction, into its norm only,
     so its tail is that of chi_(dim+1)."""
     from platformdesign import multiplicity
@@ -358,9 +356,47 @@ def pool_threshold_oracle(z_corr, metric, seed: int = 0, replications: int = 65_
         return np.array([tail.sum() / replications]), np.array([slope / replications])
 
     low, high = multiplicity._bracket(metric, z_corr.dim, z_corr.entries[0, 1])
-    c, f = multiplicity._solve_decreasing(level, metric.alpha, low, high, high, 1e-9)
-    c_star, achieved = float(c[0]), float(f[0])
+    c, _ = multiplicity._solve_decreasing(level, metric.alpha, low, high, high, 1e-9)
+    # the search may end on a step it does not evaluate: the level and its
+    # terms at c*
+    c_star, achieved = float(c[0]), float(level(c, None)[0][0])
     return c_star, achieved, math.sqrt(max(squares[0] / replications - achieved**2, 0.0) / replications)
+
+
+def evaluated_stop_search(level, target, low, high, start, x_tol):
+    """:func:`multiplicity._solve_decreasing` without its predicted stop:
+    the same safeguarded Newton on h(c) = sqrt(-2 log level(c)), but each
+    element stops only at a point it has evaluated, once its next step is at
+    most ``x_tol``, with the level there.  The predicted stop must end on
+    the same c* bit for bit, one pass sooner."""
+    x, lo, hi = (np.array(a, dtype=float, ndmin=1) for a in (start, low, high))
+    target = np.broadcast_to(np.asarray(target, dtype=float), x.shape)
+    h_target = np.array([math.sqrt(-2.0 * math.log(t)) for t in target.tolist()])
+    open_lo, open_hi = np.ones(x.size, dtype=bool), np.ones(x.size, dtype=bool)
+    x_out, f_out = np.empty(x.size), np.empty(x.size)
+    earlier, latest = np.full(x.size, math.inf), np.full(x.size, math.inf)
+    active = np.arange(x.size)
+    while active.size:
+        f, slope = level(x, active)
+        above = f > target
+        lo, hi = np.where(above, x, lo), np.where(above, hi, x)
+        open_lo, open_hi = open_lo & ~above, open_hi & above
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h = np.sqrt(-2.0 * np.log(f))
+            newton = x + (h_target - h) * f * h / -slope
+        newton[~((0.0 < f) & (f < 1.0) & (slope < 0.0))] = math.nan
+        newton[(lo <= newton) & (newton <= hi) & (np.abs(newton - x) > earlier / 2.0)] = math.nan
+        newton = np.where(open_lo & (newton < lo), lo, newton)
+        newton = np.where(open_hi & (newton > hi), hi, newton)
+        following = np.where((lo <= newton) & (newton <= hi), newton, (lo + hi) / 2.0)
+        done = np.abs(following - x) <= x_tol
+        x_out[active[done]], f_out[active[done]] = x[done], f[done]
+        going = ~done
+        earlier, latest = latest[going], np.abs(following - x)[going]
+        active, x, lo, hi = active[going], following[going], lo[going], hi[going]
+        target, h_target = target[going], h_target[going]
+        open_lo, open_hi = open_lo[going], open_hi[going]
+    return x_out, f_out
 
 
 def holm_reject(p_values, alpha: float) -> list[bool]:

@@ -155,9 +155,9 @@ def test_criterion_04_closed_form_allocation():
         kkt = p_a**2 - p_b**2 - p_ab**2
         checks.append(
             (
-                abs(kkt) <= 1e-6,
+                abs(kkt) <= 1e-12,
                 f"s={s}: optimizer {_fmt(searched.ratios)} has "
-                f"|p_A^2 - p_B^2 - p_AB^2| = {abs(kkt):.2e} vs 1e-6",
+                f"|p_A^2 - p_B^2 - p_AB^2| = {abs(kkt):.2e} vs 1e-12",
             )
         )
         closed = closed_form_allocation(s)

@@ -317,10 +317,10 @@ class TestOptimizer:
             max_size=6,
         )
     )
-    def test_property_equals_the_list_sum_search(self, substudies):
-        # the search sums each probe's shares as it goes, in the order of the
-        # list it no longer builds: every ratio is the list-sum search's
-        from conftest import golden_allocation_oracle
+    def test_property_meets_the_50_digit_root(self, substudies):
+        # every share within 1e-13 relative of the shares at the root of F'
+        # in 50-digit arithmetic
+        from conftest import mp_allocation_oracle
 
         delta, magnitude, sign, rho = zip(*substudies)
         norm = math.sqrt(sum(r * r for r in rho))
@@ -330,7 +330,32 @@ class TestOptimizer:
             delta, tuple(m * g for m, g in zip(magnitude, sign)),
             rho_combo_control=rho, rho_combo_mono=(0.0,) * len(delta),
         )
-        assert optimize_allocation(scenario).ratios == golden_allocation_oracle(scenario)
+        ratios = optimize_allocation(scenario).ratios
+        for share, exact in zip(ratios, mp_allocation_oracle(scenario)):
+            assert abs(share - exact) <= 1e-13 * exact, (share, exact)
+
+    def test_near_singular_scenarios_meet_the_50_digit_root(self):
+        # |s| near 1e-9 with rho within 1e-13 to 1e-9 of +-1 puts the root
+        # of F' next to q_max, where the search takes up to about 50 steps:
+        # it ends, and every share is within 1e-13 of the 50-digit root
+        from conftest import mp_allocation_oracle
+
+        rng = np.random.default_rng(11)
+        scenarios = [((0.9882067451159503,), (-7.163054847130434e-10,), (0.9999999999769982,))]
+        for _ in range(40):
+            K = int(rng.integers(1, 7))
+            rho = rng.choice([-1.0, 1.0], K) * (1.0 - 10.0 ** rng.uniform(-13, -9, K))
+            rho /= max(1.0, math.sqrt(rho @ rho))
+            synergy = rng.choice([-1.0, 1.0], K) * 10.0 ** rng.uniform(-9.5, -8.5, K)
+            scenarios.append((rng.uniform(0.1, 3.0, K), synergy, rho))
+        for delta, synergy, rho in scenarios:
+            scenario = DesignScenario(
+                tuple(delta), tuple(synergy), rho_combo_control=tuple(rho),
+                rho_combo_mono=(0.0,) * len(delta),
+            )
+            ratios = optimize_allocation(scenario).ratios
+            for share, exact in zip(ratios, mp_allocation_oracle(scenario)):
+                assert abs(share - exact) <= 1e-13 * exact, (scenario, share, exact)
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -11,6 +11,8 @@ from conftest import (
     bvn_rectangle,
     chi_tail,
     classical_dunnett_threshold,
+    column,
+    evaluated_stop_search,
     holm_reject,
     mc_error_rates,
     mp_orthant,
@@ -40,6 +42,7 @@ from platformdesign.mvnorm import (
     _RectangleEstimate,
     _std_normal_cdf,
 )
+from platformdesign.studies import run_threshold_curves, threshold_grid
 
 def _se(rate: float, count: int) -> float:
     """Binomial standard error of a simulated rate."""
@@ -784,20 +787,17 @@ class TestLatticeFollowsPrecision:
 
 
 class TestPredictedStop:
-    """A K > 1 fwer solve ends on a Newton step predicted to leave its
-    successor under 1e-9, without a pass to confirm it: the same c* as the
-    evaluated stop, and a Taylor level that agrees with the lattice's."""
+    """Every search ends on a Newton step predicted to leave its successor
+    under a tenth of its tolerance, without a pass to confirm it: the same
+    c* as the evaluated stop (:func:`conftest.evaluated_stop_search`), in
+    fewer passes, and an ``achieved`` that is the law's level at c* wherever
+    the law is exact."""
 
     @pytest.mark.parametrize("K, index", _DESIGNS)
     def test_same_c_star_and_level_as_an_evaluated_stop(self, monkeypatch, K, index):
         builds = _counting(monkeypatch, _QmcLattice, "__init__")
         calls = _counting(monkeypatch, _QmcLattice, "estimate")
         z_corr, dim = _optimised_design_z_corr(K, index), 2 * K
-        solve = multiplicity._solve_decreasing
-
-        def evaluated_stop(*args, predicted_stop=False):
-            return solve(*args)
-
         for sided in ("two", "one"):
             metric = ErrorMetric.mfwer(1, 0.05, sided)
             for precision in (1e-4, 2e-5):
@@ -809,11 +809,77 @@ class TestPredictedStop:
                 on_its_points = 1.0 - lattice.estimate(lower, np.full(dim, c)).value
                 assert abs(result.achieved - on_its_points) <= 1e-10
                 with monkeypatch.context() as patch:
-                    patch.setattr(multiplicity, "_solve_decreasing", evaluated_stop)
+                    patch.setattr(multiplicity, "_solve_decreasing", evaluated_stop_search)
                     calls.clear()
                     reference = platform_threshold(z_corr, metric, precision=precision)
                 assert c == reference.critical_value
                 assert predicted_calls <= len(calls)
+
+    def test_bivariate_batch_ends_on_the_evaluated_c_star(self, monkeypatch):
+        # the thresholds study's grid, every (correlation, metric) in one
+        # search: the same c* bit for bit, in fewer batched evaluations
+        grid = threshold_grid()
+        evaluations = _counting(monkeypatch, multiplicity, "_bivariate_levels")
+        predicted = column(run_threshold_curves(grid), "c_star")
+        batches = len(evaluations)
+        with monkeypatch.context() as patch:
+            patch.setattr(multiplicity, "_solve_decreasing", evaluated_stop_search)
+            evaluations.clear()
+            evaluated = column(run_threshold_curves(grid), "c_star")
+        assert predicted == evaluated
+        assert batches < len(evaluations)
+
+    @pytest.mark.parametrize("metric", [
+        ErrorMetric.fwer(), ErrorMetric.fmer(), ErrorMetric.msfp(),
+        ErrorMetric.mfwer(2, 0.01, "one"),
+    ], ids=["fwer", "fmer", "msfp", "mfwer-m2-one"])
+    def test_bivariate_achieved_is_the_exact_level_at_c_star(self, monkeypatch, metric):
+        law = ((metric.exceedance_count, metric.effective_sided),)
+        for rho in np.linspace(-0.99, 0.99, 23).tolist():
+            z_corr = CorrelationMatrix.bivariate(rho)
+            result = platform_threshold(z_corr, metric)
+            c = result.critical_value
+            levels, _ = multiplicity._bivariate_levels(rho, np.array([c]), law)
+            assert result.achieved == levels[0][0]
+            with monkeypatch.context() as patch:
+                patch.setattr(multiplicity, "_solve_decreasing", evaluated_stop_search)
+                reference = platform_threshold(z_corr, metric)
+            assert (c, result.achieved) == (reference.critical_value, reference.achieved)
+
+    @pytest.mark.parametrize("K", range(2, 7))
+    def test_count_pool_ends_on_the_evaluated_c_star(self, monkeypatch, K):
+        # the count pool: the same c*, achieved and stderr bit for bit, and
+        # achieved is the pool's level at c*
+        z_corr, passes = _optimised_design_z_corr(K, 0), []
+        radial_level = multiplicity._radial_level
+
+        def counted(stat, dim):
+            law = radial_level(stat, dim)
+
+            def each(c, spread=False):
+                passes.append(c)
+                return law(c, spread)
+
+            return each
+
+        monkeypatch.setattr(multiplicity, "_radial_level", counted)
+        for metric in (ErrorMetric.fmer(), ErrorMetric.msfp(), ErrorMetric.mfwer(2, 0.05)):
+            passes.clear()
+            result = platform_threshold(z_corr, metric)
+            predicted = len(passes)
+            with monkeypatch.context() as patch:
+                patch.setattr(multiplicity, "_solve_decreasing", evaluated_stop_search)
+                passes.clear()
+                reference = platform_threshold(z_corr, metric)
+            assert result.critical_value == reference.critical_value
+            assert result.achieved == reference.achieved
+            assert result.achieved_stderr == reference.achieved_stderr
+            assert predicted <= len(passes)
+            stat = multiplicity._tail_count_statistic(
+                z_corr, metric.exceedance_count, metric.effective_sided, 65_536, 0
+            )
+            law = radial_level(stat, 2 * K)
+            assert result.achieved == law(result.critical_value)[0]
 
 
 def _decreasing_family(n, seed):
@@ -930,11 +996,12 @@ class TestSharedSearch:
         # two independent tails' product (fmer, msfp): the bracket's lower
         # end is the exact root, and a Newton step that passes it goes there
         evaluations = _counting(monkeypatch, multiplicity, "_bivariate_levels")
-        c, achieved = multiplicity._bivariate_critical_values(rho, (metric,))
+        c = multiplicity._bivariate_critical_values(rho, (metric,))
+        assert len(evaluations) <= 6
         low, _ = multiplicity._bracket(metric, 2, np.array([rho]))
         assert abs(c[0, 0] - low[0]) <= 1e-12
-        assert achieved[0, 0] == pytest.approx(metric.alpha, abs=1e-15)
-        assert len(evaluations) <= 6
+        achieved = platform_threshold(CorrelationMatrix.bivariate(rho), metric).achieved
+        assert achieved == pytest.approx(metric.alpha, abs=1e-15)
 
     def test_batch_equals_one_solve_per_correlation(self, monkeypatch):
         # every (correlation, metric) in one search, each element on its own
@@ -943,19 +1010,21 @@ class TestSharedSearch:
         rho = np.linspace(-0.99, 0.99, 23)
         metrics = (ErrorMetric.fwer(0.05), ErrorMetric.fmer(0.0025), ErrorMetric.msfp(0.000625))
         evaluations = _counting(monkeypatch, multiplicity, "_bivariate_levels")
-        c, achieved = multiplicity._bivariate_critical_values(rho, metrics)
+        c = multiplicity._bivariate_critical_values(rho, metrics)
         batched = len(evaluations)
-        assert c.shape == achieved.shape == (rho.size, len(metrics))
+        assert c.shape == (rho.size, len(metrics))
         steps = []
         for j, metric in enumerate(metrics):
             evaluations.clear()
-            alone, _ = multiplicity._bivariate_critical_values(rho, (metric,))
+            alone = multiplicity._bivariate_critical_values(rho, (metric,))
             steps.append(len(evaluations))
             assert alone[:, 0].tolist() == c[:, j].tolist()
+            law = ((metric.exceedance_count, metric.effective_sided),)
             for i, r in enumerate(rho.tolist()):
                 one = platform_threshold(CorrelationMatrix.bivariate(r), metric)
                 assert c[i, j] == one.critical_value
-                assert achieved[i, j] == one.achieved
+                levels, _ = multiplicity._bivariate_levels(r, np.array([c[i, j]]), law)
+                assert one.achieved == levels[0][0]
         assert batched == max(steps)
 
     def test_bracket_is_elementwise(self):
@@ -1223,11 +1292,12 @@ class TestRadialLevel:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             law = multiplicity._radial_level(stat, dim)
-            assert law(0.0) == (5 / 7, 0.0) and law(0.0, spread=True) == 5 / 7
+            assert law(0.0) == (5 / 7, 0.0) and law(0.0, spread=True) == (5 / 7, 5 / 7)
             for c in (1e-300, 1e-30, 1e-8, 1.7, 37.68, 1e5):
                 level, slope = law(c)
                 assert 0.0 <= level <= 5 / 7 and -math.inf < slope <= 0.0, c
-                assert 0.0 <= law(c, spread=True) <= 5 / 7, c
+                assert law(c, spread=True)[0] == level, c
+                assert 0.0 <= law(c, spread=True)[1] <= 5 / 7, c
             assert law(math.inf) == (0.0, 0.0)
 
     @pytest.mark.parametrize("K", [2, 4, 6])
@@ -1236,8 +1306,9 @@ class TestRadialLevel:
         stat = multiplicity._tail_count_statistic(_platform_z_corr(K), 2, "two", 20_000, 4)
         law, c = multiplicity._radial_level(stat, 2 * K), 2.1
         terms, _ = chi_tail(c / stat[stat > 0.0], 2 * K)
-        assert law(c, spread=True) == pytest.approx(terms @ terms / stat.size, rel=1e-14)
-        assert law(c)[0] == pytest.approx(terms.sum() / stat.size, rel=1e-14)
+        level, mean_square = law(c, spread=True)
+        assert mean_square == pytest.approx(terms @ terms / stat.size, rel=1e-14)
+        assert level == law(c)[0] == pytest.approx(terms.sum() / stat.size, rel=1e-14)
 
 
 class TestEmpiricalErrorRates:

@@ -33,8 +33,6 @@ from platformdesign.estimation import TrialEstimates, table1_pipeline
 from platformdesign.multiplicity import (
     DEFAULT_TARGETS,
     ErrorMetric,
-    ThresholdResult,
-    _bivariate_critical_values,
     _p_threshold,
     bivariate_error_rates,
     platform_threshold,
@@ -482,11 +480,9 @@ class TestDesignSurface:
                 scenario = DesignScenario(0.3, s, 1.0, rho_combo_control=rho, rho_combo_mono=rho)
                 alloc = optimize_allocation(scenario)
                 z = _point_z_rho(alloc.ratios, rho, rho)
-                c_star, achieved = _bivariate_critical_values(z, DEFAULT_TARGETS)
-                for metric, c, level in zip(DEFAULT_TARGETS, c_star[0].tolist(), achieved[0]):
-                    threshold = ThresholdResult(
-                        c, _p_threshold(c), metric, CorrelationMatrix.bivariate(z), level
-                    )
+                for metric in DEFAULT_TARGETS:
+                    threshold = platform_threshold(CorrelationMatrix.bivariate(z), metric)
+                    c = threshold.critical_value
                     result = find_sample_size(scenario, alloc, threshold, 0.8)
                     expected.append((
                         s, rho, *alloc.ratios, z, metric.kind, c, _p_threshold(c),
