@@ -8,16 +8,26 @@ default, so a flag given on the command line wins; a key that names no flag
 of the subcommand is refused.  A subcommand imports the modules that only
 it uses when it runs, so a call compiles no module it does not run.
 
-Exit codes: 0 success, 2 validation failure (including an ``--out`` path
-that cannot be written), 3 numerical failure (no root / not positive
-definite / precision), 4 search budget exceeded.
+``main(argv)`` returns the exit code in process.  ``run()``, the console
+script and ``python -m platformdesign.cli``, calls it, flushes stdout and
+stderr, runs the ``atexit`` callbacks and ends the process with
+``os._exit``: it skips only the interpreter's teardown of modules and its
+final garbage collection.  Under a tracer, a profiler or ``python -i`` it
+exits normally instead.
+
+Exit codes: 0 success, 1 stdout closed by its reader (nothing is written to
+stderr), 2 validation failure (including an ``--out`` path that cannot be
+written), 3 numerical failure (no root / not positive definite / precision),
+4 search budget exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
 import json
+import os
 import sys
 
 from .errors import (
@@ -28,6 +38,7 @@ from .multiplicity import DEFAULT_TARGETS, ErrorMetric, _p_threshold, platform_t
 from .mvnorm import CorrelationMatrix
 
 EXIT_OK = 0
+EXIT_CLOSED_STDOUT = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 EXIT_BUDGET = 4
@@ -515,5 +526,43 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BUDGET
 
 
+def _traced_or_interactive() -> bool:
+    """Whether a tracer, a profiler or ``-i`` is active: cProfile prints its
+    report, and ``-i`` opens its prompt, only on the interpreter's own exit."""
+    if sys.flags.inspect or sys.gettrace() is not None or sys.getprofile() is not None:
+        return True
+    # from 3.12 on, cProfile and coverage may register as monitoring tools
+    monitoring = getattr(sys, "monitoring", None)
+    return monitoring is not None and any(
+        monitoring.get_tool(tool) is not None for tool in range(6)
+    )
+
+
+def _flush_std_streams() -> None:
+    # a stream is None when its file descriptor was closed at start-up
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+
+
+def run() -> None:
+    """The process entry point: ``main()``'s output flushed, the ``atexit``
+    callbacks run, then ``os._exit``, so the call does not wait for the
+    interpreter to free every module and object it loaded."""
+    try:
+        code = main()
+        _flush_std_streams()
+    except BrokenPipeError:
+        # the reader of stdout is gone: send fd 1 to devnull so that no later
+        # flush fails again, and end quietly (the recipe of the signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_CLOSED_STDOUT
+    if _traced_or_interactive():
+        sys.exit(code)
+    atexit._run_exitfuncs()
+    _flush_std_streams()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -446,12 +446,20 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-def run_python(*args: str, timeout: float = 120) -> subprocess.CompletedProcess:
+def run_python(
+    *args: str, timeout: float = 120, env: dict | None = None, **options
+) -> subprocess.CompletedProcess:
     """``python *args`` in a fresh interpreter, with this checkout's package
-    first on its path."""
+    first on its path.  ``env`` sets variables, or unsets those it maps to
+    None; ``options`` override ``subprocess.run``'s, which capture the output
+    as text."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
-    )
+    environ = dict(os.environ)
+    environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, environ.get("PYTHONPATH")]))
+    for key, value in (env or {}).items():
+        if value is None:
+            environ.pop(key, None)
+        else:
+            environ[key] = value
+    options = {"capture_output": True, "text": True, **options}
+    return subprocess.run([sys.executable, *args], env=environ, timeout=timeout, **options)

@@ -1,6 +1,8 @@
 """Command-line interface: flags, outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
 import time
 import warnings
 
@@ -876,3 +878,95 @@ def test_each_subcommand_loads_only_the_modules_it_calls(tmp_path):
         proc = run_python("-c", _LOADED_MODULES, json.dumps(calls))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == sorted(modules | {"cli"}), calls[0][:3]
+
+
+# the buffered path is the one a fast exit could lose output on
+_BUFFERED = {"PYTHONUNBUFFERED": None}
+_IN_PROCESS = "import sys; from platformdesign.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def test_the_entry_point_writes_what_main_writes(tmp_path):
+    # python -m platformdesign.cli ends by os._exit; sys.exit(main()) ends by
+    # the interpreter's own teardown: stdout, stderr, exit code and each
+    # --out file must agree byte for byte
+    screen = tmp_path / "screen.csv"
+    screen.write_text(FIXTURE_INDEPENDENT_CSV, encoding="utf-8")
+    calls = [
+        ["adjust", "--rho", "0.4"],
+        ["adjust", "--metric", "mfwer", "--m", "2", "--k", "2", "--n-a", "120", "--n-b", "60",
+         "60", "--n-ab", "60", "60", "--rho-ab-a", "0.3", "0.4", "--rho-ab-b", "0.5", "0.2"],
+        ["design", "--delta", "0.663", "--synergy", "1.161", "--rho-ab-a", "0.626",
+         "--rho-ab-b", "0.660", "--metric", "fwer", "--power", "0.8", "--seed", "1"],
+        ["estimate", "--input", str(screen), "--drug-a", "A", "--drug-b", "B", "--combo", "AB",
+         "--with-thresholds"],
+        ["simulate", "--study", "thresholds", "--format", "jsonl"],
+        ["simulate", "--study", "design-surface", "--progress"],
+        ["design", "--delta", "0.663", "--synergy", "1.161", "--precision", "0"],
+        ["adjust", "--rho", "0.4", "--format", "json", "--out", "{out}"],
+    ]
+    results = []
+    for argv in calls:
+        runs = []
+        for side, entry in (("run", ("-m", "platformdesign.cli")), ("main", ("-c", _IN_PROCESS))):
+            out = tmp_path / f"{side}.txt"
+            proc = run_python(*entry, *(a.format(out=out) for a in argv), env=_BUFFERED,
+                              text=False)
+            runs.append((proc.returncode, proc.stdout, proc.stderr,
+                         out.read_bytes() if out.exists() else None))
+        assert runs[0] == runs[1], argv
+        results.append(runs[0])
+    codes, stdouts, stderrs, written = zip(*results)
+    assert codes == (0,) * 6 + (2, 0)
+    assert all(stdouts[:6]) and len(stdouts[4]) > 50_000 and stdouts[7] == b""
+    # the design surface's progress lines and its row count; the refusal's error
+    assert stderrs[5].count(b"\n") > 80 and stderrs[6].startswith(b"error: ")
+    assert b'"critical_value"' in written[7]
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None])
+@pytest.mark.parametrize("argv", [["adjust", "--rho", "0.4"], ["simulate", "--study", "thresholds"]])
+def test_a_closed_stdout_ends_the_call_quietly(argv, unbuffered):
+    # a pipe whose reader is gone before the call writes
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_python("-m", "platformdesign.cli", *argv,
+                          env={"PYTHONUNBUFFERED": unbuffered},
+                          capture_output=False, stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
+def test_a_call_without_stdout_still_writes_its_out_file(tmp_path):
+    # fd 1 closed before the interpreter starts leaves sys.stdout None
+    out = tmp_path / "adjust.txt"
+    proc = run_python("-m", "platformdesign.cli", "adjust", "--rho", "0.4", "--out", str(out),
+                      capture_output=False, stderr=subprocess.PIPE,
+                      preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "\ncritical_value: " in out.read_text(encoding="utf-8")
+
+
+def test_the_atexit_callbacks_run_and_their_output_is_flushed():
+    code = ("import atexit, sys; from platformdesign import cli; "
+            "atexit.register(print, 'exit hook ran'); sys.argv[1:] = ['adjust', '--rho', '0.4']; "
+            "cli.run()")
+    proc = run_python("-c", code, env=_BUFFERED)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "critical_value: " in proc.stdout and proc.stdout.endswith("\nexit hook ran\n")
+
+
+def test_a_profiler_gets_the_interpreters_own_exit():
+    # cProfile prints its report only once the profiled code has exited
+    # normally; from 3.12 on it is a sys.monitoring tool, not sys.getprofile()
+    proc = run_python("-m", "cProfile", "-m", "platformdesign.cli", "adjust", "--rho", "0.4",
+                      env=_BUFFERED)
+    assert proc.returncode == 0, proc.stderr
+    assert "critical_value: " in proc.stdout and "function calls" in proc.stdout
+
+
+def test_python_i_still_reaches_its_prompt():
+    proc = run_python("-i", "-m", "platformdesign.cli", "adjust", "--rho", "0.4",
+                      env=_BUFFERED, input="print('prompt reached')\n")
+    assert "critical_value: " in proc.stdout and "prompt reached" in proc.stdout

@@ -3,6 +3,8 @@ module's object, and ``import platformdesign`` alone loads no module."""
 
 import importlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 from conftest import FIXTURE_INDEPENDENT_CSV, run_python
@@ -39,6 +41,17 @@ def test_an_unknown_name_is_an_attribute_error(name):
     with pytest.raises(AttributeError, match=f"module 'platformdesign' has no attribute '{name}'"):
         getattr(platformdesign, name)
     assert not hasattr(platformdesign, name)
+
+
+def test_the_console_script_is_the_entry_point_python_m_runs():
+    # by regex: Python 3.10 has no tomllib
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text("utf-8")
+    scripts = pyproject.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    assert re.findall(r'^(\S+) = "(.*)"$', scripts, re.M) == [
+        ("platformdesign", "platformdesign.cli:run")
+    ]
+    source = Path(importlib.import_module("platformdesign.cli").__file__).read_text("utf-8")
+    assert source.endswith('\nif __name__ == "__main__":\n    run()\n')
 
 
 def test_import_loads_neither_numpy_nor_a_module():
