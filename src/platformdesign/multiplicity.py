@@ -354,16 +354,19 @@ def _radial_level(stat: np.ndarray, dim: int) -> Callable:
     slope, the mean of -c^(dim-1) y^(dim/2) E / (2^(dim/2-1) (dim/2 - 1)!),
     is the next moment.  T is raised to 2^(-960/dim) so that the moments
     stay finite, which moves no term at c > 4e-23 for dim <= 12; c is cut to
-    1000, past which every term is 0.
+    1000, past which every term is 0.  y is built in place in one new
+    array, the compacted positive T, so ``stat`` is left as it is and need
+    not be held by the caller.
     """
-    size, s = stat.size, np.reciprocal(np.maximum(stat[stat > 0.0], 2.0 ** -(960 // dim)))
-    y, power = s * s, np.empty(s.size)
+    size, y = stat.size, stat[stat > 0.0]
+    np.square(np.reciprocal(np.maximum(y, 2.0 ** -(960 // dim), out=y), out=y), out=y)
+    power = np.empty(y.size)
     constant = 2.0 ** (0.5 * dim - 1.0) * math.gamma(0.5 * dim)
 
     def law(c: float, spread: bool = False):
         c = min(c, 1000.0)
         w, level = 0.5 * c * c, 0.0
-        terms = np.zeros(s.size) if spread else None
+        terms = np.zeros(y.size) if spread else None
         np.exp(np.multiply(y, -w, out=power), out=power)
         for a in range(dim // 2):
             if a:
@@ -557,8 +560,9 @@ def platform_threshold(
         c_star, achieved = float(c_values[0]), float(levels[0])
     else:
         count, sided = metric.exceedance_count, metric.effective_sided
-        stat = _tail_count_statistic(z_corr, count, sided, replications, seed)
-        law = _radial_level(stat, dim + dim % 2)
+        # a temporary: nothing holds the statistic through the search
+        law = _radial_level(_tail_count_statistic(z_corr, count, sided, replications, seed),
+                            dim + dim % 2)
 
         def level(c: np.ndarray, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             return tuple(np.array([value]) for value in law(float(c[0])))

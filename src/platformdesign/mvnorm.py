@@ -25,8 +25,8 @@ validated and factored with diagonal jitter, and rectangle probabilities:
   and Wichura's AS241, precise in absolute terms (3.4e-16 and 8.7e-16),
   which is what a box probability needs.  Each pass writes every per-point
   step into one work array the lattice keeps and resizes as it grows, so
-  repeated evaluations allocate per point only a sign mask and Phi^-1's
-  tail points.
+  repeated evaluations allocate per point only two masks and Phi^-1's
+  tail points, each of AS241's tail rationals on the points that need it.
 
 The lattice shifts are the module's only random numbers; every estimate is
 a pure function of (inputs, seed).
@@ -297,40 +297,34 @@ _HART_Q = (0.0883883476483184, 1.75566716318264, 16.064177579207, 86.78073220294
            296.564248779674, 637.333633378831, 793.826512519948, 440.413735824752)
 # Wichura's (1988) AS241: Phi^-1(1/2 + q) = q N(r) / D(r) with r = 0.180625
 # - q^2 for |q| <= 0.425, and beyond it sign(q) N(r) / D(r) with r = sqrt(-log
-# min(u, 1 - u)) - 1.6 while that root is at most 5, and - 5 past it.
-# Coefficients highest power first; the tail's two pairs are stacked, each
-# step shaped to broadcast over a (2, 2, m) Horner array.
+# min(u, 1 - u)) - 1.6 while that root is at most 5 (the NEAR pair), and - 5
+# past it (the FAR pair).  Coefficients highest power first.
 _AS241_N = (2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
             4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
             1.3314166789178437745e2, 3.3871328727963666080e0)
 _AS241_D = (5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
             2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
             4.2313330701600911252e1, 1.0)
-_AS241_TAIL = tuple(np.array([
-    [[7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1,
-      1.2704582524523683826e0, 3.6478483247632045265e0, 5.7694972214606914055e0,
-      4.6303378461565452959e0, 1.4234371107496835773e0],
-     [1.0507500716444168432e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2,
-      1.4810397642748007459e-1, 6.8976733498510000455e-1, 1.6763848301838038494e0,
-      2.0531916266377588219e0, 1.0]],
-    [[2.0103343992922881327e-7, 2.7115555687434875782e-5, 1.2426609473880784386e-3,
-      2.6532189526576123093e-2, 2.9656057182850489123e-1, 1.7848265399172913358e0,
-      5.4637849111641143699e0, 6.6579046435011037772e0],
-     [2.0442631033899397856e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5,
-      7.8686913114561325910e-4, 1.4875361290850614853e-2, 1.3692988092273580531e-1,
-      5.9983220655588793769e-1, 1.0]],
-]).transpose(2, 0, 1)[..., None])
-# the tail rationals' shifts of r, and the root past which the second holds
-_AS241_SHIFT, _AS241_SWITCH = np.array([1.6, 5.0])[:, None, None], 5.0
+_AS241_NEAR_N = (7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1,
+                 1.2704582524523683826e0, 3.6478483247632045265e0, 5.7694972214606914055e0,
+                 4.6303378461565452959e0, 1.4234371107496835773e0)
+_AS241_NEAR_D = (1.0507500716444168432e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2,
+                 1.4810397642748007459e-1, 6.8976733498510000455e-1, 1.6763848301838038494e0,
+                 2.0531916266377588219e0, 1.0)
+_AS241_FAR_N = (2.0103343992922881327e-7, 2.7115555687434875782e-5, 1.2426609473880784386e-3,
+                2.6532189526576123093e-2, 2.9656057182850489123e-1, 1.7848265399172913358e0,
+                5.4637849111641143699e0, 6.6579046435011037772e0)
+_AS241_FAR_D = (2.0442631033899397856e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5,
+                7.8686913114561325910e-4, 1.4875361290850614853e-2, 1.3692988092273580531e-1,
+                5.9983220655588793769e-1, 1.0)
 
 
-def _horner(coefficients, t: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Evaluate a polynomial at ``t`` into ``out``, in place, coefficients
-    highest power first: numbers, or arrays that broadcast with ``t`` to the
-    shape of ``out`` to evaluate several polynomials at once.  A number is
-    numpy's fast path; an array that broadcasts along the last axis is not,
-    so past a few hundred points one call per polynomial is faster."""
-    np.multiply(t, coefficients[0], out=out)
+def _horner(coefficients, t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Evaluate a polynomial at ``t``, coefficients highest power first, in
+    place into ``out``, or into a new array when it is None.  Number
+    coefficients are numpy's fast path, so each polynomial takes its own
+    call."""
+    out = np.multiply(t, coefficients[0], out=out)
     for c in coefficients[1:-1]:
         out += c
         out *= t
@@ -364,9 +358,10 @@ def _cdf_rational(x: np.ndarray, density: np.ndarray, acc: np.ndarray) -> None:
 def _quantile_rational(u: np.ndarray, out: np.ndarray, acc: np.ndarray) -> None:
     """Write Phi^-1(u) into ``out`` for u of shape (n,) in [1e-15, 1 - 1e-15],
     on Wichura's AS241: within 8.7e-16 of mpmath, absolute for |Phi^-1(u)| <=
-    1 and relative beyond.  The central rational runs on every point, and the
-    two tail ones on the points past it only; ``acc`` is work of shape (3,
-    n)."""
+    1 and relative beyond.  The central rational runs on every point, the
+    near tail one on the points past it, and the far tail one only on those
+    past u = e^-25 (or 1 - e^-25), if any; each Horner call takes number
+    coefficients, numpy's fast path.  ``acc`` is work of shape (3, n)."""
     q = np.subtract(u, 0.5, out=out)
     # 0.180625 - q^2 > -0.0694 on (0, 1), short of D's largest root, -0.0729,
     # so the central rational is finite where the tail one replaces it
@@ -380,9 +375,13 @@ def _quantile_rational(u: np.ndarray, out: np.ndarray, acc: np.ndarray) -> None:
     ut = u[tail]
     if ut.size:
         r = np.sqrt(-np.log(np.minimum(ut, 1.0 - ut)))
-        both = _horner(_AS241_TAIL, r - _AS241_SHIFT, np.empty((2, 2, ut.size)))
-        ratio = both[:, 0] / both[:, 1]
-        out[tail] = np.copysign(np.where(r > _AS241_SWITCH, ratio[1], ratio[0]), ut - 0.5)
+        t = r - 1.6
+        ratio = _horner(_AS241_NEAR_N, t) / _horner(_AS241_NEAR_D, t)
+        far = r > 5.0
+        if far.any():
+            t = r[far] - 5.0
+            ratio[far] = _horner(_AS241_FAR_N, t) / _horner(_AS241_FAR_D, t)
+        out[tail] = np.copysign(ratio, ut - 0.5)
 
 
 def _smallest_residual_order(matrix: np.ndarray) -> np.ndarray:

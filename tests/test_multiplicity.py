@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -1107,6 +1108,26 @@ class TestNullPool:
         assert sorted(store) == [(2, 0), (2, 1)]
         assert [normals.shape for _, normals in sorted(store.items())] == [(4, 16_384), (4, 3_616)]
 
+    @pytest.mark.parametrize("m, sided", [(2, "two"), (3, "one")])
+    def test_pool_solve_transient_memory_is_bounded(self, m, sided):
+        # the statistic is freed once the level's y is built in one array,
+        # so a solve peaks at 4 arrays of replications doubles (y, the
+        # powers, the spread's terms and one product) plus the positive mask;
+        # the one-sided m 3 pool has directions with T <= 0
+        z_corr, metric = _platform_z_corr(6), ErrorMetric.mfwer(m, 0.05, sided)
+        replications = 65_536  # the default
+        if sided == "one":
+            stat = multiplicity._tail_count_statistic(z_corr, m, sided, replications, 0)
+            assert (stat <= 0.0).any()
+        platform_threshold(z_corr, metric)  # draws the kept normals
+        tracemalloc.start()
+        try:
+            platform_threshold(z_corr, metric)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * replications + replications + 64 * 1024
+
     @pytest.mark.parametrize("replications", [1, 16_383, 16_384, 16_385, 20_000])
     def test_one_statistic_per_replication(self, replications):
         corr = _platform_z_corr(2)
@@ -1299,6 +1320,13 @@ class TestRadialLevel:
                 assert law(c, spread=True)[0] == level, c
                 assert 0.0 <= law(c, spread=True)[1] <= 5 / 7, c
             assert law(math.inf) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("stat", [POOL, POOL[POOL > 0.0]], ids=["some-zero", "all-positive"])
+    def test_leaves_the_pool_unchanged(self, stat):
+        given = stat.copy()
+        law = multiplicity._radial_level(stat, 6)
+        law(1.3), law(1.3, spread=True)
+        assert stat.tobytes() == given.tobytes()
 
     @pytest.mark.parametrize("K", [2, 4, 6])
     def test_spread_is_the_mean_squared_term(self, K):

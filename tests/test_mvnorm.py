@@ -514,6 +514,16 @@ class TestLatticeKernels:
             assert abs(y - float(reference)) <= 1e-15 * scale, u
         assert _lattice_quantile([0.5]).tolist() == [0.0]
 
+    def test_quantile_does_not_depend_on_its_batch(self):
+        # each tail rational runs only on the points that need it, so a point
+        # beside a switch comes out the same with or without ordinary
+        # points, and far tail points, in its call
+        beside = [np.nextafter(u, side) for u in _AS241_SWITCHES for side in (0.0, 1.0)]
+        points = np.concatenate([beside, _AS241_SWITCHES, [1e-15, 0.01, 0.3, 0.5, 0.7, 0.99]])
+        alone = np.concatenate([_lattice_quantile([u]) for u in points])
+        assert _lattice_quantile(points).tobytes() == alone.tobytes()
+        assert _lattice_quantile(points[::-1]).tobytes() == alone[::-1].tobytes()
+
     @pytest.mark.parametrize("switch", [0.0, _WEST_CUT, -_WEST_CUT, 38.6, -38.6, 40.0, -40.0])
     def test_cdf_monotone_across_each_switch(self, switch):
         # steps of 1e-9 never lower Phi, and raise it wherever the step
