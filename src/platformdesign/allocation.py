@@ -31,7 +31,7 @@ _EFFECT_MIN, _EFFECT_MAX, _SHARE_MIN = 1e-150, 1e150, 1e-150
 
 
 def _as_tuple(value, length: int, name: str) -> tuple[float, ...]:
-    if np.isscalar(value):
+    if np.ndim(value) == 0:  # a number, or a 0-d array
         return (float(value),) * length
     out = tuple(float(v) for v in value)
     if len(out) != length:
@@ -86,11 +86,13 @@ class DesignScenario:
     rho_combo_mono: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        delta = _as_tuple(self.delta, 1 if np.isscalar(self.delta) else len(self.delta), "delta")
+        delta = _as_tuple(self.delta, np.size(self.delta), "delta")
         k = len(delta)
         synergy = _as_tuple(self.synergy, k, "synergy")
-        rho_cc = _as_tuple(self.rho_combo_control or 0.0, k, "rho_combo_control")
-        rho_cm = _as_tuple(self.rho_combo_mono or 0.0, k, "rho_combo_mono")
+        rho_cc, rho_cm = (  # an empty sequence is 0 in every substudy
+            _as_tuple(getattr(self, name) if np.size(getattr(self, name)) else 0.0, k, name)
+            for name in ("rho_combo_control", "rho_combo_mono")
+        )
         _check_scenarios(delta, synergy, self.sigma2, rho_cc, rho_cm)
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "synergy", synergy)
@@ -155,27 +157,27 @@ def _largest_remainder(ratios: np.ndarray, totals: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _contrasts(delta, synergy, rho_combo_control, n_arms: int) -> tuple[np.ndarray, np.ndarray]:
-    """The mean differences and the arm-control outcome correlations of the
-    2K comparisons with control, in arm order (mono_1, combo_1, mono_2, ...),
-    shape (..., 2K), from each substudy's delta, synergy and
-    combination-control correlation, shape (..., K) or broadcast to it, for
-    an allocation of ``n_arms`` arms, which must be 2K+1."""
+def _contrasts(delta, synergy, n_arms: int) -> np.ndarray:
+    """The mean differences of the 2K comparisons with control, in arm order
+    (mono_1, combo_1, mono_2, ...), shape (..., 2K), from each substudy's
+    delta and synergy, shape (..., K) or broadcast to it, for an allocation
+    of ``n_arms`` arms, which must be 2K+1.  Their outcome correlations with
+    control are the control column of the arm correlation matrix."""
     synergy = np.asarray(synergy, dtype=float)
     K = synergy.shape[-1]
     if n_arms != 2 * K + 1:
         raise DomainError(f"allocation has K={(n_arms - 1) // 2} but scenario has K={K}")
     mu = np.stack(np.broadcast_arrays(delta, synergy * delta), axis=-1)
-    rho = np.stack(np.broadcast_arrays(0.0, rho_combo_control), axis=-1)
-    return mu.reshape(*mu.shape[:-2], 2 * K), rho.reshape(*rho.shape[:-2], 2 * K)
+    return mu.reshape(*mu.shape[:-2], 2 * K)
 
 
 def _noncentralities(shares, mu, rho, sigma2) -> np.ndarray:
     """The 2K Wald noncentralities mu^2 / (sigma2 var) of the comparisons
     with control at arm shares or counts of shape (..., 2K+1), from the
-    comparisons' mean differences ``mu`` and outcome correlations ``rho``
-    (:func:`_contrasts`), shape (..., 2K), and the variance ``sigma2``, each
-    per row or shared: shape (..., 2K)."""
+    comparisons' mean differences ``mu`` (:func:`_contrasts`) and outcome
+    correlations with control ``rho`` (``arm_rho[..., 1:, 0]``), shape
+    (..., 2K), and the variance ``sigma2``, each per row or shared: shape
+    (..., 2K)."""
     shares = np.asarray(shares)
     var = sigma2 * _contrast_variance(shares[..., 1:], shares[..., :1], rho)
     if np.any(var <= 0.0):

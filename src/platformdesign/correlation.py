@@ -157,31 +157,6 @@ class PlatformArms:
         return len(self.n_mono)
 
 
-def _pair_correlation(n_u, n_v, n_a, rho_uv, rho_ua, rho_va):
-    """Correlation of two Z statistics sharing the control arm, elementwise
-    over arrays.
-
-    Arm correlations that every caller has checked (they fit together) give
-    a value in [-1, 1] up to rounding, which is clipped.  A contrast with no
-    variance (correlation 1, equal counts) is still a :class:`DomainError`.
-    """
-    var_u = _contrast_variance(n_u, n_a, rho_ua)
-    var_v = _contrast_variance(n_v, n_a, rho_va)
-    if np.any(var_u <= 0.0) or np.any(var_v <= 0.0):
-        raise DomainError(
-            "a contrast variance is not positive; the arm correlations are "
-            "inconsistent with the sample sizes"
-        )
-    num = (
-        rho_uv / np.sqrt(n_u * n_v)
-        - rho_ua / np.sqrt(n_u * n_a)
-        - rho_va / np.sqrt(n_v * n_a)
-        + 1.0 / n_a
-    )
-    r = num / np.sqrt(var_u * var_v)
-    return np.minimum(1.0, np.maximum(-1.0, r))
-
-
 def _check_single(arms: PlatformArms) -> None:
     if arms.K != 1:
         raise DomainError(f"expected a single-substudy (K=1) trial, got K={arms.K}")
@@ -204,17 +179,30 @@ def _z_correlations(sizes, arm_rho) -> np.ndarray:
     """The matrices of :func:`platform_z_correlation_matrix`, shape (...,
     2K, 2K), from arm counts ``sizes``, shape (..., 2K+1), and arm
     correlation matrices ``arm_rho``, shape (..., 2K+1, 2K+1), broadcast
-    together."""
+    together: each entry the correlation of two contrasts with control,
+    clipped to [-1, 1] against rounding.  A contrast with no variance
+    (correlation 1, equal counts) is a :class:`DomainError`."""
     sizes, arm_rho = np.asarray(sizes, dtype=float), np.asarray(arm_rho, dtype=float)
     dim = sizes.shape[-1] - 1
     # each statistic's arm: combo_k (2k) first, then mono_k (2k - 1)
     arm = np.arange(1, dim + 1).reshape(-1, 2)[:, ::-1].ravel()
+    n, n_a, rho_a = sizes[..., arm], sizes[..., :1], arm_rho[..., arm, 0]
+    var = _contrast_variance(n, n_a, rho_a)
+    if np.any(var <= 0.0):
+        raise DomainError(
+            "a contrast variance is not positive; the arm correlations are "
+            "inconsistent with the sample sizes"
+        )
     i, j = np.triu_indices(dim, 1)
-    u, v = arm[i], arm[j]
+    num = (
+        arm_rho[..., arm[i], arm[j]] / np.sqrt(n[..., i] * n[..., j])
+        - rho_a[..., i] / np.sqrt(n[..., i] * n_a)
+        - rho_a[..., j] / np.sqrt(n[..., j] * n_a)
+        + 1.0 / n_a
+    )
     m = np.tile(np.eye(dim), (*np.broadcast_shapes(sizes.shape[:-1], arm_rho.shape[:-2]), 1, 1))
-    m[..., i, j] = m[..., j, i] = _pair_correlation(
-        sizes[..., u], sizes[..., v], sizes[..., :1],
-        arm_rho[..., u, v], arm_rho[..., u, 0], arm_rho[..., v, 0],
+    m[..., i, j] = m[..., j, i] = np.minimum(
+        1.0, np.maximum(-1.0, num / np.sqrt(var[..., i] * var[..., j]))
     )
     return m
 

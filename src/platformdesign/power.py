@@ -21,7 +21,7 @@ from .allocation import (
     Allocation, DesignScenario, _check_scenarios, _contrasts, _largest_remainder,
     _max_min_shares, _noncentralities,
 )
-from .correlation import _NOMINAL_TOTAL, _z_correlations
+from .correlation import _NOMINAL_TOTAL, _arm_correlation_matrix, _z_correlations
 from .errors import BudgetExceeded, DomainError
 from .multiplicity import (
     ThresholdResult, _bivariate_critical_values, _check_solver_settings, platform_threshold,
@@ -127,7 +127,7 @@ def _noncentrality_bound(ratios, mu, rho, sigma2, design, first, last) -> tuple:
     upper bound is inf where none is proven.
 
     ``ratios`` has shape (designs, 2K+1), ``mu`` and ``rho`` (designs, 2K)
-    (:func:`_contrasts`) and ``sigma2`` (designs,); ``design`` (each range's
+    (:func:`_noncentralities`) and ``sigma2`` (designs,); ``design`` (each range's
     row, or one row for all), ``first`` and ``last`` have shape (ranges,).
     The largest-remainder count of an arm of share p at a total N is
     floor(p N) or one more, so over the range it lies in [L, H] =
@@ -178,7 +178,7 @@ def _scan_totals(
     (designs, critical values) each.
 
     A design is a row of ``ratios`` (its 2K+1 shares), ``mu`` and ``rho``
-    (:func:`_contrasts`) and ``sigma2``; every design has the same K.
+    (:func:`_noncentralities`) and ``sigma2``; every design has the same K.
     ``floor`` and ``ceiling`` are :func:`_noncentrality_floor` of
     ``critical_values``.  One :func:`_noncentrality_bound` call covers each
     design's ranges of 16 totals from 2K+1 to its :func:`_window_end`.  A
@@ -273,9 +273,8 @@ def find_sample_size(
     """
     c = threshold.critical_value
     floor, _ = _noncentrality_floor([[c]], target_power)
-    mu, rho = _contrasts(
-        scenario.delta, scenario.synergy, scenario.rho_combo_control, len(alloc.ratios)
-    )
+    mu = _contrasts(scenario.delta, scenario.synergy, len(alloc.ratios))
+    rho = _arm_correlation_matrix(scenario.rho_combo_control, scenario.rho_combo_mono)[1:, 0]
     ratios = np.array([alloc.ratios])
     min_n = ratios.shape[1]
     sigma2 = np.array([scenario.sigma2])
@@ -340,15 +339,15 @@ def design(
         _check_solver_settings(metric, dim, precision, replications)
     rows = zip(delta.tolist(), synergy.tolist(), rho_cc.tolist())
     ratios = np.array([_max_min_shares(*row) for row in rows])
-    mu, rho = _contrasts(delta, synergy, rho_cc, dim + 1)
+    mu, rho = _contrasts(delta, synergy, dim + 1), arm_rho[:, 1:, 0]
     z = _z_correlations(_NOMINAL_TOTAL * ratios, arm_rho)
     if dim == 2:
         c_star = _bivariate_critical_values(z[:, 0, 1], metrics)
     else:
         c_star = np.array([[
-            platform_threshold(CorrelationMatrix(entries), m, precision, seed, replications)
-            .critical_value for m in metrics
-        ] for entries in z])
+            platform_threshold(corr, m, precision, seed, replications).critical_value
+            for m in metrics
+        ] for corr in map(CorrelationMatrix, z)])
     n_star, achieved = _scan_totals(
         ratios, mu, rho, np.full(len(z), sigma2), c_star,
         *_noncentrality_floor(c_star, target_power), target_power, n_cap,

@@ -20,7 +20,7 @@ from scipy.special import ndtr
 from scipy.stats import multivariate_normal, norm
 
 from platformdesign.allocation import Allocation, _contrasts, _largest_remainder, _noncentralities
-from platformdesign.correlation import classical_dunnett_correlation
+from platformdesign.correlation import _arm_correlation_matrix, classical_dunnett_correlation
 from platformdesign.multiplicity import ErrorMetric, platform_threshold
 from platformdesign.mvnorm import CorrelationMatrix
 from platformdesign.power import _power
@@ -251,9 +251,8 @@ def package_design_power(scenario, counts, c: float) -> float:
     smallest of its noncentralities.  Enumerated on this, N* and every power
     must match the sample-size search bit for bit, as the search only skips
     totals, it does not compute powers another way."""
-    mu, rho = _contrasts(
-        scenario.delta, scenario.synergy, scenario.rho_combo_control, len(counts)
-    )
+    mu = _contrasts(scenario.delta, scenario.synergy, len(counts))
+    rho = _arm_correlation_matrix(scenario.rho_combo_control, scenario.rho_combo_mono)[1:, 0]
     w = np.min(_noncentralities(np.asarray([counts]), mu, rho, scenario.sigma2), axis=1)
     return float(_power(w, c)[0])
 
@@ -264,9 +263,8 @@ def exhaustive_n_star(scenario, alloc, critical_values, target: float, n_max: in
     where no total reaches ``target``.  The sample-size scan only skips
     totals, so it must match this bit for bit."""
     totals = np.arange(2 * scenario.K + 1, n_max + 1)
-    mu, rho = _contrasts(
-        scenario.delta, scenario.synergy, scenario.rho_combo_control, len(alloc.ratios)
-    )
+    mu = _contrasts(scenario.delta, scenario.synergy, len(alloc.ratios))
+    rho = _arm_correlation_matrix(scenario.rho_combo_control, scenario.rho_combo_mono)[1:, 0]
     counts = _largest_remainder(np.asarray([alloc.ratios]), totals)
     w = np.min(_noncentralities(counts, mu, rho, scenario.sigma2), axis=1)
     out = []
@@ -291,6 +289,25 @@ def n_star_enumeration_oracle(
         if powers[n] >= target:
             return n, powers
     return None, powers
+
+
+def z_correlation_oracle(sizes, arm_rho) -> np.ndarray:
+    """Z correlations of a K-substudy trial from its arm counts ``sizes``,
+    (n_A, n_B1, n_AB1, ..., n_BK, n_ABK), and arm correlation matrix
+    ``arm_rho``, through the contrasts' covariance: each row of C is e_arm -
+    e_control, in statistic order (combo_1, mono_1, ..., combo_K, mono_K),
+    and C V C^T, V = R / sqrt(n n^T) the covariance of the arm means per unit
+    variance, is normalized to a correlation matrix.  One matrix product,
+    where the package builds each entry from its own closed form."""
+    sizes = np.asarray(sizes, dtype=float)
+    dim = len(sizes) - 1
+    contrasts = np.zeros((dim, dim + 1))
+    contrasts[:, 0] = -1.0
+    for k in range(dim // 2):
+        contrasts[2 * k, 2 * k + 2] = contrasts[2 * k + 1, 2 * k + 1] = 1.0
+    sigma = contrasts @ (np.asarray(arm_rho) / np.sqrt(np.outer(sizes, sizes))) @ contrasts.T
+    sd = np.sqrt(np.diag(sigma))
+    return sigma / np.outer(sd, sd)
 
 
 def mvn_draws(factor, count: int, seed: int, stream: int = 0) -> np.ndarray:

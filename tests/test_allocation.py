@@ -16,6 +16,7 @@ from platformdesign.allocation import (
     _noncentralities,
     optimize_allocation,
 )
+from platformdesign.correlation import _arm_correlation_matrix
 from platformdesign.errors import DomainError, PlatformDesignError
 from platformdesign.multiplicity import ErrorMetric
 from platformdesign.power import design
@@ -140,14 +141,16 @@ class TestWaldNoncentrality:
             (0.3, 0.5, 0.2), (1.2, 0.8, 1.5), 1.7, (0.3, -0.2, 0.1), (0.4, 0.1, -0.3)
         )
         alloc = Allocation((0.3, 0.1, 0.15, 0.12, 0.08, 0.1, 0.15))
-        mu, rho = _contrasts(scenario.delta, scenario.synergy, scenario.rho_combo_control, 7)
+        mu = _contrasts(scenario.delta, scenario.synergy, 7)
+        rho = _arm_correlation_matrix(scenario.rho_combo_control, scenario.rho_combo_mono)[1:, 0]
         package = 250 * _noncentralities(alloc.ratios, mu, rho, scenario.sigma2)
         oracle = wald_noncentrality(scenario, alloc, 250)[:, ::-1].ravel()
         np.testing.assert_allclose(oracle, package, rtol=1e-12, atol=0.0)
 
     def test_degenerate_denominator(self):
         scenario = DesignScenario(0.3, 1.0, rho_combo_control=1.0)
-        mu, rho = _contrasts(scenario.delta, scenario.synergy, scenario.rho_combo_control, 3)
+        mu = _contrasts(scenario.delta, scenario.synergy, 3)
+        rho = _arm_correlation_matrix(scenario.rho_combo_control, scenario.rho_combo_mono)[1:, 0]
         with pytest.raises(DomainError, match="contrast variance is not positive"):
             _noncentralities((0.25, 0.5, 0.25), mu, rho, scenario.sigma2)
 
@@ -399,6 +402,31 @@ class TestScenarioType:
         scenario = DesignScenario(delta=0.3, synergy=1.2)
         assert scenario.K == 1
         assert scenario.rho_combo_control == (0.0,)
+
+    @pytest.mark.parametrize("given, expected", [
+        ({"delta": np.array(0.3), "synergy": 1.2}, {"delta": 0.3, "synergy": 1.2}),
+        ({"delta": (0.3, 0.4), "synergy": np.array(1.2)}, {"delta": (0.3, 0.4), "synergy": 1.2}),
+        ({"delta": (0.3, 0.4), "synergy": 1.2, "rho_combo_control": np.array(0.2)},
+         {"delta": (0.3, 0.4), "synergy": 1.2, "rho_combo_control": 0.2}),
+        ({"delta": (0.3, 0.4), "synergy": 1.2, "rho_combo_mono": np.array(-0.1)},
+         {"delta": (0.3, 0.4), "synergy": 1.2, "rho_combo_mono": -0.1}),
+        ({"delta": (0.3, 0.4), "synergy": 1.2, "rho_combo_control": np.array([0.2, 0.1])},
+         {"delta": (0.3, 0.4), "synergy": 1.2, "rho_combo_control": (0.2, 0.1)}),
+        ({"delta": np.array([0.3, 0.4]), "synergy": 1.2, "rho_combo_mono": np.array([0.2, 0.1])},
+         {"delta": (0.3, 0.4), "synergy": 1.2, "rho_combo_mono": (0.2, 0.1)}),
+        ({"delta": (0.3, 0.4), "synergy": 1.2, "rho_combo_control": np.array([])},
+         {"delta": (0.3, 0.4), "synergy": 1.2, "rho_combo_control": (0.0, 0.0)}),
+    ])
+    def test_numpy_inputs_are_the_numbers_and_sequences_they_hold(self, given, expected):
+        # as ArmCorrelations.per_substudy and PlatformArms take them: a 0-d
+        # array is a number, given to every substudy, and an empty array of
+        # correlations is 0 in each
+        assert DesignScenario(**given) == DesignScenario(**expected)
+
+    def test_a_numpy_sequence_of_the_wrong_length_is_named(self):
+        message = r"rho_combo_control must have one entry per substudy \(2\), got 3"
+        with pytest.raises(DomainError, match=message):
+            DesignScenario((0.3, 0.4), 1.2, rho_combo_control=np.zeros(3))
 
     def test_validation(self):
         with pytest.raises(DomainError):

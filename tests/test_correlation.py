@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from conftest import mvn_draws
+from conftest import mvn_draws, z_correlation_oracle
 
 from platformdesign.correlation import (
     ArmCorrelations,
     PlatformArms,
+    _arm_correlation_matrix,
+    _z_correlations,
     classical_dunnett_correlation,
     platform_z_correlation_matrix,
 )
@@ -253,6 +255,52 @@ class TestPlatformMatrix:
         assert ArmCorrelations.per_substudy(0.3, 0.4).matrix.tolist() == [
             [1.0, 0.0, 0.3], [0.0, 1.0, 0.4], [0.3, 0.4, 1.0]
         ]
+
+
+def _random_trial(rng, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """Counts from 1 to 1,000 and an arm correlation matrix with every
+    within-substudy pair, control-monotherapy included, and one pair across
+    two substudies; one whose smallest eigenvalue is under 1e-6 is shrunk
+    toward the identity, to a smallest eigenvalue drawn from [2e-6, 0.5]."""
+    arm_rho = _arm_correlation_matrix(*rng.uniform(-0.95, 0.95, size=(3, K)))
+    if K > 1:
+        u, v = 2 * rng.choice(K, 2, replace=False) + 1 + rng.integers(2, size=2)
+        arm_rho[u, v] = arm_rho[v, u] = rng.uniform(-0.95, 0.95)
+    lowest, eye = np.linalg.eigvalsh(arm_rho).min(), np.eye(2 * K + 1)
+    if lowest < 1e-6:
+        arm_rho = eye + (arm_rho - eye) * ((1.0 - rng.uniform(2e-6, 0.5)) / (1.0 - lowest))
+    assert np.linalg.eigvalsh(arm_rho).min() >= 1e-6
+    return rng.integers(1, 1001, size=2 * K + 1).astype(float), arm_rho
+
+
+class TestZCorrelationsAgainstContrastCovariance:
+    @pytest.mark.parametrize("K", range(1, 7))
+    def test_every_entry_matches_the_contrast_covariance(self, rng, K):
+        # the package's entrywise closed form against C V C^T normalized
+        trials = [_random_trial(rng, K) for _ in range(300)]
+        for sizes, arm_rho in trials:
+            arms = PlatformArms(
+                sizes[0], sizes[1::2], sizes[2::2], ArmCorrelations(K, matrix=arm_rho)
+            )
+            entries = platform_z_correlation_matrix(arms).entries
+            assert np.abs(entries - z_correlation_oracle(sizes, arm_rho)).max() <= 4e-15
+            assert np.array_equal(entries, entries.T)
+            assert (np.diag(entries) == 1.0).all()
+        # a stack of designs gives each what it gives alone, bit for bit
+        sizes, arm_rho = map(np.array, zip(*trials))
+        alone = [_z_correlations(n, r) for n, r in trials]
+        assert np.array_equal(_z_correlations(sizes, arm_rho), alone)
+
+    def test_one_contrast_without_variance_refuses_the_stack(self, rng):
+        # combination arm and control correlate by 1 at equal counts: the
+        # contrast's variance is 0, whatever the other designs of the stack
+        sizes, arm_rho = map(np.array, zip(*(_random_trial(rng, 2) for _ in range(5))))
+        arm_rho[3] = _arm_correlation_matrix([0.2, 1.0], [0.1, 0.0])
+        sizes[3, 0] = sizes[3, 4]
+        # without that design the stack passes
+        _z_correlations(np.delete(sizes, 3, axis=0), np.delete(arm_rho, 3, axis=0))
+        with pytest.raises(DomainError, match="contrast variance is not positive"):
+            _z_correlations(sizes, arm_rho)
 
 
 class TestPerSubstudy:

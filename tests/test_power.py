@@ -28,6 +28,7 @@ from platformdesign.allocation import (
 from platformdesign.correlation import (
     ArmCorrelations,
     PlatformArms,
+    _arm_correlation_matrix,
     platform_z_correlation_matrix,
 )
 from platformdesign.errors import BudgetExceeded, DomainError
@@ -86,7 +87,8 @@ def _design_rows(designs):
     """The scan's per-design rows (ratios, mu, rho, sigma2) of (scenario,
     allocation) pairs."""
     mu, rho = zip(*(
-        _contrasts(scenario.delta, scenario.synergy, scenario.rho_combo_control, len(alloc.ratios))
+        (_contrasts(scenario.delta, scenario.synergy, len(alloc.ratios)),
+         _arm_correlation_matrix(scenario.rho_combo_control, scenario.rho_combo_mono)[1:, 0])
         for scenario, alloc in designs
     ))
     return (
