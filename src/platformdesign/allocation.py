@@ -88,6 +88,8 @@ class DesignScenario:
     def __post_init__(self) -> None:
         delta = _as_tuple(self.delta, np.size(self.delta), "delta")
         k = len(delta)
+        if k == 0:
+            raise DomainError("delta must name at least one substudy, got 0 substudies")
         synergy = _as_tuple(self.synergy, k, "synergy")
         rho_cc, rho_cm = (  # an empty sequence is 0 in every substudy
             _as_tuple(getattr(self, name) if np.size(getattr(self, name)) else 0.0, k, name)

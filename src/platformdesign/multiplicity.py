@@ -119,7 +119,7 @@ def _p_threshold(c: float) -> float:
 
 
 def _solve_decreasing(
-    level: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
+    level: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, ...]],
     target: float | np.ndarray,
     low: np.ndarray,
     high: np.ndarray,
@@ -131,23 +131,30 @@ def _solve_decreasing(
     at each; the search for element i starts at ``start[i]``, and ``target``
     is one level for every element or one per element.
 
-    Safeguarded Newton, elementwise, on h(c) = sqrt(-2 log level(c)), which
-    is nearly linear in c for Gaussian tails.  ``level(c, active)`` gets the
-    trial points of the elements still searching and their indices, and
-    returns their levels and the levels' derivatives in c.  Each element
-    keeps a bracket by the sign of level - target.  A Newton step past a
-    bracket end that has not been evaluated goes to that end, since the root
-    may lie on it; any other step that leaves the bracket, or that h cannot
-    give, is replaced by bisection, and so is a step inside the bracket
-    longer than half the element's step before its last (the safeguard of
-    Numerical Recipes' rtsafe), as a slope too small by half or more would
-    alternate across the root.  An element stops on its next step,
-    unevaluated, if it and the last are Newton steps (not bisected or
-    clamped), it the shorter, and the one after it is predicted at
-    |step|^3 / |last|^2 <= ``x_tol`` / 10, at the level's second-order
-    Taylor value (curvature from the last two slopes): a pass there would
-    only confirm it.  Otherwise it stops at the point just evaluated once
-    its next step is at most ``x_tol``.
+    Safeguarded search, elementwise, on h(c) = sqrt(-2 log level(c)),
+    which is nearly linear in c for Gaussian tails: Halley where the law
+    gives its curvature, Newton on the lattice and the count pool.
+    ``level(c, active)`` gets the trial points of the elements still
+    searching and their indices, and returns their levels and the levels'
+    derivatives in c, and may return the levels' second derivatives as a
+    third array.  Then each step is Halley's, -2 g h' / (2 h'^2 - g h'') with
+    g = h - h(target) (Traub 1964), or Newton's where that denominator is
+    not positive.  Each element keeps a bracket by the sign of level -
+    target.  A step past a bracket end that has not been evaluated goes to
+    that end, since the root may lie on it; any other step that leaves the
+    bracket, or that h cannot give, is replaced by bisection, and so is a
+    step inside the bracket longer than half the element's step before its
+    last (the safeguard of Numerical Recipes' rtsafe), as a slope too small
+    by half or more would alternate across the root.  An element stops on
+    its next step, unevaluated, if it and the last are steps of its kind
+    (Halley's where the curvature is given, else Newton's; not bisected or
+    clamped), it the shorter, and the one after it is predicted within
+    ``x_tol`` / 10: at |step|^4 / |last|^3 by Halley's cubic convergence,
+    at |step|^3 / |last|^2 by Newton's quadratic one.  It ends there at the
+    level's second-order Taylor value, with the given curvature or one from
+    the last two slopes: a pass there would only confirm it.  Otherwise it
+    stops at the point just evaluated once its next step is at most
+    ``x_tol``.
     Where the level does not cross the target inside a bracket, the search
     ends on the bracket's end and the caller's level check decides.
     """
@@ -158,13 +165,14 @@ def _solve_decreasing(
     # whether each bracket end is still the unevaluated bound it started as
     open_lo, open_hi = np.ones(x.size, dtype=bool), np.ones(x.size, dtype=bool)
     x_out, f_out = np.empty(x.size), np.empty(x.size)
-    # each element's last step if a Newton step, else NaN, and the slope before it
+    # each element's last step if a Halley (or, with no curvature, Newton) step,
+    # else NaN, and the slope before it
     last_step, last_slope = np.full(x.size, math.nan), np.full(x.size, math.nan)
     # each element's last two steps of any kind, the earlier one first
     earlier, latest = np.full(x.size, math.inf), np.full(x.size, math.inf)
     active = np.arange(x.size)
     while active.size:
-        f, slope = level(x, active)
+        f, slope, *curvature = level(x, active)
         above = f > target
         lo, hi = np.where(above, x, lo), np.where(above, hi, x)
         open_lo, open_hi = open_lo & ~above, open_hi & above
@@ -172,20 +180,34 @@ def _solve_decreasing(
             h = np.sqrt(-2.0 * np.log(f))
             # -(h - h_target) / h', with h' = -slope / (f * h)
             newton = x + (h_target - h) * f * h / -slope
+            if curvature:
+                # Halley's -2 g h' / (2 h'^2 - g h''), g = h - h_target and
+                # h'' = (h'^2 (h^2 - 1) - level'' / level) / h; Newton's
+                # step where the denominator is not positive
+                gap, dh = h - h_target, -slope / (f * h)
+                d2h = (dh * dh * (h * h - 1.0) - curvature[0] / f) / h
+                denominator = 2.0 * dh * dh - gap * d2h
+                cubic = denominator > 0.0
+                newton = np.where(cubic, x - 2.0 * gap * dh / denominator, newton)
         newton[~((0.0 < f) & (f < 1.0) & (slope < 0.0))] = math.nan
-        # an in-bracket Newton step longer than half the step before the
-        # last is not converging; bisection replaces it
+        # an in-bracket step longer than half the step before the last
+        # is not converging; bisection replaces it
         newton[(lo <= newton) & (newton <= hi) & (np.abs(newton - x) > earlier / 2.0)] = math.nan
-        raw = newton  # the Newton point before any clamp to a bracket end
+        raw = newton  # the step's point before any clamp to a bracket end
         newton = np.where(open_lo & (newton < lo), lo, newton)
         newton = np.where(open_hi & (newton > hi), hi, newton)
         following = np.where((lo <= newton) & (newton <= hi), newton, (lo + hi) / 2.0)
         done = np.abs(following - x) <= x_tol
         x_out[active[done]], f_out[active[done]] = x[done], f[done]
-        step = np.where((lo <= raw) & (raw <= hi) & ~done, following - x, math.nan)
+        taken = (lo <= raw) & (raw <= hi) & ~done
+        step = np.where(taken & cubic if curvature else taken, following - x, math.nan)
         size, last = np.abs(step), np.abs(last_step)
-        ends = (size < last) & (size**3 <= x_tol / 10 * last**2)
-        taylor = f + step * (slope + 0.5 * step * (slope - last_slope) / last_step)
+        if curvature:
+            ends = (size < last) & (size**4 <= x_tol / 10 * last**3)
+            taylor = f + step * (slope + 0.5 * step * curvature[0])
+        else:
+            ends = (size < last) & (size**3 <= x_tol / 10 * last**2)
+            taylor = f + step * (slope + 0.5 * step * (slope - last_slope) / last_step)
         x_out[active[ends]], f_out[active[ends]] = following[ends], taylor[ends]
         going = ~done & ~ends
         last_step, last_slope = step[going], slope[going]
@@ -196,11 +218,13 @@ def _solve_decreasing(
     return x_out, f_out
 
 
-def _bivariate_levels(rho, c, laws) -> tuple[list, list]:
+def _bivariate_levels(rho, c, laws) -> tuple[list, list, list]:
     """Exact P(at least ``count`` of two statistics with correlation ``rho``
-    exceed c), |Z| > c two-sided and Z > c one-sided, and its slope in c:
-    a level and a slope per (count, sided) in ``laws``, elementwise over the
-    broadcast arrays ``rho`` and ``c``.
+    exceed c), |Z| > c two-sided and Z > c one-sided, and its slope and
+    curvature in c: lists of levels, slopes and curvatures, one of each per
+    (count, sided) in ``laws``, elementwise over the broadcast arrays
+    ``rho`` and ``c``.  The curvature lets :func:`_solve_decreasing` take
+    Halley steps here, where the lattice and the count pool take Newton's.
 
     Every level comes from the tail t = Phi(-c) and one call of the
     equal-bound kernel :func:`_equal_orthant` (Owen's T integral; Owen
@@ -214,10 +238,14 @@ def _bivariate_levels(rho, c, laws) -> tuple[list, list]:
     * at least one exceeds: 2 t - both one-sided, 4 t - both two-sided
       (fwer), which keeps its relative precision far in the tail, where
       1 - P(box) loses it;
-    * slopes: dt/dc = -phi(c) and dU(r)/dc = -2 phi(c) Phi(-c a).
+    * slopes: dt/dc = -phi(c) and dU(r)/dc = -2 phi(c) Phi(-c a);
+    * curvatures, from the same terms: t'' = c phi(c) and U''(r) = 2 c
+      phi(c) Phi(-c a) + (a / pi) e^(-c^2 (1 + a^2) / 2), which is 0 at
+      r = -1.
 
-    The kernel takes c >= 0; below 0, U(c) = 1 - 2 Phi(c) + U(-c).  A
-    two-sided level is 1, with slope 0, at c <= 0.
+    The kernel takes c >= 0; below 0, U(c) = 1 - 2 Phi(c) + U(-c), and the
+    slopes and curvatures hold as written with Phi(-c a) taken at the
+    signed c.  A two-sided level is 1, with slope and curvature 0, at c <= 0.
     """
     rho, c = np.broadcast_arrays(np.asarray(rho, dtype=float), np.asarray(c, dtype=float))
     if np.isnan(c).any():
@@ -242,18 +270,27 @@ def _bivariate_levels(rho, c, laws) -> tuple[list, list]:
         conditional = np.where(negative, 1.0 - conditional, conditional)
     density = np.exp(-0.5 * c * c) / _SQRT_2PI
     orthant_slope = -2.0 * density * conditional
+    with np.errstate(invalid="ignore", over="ignore"):
+        # (a / pi) e^(-c^2 (1 + a^2) / 2), which is 0 at r = -1
+        bend = np.where(r == -1.0, 0.0, a / math.pi * np.exp(-0.5 * (c * c + shift * shift)))
+    orthant_curvature = 2.0 * c * density * conditional + bend
     positive = c > 0.0
-    levels, slopes = [], []
+    levels, slopes, curvatures = [], [], []
     for count, sided in laws:
         sides = 2 if sided == "two" else 1
-        level, slope = (sides * u[:sides].sum(axis=0) for u in (orthant, orthant_slope))
+        level, slope, curvature = (
+            sides * u[:sides].sum(axis=0) for u in (orthant, orthant_slope, orthant_curvature)
+        )
         if count == 1:
             level, slope = 2 * sides * tail - level, -2 * sides * density - slope
+            curvature = 2 * sides * c * density - curvature
         if sides == 2:
             level, slope = np.where(positive, level, 1.0), np.where(positive, slope, 0.0)
+            curvature = np.where(positive, curvature, 0.0)
         levels.append(level)
         slopes.append(slope)
-    return levels, slopes
+        curvatures.append(curvature)
+    return levels, slopes, curvatures
 
 
 def _as_float(values):
@@ -266,7 +303,7 @@ def bivariate_error_rates(rho, critical_value) -> dict:
     at one common critical value; elementwise (a dict of arrays) when either
     is an array.  A NaN critical value, or a correlation outside [-1, 1], is
     a :class:`DomainError`."""
-    levels, _ = _bivariate_levels(rho, critical_value, tuple(_LAWS.values()))
+    levels = _bivariate_levels(rho, critical_value, tuple(_LAWS.values()))[0]
     return {kind: _as_float(level) for kind, level in zip(_LAWS, levels)}
 
 
@@ -434,8 +471,12 @@ def _bivariate_critical_values(rho, metrics) -> np.ndarray:
     """Critical values of two statistics with correlation ``rho`` under the
     exact bivariate law, shape (correlations, metrics): one elementwise
     search (:func:`_solve_decreasing`) over every (correlation, metric), each
-    toward its metric's alpha from the upper end of its bracket, on the
-    level and its closed-form slope."""
+    toward its metric's alpha, Halley steps on the level and its closed-form
+    slope and curvature.  Each element starts inside its bracket,
+    interpolated by |rho| toward the end that is exact at |rho| = 1: the
+    lower end (one statistic's tail) for one exceedance, the upper end for
+    two.  The default thresholds study and design surface take two batched
+    evaluations."""
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     # the elements run metric by metric, each over every correlation
     metric_laws = [(m.exceedance_count, m.effective_sided) for m in metrics]
@@ -443,13 +484,18 @@ def _bivariate_critical_values(rho, metrics) -> np.ndarray:
     law = np.repeat([laws.index(each) for each in metric_laws], rho.size)
     rhos = np.tile(rho, len(metrics))
 
-    def level(c: np.ndarray, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        values, slopes = _bivariate_levels(rhos[active], c, laws)
-        return np.choose(law[active], values), np.choose(law[active], slopes)
+    def level(c: np.ndarray, active: np.ndarray) -> tuple[np.ndarray, ...]:
+        per_law = _bivariate_levels(rhos[active], c, laws)
+        return tuple(np.choose(law[active], each) for each in per_law)
 
     low, high = (np.concatenate(ends) for ends in zip(*(_bracket(m, 2, rho) for m in metrics)))
     alpha = np.repeat([m.alpha for m in metrics], rho.size)
-    c_star, achieved = _solve_decreasing(level, alpha, low, high, high, x_tol=1e-12)
+    # the end that is exact at |rho| = 1, and the other one
+    one = np.repeat([m.exceedance_count == 1 for m in metrics], rho.size)
+    near, far = np.where(one, low, high), np.where(one, high, low)
+    weight = np.abs(rhos)
+    start = (1.0 - weight) * far + weight * near
+    c_star, achieved = _solve_decreasing(level, alpha, low, high, start, x_tol=1e-12)
     c_star, achieved = (a.reshape(len(metrics), rho.size).T for a in (c_star, achieved))
     for j, metric in enumerate(metrics):
         _check_level(metric, c_star[:, j], achieved[:, j], _PROB_TOL * metric.alpha)
@@ -480,15 +526,17 @@ def platform_threshold(
     an analytic bracket: for any exceedance one statistic's level against
     the union bound, for two exceedances of two statistics their product
     against one statistic's level, and for at least m the Markov bound on
-    the count.  The search is a safeguarded Newton on h(c) = sqrt(-2 log
-    level(c)), nearly linear in c, from the bracket's upper end; each law
-    gives its level and its slope.  Every search ends on a Newton step
-    predicted to leave its successor under a tenth of its tolerance, without
-    the pass at that step that would only confirm it.  With two statistics
-    (K=1) the law is the exact bivariate normal, whose slope is closed form,
-    solved to 1e-12; ``achieved`` is its level at c*, from one evaluation
-    there, ``achieved_stderr`` is 0, and ``precision``, ``seed`` and
-    ``replications`` are validated but unused.  With more, an
+    the count.  The search is safeguarded on h(c) = sqrt(-2 log level(c)),
+    nearly linear in c: Halley where the law gives its curvature, Newton on
+    the lattice and the count pool.  Each law gives its level and its slope.
+    Every search ends on a step predicted to leave its successor under a
+    tenth of its tolerance, without the pass at that step that would only
+    confirm it.  With two statistics (K=1) the law is the exact bivariate
+    normal, whose slope and curvature are closed form, solved to 1e-12 from
+    a start between the bracket's ends that |rho| predicts; ``achieved`` is
+    its level at c*, from one evaluation there, ``achieved_stderr`` is 0,
+    and ``precision``, ``seed`` and ``replications`` are validated but
+    unused.  With more, each search starts at the bracket's upper end.  An
     any-exceedance level is a randomized quasi-Monte Carlo rectangle
     probability on one :class:`_QmcLattice` per solve, which takes the
     statistics in an order fixed by ``z_corr`` (smallest residual variance

@@ -382,10 +382,11 @@ def pool_threshold_oracle(z_corr, metric, seed: int = 0, replications: int = 65_
 
 def evaluated_stop_search(level, target, low, high, start, x_tol):
     """:func:`multiplicity._solve_decreasing` without its predicted stop:
-    the same safeguarded Newton on h(c) = sqrt(-2 log level(c)), but each
-    element stops only at a point it has evaluated, once its next step is at
-    most ``x_tol``, with the level there.  The predicted stop must end on
-    the same c* bit for bit, one pass sooner."""
+    the same safeguarded search on h(c) = sqrt(-2 log level(c)), Halley
+    where the level gives its curvature and Newton where it does not, but
+    each element stops only at a point it has evaluated, once its next step
+    is at most ``x_tol``, with the level there.  The predicted stop must end
+    on the same c* bit for bit, one pass sooner."""
     x, lo, hi = (np.array(a, dtype=float, ndmin=1) for a in (start, low, high))
     target = np.broadcast_to(np.asarray(target, dtype=float), x.shape)
     h_target = np.array([math.sqrt(-2.0 * math.log(t)) for t in target.tolist()])
@@ -394,13 +395,18 @@ def evaluated_stop_search(level, target, low, high, start, x_tol):
     earlier, latest = np.full(x.size, math.inf), np.full(x.size, math.inf)
     active = np.arange(x.size)
     while active.size:
-        f, slope = level(x, active)
+        f, slope, *curvature = level(x, active)
         above = f > target
         lo, hi = np.where(above, x, lo), np.where(above, hi, x)
         open_lo, open_hi = open_lo & ~above, open_hi & above
         with np.errstate(divide="ignore", invalid="ignore"):
             h = np.sqrt(-2.0 * np.log(f))
             newton = x + (h_target - h) * f * h / -slope
+            if curvature:
+                gap, dh = h - h_target, -slope / (f * h)
+                d2h = (dh * dh * (h * h - 1.0) - curvature[0] / f) / h
+                denominator = 2.0 * dh * dh - gap * d2h
+                newton = np.where(denominator > 0.0, x - 2.0 * gap * dh / denominator, newton)
         newton[~((0.0 < f) & (f < 1.0) & (slope < 0.0))] = math.nan
         newton[(lo <= newton) & (newton <= hi) & (np.abs(newton - x) > earlier / 2.0)] = math.nan
         newton = np.where(open_lo & (newton < lo), lo, newton)

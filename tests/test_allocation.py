@@ -437,6 +437,8 @@ class TestScenarioType:
             DesignScenario(delta=(0.3,), synergy=(1.0,), rho_combo_control=(1.5,))
         with pytest.raises(DomainError):
             DesignScenario(delta=(0.3, 0.4), synergy=(1.0,))
+        with pytest.raises(DomainError, match="delta must name at least one substudy, got 0"):
+            DesignScenario((), ())
 
     @pytest.mark.parametrize("field", ["delta", "sigma2"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])

@@ -274,18 +274,37 @@ class TestBivariateLevels:
         rho = np.repeat([-1.0, -0.999, -0.93, -0.6, 0.0, 0.5, 0.9, 0.9999, 1.0], 7)
         c = np.tile([0.0, 1e-3, 0.05, 0.7, 2.2, 3.5, 6.0], 9)
         law = ((count, sided),)
-        (level,), (slope,) = multiplicity._bivariate_levels(rho, c, law)
+        (level,), (slope,), _ = multiplicity._bivariate_levels(rho, c, law)
         expected = [_rectangle_level(r, x, count, sided) for r, x in zip(rho.tolist(), c.tolist())]
         np.testing.assert_allclose(level, expected, rtol=0.0, atol=1e-15)
         h = 1e-6
-        (up,), _ = multiplicity._bivariate_levels(rho, c + h, law)
-        (down,), _ = multiplicity._bivariate_levels(rho, c - h, law)
+        (up,), *_ = multiplicity._bivariate_levels(rho, c + h, law)
+        (down,), *_ = multiplicity._bivariate_levels(rho, c - h, law)
         assert np.all(np.isfinite(slope)) and np.all(slope <= 0.0)
         # a two-sided level is 1 at c <= 0, with slope 0 there
         smooth = c > 0.0 if sided == "two" else np.ones(c.shape, dtype=bool)
         central = (up - down) / (2.0 * h)
         np.testing.assert_allclose(slope[smooth], central[smooth], rtol=1e-6, atol=1e-8)
         assert np.all(slope[~smooth] == 0.0)
+
+    @pytest.mark.parametrize("count, sided", _BIVARIATE_LAWS)
+    def test_curvatures_match_differences_of_the_slope(self, count, sided):
+        rho = np.repeat([-1.0, -0.999999, -0.5, 0.0, 0.5, 0.999999, 1.0], 7)
+        c = np.tile([-1.5, -0.3, 0.0, 0.05, 0.7, 2.2, 3.5], 7)
+        law = ((count, sided),)
+        _, _, (curvature,) = multiplicity._bivariate_levels(rho, c, law)
+        h = 1e-6
+        _, (up,), _ = multiplicity._bivariate_levels(rho, c + h, law)
+        _, (down,), _ = multiplicity._bivariate_levels(rho, c - h, law)
+        assert np.all(np.isfinite(curvature))
+        # a two-sided level is 1 at c <= 0, with curvature 0 there; at r = -1
+        # both statistics exceed 0 only on a null set, so a one-sided slope
+        # jumps at c = 0
+        smooth = c > 0.0 if sided == "two" else ~((np.abs(rho) == 1.0) & (c == 0.0))
+        central = (up - down) / (2.0 * h)
+        np.testing.assert_allclose(curvature[smooth], central[smooth], rtol=1e-6, atol=1e-8)
+        if sided == "two":
+            assert np.all(curvature[~smooth] == 0.0)
 
     @pytest.mark.parametrize("rho", [-0.9, -0.5, 0.0, 0.5, 0.9, 0.95])
     @pytest.mark.parametrize("c", [5.5, 6.0])
@@ -295,7 +314,7 @@ class TestBivariateLevels:
             tail = mp.ncdf(-c)
             same, opposite = mp_orthant(c, c, rho), mp_orthant(c, c, -rho)
             fwer, one_sided = 4 * tail - 2 * same - 2 * opposite, 2 * tail - same
-        (got_fwer, got_one_sided), _ = multiplicity._bivariate_levels(
+        (got_fwer, got_one_sided), *_ = multiplicity._bivariate_levels(
             rho, c, ((1, "two"), (1, "one"))
         )
         assert abs(got_fwer / float(fwer) - 1.0) <= 1e-12
@@ -740,6 +759,25 @@ class TestThresholdSolver:
         assert result.achieved == pytest.approx(metric.alpha, abs=1e-12)
 
 
+    @pytest.mark.parametrize(
+        "metric",
+        [ErrorMetric.fwer(), ErrorMetric.fmer(), ErrorMetric.msfp(),
+         ErrorMetric.fwer(1e-6), ErrorMetric.fmer(1e-8), ErrorMetric.msfp(1e-10)],
+        ids=lambda m: f"{m.kind}-{m.alpha:g}",
+    )
+    def test_k1_batch_meets_brentq_to_1e_12(self, metric):
+        # the batched Halley search from its interpolated start, against
+        # brentq on the exact law
+        rho = np.linspace(-0.99, 0.99, 67)
+        c = multiplicity._bivariate_critical_values(rho, (metric,))[:, 0]
+        for r, got in zip(rho.tolist(), c.tolist()):
+            oracle = brentq(
+                lambda x: bivariate_error_rates(r, x)[metric.kind] - metric.alpha,
+                0.0, 8.0, xtol=1e-15, rtol=1e-15,
+            )
+            assert abs(got - oracle) <= 1e-12
+
+
 # six optimised designs at each K = 2-6
 _DESIGNS = [(K, index) for K in range(2, 7) for index in range(6)]
 
@@ -828,7 +866,7 @@ class TestPredictedStop:
             evaluations.clear()
             evaluated = column(run_threshold_curves(grid), "c_star")
         assert predicted == evaluated
-        assert batches < len(evaluations)
+        assert batches == 2 and batches < len(evaluations)
 
     @pytest.mark.parametrize("metric", [
         ErrorMetric.fwer(), ErrorMetric.fmer(), ErrorMetric.msfp(),
@@ -840,7 +878,7 @@ class TestPredictedStop:
             z_corr = CorrelationMatrix.bivariate(rho)
             result = platform_threshold(z_corr, metric)
             c = result.critical_value
-            levels, _ = multiplicity._bivariate_levels(rho, np.array([c]), law)
+            levels, *_ = multiplicity._bivariate_levels(rho, np.array([c]), law)
             assert result.achieved == levels[0][0]
             with monkeypatch.context() as patch:
                 patch.setattr(multiplicity, "_solve_decreasing", evaluated_stop_search)
@@ -1024,7 +1062,7 @@ class TestSharedSearch:
             for i, r in enumerate(rho.tolist()):
                 one = platform_threshold(CorrelationMatrix.bivariate(r), metric)
                 assert c[i, j] == one.critical_value
-                levels, _ = multiplicity._bivariate_levels(r, np.array([c[i, j]]), law)
+                levels, *_ = multiplicity._bivariate_levels(r, np.array([c[i, j]]), law)
                 assert one.achieved == levels[0][0]
         assert batched == max(steps)
 
