@@ -171,10 +171,10 @@ class TrialEstimates:
     combo: str
     screened_out: bool
 
-    def to_json(self, indent: int | None = None) -> str:
+    def to_json(self) -> str:
         """The fields as a JSON object; an undefined ``s_hat`` (NaN) is null."""
         fields = {**asdict(self), "s_hat": None if math.isnan(self.s_hat) else self.s_hat}
-        return json.dumps(fields, indent=indent, allow_nan=False)
+        return json.dumps(fields, allow_nan=False)
 
 
 def _pearson(table: PairedEndpointTable, u: str, v: str, sign: float) -> float:

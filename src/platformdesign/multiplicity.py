@@ -218,20 +218,20 @@ def _solve_decreasing(
     return x_out, f_out
 
 
-def _bivariate_levels(rho, c, laws) -> tuple[list, list, list]:
+def _bivariate_levels(rho, c, count, two_sided) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact P(at least ``count`` of two statistics with correlation ``rho``
-    exceed c), |Z| > c two-sided and Z > c one-sided, and its slope and
-    curvature in c: lists of levels, slopes and curvatures, one of each per
-    (count, sided) in ``laws``, elementwise over the broadcast arrays
-    ``rho`` and ``c``.  The curvature lets :func:`_solve_decreasing` take
-    Halley steps here, where the lattice and the count pool take Newton's.
+    exceed c), |Z| > c where ``two_sided`` and Z > c elsewhere, and its slope
+    and curvature in c, elementwise over the four broadcast arrays, each
+    element on its own law.  The curvature lets :func:`_solve_decreasing`
+    take Halley steps here, where the lattice and the count pool take Newton's.
 
     Every level comes from the tail t = Phi(-c) and one call of the
-    equal-bound kernel :func:`_equal_orthant` (Owen's T integral; Owen
-    1956) for the upper orthants U(r) = P(Z1 > c, Z2 > c) at r = rho, and at
-    r = -rho if a law is two-sided.  The kernel takes t and the conditional
-    tail Phi(-c a), a = sqrt((1 - r) / (1 + r)), that the slope needs
-    anyway, and is accurate to 5e-14 relative wherever U >= 1e-20:
+    equal-bound kernel :func:`_equal_orthant` (Owen's T integral; Owen 1956)
+    for the upper orthants U(r) = P(Z1 > c, Z2 > c) at r = rho, and at r =
+    -rho if any element is two-sided, on the shape of ``rho`` and ``c``
+    alone, which laws on a trailing axis share.  The kernel takes t and the
+    conditional tail Phi(-c a), a = sqrt((1 - r) / (1 + r)), that the slope
+    needs anyway, and is accurate to 5e-14 relative wherever U >= 1e-20:
 
     * both exceed: U(rho) one-sided (msfp); two-sided (fmer) the same-sign
       and opposite-sign orthants 2 U(rho) + 2 U(-rho), for c > 0;
@@ -253,8 +253,8 @@ def _bivariate_levels(rho, c, laws) -> tuple[list, list, list]:
     outside = ~(np.abs(rho) <= 1.0)
     if outside.any():
         raise DomainError(f"correlation must lie in [-1, 1], got {rho[outside].flat[0]}")
-    two_sided = any(sided == "two" for _, sided in laws)
-    r = np.multiply.outer((1.0, -1.0), rho) if two_sided else rho[None]
+    one, two_sided = np.equal(count, 1), np.asarray(two_sided, dtype=bool)
+    r = np.multiply.outer((1.0, -1.0), rho) if two_sided.any() else rho[None]
     size = np.abs(c)
     tail = _std_normal_cdf(-size)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -274,23 +274,26 @@ def _bivariate_levels(rho, c, laws) -> tuple[list, list, list]:
         # (a / pi) e^(-c^2 (1 + a^2) / 2), which is 0 at r = -1
         bend = np.where(r == -1.0, 0.0, a / math.pi * np.exp(-0.5 * (c * c + shift * shift)))
     orthant_curvature = 2.0 * c * density * conditional + bend
-    positive = c > 0.0
-    levels, slopes, curvatures = [], [], []
-    for count, sided in laws:
-        sides = 2 if sided == "two" else 1
-        level, slope, curvature = (
-            sides * u[:sides].sum(axis=0) for u in (orthant, orthant_slope, orthant_curvature)
-        )
-        if count == 1:
-            level, slope = 2 * sides * tail - level, -2 * sides * density - slope
-            curvature = 2 * sides * c * density - curvature
-        if sides == 2:
-            level, slope = np.where(positive, level, 1.0), np.where(positive, slope, 0.0)
-            curvature = np.where(positive, curvature, 0.0)
-        levels.append(level)
-        slopes.append(slope)
-        curvatures.append(curvature)
-    return levels, slopes, curvatures
+    sides, at_most_zero = np.where(two_sided, 2, 1), two_sided & (c <= 0.0)
+    level, slope, curvature = (  # both exceed; u[-1] is U(rho) if none is two-sided
+        np.where(two_sided, 2.0 * (u[0] + u[-1]), u[0])
+        for u in (orthant, orthant_slope, orthant_curvature)
+    )
+    level = np.where(at_most_zero, 1.0, np.where(one, 2 * sides * tail - level, level))
+    slope = np.where(at_most_zero, 0.0, np.where(one, -2 * sides * density - slope, slope))
+    curvature = np.where(one, 2 * sides * c * density - curvature, curvature)
+    return level, slope, np.where(at_most_zero, 0.0, curvature)
+
+
+def _metric_levels(rho, c) -> np.ndarray:
+    """Exact fwer, fmer and msfp of two statistics with correlation ``rho``
+    at the critical value ``c``, on a last axis of the broadcast shape in the
+    order of ``DEFAULT_TARGETS``: one :func:`_bivariate_levels` call with the
+    three laws on that axis."""
+    count, two_sided = zip(*((m.exceedance_count, m.effective_sided == "two")
+                             for m in DEFAULT_TARGETS))
+    rho, c = (np.expand_dims(a, -1) for a in (rho, c))
+    return _bivariate_levels(rho, c, count, two_sided)[0]
 
 
 def _as_float(values):
@@ -300,11 +303,11 @@ def _as_float(values):
 
 def bivariate_error_rates(rho, critical_value) -> dict:
     """Exact fwer, fmer and msfp of two statistics with correlation ``rho``
-    at one common critical value; elementwise (a dict of arrays) when either
-    is an array.  A NaN critical value, or a correlation outside [-1, 1], is
-    a :class:`DomainError`."""
-    levels = _bivariate_levels(rho, critical_value, tuple(_LAWS.values()))[0]
-    return {kind: _as_float(level) for kind, level in zip(_LAWS, levels)}
+    at one common critical value, a dict view of :func:`_metric_levels`;
+    elementwise (a dict of arrays) when either is an array.  A NaN critical
+    value, or a correlation outside [-1, 1], is a :class:`DomainError`."""
+    levels = _metric_levels(rho, critical_value)
+    return {m.kind: _as_float(levels[..., i]) for i, m in enumerate(DEFAULT_TARGETS)}
 
 
 # null directions per block of the m-FWER pool; block b has its own seeded stream
@@ -454,16 +457,18 @@ def _bracket(metric: ErrorMetric, dim: int, rho) -> tuple[np.ndarray, np.ndarray
     return low, np.maximum(high, low)
 
 
-def _check_level(metric: ErrorMetric, c_star, achieved, tolerance: float) -> None:
+def _check_level(alpha, c_star, achieved, tolerance) -> None:
     """:class:`RootBracketError` unless every achieved level is within
-    ``tolerance`` of the target."""
-    c_star, achieved = np.atleast_1d(c_star), np.atleast_1d(achieved)
-    miss = np.flatnonzero(np.abs(achieved - metric.alpha) > tolerance)
+    ``tolerance`` of its own target ``alpha``, elementwise over the broadcast
+    numbers or 1-d arrays; the message names the first element that misses."""
+    alpha, c_star, achieved, tolerance = np.broadcast_arrays(
+        *np.atleast_1d(alpha, c_star, achieved, tolerance))
+    miss = np.flatnonzero(np.abs(achieved - alpha) > tolerance)
     if miss.size:
         i = miss[0]
         raise RootBracketError(
-            f"no critical value c >= 0 reaches level {metric.alpha:.6g}: the level at "
-            f"c = {c_star[i]:.6g} is {achieved[i]:.6g}, more than {tolerance:.2g} away"
+            f"no critical value c >= 0 reaches level {alpha[i]:.6g}: the level at "
+            f"c = {c_star[i]:.6g} is {achieved[i]:.6g}, more than {tolerance[i]:.2g} away"
         )
 
 
@@ -471,35 +476,30 @@ def _bivariate_critical_values(rho, metrics) -> np.ndarray:
     """Critical values of two statistics with correlation ``rho`` under the
     exact bivariate law, shape (correlations, metrics): one elementwise
     search (:func:`_solve_decreasing`) over every (correlation, metric), each
-    toward its metric's alpha, Halley steps on the level and its closed-form
-    slope and curvature.  Each element starts inside its bracket,
-    interpolated by |rho| toward the end that is exact at |rho| = 1: the
-    lower end (one statistic's tail) for one exceedance, the upper end for
-    two.  The default thresholds study and design surface take two batched
+    element on its metric's law toward its alpha, Halley steps on the level
+    and its closed-form slope and curvature, and one :func:`_check_level`
+    call.  Each element starts inside its bracket, interpolated by |rho|
+    toward the end that is exact at |rho| = 1: the lower end (one
+    statistic's tail) for one exceedance, the upper end for two.  The
+    default thresholds study and design surface take two batched
     evaluations."""
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     # the elements run metric by metric, each over every correlation
-    metric_laws = [(m.exceedance_count, m.effective_sided) for m in metrics]
-    laws = tuple(dict.fromkeys(metric_laws))
-    law = np.repeat([laws.index(each) for each in metric_laws], rho.size)
+    count, two_sided, alpha = (np.repeat(law, rho.size) for law in zip(*(
+        (m.exceedance_count, m.effective_sided == "two", m.alpha) for m in metrics)))
     rhos = np.tile(rho, len(metrics))
 
     def level(c: np.ndarray, active: np.ndarray) -> tuple[np.ndarray, ...]:
-        per_law = _bivariate_levels(rhos[active], c, laws)
-        return tuple(np.choose(law[active], each) for each in per_law)
+        return _bivariate_levels(rhos[active], c, count[active], two_sided[active])
 
     low, high = (np.concatenate(ends) for ends in zip(*(_bracket(m, 2, rho) for m in metrics)))
-    alpha = np.repeat([m.alpha for m in metrics], rho.size)
     # the end that is exact at |rho| = 1, and the other one
-    one = np.repeat([m.exceedance_count == 1 for m in metrics], rho.size)
-    near, far = np.where(one, low, high), np.where(one, high, low)
+    near, far = np.where(count == 1, low, high), np.where(count == 1, high, low)
     weight = np.abs(rhos)
     start = (1.0 - weight) * far + weight * near
     c_star, achieved = _solve_decreasing(level, alpha, low, high, start, x_tol=1e-12)
-    c_star, achieved = (a.reshape(len(metrics), rho.size).T for a in (c_star, achieved))
-    for j, metric in enumerate(metrics):
-        _check_level(metric, c_star[:, j], achieved[:, j], _PROB_TOL * metric.alpha)
-    return c_star
+    _check_level(alpha, c_star, achieved, _PROB_TOL * alpha)
+    return c_star.reshape(len(metrics), rho.size).T
 
 
 def _check_solver_settings(metric: ErrorMetric, dim: int, precision, replications) -> None:
@@ -578,8 +578,8 @@ def platform_threshold(
     two_sided = metric.effective_sided == "two"
     if dim == 2:
         c_star, stderr = float(_bivariate_critical_values(rho, (metric,))[0, 0]), 0.0
-        laws = ((metric.exceedance_count, metric.effective_sided),)
-        achieved = float(_bivariate_levels(rho, np.array([c_star]), laws)[0][0][0])
+        achieved = float(_bivariate_levels(rho, np.array([c_star]), metric.exceedance_count,
+                                           two_sided)[0][0])
     elif metric.exceedance_count == 1:
         lattice, (low, high) = _QmcLattice(z_corr, seed), _bracket(metric, dim, rho)
         estimates: list[_RectangleEstimate] = []
@@ -622,7 +622,7 @@ def platform_threshold(
 
     if dim > 2:  # the bivariate solve checks its own level
         tolerance = max(1e-4, 3.0 * stderr) if stderr > 0.0 else _PROB_TOL * metric.alpha
-        _check_level(metric, c_star, achieved, tolerance)
+        _check_level(metric.alpha, c_star, achieved, tolerance)
     return ThresholdResult(
         critical_value=c_star,
         p_threshold=_p_threshold(c_star),

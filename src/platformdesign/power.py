@@ -87,11 +87,11 @@ def _noncentrality_floor(critical_values, target_power: float) -> tuple[np.ndarr
 
     They are W*(c) (1 -+ 1e-6), where W* has power exactly the target.
     Power is increasing in s = sqrt(W), with slope phi(c - s) - phi(c + s);
-    Newton steps on s start at c + z_target, where the upper tail alone
-    gives the target, with one batched cdf call each.  Where the target is
-    at most the power at W = 0, 2 Phi(-c), W* is 0.  A floor whose power
-    fails its check gives 0 and such a ceiling inf, which leave the search
-    exact, only slower.  A critical value that is not finite is a
+    Newton steps on s, each on ``_power(s^2, c)``, start at c + z_target,
+    where the upper tail alone gives the target.  Where the target is at
+    most the power at W = 0, 2 Phi(-c), W* is 0.  A floor whose power fails
+    its check gives 0 and such a ceiling inf, which leave the search exact,
+    only slower.  A critical value that is not finite is a
     :class:`DomainError`: no total reaches its target, and the search would
     evaluate every total up to its cap.
     """
@@ -107,9 +107,8 @@ def _noncentrality_floor(critical_values, target_power: float) -> tuple[np.ndarr
     c = critical[solve]
     s = c + _std_normal_quantile(target_power)
     for _ in range(_NEWTON_STEPS):
-        tails = _std_normal_cdf(np.stack((c - s, -c - s)))
         slope = (np.exp(-0.5 * (c - s) ** 2) - np.exp(-0.5 * (c + s) ** 2)) / _SQRT_2PI
-        step = (1.0 - tails[0] + tails[1] - target_power) / slope
+        step = (_power(s * s, c) - target_power) / slope
         # never more than halve s, so it stays positive
         s = np.maximum(s - step, 0.5 * s)
         if np.all(np.abs(step) <= 1e-10 * s):

@@ -30,8 +30,8 @@ from .multiplicity import (
     DEFAULT_TARGETS,
     ErrorMetric,
     _bivariate_critical_values,
+    _metric_levels,
     _p_threshold,
-    bivariate_error_rates,
 )
 from .mvnorm import _std_normal_quantile, _unequal_orthant
 from .power import design
@@ -294,17 +294,18 @@ def run_error_curves(grid: GridSpec) -> ResultTable:
     """Unadjusted error rates at the conventional critical value (study 1)."""
     # rows by (allocation, sweep point, metric)
     z_rho, leading = _sweep(grid, grid.allocations, metric=_METRICS)
-    rates = bivariate_error_rates(z_rho, _std_normal_quantile(0.975))
     return ResultTable.from_columns(
         **leading,
-        value=np.stack([rates[metric] for metric in _METRICS], axis=-1),
+        value=_metric_levels(z_rho, _std_normal_quantile(0.975)),
         baseline=np.broadcast_to(_BASELINE, leading["metric"].shape),
     )
 
 
-def _holm_rates(z_rho, first_cut: float, last_cut: float, at_first: dict) -> dict:
-    """Exact error rates of the two-test Holm step-down, from the rates at
-    its first cut and the upper orthants U(a, b, r) = P(Z1 > a, Z2 > b).
+def _holm_rates(z_rho, first_cut: float, last_cut: float, at_first: np.ndarray) -> np.ndarray:
+    """Exact fwer, fmer and msfp of the two-test Holm step-down on a last
+    axis, from ``at_first``, the rates at its first cut on that axis
+    (:func:`_metric_levels`), and the upper orthants U(a, b, r) = P(Z1 > a,
+    Z2 > b).
 
     Holm rejects a test iff max|Z| > b (``first_cut``, level alpha/2 per
     test), and both iff also min|Z| > a (``last_cut``, level alpha).  So its
@@ -318,11 +319,8 @@ def _holm_rates(z_rho, first_cut: float, last_cut: float, at_first: dict) -> dic
     """
     a, b = last_cut, first_cut
     same_sign, opposite_sign = _unequal_orthant(a, b, np.stack((z_rho, -z_rho)))
-    return {
-        "fwer": at_first["fwer"],
-        "fmer": 4.0 * (same_sign + opposite_sign) - at_first["fmer"],
-        "msfp": 2.0 * same_sign - at_first["msfp"],
-    }
+    fwer, fmer, msfp = np.moveaxis(at_first, -1, 0)
+    return np.stack((fwer, 4.0 * (same_sign + opposite_sign) - fmer, 2.0 * same_sign - msfp), -1)
 
 
 _METHODS = ("noadj", "bonferroni", "holm", "dunnett")
@@ -346,22 +344,11 @@ def run_adjustment_comparison(grid: GridSpec) -> ResultTable:
     c_dunnett = _bivariate_critical_values(rho_star, (ErrorMetric.fwer(alpha),))[:, 0]
     # the rates at every cut in one call: cuts by allocation by point
     cuts = np.broadcast_arrays(c_nominal, c_bonf, c_dunnett[:, None], z_rho)[:-1]
-    rates = bivariate_error_rates(z_rho, np.stack(cuts))
-    noadj, bonferroni, dunnett = (
-        {metric: rates[metric][i] for metric in _METRICS} for i in range(len(cuts))
-    )
-    per_method = {
-        "noadj": noadj,
-        "bonferroni": bonferroni,
-        "holm": _holm_rates(z_rho, c_bonf, c_holm_last, bonferroni),
-        "dunnett": dunnett,
-    }
+    noadj, bonferroni, dunnett = _metric_levels(z_rho, np.stack(cuts))
+    holm = _holm_rates(z_rho, c_bonf, c_holm_last, bonferroni)
     return ResultTable.from_columns(
         **leading,
-        value=np.stack(
-            [np.stack([per_method[m][metric] for metric in _METRICS], axis=-1) for m in _METHODS],
-            axis=-2,
-        ),
+        value=np.stack((noadj, bonferroni, holm, dunnett), axis=-2),
         baseline=np.broadcast_to(_BASELINE, leading["metric"].shape),
     )
 

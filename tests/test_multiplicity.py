@@ -273,13 +273,13 @@ class TestBivariateLevels:
     def test_levels_match_rectangles_and_slopes_match_differences(self, count, sided):
         rho = np.repeat([-1.0, -0.999, -0.93, -0.6, 0.0, 0.5, 0.9, 0.9999, 1.0], 7)
         c = np.tile([0.0, 1e-3, 0.05, 0.7, 2.2, 3.5, 6.0], 9)
-        law = ((count, sided),)
-        (level,), (slope,), _ = multiplicity._bivariate_levels(rho, c, law)
+        law = (count, sided == "two")
+        level, slope, _ = multiplicity._bivariate_levels(rho, c, *law)
         expected = [_rectangle_level(r, x, count, sided) for r, x in zip(rho.tolist(), c.tolist())]
         np.testing.assert_allclose(level, expected, rtol=0.0, atol=1e-15)
         h = 1e-6
-        (up,), *_ = multiplicity._bivariate_levels(rho, c + h, law)
-        (down,), *_ = multiplicity._bivariate_levels(rho, c - h, law)
+        up, *_ = multiplicity._bivariate_levels(rho, c + h, *law)
+        down, *_ = multiplicity._bivariate_levels(rho, c - h, *law)
         assert np.all(np.isfinite(slope)) and np.all(slope <= 0.0)
         # a two-sided level is 1 at c <= 0, with slope 0 there
         smooth = c > 0.0 if sided == "two" else np.ones(c.shape, dtype=bool)
@@ -291,11 +291,11 @@ class TestBivariateLevels:
     def test_curvatures_match_differences_of_the_slope(self, count, sided):
         rho = np.repeat([-1.0, -0.999999, -0.5, 0.0, 0.5, 0.999999, 1.0], 7)
         c = np.tile([-1.5, -0.3, 0.0, 0.05, 0.7, 2.2, 3.5], 7)
-        law = ((count, sided),)
-        _, _, (curvature,) = multiplicity._bivariate_levels(rho, c, law)
+        law = (count, sided == "two")
+        _, _, curvature = multiplicity._bivariate_levels(rho, c, *law)
         h = 1e-6
-        _, (up,), _ = multiplicity._bivariate_levels(rho, c + h, law)
-        _, (down,), _ = multiplicity._bivariate_levels(rho, c - h, law)
+        _, up, _ = multiplicity._bivariate_levels(rho, c + h, *law)
+        _, down, _ = multiplicity._bivariate_levels(rho, c - h, *law)
         assert np.all(np.isfinite(curvature))
         # a two-sided level is 1 at c <= 0, with curvature 0 there; at r = -1
         # both statistics exceed 0 only on a null set, so a one-sided slope
@@ -314,11 +314,41 @@ class TestBivariateLevels:
             tail = mp.ncdf(-c)
             same, opposite = mp_orthant(c, c, rho), mp_orthant(c, c, -rho)
             fwer, one_sided = 4 * tail - 2 * same - 2 * opposite, 2 * tail - same
-        (got_fwer, got_one_sided), *_ = multiplicity._bivariate_levels(
-            rho, c, ((1, "two"), (1, "one"))
-        )
+        (got_fwer, got_one_sided), *_ = multiplicity._bivariate_levels(rho, c, 1, [True, False])
         assert abs(got_fwer / float(fwer) - 1.0) <= 1e-12
         assert abs(got_one_sided / float(one_sided) - 1.0) <= 1e-12
+
+    def test_a_batch_of_mixed_laws_equals_one_call_per_law(self):
+        # each element on its own law, in turn or on a trailing axis, over
+        # 63 points with c <= 0 and r = +-1 among them: bit for bit the call
+        # that evaluates that law alone, in level, slope and curvature
+        rho = np.repeat([-1.0, -0.999, -0.6, -0.3, 0.0, 0.5, 0.7, 0.9999, 1.0], 7)
+        c = np.tile([-1.5, -0.3, 0.0, 0.05, 0.7, 2.2, 6.0], 9)
+        count = np.array([n for n, _ in _BIVARIATE_LAWS])
+        two_sided = np.array([sided == "two" for _, sided in _BIVARIATE_LAWS])
+        law = np.arange(rho.size) % len(_BIVARIATE_LAWS)
+        mixed = multiplicity._bivariate_levels(rho, c, count[law], two_sided[law])
+        trailing = multiplicity._bivariate_levels(rho[:, None], c[:, None], count, two_sided)
+        for j, (n, sided) in enumerate(_BIVARIATE_LAWS):
+            alone = multiplicity._bivariate_levels(rho, c, n, sided == "two")
+            for each, mixed_each, trailing_each in zip(alone, mixed, trailing):
+                assert mixed_each[law == j].tolist() == each[law == j].tolist()
+                assert trailing_each[:, j].tolist() == each.tolist()
+
+    def test_metric_levels_on_a_grid_equal_the_rates_at_each_point(self):
+        # a (cut, allocation, point) grid as the adjustments study builds it:
+        # fwer, fmer and msfp on a last axis, bit for bit the rates of each
+        # (correlation, cut) alone, and their dict view
+        rho = np.linspace(-0.99, 0.99, 91) * np.array([1.0, 0.9, -0.8, 0.5])[:, None]
+        cuts = np.array([1.96, 2.24, 2.5])[:, None, None] + 0.01 * np.arange(4)[:, None]
+        levels = multiplicity._metric_levels(rho, cuts)
+        assert levels.shape == (3, 4, 91, 3)
+        for (i, a, k), cut in np.ndenumerate(np.broadcast_to(cuts, (3, 4, 91))):
+            rates = bivariate_error_rates(float(rho[a, k]), float(cut))
+            assert levels[i, a, k].tolist() == [rates["fwer"], rates["fmer"], rates["msfp"]]
+        rates = bivariate_error_rates(rho, cuts)
+        for j, kind in enumerate(("fwer", "fmer", "msfp")):
+            assert rates[kind].tolist() == levels[..., j].tolist()
 
     @pytest.mark.parametrize(
         "rho, c", [(0.3, math.nan), (1.2, 2.0), ([0.1, -1.5], 2.0), (0.3, [1.0, math.nan])]
@@ -689,6 +719,25 @@ class TestThresholdSolver:
             platform_threshold(CorrelationMatrix(np.eye(4)), ErrorMetric.fwer(0.05))
         assert curve.visited == [high]
 
+    def test_level_check_names_the_first_miss_in_metric_major_order(self):
+        # three metrics by four correlations, each element toward its own
+        # alpha: elements 6 (fmer) and 9 (msfp) miss, and the message names
+        # element 6 as a check of the fmer column alone would
+        alpha = np.repeat([0.05, 0.0025, 0.000625], 4)
+        c_star = 1.5 + 0.1 * np.arange(12)
+        achieved, tolerance = alpha.copy(), 1e-6 * alpha
+        achieved[[6, 9]] = [0.0026, 0.0007]
+        achieved[3] += 0.5 * tolerance[3]  # within its tolerance
+        with pytest.raises(RootBracketError) as caught:
+            multiplicity._check_level(alpha, c_star, achieved, tolerance)
+        assert str(caught.value) == (
+            f"no critical value c >= 0 reaches level {0.0025:.6g}: the level at "
+            f"c = {c_star[6]:.6g} is {0.0026:.6g}, more than {tolerance[6]:.2g} away"
+        )
+        multiplicity._check_level(alpha[:6], c_star[:6], achieved[:6], tolerance[:6])
+        with pytest.raises(RootBracketError, match="reaches level 0.05: the level at c = 2 is"):
+            multiplicity._check_level(0.05, 2.0, 0.07, 1e-4)
+
     def test_k4_lattice_solve_is_pinned(self, monkeypatch):
         # three estimates at the bracket's upper end (the lattice grows
         # twice there), then one Newton step on h with the lattice's own
@@ -873,13 +922,13 @@ class TestPredictedStop:
         ErrorMetric.mfwer(2, 0.01, "one"),
     ], ids=["fwer", "fmer", "msfp", "mfwer-m2-one"])
     def test_bivariate_achieved_is_the_exact_level_at_c_star(self, monkeypatch, metric):
-        law = ((metric.exceedance_count, metric.effective_sided),)
+        law = (metric.exceedance_count, metric.effective_sided == "two")
         for rho in np.linspace(-0.99, 0.99, 23).tolist():
             z_corr = CorrelationMatrix.bivariate(rho)
             result = platform_threshold(z_corr, metric)
             c = result.critical_value
-            levels, *_ = multiplicity._bivariate_levels(rho, np.array([c]), law)
-            assert result.achieved == levels[0][0]
+            level, *_ = multiplicity._bivariate_levels(rho, np.array([c]), *law)
+            assert result.achieved == level[0]
             with monkeypatch.context() as patch:
                 patch.setattr(multiplicity, "_solve_decreasing", evaluated_stop_search)
                 reference = platform_threshold(z_corr, metric)
@@ -1058,12 +1107,12 @@ class TestSharedSearch:
             alone = multiplicity._bivariate_critical_values(rho, (metric,))
             steps.append(len(evaluations))
             assert alone[:, 0].tolist() == c[:, j].tolist()
-            law = ((metric.exceedance_count, metric.effective_sided),)
+            law = (metric.exceedance_count, metric.effective_sided == "two")
             for i, r in enumerate(rho.tolist()):
                 one = platform_threshold(CorrelationMatrix.bivariate(r), metric)
                 assert c[i, j] == one.critical_value
-                levels, *_ = multiplicity._bivariate_levels(r, np.array([c[i, j]]), law)
-                assert one.achieved == levels[0][0]
+                level, *_ = multiplicity._bivariate_levels(r, np.array([c[i, j]]), *law)
+                assert one.achieved == level[0]
         assert batched == max(steps)
 
     def test_bracket_is_elementwise(self):
