@@ -344,11 +344,13 @@ def _add_threshold_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sided", choices=("one", "two"), default=None,
                         help="exceedance convention for mfwer (default two)")
     parser.add_argument("--precision", type=float, default=1e-4,
-                        help="target standard error of randomized probabilities")
+                        help="target standard error of the level of a K > 1 "
+                             "any-exceedance threshold (fwer, mfwer m = 1)")
     parser.add_argument("--replications", type=int, default=65_536,
                         help="null directions of the count-metric pool "
                              "(K > 1 fmer, msfp, mfwer m >= 2)")
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seed of the null directions of K > 1 thresholds (default 0)")
     _add_common_output(parser)
 
 

@@ -23,7 +23,7 @@ class RootBracketError(PlatformDesignError):
 
 
 class PrecisionUnreachable(PlatformDesignError):
-    """The QMC lattice reached its 2^22-point cap before the requested precision."""
+    """A threshold's null directions reached their cap before the requested precision."""
 
 
 class BudgetExceeded(PlatformDesignError):

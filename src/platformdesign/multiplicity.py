@@ -14,13 +14,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, RootBracketError
+from .errors import DomainError, PrecisionUnreachable, RootBracketError
 from .mvnorm import (
     _SQRT_2PI,
     CorrelationMatrix,
     _equal_orthant,
-    _QmcLattice,
-    _RectangleEstimate,
     _std_normal_cdf,
     _std_normal_quantile,
 )
@@ -133,7 +131,7 @@ def _solve_decreasing(
 
     Safeguarded search, elementwise, on h(c) = sqrt(-2 log level(c)),
     which is nearly linear in c for Gaussian tails: Halley where the law
-    gives its curvature, Newton on the lattice and the count pool.
+    gives its curvature, Newton on the laws over null directions.
     ``level(c, active)`` gets the trial points of the elements still
     searching and their indices, and returns their levels and the levels'
     derivatives in c, and may return the levels' second derivatives as a
@@ -223,7 +221,7 @@ def _bivariate_levels(rho, c, count, two_sided) -> tuple[np.ndarray, np.ndarray,
     exceed c), |Z| > c where ``two_sided`` and Z > c elsewhere, and its slope
     and curvature in c, elementwise over the four broadcast arrays, each
     element on its own law.  The curvature lets :func:`_solve_decreasing`
-    take Halley steps here, where the lattice and the count pool take Newton's.
+    take Halley steps here, where the laws over null directions take Newton's.
 
     Every level comes from the tail t = Phi(-c) and one call of the
     equal-bound kernel :func:`_equal_orthant` (Owen's T integral; Owen 1956)
@@ -310,7 +308,7 @@ def bivariate_error_rates(rho, critical_value) -> dict:
     return {m.kind: _as_float(levels[..., i]) for i, m in enumerate(DEFAULT_TARGETS)}
 
 
-# null directions per block of the m-FWER pool; block b has its own seeded stream
+# null directions per block of the pool; block b has its own seeded stream
 _POOL_BLOCK = 16_384
 # The pool's normals of one seed, kept for the life of the process: (seed,
 # block) -> that block's normals, read-only.  The generator fills a draw row
@@ -321,11 +319,19 @@ _POOL_BLOCK = 16_384
 # more statistics, are drawn each call.
 _KEPT_DIM, _KEPT_BLOCKS = 12, 4
 _kept_normals: dict[tuple[int, int], np.ndarray] = {}
+# The null directions an any-exceedance solve starts on, the first columns
+# of block 0, and the most statistics (directions x dim) it may hold: 32 MB
+# of doubles.  A term Q(c / T) of a statistic with (low / T)^2 / 2 above
+# _NEGLIGIBLE is below 1e-22 at every c >= low, for dim <= 40.
+_FIRST_DIRECTIONS, _MAX_STATISTICS, _NEGLIGIBLE = 2_048, 1 << 22, 100.0
 
 
 def _block_normals(key: int, block: int, dim: int, size: int) -> np.ndarray:
     """Block ``block``'s (dim, size) standard normals from the stream (key,
-    1, block), from the kept draws where they hold them."""
+    1, block), from the kept draws where they hold them; the store holds
+    one key at a time."""
+    if _kept_normals and next(iter(_kept_normals))[0] != key:
+        _kept_normals.clear()
     normals = _kept_normals.get((key, block))
     if normals is None or normals.shape[0] < dim or normals.shape[1] != size:
         normals = np.random.default_rng([key, 1, block]).standard_normal((dim, size))
@@ -333,6 +339,19 @@ def _block_normals(key: int, block: int, dim: int, size: int) -> np.ndarray:
             normals.flags.writeable = False
             _kept_normals[key, block] = normals
     return normals[:dim]
+
+
+def _statistic_row(factor, draws, j: int, two_sided: bool, out: np.ndarray) -> np.ndarray:
+    """Statistic j of each draw (a column of ``draws``) into ``out``: the
+    Cholesky factor's row j over the draw's first j + 1 normals (einsum, not
+    BLAS, whose threads would spin on the cores), absolute if two-sided."""
+    np.einsum("k,kn->n", factor[j, : j + 1], draws[: j + 1], out=out)
+    return np.abs(out, out=out) if two_sided else out
+
+
+def _draw_norms(draws: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The norm of each draw's normals, into ``out``."""
+    return np.sqrt(np.einsum("kn,kn->n", draws, draws, out=out), out=out)
 
 
 def _tail_count_statistic(
@@ -346,28 +365,23 @@ def _tail_count_statistic(
     The draws come in blocks of ``_POOL_BLOCK``.  Block b is standard
     normals from the stream (seed, 1, b), drawn once per process while they
     fit the kept bound (:func:`_block_normals`).  They are turned into
-    statistics one row at a time by the Cholesky factor's nonzero part
-    (einsum, not BLAS, whose threads would spin on the cores), and a running
+    statistics one row at a time (:func:`_statistic_row`), and a running
     top-m pass over the rows keeps each draw's m largest; a value pushed
-    past the m-th is dropped, not computed.  The blocks are
-    reduced in turn on the calling thread.  The pool is a pure function of
-    the arguments, whatever was drawn before it.
+    past the m-th is dropped, not computed.  The blocks are reduced in turn
+    on the calling thread, in work arrays allocated once per call.  The pool
+    is a pure function of the arguments, whatever was drawn before it.
     """
-    factor, dim = z_corr.factor, z_corr.dim
-    key = seed & 0xFFFFFFFFFFFFFFFF
-    if _kept_normals and next(iter(_kept_normals))[0] != key:
-        _kept_normals.clear()  # hold one seed at a time
+    factor, dim, key = z_corr.factor, z_corr.dim, seed & 0xFFFFFFFFFFFFFFFF
     stat = np.empty(replications)
+    work = np.empty((m + 2, min(_POOL_BLOCK, replications)))
     for start in range(0, replications, _POOL_BLOCK):
         size = min(_POOL_BLOCK, replications - start)
         draws = _block_normals(key, start // _POOL_BLOCK, dim + dim % 2, size)
         # top[0] >= ... >= top[m - 1], the m largest of the rows so far
-        top = [np.full(size, -np.inf) for _ in range(m)]
-        row, spare = np.empty(size), np.empty(size)
+        work[:m, :size] = -np.inf
+        *top, row, spare = work[:, :size]
         for j in range(dim):
-            np.einsum("k,kn->n", factor[j, : j + 1], draws[: j + 1], out=row)
-            if sided == "two":
-                np.abs(row, out=row)
+            _statistic_row(factor, draws, j, sided == "two", row)
             # insert the row: each rank keeps the larger, the smaller moves
             # down, and what falls past the last rank is dropped
             ranks = min(j + 1, m)
@@ -376,16 +390,38 @@ def _tail_count_statistic(
                 if i + 1 < ranks:
                     np.minimum(top[i], row, out=row)
                 top[i], spare = spare, top[i]
-        np.sqrt(np.einsum("kn,kn->n", draws, draws, out=row), out=row)
-        np.divide(top[m - 1], row, out=stat[start : start + size])
+        np.divide(top[m - 1], _draw_norms(draws, row), out=stat[start : start + size])
     return stat
+
+
+def _ranked_statistics(
+    z_corr: CorrelationMatrix, two_sided: bool, directions: int, seed: int
+) -> np.ndarray:
+    """The first ``directions`` null directions of the pool's stream (every
+    block drawn whole, and read from its first column), each a column of
+    its draw's statistics over the draw's norm, largest first: (dim,
+    directions)."""
+    factor, dim, key = z_corr.factor, z_corr.dim, seed & 0xFFFFFFFFFFFFFFFF
+    stat = np.empty((dim, directions))
+    for start in range(0, directions, _POOL_BLOCK):
+        size = min(_POOL_BLOCK, directions - start)
+        draws = _block_normals(key, start // _POOL_BLOCK, dim + dim % 2, _POOL_BLOCK)[:, :size]
+        block = stat[:, start : start + size]
+        for j in range(dim):
+            _statistic_row(factor, draws, j, two_sided, block[j])
+        block /= _draw_norms(draws, np.empty(size))
+    stat.sort(axis=0)
+    return stat[::-1]
 
 
 def _radial_level(stat: np.ndarray, dim: int) -> Callable:
     """The pool's level at c >= 0, the mean over directions of P(chi_dim >
     c / T) for an even ``dim``, 0 where T <= 0, as ``law(c)``, which returns
     it and its slope in c; ``law(c, spread=True)`` returns it, bit for bit,
-    and the mean squared term.
+    and the mean squared term.  A 2-d ``stat`` holds one rank per row and
+    one direction per column, and ``law`` returns each row's level and
+    slope, or each row's level and the (rows, rows) mean products of the
+    directions' terms.
 
     With y = 1 / T^2, w = c^2 / 2 and E = e^(-w y), the tail is the Poisson
     sum E sum_a (w y)^a / a! over a = 0, 1, ..., dim/2 - 1 (Genz & Bretz
@@ -395,31 +431,96 @@ def _radial_level(stat: np.ndarray, dim: int) -> Callable:
     is the next moment.  T is raised to 2^(-960/dim) so that the moments
     stay finite, which moves no term at c > 4e-23 for dim <= 12; c is cut to
     1000, past which every term is 0.  y is built in place in one new
-    array, the compacted positive T, so ``stat`` is left as it is and need
-    not be held by the caller.
+    array, the compacted positive T of a pool, and the whole of a 2-d
+    ``stat``, whose terms where T <= 0 a mask zeroes, so ``stat`` is left as
+    it is and need not be held by the caller.
     """
-    size, y = stat.size, stat[stat > 0.0]
+    size, positive, ranked = stat.shape[-1], stat > 0.0, stat.ndim == 2
+    y = np.where(positive, stat, 1.0) if ranked else stat[positive]
     np.square(np.reciprocal(np.maximum(y, 2.0 ** -(960 // dim), out=y), out=y), out=y)
-    power = np.empty(y.size)
+    power = np.empty(y.shape)
     constant = 2.0 ** (0.5 * dim - 1.0) * math.gamma(0.5 * dim)
 
     def law(c: float, spread: bool = False):
         c = min(c, 1000.0)
         w, level = 0.5 * c * c, 0.0
-        terms = np.zeros(y.size) if spread else None
+        terms = np.zeros(y.shape) if spread else None
         np.exp(np.multiply(y, -w, out=power), out=power)
+        if ranked:
+            np.multiply(power, positive, out=power)
         for a in range(dim // 2):
             if a:
                 np.multiply(power, y, out=power)
             weight = w ** a / math.gamma(a + 1.0)
-            level += weight * float(power.sum())
+            level += weight * (power.sum(axis=1) if ranked else float(power.sum()))
             if spread:
                 terms += weight * power
         # einsum, not BLAS, whose threads would spin on the cores
+        if spread and ranked:
+            return level / size, np.einsum("in,jn->ij", terms, terms) / size
         if spread:
             return level / size, float(np.einsum("i,i->", terms, terms)) / size
-        slope = -float(np.einsum("i,i->", power, y)) * c ** (dim - 1) / constant
+        if ranked:
+            slope = -np.einsum("in,in->i", power, y) * c ** (dim - 1) / constant
+        else:
+            slope = -float(np.einsum("i,i->", power, y)) * c ** (dim - 1) / constant
         return level / size, slope / size
+
+    return law
+
+
+def _exceedance_law(
+    z_corr: CorrelationMatrix, two_sided: bool, directions: int, seed: int, low: float,
+    high: float,
+) -> Callable:
+    """P(at least one of the statistics exceeds c), |Z| > c where
+    ``two_sided`` and Z > c elsewhere, on ``directions`` null directions, as
+    ``law(c)``, which returns it and its slope in c for c in [low, high],
+    and ``law(c, spread=True)``, which returns it and its standard error.
+
+    With N the exceedance count, S1 = E N = dim t(c) (t one statistic's
+    tail) and S2 = E C(N, 2), the sum over pairs of P(both exceed)
+    (:func:`_bivariate_levels`), are exact.  Given a direction u (Z = R L
+    u, R ~ chi_d as in :func:`platform_threshold`), N >= r exactly when R >
+    c / T_r(u), T_r the r-th largest statistic over the norm, so P(N >= 1 |
+    u) = Q(c / T_1), E[N | u] = sum_r Q(c / T_r) and E[C(N, 2) | u] = sum_r
+    (r - 1) Q(c / T_r), with Q(x) = P(chi_d > x) and Q = 0 where T <= 0.
+    The law is beta1 S1 + beta2 S2 + mean_u sum_r gamma_r Q(c / T_r(u)),
+    gamma_r = [r = 1] - beta1 - beta2 (r - 1): unbiased for any beta, the
+    two sums serving as control variates.  With beta = (1, -1) it is S1 -
+    S2 plus the triple-and-higher remainder, from 1{N >= 1} = N - C(N, 2) +
+    C(N - 1, 2).  beta is instead (1, -1) plus the least-squares fit of
+    that remainder on the two sums over the directions at ``high``, which
+    keeps the variance small on strongly correlated statistics too.  The
+    standard error is the standard deviation of the directions' values over
+    sqrt(directions).  Terms below 1e-22 at every c >= ``low`` are dropped
+    first, which also keeps numpy's exp out of its slow subnormal band.
+    """
+    dim, sides = z_corr.dim, 2.0 if two_sided else 1.0
+    stat = _ranked_statistics(z_corr, two_sided, directions, seed)
+    stat[stat < low / math.sqrt(2.0 * _NEGLIGIBLE)] = 0.0
+    # each column is sorted, so the ranks that keep a term are the first;
+    # the law builds its own arrays, and the statistic is freed
+    radial = _radial_level(stat[: np.count_nonzero(stat.max(axis=1) > 0.0)], dim + dim % 2)
+    del stat
+    rho = z_corr.entries[np.triu_indices(dim, 1)]
+    means, products = radial(high, spread=True)
+    rank = np.arange(means.size)
+    # per rank: the weights of N and C(N, 2), and of the remainder
+    controls, remainder = np.stack([np.ones(rank.size), rank]), (rank == 0) - 1.0 + rank
+    covariance = controls @ (products - np.outer(means, means))
+    shift = np.linalg.lstsq(covariance @ controls.T, covariance @ remainder, rcond=None)[0]
+    beta, gamma = np.array([1.0, -1.0]) + shift, remainder - shift @ controls
+
+    def law(c: float, spread: bool = False):
+        pair, pair_slope, _ = _bivariate_levels(rho, c, 2, two_sided)
+        levels, moments = radial(c, spread)
+        level = float(beta @ (dim * sides * _std_normal_cdf(-c), pair.sum()) + gamma @ levels)
+        if spread:
+            variance = gamma @ (moments - np.outer(levels, levels)) @ gamma
+            return level, math.sqrt(max(variance, 0.0) / directions)
+        density = math.exp(-0.5 * c * c) / _SQRT_2PI
+        return level, float(beta @ (-dim * sides * density, pair_slope.sum()) + gamma @ moments)
 
     return law
 
@@ -528,7 +629,7 @@ def platform_threshold(
     against one statistic's level, and for at least m the Markov bound on
     the count.  The search is safeguarded on h(c) = sqrt(-2 log level(c)),
     nearly linear in c: Halley where the law gives its curvature, Newton on
-    the lattice and the count pool.  Each law gives its level and its slope.
+    the laws over null directions.  Each law gives its level and its slope.
     Every search ends on a step predicted to leave its successor under a
     tenth of its tolerance, without the pass at that step that would only
     confirm it.  With two statistics (K=1) the law is the exact bivariate
@@ -537,17 +638,19 @@ def platform_threshold(
     its level at c*, from one evaluation there, ``achieved_stderr`` is 0,
     and ``precision``, ``seed`` and ``replications`` are validated but
     unused.  With more, each search starts at the bracket's upper end.  An
-    any-exceedance level is a randomized quasi-Monte Carlo rectangle
-    probability on one :class:`_QmcLattice` per solve, which takes the
-    statistics in an order fixed by ``z_corr`` (smallest residual variance
-    first).  Its points grow at the bracket's upper end until the level's
-    standard error is at most ``precision``, then stay fixed, so the level
-    is a smooth deterministic function of c whose slope each lattice pass
-    also returns; the search takes about three passes, to 1e-8.
-    ``achieved`` is the last pass's second-order Taylor value at the root,
-    and ``achieved_stderr`` that pass's standard error.  Should that exceed
-    ``precision``, the lattice grows at the root and the search goes on
-    from it.
+    any-exceedance level (fwer, or m-FWER at m = 1) is
+    :func:`_exceedance_law`: the first two inclusion-exclusion terms, exact
+    from one statistic's tail and the pairs' orthants, and a remainder over
+    the first 2,048 null directions of the count pool's seeded stream below,
+    its control-variate weights fitted at the bracket's upper end.  It is a
+    smooth deterministic function of c with a closed-form slope, solved to
+    1e-8 in about two passes.  ``achieved`` is the search's level at the
+    root, and ``achieved_stderr`` the standard deviation of the directions'
+    values there over sqrt(directions), from one pass at the root.  Should
+    that exceed ``precision``, the directions double as often as the
+    stderr's fall with 1 / sqrt(directions) predicts the precision needs (up
+    to 2^22 statistics in all, past which the solve raises
+    :class:`PrecisionUnreachable`), and the search goes on from the root.
     Count-based metrics (at least m >= 2 of more than two statistics exceed
     c) integrate the radius exactly over a common pool of ``replications``
     null directions (spherical-radial integration: Deak 1980; Genz & Bretz
@@ -576,45 +679,41 @@ def platform_threshold(
 
     rho = float(z_corr.entries[0, 1])
     two_sided = metric.effective_sided == "two"
+
+    # the one-element search's level and slope on the law a branch below builds
+    def level(c: np.ndarray, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(np.array([value]) for value in law(float(c[0])))
+
     if dim == 2:
         c_star, stderr = float(_bivariate_critical_values(rho, (metric,))[0, 0]), 0.0
         achieved = float(_bivariate_levels(rho, np.array([c_star]), metric.exceedance_count,
                                            two_sided)[0][0])
     elif metric.exceedance_count == 1:
-        lattice, (low, high) = _QmcLattice(z_corr, seed), _bracket(metric, dim, rho)
-        estimates: list[_RectangleEstimate] = []
-
-        def level(c: np.ndarray, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            upper = np.full(dim, float(c[0]))
-            lower = -upper if two_sided else np.full(dim, -math.inf)
-            # a search's first box grows the lattice to the precision
-            if estimates:
-                estimates.append(lattice.estimate(lower, upper))
-            else:
-                estimates.append(lattice.refine(lower, upper, precision))
-            return np.array([1.0 - estimates[-1].value]), np.array([-estimates[-1].slope])
-
-        start = high
+        low, high = _bracket(metric, dim, rho)
+        directions, start = _FIRST_DIRECTIONS, high
         while True:
+            law = _exceedance_law(z_corr, two_sided, directions, seed, float(low), float(high))
             c_values, levels = _solve_decreasing(level, metric.alpha, low, high, start, 1e-8)
-            stderr = estimates[-1].stderr
+            c_star, achieved = float(c_values[0]), float(levels[0])
+            stderr = law(c_star, spread=True)[1]
             if stderr <= precision:
                 break
-            # grow at the root before refining there, so the root is not
-            # evaluated twice on the same points, and search on from it
-            lattice.grow()
+            # the stderr falls as 1 / sqrt(directions): double them about as
+            # often as that predicts the precision needs, within the cap, and
+            # search on from the root
+            room = int(math.log2(_MAX_STATISTICS / (dim * directions)))
+            if room < 1:
+                raise PrecisionUnreachable(
+                    f"standard error {stderr:.2e} > {precision:.2e} on {directions} null "
+                    f"directions, the most a solve of {dim} statistics draws"
+                )
+            directions <<= min(room, max(1, round(2.0 * math.log2(stderr / precision))))
             start = c_values
-            estimates.clear()
-        c_star, achieved = float(c_values[0]), float(levels[0])
     else:
         count, sided = metric.exceedance_count, metric.effective_sided
         # a temporary: nothing holds the statistic through the search
         law = _radial_level(_tail_count_statistic(z_corr, count, sided, replications, seed),
                             dim + dim % 2)
-
-        def level(c: np.ndarray, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            return tuple(np.array([value]) for value in law(float(c[0])))
-
         low, high = _bracket(metric, dim, rho)
         c_star = float(_solve_decreasing(level, metric.alpha, low, high, high, 1e-9)[0][0])
         achieved, mean_square = law(c_star, spread=True)

@@ -838,7 +838,7 @@ print(*sorted(name.split(".")[1] for name in sys.modules if name.startswith("pla
 
 def test_each_subcommand_loads_only_the_modules_it_calls(tmp_path):
     # in a fresh interpreter each subcommand loads only the package modules
-    # its path calls, the K = 2 lattice calls included, and none loads
+    # its path calls, the K = 2 any-exceedance calls included, and none loads
     # concurrent.futures
     path = tmp_path / "pdx.csv"
     path.write_text(FIXTURE_INDEPENDENT_CSV, encoding="utf-8")
@@ -858,7 +858,7 @@ def test_each_subcommand_loads_only_the_modules_it_calls(tmp_path):
         ([["design", "--delta", "0.663", "--synergy", "1.161", "--rho-ab-a", "0.626",
            "--rho-ab-b", "0.660", "--metric", "fwer", "--format", "json"]],
          arm_level | {"allocation", "power"}),
-        # on the lattice: a K = 2 fwer adjust at --precision 1e-5, a one-sided
+        # any exceedance: a K = 2 fwer adjust at --precision 1e-5, a one-sided
         # K = 2 m-FWER at m = 1 (its lower bounds are -inf) and a K = 2 fwer
         # design
         ([[*k2_arms, "--metric", "fwer", "--precision", "1e-5", "--format", "json"],

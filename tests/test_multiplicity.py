@@ -24,25 +24,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from platformdesign import multiplicity, mvnorm
+from platformdesign import multiplicity
 from platformdesign.allocation import DesignScenario, optimize_allocation
 from platformdesign.correlation import (
     ArmCorrelations,
     PlatformArms,
     platform_z_correlation_matrix,
 )
-from platformdesign.errors import DomainError, RootBracketError
+from platformdesign.errors import DomainError, PrecisionUnreachable, RootBracketError
 from platformdesign.multiplicity import (
     ErrorMetric,
     bivariate_error_rates,
     platform_threshold,
 )
-from platformdesign.mvnorm import (
-    CorrelationMatrix,
-    _QmcLattice,
-    _RectangleEstimate,
-    _std_normal_cdf,
-)
+from platformdesign.mvnorm import CorrelationMatrix, _std_normal_cdf
 from platformdesign.studies import run_threshold_curves, threshold_grid
 
 def _se(rate: float, count: int) -> float:
@@ -388,7 +383,8 @@ class TestClassicalDunnett:
 
 class TestPlatformThreshold:
     def test_k1_matches_exact_solver(self):
-        # two statistics take the exact bivariate route whatever the QMC knobs
+        # two statistics take the exact bivariate route whatever the precision
+        # and seed
         rho = 0.45
         result = platform_threshold(
             CorrelationMatrix.bivariate(rho), ErrorMetric.fwer(0.05), precision=5e-5, seed=2
@@ -532,41 +528,67 @@ def _counting(monkeypatch, owner, name):
     return calls
 
 
-class _CurveLattice:
-    """Stands in for a :class:`_QmcLattice` whose any-exceedance level is the
-    function ``level`` of c, with derivative ``d_level``, and no standard
-    error; it records the c of every evaluation."""
+class _CurveLaw:
+    """Stands in for the any-exceedance law of platform_threshold's solves
+    (:func:`multiplicity._exceedance_law`): its level is the function
+    ``level`` of c, with derivative ``d_level``, and its standard error 0;
+    it records the c of every search evaluation."""
 
     def __init__(self, level, d_level):
         self.level, self.d_level, self.visited = level, d_level, []
 
-    def estimate(self, lower, upper):
-        c = float(upper[0])
+    def __call__(self, c, spread=False):
+        if spread:
+            return self.level(c), 0.0
         self.visited.append(c)
-        return _RectangleEstimate(1.0 - self.level(c), 0.0, 1, -self.d_level(c))
-
-    def refine(self, lower, upper, precision):
-        return self.estimate(lower, upper)
+        return self.level(c), self.d_level(c)
 
 
-def _lattice_is_curve(monkeypatch, curve, metric, dim):
-    """Put ``curve`` in place of the lattice of platform_threshold's
+def _law_is_curve(monkeypatch, curve, metric, dim):
+    """Put ``curve`` in place of the law of platform_threshold's
     any-exceedance solves, and return the bracket of ``metric`` on ``dim``
     independent statistics."""
-    monkeypatch.setattr(multiplicity, "_QmcLattice", lambda z_corr, seed: curve)
+    monkeypatch.setattr(multiplicity, "_exceedance_law", lambda *args: curve)
     return tuple(float(end) for end in multiplicity._bracket(metric, dim, 0.0))
+
+
+def _recorded_laws(monkeypatch):
+    """Record each any-exceedance law platform_threshold builds, as
+    (directions, law, calls), calls the (c, spread) of each evaluation."""
+    built, original = [], multiplicity._exceedance_law
+
+    def recorded(z_corr, two_sided, directions, seed, low, high):
+        law, calls = original(z_corr, two_sided, directions, seed, low, high), []
+        built.append((directions, law, calls))
+
+        def each(c, spread=False):
+            calls.append((c, spread))
+            return law(c, spread)
+
+        return each
+
+    monkeypatch.setattr(multiplicity, "_exceedance_law", recorded)
+    return built
+
+
+def _law_at(z_corr, metric, directions=2048, seed=0):
+    """The any-exceedance law of ``metric`` on ``z_corr`` that a solve
+    builds on ``directions`` null directions."""
+    low, high = multiplicity._bracket(metric, z_corr.dim, z_corr.entries[0, 1])
+    return multiplicity._exceedance_law(
+        z_corr, metric.effective_sided == "two", directions, seed, float(low), float(high)
+    )
 
 
 class TestThresholdSolver:
     """One bracketed root search per solve, on a deterministic level."""
 
-    def test_fixed_lattice_level_is_deterministic_and_monotone(self):
-        z_corr = _platform_z_corr(2)
-        lattice = _QmcLattice(z_corr, seed=0)
-        grid = np.linspace(1.8, 3.2, 15)
-        levels = [1.0 - lattice.estimate(np.full(4, -c), np.full(4, c)).value for c in grid]
-        again = [1.0 - lattice.estimate(np.full(4, -c), np.full(4, c)).value for c in grid]
-        assert levels == again
+    def test_fixed_law_level_is_deterministic_and_monotone(self):
+        z_corr, metric = _platform_z_corr(2), ErrorMetric.fwer(0.05)
+        law = _law_at(z_corr, metric)
+        grid = np.linspace(1.8, 3.2, 15).tolist()
+        levels = [law(c)[0] for c in grid]
+        assert levels == [law(c)[0] for c in grid] == [_law_at(z_corr, metric)(c)[0] for c in grid]
         assert all(b <= a for a, b in zip(levels, levels[1:]))
 
     @pytest.mark.parametrize("precision", [1e-4, 2e-5])
@@ -578,45 +600,13 @@ class TestThresholdSolver:
 
     @pytest.mark.parametrize("K", [2, 4, 6])
     @pytest.mark.parametrize("sided", ["two", "one"])
-    def test_lattice_slope_is_the_derivative_of_its_level(self, K, sided):
+    def test_law_slope_is_the_derivative_of_its_level(self, K, sided):
         # the slope the search steps on is the derivative of the level it
-        # solves, on the same points
-        dim = 2 * K
-        lattice = _QmcLattice(_platform_z_corr(K), seed=0)
-
-        def estimate(c):
-            lower = np.full(dim, -c) if sided == "two" else np.full(dim, -math.inf)
-            return lattice.estimate(lower, np.full(dim, c))
-
+        # solves, on the same directions
+        law = _law_at(_platform_z_corr(K), ErrorMetric.mfwer(1, 0.05, sided))
         c, h = 2.5, 1e-5
-        central = (estimate(c + h).value - estimate(c - h).value) / (2.0 * h)
-        assert estimate(c).slope == pytest.approx(central, rel=1e-6)
-
-    @pytest.mark.parametrize("K", [4, 6])
-    @pytest.mark.parametrize("sided", ["two", "one"])
-    def test_variable_order_lowers_the_stderr_of_optimised_designs(self, monkeypatch, K, sided):
-        # RMS standard error over seeds 0-11 and four optimised designs, at
-        # the first lattice size and the bracket's upper end, where the
-        # solve decides whether the lattice must grow; the reference takes
-        # the variables in their given order
-        dim = 2 * K
-        metric = ErrorMetric.mfwer(1, 0.05, sided)
-        designs = [_optimised_design_z_corr(K, index) for index in range(4)]
-
-        def rms_stderr():
-            squares = []
-            for z_corr in designs:
-                c = float(multiplicity._bracket(metric, dim, z_corr.entries[0, 1])[1])
-                lower = np.full(dim, -c if sided == "two" else -math.inf)
-                squares += [
-                    _QmcLattice(z_corr, seed).estimate(lower, np.full(dim, c)).stderr ** 2
-                    for seed in range(12)
-                ]
-            return math.sqrt(np.mean(squares))
-
-        ordered = rms_stderr()
-        monkeypatch.setattr(mvnorm, "_smallest_residual_order", lambda m: np.arange(len(m)))
-        assert ordered < rms_stderr()
+        central = (law(c + h)[0] - law(c - h)[0]) / (2.0 * h)
+        assert law(c)[1] == pytest.approx(central, rel=1e-6)
 
     @pytest.mark.parametrize("K, sided", [(2, "two"), (2, "one"), (4, "one")])
     def test_level_against_scipy_mvn_cdf(self, K, sided):
@@ -633,38 +623,35 @@ class TestThresholdSolver:
         assert abs((1.0 - inside) - 0.05) <= 5 * result.achieved_stderr + 1e-6
 
     @pytest.mark.parametrize("K", [2, 4, 6])
-    def test_lattice_evaluations_per_solve(self, monkeypatch, K):
-        builds = _counting(monkeypatch, _QmcLattice, "__init__")
-        calls = _counting(monkeypatch, _QmcLattice, "estimate")
+    def test_law_evaluations_per_solve(self, monkeypatch, K):
+        # two search passes and the spread pass at c* per law, and at most
+        # one growth of the directions
+        built = _recorded_laws(monkeypatch)
         result = platform_threshold(_platform_z_corr(K), ErrorMetric.fwer(0.05))
-        assert len(builds) == 1
-        assert 0 < len(calls) <= 5
+        assert 1 <= len(built) <= 2
+        assert all(0 < len(calls) <= 3 for _, _, calls in built)
         assert result.achieved_stderr <= 1e-4
 
     @pytest.mark.parametrize("K", [2, 3, 4, 5, 6])
-    def test_lattice_solve_matches_brentq_on_its_points(self, monkeypatch, K):
-        builds = _counting(monkeypatch, _QmcLattice, "__init__")
+    def test_law_solve_matches_brentq_on_its_directions(self, monkeypatch, K):
+        built = _recorded_laws(monkeypatch)
         result = platform_threshold(_platform_z_corr(K), ErrorMetric.fwer(0.05))
-        lattice, dim = builds[0][0], 2 * K  # as the solve left it grown
-
-        def excess(c):
-            return 1.0 - lattice.estimate(np.full(dim, -c), np.full(dim, c)).value - 0.05
-
-        oracle = brentq(excess, 1.5, 4.0, xtol=1e-12)
+        law = built[-1][1]  # the law on the directions the solve ended on
+        oracle = brentq(lambda c: law(c)[0] - 0.05, 1.5, 4.0, xtol=1e-12)
         assert result.critical_value == pytest.approx(oracle, abs=1e-8)
 
-    def test_lattice_search_steps_to_the_open_end_then_bisects(self, monkeypatch):
+    def test_search_steps_to_the_open_end_then_bisects(self, monkeypatch):
         # a level whose h is flat at the bracket's upper end: the first
         # Newton step passes the lower end, which has not been evaluated, so
         # the search goes there; the next passes the upper end, evaluated
         # by then, and is bisected; Newton steps finish the search
         root, alpha = 2.3, 0.05
-        curve = _CurveLattice(
+        curve = _CurveLaw(
             lambda c: alpha * (1.0 + 0.9 * math.tanh(5.0 * (root - c))),
             lambda c: -4.5 * alpha / math.cosh(5.0 * (root - c)) ** 2,
         )
         metric = ErrorMetric.fwer(alpha)
-        low, high = _lattice_is_curve(monkeypatch, curve, metric, 12)
+        low, high = _law_is_curve(monkeypatch, curve, metric, 12)
         result = platform_threshold(CorrelationMatrix(np.eye(12)), metric)
         assert abs(result.critical_value - root) <= 1e-8
         assert result.achieved == pytest.approx(alpha, abs=1e-9)
@@ -675,7 +662,7 @@ class TestThresholdSolver:
         "place, steepness",
         [(2.3, 5.0), (2.1, 2.0), (2.6, 1.0), (2.5, 0.5), ("low", 5.0), ("middle", 5.0)],
     )
-    def test_lattice_search_ends_unevaluated_only_after_two_newton_steps(
+    def test_search_ends_unevaluated_only_after_two_newton_steps(
         self, monkeypatch, place, steepness
     ):
         # the search may end on a step it does not evaluate only when that
@@ -687,11 +674,11 @@ class TestThresholdSolver:
         low, high = (float(end) for end in multiplicity._bracket(metric, 12, 0.0))
         landing = {"low": low, "middle": (low + high) / 2.0}.get(place)
         root = place if landing is None else landing + 5e-4
-        curve = _CurveLattice(
+        curve = _CurveLaw(
             lambda c: alpha * (1.0 + 0.9 * math.tanh(steepness * (root - c))),
             lambda c: -0.9 * steepness * alpha / math.cosh(steepness * (root - c)) ** 2,
         )
-        _lattice_is_curve(monkeypatch, curve, metric, 12)
+        _law_is_curve(monkeypatch, curve, metric, 12)
         h_target = math.sqrt(-2.0 * math.log(alpha))
 
         def newton(c):  # the unclamped Newton point on h from c
@@ -710,11 +697,11 @@ class TestThresholdSolver:
             i = visited.index(landing)
             assert visited[i + 1 : i + 2] == [pytest.approx(newton(landing), abs=1e-14)]
 
-    def test_lattice_search_without_a_crossing_returns_the_bracket_end(self, monkeypatch):
+    def test_search_without_a_crossing_returns_the_bracket_end(self, monkeypatch):
         # a level above alpha everywhere: the search stops at the upper end
         # and platform_threshold's level check reports the miss
-        curve = _CurveLattice(lambda c: 0.2, lambda c: 0.0)
-        _, high = _lattice_is_curve(monkeypatch, curve, ErrorMetric.fwer(0.05), 4)
+        curve = _CurveLaw(lambda c: 0.2, lambda c: 0.0)
+        _, high = _law_is_curve(monkeypatch, curve, ErrorMetric.fwer(0.05), 4)
         with pytest.raises(RootBracketError, match="is 0.2"):
             platform_threshold(CorrelationMatrix(np.eye(4)), ErrorMetric.fwer(0.05))
         assert curve.visited == [high]
@@ -738,40 +725,35 @@ class TestThresholdSolver:
         with pytest.raises(RootBracketError, match="reaches level 0.05: the level at c = 2 is"):
             multiplicity._check_level(0.05, 2.0, 0.07, 1e-4)
 
-    def test_k4_lattice_solve_is_pinned(self, monkeypatch):
-        # three estimates at the bracket's upper end (the lattice grows
-        # twice there), then one Newton step on h with the lattice's own
-        # slope; the second Newton step is predicted to leave a third under
-        # 1e-9, so it is taken without a pass to confirm it
-        calls = _counting(monkeypatch, _QmcLattice, "estimate")
+    def test_k4_law_solve_is_pinned(self, monkeypatch):
+        # one pass at the bracket's upper end, then one Newton step on h
+        # with the law's own slope; the second Newton step is predicted to
+        # leave a third under 1e-9, so it is taken without a pass to confirm
+        # it, and the spread pass at c* gives the standard error
+        built = _recorded_laws(monkeypatch)
         result = platform_threshold(_platform_z_corr(4), ErrorMetric.fwer(0.05))
-        assert repr(result.critical_value) == "2.6900007154873746"
-        assert len(calls) == 4
+        assert repr(result.critical_value) == "2.6893767278760534"
+        (directions, _, calls), = built
+        high = float(multiplicity._bracket(result.metric, 8, result.z_correlation.entries[0, 1])[1])
+        assert directions == 2048 and len(calls) == 3
+        assert calls[0] == (high, False) and calls[-1] == (result.critical_value, True)
 
     def test_regrowth_at_the_root_continues_from_it(self, monkeypatch):
-        # at this precision and seed the standard error meets the precision
-        # at the bracket's upper end but not at the root, so the lattice
-        # grows there and the search goes on from that root; it grows
-        # before evaluating the root again, so no box is evaluated twice on
-        # the same points
-        refines = _counting(monkeypatch, _QmcLattice, "refine")
-        calls, estimate = [], _QmcLattice.estimate
-
-        def logged(lattice, lower, upper):
-            calls.append((lattice.total_points, float(upper[0])))
-            return estimate(lattice, lower, upper)
-
-        monkeypatch.setattr(_QmcLattice, "estimate", logged)
-        z_corr = _platform_z_corr(4)
-        result = platform_threshold(z_corr, ErrorMetric.fwer(0.05), precision=1e-4, seed=6)
-        assert len(calls) <= 8
-        assert len(set(calls)) == len(calls)
+        # at this precision and seed the standard error at the root misses
+        # the precision on 2,048 directions, so the solve doubles them and
+        # searches on from that root; no search pass repeats a point on the
+        # same directions
+        built = _recorded_laws(monkeypatch)
+        result = platform_threshold(_platform_z_corr(4), ErrorMetric.fwer(0.05), precision=1e-4,
+                                    seed=6)
         assert result.achieved_stderr <= 1e-4
-        assert len(refines) == 2
-        (lattice, lower, upper, _), (_, _, at_root, _) = refines
-        assert abs(at_root[0] - result.critical_value) < 1e-3 < upper[0] - at_root[0]
-        grown_at_high = _QmcLattice(z_corr, seed=6).refine(lower, upper, 1e-4)
-        assert lattice.total_points > grown_at_high.n_points
+        assert [directions for directions, _, _ in built] == [2048, 4096]
+        (_, small, first), (_, _, second) = built
+        root = first[-1][0]
+        assert first[-1][1] and small(root, spread=True)[1] > 1e-4
+        assert second[0] == (root, False)
+        passes = [(n, c) for n, _, calls in built for c, spread in calls if not spread]
+        assert len(set(passes)) == len(passes) <= 6
 
     def test_pool_root_is_the_smallest_c_at_level(self):
         # the pool's level is the mean over directions of P(chi_4 > c / T),
@@ -831,47 +813,185 @@ class TestThresholdSolver:
 _DESIGNS = [(K, index) for K in range(2, 7) for index in range(6)]
 
 
-class TestLatticeFollowsPrecision:
-    """A K > 1 fwer solve pays for the precision it is asked for: its lattice
-    starts small and grows only until the level's standard error meets
-    ``precision``."""
+class TestLawFollowsPrecision:
+    """A K > 1 fwer solve pays for the precision it is asked for: it starts
+    on 2,048 null directions and grows only until the level's standard
+    error meets ``precision``."""
 
     @pytest.mark.parametrize("K, index", _DESIGNS)
-    def test_level_meets_precision_on_a_lattice_sized_to_it(self, monkeypatch, K, index):
+    @pytest.mark.parametrize("sided", ["two", "one"])
+    def test_level_meets_precision_on_directions_sized_to_it(self, monkeypatch, K, index, sided):
         from scipy.stats import multivariate_normal
 
-        builds = _counting(monkeypatch, _QmcLattice, "__init__")
+        built = _recorded_laws(monkeypatch)
         z_corr, dim, precision = _optimised_design_z_corr(K, index), 2 * K, 1e-4
-        result = platform_threshold(z_corr, ErrorMetric.fwer(0.05), precision=precision)
+        metric = ErrorMetric.mfwer(1, 0.05, sided)
+        result = platform_threshold(z_corr, metric, precision=precision)
         assert 0.0 < result.achieved_stderr <= precision
         c, abseps = result.critical_value, 1e-5
         inside = multivariate_normal.cdf(
             np.full(dim, c), np.zeros(dim), z_corr.entries,
-            lower_limit=np.full(dim, -c), abseps=abseps, releps=0.0,
+            lower_limit=np.full(dim, -c if sided == "two" else -math.inf), abseps=abseps,
+            releps=0.0,
         )
         assert abs((1.0 - inside) - 0.05) <= max(1e-4, 6 * result.achieved_stderr) + abseps
-        # fewer points than 12 shifted lattices of 128 x dim, unless that
-        # size misses the precision where the solve refines: at the
-        # bracket's upper end or at the root
-        lattice = builds[0][0]
-        if lattice.total_points >= 12 * 128 * dim:
-            at_128 = _QmcLattice(z_corr, seed=0)
-            while at_128.n_points < 128 * dim:
-                at_128.grow()
-            high = float(multiplicity._bracket(result.metric, dim, z_corr.entries[0, 1])[1])
-            stderrs = [at_128.estimate(np.full(dim, -x), np.full(dim, x)).stderr
-                       for x in (high, c)]
-            assert max(stderrs) > precision
+        # 2,048 directions, unless they miss the precision at c*
+        if built[-1][0] > 2048:
+            assert _law_at(z_corr, result.metric)(c, spread=True)[1] > precision
 
     @pytest.mark.parametrize("K", range(2, 7))
-    def test_looser_precision_draws_no_more_points(self, monkeypatch, K):
-        builds = _counting(monkeypatch, _QmcLattice, "__init__")
+    def test_looser_precision_draws_no_more_directions(self, monkeypatch, K):
+        built = _recorded_laws(monkeypatch)
         z_corr, totals = _optimised_design_z_corr(K, 0), []
         for precision in (1e-5, 1e-4, 1e-3):
             result = platform_threshold(z_corr, ErrorMetric.fwer(0.05), precision=precision)
             assert result.achieved_stderr <= precision
-            totals.append(builds[-1][0].total_points)
+            totals.append(built[-1][0])
         assert totals == sorted(totals, reverse=True)
+
+
+# correlation matrices of odd dimension, which no platform has
+_ODD_ENTRIES = [
+    [[1.0, 0.4, 0.2], [0.4, 1.0, 0.3], [0.2, 0.3, 1.0]],
+    [[1.0, 0.5, 0.3, 0.2, 0.1], [0.5, 1.0, 0.4, 0.3, 0.2], [0.3, 0.4, 1.0, 0.5, -0.1],
+     [0.2, 0.3, 0.5, 1.0, 0.3], [0.1, 0.2, -0.1, 0.3, 1.0]],
+]
+
+
+class TestExceedanceLaw:
+    """The any-exceedance law at K > 1: exact pair terms and a small
+    remainder over null directions, held to ``precision``."""
+
+    @pytest.mark.parametrize("blocks", [2, 3, 4])
+    @pytest.mark.parametrize("sided", ["two", "one"])
+    def test_independent_substudies_meet_the_exact_product(self, blocks, sided):
+        # a block-diagonal Z correlation: the level is 1 - prod_k P(no
+        # exceedance in block k), each block's from the exact bivariate law
+        rho = np.random.default_rng([blocks, sided == "two"]).uniform(-0.3, 0.8, blocks)
+        entries = np.kron(np.eye(blocks), np.eye(2))
+        entries[np.arange(0, 2 * blocks, 2), np.arange(1, 2 * blocks, 2)] = rho
+        entries[np.arange(1, 2 * blocks, 2), np.arange(0, 2 * blocks, 2)] = rho
+        result = platform_threshold(CorrelationMatrix(entries), ErrorMetric.mfwer(1, 0.05, sided))
+        c = np.full(blocks, result.critical_value)
+        per_block = multiplicity._bivariate_levels(rho, c, 1, sided == "two")[0]
+        exact = 1.0 - np.prod(1.0 - per_block)
+        assert abs(exact - 0.05) <= 4 * result.achieved_stderr
+
+    @pytest.mark.parametrize("dim", [3, 6, 12])
+    @pytest.mark.parametrize("sided", ["two", "one"])
+    def test_independent_statistics_meet_sidak(self, dim, sided):
+        # identity Z correlation: the level is 1 - (1 - t(c))^dim, t one
+        # statistic's tail, and only the remainder is over directions
+        result = platform_threshold(CorrelationMatrix(np.eye(dim)),
+                                    ErrorMetric.mfwer(1, 0.05, sided))
+        tail = (2.0 if sided == "two" else 1.0) * _std_normal_cdf(-result.critical_value)
+        exact = 1.0 - (1.0 - tail) ** dim
+        assert 0.0 < result.achieved_stderr
+        assert abs(exact - 0.05) <= 4 * result.achieved_stderr
+
+    @pytest.mark.parametrize("K", [2, 4, 6])
+    @pytest.mark.parametrize("sided", ["two", "one"])
+    def test_seeds_agree_within_their_stderr(self, K, sided):
+        # a seed fixes the law bit for bit; other seeds draw other
+        # directions, whose levels at one c agree within their errors
+        z_corr, metric = _platform_z_corr(K), ErrorMetric.mfwer(1, 0.05, sided)
+        c = platform_threshold(z_corr, metric).critical_value
+        level, stderr = _law_at(z_corr, metric)(c, spread=True)
+        assert (level, stderr) == _law_at(z_corr, metric)(c, spread=True)
+        for seed in (1, 2, 3):
+            other, other_stderr = _law_at(z_corr, metric, seed=seed)(c, spread=True)
+            assert other != level
+            assert abs(other - level) <= 5 * math.hypot(stderr, other_stderr)
+
+    @pytest.mark.parametrize(
+        "z_corr, sided, gain",
+        [
+            (_optimised_design_z_corr(4, 0), "two", 1.0),
+            (_optimised_design_z_corr(6, 0), "one", 1.0),
+            (CorrelationMatrix(np.full((12, 12), 0.8) + 0.2 * np.eye(12)), "two", 10.0),
+            (CorrelationMatrix(np.full((12, 12), 0.95) + 0.05 * np.eye(12)), "two", 10.0),
+        ],
+        ids=["K4-design", "K6-design-one-sided", "equi-0.8", "equi-0.95"],
+    )
+    def test_fitted_weights_lower_the_stderr_of_fixed_ones(self, z_corr, sided, gain):
+        # at the bracket's upper end, where the control-variate weights are
+        # fitted, their stderr is at most that of beta = (1, -1), whose
+        # per-direction value is sum_{r >= 3} (r - 2) Q(c / T_r); on strongly
+        # correlated statistics the fit cuts it by more than ``gain``
+        metric, n, dim = ErrorMetric.mfwer(1, 0.05, sided), 2048, z_corr.dim
+        high = float(multiplicity._bracket(metric, dim, z_corr.entries[0, 1])[1])
+        fitted = _law_at(z_corr, metric, n)(high, spread=True)[1]
+        stat = multiplicity._ranked_statistics(z_corr, sided == "two", n, 0)
+        tails = np.zeros(stat.shape)
+        tails[stat > 0] = chi_tail(high / stat[stat > 0], dim + dim % 2)[0]
+        weights = np.maximum(np.arange(dim) - 1.0, 0.0)
+        fixed = float((weights @ tails).std()) / math.sqrt(n)
+        assert 0.0 < fitted * gain <= fixed * (1.0 + 1e-6)
+
+    def test_strong_equicorrelation_meets_precision_by_growing(self, monkeypatch):
+        # at equicorrelation 0.8 among 12 statistics the remainder varies
+        # most; the fitted control variates keep its stderr within reach
+        built = _recorded_laws(monkeypatch)
+        z_corr = CorrelationMatrix(np.full((12, 12), 0.8) + 0.2 * np.eye(12))
+        result = platform_threshold(z_corr, ErrorMetric.fwer(0.05), precision=1e-4)
+        assert result.achieved_stderr <= 1e-4
+        assert built[-1][0] > 2048
+        assert result.achieved == pytest.approx(0.05, abs=1e-8)
+
+    @pytest.mark.parametrize("sided", ["two", "one"])
+    def test_level_against_brute_force(self, sided):
+        # a separately seeded direct count of any exceedance
+        corr = _platform_z_corr(3)
+        draws = mvn_draws(corr.factor, 300_000, seed=41)
+        values = np.abs(draws) if sided == "two" else draws
+        result = platform_threshold(corr, ErrorMetric.mfwer(1, 0.05, sided), seed=2)
+        oracle = float((values.max(axis=1) > result.critical_value).mean())
+        assert abs(oracle - 0.05) <= 5 * math.hypot(_se(oracle, len(draws)), result.achieved_stderr)
+
+    @pytest.mark.parametrize("sided", ["two", "one"])
+    @pytest.mark.parametrize("entries", _ODD_ENTRIES, ids=["dim3", "dim5"])
+    def test_odd_dimension_level_against_scipy(self, entries, sided):
+        # an odd dim's extra normal enters only the norm, so the law is that
+        # of the dim statistics alone
+        from scipy.stats import multivariate_normal
+
+        z_corr = CorrelationMatrix(np.array(entries))
+        dim = z_corr.dim
+        result = platform_threshold(z_corr, ErrorMetric.mfwer(1, 0.05, sided))
+        c = result.critical_value
+        inside = multivariate_normal.cdf(
+            np.full(dim, c), np.zeros(dim), z_corr.entries,
+            lower_limit=np.full(dim, -c if sided == "two" else -math.inf),
+            abseps=1e-6, releps=0.0,
+        )
+        assert abs((1.0 - inside) - 0.05) <= 5 * result.achieved_stderr + 1e-6
+
+    @pytest.mark.parametrize("sided", ["two", "one"])
+    def test_law_does_not_depend_on_earlier_pools(self, sided):
+        # the law reads the count pool's kept normals: after a K = 6 pool has
+        # filled the store, and in the other order of dims, each solve is the
+        # one an emptied store gives
+        store, metric = multiplicity._kept_normals, ErrorMetric.mfwer(1, 0.05, sided)
+
+        def solves(dims):
+            results = {K: platform_threshold(_platform_z_corr(K), metric) for K in dims}
+            return [(r.critical_value, r.achieved, r.achieved_stderr)
+                    for _, r in sorted(results.items())]
+
+        store.clear()
+        fresh = solves((2, 4, 6))
+        store.clear()
+        multiplicity._tail_count_statistic(_platform_z_corr(6), 2, "two", 65_536, 0)
+        assert solves((6, 4, 2)) == fresh
+
+    def test_tiny_precision_is_unreachable_at_the_cap(self, monkeypatch):
+        # a cap of 2^16 statistics lets 4 statistics grow to 16,384
+        # directions; the error names the standard error reached there
+        monkeypatch.setattr(multiplicity, "_MAX_STATISTICS", 1 << 16)
+        built = _recorded_laws(monkeypatch)
+        with pytest.raises(PrecisionUnreachable, match=r"standard error \S+ > 1.00e-09 on 16384"):
+            platform_threshold(_platform_z_corr(2), ErrorMetric.fwer(0.05), precision=1e-9)
+        assert built[-1][0] == 16_384
 
 
 class TestPredictedStop:
@@ -883,25 +1003,22 @@ class TestPredictedStop:
 
     @pytest.mark.parametrize("K, index", _DESIGNS)
     def test_same_c_star_and_level_as_an_evaluated_stop(self, monkeypatch, K, index):
-        builds = _counting(monkeypatch, _QmcLattice, "__init__")
-        calls = _counting(monkeypatch, _QmcLattice, "estimate")
-        z_corr, dim = _optimised_design_z_corr(K, index), 2 * K
+        built = _recorded_laws(monkeypatch)
+        z_corr = _optimised_design_z_corr(K, index)
         for sided in ("two", "one"):
             metric = ErrorMetric.mfwer(1, 0.05, sided)
             for precision in (1e-4, 2e-5):
-                calls.clear()
+                built.clear()
                 result = platform_threshold(z_corr, metric, precision=precision)
-                lattice, predicted_calls = builds[-1][0], len(calls)
-                c = result.critical_value
-                lower = np.full(dim, -c if sided == "two" else -math.inf)
-                on_its_points = 1.0 - lattice.estimate(lower, np.full(dim, c)).value
-                assert abs(result.achieved - on_its_points) <= 1e-10
+                predicted = sum(len(calls) for _, _, calls in built)
+                law, c = built[-1][1], result.critical_value
+                assert abs(result.achieved - law(c)[0]) <= 1e-10
                 with monkeypatch.context() as patch:
                     patch.setattr(multiplicity, "_solve_decreasing", evaluated_stop_search)
-                    calls.clear()
+                    built.clear()
                     reference = platform_threshold(z_corr, metric, precision=precision)
                 assert c == reference.critical_value
-                assert predicted_calls <= len(calls)
+                assert predicted <= sum(len(calls) for _, _, calls in built)
 
     def test_bivariate_batch_ends_on_the_evaluated_c_star(self, monkeypatch):
         # the thresholds study's grid, every (correlation, metric) in one
@@ -1125,14 +1242,6 @@ class TestSharedSearch:
                 assert 0.0 <= low[i] <= high[i]
         low, high = multiplicity._bracket(ErrorMetric.msfp(0.000625), 2, rho)
         assert low[0] == 0.0 and low[3] > 0.0  # Slepian: a lower bracket for rho < 0
-
-
-# correlation matrices of odd dimension, which no platform has
-_ODD_ENTRIES = [
-    [[1.0, 0.4, 0.2], [0.4, 1.0, 0.3], [0.2, 0.3, 1.0]],
-    [[1.0, 0.5, 0.3, 0.2, 0.1], [0.5, 1.0, 0.4, 0.3, 0.2], [0.3, 0.4, 1.0, 0.5, -0.1],
-     [0.2, 0.3, 0.5, 1.0, 0.3], [0.1, 0.2, -0.1, 0.3, 1.0]],
-]
 
 
 class TestNullPool:
@@ -1414,6 +1523,25 @@ class TestRadialLevel:
         law = multiplicity._radial_level(stat, 6)
         law(1.3), law(1.3, spread=True)
         assert stat.tobytes() == given.tobytes()
+
+    @pytest.mark.parametrize("dim", [4, 12])
+    def test_ranked_rows_against_each_directions_tail(self, dim):
+        # a 2-d pool, ranks down its columns, some T <= 0: each row's level
+        # and slope, and the mean products of the directions' terms, against
+        # each direction's chi tail on its own
+        stat = np.sort(np.random.default_rng(dim).normal(0.0, 0.3, (3, 500)), axis=0)[::-1]
+        law, positive = multiplicity._radial_level(stat, dim), stat > 0.0
+        scale = np.where(positive, 1.0 / np.where(positive, stat, 1.0), 0.0)
+        for c in (0.7, 2.1, 3.4):
+            x = np.where(positive, c * scale, math.inf).ravel()
+            tail, density = (v.reshape(stat.shape) for v in chi_tail(x, dim))
+            levels, slopes = law(c)
+            np.testing.assert_allclose(levels, tail.mean(axis=1), rtol=1e-13, atol=0.0)
+            slope = -(density * scale).mean(axis=1)
+            np.testing.assert_allclose(slopes, slope, rtol=1e-12, atol=0.0)
+            same, products = law(c, spread=True)
+            assert same.tolist() == levels.tolist()
+            np.testing.assert_allclose(products, tail @ tail.T / 500, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("K", [2, 4, 6])
     def test_spread_is_the_mean_squared_term(self, K):

@@ -12,13 +12,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from platformdesign import mvnorm
-from platformdesign.errors import DomainError, NotPositiveDefinite, PrecisionUnreachable
-from platformdesign.mvnorm import (
-    CorrelationMatrix,
-    _QmcLattice,
-    _std_normal_cdf,
-    _std_normal_quantile,
-)
+from platformdesign.errors import DomainError, NotPositiveDefinite
+from platformdesign.mvnorm import CorrelationMatrix, _std_normal_cdf, _std_normal_quantile
 
 mp.mp.dps = 40
 
@@ -423,368 +418,3 @@ class TestUnequalOrthant:
         np.testing.assert_allclose(
             mvnorm._unequal_orthant(c, c.copy(), r), _equal_orthant(c, r), rtol=1e-13, atol=1e-30
         )
-
-
-def _random_correlation(dim: int, seed: int) -> np.ndarray:
-    """A correlation matrix with no structure: a normalised random Gram
-    matrix."""
-    b = np.random.default_rng(seed).uniform(-1.0, 1.0, (dim, dim + 2))
-    cov = b @ b.T
-    scale = 1.0 / np.sqrt(np.diag(cov))
-    m = cov * np.outer(scale, scale)
-    np.fill_diagonal(m, 1.0)
-    return m
-
-
-def _random_box(dim: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unequal bounds with about one in four infinite on each side."""
-    rng = np.random.default_rng([seed, 1])
-    lower, upper = -rng.uniform(0.3, 2.5, dim), rng.uniform(0.3, 2.5, dim)
-    lower[rng.random(dim) < 0.25] = -INF
-    upper[rng.random(dim) < 0.25] = INF
-    return lower, upper
-
-
-def _lattice_cdf(x) -> np.ndarray:
-    x = np.array(x, dtype=float, ndmin=2)
-    density = np.empty_like(x)
-    mvnorm._cdf_rational(x, density, np.empty((2, *x.shape)))
-    return x if x.shape[0] > 1 else x[0]
-
-
-def _lattice_quantile(u) -> np.ndarray:
-    u = np.array(u, dtype=float)
-    out = np.empty_like(u)
-    mvnorm._quantile_rational(u, out, np.empty((3, *u.shape)))
-    return out
-
-
-def _quantile_reference(u: float) -> mp.mpf:
-    return mp.sqrt(2) * mp.erfinv(2 * mp.mpf(u) - 1)
-
-
-# West's switch of Hart's algorithm to a continued fraction
-_WEST_CUT = 7.07106781186547
-# AS241's switches: |u - 1/2| = 0.425, and u = e^-25, where the tail's
-# sqrt(-log u) passes 5
-_AS241_SWITCHES = (0.075, 0.925, math.exp(-25.0), 1.0 - math.exp(-25.0))
-
-
-class TestLatticeKernels:
-    # the lattice's numpy Phi and Phi^-1, against mpmath; they are precise
-    # in absolute terms, which is what a box probability needs
-
-    def test_cdf_against_mpmath(self):
-        cut = [np.nextafter(_WEST_CUT, 0.0), _WEST_CUT, np.nextafter(_WEST_CUT, 8.0)]
-        points = np.concatenate([
-            [0.0, -0.0, 40.0, 1e10], cut, np.linspace(0.0, 40.0, 4001),
-        ])
-        points = np.concatenate([points, -points])
-        values = _lattice_cdf(points)
-        errors = [abs(v - _cdf_reference(x)) for x, v in zip(points.tolist(), values.tolist())]
-        assert max(errors) <= 4e-16
-        assert _lattice_cdf([0.0, -0.0]).tolist() == [0.5, 0.5]
-        assert _lattice_cdf([-1e10, 1e10, -40.0, 40.0]).tolist() == [0.0, 1.0, 0.0, 1.0]
-
-    def test_cdf_writes_the_density(self):
-        x = np.array([[-50.0, -3.0, -0.5], [0.0, 2.0, 45.0]])
-        density = np.empty_like(x)
-        mvnorm._cdf_rational(x.copy(), density, np.empty((2, *x.shape)))
-        assert density.tolist() == np.exp(-0.5 * x * x).tolist()
-        assert density[0, 0] == density[1, 2] == 0.0
-
-    def test_cdf_of_a_box_row_is_the_cdf_per_entry(self, rng):
-        # both bounds of a variable go through one call; each row is what
-        # the row alone gives
-        x = rng.normal(0.0, 4.0, (2, 300))
-        both = _lattice_cdf(x)
-        assert both.tolist() == [_lattice_cdf(row).tolist() for row in x]
-
-    def test_quantile_against_mpmath(self):
-        beside = [np.nextafter(u, side) for u in _AS241_SWITCHES for side in (0.0, 1.0)]
-        points = np.concatenate([
-            [1e-15, 1.0 - 1e-15, 0.5, 0.3, 0.7], _AS241_SWITCHES, beside,
-            np.logspace(-15, math.log10(0.5), 301),
-            1.0 - np.logspace(-15, math.log10(0.5), 301),
-        ])
-        values = _lattice_quantile(points)
-        for u, y in zip(points.tolist(), values.tolist()):
-            reference = _quantile_reference(u)
-            scale = max(1.0, abs(float(reference)))
-            assert abs(y - float(reference)) <= 1e-15 * scale, u
-        assert _lattice_quantile([0.5]).tolist() == [0.0]
-
-    def test_quantile_does_not_depend_on_its_batch(self):
-        # each tail rational runs only on the points that need it, so a point
-        # beside a switch comes out the same with or without ordinary
-        # points, and far tail points, in its call
-        beside = [np.nextafter(u, side) for u in _AS241_SWITCHES for side in (0.0, 1.0)]
-        points = np.concatenate([beside, _AS241_SWITCHES, [1e-15, 0.01, 0.3, 0.5, 0.7, 0.99]])
-        alone = np.concatenate([_lattice_quantile([u]) for u in points])
-        assert _lattice_quantile(points).tobytes() == alone.tobytes()
-        assert _lattice_quantile(points[::-1]).tobytes() == alone[::-1].tobytes()
-
-    @pytest.mark.parametrize("switch", [0.0, _WEST_CUT, -_WEST_CUT, 38.6, -38.6, 40.0, -40.0])
-    def test_cdf_monotone_across_each_switch(self, switch):
-        # steps of 1e-9 never lower Phi, and raise it wherever the step
-        # moves Phi by more than an ulp of its value (to the left of 7); at
-        # single ulps a fall is within the 4e-16 error
-        steps = np.arange(-200, 201)
-        wide = np.diff(_lattice_cdf(switch + 1e-9 * steps))
-        assert np.all(wide >= 0.0)
-        if -10.0 < switch <= 0.0:
-            assert np.all(wide > 0.0)
-        ulps = _lattice_cdf(switch + np.spacing(max(abs(switch), 1e-300)) * steps)
-        assert np.all(np.diff(ulps) >= -4e-16)
-
-    @pytest.mark.parametrize("switch, step", [
-        (0.075, 1e-12), (0.925, 1e-12), (math.exp(-25.0), 1e-20), (1.0 - math.exp(-25.0), 1e-15),
-    ])
-    def test_quantile_monotone_across_each_switch(self, switch, step):
-        # each step moves Phi^-1 by far more than its error, so it rises;
-        # at single ulps the rationals on either side of a switch may differ
-        # by an ulp or so of y, within the 1e-15 relative error
-        steps = np.arange(-200, 201)
-        assert np.all(np.diff(_lattice_quantile(switch + step * steps)) > 0.0)
-        ulps = _lattice_quantile(switch + np.spacing(switch) * steps)
-        assert np.all(np.diff(ulps) >= -1e-15 * np.abs(ulps[1:]).clip(1.0))
-
-
-class TestQmcLattice:
-    def test_independence_product_4d(self):
-        c = 1.959963984540054
-        lattice = _QmcLattice(CorrelationMatrix(np.eye(4)), seed=3)
-        estimate = lattice.refine(np.full(4, -c), np.full(4, c), precision=1e-4)
-        assert estimate.value == pytest.approx(0.95**4, abs=max(1e-4, 3 * estimate.stderr))
-
-    @pytest.mark.parametrize("dim", [4, 8, 12])
-    @pytest.mark.parametrize("sided", ["two", "one"])
-    def test_identity_value_and_slope_are_exact(self, dim, sided):
-        # independent coordinates: every point gives the product of the
-        # marginal probabilities, whatever the points
-        c = 2.1
-        cdf = 0.5 * math.erfc(-c / math.sqrt(2.0))
-        pdf = math.exp(-0.5 * c * c) / math.sqrt(2.0 * math.pi)
-        p, dp = (2.0 * cdf - 1.0, 2.0 * pdf) if sided == "two" else (cdf, pdf)
-        lattice = _QmcLattice(CorrelationMatrix(np.eye(dim)), seed=dim)
-        lower = np.full(dim, -c if sided == "two" else -INF)
-        estimate = lattice.estimate(lower, np.full(dim, c))
-        assert estimate.value == pytest.approx(p**dim, abs=1e-12)
-        assert estimate.slope == pytest.approx(dim * p ** (dim - 1) * dp, abs=1e-12)
-
-    def test_dim2_agrees_with_quadrature(self):
-        lattice = _QmcLattice(CorrelationMatrix.bivariate(0.5), seed=1)
-        estimate = lattice.refine(np.array([-1.96, -1.96]), np.array([1.96, 1.96]), 5e-5)
-        exact = bvn_rectangle((-1.96, -1.96), (1.96, 1.96), 0.5)
-        assert abs(estimate.value - exact) <= 3 * max(estimate.stderr, 1e-6)
-
-    def test_infinite_box_is_one(self):
-        lattice = _QmcLattice(CorrelationMatrix(np.eye(3)))
-        estimate = lattice.refine(np.full(3, -INF), np.full(3, INF), precision=1e-4)
-        assert estimate.value == 1.0 and estimate.stderr == 0.0
-
-    def test_far_bounds_match_infinite_ones(self):
-        # a finite bound far out gives the cdf of an infinite one, and its
-        # density underflows to 0 without an overflow warning
-        corr = CorrelationMatrix(np.eye(3) * 0.5 + np.full((3, 3), 0.5))
-        lattice = _QmcLattice(corr, seed=2)
-        lower, upper = np.array([-1e200, -1.0, -2.0]), np.array([1.5, 1e300, 2.0])
-        far = lattice.estimate(lower, upper)
-        infinite = lattice.estimate(np.where(lower < -1e100, -INF, lower),
-                                    np.where(upper > 1e100, INF, upper))
-        assert far == infinite
-        # near-perfect correlation: a bound over its conditional sd, about
-        # 1e-3, passes the largest double and is infinite
-        corr = CorrelationMatrix(np.eye(3) * 1e-6 + np.full((3, 3), 1.0 - 1e-6))
-        lattice = _QmcLattice(corr, seed=2)
-        far = lattice.estimate(np.full(3, -1e308), np.array([1e308, 1e308, 0.5]))
-        assert far == lattice.estimate(np.full(3, -INF), np.array([INF, INF, 0.5]))
-
-    def test_deterministic_given_seed(self):
-        corr = CorrelationMatrix(np.eye(4) * 0.5 + np.full((4, 4), 0.5))
-        lower, upper = np.full(4, -2.0), np.full(4, 2.0)
-        first = _QmcLattice(corr, seed=42).refine(lower, upper, 1e-4)
-        assert _QmcLattice(corr, seed=42).refine(lower, upper, 1e-4) == first
-
-    def test_monotone_in_nesting(self):
-        corr = CorrelationMatrix(np.eye(3) * 0.6 + np.full((3, 3), 0.4))
-        wide = _QmcLattice(corr, seed=5).refine(np.full(3, -2.5), np.full(3, 2.5), 1e-4)
-        narrow = _QmcLattice(corr, seed=5).refine(np.full(3, -1.5), np.full(3, 2.5), 1e-4)
-        assert 0.0 <= narrow.value <= wide.value + 3 * (wide.stderr + narrow.stderr)
-
-    def test_six_dim_against_brute_force(self):
-        # structured, non-exchangeable correlation; oracle is plain MC
-        rng = np.random.default_rng(321)
-        loadings = rng.uniform(-0.7, 0.7, 6)
-        m = np.outer(loadings, loadings)
-        np.fill_diagonal(m, 1.0)
-        corr = CorrelationMatrix(m)
-        lower = np.array([-2.2, -1.5, -np.inf, -1.0, -2.0, -0.5])
-        upper = np.array([1.0, 2.5, 0.8, np.inf, 1.5, 2.0])
-        estimate = _QmcLattice(corr, seed=9).refine(lower, upper, precision=5e-5)
-        draws = np.random.default_rng(777).standard_normal((2_000_000, 6)) @ corr.factor.T
-        inside = np.all((draws >= lower) & (draws <= upper), axis=1)
-        mc = float(inside.mean())
-        mc_se = math.sqrt(mc * (1 - mc) / inside.size)
-        assert abs(estimate.value - mc) <= 3 * (estimate.stderr + mc_se)
-
-    @pytest.mark.parametrize("dim, precision", [(3, 1e-7), (5, 1e-6), (8, 2e-6)])
-    def test_matches_batch_by_batch_reference(self, dim, precision):
-        # the lattice evaluates all batches at once; one batch at a time, with
-        # the shifts drawn in the same order and the variables taken in the
-        # lattice's order, gives the same estimate
-        from scipy.special import ndtr, ndtri
-
-        rng = np.random.default_rng(dim)
-        loadings = rng.uniform(-0.6, 0.6, dim)
-        m = np.outer(loadings, loadings)
-        np.fill_diagonal(m, 1.0)
-        corr = CorrelationMatrix(m)
-        lower, upper = np.full(dim, -2.0), np.full(dim, 2.5)
-        lower[0] = -INF
-
-        lattice = _QmcLattice(corr, seed=7)
-        order = lattice.order
-        factor = CorrelationMatrix(m[np.ix_(order, order)]).factor
-        box_lower, box_upper = lower[order], upper[order]
-        generators = np.sqrt([2.0, 3.0, 5.0, 7.0, 11.0, 13.0, 17.0][: dim - 1])
-        shifts = np.random.default_rng([7, dim])
-        n_points, total = mvnorm._START_POINTS * dim, 0
-        while True:
-            means = []
-            for _ in range(12):
-                shift = shifts.random(dim - 1)
-                j = np.arange(1, n_points + 1, dtype=float)
-                d = np.full(n_points, ndtr(box_lower[0] / factor[0, 0]))
-                e = np.full(n_points, ndtr(box_upper[0] / factor[0, 0]))
-                prob, y = e - d, np.empty((dim - 1, n_points))
-                for i in range(1, dim):
-                    z = generators[i - 1] * j + shift[i - 1]
-                    x = np.abs(2.0 * (z - np.floor(z)) - 1.0)
-                    y[i - 1] = ndtri(np.clip(d + x * (e - d), 1e-15, 1.0 - 1e-15))
-                    s = factor[i, :i] @ y[:i]
-                    d = ndtr((box_lower[i] - s) / factor[i, i])
-                    e = ndtr((box_upper[i] - s) / factor[i, i])
-                    prob *= np.maximum(e - d, 0.0)
-                means.append(prob.mean())
-            total += 12 * n_points
-            stderr = np.std(means, ddof=1) / math.sqrt(12)
-            if stderr <= precision:
-                break
-            n_points *= 2
-
-        estimate = lattice.refine(lower, upper, precision)
-        assert estimate.n_points == total > 12 * mvnorm._START_POINTS * dim
-        assert estimate.value == pytest.approx(float(np.mean(means)), rel=1e-14)
-        assert estimate.stderr == pytest.approx(stderr, rel=1e-9)
-
-    @pytest.mark.parametrize("dim", [3, 5, 8, 12])
-    def test_order_pivots_on_the_smallest_residual_variance(self, dim):
-        m = _random_correlation(dim, seed=dim)
-        lattice = _QmcLattice(CorrelationMatrix(m), seed=0)
-        order = lattice.order
-        assert sorted(order.tolist()) == list(range(dim))
-        for k in range(dim):
-            # residual variance of each variable left given those before it
-            chosen, rest = order[:k], order[k:]
-            if k:
-                gain = m[np.ix_(rest, chosen)] @ np.linalg.solve(
-                    m[np.ix_(chosen, chosen)], m[np.ix_(chosen, rest)]
-                )
-                residual = 1.0 - np.diag(gain)
-            else:
-                residual = np.ones(dim)
-            assert residual[0] <= residual.min() + 1e-12
-        assert order[0] == 0  # every diagonal is 1: the tie goes to index 0
-        permuted = m[np.ix_(order, order)]
-        np.testing.assert_allclose(lattice.factor @ lattice.factor.T, permuted, atol=1e-12)
-
-    def test_order_breaks_ties_toward_the_lowest_index(self):
-        exchangeable = CorrelationMatrix(np.eye(6) * 0.6 + np.full((6, 6), 0.4))
-        assert _QmcLattice(exchangeable).order.tolist() == list(range(6))
-
-    @pytest.mark.parametrize("dim", [3, 4, 6, 9, 12])
-    def test_unequal_boxes_match_scipy(self, dim):
-        # bounds differ per variable, some infinite on either side, so the
-        # order matters; scipy's own error is at most its abseps
-        from scipy.stats import multivariate_normal
-
-        m = _random_correlation(dim, seed=100 + dim)
-        lower, upper = _random_box(dim, seed=dim)
-        estimate = _QmcLattice(CorrelationMatrix(m), seed=dim).refine(lower, upper, 1e-4)
-        abseps = 1e-5
-        oracle = multivariate_normal.cdf(
-            upper, np.zeros(dim), m, lower_limit=lower, abseps=abseps, releps=0.0
-        )
-        assert abs(estimate.value - oracle) <= 5 * estimate.stderr + abseps
-
-    @pytest.mark.parametrize("dim", [3, 6, 12])
-    def test_slope_on_unequal_boxes_is_a_central_difference(self, dim):
-        lattice = _QmcLattice(CorrelationMatrix(_random_correlation(dim, seed=dim)), seed=1)
-        lower, upper = _random_box(dim, seed=dim)
-        h = 1e-5
-        central = (
-            lattice.estimate(lower - h, upper + h).value
-            - lattice.estimate(lower + h, upper - h).value
-        ) / (2.0 * h)
-        assert lattice.estimate(lower, upper).slope == pytest.approx(central, rel=1e-6)
-
-    def test_slope_where_u_is_clipped_is_a_central_difference(self):
-        # the first variable's box (-inf, -7.6] has cdf Phi(-7.6) ~ 1.5e-14,
-        # so u = x Phi(-7.6) lies below 1e-15, and is clipped, at the points
-        # with x < 0.066.  There y = Phi^-1(u) does not move with the box,
-        # and neither may the slope's dy.  The box holds about 1e-18, so the
-        # check is relative only
-        corr = CorrelationMatrix(np.full((3, 3), 0.5) + 0.5 * np.eye(3))
-        lower, upper = np.array([-INF, -2.0, -1.0]), np.array([-7.6, 2.0, 1.5])
-        lattice = _QmcLattice(corr, seed=1)
-        h = 1e-5
-        central = (
-            lattice.estimate(lower - h, upper + h).value
-            - lattice.estimate(lower + h, upper - h).value
-        ) / (2.0 * h)
-        assert lattice.estimate(lower, upper).slope == pytest.approx(central, rel=1e-6, abs=0.0)
-
-    @settings(max_examples=80, deadline=None)
-    @given(st.lists(_BOUND, min_size=3, max_size=3), st.lists(_BOUND, min_size=3, max_size=3))
-    def test_any_box_gives_a_probability(self, lower, upper):
-        # finite or infinite bounds, crossed or not: a probability with a
-        # finite standard error, and a refine that needs no growth returns it
-        lattice = _QmcLattice(CorrelationMatrix(_random_correlation(3, seed=0)))
-        estimate = lattice.estimate(np.array(lower), np.array(upper))
-        assert 0.0 <= estimate.value <= 1.0 and math.isfinite(estimate.stderr)
-        assert lattice.refine(lower, upper, precision=1.0) == estimate
-        assert lattice.total_points == 12 * mvnorm._START_POINTS * 3
-
-    def test_refined_lattice_holds_its_points(self):
-        corr = CorrelationMatrix(np.eye(4) * 0.5 + np.full((4, 4), 0.5))
-        lower, upper = np.full(4, -2.0), np.full(4, 2.0)
-        lattice = _QmcLattice(corr, seed=4)
-        estimate = lattice.refine(lower, upper, precision=2e-6)
-        assert estimate.n_points > 12 * mvnorm._START_POINTS * 4  # the lattice grew at least once
-        # held points: the same box on the grown lattice repeats to the bit
-        assert lattice.estimate(lower, upper) == estimate
-
-    @pytest.mark.parametrize("dim", [3, 6, 12])
-    def test_work_array_keeps_no_state_between_boxes(self, dim):
-        # every pass runs in the work array the lattice keeps; a box
-        # evaluated after another gives what it gave first, and what a
-        # fresh lattice gives, before and after a grow()
-        corr = CorrelationMatrix(_random_correlation(dim, seed=dim))
-        box_a, box_b = _random_box(dim, seed=dim), _random_box(dim, seed=dim + 50)
-        lattice, fresh = _QmcLattice(corr, seed=2), _QmcLattice(corr, seed=2)
-        for grown in (False, True):
-            if grown:
-                lattice.grow()
-                fresh = _QmcLattice(corr, seed=2)
-                fresh.grow()
-            first = lattice.estimate(*box_a)
-            assert lattice.estimate(*box_b) != first
-            assert lattice.estimate(*box_a) == first
-            assert fresh.estimate(*box_a) == first
-
-    def test_precision_unreachable(self, monkeypatch):
-        monkeypatch.setattr(mvnorm, "_MAX_POINTS", 10_000)
-        corr = CorrelationMatrix(np.eye(4) * 0.5 + np.full((4, 4), 0.5))
-        with pytest.raises(PrecisionUnreachable):
-            _QmcLattice(corr).refine(np.full(4, -1.0), np.full(4, 1.0), precision=1e-12)

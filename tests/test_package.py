@@ -37,7 +37,8 @@ def test_dir_lists_every_public_name():
 ])
 def test_an_unknown_name_is_an_attribute_error(name):
     # DEFAULT_TARGETS is public in multiplicity, not in the package; of the
-    # last five, pooled_sd is deleted and the others are private
+    # last five, pooled_sd and QmcLattice are deleted and the others are
+    # private
     with pytest.raises(AttributeError, match=f"module 'platformdesign' has no attribute '{name}'"):
         getattr(platformdesign, name)
     assert not hasattr(platformdesign, name)
@@ -73,16 +74,16 @@ import numpy as np
 from platformdesign.cli import main
 from platformdesign.correlation import ArmCorrelations, PlatformArms, platform_z_correlation_matrix
 from platformdesign.multiplicity import ErrorMetric, platform_threshold
-from platformdesign.mvnorm import CorrelationMatrix, _QmcLattice
+from platformdesign.mvnorm import CorrelationMatrix
 
-# lattice boxes at dims 3, 8 and 12, two-sided and with -inf lower bounds
+# any-exceedance thresholds at dims 3, 8 and 12, two- and one-sided
 for dim in (3, 8, 12):
     corr = CorrelationMatrix(np.eye(dim) * 0.6 + np.full((dim, dim), 0.4))
-    for lower in (np.full(dim, -2.5), np.full(dim, -np.inf)):
-        estimate = _QmcLattice(corr, seed=dim).refine(lower, np.full(dim, 2.5), 1e-4)
-        assert 0.0 < estimate.value < 1.0 and estimate.stderr <= 1e-4
+    for sided in ("two", "one"):
+        result = platform_threshold(corr, ErrorMetric.mfwer(1, 0.05, sided))
+        assert abs(result.achieved - 0.05) <= 1e-8 and result.achieved_stderr <= 1e-4
 # m-FWER count pools of odd dims 3 and 5, both sides; a K = 2 count pool and
-# a K = 2 fwer lattice
+# a K = 2 fwer threshold
 table = ArmCorrelations.per_substudy((0.3, 0.2), (0.5, 0.4))
 k2 = platform_z_correlation_matrix(PlatformArms(120.0, (60.0, 60.0), (60.0, 60.0), table))
 solves = [(CorrelationMatrix(np.eye(dim) * 0.7 + np.full((dim, dim), 0.3)),
@@ -98,7 +99,8 @@ print(sys.modules["scipy"] is None)
 
 def test_the_package_runs_without_scipy(tmp_path):
     # scipy is a test oracle only: with it blocked, a fresh interpreter runs
-    # the lattice, odd- and even-dimension count pools and every subcommand
+    # any-exceedance thresholds, odd- and even-dimension count pools and
+    # every subcommand
     path = tmp_path / "pdx.csv"
     path.write_text(FIXTURE_INDEPENDENT_CSV, encoding="utf-8")
     small_grid = ["--start", "0", "--stop", "0.5", "--step", "0.5"]
