@@ -311,12 +311,12 @@ def bivariate_error_rates(rho, critical_value) -> dict:
 # null directions per block of the pool; block b has its own seeded stream
 _POOL_BLOCK = 16_384
 # The pool's normals of one seed, kept for the life of the process: (seed,
-# block) -> that block's normals, read-only.  The generator fills a draw row
-# by row, so the first d rows of a taller draw are the draw of dim d, and one
-# entry serves every dim up to its own; one of another size, or too few
-# rows, is drawn again and replaced.  Only blocks of the default K = 6 pool
-# are kept, at most 12 x 65,536 doubles (6.3 MB); later blocks, and pools of
-# more statistics, are drawn each call.
+# block) -> that block's normals, read-only and single precision.  The
+# generator fills a draw row by row, so the first d rows of a taller draw are
+# the draw of dim d, and one entry serves every dim up to its own; one of
+# another size, or too few rows, is drawn again and replaced.  Only blocks of
+# the default K = 6 pool are kept, at most 12 x 65,536 float32 (3.1 MB);
+# later blocks, and pools of more statistics, are drawn each call.
 _KEPT_DIM, _KEPT_BLOCKS = 12, 4
 _kept_normals: dict[tuple[int, int], np.ndarray] = {}
 # The null directions an any-exceedance solve starts on, the first columns
@@ -328,13 +328,14 @@ _FIRST_DIRECTIONS, _MAX_STATISTICS, _NEGLIGIBLE = 2_048, 1 << 22, 100.0
 
 def _block_normals(key: int, block: int, dim: int, size: int) -> np.ndarray:
     """Block ``block``'s (dim, size) standard normals from the stream (key,
-    1, block), from the kept draws where they hold them; the store holds
-    one key at a time."""
+    1, block), drawn in double and rounded to float32 (6e-8 relative), from
+    the kept draws where they hold them; the store holds one key at a time."""
     if _kept_normals and next(iter(_kept_normals))[0] != key:
         _kept_normals.clear()
     normals = _kept_normals.get((key, block))
     if normals is None or normals.shape[0] < dim or normals.shape[1] != size:
-        normals = np.random.default_rng([key, 1, block]).standard_normal((dim, size))
+        rng = np.random.default_rng([key, 1, block])
+        normals = rng.standard_normal((dim, size)).astype(np.float32)
         if dim <= _KEPT_DIM and block < _KEPT_BLOCKS:
             normals.flags.writeable = False
             _kept_normals[key, block] = normals
@@ -344,13 +345,14 @@ def _block_normals(key: int, block: int, dim: int, size: int) -> np.ndarray:
 def _statistic_row(factor, draws, j: int, two_sided: bool, out: np.ndarray) -> np.ndarray:
     """Statistic j of each draw (a column of ``draws``) into ``out``: the
     Cholesky factor's row j over the draw's first j + 1 normals (einsum, not
-    BLAS, whose threads would spin on the cores), absolute if two-sided."""
+    BLAS, whose threads would spin on the cores), absolute if two-sided; in
+    the pool a float32 sum of at most 12 float32 products."""
     np.einsum("k,kn->n", factor[j, : j + 1], draws[: j + 1], out=out)
     return np.abs(out, out=out) if two_sided else out
 
 
 def _draw_norms(draws: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The norm of each draw's normals, into ``out``."""
+    """The norm of each draw's normals, into ``out``, in its precision."""
     return np.sqrt(np.einsum("kn,kn->n", draws, draws, out=out), out=out)
 
 
@@ -369,11 +371,14 @@ def _tail_count_statistic(
     top-m pass over the rows keeps each draw's m largest; a value pushed
     past the m-th is dropped, not computed.  The blocks are reduced in turn
     on the calling thread, in work arrays allocated once per call.  The pool
-    is a pure function of the arguments, whatever was drawn before it.
+    is a pure function of the arguments, whatever was drawn before it.  The
+    rows, top-m pass and norms are float32, T is stored in double and all
+    after it is double: T is within (3 + 3 dim / 2) 2^-24 max_j sum_k |L_jk
+    x_k| / |x| of the double T of the same normals x (Higham 2002, 3.1).
     """
-    factor, dim, key = z_corr.factor, z_corr.dim, seed & 0xFFFFFFFFFFFFFFFF
+    factor, dim, key = z_corr.factor.astype(np.float32), z_corr.dim, seed & 0xFFFFFFFFFFFFFFFF
     stat = np.empty(replications)
-    work = np.empty((m + 2, min(_POOL_BLOCK, replications)))
+    work = np.empty((m + 2, min(_POOL_BLOCK, replications)), np.float32)
     for start in range(0, replications, _POOL_BLOCK):
         size = min(_POOL_BLOCK, replications - start)
         draws = _block_normals(key, start // _POOL_BLOCK, dim + dim % 2, size)
@@ -400,16 +405,18 @@ def _ranked_statistics(
     """The first ``directions`` null directions of the pool's stream (every
     block drawn whole, and read from its first column), each a column of
     its draw's statistics over the draw's norm, largest first: (dim,
-    directions)."""
-    factor, dim, key = z_corr.factor, z_corr.dim, seed & 0xFFFFFFFFFFFFFFFF
+    directions), float64 from float32 rows and norms as in
+    :func:`_tail_count_statistic`."""
+    factor, dim, key = z_corr.factor.astype(np.float32), z_corr.dim, seed & 0xFFFFFFFFFFFFFFFF
     stat = np.empty((dim, directions))
+    work = np.empty((dim + 1, min(_POOL_BLOCK, directions)), np.float32)
     for start in range(0, directions, _POOL_BLOCK):
         size = min(_POOL_BLOCK, directions - start)
         draws = _block_normals(key, start // _POOL_BLOCK, dim + dim % 2, _POOL_BLOCK)[:, :size]
-        block = stat[:, start : start + size]
+        rows, norms = work[:dim, :size], work[dim, :size]
         for j in range(dim):
-            _statistic_row(factor, draws, j, two_sided, block[j])
-        block /= _draw_norms(draws, np.empty(size))
+            _statistic_row(factor, draws, j, two_sided, rows[j])
+        np.divide(rows, _draw_norms(draws, norms), out=stat[:, start : start + size])
     stat.sort(axis=0)
     return stat[::-1]
 
@@ -669,8 +676,11 @@ def platform_threshold(
     directions' terms there over sqrt(``replications``), both from one pass
     at the root that keeps each term; ``precision`` is validated but
     unused.  The directions are drawn in seeded blocks, kept for the life of
-    the process up to the default K = 6 pool, and reduced on the calling
-    thread; they depend only on the arguments, not on earlier calls.
+    the process up to the default K = 6 pool (12 x 65,536 float32 normals),
+    and reduced on the calling thread; they depend only on the arguments,
+    not on earlier calls.  Each direction's statistics are float32 and every
+    probability from them on double, which moved c* by at most 1.5e-8
+    relative over 200 K = 2-6 solves.
     """
     dim = z_corr.dim
     if dim < 2:

@@ -478,8 +478,8 @@ class TestPlatformThreshold:
         corr = _platform_z_corr(2)
         two = platform_threshold(corr, ErrorMetric.mfwer(2, 0.05))
         one = platform_threshold(corr, ErrorMetric.mfwer(2, 0.05, sided="one"), seed=5)
-        assert two.critical_value == 1.835451846424511
-        assert one.critical_value == 1.5686420716327438
+        assert two.critical_value == 1.8354518731428893
+        assert one.critical_value == 1.5686420947805342
 
     def test_monotone_in_alpha(self):
         corr = CorrelationMatrix(np.eye(4) * 0.6 + np.full((4, 4), 0.4))
@@ -732,7 +732,7 @@ class TestThresholdSolver:
         # it, and the spread pass at c* gives the standard error
         built = _recorded_laws(monkeypatch)
         result = platform_threshold(_platform_z_corr(4), ErrorMetric.fwer(0.05))
-        assert repr(result.critical_value) == "2.6893767278760534"
+        assert repr(result.critical_value) == "2.6893767282231518"
         (directions, _, calls), = built
         high = float(multiplicity._bracket(result.metric, 8, result.z_correlation.entries[0, 1])[1])
         assert directions == 2048 and len(calls) == 3
@@ -1244,6 +1244,40 @@ class TestSharedSearch:
         assert low[0] == 0.0 and low[3] > 0.0  # Slepian: a lower bracket for rho < 0
 
 
+def _double_pool(z_corr, two_sided, directions, seed, whole_blocks):
+    """The pool's statistics of its first ``directions`` null directions,
+    each over its draw's norm, formed in double from the same stored float32
+    normals x: (dim, directions), unsorted; and per direction the scale
+    max_j sum_k |L_jk x_k| / |x| of the float32 error bound.  With
+    ``whole_blocks`` each block is drawn whole and read from its first
+    columns, as ``_ranked_statistics`` reads it; otherwise a last partial
+    block is drawn at its own size, as in ``_tail_count_statistic``."""
+    dim, block = z_corr.dim, multiplicity._POOL_BLOCK
+    stat, scale = np.empty((dim, directions)), np.empty(directions)
+    for start in range(0, directions, block):
+        size = min(block, directions - start)
+        normals = multiplicity._block_normals(
+            seed, start // block, dim + dim % 2, block if whole_blocks else size)
+        x = normals[:, :size].astype(float)
+        norms = np.sqrt(np.einsum("kn,kn->n", x, x))
+        rows = np.einsum("jk,kn->jn", z_corr.factor, x[:dim])
+        stat[:, start : start + size] = (np.abs(rows) if two_sided else rows) / norms
+        magnitudes = np.einsum("jk,kn->jn", np.abs(z_corr.factor), np.abs(x[:dim]))
+        scale[start : start + size] = magnitudes.max(axis=0) / norms
+    return stat, scale
+
+
+def _double_tail_count_statistic(z_corr, m, sided, replications, seed):
+    stat = _double_pool(z_corr, sided == "two", replications, seed, False)[0]
+    return np.partition(stat, z_corr.dim - m, axis=0)[z_corr.dim - m]
+
+
+def _double_ranked_statistics(z_corr, two_sided, directions, seed):
+    stat = _double_pool(z_corr, two_sided, directions, seed, True)[0]
+    stat.sort(axis=0)
+    return stat[::-1]
+
+
 class TestNullPool:
     @pytest.mark.parametrize("sided", ["two", "one"])
     @pytest.mark.parametrize("dims", [(12, 4, 8), (4, 8, 12)], ids=["12-4-8", "4-8-12"])
@@ -1267,21 +1301,22 @@ class TestNullPool:
     @pytest.mark.parametrize("dim", [2, 5, 11])
     def test_pool_rows_of_a_taller_kept_block_are_a_fresh_draw(self, dim):
         # the generator fills a draw row by row: the first dim rows of a
-        # kept 12-row block are the (dim, size) draw of the same stream
+        # kept 12-row block are the (dim, size) double draw of the same
+        # stream, rounded to float32
         store = multiplicity._kept_normals
         store.clear()
         multiplicity._block_normals(3, 1, 12, 16_384)
         rows = multiplicity._block_normals(3, 1, dim, 16_384)
         assert rows.base is store[3, 1]
         fresh = np.random.default_rng([3, 1, 1]).standard_normal((dim, 16_384))
-        assert np.array_equal(rows, fresh)
+        assert rows.dtype == np.float32 and np.array_equal(rows, fresh.astype(np.float32))
 
     def test_pool_store_keeps_the_default_pool_read_only(self):
         store = multiplicity._kept_normals
         store.clear()
         multiplicity._tail_count_statistic(_platform_z_corr(6), 2, "two", 65_536, 1)
         assert sorted(store) == [(1, block) for block in range(4)]
-        assert sum(normals.nbytes for normals in store.values()) == 12 * 65_536 * 8
+        assert sum(normals.nbytes for normals in store.values()) == 12 * 65_536 * 4
         assert not any(normals.flags.writeable for normals in store.values())
 
     @pytest.mark.parametrize("K, replications", [(6, 100_000), (7, 40_000)],
@@ -1336,15 +1371,17 @@ class TestNullPool:
 
     @pytest.mark.parametrize("sided", ["two", "one"])
     def test_top_m_pass_is_the_m_th_largest(self, sided):
-        # the block's statistics formed row by row as the pool forms them,
-        # their m-th largest read with a partition, over each column's norm;
-        # an odd dim's norm takes one more normal than its statistics
+        # the block's statistics formed row by row in float32 as the pool
+        # forms them, from the same float32 draws, their m-th largest read
+        # with a partition, over each column's norm; an odd dim's norm takes
+        # one more normal than its statistics
         size, seed = 1000, 9
         for corr in (_platform_z_corr(3), *(CorrelationMatrix(np.array(e)) for e in _ODD_ENTRIES)):
-            dim = corr.dim
+            dim, factor = corr.dim, corr.factor.astype(np.float32)
             draws = np.random.default_rng([seed, 1, 0]).standard_normal((dim + dim % 2, size))
+            draws = draws.astype(np.float32)
             rows = np.stack([
-                np.einsum("k,kn->n", corr.factor[j, : j + 1], draws[: j + 1]) for j in range(dim)
+                np.einsum("k,kn->n", factor[j, : j + 1], draws[: j + 1]) for j in range(dim)
             ])
             if sided == "two":
                 rows = np.abs(rows)
@@ -1356,14 +1393,14 @@ class TestNullPool:
 
     # sha256 of the pool's bytes for m = 1-4, sided two and one, at dim 6
     POOL_SHA256 = {
-        ("two", 1): "87aa933c7c755e0ed1c4240d5ba06cf42a234c283d44116136e6bfc18219e37b",
-        ("two", 2): "7924641526082d1d2a3adb44e8257a2bf2b149e34dae6667b6b580fe56ad0aab",
-        ("two", 3): "490ef51324c88367e36820059092f8b753f694da40d863918dbca80978df8a2c",
-        ("two", 4): "5e2e7844a6748e761b2f8f0125cd75d25515d15f204b15f41cc2a4ab27bddfad",
-        ("one", 1): "69b245ca492b99d92285d68d1c680ab0e62b6c03d968c342eaef339ad4d6178e",
-        ("one", 2): "5f6f1ca24dd111da5be4594a08b4dc0578cc9707c6ce19ba22a3b9d0bf42a4e8",
-        ("one", 3): "f3bc5274adf0b805c24463a5aeaf50b44b9b0a8fee61a2f8f0620a850bc3cac5",
-        ("one", 4): "63e59c5f0f4756119a3fcc24d4fe08bc8541e53b670bc871decf2460ec7a1093",
+        ("two", 1): "eb7aa6fb005490c6f8a15e6d6a3531bf82892f8c5ffb70eeb726e9e972f08e28",
+        ("two", 2): "c2eae24f05dfcc0dfe6e3c0ca3b4172dcfb2625713b40ee35278beda30f67921",
+        ("two", 3): "0781c1ba3cd4949557e87e32d3af8df115ecd6b061820511b88196f062fdc6bb",
+        ("two", 4): "69902b79db2a4182b9eb15066264a5f38e94d5bd96e3dd12cb464d6658cf16c6",
+        ("one", 1): "9936b2314c1358ab83b2f350ced6572db9d6d8e1d0a0822cf16defee84d06a3b",
+        ("one", 2): "33c1ce61b065c571ce49d89068fb7c4368d1856b813cca0754b2f3120eb0656a",
+        ("one", 3): "125e8694f0b11517f7e8ea5af903c89eeba021b18b6a53b7c5c27b65ae50a775",
+        ("one", 4): "1b4002f13288ca8d14bd4b00a5ed99c8853ecb87b194c1431cb3a2fd0ba976db",
     }
 
     @pytest.mark.parametrize("sided, m", sorted(POOL_SHA256))
@@ -1387,6 +1424,51 @@ class TestNullPool:
                 assert abs(result.critical_value - c_star) <= 4 * math.ulp(c_star), case
                 assert abs(result.achieved - achieved) <= 1e-15, case
                 assert result.achieved_stderr == pytest.approx(stderr, rel=1e-13), case
+
+    @pytest.mark.parametrize("K", range(2, 7))
+    def test_single_precision_statistic_against_double(self, K, monkeypatch):
+        # the rows, top-m pass and norms are float32; formed in double from
+        # the same stored normals, each T is within the float32 error bound,
+        # the double law's level at the reported c* within 1e-3 of the
+        # reported stderr, and the double c* within 1e-7 relative.  The
+        # bound (Higham 2002, 3.1) adds up the roundings: a row's at most
+        # dim products and its factor entries (dim + 1), the norm's dim
+        # squares, halved by its square root, and the root (dim / 2 + 1),
+        # and the division (1), each times max_j sum_k |L_jk x_k| / |x|
+        dim = 2 * K
+        rounding = (dim + 1 + dim / 2 + 1 + 1) * 2.0**-24
+        bound = rounding / (1.0 - rounding)
+        designs = (_platform_z_corr(K), *(_optimised_design_z_corr(K, i) for i in (0, 1)))
+        for z_corr in designs:
+            for sided in ("two", "one"):
+                for m in (1, 2, 3):
+                    metric, case = ErrorMetric.mfwer(m, 0.05, sided), (K, z_corr, sided, m)
+                    two_sided, built = sided == "two", _recorded_laws(monkeypatch)
+                    single = platform_threshold(z_corr, metric)
+                    if m == 1:
+                        directions = built[-1][0]
+                        stat = multiplicity._ranked_statistics(z_corr, two_sided, directions, 0)
+                        double = _double_ranked_statistics(z_corr, two_sided, directions, 0)
+                    else:
+                        directions = 65_536
+                        stat = multiplicity._tail_count_statistic(z_corr, m, sided, directions, 0)
+                        double = _double_tail_count_statistic(z_corr, m, sided, directions, 0)
+                    scale = _double_pool(z_corr, two_sided, directions, 0, m == 1)[1]
+                    assert stat.dtype == np.float64
+                    assert (np.abs(stat - double) <= bound * scale).all(), case
+                    with monkeypatch.context() as patch:
+                        patch.setattr(multiplicity, "_ranked_statistics", _double_ranked_statistics)
+                        patch.setattr(
+                            multiplicity, "_tail_count_statistic", _double_tail_count_statistic)
+                        if m == 1:
+                            level = _law_at(z_corr, metric, directions)(single.critical_value)[0]
+                        else:
+                            law = multiplicity._radial_level(double, dim)
+                            level = law(single.critical_value)[0]
+                        c_star = platform_threshold(z_corr, metric).critical_value
+                    assert abs(level - single.achieved) <= 1e-3 * single.achieved_stderr, case
+                    assert abs(c_star - single.critical_value) <= 1e-7 * c_star, case
+                    monkeypatch.undo()
 
     def test_k6_pool_levels_against_brute_force(self):
         # twelve statistics: the pool's critical values against a
